@@ -1,8 +1,9 @@
 """Before/after benchmarks for the SoA fleet engine.
 
-Times the pooled per-cell lifetime path
-(:func:`~repro.system.sweeps.run_lifetime_sweep`, one
-``SystemSimulator`` per chip) against the structure-of-arrays
+Times a pooled per-cell baseline (:func:`pooled_cells`: one
+``SystemSimulator`` per grid cell, one
+:func:`~repro.solvers.sweep.run_sweep` task each) against the
+structure-of-arrays
 :class:`~repro.system.fleet.FleetSimulator`, which advances the whole
 population as ``(n_chips * n_cores, ...)`` tensors in one ufunc pass
 per epoch and shares condition / kernel / thermal caches across every
@@ -17,9 +18,9 @@ per-chip equivalence pinned both here and in
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
-import os
 import platform
 import time
 from pathlib import Path
@@ -27,7 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.solvers import cache_counters
+from repro.solvers import cache_counters, run_sweep
+from repro.solvers.sweep import available_cpus
 from repro.system.fleet import (
     FleetSimulator,
     FleetVariationSpec,
@@ -39,6 +41,7 @@ from repro.system.scheduler import (
     NoRecoveryPolicy,
     RoundRobinRecoveryPolicy,
 )
+from repro.system.simulator import SystemSimulator
 from repro.system.sweeps import ChipConfig, run_lifetime_sweep
 from repro.system.workload import (
     ConstantWorkload,
@@ -113,6 +116,31 @@ def _workload():
     return ConstantWorkload(n_cores=N_CORES, utilization=0.6)
 
 
+def _simulate_cell(cell):
+    """One grid cell on its own ``SystemSimulator`` (one sweep task)."""
+    policy, workload, config, n_epochs = cell
+    result = SystemSimulator(config.build()).run(
+        n_epochs, copy.deepcopy(workload), copy.deepcopy(policy))
+    return (result.guardband, float(result.final_delta_vth_v.max()),
+            result.migration_events)
+
+
+def pooled_cells(policies, workloads, chips, n_epochs):
+    """The per-cell baseline: every policy x workload x chip cell as
+    its own process-pool task, in grid order.
+
+    Each cell builds its chip and runs a fresh ``SystemSimulator``,
+    with nothing shared between cells -- the cost the fleet engine
+    removes.  Returns ``(guardband, final_delta_vth_v,
+    migration_events)`` per cell.
+    """
+    cells = [(policy, workload, config, n_epochs)
+             for policy in policies.values()
+             for workload in workloads.values()
+             for config in chips]
+    return run_sweep(_simulate_cell, cells)
+
+
 def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
     """The PR acceptance case: >= 10x over the pooled sweep at 1k chips.
 
@@ -128,13 +156,8 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
              for i in range(N_CHIPS)]
 
     def pooled():
-        # engine="pooled" pins the per-cell baseline: without it the
-        # auto router would send this homogeneous grid to the very
-        # fleet engine the benchmark measures against.
-        return run_lifetime_sweep({"rr3": _policy()},
-                                  {"flat06": _workload()}, chips,
-                                  n_epochs=N_EPOCHS, seed=7,
-                                  engine="pooled")
+        return pooled_cells({"rr3": _policy()}, {"flat06": _workload()},
+                            chips, N_EPOCHS)
 
     def fleet():
         simulator = FleetSimulator(Chip(3, 3), N_CHIPS)
@@ -155,10 +178,9 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
     # identical without variation, so sample the population edges).
     bands = result.guardbands
     for index in (0, N_CHIPS // 2, N_CHIPS - 1):
-        cell = sweep.cells[index]
-        assert abs(cell.guardband - bands[index]) \
-            <= EQUIVALENCE_TOLERANCE
-        assert abs(cell.final_delta_vth_v
+        guardband, final_delta_vth_v, _ = sweep[index]
+        assert abs(guardband - bands[index]) <= EQUIVALENCE_TOLERANCE
+        assert abs(final_delta_vth_v
                    - result.final_delta_vth_v[index].max()) \
             <= EQUIVALENCE_TOLERANCE
 
@@ -214,8 +236,9 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
     """The heterogeneous acceptance case: >= 5x at 1024 mixed cells.
 
     A 2-policy x 4-phase-shifted-diurnal x 128-chip design grid runs
-    once through the pooled per-cell path and once through the fleet
-    router (``engine="fleet"``), which stacks all 1024 cells into 8
+    once through the pooled per-cell baseline and once through
+    :func:`~repro.system.sweeps.run_lifetime_sweep`, which stacks all
+    1024 cells into 8
     policy/workload groups of 128 identical chips.  Distinct phases
     and policies break the single-bundle degeneracy of the
     homogeneous benchmark -- each epoch carries 8 cohort bundles --
@@ -232,9 +255,7 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
     n_cells = len(policies) * len(workloads) * n_grid_chips
 
     def pooled():
-        return run_lifetime_sweep(policies, workloads, chips,
-                                  n_epochs=N_EPOCHS, seed=7,
-                                  engine="pooled")
+        return pooled_cells(policies, workloads, chips, N_EPOCHS)
 
     reports = []
 
@@ -242,7 +263,6 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
         reports.clear()
         return run_lifetime_sweep(policies, workloads, chips,
                                   n_epochs=N_EPOCHS, seed=7,
-                                  engine="fleet",
                                   on_report=reports.append)
 
     after_s = before_s = float("inf")
@@ -253,16 +273,15 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
 
     # Cell-for-cell equivalence across the mixed grid (sampled at the
     # corners and the policy/workload boundaries).
-    assert len(fleet_sweep.cells) == n_cells
+    assert len(fleet_sweep.cells) == len(pooled_sweep) == n_cells
     for index in (0, n_grid_chips - 1, n_grid_chips,
                   n_cells // 2, n_cells - 1):
-        a, b = fleet_sweep.cells[index], pooled_sweep.cells[index]
-        assert (a.policy, a.workload, a.chip) \
-            == (b.policy, b.workload, b.chip)
-        assert abs(a.guardband - b.guardband) <= EQUIVALENCE_TOLERANCE
-        assert abs(a.final_delta_vth_v - b.final_delta_vth_v) \
+        a = fleet_sweep.cells[index]
+        guardband, final_delta_vth_v, migrations = pooled_sweep[index]
+        assert abs(a.guardband - guardband) <= EQUIVALENCE_TOLERANCE
+        assert abs(a.final_delta_vth_v - final_delta_vth_v) \
             <= EQUIVALENCE_TOLERANCE
-        assert a.migration_events == b.migration_events
+        assert a.migration_events == migrations
 
     counters = reports[0].cache_counters
     kernels = counters.get("bti.fleet.kernels", {})
@@ -338,8 +357,8 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     stream at 65k chips and 8 workers.
 
     Both paths stream the same ~9k-chip byte-budgeted chunks; the
-    parallel run dispatches them across the worker pool and scatters
-    rows into the shared-memory slab.  The merged populations are
+    parallel run dispatches them across the worker pool, which returns
+    each chunk's result to the parent.  The merged populations are
     asserted bitwise identical.  The >= 3x floor is enforced only
     when the host actually has >= 8 CPUs -- smaller runners record
     honest requested-vs-available numbers without asserting an
@@ -374,20 +393,19 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     assert np.array_equal(serial_result.final_em_drift_ohm,
                           parallel_result.final_em_drift_ohm)
 
-    available_cpus = os.cpu_count() or 1
+    cpus = available_cpus()
     entry = record(
         "parallel_chunked_fleet_65536_chips", before_s, after_s,
         n_chips=n_chips, n_cores=N_CORES, n_epochs=n_epochs,
         state_budget_bytes=budget,
         requested_workers=PARALLEL_WORKERS,
-        available_cpus=available_cpus,
+        available_cpus=cpus,
         n_chunks=parallel_report.n_chunks,
         mode=parallel_report.mode,
         chips_per_s_serial=n_chips / before_s,
         chips_per_s_parallel=n_chips / after_s)
-    run_once(benchmark, lambda: run(min(PARALLEL_WORKERS,
-                                        available_cpus)))
-    if available_cpus >= PARALLEL_WORKERS:
+    run_once(benchmark, lambda: run(min(PARALLEL_WORKERS, cpus)))
+    if cpus >= PARALLEL_WORKERS:
         assert entry["speedup"] >= SPEEDUP_THRESHOLD_PARALLEL
 
 
@@ -484,8 +502,8 @@ def test_parallel_fleet_262k_chips_scaling(benchmark):
     n_chips = 262_144
     n_epochs = 6
     budget = 256 * 1024 * 1024
-    available_cpus = os.cpu_count() or 1
-    workers = min(PARALLEL_WORKERS, available_cpus)
+    cpus = available_cpus()
+    workers = min(PARALLEL_WORKERS, cpus)
 
     reports = []
     start = time.perf_counter()
@@ -509,7 +527,7 @@ def test_parallel_fleet_262k_chips_scaling(benchmark):
         "n_chunks": report.n_chunks,
         "workers": workers,
         "requested_workers": PARALLEL_WORKERS,
-        "available_cpus": available_cpus,
+        "available_cpus": cpus,
         "mode": report.mode,
         "guardband_p99": float(result.guardband_quantile(0.99)),
     }

@@ -3,7 +3,7 @@
 Times the seed's scalar epoch loop (kept verbatim in
 :mod:`benchmarks.seed_system`) against the vectorized
 :class:`~repro.system.simulator.SystemSimulator` on round-robin-healed
-constant-load scenarios at 16 and 256 cores, plus the pooled
+constant-load scenarios at 16 and 256 cores, plus the
 :func:`~repro.system.sweeps.run_lifetime_sweep` throughput on a
 32-cell policy x workload x chip grid.
 
@@ -193,7 +193,8 @@ def test_epoch_engine_256_core(benchmark):
 
 
 def test_lifetime_sweep_32_cells(benchmark):
-    """Pooled sweep throughput; results must match the serial path."""
+    """Sweep throughput at the default worker count against one
+    worker; results must match."""
     policies = {
         "none": NoRecoveryPolicy(),
         "rr1": RoundRobinRecoveryPolicy(recovery_slots=1),

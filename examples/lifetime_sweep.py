@@ -1,10 +1,10 @@
-"""Design-space lifetime sweep over the process pool.
+"""Design-space lifetime sweep on the fleet engine.
 
-Fans a scheduling-policy x workload x chip grid through
-:func:`repro.system.sweeps.run_lifetime_sweep`: every cell runs a
-fresh :class:`~repro.system.simulator.SystemSimulator` in its own
-process (deterministically seeded, so serial and pooled runs are
-identical) and comes back as one row of a
+Runs a scheduling-policy x workload x chip grid through
+:func:`repro.system.sweeps.run_lifetime_sweep`: each chip design is
+one stacked fleet study, every cell equals a standalone
+:class:`~repro.system.simulator.SystemSimulator` run bit for bit
+(deterministically seeded), and each comes back as one row of a
 :class:`~repro.system.sweeps.SweepResult` table.
 
 Prints the full grid -- guardband, permanent Vth, EM failures,

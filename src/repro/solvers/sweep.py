@@ -80,6 +80,21 @@ _MIN_TASKS_FOR_POOL = DEFAULT_MIN_TASKS_FOR_POOL
 ON_ERROR_POLICIES = ("raise", "skip", "collect")
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: the default pool size.
+
+    ``os.cpu_count()`` counts the host's CPUs and ignores affinity
+    masks and container CPU sets, so a pool sized from it can
+    oversubscribe a restricted runner.  The affinity mask is the
+    count that matters; platforms without
+    ``os.sched_getaffinity`` fall back to ``os.cpu_count()``.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def task_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     """The task-index-keyed seed sequence used by :func:`run_sweep`.
 
@@ -429,8 +444,9 @@ def run_sweep(fn: Callable[..., Any], tasks: Sequence[Any], *,
             ``(seed, task index)`` -- pass it to
             ``numpy.random.default_rng``.
         tasks: the task descriptions, evaluated independently.
-        max_workers: process count; ``None`` picks the CPU count,
-            ``0``/``1`` forces the serial in-process path.
+        max_workers: process count; ``None`` picks the CPUs this
+            process may run on (:func:`available_cpus`), ``0``/``1``
+            forces the serial in-process path.
         chunk_size: tasks per submitted chunk (defaults to an even
             split over ~4 chunks per worker).  Chunking only affects
             scheduling granularity, never results.
@@ -469,7 +485,7 @@ def run_sweep(fn: Callable[..., Any], tasks: Sequence[Any], *,
     tasks = list(tasks)
     started = time.perf_counter()
     if max_workers is None:
-        max_workers = os.cpu_count() or 1
+        max_workers = available_cpus()
     if max_workers < 0:
         raise SimulationError("max_workers must be non-negative")
     if min_tasks_for_pool is None:

@@ -34,13 +34,12 @@ task) per chip.  This module advances every chip in lockstep instead:
   (:func:`repro.solvers.sweep.run_sweep`'s crash-safe machinery:
   bounded retries, chunk-level serial re-execution after worker
   death, :class:`~repro.solvers.SweepReport` telemetry with
-  per-worker cache counters aggregated), shipping per-chip outputs
-  back through one preallocated ``multiprocessing.shared_memory``
-  slab instead of pickling multi-hundred-MB arrays.  Results merge
-  by a deterministic row-ordered scatter, so the outcome is bitwise
-  identical to the serial chunk stream for every worker count and
-  completion order; ``state_budget_bytes`` is a *per-worker* budget
-  (total residency is ``n_workers x budget`` by construction).
+  per-worker cache counters aggregated).  Each chunk's
+  :class:`FleetResult` comes back through the pool and results merge
+  in chunk order, so the outcome is bitwise identical to the serial
+  chunk stream for every worker count and completion order;
+  ``state_budget_bytes`` is a *per-worker* budget (total residency is
+  ``n_workers x budget`` by construction).
 
 Exactness: chip ``i`` of a fleet advances bit-identically to a
 standalone :class:`~repro.system.simulator.SystemSimulator` built with
@@ -69,7 +68,6 @@ from __future__ import annotations
 
 import copy
 import os
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -88,6 +86,7 @@ from repro.solvers.sweep import (
     ChunkTask,
     SweepReport,
     _cache_delta,
+    available_cpus,
     chunk_tasks,
     run_sweep,
     task_seed_sequence,
@@ -998,210 +997,6 @@ _TEST_DIE_UNLESS_PID: Optional[int] = None
 _TEST_EPOCH_SLEEP_S = 0.0
 
 
-def _n_records(n_epochs: int, record_every: int) -> int:
-    """Timeline rows :meth:`FleetSimulator.run_groups` will record."""
-    return (n_epochs // record_every
-            + (1 if n_epochs % record_every else 0))
-
-
-def _slab_fields(n_chips: int, n_cores: int, n_records: int
-                 ) -> Tuple[Tuple[str, Tuple[int, ...], type], ...]:
-    """Ordered ``(name, shape, dtype)`` layout of one result slab.
-
-    One entry per :class:`FleetResult` array field; the slab is their
-    dense back-to-back packing.  Timeline fields carry the chip axis
-    last so a chunk's scatter is a column slice; summary fields are
-    chip-major so it is a row slice.
-    """
-    return (
-        ("times_s", (n_records,), np.float64),
-        ("worst_degradation", (n_records, n_chips), np.float64),
-        ("mean_degradation", (n_records, n_chips), np.float64),
-        ("dropped_demand", (n_records, n_chips), np.float64),
-        ("final_delta_vth_v", (n_chips, n_cores), np.float64),
-        ("final_permanent_vth_v", (n_chips, n_cores), np.float64),
-        ("final_em_drift_ohm", (n_chips, n_cores), np.float64),
-        ("em_failures", (n_chips, n_cores), np.bool_),
-        ("capture_scale", (n_chips,), np.float64),
-        ("recovery_scale", (n_chips,), np.float64),
-        ("em_current_scale", (n_chips,), np.float64),
-        ("migration_events", (n_chips,), np.int64),
-        ("total_demand", (n_chips,), np.float64),
-        ("total_dropped_demand", (n_chips,), np.float64),
-    )
-
-
-def _slab_nbytes(n_chips: int, n_cores: int, n_records: int) -> int:
-    """Total bytes of the packed slab layout."""
-    return sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-               for _, shape, dtype
-               in _slab_fields(n_chips, n_cores, n_records))
-
-
-def _slab_views(handle: "_FleetSlabHandle", buf) -> dict:
-    """Zero-copy array views of every slab field over ``buf``."""
-    views = {}
-    offset = 0
-    for name, shape, dtype in _slab_fields(
-            handle.n_chips, handle.n_cores, handle.n_records):
-        views[name] = np.ndarray(shape, dtype=dtype, buffer=buf,
-                                 offset=offset)
-        offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return views
-
-
-#: Serializes the <3.13 ``resource_tracker.register`` patch below:
-#: the patch is process-global, so two threads attaching at once must
-#: not install/restore it over each other.
-_TRACKER_PATCH_LOCK = threading.Lock()
-
-
-def _attach_shared_memory(name: str):
-    """Attach to an existing slab without adopting its lifetime.
-
-    The parent owns the slab (it created it and unlinks it after the
-    gather); an attaching worker must not register the segment with a
-    resource tracker, or the tracker would schedule a second unlink
-    (and, under fork, workers *share* the parent's tracker, so an
-    unregister-after-attach would erase the parent's own
-    registration).  Python 3.13+ exposes ``track=False`` for exactly
-    this; on older versions the registration is suppressed for the
-    duration of the attach.
-
-    The suppression is *surgical*: ``resource_tracker.register`` is a
-    process-global hook, so a blanket no-op would silently drop the
-    registration of any other ``SharedMemory`` created concurrently
-    on another thread and leak that segment.  Instead the patch is
-    serialized behind :data:`_TRACKER_PATCH_LOCK` and only swallows
-    registrations of *this* segment name, delegating everything else
-    to the real tracker.
-    """
-    from multiprocessing import shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        from multiprocessing import resource_tracker
-        # POSIX segment names reach the tracker with a leading slash
-        # ("/psm_..."), while SharedMemory.name strips it; compare the
-        # final path component so both spellings match.
-        ours = name.split("/")[-1]
-        with _TRACKER_PATCH_LOCK:
-            original = resource_tracker.register
-
-            def register_skipping_ours(res_name, rtype,
-                                       *args, **kwargs):
-                if (rtype == "shared_memory"
-                        and str(res_name).split("/")[-1] == ours):
-                    return None
-                return original(res_name, rtype, *args, **kwargs)
-
-            resource_tracker.register = register_skipping_ours
-            try:
-                return shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-
-
-@dataclass(frozen=True)
-class _FleetSlabHandle:
-    """Picklable name-plus-layout reference to a result slab.
-
-    Workers receive this (a few dozen bytes) instead of shipping
-    multi-hundred-MB :class:`FleetResult` arrays back through the
-    pool's pickle pipe: each worker attaches to the named segment,
-    scatters its chunk's rows in place, and returns only the chunk
-    index as an acknowledgement.
-    """
-
-    shm_name: str
-    n_chips: int
-    n_cores: int
-    n_records: int
-
-    def scatter(self, result: FleetResult, start: int,
-                stop: int) -> None:
-        """Write one chunk's rows ``[start, stop)`` into the slab.
-
-        Row ranges of distinct chunks are disjoint, so concurrent
-        scatters never race; ``times_s`` is the shared epoch grid,
-        identical for every chunk, so its overlapping writes are
-        byte-equal.  The views must be dropped before ``close`` --
-        an mmap with live exports refuses to close.
-        """
-        shm = _attach_shared_memory(self.shm_name)
-        views = None
-        try:
-            views = _slab_views(self, shm.buf)
-            views["times_s"][:] = result.times_s
-            for name in ("worst_degradation", "mean_degradation",
-                         "dropped_demand"):
-                views[name][:, start:stop] = getattr(result, name)
-            for name in ("final_delta_vth_v",
-                         "final_permanent_vth_v",
-                         "final_em_drift_ohm", "em_failures",
-                         "migration_events", "total_demand",
-                         "total_dropped_demand"):
-                views[name][start:stop] = getattr(result, name)
-            for name in ("capture_scale", "recovery_scale",
-                         "em_current_scale"):
-                views[name][start:stop] = getattr(result.variation,
-                                                  name)
-        finally:
-            views = None
-            shm.close()
-
-
-class _FleetSlab:
-    """Parent-side owner of one shared-memory result slab."""
-
-    def __init__(self, n_chips: int, n_cores: int, n_records: int):
-        from multiprocessing import shared_memory
-        self._shm = shared_memory.SharedMemory(
-            create=True,
-            size=max(1, _slab_nbytes(n_chips, n_cores, n_records)))
-        self.handle = _FleetSlabHandle(
-            shm_name=self._shm.name, n_chips=n_chips,
-            n_cores=n_cores, n_records=n_records)
-
-    def gather(self, n_epochs: int) -> FleetResult:
-        """Copy the fully scattered slab out into an owned result."""
-        views = _slab_views(self.handle, self._shm.buf)
-        try:
-            return FleetResult(
-                times_s=views["times_s"].copy(),
-                worst_degradation=views["worst_degradation"].copy(),
-                mean_degradation=views["mean_degradation"].copy(),
-                dropped_demand=views["dropped_demand"].copy(),
-                final_delta_vth_v=views["final_delta_vth_v"].copy(),
-                final_permanent_vth_v=views[
-                    "final_permanent_vth_v"].copy(),
-                final_em_drift_ohm=views[
-                    "final_em_drift_ohm"].copy(),
-                em_failures=views["em_failures"].copy(),
-                variation=FleetVariation(
-                    capture_scale=views["capture_scale"].copy(),
-                    recovery_scale=views["recovery_scale"].copy(),
-                    em_current_scale=views[
-                        "em_current_scale"].copy()),
-                migration_events=views["migration_events"].copy(),
-                n_epochs=n_epochs,
-                total_demand=views["total_demand"].copy(),
-                total_dropped_demand=views[
-                    "total_dropped_demand"].copy())
-        finally:
-            views = None
-
-    def close(self) -> None:
-        """Release the parent mapping and unlink the segment."""
-        try:
-            self._shm.close()
-        finally:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
 @dataclass(frozen=True)
 class _ChunkCheckpoint:
     """Picklable per-chunk checkpoint configuration.
@@ -1225,9 +1020,7 @@ class _FleetChunkTask:
     unpicklable thermal factorization), the variation as either a
     pre-sliced draw or the spec itself (workers draw their rows by
     global index, so the chunk draw is bit-identical to the
-    corresponding slice of an unchunked draw), and the output path as
-    an optional slab handle (``None`` falls back to pickling the
-    chunk's :class:`FleetResult` through the pool pipe).  With a
+    corresponding slice of an unchunked draw).  With a
     ``checkpoint`` attached the chunk is crash-durable: it restores
     itself from its newest snapshot before advancing and writes
     progress at the configured cadence.
@@ -1245,7 +1038,6 @@ class _FleetChunkTask:
     calibration: Optional[BtiCalibration]
     em_reference: Optional[EmStressCondition]
     state_dtype: str
-    slab: Optional[_FleetSlabHandle]
     checkpoint: Optional[_ChunkCheckpoint] = None
 
 
@@ -1304,14 +1096,9 @@ def _execute_chunk(built: Chip, task: _FleetChunkTask
     return result, False
 
 
-def _run_fleet_chunk(task: _FleetChunkTask):
+def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
     """Run one row chunk (inside a pool worker, or the parent on
-    serial fallback).
-
-    Returns the chunk's :class:`FleetResult` when no slab is attached;
-    with a slab, the rows are scattered in place and only the chunk
-    index travels back.
-    """
+    serial fallback) and return its :class:`FleetResult`."""
     if (_TEST_DIE_UNLESS_PID is not None
             and os.getpid() != _TEST_DIE_UNLESS_PID):
         os._exit(1)
@@ -1319,10 +1106,7 @@ def _run_fleet_chunk(task: _FleetChunkTask):
         time.sleep(_TEST_STAGGER_S
                    * (task.n_chunks - 1 - task.chunk.index))
     result, _ = _execute_chunk(task.chip.build(), task)
-    if task.slab is None:
-        return result
-    task.slab.scatter(result, task.chunk.start, task.chunk.stop)
-    return task.chunk.index
+    return result
 
 
 def _pool_serial_reason(n_chips: int, n_cores: int, n_epochs: int,
@@ -1394,10 +1178,9 @@ def run_fleet_lifetime_study(
     study to chunk-level serial re-execution instead of aborting it,
     bounded ``retries`` re-run flaky chunks, and the
     :class:`~repro.solvers.SweepReport` delivered via ``on_report``
-    aggregates every worker's named-cache counters.  Workers scatter
-    their rows into one preallocated
-    ``multiprocessing.shared_memory`` slab (pickling only a tiny
-    acknowledgement back), and chunk boundaries are the identical
+    aggregates every worker's named-cache counters.  Workers return
+    their chunk's :class:`FleetResult` through the pool, and chunk
+    boundaries are the identical
     :func:`repro.solvers.sweep.chunk_tasks` partition on both paths,
     so a pooled run merges **bit-identically** to the serial chunk
     stream for every worker count and completion order.  Note that
@@ -1436,9 +1219,10 @@ def run_fleet_lifetime_study(
             ``np.float32`` at half the state memory within
             :data:`FLOAT32_MAX_RELATIVE_ERROR`).
         max_workers: process count for parallel chunk execution;
-            ``None`` picks the CPU count, ``0``/``1`` forces the
-            serial chunk stream.  Results are bitwise identical
-            either way.
+            ``None`` picks the CPUs this process may run on
+            (:func:`~repro.solvers.sweep.available_cpus`), ``0``/``1``
+            forces the serial chunk stream.  Results are bitwise
+            identical either way.
         min_chunks_for_pool: explicit pooling threshold -- fewer
             chunks than this run serially.  ``None`` (default)
             applies the work-aware gate: pool only when the stacked
@@ -1504,7 +1288,7 @@ def run_fleet_lifetime_study(
     bounds = chunk_tasks(n_chips, chunk)
     n_chunks = len(bounds)
     workers = (max_workers if max_workers is not None
-               else (os.cpu_count() or 1))
+               else available_cpus())
     if workers < 0:
         raise SimulationError("max_workers must be non-negative")
     if retries < 0:
@@ -1553,7 +1337,7 @@ def run_fleet_lifetime_study(
             record_every=record_every, variation=chunk_variation,
             seed=seed, calibration=calibration,
             em_reference=em_reference, state_dtype=dtype_str,
-            slab=None, checkpoint=ckpt))
+            checkpoint=ckpt))
     started = time.perf_counter()
 
     if reason is not None:
@@ -1598,23 +1382,10 @@ def run_fleet_lifetime_study(
                     cache_counters=counters))
         return _merge_fleet_results(parts)
 
-    # Pooled chunk execution: ship each chunk as one sweep task and
-    # scatter the rows into a shared-memory slab.
-    slab: Optional[_FleetSlab] = None
-    try:
-        slab = _FleetSlab(n_chips, built.n_cores,
-                          _n_records(n_epochs, record_every))
-    except Exception:
-        # No shared memory available (exotic sandboxes): fall back to
-        # pickling chunk results through the pool pipe.
-        slab = None
-    handle = slab.handle if slab is not None else None
-    if handle is not None:
-        sweep_tasks = [replace(task, slab=handle)
-                       for task in sweep_tasks]
+    # Pooled chunk execution: ship each chunk as one sweep task.
     inner: List[SweepReport] = []
     cached_records: List[ChunkRecord] = []
-    cached_results: Dict[int, FleetResult] = {}
+    by_index: Dict[int, FleetResult] = {}
     pending = sweep_tasks
     before = cache_counters() if on_report is not None else None
     completed = False
@@ -1632,10 +1403,7 @@ def run_fleet_lifetime_study(
                 if loaded is None:
                     pending.append(task)
                     continue
-                cached_results[task.chunk.index] = loaded
-                if handle is not None:
-                    handle.scatter(loaded, task.chunk.start,
-                                   task.chunk.stop)
+                by_index[task.chunk.index] = loaded
                 cached_records.append(ChunkRecord(
                     index=task.chunk.index, start=task.chunk.index,
                     stop=task.chunk.index + 1, executed_in="cached",
@@ -1651,18 +1419,12 @@ def run_fleet_lifetime_study(
                 on_report=inner.append if on_report is not None
                 else None)
         record_counters("fleet.engine", chunks=n_chunks)
-        if slab is not None:
-            result = slab.gather(n_epochs)
-        else:
-            by_index = dict(cached_results)
-            for task, value in zip(pending, returned):
-                by_index[task.chunk.index] = value
-            result = _merge_fleet_results(
-                [by_index[index] for index in range(n_chunks)])
+        for task, value in zip(pending, returned):
+            by_index[task.chunk.index] = value
+        result = _merge_fleet_results(
+            [by_index[index] for index in range(n_chunks)])
         completed = True
     finally:
-        if slab is not None:
-            slab.close()
         if on_report is not None:
             elapsed = time.perf_counter() - started
             if inner:

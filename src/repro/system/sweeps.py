@@ -1,35 +1,27 @@
-"""Policy x workload x chip lifetime sweeps over the process pool.
+"""Policy x workload x chip lifetime sweeps on the fleet engine.
 
 The Fig. 12(b) experiments compare a handful of scheduling policies on
 one chip; design-space work multiplies that by workload mixes and chip
-configurations.  :func:`run_lifetime_sweep` fans the full Cartesian
-grid out through :func:`repro.solvers.sweep.run_sweep`, so every cell
-runs a fresh :class:`~repro.system.simulator.SystemSimulator` in its
-own process with deterministic per-cell seeding, and the results come
-back as a structured :class:`SweepResult` table (guardband, permanent
-Vth, EM failures, migration overhead per cell).
+configurations.  :func:`run_lifetime_sweep` evaluates the full
+Cartesian grid and returns a structured :class:`SweepResult` table
+(guardband, permanent Vth, EM failures, migration overhead per cell).
 
-Cells are independent by construction: the worker deep-copies stateful
-policies/workloads (or builds them fresh from factories) and builds
-the chip inside the worker, so no mutable state crosses cell
-boundaries and serial and pooled runs are identical.
-
-When every cell shares one chip design, the grid is exactly the
-heterogeneous-population shape the structure-of-arrays fleet engine
-batches: one :class:`~repro.system.fleet.FleetGroup` per
-(policy, workload) pair, one chip per cell, advanced in stacked tensor
-sweeps instead of one Python simulator per cell.  ``engine="auto"``
-(the default) routes such grids to the fleet engine and keeps
-genuinely heterogeneous grids (mixed chip designs, per-cell workload
-reseeding, pool fault-tolerance knobs) on the pooled path; results are
-identical either way because the per-cell policy observable degenerates
-to the cell's own aging state when the cohort's chips are identical.
+Every distinct chip design of the grid runs as one structure-of-arrays
+fleet study (:func:`repro.system.fleet.run_fleet_lifetime_study`):
+one :class:`~repro.system.fleet.FleetGroup` per (policy, workload)
+pair with one fleet chip per grid chip of that design, advanced in
+stacked tensor sweeps instead of one Python simulator per cell.  Grid
+chips are unvaried, so each cohort's policy observable is every member
+cell's own observable and each cell equals a standalone
+:class:`~repro.system.simulator.SystemSimulator` run bit for bit.
+Workloads reseeded per cell become one-chip groups, so their streams
+stay per cell too.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -46,9 +38,8 @@ import numpy as np
 
 from repro import units
 from repro.errors import SimulationError
-from repro.solvers.sweep import SweepReport, run_sweep
+from repro.solvers.sweep import SweepReport, task_seed_sequence
 from repro.system.chip import Chip, CoreSpec
-from repro.system.simulator import SystemSimulator
 from repro.thermal.network import ThermalNetworkConfig
 
 
@@ -83,21 +74,6 @@ class ChipConfig:
         """A fresh :class:`Chip` (thermal state included)."""
         return Chip(self.rows, self.cols, core=self.core,
                     thermal=self.thermal)
-
-
-@dataclass(frozen=True)
-class _SweepCell:
-    """One task of the sweep grid (everything the worker needs)."""
-
-    policy_label: str
-    workload_label: str
-    chip_label: str
-    policy: Any
-    workload: Any
-    chip: ChipConfig
-    n_epochs: int
-    epoch_s: float
-    record_every: int
 
 
 @dataclass(frozen=True)
@@ -232,133 +208,52 @@ def _cell_summary(policy_label: str, workload_label: str,
         lost_demand_fraction=result.lost_demand_fraction)
 
 
-def _run_cell(cell: _SweepCell,
-              seed_sequence: Optional[np.random.SeedSequence] = None
-              ) -> SweepCellResult:
-    """Simulate one grid cell (runs inside a pool worker)."""
-    chip = cell.chip.build()
-    policy = cell.policy
-    if not hasattr(policy, "assign"):
-        # A factory: build the policy against this cell's chip (the
-        # dark-silicon policy needs the floorplan for neighbour heat).
-        policy = policy(chip)
-    else:
-        policy = copy.deepcopy(policy)
-    workload = copy.deepcopy(cell.workload)
-    if (seed_sequence is not None and dataclasses.is_dataclass(workload)
-            and hasattr(workload, "seed")):
-        workload = dataclasses.replace(
-            workload, seed=int(seed_sequence.generate_state(1)[0]))
-    simulator = SystemSimulator(chip, epoch_s=cell.epoch_s)
-    result = simulator.run(cell.n_epochs, workload, policy,
-                           record_every=cell.record_every)
-    return _cell_summary(cell.policy_label, cell.workload_label,
-                         cell.chip_label, result)
+def _same_design(a: ChipConfig, b: ChipConfig) -> bool:
+    """Whether two grid chips build the same chip (labels aside)."""
+    return ((a.rows, a.cols, a.core, a.thermal)
+            == (b.rows, b.cols, b.core, b.thermal))
 
 
-def _fleet_incompatibility(chip_configs: Sequence[ChipConfig],
-                           workload_pairs: Sequence[Tuple[str, Any]],
-                           seed: Optional[int],
-                           min_tasks_for_pool: Optional[int],
-                           on_error: str, retries: int,
-                           progress) -> Optional[str]:
-    """Why this grid cannot run on the fleet engine (None if it can).
+def _design_groups(positions: Sequence[int],
+                   chip_configs: Sequence[ChipConfig],
+                   policy_pairs: Sequence[Tuple[str, Any]],
+                   workload_pairs: Sequence[Tuple[str, Any]],
+                   seed: Optional[int]):
+    """The fleet layout of one chip design's cells.
 
-    Three things force the pooled path: distinct chip designs (the
-    fleet stacks one design), per-cell workload reseeding (the pool
-    reseeds from its own per-task streams, which the fleet cannot
-    reproduce chip by chip), and any pool fault-tolerance or
-    scheduling knob (the fleet is one in-process advance -- there is
-    no per-cell pool to configure).  ``on_report`` is *not* a pool
-    knob (the fleet path synthesizes its own report), and neither is
-    ``max_workers``: the fleet engine has its own parallel chunk
-    executor, so worker counts forward to it.
+    ``positions`` are the grid indices of the design's chips.  Each
+    (policy, workload) pair becomes one
+    :class:`~repro.system.fleet.FleetGroup` with one fleet chip per
+    grid chip, laid out back-to-back in grid order; a workload that is
+    reseeded per cell splits into one-chip groups instead, each seeded
+    from the cell's ``task_seed_sequence(seed, cell_index)`` stream.
+
+    Returns ``(groups, rows)``: the groups, and per fleet chip its
+    ``(cell_index, policy_label, workload_label, chip_label)``.
     """
-    first = chip_configs[0]
-    for config in chip_configs[1:]:
-        if (config.rows, config.cols, config.core, config.thermal) \
-                != (first.rows, first.cols, first.core, first.thermal):
-            return "chip grid mixes distinct chip designs"
-    if seed is not None:
-        for label, workload in workload_pairs:
-            if dataclasses.is_dataclass(workload) \
-                    and hasattr(workload, "seed"):
-                return (f"workload {label!r} carries a seed field and "
-                        "would be reseeded per cell")
-    knobs = [name for name, off in (
-        ("min_tasks_for_pool", min_tasks_for_pool is None),
-        ("on_error", on_error == "raise"),
-        ("retries", retries == 0),
-        ("progress", progress is None)) if not off]
-    if knobs:
-        return "pool knobs set: " + ", ".join(knobs)
-    return None
-
-
-def _run_fleet_grid(cells: Sequence[_SweepCell],
-                    chip_configs: Sequence[ChipConfig],
-                    policy_pairs: Sequence[Tuple[str, Any]],
-                    workload_pairs: Sequence[Tuple[str, Any]],
-                    n_epochs: int, epoch_s: float, record_every: int,
-                    max_workers: Optional[int],
-                    on_report, checkpoint_every: Optional[int] = None,
-                    checkpoint_dir=None
-                    ) -> Tuple[SweepCellResult, ...]:
-    """Evaluate the whole grid as one stacked fleet advance.
-
-    Cells are policy-major, then workload, then chip -- exactly one
-    :class:`~repro.system.fleet.FleetGroup` per (policy, workload)
-    pair with one fleet chip per grid chip, laid out back-to-back in
-    cell order.  The chips of a group are identical (no variation),
-    so each cohort's policy observable equals every member cell's own
-    observable and the per-cell results match the pooled path
-    bit for bit.
-
-    ``max_workers`` forwards to the fleet engine's parallel chunk
-    executor: with more than one worker the stacked rows split into
-    one whole-lifetime chunk per worker (results are invariant in
-    the chunk size, so this is purely a scheduling decision, and the
-    engine's work-aware serial gate still keeps small grids in one
-    in-process advance).
-    """
-    from repro.system.fleet import FleetGroup, run_fleet_lifetime_study
-    groups = tuple(
-        FleetGroup(n_chips=len(chip_configs), workload=workload,
-                   policy=policy, name=f"{policy_label}/{workload_label}")
-        for policy_label, policy in policy_pairs
-        for workload_label, workload in workload_pairs)
-    max_chunk_chips = None
-    if max_workers is not None and max_workers > 1:
-        max_chunk_chips = max(1, -(-len(cells) // max_workers))
-    captured: List[SweepReport] = []
-    fleet = run_fleet_lifetime_study(
-        chip_configs[0], groups=groups, n_epochs=n_epochs,
-        epoch_s=epoch_s, record_every=record_every,
-        max_chunk_chips=max_chunk_chips, max_workers=max_workers,
-        on_report=captured.append if on_report is not None else None,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir)
-    results = tuple(
-        _cell_summary(cell.policy_label, cell.workload_label,
-                      cell.chip_label, fleet.chip_result(index))
-        for index, cell in enumerate(cells))
-    if on_report is not None:
-        # The fleet report counts chunks as its tasks; grid callers
-        # read n_tasks as the cell count, so restate it.
-        on_report(dataclasses.replace(captured[0],
-                                      n_tasks=len(cells)))
-    return results
-
-
-#: Below this many simulated core-epochs (summed over every cell of
-#: the grid) the sweep runs serially by default: the vectorized
-#: simulator clears a 9-core epoch in ~1 ms, so a sub-threshold grid
-#: finishes in well under the ~hundreds of ms of pool startup plus
-#: per-cell pickling (BENCH_system.json measured the 32-cell, 48k
-#: core-epoch grid at only 1.13x pooled -- barely past break-even).
-#: Cell *count* is the wrong gate: what decides pool profitability is
-#: the work inside the cells.
-_MIN_POOL_CORE_EPOCHS = 32_000
+    from repro.system.fleet import FleetGroup
+    groups: List[FleetGroup] = []
+    rows: List[Tuple[int, str, str, str]] = []
+    for pair, ((policy_label, policy), (workload_label, workload)) \
+            in enumerate(itertools.product(policy_pairs, workload_pairs)):
+        name = f"{policy_label}/{workload_label}"
+        indices = [pair * len(chip_configs) + position
+                   for position in positions]
+        if (seed is not None and dataclasses.is_dataclass(workload)
+                and hasattr(workload, "seed")):
+            for index in indices:
+                reseeded = dataclasses.replace(workload, seed=int(
+                    task_seed_sequence(seed, index).generate_state(1)[0]))
+                groups.append(FleetGroup(n_chips=1, workload=reseeded,
+                                         policy=policy, name=name))
+        else:
+            groups.append(FleetGroup(n_chips=len(positions),
+                                     workload=workload, policy=policy,
+                                     name=name))
+        rows.extend((index, policy_label, workload_label,
+                     chip_configs[position].label)
+                    for index, position in zip(indices, positions))
+    return groups, rows
 
 
 def run_lifetime_sweep(
@@ -370,32 +265,34 @@ def run_lifetime_sweep(
         epoch_s: float = units.hours(1.0),
         record_every: int = 1,
         seed: Optional[int] = 0,
-        engine: str = "auto",
         max_workers: Optional[int] = None,
-        min_tasks_for_pool: Optional[int] = None,
-        on_error: str = "raise",
         retries: int = 0,
-        progress=None,
         on_report=None,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir=None) -> SweepResult:
     """Simulate every policy x workload x chip cell of a design grid.
 
+    Each distinct chip design of ``chips`` runs as one
+    :func:`~repro.system.fleet.run_fleet_lifetime_study` (see the
+    module docstring); every cell is bitwise equal to a standalone
+    :class:`~repro.system.simulator.SystemSimulator` run of its chip,
+    workload and a fresh policy copy.
+
     Args:
         policies: scheduling policies, as a ``{label: policy}`` mapping
             or a plain sequence (labelled by class name).  An entry
             without an ``assign`` method is treated as a *factory*
-            called with the cell's freshly built :class:`Chip` --
+            called with the design's freshly built :class:`Chip` --
             use that for chip-bound policies like
             :class:`~repro.system.dark_silicon
             .DarkSiliconRotationPolicy` on heterogeneous chip grids.
-            Stateful policies are deep-copied per cell.
+            Stateful policies are deep-copied per fleet cohort.
         workloads: demand generators, mapping or sequence as above;
-            deep-copied per cell.  When ``seed`` is given, workloads
-            with a ``seed`` field (e.g.
+            deep-copied per fleet cohort.  When ``seed`` is given,
+            workloads with a ``seed`` field (e.g.
             :class:`~repro.system.workload.RandomWorkload`) are
-            re-seeded per cell from the sweep's deterministic
-            per-task stream.
+            re-seeded per cell from the deterministic per-cell stream
+            ``task_seed_sequence(seed, cell_index)``.
         chips: chip configurations (:class:`ChipConfig` or bare
             ``(rows, cols)`` tuples).
         n_epochs: horizon of every cell, in epochs.
@@ -405,56 +302,26 @@ def run_lifetime_sweep(
             the horizon is very long).
         seed: root seed of the per-cell workload reseeding; ``None``
             runs every cell with the workloads' own seeds.
-        engine: ``"auto"`` (default) runs the grid on the
-            structure-of-arrays fleet engine whenever every cell
-            shares one chip design, no workload is reseeded per cell
-            and no per-cell pool knob is set, falling back to the
-            pooled path otherwise; ``"fleet"`` forces the fleet
-            engine (raising :class:`~repro.errors.SimulationError`
-            with the blocking reason when the grid is incompatible);
-            ``"pooled"`` forces the per-cell path.  Results are
-            identical either way; the fleet path reports
-            ``mode="fleet"`` (or ``"fleet+pool"`` when its chunks
-            pooled) on its ``on_report``
-            :class:`~repro.solvers.SweepReport`, with the fleet
-            engine's chip/cohort/kernel-dedup counters in
-            ``cache_counters``.
-        max_workers: process count.  On the pooled path it is
-            forwarded to :func:`repro.solvers.sweep.run_sweep`; on
-            the fleet path it forwards to the fleet engine's
-            parallel chunk executor (the stacked rows split into one
-            whole-lifetime chunk per worker -- results stay
-            bitwise identical, and small grids remain one serial
+        max_workers / retries: forwarded to the fleet engine's
+            parallel chunk executor (the stacked rows of a design
+            split into one whole-lifetime chunk per worker; results
+            stay bitwise identical, and small grids remain one serial
             in-process advance behind the engine's work gate).
-        min_tasks_for_pool: forwarded to
-            :func:`repro.solvers.sweep.run_sweep` (setting it forces
-            the pooled path); results are identical whichever path
-            runs.  When left at ``None``, a work-aware gate keeps
-            sub-threshold grids serial: the pool only starts once
-            the total simulated core-epochs reach
-            :data:`_MIN_POOL_CORE_EPOCHS` (pass an explicit value to
-            override).
-        on_error / retries / progress / on_report: fault-tolerance
-            and telemetry knobs forwarded to
-            :func:`repro.solvers.sweep.run_sweep`.  Under ``"skip"``
-            / ``"collect"`` failed grid cells are omitted from the
-            returned table (their
-            :class:`~repro.solvers.TaskFailure` records arrive on the
-            ``on_report`` :class:`~repro.solvers.SweepReport`), so a
-            multi-day design sweep survives one pathological cell.
+        on_report: optional callback receiving one
+            :class:`~repro.solvers.SweepReport` per chip design, with
+            ``n_tasks`` restated as the design's cell count and the
+            fleet engine's chip/cohort/kernel-dedup counters in
+            ``cache_counters``.
         checkpoint_every / checkpoint_dir: crash-durable execution,
-            fleet route only: forwarded to
+            forwarded to
             :func:`~repro.system.fleet.run_fleet_lifetime_study`, so
             every chunk of the stacked grid persists its result (and
             in-flight progress every ``checkpoint_every`` epochs)
             under ``checkpoint_dir``, and re-invoking the identical
             sweep resumes instead of recomputing -- see
-            :mod:`repro.system.checkpoint`.  Requesting
-            checkpointing on a grid the fleet engine cannot run (or
-            with ``engine="pooled"``) raises
-            :class:`~repro.errors.SimulationError` naming the
-            blocking reason: the per-cell pooled path has no durable
-            chunk state.
+            :mod:`repro.system.checkpoint`.  One directory holds one
+            fleet study, so checkpointing a grid of several chip
+            designs raises :class:`~repro.errors.SimulationError`.
 
     Returns:
         A :class:`SweepResult` with one cell per grid point, ordered
@@ -474,64 +341,52 @@ def run_lifetime_sweep(
     chip_labels = [config.label for config in chip_configs]
     if len(set(chip_labels)) != len(chip_labels):
         raise SimulationError("chip labels must be unique")
-    cells = [
-        _SweepCell(
-            policy_label=policy_label,
-            workload_label=workload_label,
-            chip_label=config.label,
-            policy=policy,
-            workload=workload,
-            chip=config,
-            n_epochs=n_epochs,
-            epoch_s=epoch_s,
-            record_every=record_every)
-        for policy_label, policy in policy_pairs
-        for workload_label, workload in workload_pairs
-        for config in chip_configs]
-    if engine not in ("auto", "fleet", "pooled"):
+    designs: List[Tuple[ChipConfig, List[int]]] = []
+    for position, config in enumerate(chip_configs):
+        for first, positions in designs:
+            if _same_design(first, config):
+                positions.append(position)
+                break
+        else:
+            designs.append((config, [position]))
+    if len(designs) > 1 and (checkpoint_dir is not None
+                             or checkpoint_every is not None):
         raise SimulationError(
-            f"engine must be 'auto', 'fleet' or 'pooled', "
-            f"got {engine!r}")
-    wants_checkpoint = (checkpoint_dir is not None
-                        or checkpoint_every is not None)
-    if wants_checkpoint and engine == "pooled":
-        raise SimulationError(
-            "checkpointing requires the fleet engine; the per-cell "
-            "pooled path has no durable chunk state "
-            "(drop engine='pooled')")
-    if engine != "pooled":
-        reason = _fleet_incompatibility(
-            chip_configs, workload_pairs, seed,
-            min_tasks_for_pool, on_error, retries, progress)
-        if reason is None:
-            survivors = _run_fleet_grid(
-                cells, chip_configs, policy_pairs, workload_pairs,
-                n_epochs, epoch_s, record_every, max_workers,
-                on_report, checkpoint_every=checkpoint_every,
+            "a checkpoint directory holds one fleet study, so a grid "
+            f"of {len(designs)} chip designs cannot run on it")
+    from repro.system.fleet import run_fleet_lifetime_study
+    summaries: Dict[int, SweepCellResult] = {}
+    for config, positions in designs:
+        groups, rows = _design_groups(positions, chip_configs,
+                                      policy_pairs, workload_pairs, seed)
+        # With several workers the design's stacked rows split into
+        # one whole-lifetime chunk per worker; results are invariant
+        # in the chunk size, and the engine's work-aware serial gate
+        # still keeps small grids in one in-process advance.
+        max_chunk_chips = None
+        if max_workers is not None and max_workers > 1:
+            max_chunk_chips = max(1, -(-len(rows) // max_workers))
+        captured: List[SweepReport] = []
+        try:
+            fleet = run_fleet_lifetime_study(
+                config, groups=groups, n_epochs=n_epochs,
+                epoch_s=epoch_s, record_every=record_every,
+                max_chunk_chips=max_chunk_chips,
+                max_workers=max_workers, retries=retries,
+                on_report=(captured.append if on_report is not None
+                           else None),
+                checkpoint_every=checkpoint_every,
                 checkpoint_dir=checkpoint_dir)
-            return SweepResult(cells=survivors, n_epochs=n_epochs,
-                               epoch_s=epoch_s)
-        if engine == "fleet":
-            raise SimulationError(
-                f"engine='fleet' cannot run this grid: {reason}")
-        if wants_checkpoint:
-            raise SimulationError(
-                "checkpointing requires the fleet engine, but this "
-                f"grid cannot run on it: {reason}")
-    if min_tasks_for_pool is None:
-        total_core_epochs = n_epochs * len(policy_pairs) \
-            * len(workload_pairs) \
-            * sum(config.rows * config.cols for config in chip_configs)
-        if total_core_epochs < _MIN_POOL_CORE_EPOCHS:
-            # Serial and pooled runs are identical, so the gate is
-            # purely a performance decision (see _MIN_POOL_CORE_EPOCHS).
-            min_tasks_for_pool = len(cells) + 1
-    results = run_sweep(_run_cell, cells, max_workers=max_workers,
-                        seed=seed,
-                        min_tasks_for_pool=min_tasks_for_pool,
-                        on_error=on_error, retries=retries,
-                        progress=progress, on_report=on_report)
-    survivors = tuple(result for result in results
-                      if isinstance(result, SweepCellResult))
-    return SweepResult(cells=survivors, n_epochs=n_epochs,
-                       epoch_s=epoch_s)
+        finally:
+            # The fleet report counts chunks as its tasks; grid
+            # callers read n_tasks as the cell count, so restate it.
+            for report in captured:
+                on_report(dataclasses.replace(report, n_tasks=len(rows)))
+        for row, (index, policy_label, workload_label, chip_label) \
+                in enumerate(rows):
+            summaries[index] = _cell_summary(
+                policy_label, workload_label, chip_label,
+                fleet.chip_result(row))
+    return SweepResult(
+        cells=tuple(summaries[index] for index in range(len(summaries))),
+        n_epochs=n_epochs, epoch_s=epoch_s)

@@ -426,15 +426,9 @@ class TestSweepCheckpointRoute:
         assert [cell.guardband for cell in again.cells] == \
             [cell.guardband for cell in first.cells]
 
-    def test_pooled_engine_refuses_checkpointing(self, tmp_path):
-        from repro.system.sweeps import run_lifetime_sweep
-        with pytest.raises(SimulationError, match="fleet engine"):
-            run_lifetime_sweep(engine="pooled",
-                               checkpoint_dir=tmp_path, **self.GRID)
-
     def test_incompatible_grid_refuses_checkpointing(self, tmp_path):
         from repro.system.sweeps import run_lifetime_sweep
         grid = dict(self.GRID)
-        grid["chips"] = [(2, 2), (3, 3)]  # two designs -> pooled path
+        grid["chips"] = [(2, 2), (3, 3)]  # two designs -> two studies
         with pytest.raises(SimulationError, match="cannot run on it"):
             run_lifetime_sweep(checkpoint_dir=tmp_path, **grid)

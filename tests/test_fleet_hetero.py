@@ -14,8 +14,8 @@ contracts that generalization rests on:
 * ``state_dtype=float32`` halves the resident trap state within the
   documented :data:`~repro.system.fleet.FLOAT32_MAX_RELATIVE_ERROR`
   budget and never perturbs the float64 path;
-* ``run_lifetime_sweep(engine=...)`` routes compatible grids onto the
-  fleet engine bit-compatibly and refuses incompatible ones loudly;
+* ``run_lifetime_sweep`` runs every chip design of a grid as one
+  fleet study whose cells equal standalone simulator runs bit for bit;
 * the row-chunked circuit batches and the wire-chunked EM TTF sampler
   reproduce their unchunked runs bit for bit.
 """
@@ -36,8 +36,9 @@ from repro.em.line import PAPER_EM_STRESS
 from repro.em.statistics import sample_nucleation_ttfs_pde
 from repro.em.wire import PAPER_TEST_WIRE
 from repro.errors import SimulationError
-from repro.solvers import cache_counters
+from repro.solvers import cache_counters, task_seed_sequence
 from repro.system.chip import Chip
+from repro.system.dark_silicon import DarkSiliconRotationPolicy
 from repro.system.fleet import (
     FLOAT32_MAX_RELATIVE_ERROR,
     FleetGroup,
@@ -280,8 +281,52 @@ class TestGroupValidation:
                                      n_epochs=4)
 
 
+def standalone_cell(policy, workload, config, n_epochs, seed=None,
+                    cell_index=None):
+    """One grid cell run the long way: a fresh SystemSimulator."""
+    chip = config.build()
+    if hasattr(policy, "assign"):
+        policy = copy.deepcopy(policy)
+    else:
+        policy = policy(chip)
+    workload = copy.deepcopy(workload)
+    if seed is not None and hasattr(workload, "seed"):
+        workload = dataclasses.replace(workload, seed=int(
+            task_seed_sequence(seed, cell_index).generate_state(1)[0]))
+    return SystemSimulator(chip).run(n_epochs, workload, policy)
+
+
+def assert_cells_match_standalone(sweep, policies, workloads, chips,
+                                  n_epochs, seed=None):
+    """Every sweep cell equals its standalone simulator, bit for bit."""
+    grid = [(policy_label, policy, workload_label, workload, config)
+            for policy_label, policy in policies.items()
+            for workload_label, workload in workloads.items()
+            for config in chips]
+    assert len(sweep.cells) == len(grid)
+    for index, (cell, (policy_label, policy, workload_label, workload,
+                       config)) in enumerate(zip(sweep.cells, grid)):
+        assert (cell.policy, cell.workload, cell.chip) \
+            == (policy_label, workload_label, config.label)
+        result = standalone_cell(policy, workload, config, n_epochs,
+                                 seed=seed, cell_index=index)
+        assert cell.guardband == result.guardband
+        assert cell.final_delta_vth_v \
+            == float(result.final_delta_vth_v.max())
+        assert cell.final_permanent_vth_v \
+            == float(result.final_permanent_vth_v.max())
+        assert cell.em_failures == int(result.em_failures.sum())
+        assert cell.migration_events == result.migration_events
+        assert cell.migration_overhead == result.migration_overhead()
+        assert cell.lost_demand_fraction == result.lost_demand_fraction
+
+
+def dark_silicon_factory(chip):
+    return DarkSiliconRotationPolicy(chip, n_dark=1)
+
+
 class TestSweepEngineRouting:
-    """run_lifetime_sweep(engine=...) fleet routing and its guards."""
+    """run_lifetime_sweep routes each chip design onto one fleet study."""
 
     N_SWEEP_EPOCHS = 10
 
@@ -305,78 +350,66 @@ class TestSweepEngineRouting:
                                   n_epochs=self.N_SWEEP_EPOCHS,
                                   **kwargs)
 
-    def test_auto_routes_to_fleet_and_matches_pooled(self):
+    def test_single_design_cells_match_standalone_simulators(self):
         reports = []
-        auto = self.run_grid(on_report=reports.append)
-        pooled = self.run_grid(engine="pooled")
-        assert len(reports) == 1
-        assert reports[0].mode == "fleet"
-        assert reports[0].n_tasks == len(auto.cells) == 8
-        assert len(auto.cells) == len(pooled.cells)
-        for a, b in zip(auto.cells, pooled.cells):
-            assert (a.policy, a.workload, a.chip) \
-                == (b.policy, b.workload, b.chip)
-            for field in ("guardband", "final_delta_vth_v",
-                          "final_permanent_vth_v", "em_failures",
-                          "migration_events", "migration_overhead",
-                          "lost_demand_fraction"):
-                assert getattr(a, field) == getattr(b, field), field
+        sweep = self.run_grid(on_report=reports.append)
+        (report,) = reports
+        assert report.mode == "fleet"
+        assert report.n_tasks == len(sweep.cells) == 8
+        assert_cells_match_standalone(sweep, *self.grid(),
+                                      self.N_SWEEP_EPOCHS)
+
+    def test_mixed_designs_factory_and_reseeding_match_standalone(self):
+        # Two chip designs (interleaved in the chip list), a chip-bound
+        # policy factory and a workload reseeded per cell: one fleet
+        # study per design, every cell still its standalone run.
+        policies = {"dark": dark_silicon_factory,
+                    "rr": RoundRobinRecoveryPolicy(
+                        recovery_slots=1, em_alternate_every=2)}
+        workloads = {"random": RandomWorkload(n_cores=N_CORES,
+                                              mean_utilization=0.5),
+                     "diurnal": DiurnalWorkload(n_cores=N_CORES,
+                                                period_epochs=6)}
+        chips = [ChipConfig(2, 2, name="small a"),
+                 ChipConfig(3, 3, name="large a"),
+                 ChipConfig(2, 2, name="small b"),
+                 ChipConfig(3, 3, name="large b")]
+        reports = []
+        sweep = run_lifetime_sweep(policies, workloads, chips,
+                                   n_epochs=self.N_SWEEP_EPOCHS,
+                                   seed=5, on_report=reports.append)
+        assert [report.mode for report in reports] == ["fleet", "fleet"]
+        assert [report.n_tasks for report in reports] == [8, 8]
+        assert_cells_match_standalone(sweep, policies, workloads, chips,
+                                      self.N_SWEEP_EPOCHS, seed=5)
+        random_cells = [cell for cell in sweep.cells
+                        if cell.workload == "random"
+                        and cell.policy == "rr"]
+        assert len({cell.lost_demand_fraction
+                    for cell in random_cells}) > 1, \
+            "each reseeded cell must draw its own demand stream"
 
     def test_fleet_report_carries_engine_counters(self):
         reports = []
-        self.run_grid(engine="fleet", on_report=reports.append)
+        self.run_grid(on_report=reports.append)
         counters = reports[0].cache_counters
         assert counters["fleet.engine"]["chips"] == 8
         assert counters["fleet.engine"]["epochs"] \
             == self.N_SWEEP_EPOCHS
         assert "bti.fleet.kernels" in counters
 
-    def test_pool_knobs_force_pooled_path(self):
-        for knob in ({"min_tasks_for_pool": 1}, {"retries": 1},
-                     {"on_error": "collect"},
-                     {"progress": lambda done, total: None}):
-            reports = []
-            self.run_grid(on_report=reports.append, **knob)
-            assert reports[0].mode != "fleet", knob
-        with pytest.raises(SimulationError):
-            self.run_grid(engine="fleet", retries=1)
-
     def test_max_workers_stays_on_fleet_path(self):
-        # max_workers is no longer a pool knob: it forwards to the
-        # fleet engine's chunk executor, and this grid is far below
-        # the work gate, so the run stays one serial fleet advance.
+        # max_workers forwards to the fleet engine's chunk executor,
+        # and this grid is far below the work gate, so the run stays
+        # one serial fleet advance.
         reports = []
-        workers = self.run_grid(engine="fleet", max_workers=2,
+        workers = self.run_grid(max_workers=2,
                                 on_report=reports.append)
         assert reports[0].mode == "fleet"
         assert reports[0].n_tasks == len(workers.cells) == 8
-        baseline = self.run_grid(engine="fleet")
+        baseline = self.run_grid()
         for a, b in zip(workers.cells, baseline.cells):
             assert a == b
-
-    def test_mixed_chip_designs_force_pooled_path(self):
-        policies, workloads, _ = self.grid()
-        with pytest.raises(SimulationError):
-            run_lifetime_sweep(policies, workloads, [(2, 2), (2, 3)],
-                               n_epochs=self.N_SWEEP_EPOCHS,
-                               engine="fleet")
-        reports = []
-        run_lifetime_sweep(policies, workloads, [(2, 2), (2, 3)],
-                           n_epochs=self.N_SWEEP_EPOCHS,
-                           on_report=reports.append)
-        assert reports[0].mode != "fleet"
-
-    def test_seeded_workloads_force_pooled_path(self):
-        policies = {"none": NoRecoveryPolicy()}
-        workloads = {"random": RandomWorkload(n_cores=N_CORES)}
-        with pytest.raises(SimulationError):
-            run_lifetime_sweep(policies, workloads, [(2, 2)],
-                               n_epochs=self.N_SWEEP_EPOCHS,
-                               engine="fleet", seed=7)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            self.run_grid(engine="turbo")
 
 
 def nmos_amplifier(rd_ohms: float, vin_v: float) -> Circuit:

@@ -34,8 +34,7 @@ from repro.errors import SimulationError
 from repro.system.fleet import (
     FleetGroup,
     FleetVariationSpec,
-    _FleetSlab,
-    _n_records,
+    _merge_fleet_results,
     _run_fleet_chunk,
     run_fleet_lifetime_study,
 )
@@ -159,16 +158,17 @@ class TestParallelDeterminism:
 
     def test_scatter_order_independent_of_chunk_order(
             self, serial_baseline):
-        # Drive the slab transport directly, scattering chunks in
-        # reverse order in-process: the gathered population must be
-        # the serial merge, row for row.
+        # Run the chunk tasks in reverse order in-process: each chunk
+        # is whole-lifetime and independent, so merging the returned
+        # results by chunk index gives the serial population, row for
+        # row.
         from repro.solvers.sweep import chunk_tasks
         from repro.system.sweeps import ChipConfig
-        slab = _FleetSlab(N_CHIPS, N_CORES, _n_records(N_EPOCHS, 2))
-        try:
-            tasks = chunk_tasks(N_CHIPS, CHUNK_CHIPS)
-            for task in reversed(tasks):
-                ack = _run_fleet_chunk(fleet_module._FleetChunkTask(
+        tasks = chunk_tasks(N_CHIPS, CHUNK_CHIPS)
+        parts = {}
+        for task in reversed(tasks):
+            parts[task.index] = _run_fleet_chunk(
+                fleet_module._FleetChunkTask(
                     chunk=task, n_chunks=len(tasks),
                     chip=ChipConfig(3, 3),
                     groups=fleet_module._slice_groups(
@@ -179,12 +179,10 @@ class TestParallelDeterminism:
                         capture_sigma=0.1, recovery_sigma=0.05,
                         em_current_sigma=0.1),
                     seed=11, calibration=None, em_reference=None,
-                    state_dtype="<f8", slab=slab.handle))
-                assert ack == task.index
-            gathered = slab.gather(N_EPOCHS)
-        finally:
-            slab.close()
-        assert_bitwise_equal(serial_baseline, gathered)
+                    state_dtype="<f8"))
+        merged = _merge_fleet_results(
+            [parts[task.index] for task in tasks])
+        assert_bitwise_equal(serial_baseline, merged)
 
 
 # -- crash safety ----------------------------------------------------------
@@ -268,6 +266,20 @@ class TestSerialGate:
         assert all(chunk.wall_time_s >= 0.0
                    for chunk in report.chunks)
 
+    def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
+                                                    no_pool):
+        # A runner pinned to one CPU must not pool by default, however
+        # many CPUs the host reports.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        reports = []
+        run_study(min_chunks_for_pool=1, on_report=reports.append)
+        (report,) = reports
+        assert report.mode == "fleet"
+        assert report.max_workers == 1
+        assert report.serial_reason == "max_workers <= 1"
+
     def test_invalid_knobs_rejected(self):
         with pytest.raises(SimulationError):
             run_study(max_workers=-1)
@@ -306,128 +318,6 @@ class TestCounterAggregation:
         assert counters["fleet.engine"]["chips"] == N_CHIPS
         assert counters["fleet.engine"]["chunks"] == 4
         assert "bti.fleet.kernels" in counters
-
-
-# -- slab transport --------------------------------------------------------
-
-
-class TestSlabTransport:
-    def test_slab_unavailable_falls_back_to_pickled_results(
-            self, monkeypatch, serial_baseline):
-        def no_slab(*args, **kwargs):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(fleet_module, "_FleetSlab", no_slab)
-        pooled = run_study(max_workers=WORKERS,
-                           min_chunks_for_pool=1)
-        assert_bitwise_equal(serial_baseline, pooled)
-
-    def test_slab_layout_covers_result_fields(self):
-        fields = dict(
-            (name, (shape, dtype)) for name, shape, dtype
-            in fleet_module._slab_fields(N_CHIPS, N_CORES, 3))
-        assert fields["worst_degradation"] == ((3, N_CHIPS),
-                                               np.float64)
-        assert fields["final_delta_vth_v"] == ((N_CHIPS, N_CORES),
-                                               np.float64)
-        assert fields["em_failures"] == ((N_CHIPS, N_CORES),
-                                         np.bool_)
-        total = fleet_module._slab_nbytes(N_CHIPS, N_CORES, 3)
-        assert total == sum(
-            int(np.prod(shape)) * np.dtype(dtype).itemsize
-            for shape, dtype in fields.values())
-
-    def test_n_records_matches_recorded_timeline(self):
-        result = run_study(max_workers=1, record_every=2)
-        assert len(result.times_s) == _n_records(N_EPOCHS, 2)
-        result = run_study(max_workers=1, record_every=1)
-        assert len(result.times_s) == _n_records(N_EPOCHS, 1)
-
-
-# -- the resource-tracker patch (legacy attach) ----------------------------
-
-
-class TestSharedMemoryAttachPatch:
-    """Pre-3.13 ``_attach_shared_memory`` fallback.
-
-    Without ``track=False`` the attach must suppress the tracker
-    registration of *its own* segment only: a blanket no-op would
-    silently drop the registration of any SharedMemory created
-    concurrently on another thread and leak that segment, and an
-    unserialized install/restore lets two threads clobber each
-    other's patch.
-    """
-
-    def _legacy(self, monkeypatch, recorded):
-        from multiprocessing import resource_tracker, shared_memory
-
-        def recording_register(res_name, rtype, *args, **kwargs):
-            recorded.append((res_name, rtype))
-
-        monkeypatch.setattr(resource_tracker, "register",
-                            recording_register)
-
-        class LegacySharedMemory:
-            """3.12-style attach: no track kwarg, always registers."""
-
-            def __init__(self, name=None, **kwargs):
-                if "track" in kwargs:
-                    raise TypeError(
-                        "__init__() got an unexpected keyword "
-                        "argument 'track'")
-                # The stdlib registers with the leading-slash
-                # spelling; a concurrent allocation on another
-                # thread registers too and must NOT be swallowed.
-                resource_tracker.register("/" + name,
-                                          "shared_memory")
-                resource_tracker.register("/psm_other_thread",
-                                          "shared_memory")
-                self.name = name
-
-        monkeypatch.setattr(shared_memory, "SharedMemory",
-                            LegacySharedMemory)
-        return recording_register
-
-    def test_suppresses_only_our_registration(self, monkeypatch):
-        from multiprocessing import resource_tracker
-        recorded = []
-        recorder = self._legacy(monkeypatch, recorded)
-        segment = fleet_module._attach_shared_memory("psm_ours")
-        assert segment.name == "psm_ours"
-        # Our segment's registration was swallowed, the concurrent
-        # one passed through to the real tracker.
-        assert recorded == [("/psm_other_thread", "shared_memory")]
-        # And the process-global hook is restored afterwards.
-        assert resource_tracker.register is recorder
-
-    def test_concurrent_attaches_restore_the_hook(self, monkeypatch):
-        import threading as threading_module
-        from multiprocessing import resource_tracker
-        recorded = []
-        recorder = self._legacy(monkeypatch, recorded)
-        barrier = threading_module.Barrier(8)
-        errors = []
-
-        def attach(index):
-            try:
-                barrier.wait(timeout=10)
-                fleet_module._attach_shared_memory(f"psm_{index}")
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading_module.Thread(target=attach, args=(i,))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        # Every attach swallowed its own registration and let the
-        # concurrent one through; no thread clobbered another's
-        # restore, so the original hook survives.
-        assert resource_tracker.register is recorder
-        assert all(name == "/psm_other_thread" for name, _ in recorded)
-        assert len(recorded) == 8
 
 
 # -- failure telemetry -----------------------------------------------------

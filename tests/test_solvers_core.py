@@ -423,6 +423,32 @@ class TestPoolThreshold:
         with pytest.raises(SimulationError):
             run_sweep(_double, [1, 2], min_tasks_for_pool=0)
 
+    def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
+                                                    no_pool):
+        # os.cpu_count() reports the host; a process pinned to one CPU
+        # must run the default-sized sweep serially.
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        reports = []
+        tasks = list(range(12))
+        results = run_sweep(_double, tasks, min_tasks_for_pool=1,
+                            on_report=reports.append)
+        assert results == [task * 2 for task in tasks]
+        (report,) = reports
+        assert report.max_workers == 1
+        assert report.serial_reason == "max_workers <= 1"
+
+    def test_pool_size_falls_back_to_cpu_count(self, monkeypatch):
+        import os
+        from repro.solvers.sweep import available_cpus
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cpus() == 1
+
     def test_small_population_sampling_stays_serial(self, no_pool):
         # Regression for the 0.37x pooled sampler: many small chunks
         # used to clear the chunk-count gate and start a pool for a

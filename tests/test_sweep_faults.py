@@ -530,7 +530,7 @@ class TestLifetimeSweepCallSite:
             {"none": NoRecoveryPolicy()},
             {"flat": ConstantWorkload(n_cores=4, utilization=0.5)},
             [ChipConfig(2, 2)], n_epochs=3, seed=1, max_workers=1,
-            retries=1, on_error="collect", on_report=reports.append)
+            retries=1, on_report=reports.append)
         assert len(result) == 1
         (report,) = reports
         assert report.ok and report.n_tasks == 1

@@ -238,7 +238,7 @@ class TestHomogeneousFleet:
                                   fleet.final_delta_vth_v[index])
 
     def test_matches_lifetime_sweep_cells(self):
-        """The fleet reproduces the pooled path's per-cell summaries."""
+        """A direct fleet study reproduces the sweep's cell summaries."""
         policy = RoundRobinRecoveryPolicy(recovery_slots=1,
                                           em_alternate_every=2)
         workload = ConstantWorkload(n_cores=4, utilization=0.5)
@@ -410,32 +410,6 @@ class TestWorkAwareGates:
             n_epochs=4, max_workers=4, on_report=reports.append)
         assert reports[-1].mode == "fleet"
         assert "pool threshold" in reports[-1].serial_reason
-
-    def test_small_pooled_sweep_stays_serial(self):
-        # Forcing the per-cell pool route still hits run_sweep's
-        # min_tasks_for_pool gate on the same tiny grid.
-        reports = []
-        run_lifetime_sweep(
-            {"none": NoRecoveryPolicy()},
-            {"flat": ConstantWorkload(n_cores=4)},
-            [ChipConfig(2, 2, name=f"c{i}") for i in range(5)],
-            n_epochs=4, max_workers=4, engine="pooled",
-            on_report=reports.append)
-        assert reports[-1].mode == "serial"
-        assert "min_tasks_for_pool" in reports[-1].serial_reason
-
-    def test_explicit_threshold_overrides_gate(self):
-        reports = []
-        run_lifetime_sweep(
-            {"none": NoRecoveryPolicy()},
-            {"flat": ConstantWorkload(n_cores=4)},
-            [ChipConfig(2, 2, name=f"c{i}") for i in range(2)],
-            n_epochs=2, max_workers=1, min_tasks_for_pool=1,
-            on_report=reports.append)
-        # max_workers=1 still forces serial, but for its own reason:
-        # the work gate must not have rewritten the explicit override.
-        assert "min_tasks_for_pool" not in \
-            (reports[-1].serial_reason or "")
 
     def test_small_ring_fleet_stays_serial(self):
         reports = []
