@@ -4,8 +4,7 @@ Times the seed's per-element Python stamping loop (kept verbatim in
 :mod:`benchmarks.seed_circuit`) against the compiled
 :class:`~repro.circuit.CompiledCircuit` programs on the two transient
 workloads the assist studies lean on -- a 1k-step assist mode-switch
-transient and a transistor-level ring-oscillator run -- plus the
-pooled ring-oscillator fleet from :mod:`repro.assist.sweeps`.
+transient and a transistor-level ring-oscillator run.
 
 Timings land in ``BENCH_circuit.json`` at the repo root; the assist
 and ring tests assert the PR acceptance criteria (>= 5x and >= 3x
@@ -30,7 +29,6 @@ from repro.assist.circuitry import (
     mode_switch_waveforms,
 )
 from repro.assist.modes import AssistMode
-from repro.assist.sweeps import ring_oscillator_fleet
 from repro.circuit import RingOscillatorNetlist, transient
 
 from benchmarks.conftest import run_once
@@ -175,36 +173,3 @@ def test_ring_oscillator_simulate(benchmark):
     run_once(benchmark, run_compiled)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_RING
 
-
-def test_ring_fleet_pooled(benchmark):
-    """The work-aware gate keeps a sub-threshold fleet serial.
-
-    BENCH_circuit.json measured this 12-ring fleet at 0.94x when it
-    was pooled by default; the gate in
-    :func:`~repro.assist.sweeps.ring_oscillator_fleet` now routes it
-    through the serial path unless the fleet's total transient steps
-    amortize pool startup.  The bench times the default (gated) call
-    against a force-pooled run of the same fleet and checks the
-    results are identical either way.
-    """
-    n_rings = 12
-    netlist = RingOscillatorNetlist(stages=5)
-    reports = []
-
-    def fleet(min_tasks_for_pool):
-        return ring_oscillator_fleet(n_rings, delta_vth_v=0.03,
-                                     sigma_vth_v=0.01,
-                                     netlist=netlist, seed=11,
-                                     max_workers=None,
-                                     min_tasks_for_pool=min_tasks_for_pool,
-                                     on_report=reports.append)
-
-    forced_s, forced = best_of(lambda: fleet(1), reps=2)
-    gated_s, gated = best_of(lambda: fleet(None), reps=2)
-    assert gated == forced
-    assert reports[-1].mode == "serial"
-    record("circuit_ring_fleet_gated_12", forced_s, gated_s,
-           n_rings=n_rings, gated_mode=reports[-1].mode,
-           rings_per_s_forced_pool=n_rings / forced_s,
-           rings_per_s_gated=n_rings / gated_s)
-    run_once(benchmark, lambda: fleet(None))

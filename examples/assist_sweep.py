@@ -1,11 +1,11 @@
-"""Pooled Fig. 10 load-sizing study on the compiled circuit engine.
+"""Fig. 10 load-sizing study and Fig. 9 mode-switch matrix on the
+batched circuit engine.
 
-Fans the paper's load-size sweep through
-:func:`repro.assist.sweeps.sweep_load_size_pooled`: every point builds
-a fresh assist netlist, solves the Normal-mode DC operating point and
-runs a full mode-switch transient -- independently, so the grid
-parallelizes over the process pool with results identical to a serial
-run.  Also prints the Fig. 9 mode-switch matrix (all six ordered mode
+Runs the paper's load-size sweep through
+:func:`repro.assist.sizing.sweep_load_size`: every point is a fresh
+assist netlist, and the whole grid solves its Normal-mode DC operating
+points and its mode-switch transients as rows of one batch.  Also
+prints the Fig. 9 mode-switch matrix (all six ordered mode
 transitions) from :func:`repro.assist.sweeps.mode_switch_matrix`.
 
 Reproduces the paper's Fig. 10 trade-off: load delay rises with load
@@ -22,16 +22,16 @@ import sys
 from repro.assist import (
     AssistCircuitConfig,
     mode_switch_matrix,
-    sweep_load_size_pooled,
+    sweep_load_size,
 )
 
 
 def run(max_loads: int) -> None:
     config = AssistCircuitConfig()
     sizes = tuple(range(1, max_loads + 1))
-    points = sweep_load_size_pooled(sizes, config)
+    points = sweep_load_size(sizes, config)
 
-    print(f"Fig. 10 load-size sweep ({len(points)} pooled points)")
+    print(f"Fig. 10 load-size sweep ({len(points)} batched points)")
     print()
     header = (f"{'loads':>5}  {'swing (V)':>9}  {'delay (norm)':>12}  "
               f"{'switch (ns)':>11}  {'switch (norm)':>13}")
@@ -53,7 +53,7 @@ def run(max_loads: int) -> None:
           + " -- each load has its own optimal design point.")
 
     print()
-    print("Fig. 9 mode-switch matrix (pooled transients)")
+    print("Fig. 9 mode-switch matrix (batched transients)")
     print()
     cells = mode_switch_matrix(config)
     for cell in cells:

@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.assist import sweep_load_size_pooled
+from repro.assist import sweep_load_size
 from repro.em import PAPER_EM_STRESS
 from repro.em.korhonen import KorhonenConfig
 from repro.em.statistics import sample_nucleation_ttfs_pde
@@ -39,7 +39,7 @@ from repro.solvers import cache_counters
 def run(max_loads: int = 16, n_wires: int = 512) -> None:
     sizes = tuple(range(1, max_loads + 1))
     start = time.perf_counter()
-    points = sweep_load_size_pooled(sizes, engine="batched")
+    points = sweep_load_size(sizes)
     grid_s = time.perf_counter() - start
 
     print(f"batched Fig. 10 grid: {len(points)} points in one "
@@ -74,7 +74,7 @@ def run(max_loads: int = 16, n_wires: int = 512) -> None:
     start = time.perf_counter()
     ttfs = sample_nucleation_ttfs_pde(
         n_wires, 6e6, 2e5, condition=condition, j_sigma=0.1, seed=1,
-        config=config, engine="batched")
+        config=config)
     pde_s = time.perf_counter() - start
     finite = ttfs[np.isfinite(ttfs)]
     print(f"batched Korhonen TTF sampling: {n_wires} wires x "

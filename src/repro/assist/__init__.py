@@ -12,8 +12,9 @@ Implements the Fig. 8 scheme as a real netlist on top of
   -- load-VDD is pulled near VSS and load-VSS near VDD, with the
   ~0.2 V pass-device droop the paper reports (Fig. 9b),
 * the load-size vs performance / switching-time trade-off of Fig. 10
-  (:mod:`repro.assist.sizing`), with pooled sweep-scale variants of
-  the Fig. 9 / Fig. 10 studies in :mod:`repro.assist.sweeps`.
+  (:mod:`repro.assist.sizing`), and the Fig. 9 mode-switch matrix and
+  a process-varied ring-oscillator fleet (:mod:`repro.assist.sweeps`),
+  each run as one study on the batched grid engine.
 """
 
 from repro.assist.modes import AssistMode, DeviceState, TRUTH_TABLE

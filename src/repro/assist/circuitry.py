@@ -70,6 +70,34 @@ def mode_switch_waveforms(from_mode: AssistMode, to_mode: AssistMode,
     return waveforms
 
 
+def _require_mode_change(from_mode: AssistMode,
+                         to_mode: AssistMode) -> None:
+    """Reject a "switch" that stays in the same mode.
+
+    Its rails never move, so no switching time exists to measure.
+    """
+    if from_mode == to_mode:
+        raise ValueError(
+            f"a mode switch needs two different modes, got "
+            f"{from_mode.name} -> {to_mode.name}")
+
+
+def switching_time_from(result: TransientResult, load_vdd_v: float,
+                        load_vss_v: float, switch_at_s: float,
+                        tolerance_v: float = 0.02) -> float:
+    """Switching time read off a mode-switch transient (Fig. 10 metric).
+
+    Time from the switch instant until both load rails settle to their
+    target-mode DC values within ``tolerance_v``; ``inf`` if a rail
+    never settles.  A rail that never leaves the tolerance band settles
+    at ``t = 0``, so a switch whose rails barely move (Normal <-> EM)
+    reports ``-switch_at_s``.
+    """
+    settled = max(result.settle_time("lvdd", load_vdd_v, tolerance_v),
+                  result.settle_time("lvss", load_vss_v, tolerance_v))
+    return settled - switch_at_s
+
+
 @dataclass(frozen=True)
 class AssistCircuitConfig:
     """Electrical configuration of one assist-circuit instance.
@@ -280,16 +308,15 @@ class AssistCircuit:
         """Retention/switching time between modes (Fig. 10 metric).
 
         Time from the switch instant until both load rails settle to
-        their new DC values within ``tolerance_v``.
+        their new DC values within ``tolerance_v`` (see
+        :func:`switching_time_from`).  Raises ``ValueError`` when both
+        modes are the same.
         """
+        _require_mode_change(from_mode, to_mode)
         target = self.solve_mode(to_mode)
         result = self.mode_switch_transient(from_mode, to_mode,
                                             stop_s=stop_s, dt_s=dt_s,
                                             switch_at_s=switch_at_s)
-        settle_vdd = result.settle_time("lvdd", target.load_vdd_v,
-                                        tolerance_v)
-        settle_vss = result.settle_time("lvss", target.load_vss_v,
-                                        tolerance_v)
-        settled = max(settle_vdd, settle_vss)
-        return settled - switch_at_s if settled != float("inf") \
-            else float("inf")
+        return switching_time_from(result, target.load_vdd_v,
+                                   target.load_vss_v, switch_at_s,
+                                   tolerance_v)

@@ -14,6 +14,11 @@ and reports two normalized metrics:
 The sweep concludes, as the paper does, that each load has its own
 optimal design point: compensating the delay requires upsizing the
 header/footer devices, which costs area.
+
+Every load size is the same topology, so the whole sweep runs as rows
+of the batched grid engine (:mod:`repro.circuit.batched`): one DC
+batch per mode and one stacked switching transient, whatever the
+number of points.
 """
 
 from __future__ import annotations
@@ -21,8 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.assist.circuitry import AssistCircuit, AssistCircuitConfig
+from repro.assist.circuitry import (
+    AssistCircuit,
+    AssistCircuitConfig,
+    mode_switch_waveforms,
+    switching_time_from,
+)
 from repro.assist.modes import AssistMode
+from repro.circuit.batched import dc_batch, transient_batch
 
 #: Alpha-power exponent used for the delay metric.
 _ALPHA = 1.3
@@ -58,39 +69,6 @@ class LoadSizingPoint:
     switching_time_normalized: float
 
 
-def _evaluate_load_point(base_config: AssistCircuitConfig,
-                         n_loads: int) -> dict:
-    """Raw (un-normalized) observables of one Fig. 10 sweep point.
-
-    Module-level (not a closure) so the pooled runner in
-    :mod:`repro.assist.sweeps` can pickle it into worker processes;
-    each point is an independent DC solve plus a switching transient.
-    """
-    circuit = AssistCircuit(replace(base_config, n_loads=n_loads))
-    normal = circuit.solve_mode(AssistMode.NORMAL)
-    switching = circuit.switching_time_s(AssistMode.NORMAL,
-                                         AssistMode.BTI_RECOVERY)
-    return {
-        "n_loads": n_loads,
-        "swing": normal.load_swing_v,
-        "delay": _alpha_power_delay(normal.load_swing_v),
-        "switching": switching,
-    }
-
-
-def _normalize_load_points(raw: Sequence[dict]) -> List[LoadSizingPoint]:
-    """Normalize raw sweep points to the first entry (Fig. 10 axes)."""
-    delay_ref = raw[0]["delay"]
-    switching_ref = raw[0]["switching"]
-    return [LoadSizingPoint(
-        n_loads=point["n_loads"],
-        load_swing_v=point["swing"],
-        delay_normalized=point["delay"] / delay_ref,
-        switching_time_s=point["switching"],
-        switching_time_normalized=point["switching"] / switching_ref,
-    ) for point in raw]
-
-
 def sweep_load_size(n_loads_values: Sequence[int] = (1, 2, 3, 4, 5),
                     base_config: Optional[AssistCircuitConfig] = None,
                     ) -> List[LoadSizingPoint]:
@@ -108,6 +86,35 @@ def sweep_load_size(n_loads_values: Sequence[int] = (1, 2, 3, 4, 5),
     if not n_loads_values:
         raise ValueError("n_loads_values must not be empty")
     base = base_config or AssistCircuitConfig()
-    raw = [_evaluate_load_point(base, n_loads)
-           for n_loads in n_loads_values]
-    return _normalize_load_points(raw)
+    switch_at_s = 5e-9
+    n_loads_values = list(n_loads_values)
+    cells = [AssistCircuit(replace(base, n_loads=n))
+             for n in n_loads_values]
+    circuits = [cell.circuit for cell in cells]
+    for cell in cells:
+        cell.set_mode(AssistMode.NORMAL)
+    normals = dc_batch(circuits)
+    for cell in cells:
+        cell.set_mode(AssistMode.BTI_RECOVERY)
+    targets = dc_batch(circuits)
+    waveforms = mode_switch_waveforms(AssistMode.NORMAL,
+                                      AssistMode.BTI_RECOVERY,
+                                      base.supply_v, switch_at_s)
+    for cell in cells:
+        cell.set_mode(AssistMode.NORMAL)
+    results = transient_batch(circuits, stop_s=100e-9, dt_s=0.2e-9,
+                              waveforms=waveforms)
+    swings = [normal.voltage("lvdd") - normal.voltage("lvss")
+              for normal in normals]
+    delays = [_alpha_power_delay(swing) for swing in swings]
+    switching = [switching_time_from(result, target.voltage("lvdd"),
+                                     target.voltage("lvss"), switch_at_s)
+                 for target, result in zip(targets, results)]
+    return [LoadSizingPoint(
+        n_loads=n_loads,
+        load_swing_v=swing,
+        delay_normalized=delay / delays[0],
+        switching_time_s=time_s,
+        switching_time_normalized=time_s / switching[0],
+    ) for n_loads, swing, delay, time_s in zip(n_loads_values, swings,
+                                               delays, switching)]

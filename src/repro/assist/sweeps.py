@@ -1,44 +1,25 @@
-"""Assist-circuit studies at sweep scale (Fig. 9 / Fig. 10), batched
-or pooled.
+"""Assist-circuit studies at sweep scale (Fig. 9 / Fig. 10 and a
+ring-oscillator fleet) on the batched grid engine.
 
-Every Fig. 10 load-size point, every Fig. 9 mode-switch cell and every
-member of a ring-oscillator fleet is an independent netlist build plus
-DC / transient solve over the *same topology*, which makes these
-studies ideal for the batched grid engine
-(:mod:`repro.circuit.batched`): all points stack along a leading batch
-axis and advance through one tensor Newton iteration per step instead
-of one simulation per point.  On one core the batched Fig. 10 study
-runs several times faster than the pooled per-point sweep, with
-observables identical to the per-point evaluators.
+Every Fig. 9 mode-switch cell and every member of a ring-oscillator
+fleet is an independent netlist build plus DC / transient solve over
+the *same topology*, which makes these studies ideal for the batched
+grid engine (:mod:`repro.circuit.batched`): all points stack along a
+leading batch axis and advance through one tensor Newton iteration
+per step instead of one simulation per point.  Observables match the
+per-point :class:`~repro.assist.circuitry.AssistCircuit` and
+:class:`~repro.circuit.oscillator.RingOscillatorNetlist` analyses --
+bitwise for the uncondensed ring fleet, within 1e-10 for the
+condensed assist cell.
 
-Each study takes an ``engine`` argument:
-
-* ``"auto"`` (default) -- batched, unless any pooled-runner knob
-  (``max_workers``, ``min_tasks_for_pool``, ``on_error``, ``retries``,
-  ``progress``, ``on_report``) is set, in which case the request
-  implies pooled semantics and the study runs through
-  :func:`repro.solvers.run_sweep` exactly as before.
-* ``"batched"`` -- force the batched engine (pool knobs rejected).
-* ``"pooled"`` -- force the deterministic process-pool runner; this
-  path remains the one to use for *heterogeneous* populations (e.g. a
-  fleet whose members differ in topology), which the batched engine
-  rejects by construction.
-
-The pooled path keeps its guarantees: results in task order,
-byte-identical to a serial run; per-cell randomness seeded from
-``(seed, cell index)`` via :func:`repro.solvers.task_seed_sequence`
-(the batched fleet draws the *same* per-member sequences, so both
-engines see identical process variation); fault tolerance and
-telemetry through ``on_error`` / ``retries`` / ``progress`` /
-``on_report``.  Every pooled task function is a module-level callable
-bound with ``functools.partial`` over frozen dataclasses, which keeps
-the work picklable.
+Fleet member ``k`` draws its process variation from
+:func:`repro.solvers.task_seed_sequence` ``(seed, k)``, so a fleet is
+reproducible member by member whatever its size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,132 +28,20 @@ import numpy as np
 from repro.assist.circuitry import (
     AssistCircuit,
     AssistCircuitConfig,
+    _require_mode_change,
     mode_switch_waveforms,
+    switching_time_from,
 )
 from repro.assist.modes import AssistMode
-from repro.assist.sizing import (
-    LoadSizingPoint,
-    _alpha_power_delay,
-    _evaluate_load_point,
-    _normalize_load_points,
-)
+from repro.assist.sizing import sweep_load_size
 from repro.circuit.batched import dc_batch, transient_batch
 from repro.circuit.oscillator import RingOscillatorNetlist
-from repro.solvers import run_sweep, task_seed_sequence
-
-
-def _resolve_engine(engine: str, max_workers, min_tasks_for_pool,
-                    on_error, retries, progress, on_report) -> str:
-    """Pick ``"batched"`` or ``"pooled"`` from the engine request."""
-    if engine not in ("auto", "batched", "pooled"):
-        raise ValueError(
-            "engine must be 'auto', 'batched' or 'pooled', "
-            f"got {engine!r}")
-    pool_defaults = (max_workers is None and min_tasks_for_pool is None
-                     and on_error == "raise" and retries == 0
-                     and progress is None and on_report is None)
-    if engine == "auto":
-        return "batched" if pool_defaults else "pooled"
-    if engine == "batched" and not pool_defaults:
-        raise ValueError(
-            "max_workers / min_tasks_for_pool / on_error / retries / "
-            "progress / on_report configure the pooled runner; leave "
-            "them at their defaults with engine='batched', or use "
-            "engine='pooled'")
-    return engine
-
+from repro.solvers import task_seed_sequence
 
 # -- Fig. 10: load-size trade-off ------------------------------------------
 
-
-def _sweep_load_size_batched(n_loads_values: Sequence[int],
-                             base: AssistCircuitConfig,
-                             ) -> List[LoadSizingPoint]:
-    """Every Fig. 10 point as one row of the batched grid engine.
-
-    Mirrors :func:`repro.assist.sizing._evaluate_load_point` exactly:
-    a Normal-mode DC (swing and delay), a BTI-recovery DC (settle
-    targets) and a Normal -> BTI switching transient, each computed
-    for the whole grid in one batched analysis.
-    """
-    stop_s, dt_s, switch_at_s, tolerance_v = 100e-9, 0.2e-9, 5e-9, 0.02
-    cells = [AssistCircuit(replace(base, n_loads=n))
-             for n in n_loads_values]
-    circuits = [cell.circuit for cell in cells]
-    for cell in cells:
-        cell.set_mode(AssistMode.NORMAL)
-    normals = dc_batch(circuits)
-    for cell in cells:
-        cell.set_mode(AssistMode.BTI_RECOVERY)
-    targets = dc_batch(circuits)
-    waveforms = mode_switch_waveforms(AssistMode.NORMAL,
-                                      AssistMode.BTI_RECOVERY,
-                                      base.supply_v, switch_at_s)
-    for cell in cells:
-        cell.set_mode(AssistMode.NORMAL)
-    results = transient_batch(circuits, stop_s=stop_s, dt_s=dt_s,
-                              waveforms=waveforms)
-    raw = []
-    for n_loads, normal, target, result in zip(n_loads_values, normals,
-                                               targets, results):
-        swing = normal.voltage("lvdd") - normal.voltage("lvss")
-        settled = max(
-            result.settle_time("lvdd", target.voltage("lvdd"),
-                               tolerance_v),
-            result.settle_time("lvss", target.voltage("lvss"),
-                               tolerance_v))
-        switching = settled - switch_at_s \
-            if settled != float("inf") else float("inf")
-        raw.append({
-            "n_loads": n_loads,
-            "swing": swing,
-            "delay": _alpha_power_delay(swing),
-            "switching": switching,
-        })
-    return _normalize_load_points(raw)
-
-
-def sweep_load_size_pooled(
-        n_loads_values: Sequence[int] = (1, 2, 3, 4, 5),
-        base_config: Optional[AssistCircuitConfig] = None, *,
-        engine: str = "auto",
-        max_workers: Optional[int] = None,
-        min_tasks_for_pool: Optional[int] = None,
-        on_error: str = "raise",
-        retries: int = 0,
-        progress=None,
-        on_report=None,
-) -> List[LoadSizingPoint]:
-    """The Fig. 10 sweep with every load point solved together.
-
-    Point-for-point identical to
-    :func:`repro.assist.sizing.sweep_load_size` (same evaluators, same
-    normalization to the first entry); only the scheduling differs.
-    With ``engine="auto"`` (and no pooled-runner knobs set) the whole
-    grid advances through the batched engine in one tensor transient;
-    setting any pool knob -- or ``engine="pooled"`` -- fans the points
-    over :func:`repro.solvers.run_sweep` instead.  Under ``"skip"`` /
-    ``"collect"`` failed points are dropped *before* normalization,
-    so the reference point becomes the first surviving entry (the
-    failure records arrive on the ``on_report`` report).
-    """
-    if not n_loads_values:
-        raise ValueError("n_loads_values must not be empty")
-    base = base_config or AssistCircuitConfig()
-    chosen = _resolve_engine(engine, max_workers, min_tasks_for_pool,
-                             on_error, retries, progress, on_report)
-    if chosen == "batched":
-        return _sweep_load_size_batched(list(n_loads_values), base)
-    raw = run_sweep(partial(_evaluate_load_point, base),
-                    list(n_loads_values), max_workers=max_workers,
-                    min_tasks_for_pool=min_tasks_for_pool,
-                    on_error=on_error, retries=retries,
-                    progress=progress, on_report=on_report)
-    raw = [point for point in raw if isinstance(point, dict)]
-    if not raw:
-        raise ValueError("every load point failed; nothing to "
-                         "normalize (see the on_report failures)")
-    return _normalize_load_points(raw)
+#: :func:`repro.assist.sizing.sweep_load_size` under its older name.
+sweep_load_size_pooled = sweep_load_size
 
 
 # -- Fig. 9: mode-switch matrix --------------------------------------------
@@ -197,45 +66,37 @@ class ModeSwitchCell:
     settled_load_vss_v: float
 
 
-def _evaluate_mode_switch(config: AssistCircuitConfig, stop_s: float,
-                          dt_s: float, switch_at_s: float,
-                          pair: Tuple[AssistMode, AssistMode]
-                          ) -> ModeSwitchCell:
-    """Sweep worker: one cell of the mode-switch matrix."""
-    from_mode, to_mode = pair
-    circuit = AssistCircuit(config)
-    target = circuit.solve_mode(to_mode)
-    switching = circuit.switching_time_s(from_mode, to_mode,
-                                         stop_s=stop_s, dt_s=dt_s,
-                                         switch_at_s=switch_at_s)
-    return ModeSwitchCell(
-        from_mode=from_mode,
-        to_mode=to_mode,
-        switching_time_s=switching,
-        settled_load_vdd_v=target.load_vdd_v,
-        settled_load_vss_v=target.load_vss_v,
-    )
+def mode_switch_matrix(
+        config: Optional[AssistCircuitConfig] = None,
+        mode_pairs: Optional[Sequence[Tuple[AssistMode,
+                                            AssistMode]]] = None, *,
+        stop_s: float = 100e-9,
+        dt_s: float = 0.2e-9,
+        switch_at_s: float = 5e-9,
+) -> List[ModeSwitchCell]:
+    """Switching times of every ordered mode transition.
 
-
-def _mode_switch_matrix_batched(
-        config: AssistCircuitConfig,
-        mode_pairs: Sequence[Tuple[AssistMode, AssistMode]],
-        stop_s: float, dt_s: float, switch_at_s: float,
-        ) -> List[ModeSwitchCell]:
-    """Every matrix cell as one row of the batched grid engine.
-
-    All cells share one topology; they differ only in gate-source
-    values, which enter per row through the DC source settings and the
-    per-row step waveforms.
+    The paper's Fig. 9 exercises Normal <-> EM and Normal <-> BTI
+    transitions; by default all six ordered pairs of the three modes
+    are solved.  Every cell shares one topology and differs only in
+    gate-source values, so the whole matrix runs as one DC batch and
+    one batched transient with per-cell gate waveforms.  A pair whose
+    two modes are equal raises ``ValueError``.
     """
-    tolerance_v = 0.02
-    cells = [AssistCircuit(config) for _ in mode_pairs]
+    if mode_pairs is None:
+        mode_pairs = list(permutations(AssistMode, 2))
+    if not mode_pairs:
+        raise ValueError("mode_pairs must not be empty")
+    for from_mode, to_mode in mode_pairs:
+        _require_mode_change(from_mode, to_mode)
+    cfg = config or AssistCircuitConfig()
+    cells = [AssistCircuit(cfg) for _ in mode_pairs]
     circuits = [cell.circuit for cell in cells]
     for cell, (_, to_mode) in zip(cells, mode_pairs):
         cell.set_mode(to_mode)
     targets = dc_batch(circuits)
     wave_rows = [mode_switch_waveforms(from_mode, to_mode,
-                                       config.supply_v, switch_at_s)
+                                       cfg.supply_v, switch_at_s)
                  for from_mode, to_mode in mode_pairs]
     for cell, (from_mode, _) in zip(cells, mode_pairs):
         cell.set_mode(from_mode)
@@ -246,79 +107,18 @@ def _mode_switch_matrix_batched(
                                                     targets, results):
         load_vdd = target.voltage("lvdd")
         load_vss = target.voltage("lvss")
-        settled = max(
-            result.settle_time("lvdd", load_vdd, tolerance_v),
-            result.settle_time("lvss", load_vss, tolerance_v))
-        switching = settled - switch_at_s \
-            if settled != float("inf") else float("inf")
         matrix.append(ModeSwitchCell(
             from_mode=from_mode,
             to_mode=to_mode,
-            switching_time_s=switching,
+            switching_time_s=switching_time_from(result, load_vdd,
+                                                 load_vss, switch_at_s),
             settled_load_vdd_v=load_vdd,
             settled_load_vss_v=load_vss,
         ))
     return matrix
 
 
-def mode_switch_matrix(
-        config: Optional[AssistCircuitConfig] = None,
-        mode_pairs: Optional[Sequence[Tuple[AssistMode,
-                                            AssistMode]]] = None, *,
-        stop_s: float = 100e-9,
-        dt_s: float = 0.2e-9,
-        switch_at_s: float = 5e-9,
-        engine: str = "auto",
-        max_workers: Optional[int] = None,
-        min_tasks_for_pool: Optional[int] = None,
-        on_error: str = "raise",
-        retries: int = 0,
-        progress=None,
-        on_report=None,
-) -> List[ModeSwitchCell]:
-    """Switching times of every ordered mode transition.
-
-    The paper's Fig. 9 exercises Normal <-> EM and Normal <-> BTI
-    transitions; by default all six ordered pairs of the three modes
-    are solved.  With ``engine="auto"`` (and no pooled-runner knobs
-    set) the whole matrix runs as one batched transient with per-cell
-    gate waveforms; setting a pool knob -- or ``engine="pooled"`` --
-    fans one transient per cell over the process pool instead.
-    Fault-tolerance knobs forward to :func:`repro.solvers.run_sweep`;
-    non-raising policies omit failed cells from the returned matrix.
-    """
-    if mode_pairs is None:
-        mode_pairs = list(permutations(AssistMode, 2))
-    if not mode_pairs:
-        raise ValueError("mode_pairs must not be empty")
-    cfg = config or AssistCircuitConfig()
-    chosen = _resolve_engine(engine, max_workers, min_tasks_for_pool,
-                             on_error, retries, progress, on_report)
-    if chosen == "batched":
-        return _mode_switch_matrix_batched(cfg, list(mode_pairs),
-                                           stop_s, dt_s, switch_at_s)
-    worker = partial(_evaluate_mode_switch, cfg, stop_s, dt_s,
-                     switch_at_s)
-    cells = run_sweep(worker, list(mode_pairs),
-                      max_workers=max_workers,
-                      min_tasks_for_pool=min_tasks_for_pool,
-                      on_error=on_error, retries=retries,
-                      progress=progress, on_report=on_report)
-    return [cell for cell in cells
-            if isinstance(cell, ModeSwitchCell)]
-
-
 # -- ring-oscillator fleet -------------------------------------------------
-
-
-#: Below this many total transient steps (``n_rings`` times the steps
-#: of one member's simulation window) the fleet runs serially by
-#: default: the compiled engine clears a 5-stage, 480-step transient
-#: in under 100 ms, so a small fleet finishes before the pool has even
-#: started (BENCH_circuit.json measured the 12-ring fleet at 0.94x
-#: pooled).  ~20 default-window members is where pooling starts to
-#: win back its startup cost.
-_MIN_POOL_TRANSIENT_STEPS = 9_600
 
 
 @dataclass(frozen=True)
@@ -337,67 +137,12 @@ class FleetMember:
     frequency_hz: float
 
 
-def _evaluate_fleet_member(netlist: RingOscillatorNetlist,
-                           delta_vth_v: float, sigma_vth_v: float,
-                           index: int,
-                           seed_sequence: np.random.SeedSequence
-                           ) -> FleetMember:
-    """Sweep worker: age, simulate and measure one fleet member."""
-    rng = np.random.default_rng(seed_sequence)
-    shift = delta_vth_v + sigma_vth_v * float(rng.standard_normal())
-    shift = max(shift, 0.0)
-    aged = netlist.aged(shift)
-    frequency = aged.measured_frequency_hz()
-    return FleetMember(index=index, delta_vth_v=shift,
-                       frequency_hz=frequency)
-
-
-def _ring_oscillator_fleet_batched(
-        n_rings: int, delta_vth_v: float, sigma_vth_v: float,
-        base: RingOscillatorNetlist, seed: int) -> List[FleetMember]:
-    """Advance the whole fleet through one batched transient.
-
-    Each aged ring shares the base topology; vth shifts enter per row
-    through the stamped device parameters, and each row carries its
-    own (stop, dt) window from :meth:`simulation_window` (the step
-    count is shift-independent, so rows stay in lockstep).  Member
-    draws reuse ``task_seed_sequence(seed, k)``, matching the pooled
-    runner bit for bit.
-    """
-    netlists = []
-    shifts = []
-    for index in range(n_rings):
-        rng = np.random.default_rng(task_seed_sequence(seed, index))
-        shift = delta_vth_v + sigma_vth_v * float(rng.standard_normal())
-        shift = max(shift, 0.0)
-        shifts.append(shift)
-        netlists.append(base.aged(shift))
-    circuits = [net.build() for net in netlists]
-    windows = [net.simulation_window() for net in netlists]
-    results = transient_batch(
-        circuits,
-        stop_s=[stop for stop, _ in windows],
-        dt_s=[dt for _, dt in windows],
-        from_dc=False)
-    return [FleetMember(index=index, delta_vth_v=shifts[index],
-                        frequency_hz=netlists[index]
-                        .measured_frequency_hz(results[index]))
-            for index in range(n_rings)]
-
-
 def ring_oscillator_fleet(
         n_rings: int,
         delta_vth_v: float = 0.0,
         sigma_vth_v: float = 0.0,
         netlist: Optional[RingOscillatorNetlist] = None, *,
         seed: int = 0,
-        engine: str = "auto",
-        max_workers: Optional[int] = None,
-        min_tasks_for_pool: Optional[int] = None,
-        on_error: str = "raise",
-        retries: int = 0,
-        progress=None,
-        on_report=None,
 ) -> List[FleetMember]:
     """Simulate a fleet of process-varied transistor-level rings.
 
@@ -406,45 +151,33 @@ def ring_oscillator_fleet(
     zero -- :meth:`RingOscillatorNetlist.aged` models wearout, not
     rejuvenation), runs a full transient, and measures the frequency
     from the waveform.  Member ``k``'s draw comes from
-    ``task_seed_sequence(seed, k)``, so the fleet is reproducible at
-    any worker count -- and at any retry count: a retried member
-    re-derives the same sequence, so its draw is unchanged.
+    ``task_seed_sequence(seed, k)``.
 
-    With ``engine="auto"`` (and no pooled-runner knobs set) the whole
-    fleet advances through one batched transient; the draws match the
-    pooled runner exactly.  Setting any pool knob -- or
-    ``engine="pooled"`` -- fans one transient per ring over the
-    process pool instead.  Fault-tolerance knobs forward to
-    :func:`repro.solvers.run_sweep`; non-raising policies omit failed
-    members (check :class:`~repro.solvers.SweepReport.failures` via
-    ``on_report``).
-
-    When ``min_tasks_for_pool`` is ``None``, a work-aware gate keeps
-    small pooled fleets serial: the pool only starts once the fleet's
-    total transient steps reach :data:`_MIN_POOL_TRANSIENT_STEPS`
-    (serial and pooled results are identical either way).
+    The whole fleet advances through one batched transient.  Each aged
+    ring shares the base topology; vth shifts enter per row through
+    the stamped device parameters, and each row carries its own
+    (stop, dt) window from :meth:`simulation_window` (the step count
+    is shift-independent, so rows stay in lockstep).  Every member is
+    bitwise equal to ``netlist.aged(shift).measured_frequency_hz()``.
     """
     if n_rings < 1:
         raise ValueError("n_rings must be at least 1")
     if sigma_vth_v < 0.0:
         raise ValueError("sigma_vth_v must be non-negative")
     base = netlist or RingOscillatorNetlist()
-    chosen = _resolve_engine(engine, max_workers, min_tasks_for_pool,
-                             on_error, retries, progress, on_report)
-    if chosen == "batched":
-        return _ring_oscillator_fleet_batched(
-            n_rings, delta_vth_v, sigma_vth_v, base, seed)
-    if min_tasks_for_pool is None:
-        stop_s, dt_s = base.simulation_window()
-        if n_rings * int(round(stop_s / dt_s)) \
-                < _MIN_POOL_TRANSIENT_STEPS:
-            min_tasks_for_pool = n_rings + 1
-    worker = partial(_evaluate_fleet_member, base, delta_vth_v,
-                     sigma_vth_v)
-    members = run_sweep(worker, list(range(n_rings)), seed=seed,
-                        max_workers=max_workers,
-                        min_tasks_for_pool=min_tasks_for_pool,
-                        on_error=on_error, retries=retries,
-                        progress=progress, on_report=on_report)
-    return [member for member in members
-            if isinstance(member, FleetMember)]
+    shifts = []
+    for index in range(n_rings):
+        rng = np.random.default_rng(task_seed_sequence(seed, index))
+        shift = delta_vth_v + sigma_vth_v * float(rng.standard_normal())
+        shifts.append(max(shift, 0.0))
+    netlists = [base.aged(shift) for shift in shifts]
+    windows = [net.simulation_window() for net in netlists]
+    results = transient_batch(
+        [net.build() for net in netlists],
+        stop_s=[stop for stop, _ in windows],
+        dt_s=[dt for _, dt in windows],
+        from_dc=False)
+    return [FleetMember(index=index, delta_vth_v=shifts[index],
+                        frequency_hz=netlists[index]
+                        .measured_frequency_hz(results[index]))
+            for index in range(n_rings)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,7 +26,6 @@ from repro.em.blacks import BlacksModel
 from repro.em.korhonen import (
     KorhonenBatch,
     KorhonenConfig,
-    KorhonenSolver,
     batch_bytes_per_wire,
 )
 from repro.em.line import EmStressCondition, PAPER_EM_STRESS
@@ -304,7 +303,6 @@ def sample_nucleation_ttfs_pde(
         j_sigma: float = 0.1,
         seed: int = 0,
         config: Optional[KorhonenConfig] = None,
-        engine: str = "batched",
         max_chunk_wires: Optional[int] = None,
         chunk_budget_bytes: Optional[int] = None) -> np.ndarray:
     """Per-wire void-nucleation times from the stress PDE itself.
@@ -318,12 +316,11 @@ def sample_nucleation_ttfs_pde(
     which the cathode stress reaches the material's critical stress.
 
     All wires share geometry and temperature, so they share one
-    backward-Euler factorization; ``engine="batched"`` advances the
-    whole population through a single multi-RHS back-substitution per
-    step (:class:`~repro.em.korhonen.KorhonenBatch`), while
-    ``engine="serial"`` loops a scalar
-    :class:`~repro.em.korhonen.KorhonenSolver` over wires.  The two
-    engines return bit-identical samples.
+    backward-Euler factorization, and the whole population advances
+    through a single multi-RHS back-substitution per step
+    (:class:`~repro.em.korhonen.KorhonenBatch`).  Each sample is
+    bit-identical to a scalar :class:`~repro.em.korhonen.KorhonenSolver`
+    run of that wire.
 
     Args:
         n_wires: population size.
@@ -338,13 +335,12 @@ def sample_nucleation_ttfs_pde(
         j_sigma: log-space sigma of the per-wire current densities.
         seed: RNG seed for the population draw.
         config: PDE discretization (default :class:`KorhonenConfig`).
-        engine: ``"batched"`` (default) or ``"serial"``.
         max_chunk_wires: cap on wires resident in one
             :class:`KorhonenBatch` at a time.  The population draw
             still covers every wire up front (the RNG stream is
             unchanged), then contiguous wire slices run as separate
             batches.  Columns are independent, so chunked samples are
-            bit-identical to the unchunked batch.  Batched engine only.
+            bit-identical to the unchunked batch.
         chunk_budget_bytes: alternative cap expressed as a byte budget
             for the resident stress state; converted via
             :func:`repro.em.korhonen.batch_bytes_per_wire`.  When both
@@ -362,8 +358,6 @@ def sample_nucleation_ttfs_pde(
             "probe_step_s must be positive and at most max_time_s")
     if j_sigma < 0.0:
         raise SimulationError("j_sigma must be non-negative")
-    if engine not in ("batched", "serial"):
-        raise ValueError("engine must be 'batched' or 'serial'")
     chunk = n_wires
     if max_chunk_wires is not None:
         if max_chunk_wires < 1:
@@ -376,9 +370,6 @@ def sample_nucleation_ttfs_pde(
                 f"chunk_budget_bytes={chunk_budget_bytes} is below the "
                 f"{per_wire}-byte resident cost of a single wire")
         chunk = min(chunk, chunk_budget_bytes // per_wire)
-    if chunk < n_wires and engine == "serial":
-        raise SimulationError(
-            "wire chunking applies to the batched engine only")
 
     rng = np.random.default_rng(seed)
     densities = condition.current_density_a_m2 \
@@ -392,39 +383,24 @@ def sample_nucleation_ttfs_pde(
     n_probes = int(math.ceil(max_time_s / probe_step_s - 1e-12))
     ttfs = np.full(n_wires, np.inf)
 
-    if engine == "batched":
-        def _run_slice(start: int, stop: int) -> None:
-            # Columns never interact, so a wire slice in its own batch
-            # retraces the exact trajectory it would in the full one.
-            batch = KorhonenBatch(wire.length_m, stop - start, config)
-            alive = np.arange(start, stop)
-            alive_gradients = gradients[start:stop]
-            for probe in range(1, n_probes + 1):
-                batch.advance(probe_step_s, kappa, alive_gradients)
-                crossed = batch.stress_at_start >= critical
-                if np.any(crossed):
-                    ttfs[alive[crossed]] = probe * probe_step_s
-                    keep = ~crossed
-                    if not np.any(keep):
-                        return
-                    # Compacting nucleated wires out keeps the batch
-                    # doing exactly the work the serial loop's
-                    # per-wire early exit would.
-                    batch.retain(np.nonzero(keep)[0])
-                    alive = alive[keep]
-                    alive_gradients = alive_gradients[keep]
-
-        for start in range(0, n_wires, chunk):
-            _run_slice(start, min(start + chunk, n_wires))
-        return ttfs
-
-    solver = KorhonenSolver(wire.length_m, config)
-    for index in range(n_wires):
-        solver.reset()
-        gradient = float(gradients[index])
+    for start in range(0, n_wires, chunk):
+        # Columns never interact, so a wire slice in its own batch
+        # retraces the exact trajectory it would in the full one.
+        stop = min(start + chunk, n_wires)
+        batch = KorhonenBatch(wire.length_m, stop - start, config)
+        alive = np.arange(start, stop)
+        alive_gradients = gradients[start:stop]
         for probe in range(1, n_probes + 1):
-            solver.advance(probe_step_s, kappa, gradient)
-            if solver.stress[0] >= critical:
-                ttfs[index] = probe * probe_step_s
-                break
+            batch.advance(probe_step_s, kappa, alive_gradients)
+            crossed = batch.stress_at_start >= critical
+            if np.any(crossed):
+                ttfs[alive[crossed]] = probe * probe_step_s
+                keep = ~crossed
+                if not np.any(keep):
+                    break
+                # Compacting nucleated wires out spares them the steps
+                # a per-wire loop would skip after its early exit.
+                batch.retain(np.nonzero(keep)[0])
+                alive = alive[keep]
+                alive_gradients = alive_gradients[keep]
     return ttfs

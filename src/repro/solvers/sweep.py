@@ -1,8 +1,7 @@
 """Deterministic, fault-tolerant process-pool sweep runner.
 
 Population Monte Carlo (:mod:`repro.em.statistics`), lifetime grids
-(:mod:`repro.system.sweeps`), the assist studies
-(:mod:`repro.assist.sweeps`) and tornado analyses
+(:mod:`repro.system.sweeps`) and tornado analyses
 (:mod:`repro.analysis.sensitivity`) all share one shape: evaluate a
 pure function over a list of independent tasks.  This module runs that
 shape over a ``concurrent.futures`` process pool with three

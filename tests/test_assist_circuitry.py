@@ -103,6 +103,10 @@ class TestModeSwitching:
                                              AssistMode.BTI_RECOVERY)
         assert 1e-9 < switching < 100e-9
 
+    def test_same_mode_switch_rejected(self, circuit):
+        with pytest.raises(ValueError, match="two different modes"):
+            circuit.switching_time_s(AssistMode.NORMAL, AssistMode.NORMAL)
+
     def test_transient_reaches_the_dc_target(self, circuit):
         target = circuit.solve_mode(AssistMode.BTI_RECOVERY)
         result = circuit.mode_switch_transient(

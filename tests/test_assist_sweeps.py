@@ -1,27 +1,81 @@
-"""Tests for repro.assist.sweeps (pooled assist studies)."""
+"""Tests for repro.assist.sweeps (assist studies on the batched engine).
+
+The golden tests pin each study against the public per-point analyses
+it replaces: :class:`~repro.assist.circuitry.AssistCircuit` for the
+Fig. 9 / Fig. 10 observables (within LAPACK roundoff for the condensed
+assist cell) and per-member aged
+:class:`~repro.circuit.oscillator.RingOscillatorNetlist` runs for the
+ring fleet (bitwise).
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.assist import (
+    AssistCircuit,
     AssistCircuitConfig,
     AssistMode,
+    FleetMember,
     mode_switch_matrix,
     ring_oscillator_fleet,
-    sweep_load_size,
     sweep_load_size_pooled,
 )
+from repro.assist.sizing import _alpha_power_delay
 from repro.circuit import RingOscillatorNetlist
 from repro.sensors import RingOscillator
+from repro.solvers import task_seed_sequence
+
+TOLERANCE = 1e-10
+
+
+def per_point_load_sweep(loads, config):
+    """``(n_loads, swing, delay, switching)`` of each point, one
+    :class:`AssistCircuit` at a time."""
+    rows = []
+    for n_loads in loads:
+        circuit = AssistCircuit(replace(config, n_loads=n_loads))
+        swing = circuit.solve_mode(AssistMode.NORMAL).load_swing_v
+        switching = circuit.switching_time_s(AssistMode.NORMAL,
+                                             AssistMode.BTI_RECOVERY)
+        rows.append((n_loads, swing, _alpha_power_delay(swing),
+                     switching))
+    return rows
+
+
+def assert_load_sweep_matches_per_point(points, loads, config):
+    rows = per_point_load_sweep(loads, config)
+    delay_ref, switching_ref = rows[0][2], rows[0][3]
+    assert len(points) == len(rows)
+    for point, (n_loads, swing, delay, switching) in zip(points, rows):
+        assert point.n_loads == n_loads
+        assert abs(point.load_swing_v - swing) <= TOLERANCE
+        assert abs(point.delay_normalized - delay / delay_ref) \
+            <= TOLERANCE
+        assert abs(point.switching_time_s - switching) <= TOLERANCE
+        assert abs(point.switching_time_normalized
+                   - switching / switching_ref) <= TOLERANCE
+
+
+def per_member_fleet(n_rings, delta_vth_v, sigma_vth_v, netlist, seed):
+    """The fleet one aged netlist at a time, with the same draws."""
+    members = []
+    for index in range(n_rings):
+        rng = np.random.default_rng(task_seed_sequence(seed, index))
+        shift = max(delta_vth_v
+                    + sigma_vth_v * float(rng.standard_normal()), 0.0)
+        members.append(FleetMember(
+            index=index, delta_vth_v=shift,
+            frequency_hz=netlist.aged(shift).measured_frequency_hz()))
+    return members
 
 
 class TestLoadSizeSweep:
     def test_matches_serial_sweep(self):
         config = AssistCircuitConfig()
-        serial = sweep_load_size((1, 2, 3), config)
-        pooled = sweep_load_size_pooled((1, 2, 3), config,
-                                        min_tasks_for_pool=2)
-        assert pooled == serial
+        points = sweep_load_size_pooled((1, 2, 3), config)
+        assert_load_sweep_matches_per_point(points, (1, 2, 3), config)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -30,8 +84,7 @@ class TestLoadSizeSweep:
 
 class TestModeSwitchMatrix:
     def test_covers_all_ordered_pairs(self):
-        cells = mode_switch_matrix(stop_s=40e-9, dt_s=0.4e-9,
-                                   max_workers=1)
+        cells = mode_switch_matrix(stop_s=40e-9, dt_s=0.4e-9)
         pairs = {(cell.from_mode, cell.to_mode) for cell in cells}
         assert len(cells) == 6
         assert all(a != b for a, b in pairs)
@@ -41,7 +94,7 @@ class TestModeSwitchMatrix:
     def test_bti_entry_switch_settles(self):
         cells = mode_switch_matrix(
             mode_pairs=[(AssistMode.NORMAL, AssistMode.BTI_RECOVERY)],
-            stop_s=100e-9, dt_s=0.4e-9, max_workers=1)
+            stop_s=100e-9, dt_s=0.4e-9)
         (cell,) = cells
         assert np.isfinite(cell.switching_time_s)
         assert cell.switching_time_s > 0.0
@@ -54,31 +107,26 @@ class TestModeSwitchMatrix:
         with pytest.raises(ValueError):
             mode_switch_matrix(mode_pairs=[])
 
+    def test_rejects_same_mode_pairs(self):
+        pairs = [(AssistMode.NORMAL, AssistMode.BTI_RECOVERY),
+                 (AssistMode.NORMAL, AssistMode.NORMAL)]
+        with pytest.raises(ValueError, match="two different modes"):
+            mode_switch_matrix(mode_pairs=pairs)
+
 
 class TestRingFleet:
-    def test_deterministic_across_worker_counts(self):
-        netlist = RingOscillatorNetlist(stages=3)
-        kwargs = dict(delta_vth_v=0.04, sigma_vth_v=0.02,
-                      netlist=netlist, seed=5)
-        serial = ring_oscillator_fleet(3, max_workers=1, **kwargs)
-        pooled = ring_oscillator_fleet(3, max_workers=2,
-                                       min_tasks_for_pool=2, **kwargs)
-        assert pooled == serial
-        assert [member.index for member in serial] == [0, 1, 2]
-
     def test_zero_sigma_fleet_is_uniform(self):
         netlist = RingOscillatorNetlist(stages=3)
         fleet = ring_oscillator_fleet(2, delta_vth_v=0.05,
-                                      netlist=netlist, max_workers=1)
+                                      netlist=netlist)
         assert fleet[0].delta_vth_v == fleet[1].delta_vth_v == 0.05
         assert fleet[0].frequency_hz == fleet[1].frequency_hz
 
     def test_aging_slows_the_fleet(self):
         netlist = RingOscillatorNetlist(stages=3)
-        fresh = ring_oscillator_fleet(1, netlist=netlist,
-                                      max_workers=1)
+        fresh = ring_oscillator_fleet(1, netlist=netlist)
         aged = ring_oscillator_fleet(1, delta_vth_v=0.1,
-                                     netlist=netlist, max_workers=1)
+                                     netlist=netlist)
         assert aged[0].frequency_hz < fresh[0].frequency_hz
 
     def test_sensor_inversion_roundtrip(self):
@@ -87,11 +135,9 @@ class TestRingFleet:
         netlist = RingOscillatorNetlist(stages=3)
         fleet = ring_oscillator_fleet(3, delta_vth_v=0.03,
                                       sigma_vth_v=0.01,
-                                      netlist=netlist, seed=2,
-                                      max_workers=1)
+                                      netlist=netlist, seed=2)
         frequencies = np.array([m.frequency_hz for m in fleet])
-        fresh = ring_oscillator_fleet(1, netlist=netlist,
-                                      max_workers=1)[0].frequency_hz
+        fresh = ring_oscillator_fleet(1, netlist=netlist)[0].frequency_hz
         sensor = RingOscillator(stages=3,
                                 fresh_frequency_hz=fresh,
                                 supply_v=netlist.supply_v,
@@ -116,75 +162,40 @@ class TestRingFleet:
             ring_oscillator_fleet(1, sigma_vth_v=-0.1)
 
 
-class TestBatchedEngineRouting:
-    """The batched grid engine behind the sweep entry points.
+class TestBatchedGolden:
+    """The batched studies against the per-point public analyses."""
 
-    With ``engine="auto"`` and no pooled-runner knobs, the studies run
-    as one batched tensor sweep; observables must match the pooled
-    runner (bitwise for the uncondensed ring fleet, within LAPACK
-    roundoff for the condensed assist cell).  Pool knobs force the
-    pooled path and are rejected alongside ``engine="batched"``.
-    """
-
-    def test_batched_load_sweep_matches_pooled(self):
+    def test_batched_load_sweep_matches_per_point_circuit(self):
         loads = (1, 2, 4)
-        batched = sweep_load_size_pooled(loads, engine="batched")
-        pooled = sweep_load_size_pooled(loads, engine="pooled",
-                                        max_workers=1)
-        for b, p in zip(batched, pooled):
-            assert b.n_loads == p.n_loads
-            assert abs(b.load_swing_v - p.load_swing_v) <= 1e-10
-            assert abs(b.delay_normalized - p.delay_normalized) \
-                <= 1e-10
-            assert abs(b.switching_time_s - p.switching_time_s) \
-                <= 1e-10
+        points = sweep_load_size_pooled(loads)
+        assert_load_sweep_matches_per_point(points, loads,
+                                            AssistCircuitConfig())
 
-    def test_batched_mode_matrix_matches_pooled(self):
-        batched = mode_switch_matrix(stop_s=40e-9, dt_s=0.4e-9,
-                                     engine="batched")
-        pooled = mode_switch_matrix(stop_s=40e-9, dt_s=0.4e-9,
-                                    engine="pooled", max_workers=1)
-        assert len(batched) == len(pooled) == 6
-        for b, p in zip(batched, pooled):
-            assert (b.from_mode, b.to_mode) == (p.from_mode, p.to_mode)
-            assert b.settled_load_vdd_v == pytest.approx(
-                p.settled_load_vdd_v, abs=1e-10)
-            assert b.settled_load_vss_v == pytest.approx(
-                p.settled_load_vss_v, abs=1e-10)
-            if np.isfinite(p.switching_time_s):
-                assert abs(b.switching_time_s - p.switching_time_s) \
-                    <= 1e-10
+    def test_batched_mode_matrix_matches_per_point_circuit(self):
+        config = AssistCircuitConfig()
+        cells = mode_switch_matrix(config, stop_s=40e-9, dt_s=0.4e-9)
+        assert len(cells) == 6
+        for cell in cells:
+            circuit = AssistCircuit(config)
+            target = circuit.solve_mode(cell.to_mode)
+            switching = circuit.switching_time_s(
+                cell.from_mode, cell.to_mode, stop_s=40e-9, dt_s=0.4e-9)
+            assert cell.settled_load_vdd_v == pytest.approx(
+                target.load_vdd_v, abs=TOLERANCE)
+            assert cell.settled_load_vss_v == pytest.approx(
+                target.load_vss_v, abs=TOLERANCE)
+            if np.isfinite(switching):
+                assert abs(cell.switching_time_s - switching) \
+                    <= TOLERANCE
             else:
-                assert not np.isfinite(b.switching_time_s)
+                assert not np.isfinite(cell.switching_time_s)
 
-    def test_batched_fleet_is_bitwise_identical_to_pooled(self):
+    def test_batched_fleet_matches_aged_netlists_bitwise(self):
         netlist = RingOscillatorNetlist(stages=3)
-        kwargs = dict(delta_vth_v=0.02, sigma_vth_v=0.01,
-                      netlist=netlist, seed=5)
-        batched = ring_oscillator_fleet(4, engine="batched", **kwargs)
-        pooled = ring_oscillator_fleet(4, engine="pooled",
-                                       max_workers=1, **kwargs)
-        assert batched == pooled
-
-    def test_batched_engine_rejects_pool_knobs(self):
-        with pytest.raises(ValueError, match="pooled"):
-            sweep_load_size_pooled((1, 2), engine="batched",
-                                   max_workers=2)
-        with pytest.raises(ValueError, match="pooled"):
-            mode_switch_matrix(engine="batched", retries=1)
-        with pytest.raises(ValueError, match="pooled"):
-            ring_oscillator_fleet(2, engine="batched",
-                                  on_error="skip")
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            ring_oscillator_fleet(2, engine="turbo")
-
-    def test_auto_with_pool_knobs_stays_pooled(self):
-        # Setting any pool knob under engine="auto" must keep the
-        # pooled semantics (here: a serial in-process run).
-        loads = (1, 2)
-        auto = sweep_load_size_pooled(loads, max_workers=1)
-        pooled = sweep_load_size_pooled(loads, engine="pooled",
-                                        max_workers=1)
-        assert auto == pooled
+        fleet = ring_oscillator_fleet(4, delta_vth_v=0.02,
+                                      sigma_vth_v=0.01, netlist=netlist,
+                                      seed=5)
+        assert fleet == per_member_fleet(4, 0.02, 0.01, netlist, 5)
+        assert [member.index for member in fleet] == [0, 1, 2, 3]
+        # The draws must actually differ, or the equality is vacuous.
+        assert len({member.delta_vth_v for member in fleet}) == 4

@@ -210,24 +210,37 @@ class TestValidation:
 
 class TestBatchedTtfSampler:
     def test_batched_and_serial_engines_agree_exactly(self):
+        """The batched sampler against a serial :class:`KorhonenSolver`
+        loop over the same per-wire current draws."""
         config = KorhonenConfig(n_nodes=101, max_dt_s=5e3)
         condition = dataclasses.replace(
             PAPER_EM_STRESS,
             current_density_a_m2=PAPER_EM_STRESS.current_density_a_m2
             * 0.05)
-        kwargs = dict(wire=PAPER_TEST_WIRE, condition=condition,
-                      j_sigma=0.1, seed=42, config=config)
+        n_wires, max_time_s, probe_step_s = 24, 6e6, 2e5
         batched = sample_nucleation_ttfs_pde(
-            24, 6e6, 2e5, engine="batched", **kwargs)
-        serial = sample_nucleation_ttfs_pde(
-            24, 6e6, 2e5, engine="serial", **kwargs)
+            n_wires, max_time_s, probe_step_s, wire=PAPER_TEST_WIRE,
+            condition=condition, j_sigma=0.1, seed=42, config=config)
+
+        rng = np.random.default_rng(42)
+        densities = condition.current_density_a_m2 \
+            * np.exp(0.1 * rng.standard_normal(n_wires))
+        material = PAPER_TEST_WIRE.material
+        temp = condition.temperature_k
+        kappa = material.stress_diffusivity_at(temp)
+        serial = np.full(n_wires, np.inf)
+        solver = KorhonenSolver(PAPER_TEST_WIRE.length_m, config)
+        for index, density in enumerate(densities):
+            solver.reset()
+            gradient = material.wind_stress_gradient(density, temp)
+            for probe in range(1, int(max_time_s / probe_step_s) + 1):
+                solver.advance(probe_step_s, kappa, gradient)
+                if solver.stress[0] >= material.critical_stress_pa:
+                    serial[index] = probe * probe_step_s
+                    break
         assert np.array_equal(batched, serial)
         # The scenario must actually nucleate and spread across
         # probes, or the equality above is vacuous.
         finite = np.isfinite(batched)
         assert finite.any()
         assert np.unique(batched[finite]).size > 1
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            sample_nucleation_ttfs_pde(4, 1e6, 1e5, engine="turbo")

@@ -77,7 +77,7 @@ class TestExamples:
         module = importlib.import_module("assist_sweep")
         module.run(2)
         out = capsys.readouterr().out
-        assert "Fig. 10 load-size sweep (2 pooled points)" in out
+        assert "Fig. 10 load-size sweep (2 batched points)" in out
         assert "delay rises with load size" in out
         assert "Fig. 9 mode-switch matrix" in out
         assert "BTI_RECOVERY" in out

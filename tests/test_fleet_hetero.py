@@ -519,5 +519,3 @@ class TestChunkedEmSampler:
             self.sample(max_chunk_wires=0)
         with pytest.raises(SimulationError):
             self.sample(chunk_budget_bytes=8)
-        with pytest.raises(SimulationError):
-            self.sample(engine="serial", max_chunk_wires=5)

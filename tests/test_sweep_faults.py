@@ -29,7 +29,6 @@ import pytest
 
 from repro import units
 from repro.analysis.sensitivity import one_at_a_time
-from repro.assist.sweeps import sweep_load_size_pooled
 from repro.em.statistics import (
     WirePopulationSpec,
     sample_population_ttfs_parallel,
@@ -534,14 +533,3 @@ class TestLifetimeSweepCallSite:
         assert len(result) == 1
         (report,) = reports
         assert report.ok and report.n_tasks == 1
-
-
-class TestAssistCallSite:
-    def test_report_threaded_through(self):
-        reports = []
-        points = sweep_load_size_pooled(
-            (1, 2), max_workers=1, on_report=reports.append)
-        assert len(points) == 2
-        assert points[0].delay_normalized == 1.0
-        (report,) = reports
-        assert report.ok and report.n_tasks == 2

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.assist.sweeps import ring_oscillator_fleet
 from repro.em.statistics import (
     WirePopulationSpec,
     sample_mixed_population_ttfs,
@@ -411,12 +410,3 @@ class TestWorkAwareGates:
         assert reports[-1].mode == "fleet"
         assert "pool threshold" in reports[-1].serial_reason
 
-    def test_small_ring_fleet_stays_serial(self):
-        reports = []
-        members = ring_oscillator_fleet(5, delta_vth_v=0.02,
-                                        sigma_vth_v=0.005, seed=3,
-                                        max_workers=4,
-                                        on_report=reports.append)
-        assert len(members) == 5
-        assert reports[-1].mode == "serial"
-        assert "min_tasks_for_pool" in reports[-1].serial_reason
