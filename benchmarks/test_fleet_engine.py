@@ -1,9 +1,8 @@
 """Before/after benchmarks for the SoA fleet engine.
 
 Times a pooled per-cell baseline (:func:`pooled_cells`: one
-``SystemSimulator`` per grid cell, one
-:func:`~repro.solvers.sweep.run_sweep` task each) against the
-structure-of-arrays
+``SystemSimulator`` per grid cell, cells mapped over a process pool)
+against the structure-of-arrays
 :class:`~repro.system.fleet.FleetSimulator`, which advances the whole
 population as ``(n_chips * n_cores, ...)`` tensors in one ufunc pass
 per epoch and shares condition / kernel / thermal caches across every
@@ -23,12 +22,13 @@ import gc
 import json
 import platform
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.solvers import cache_counters, run_sweep
+from repro.solvers import cache_counters
 from repro.solvers.sweep import available_cpus
 from repro.system.fleet import (
     FleetSimulator,
@@ -117,7 +117,7 @@ def _workload():
 
 
 def _simulate_cell(cell):
-    """One grid cell on its own ``SystemSimulator`` (one sweep task)."""
+    """One grid cell on its own ``SystemSimulator`` (one pool task)."""
     policy, workload, config, n_epochs = cell
     result = SystemSimulator(config.build()).run(
         n_epochs, copy.deepcopy(workload), copy.deepcopy(policy))
@@ -131,14 +131,21 @@ def pooled_cells(policies, workloads, chips, n_epochs):
 
     Each cell builds its chip and runs a fresh ``SystemSimulator``,
     with nothing shared between cells -- the cost the fleet engine
-    removes.  Returns ``(guardband, final_delta_vth_v,
-    migration_events)`` per cell.
+    removes.  Cells ship to one worker per available CPU in batches
+    of ``ceil(n_cells / (4 * workers))``, about four per worker; a
+    1-CPU runner evaluates them in-process.  Returns ``(guardband,
+    final_delta_vth_v, migration_events)`` per cell.
     """
     cells = [(policy, workload, config, n_epochs)
              for policy in policies.values()
              for workload in workloads.values()
              for config in chips]
-    return run_sweep(_simulate_cell, cells)
+    workers = available_cpus()
+    if workers <= 1:
+        return [_simulate_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_simulate_cell, cells,
+                             chunksize=-(-len(cells) // (4 * workers))))
 
 
 def test_fleet_vs_pooled_sweep_1k_chips(benchmark):

@@ -65,11 +65,9 @@ def _nucleation_minutes(params) -> float:
 
 
 def test_sensitivity_of_delay_factor(benchmark):
-    # max_workers=2 fans the metric evaluations out over the
-    # repro.solvers sweep pool; results are identical to serial.
     results = run_once(benchmark,
                        lambda: one_at_a_time(_delay_factor, BASELINE,
-                                             SPANS, max_workers=2))
+                                             SPANS))
     print()
     print(format_table(
         ("parameter", "span", "delay factor range", "rel. swing"),
@@ -87,8 +85,7 @@ def test_sensitivity_of_delay_factor(benchmark):
 def test_sensitivity_of_absolute_nucleation_time(benchmark):
     results = run_once(
         benchmark,
-        lambda: one_at_a_time(_nucleation_minutes, BASELINE, SPANS,
-                              max_workers=2))
+        lambda: one_at_a_time(_nucleation_minutes, BASELINE, SPANS))
     print()
     print(format_table(
         ("parameter", "span", "t_nuc range (min)", "rel. swing"),

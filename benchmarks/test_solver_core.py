@@ -30,8 +30,6 @@ from scipy.linalg import solve_banded
 from repro import units
 from repro.em.korhonen import BoundaryKind, KorhonenConfig, \
     KorhonenSolver
-from repro.em.statistics import WirePopulationSpec, \
-    sample_population_ttfs_parallel
 from repro.em.wire import COPPER
 from repro.pdn.grid import PdnGrid
 from repro.pdn.irdrop import solve_ir_drop_batch
@@ -244,37 +242,3 @@ def test_pdn_100_pattern_resolve(benchmark):
                    grid=f"{rows}x{cols}", n_patterns=len(patterns))
     run_once(benchmark, run_new)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD
-
-
-def test_sweep_runner_population_sampling(benchmark):
-    """Record-only: pool vs serial Monte Carlo (identical streams).
-
-    At 4k x 400 = 1.6M lognormal draws this workload sits below the
-    sampler's work-aware pool gate (``_MIN_POOL_SAMPLES``), so both
-    paths now run serially in-process and the recorded ratio should
-    hover around 1.0 -- the earlier 0.37x pooled regression came from
-    paying ~100 ms of process startup for ~15 ms of numpy sampling.
-    """
-    spec = WirePopulationSpec(n_wires=400,
-                              median_ttf_s=units.years(30.0),
-                              sigma=0.35)
-    n_chips = 4_000
-
-    def run_serial():
-        return sample_population_ttfs_parallel(spec, n_chips=n_chips,
-                                               seed=7, max_workers=1)
-
-    def run_pool():
-        return sample_population_ttfs_parallel(spec, n_chips=n_chips,
-                                               seed=7, max_workers=4)
-
-    serial_s, serial = best_of(run_serial, reps=2)
-    pool_s, pool = best_of(run_pool, reps=2)
-    assert np.array_equal(serial, pool)
-    RESULTS["sweep_population_sampling"] = {
-        "serial_s": serial_s, "pool_s": pool_s,
-        "speedup": serial_s / pool_s, "n_chips": n_chips,
-        "note": "record-only; below the work-aware pool gate both "
-                "paths run serially (determinism still asserted)",
-    }
-    run_once(benchmark, run_pool)

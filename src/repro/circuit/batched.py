@@ -49,8 +49,9 @@ snapshotted at construction; source values are read at run time, so
 mode changes between runs flow through while topology edits require
 a new batch.  Heterogeneous batches (different node counts, element
 lists or device terminals) are rejected with ``ValueError`` at
-construction; such populations belong on the pooled per-point runner
-(:func:`repro.solvers.sweep.run_sweep`).
+construction; such populations run point by point on the scalar
+solvers (:func:`repro.circuit.dc.dc_operating_point`,
+:func:`repro.circuit.transient.transient`).
 """
 
 from __future__ import annotations

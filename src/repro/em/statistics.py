@@ -10,13 +10,18 @@ This module extends the paper's single-wire experiments to that
 population view -- the form in which a deep-healing deployment decision
 would actually be made: how much does a recovery schedule move the
 chip-level t_0.1% point, not just one wire's median.
+
+Every Monte Carlo sampler here runs in-process on vectorized numpy
+draws; the chunked sampler
+(:func:`sample_population_ttfs_parallel`) seeds each chunk by its
+index, so its stream does not depend on how the chunks are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,7 +36,7 @@ from repro.em.korhonen import (
 from repro.em.line import EmStressCondition, PAPER_EM_STRESS
 from repro.em.wire import Wire, PAPER_TEST_WIRE
 from repro.errors import SimulationError
-from repro.solvers import run_sweep
+from repro.solvers.sweep import chunk_tasks, task_seed_sequence
 
 
 @dataclass(frozen=True)
@@ -207,82 +212,40 @@ def sample_mixed_population_ttfs(specs: Sequence[WirePopulationSpec],
     return np.exp(samples.min(axis=1))
 
 
-def _sample_chip_chunk(task: "Tuple[WirePopulationSpec, int]",
-                       seed_sequence: np.random.SeedSequence
-                       ) -> np.ndarray:
-    """Sweep worker: Monte Carlo TTFs for one chunk of chips."""
-    spec, n_chips = task
-    rng = np.random.default_rng(seed_sequence)
-    samples = rng.normal(math.log(spec.median_ttf_s), spec.sigma,
-                         size=(n_chips, spec.n_wires))
-    return np.exp(samples.min(axis=1))
-
-
-#: Below this many total lognormal draws (``n_chips * n_wires``) the
-#: population sampler runs serially: vectorized numpy sampling clears
-#: ~100M draws/s in-process, so under ~8e6 draws the ~100 ms of
-#: process-pool startup and result pickling can only lose
-#: (BENCH_solvers.json measured a pooled 10k x 64 sweep at 0.37x
-#: serial).  Chunk *count* is the wrong gate here -- a sign-off sweep
-#: always has many chunks; what decides pool profitability is the
-#: work inside them.
-_MIN_POOL_SAMPLES = 8_000_000
-
-
 def sample_population_ttfs_parallel(spec: WirePopulationSpec,
                                     n_chips: int = 10000,
                                     seed: int = 0,
-                                    max_workers: Optional[int] = None,
-                                    chunk_chips: int = 256,
-                                    min_tasks_for_pool: Optional[int]
-                                    = None,
-                                    on_error: str = "raise",
-                                    retries: int = 0,
-                                    progress=None,
-                                    on_report=None) -> np.ndarray:
-    """Monte Carlo chip TTFs over a process-pool sweep.
+                                    *,
+                                    chunk_chips: int = 256
+                                    ) -> np.ndarray:
+    """Monte Carlo chip TTFs as a chunk-seeded stream.
 
     The population is split into fixed ``chunk_chips``-sized chunks,
-    each seeded from ``(seed, chunk index)`` via
-    :func:`repro.solvers.run_sweep` -- so the returned array is
-    byte-identical for a fixed seed *regardless of worker count*
-    (``chunk_chips`` itself is part of the stream definition, which is
-    also why the serial fallback keeps the same chunking).  By default
-    the pool is only started once the total sample count
-    (``n_chips * n_wires``) is large enough to amortize process
-    startup (:data:`_MIN_POOL_SAMPLES`); pass ``min_tasks_for_pool``
-    to override that work-aware gate with an explicit chunk-count
-    threshold.
+    and chunk ``k`` draws its ``(chips, n_wires)`` lognormal block
+    from ``task_seed_sequence(seed, k)``
+    (:func:`repro.solvers.sweep.task_seed_sequence`).  Each chunk is
+    therefore an independent, reproducible stream: ``chunk_chips`` is
+    part of the stream definition, and any one chunk can be redrawn
+    in isolation.  Resident memory is one chunk's sample block, not
+    the whole ``(n_chips, n_wires)`` matrix.
 
-    Fault tolerance (``on_error``, ``retries``) and telemetry
-    (``progress``, ``on_report``) are forwarded to
-    :func:`repro.solvers.run_sweep`.  Under ``"skip"`` /
-    ``"collect"`` the chips of failed chunks are *dropped* from the
-    returned population (the per-chunk failure records live on the
-    delivered :class:`~repro.solvers.SweepReport`), so quantiles of a
-    degraded run are computed over the surviving chips only.
+    The chunks are evaluated in-process.  A process pool never paid
+    for itself here: vectorized sampling clears ~100M draws/s, so at
+    4000 chips x 400 wires the in-process loop takes 0.028 s against
+    0.057 s through a 2-worker pool (2-CPU host, median of 5).
     """
     if n_chips < 1:
         raise SimulationError("n_chips must be at least 1")
     if chunk_chips < 1:
         raise SimulationError("chunk_chips must be at least 1")
-    tasks = [(spec, min(chunk_chips, n_chips - start))
-             for start in range(0, n_chips, chunk_chips)]
-    if min_tasks_for_pool is None \
-            and n_chips * spec.n_wires < _MIN_POOL_SAMPLES:
-        # Serial and pooled runs are byte-identical, so the gate is
-        # purely a performance decision.
-        min_tasks_for_pool = len(tasks) + 1
-    chunks = run_sweep(_sample_chip_chunk, tasks,
-                       max_workers=max_workers, seed=seed,
-                       min_tasks_for_pool=min_tasks_for_pool,
-                       on_error=on_error, retries=retries,
-                       progress=progress, on_report=on_report)
-    arrays = [chunk for chunk in chunks
-              if isinstance(chunk, np.ndarray)]
-    if not arrays:
-        return np.empty(0)
-    return np.concatenate(arrays)
+    log_median = math.log(spec.median_ttf_s)
+    ttfs = np.empty(n_chips)
+    for chunk in chunk_tasks(n_chips, chunk_chips):
+        rng = np.random.default_rng(task_seed_sequence(seed, chunk.index))
+        samples = rng.normal(log_median, spec.sigma,
+                             size=(chunk.n_items, spec.n_wires))
+        ttfs[chunk.start:chunk.stop] = np.exp(samples.min(axis=1))
+    return ttfs
 
 
 def healing_gain_at_quantile(baseline: WirePopulationSpec,

@@ -35,19 +35,20 @@ class SimulationError(ReproError):
 class TaskError(ReproError):
     """One task of a :func:`repro.solvers.run_sweep` sweep failed.
 
-    Raised under the default ``on_error="raise"`` policy with the
-    failing task attributed: :attr:`task_index` is the position in the
-    sweep's task list, :attr:`chunk_index` the submitted chunk it ran
-    in, and :attr:`attempts` how many executions (1 + retries) were
-    made.  The worker's original exception is chained as ``__cause__``
-    whenever it survives transport back from the pool.
+    Raised once a task has exhausted its bounded retries (in the fleet
+    engine, a task is one chip chunk), with the failing task
+    attributed: :attr:`task_index` is the position in the sweep's
+    task list and :attr:`attempts` how many executions
+    (1 + retries) were made.  The worker's original exception is
+    chained as ``__cause__`` whenever it survives transport back from
+    the pool; otherwise its formatted traceback is embedded in the
+    message.
     """
 
     def __init__(self, message: str, *, task_index: int = -1,
-                 chunk_index: int = -1, attempts: int = 1):
+                 attempts: int = 1):
         super().__init__(message)
         self.task_index = task_index
-        self.chunk_index = chunk_index
         self.attempts = attempts
 
 

@@ -1,9 +1,9 @@
 """Shared prefactored linear-algebra core and sweep runner.
 
-See :mod:`repro.solvers.factorized` for the operator/cache design and
-:mod:`repro.solvers.sweep` for the deterministic fault-tolerant
-process-pool sweep, and ``docs/performance.md`` for the architecture
-overview.
+See :mod:`repro.solvers.factorized` for the operator/cache design,
+:mod:`repro.solvers.sweep` for the fault-tolerant process-pool runner
+of the fleet chunk executor, and ``docs/performance.md`` for the
+architecture overview.
 """
 
 from repro.solvers.factorized import (
@@ -18,7 +18,6 @@ from repro.solvers.factorized import (
     solve_dense_cached,
 )
 from repro.solvers.sweep import (
-    DEFAULT_MIN_TASKS_FOR_POOL,
     ChunkRecord,
     ChunkTask,
     SweepReport,
@@ -38,7 +37,6 @@ __all__ = [
     "fingerprint",
     "record_counters",
     "solve_dense_cached",
-    "DEFAULT_MIN_TASKS_FOR_POOL",
     "ChunkRecord",
     "ChunkTask",
     "SweepReport",

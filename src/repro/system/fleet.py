@@ -974,11 +974,10 @@ def _chunk_size(n_chips: int, n_cores: int, state_dtype,
 
 #: Below this much stacked work (``n_chips * n_cores * n_epochs``) the
 #: chunked runner never starts a process pool: pool spawn plus chip
-#: pickling costs tens of milliseconds, which dominates small fleets
-#: the way tiny task lists dominate
-#: :data:`repro.solvers.sweep.DEFAULT_MIN_TASKS_FOR_POOL`.  Callers
-#: with heavier (or lighter) per-chunk work override the gate with an
-#: explicit ``min_chunks_for_pool``.
+#: pickling costs tens of milliseconds, which dominates small fleets.
+#: This is the only pool gate -- :func:`repro.solvers.sweep.run_sweep`
+#: has none of its own.  Callers with heavier (or lighter) per-chunk
+#: work override the gate with an explicit ``min_chunks_for_pool``.
 MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
 
 # Fault-injection hooks, mirroring tests/test_sweep_faults.py: pool
@@ -1119,9 +1118,6 @@ def _pool_serial_reason(n_chips: int, n_cores: int, n_epochs: int,
     if n_chunks < 2:
         return "single chunk"
     if min_chunks_for_pool is not None:
-        if min_chunks_for_pool < 1:
-            raise SimulationError(
-                "min_chunks_for_pool must be at least 1")
         if n_chunks < min_chunks_for_pool:
             return (f"{n_chunks} chunks below "
                     f"min_chunks_for_pool={min_chunks_for_pool}")
@@ -1227,9 +1223,8 @@ def run_fleet_lifetime_study(
             chunks than this run serially.  ``None`` (default)
             applies the work-aware gate: pool only when the stacked
             work ``n_chips * n_cores * n_epochs`` reaches
-            :data:`MIN_CORE_EPOCHS_FOR_POOL` (mirroring
-            ``min_tasks_for_pool`` in
-            :func:`~repro.solvers.sweep.run_sweep`).
+            :data:`MIN_CORE_EPOCHS_FOR_POOL`.  Must be at least 1
+            when given.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).
@@ -1260,6 +1255,12 @@ def run_fleet_lifetime_study(
         A :class:`FleetResult`; ``chip_result(i)`` recovers any
         member's full :class:`SystemResult`.
     """
+    if max_workers is not None and max_workers < 0:
+        raise SimulationError("max_workers must be non-negative")
+    if retries < 0:
+        raise SimulationError("retries must be non-negative")
+    if min_chunks_for_pool is not None and min_chunks_for_pool < 1:
+        raise SimulationError("min_chunks_for_pool must be at least 1")
     if isinstance(chip, Chip):
         built = chip
     elif isinstance(chip, ChipConfig):
@@ -1289,10 +1290,6 @@ def run_fleet_lifetime_study(
     n_chunks = len(bounds)
     workers = (max_workers if max_workers is not None
                else available_cpus())
-    if workers < 0:
-        raise SimulationError("max_workers must be non-negative")
-    if retries < 0:
-        raise SimulationError("retries must be non-negative")
     reason = _pool_serial_reason(n_chips, built.n_cores, n_epochs,
                                  n_chunks, workers,
                                  min_chunks_for_pool)
@@ -1414,8 +1411,7 @@ def run_fleet_lifetime_study(
         if pending:
             returned = run_sweep(
                 _run_fleet_chunk, pending, max_workers=workers,
-                chunk_size=1, min_tasks_for_pool=1,
-                on_error="raise", retries=retries,
+                retries=retries,
                 on_report=inner.append if on_report is not None
                 else None)
         record_counters("fleet.engine", chunks=n_chunks)

@@ -1,5 +1,7 @@
 """Tests for repro.analysis.sensitivity."""
 
+import math
+
 import pytest
 
 from repro.analysis.sensitivity import (
@@ -63,6 +65,57 @@ class TestOneAtATime:
         assert result.relative_swing == float("inf")
 
 
+def coupled(params):
+    # Non-polynomial and coupled, so every evaluation rounds
+    # differently: equality below is bitwise, not approximate.
+    return (math.exp(params["a"]) * params["b"] / (1.0 + params["c"])
+            + math.sqrt(params["c"]) * params["a"])
+
+
+class TestInlineLoopGolden:
+    """one_at_a_time is exactly the baseline/low/high loop."""
+
+    SPANS3 = {"a": (1.5, 2.7), "b": (0.3, 1.9), "c": (2.0, 8.0)}
+
+    def test_equals_inline_loop_exactly(self):
+        expected_calls = [dict(BASE)]
+        baseline_metric = coupled(dict(BASE))
+        expected = []
+        for name, (low, high) in self.SPANS3.items():
+            low_params = dict(BASE)
+            low_params[name] = low
+            high_params = dict(BASE)
+            high_params[name] = high
+            expected_calls += [low_params, high_params]
+            expected.append(SensitivityResult(
+                parameter=name, baseline_value=BASE[name],
+                low_value=low, high_value=high,
+                baseline_metric=baseline_metric,
+                low_metric=coupled(low_params),
+                high_metric=coupled(high_params)))
+        expected.sort(key=lambda result: result.swing, reverse=True)
+
+        calls = []
+
+        def spy(params):
+            calls.append(dict(params))
+            return coupled(params)
+
+        assert one_at_a_time(spy, BASE, self.SPANS3) == expected
+        # Same calls, in the same order: baseline, then low and high
+        # of each span.
+        assert calls == expected_calls
+
+    def test_metric_errors_propagate_unwrapped(self):
+        def fragile(params):
+            if params["b"] > 1.0:
+                raise ValueError("metric blew up")
+            return params["a"]
+
+        with pytest.raises(ValueError, match="metric blew up"):
+            one_at_a_time(fragile, BASE, SPANS)
+
+
 class TestValidation:
     def test_rejects_empty_spans(self):
         with pytest.raises(SimulationError):
@@ -73,8 +126,18 @@ class TestValidation:
             one_at_a_time(quadratic, BASE, {"zz": (0.0, 1.0)})
 
     def test_rejects_inverted_span(self):
-        with pytest.raises(SimulationError):
-            one_at_a_time(quadratic, BASE, {"a": (3.0, 1.0)})
+        calls = []
+
+        def spy(params):
+            calls.append(params)
+            return quadratic(params)
+
+        for spans in ({"a": (3.0, 1.0)},
+                      {"a": (1.0, 3.0), "b": (2.0, 1.0)}):
+            with pytest.raises(SimulationError):
+                one_at_a_time(spy, BASE, spans)
+        # Spans are validated before the metric is ever evaluated.
+        assert calls == []
 
 
 class TestTornadoRows:

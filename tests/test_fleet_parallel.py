@@ -288,6 +288,33 @@ class TestSerialGate:
         with pytest.raises(SimulationError):
             run_study(max_workers=4, min_chunks_for_pool=0)
 
+    def test_invalid_threshold_rejected_on_every_path(self, tmp_path):
+        # min_chunks_for_pool is validated up front, not only when the
+        # run reaches the pool decision: a serial (max_workers=1) or
+        # single-chunk run must refuse it too, and so must a resume.
+        from repro.system.checkpoint import resume_fleet_lifetime_study
+
+        def small(**overrides):
+            return run_fleet_lifetime_study(
+                (2, 2), 3, ConstantWorkload(4, 0.5),
+                NoRecoveryPolicy(), n_epochs=2, **overrides)
+
+        for workers in (1, 2):
+            with pytest.raises(SimulationError,
+                               match="min_chunks_for_pool"):
+                small(max_workers=workers, min_chunks_for_pool=0)
+            with pytest.raises(SimulationError,
+                               match="min_chunks_for_pool"):
+                small(max_workers=workers, max_chunk_chips=1,
+                      min_chunks_for_pool=0)
+        small(max_workers=1, checkpoint_dir=str(tmp_path))
+        for workers in (1, 2):
+            with pytest.raises(SimulationError,
+                               match="min_chunks_for_pool"):
+                resume_fleet_lifetime_study(
+                    tmp_path, max_workers=workers,
+                    min_chunks_for_pool=0)
+
 
 # -- aggregated telemetry --------------------------------------------------
 

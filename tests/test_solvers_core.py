@@ -3,9 +3,12 @@
 The prefactored paths must reproduce the seed's dense
 ``np.linalg.solve`` results to 1e-10 (relative) on the PDN, thermal
 and Korhonen reference problems, survive topology / operating-point
-changes through cache invalidation, and the sweep runner must be
-byte-identical for a fixed seed regardless of worker count.
+changes through cache invalidation, and the sweep runner must return
+byte-identical, in-order results regardless of worker count.  The
+chunked population sampler is pinned to its chunk-seeded stream.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.solvers import (
     fingerprint,
     run_sweep,
     solve_dense_cached,
+    task_seed_sequence,
 )
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.network import ThermalRCNetwork
@@ -342,9 +346,11 @@ def _double(task):
     return task * 2
 
 
-def _seeded_draw(task, seed_sequence):
-    rng = np.random.default_rng(seed_sequence)
-    return float(rng.normal()) + task
+def _seeded_draw(task):
+    """Draws from the task's own ``(seed, index)`` stream."""
+    seed, index = task
+    rng = np.random.default_rng(task_seed_sequence(seed, index))
+    return float(rng.normal()) + index
 
 
 class TestSweepDeterminism:
@@ -352,19 +358,12 @@ class TestSweepDeterminism:
         assert run_sweep(_double, [3, 1, 2], max_workers=1) == [6, 2, 4]
 
     def test_worker_count_does_not_change_results(self):
-        tasks = list(range(24))
-        serial = run_sweep(_seeded_draw, tasks, max_workers=1, seed=11)
+        tasks = [(11, index) for index in range(24)]
+        serial = run_sweep(_seeded_draw, tasks, max_workers=1)
         for workers in (2, 3):
             parallel = run_sweep(_seeded_draw, tasks,
-                                 max_workers=workers, seed=11)
+                                 max_workers=workers)
             assert parallel == serial
-
-    def test_chunk_size_does_not_change_results(self):
-        tasks = list(range(17))
-        serial = run_sweep(_seeded_draw, tasks, max_workers=1, seed=5)
-        chunked = run_sweep(_seeded_draw, tasks, max_workers=2,
-                            chunk_size=3, seed=5)
-        assert chunked == serial
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         offset = 10
@@ -372,20 +371,56 @@ class TestSweepDeterminism:
                             max_workers=4)
         assert results == [task + 10 for task in range(8)]
 
-    def test_population_sampling_worker_invariant(self):
-        spec = WirePopulationSpec(n_wires=50,
-                                  median_ttf_s=units.years(30.0),
-                                  sigma=0.4)
-        serial = sample_population_ttfs_parallel(
-            spec, n_chips=600, seed=9, max_workers=1)
-        parallel = sample_population_ttfs_parallel(
-            spec, n_chips=600, seed=9, max_workers=3)
-        assert serial.shape == (600,)
-        assert np.array_equal(serial, parallel)
+
+class TestPopulationSamplerGolden:
+    """The in-process sampler is the chunk-seeded stream, bitwise."""
+
+    SPEC = WirePopulationSpec(n_wires=50,
+                              median_ttf_s=units.years(30.0),
+                              sigma=0.4)
+
+    @staticmethod
+    def reference(spec, n_chips, seed, chunk_chips):
+        # Chunk k draws its (chips, n_wires) block from
+        # task_seed_sequence(seed, k); the last chunk may be ragged.
+        parts = []
+        for index, start in enumerate(range(0, n_chips, chunk_chips)):
+            rows = min(chunk_chips, n_chips - start)
+            rng = np.random.default_rng(task_seed_sequence(seed, index))
+            draws = rng.normal(math.log(spec.median_ttf_s), spec.sigma,
+                               size=(rows, spec.n_wires))
+            parts.append(np.exp(draws.min(axis=1)))
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("n_chips, chunk_chips", [
+        (600, 256),   # ragged last chunk (88 chips)
+        (512, 256),   # exact multiple
+        (100, 256),   # a single short chunk
+        (37, 5),      # many chunks, ragged
+        (1, 1),
+    ])
+    def test_equals_concatenated_chunk_draws(self, n_chips,
+                                             chunk_chips):
+        for seed in (0, 9):
+            ttfs = sample_population_ttfs_parallel(
+                self.SPEC, n_chips=n_chips, seed=seed,
+                chunk_chips=chunk_chips)
+            expected = self.reference(self.SPEC, n_chips, seed,
+                                      chunk_chips)
+            assert ttfs.shape == (n_chips,)
+            assert ttfs.tobytes() == expected.tobytes()
+
+    def test_rejects_bad_sizes(self):
+        from repro.errors import SimulationError
+        with pytest.raises(SimulationError):
+            sample_population_ttfs_parallel(self.SPEC, n_chips=0)
+        with pytest.raises(SimulationError):
+            sample_population_ttfs_parallel(self.SPEC, n_chips=10,
+                                            chunk_chips=0)
 
 
 class TestPoolThreshold:
-    """min_tasks_for_pool: small sweeps must never pay pool startup."""
+    """Pool sizing: a pool never starts where it cannot pay off."""
 
     @pytest.fixture()
     def no_pool(self, monkeypatch):
@@ -400,29 +435,6 @@ class TestPoolThreshold:
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor",
                             _Forbidden)
 
-    def test_small_sweeps_stay_serial(self, no_pool):
-        # 3 tasks < DEFAULT_MIN_TASKS_FOR_POOL even with many workers.
-        assert run_sweep(_double, [1, 2, 3], max_workers=8) \
-            == [2, 4, 6]
-
-    def test_raised_threshold_forces_serial(self, no_pool):
-        tasks = list(range(12))
-        results = run_sweep(_double, tasks, max_workers=8,
-                            min_tasks_for_pool=13)
-        assert results == [task * 2 for task in tasks]
-
-    def test_threshold_is_a_pure_performance_knob(self):
-        tasks = list(range(9))
-        eager = run_sweep(_seeded_draw, tasks, max_workers=2,
-                          min_tasks_for_pool=1, seed=3)
-        serial = run_sweep(_seeded_draw, tasks, max_workers=1, seed=3)
-        assert eager == serial
-
-    def test_invalid_threshold_rejected(self):
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            run_sweep(_double, [1, 2], min_tasks_for_pool=0)
-
     def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
                                                     no_pool):
         # os.cpu_count() reports the host; a process pinned to one CPU
@@ -433,8 +445,7 @@ class TestPoolThreshold:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         reports = []
         tasks = list(range(12))
-        results = run_sweep(_double, tasks, min_tasks_for_pool=1,
-                            on_report=reports.append)
+        results = run_sweep(_double, tasks, on_report=reports.append)
         assert results == [task * 2 for task in tasks]
         (report,) = reports
         assert report.max_workers == 1
@@ -450,37 +461,11 @@ class TestPoolThreshold:
         assert available_cpus() == 1
 
     def test_small_population_sampling_stays_serial(self, no_pool):
-        # Regression for the 0.37x pooled sampler: many small chunks
-        # used to clear the chunk-count gate and start a pool for a
-        # few ms of numpy work.  Below _MIN_POOL_SAMPLES total draws
-        # the sampler must stay in-process.
+        # Process startup costs more than the whole numpy draw, so
+        # the sampler must never start a pool, however many CPUs.
         spec = WirePopulationSpec(n_wires=40,
                                   median_ttf_s=units.years(30.0),
                                   sigma=0.4)
         ttfs = sample_population_ttfs_parallel(spec, n_chips=2_000,
-                                               seed=3, max_workers=8)
+                                               seed=3)
         assert ttfs.shape == (2_000,)
-
-    def test_explicit_threshold_overrides_work_gate(self, no_pool):
-        # An explicit min_tasks_for_pool above the chunk count also
-        # keeps a *large* population serial.
-        spec = WirePopulationSpec(n_wires=4_000,
-                                  median_ttf_s=units.years(30.0),
-                                  sigma=0.4)
-        ttfs = sample_population_ttfs_parallel(
-            spec, n_chips=4_000, seed=3, max_workers=8,
-            chunk_chips=256, min_tasks_for_pool=17)
-        assert ttfs.shape == (4_000,)
-
-    def test_work_gate_does_not_change_the_stream(self):
-        # The gate is a scheduling decision only: forcing the pool on
-        # the same spec/seed must reproduce the serial stream.
-        spec = WirePopulationSpec(n_wires=40,
-                                  median_ttf_s=units.years(30.0),
-                                  sigma=0.4)
-        gated = sample_population_ttfs_parallel(spec, n_chips=600,
-                                                seed=9)
-        pooled = sample_population_ttfs_parallel(spec, n_chips=600,
-                                                 seed=9, max_workers=2,
-                                                 min_tasks_for_pool=1)
-        assert np.array_equal(gated, pooled)
