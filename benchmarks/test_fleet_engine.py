@@ -383,7 +383,6 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
             (3, 3), n_chips, _workload(), _policy(),
             n_epochs=n_epochs, record_every=n_epochs,
             state_budget_bytes=budget, max_workers=workers,
-            min_chunks_for_pool=1 if workers > 1 else None,
             on_report=reports.append)
         return result, reports[0]
 
@@ -518,7 +517,6 @@ def test_parallel_fleet_262k_chips_scaling(benchmark):
         (3, 3), n_chips, _workload(), _policy(),
         n_epochs=n_epochs, record_every=n_epochs,
         state_budget_bytes=budget, max_workers=workers,
-        min_chunks_for_pool=1 if workers > 1 else None,
         on_report=reports.append)
     elapsed_s = time.perf_counter() - start
 

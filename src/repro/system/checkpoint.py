@@ -23,26 +23,29 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   into place, so a SIGKILL mid-write can never leave a corrupt file
   under the final name.
 
-* **Checkpointed studies.**  ``run_fleet_lifetime_study(...,
-  checkpoint_dir=..., checkpoint_every=...)`` makes every
-  whole-lifetime row chunk crash-durable: finished chunks persist
-  their :class:`~repro.system.fleet.FleetResult`, in-flight chunks
-  snapshot their run every ``checkpoint_every`` epochs, and a
-  directory ``manifest.json`` pins the study's SHA-256 fingerprint
-  (:func:`study_digest`) so checkpoints can never be resumed into a
-  *different* study.  Re-invoking the identical study -- or calling
-  :func:`resume_fleet_lifetime_study` with just the directory --
-  restores complete chunks and re-runs only the incomplete ones
-  (through the pool's crash-safe machinery when parallel), with the
-  merged result **bitwise-equal** to an uninterrupted run.
+* **Checkpointed studies.**  A fleet study is one normalized,
+  validated object (:class:`~repro.system.fleet._FleetStudy`).
+  ``run_fleet_lifetime_study(..., checkpoint_dir=...,
+  checkpoint_every=...)`` pins it in ``study.pkl`` and its SHA-256
+  fingerprint with the chunk partition (:func:`study_digest`) in
+  ``manifest.json``, so checkpoints never resume into a *different*
+  study.  Finished chunks persist their
+  :class:`~repro.system.fleet.FleetResult`, in-flight chunks snapshot
+  their run every ``checkpoint_every`` epochs.  Re-invoking the study
+  -- or :func:`resume_fleet_lifetime_study`, which replays the stored
+  study from the directory alone -- runs the fleet's one chunk loop:
+  the parent restores every complete chunk, then re-runs only the
+  incomplete ones, bitwise-equal to an uninterrupted run.  A refused
+  file raises :class:`~repro.errors.CheckpointError` on every path.
 
 * **Incremental sessions.**  :class:`FleetSession` drives a fleet
   epoch-by-epoch without a pre-declared horizon: ``advance(n)``,
   quantile queries between calls, ``snapshot()`` / ``save()`` /
   ``restore()`` / ``load()`` for durable hand-off.  A session
-  snapshot is self-contained (it embeds the session's construction
-  spec), so ``FleetSession.load(path)`` rebuilds the session in a
-  fresh process.
+  snapshot is self-contained (it embeds the session's study, with
+  the drawn variation kept in the snapshot arrays), so
+  ``FleetSession.load(path)`` rebuilds the session in a fresh
+  process.
 
 Bitwise invariance rests on one property, pinned by the checkpoint
 tests: splitting ``_FleetRun.advance`` at any epoch boundary is
@@ -58,7 +61,7 @@ import json
 import os
 import pickle
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,11 +74,13 @@ from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetGroup,
     FleetResult,
-    FleetSimulator,
     FleetVariation,
     FleetVariationSpec,
     _ChunkCheckpoint,
     _FleetRun,
+    _FleetStudy,
+    _fleet_study,
+    _run_study,
 )
 from repro.system.simulator import SchedulingPolicy, Workload
 from repro.system.sweeps import ChipConfig
@@ -84,7 +89,7 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
@@ -235,29 +240,38 @@ class FleetSnapshot:
 # -- run state <-> snapshot -------------------------------------------------
 
 
+_VARIATION_FIELDS = ("capture_scale", "recovery_scale",
+                     "em_current_scale")
+
+#: The fixed-layout arrays of a run's state, by owner: each is saved
+#: as ``owner/name`` and restored in place.
+_STATE_ARRAYS = (
+    ("bti", ("weights", "occupancy", "age_s", "permanent_v")),
+    ("em", ("progress_s", "nucleated", "void_reversible_m",
+            "void_locked_m")),
+    ("variation", _VARIATION_FIELDS),
+    ("run", ("migration_events", "total_demand", "total_dropped")),
+)
+
+
+def _state_owners(run: _FleetRun) -> Dict[str, Any]:
+    state = run.simulator.state
+    return {"bti": state.bti, "em": state.em,
+            "variation": state.variation, "run": run}
+
+
 def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
     """Capture the full advancing state of a :class:`_FleetRun`."""
     simulator = run.simulator
     state = simulator.state
-    bti, em, v = state.bti, state.em, state.variation
     n_chips = state.n_chips
+    owners = _state_owners(run)
     arrays: Dict[str, np.ndarray] = {
-        "bti/weights": bti.weights.copy(),
-        "bti/occupancy": bti.occupancy.copy(),
-        "bti/age_s": bti.age_s.copy(),
-        "bti/permanent_v": bti.permanent_v.copy(),
-        "bti/time_s": np.array(bti.time_s, dtype=np.float64),
-        "em/progress_s": em.progress_s.copy(),
-        "em/nucleated": em.nucleated.copy(),
-        "em/void_reversible_m": em.void_reversible_m.copy(),
-        "em/void_locked_m": em.void_locked_m.copy(),
-        "em/time_s": np.array(em.time_s, dtype=np.float64),
-        "variation/capture_scale": v.capture_scale.copy(),
-        "variation/recovery_scale": v.recovery_scale.copy(),
-        "variation/em_current_scale": v.em_current_scale.copy(),
-        "run/migration_events": run.migration_events.copy(),
-        "run/total_demand": run.total_demand.copy(),
-        "run/total_dropped": run.total_dropped.copy(),
+        f"{owner}/{name}": getattr(owners[owner], name).copy()
+        for owner, names in _STATE_ARRAYS for name in names}
+    arrays.update({
+        "bti/time_s": np.array(state.bti.time_s, dtype=np.float64),
+        "em/time_s": np.array(state.em.time_s, dtype=np.float64),
         "run/times": np.array(run.times, dtype=np.float64),
         "run/worst": (np.array(run.worst) if run.worst
                       else np.zeros((0, n_chips))),
@@ -270,7 +284,7 @@ def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
                           for c in run.cohorts],
                          protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8),
-    }
+    })
     has_previous_utilization: List[bool] = []
     for index, cohort in enumerate(run.cohorts):
         arrays[f"cohort{index}/previous_recovering"] = \
@@ -343,43 +357,15 @@ def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
             raise CheckpointError(
                 f"snapshot {key}={meta.get(key)!r} does not match "
                 f"the run's {key}={expected!r}")
-    bti, em = state.bti, state.em
+    owners = _state_owners(run)
     try:
-        _copy_exact(bti.weights, arrays["bti/weights"],
-                    "bti/weights")
-        _copy_exact(bti.occupancy, arrays["bti/occupancy"],
-                    "bti/occupancy")
-        _copy_exact(bti.age_s, arrays["bti/age_s"], "bti/age_s")
-        _copy_exact(bti.permanent_v, arrays["bti/permanent_v"],
-                    "bti/permanent_v")
-        bti.time_s = float(arrays["bti/time_s"])
-        _copy_exact(em.progress_s, arrays["em/progress_s"],
-                    "em/progress_s")
-        _copy_exact(em.nucleated, arrays["em/nucleated"],
-                    "em/nucleated")
-        _copy_exact(em.void_reversible_m,
-                    arrays["em/void_reversible_m"],
-                    "em/void_reversible_m")
-        _copy_exact(em.void_locked_m, arrays["em/void_locked_m"],
-                    "em/void_locked_m")
-        em.time_s = float(arrays["em/time_s"])
-        variation = state.variation
-        _copy_exact(variation.capture_scale,
-                    arrays["variation/capture_scale"],
-                    "variation/capture_scale")
-        _copy_exact(variation.recovery_scale,
-                    arrays["variation/recovery_scale"],
-                    "variation/recovery_scale")
-        _copy_exact(variation.em_current_scale,
-                    arrays["variation/em_current_scale"],
-                    "variation/em_current_scale")
-        _copy_exact(run.migration_events,
-                    arrays["run/migration_events"],
-                    "run/migration_events")
-        _copy_exact(run.total_demand, arrays["run/total_demand"],
-                    "run/total_demand")
-        _copy_exact(run.total_dropped, arrays["run/total_dropped"],
-                    "run/total_dropped")
+        for owner, names in _STATE_ARRAYS:
+            for name in names:
+                key = f"{owner}/{name}"
+                _copy_exact(getattr(owners[owner], name), arrays[key],
+                            key)
+        state.bti.time_s = float(arrays["bti/time_s"])
+        state.em.time_s = float(arrays["em/time_s"])
         run.times = [float(stamp) for stamp in arrays["run/times"]]
         run.worst = [np.array(row) for row in arrays["run/worst"]]
         run.mean = [np.array(row) for row in arrays["run/mean"]]
@@ -426,9 +412,6 @@ _RESULT_FIELDS = (
     "final_em_drift_ohm", "em_failures", "migration_events",
     "total_demand", "total_dropped_demand",
 )
-
-_VARIATION_FIELDS = ("capture_scale", "recovery_scale",
-                     "em_current_scale")
 
 
 def _result_to_arrays(result: FleetResult) -> Dict[str, np.ndarray]:
@@ -536,30 +519,22 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
 # -- study directories ------------------------------------------------------
 
 
-def study_digest(chip: ChipConfig, groups: Sequence[FleetGroup],
-                 n_epochs: int, epoch_s: float, record_every: int,
-                 variation, seed: int,
-                 calibration: Optional[BtiCalibration],
-                 em_reference: Optional[EmStressCondition],
-                 state_dtype: str, bounds) -> str:
-    """SHA-256 fingerprint of a study's result-determining inputs.
+def study_digest(study: _FleetStudy, bounds) -> str:
+    """SHA-256 fingerprint of a study and its chunk partition.
 
-    Covers everything that shapes the bitwise result -- the chip
-    config, group layout (with each template's initial state),
-    horizon, cadence, variation, seed, calibration, EM reference,
-    state dtype and the chunk partition -- and deliberately excludes
-    pure execution knobs (worker count, pool gates, retries,
-    checkpoint cadence), which may change freely between interrupt
-    and resume.  Every checkpoint file carries the digest, and loads
-    refuse files whose digest differs, so a directory can never leak
-    state between different studies.
+    Covers everything that shapes the bitwise result -- the whole
+    normalized study (chip config, group layout with each template's
+    initial state, horizon, cadence, variation, seed, calibration, EM
+    reference, state dtype) and the chunk partition -- and
+    deliberately excludes pure execution knobs (worker count,
+    retries, checkpoint cadence), which may change freely between
+    interrupt and resume.  Every checkpoint file carries the digest,
+    and loads refuse files whose digest differs, so a directory can
+    never leak state between different studies.
     """
     try:
         payload = pickle.dumps(
-            (chip, tuple(groups), int(n_epochs), float(epoch_s),
-             int(record_every), variation, int(seed), calibration,
-             em_reference, str(state_dtype),
-             tuple((int(b.start), int(b.stop)) for b in bounds)),
+            (study, tuple((int(b.start), int(b.stop)) for b in bounds)),
             protocol=_PICKLE_PROTOCOL)
     except Exception as error:
         raise CheckpointError(
@@ -588,33 +563,23 @@ def _load_manifest(path: str) -> Dict[str, Any]:
     return manifest
 
 
-def prepare_study_directory(directory, *, every: Optional[int],
-                            chip: ChipConfig,
-                            groups: Sequence[FleetGroup],
-                            n_epochs: int, epoch_s: float,
-                            record_every: int, variation, seed: int,
-                            calibration: Optional[BtiCalibration],
-                            em_reference: Optional[EmStressCondition],
-                            state_dtype: str, bounds,
-                            max_chunk_chips: Optional[int],
-                            state_budget_bytes: Optional[int]
-                            ) -> _ChunkCheckpoint:
+def prepare_study_directory(directory, study: _FleetStudy, bounds, *,
+                            every: Optional[int]) -> _ChunkCheckpoint:
     """Create (or re-open) a study's checkpoint directory.
 
     First invocation writes ``manifest.json`` (magic, schema version,
-    study digest, geometry) plus ``study.pkl`` -- the pickled
-    re-invocation spec :func:`resume_fleet_lifetime_study` replays.
-    Re-opening verifies the manifest's schema and digest, so resuming
-    a *different* study against an existing directory fails loudly
-    instead of mixing state.
+    study digest, geometry) plus ``study.pkl`` -- the pickled study,
+    chunk height and checkpoint cadence that
+    :func:`resume_fleet_lifetime_study` replays.  Re-opening verifies
+    the manifest's schema and digest, so resuming a *different* study
+    against an existing directory fails loudly instead of mixing
+    state.
     """
     if every is not None and every < 1:
         raise SimulationError(
             "checkpoint_every must be at least 1")
     directory = os.fspath(directory)
-    digest = study_digest(chip, groups, n_epochs, epoch_s,
-                          record_every, variation, seed, calibration,
-                          em_reference, state_dtype, bounds)
+    digest = study_digest(study, bounds)
     os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(directory, "manifest.json")
     if os.path.exists(manifest_path):
@@ -631,28 +596,13 @@ def prepare_study_directory(directory, *, every: Optional[int],
             "digest": digest,
             "n_chips": int(bounds[-1].stop),
             "n_chunks": len(bounds),
-            "n_epochs": int(n_epochs),
-            "record_every": int(record_every),
-            "state_dtype": str(state_dtype),
+            "n_epochs": study.n_epochs,
+            "record_every": study.record_every,
+            "state_dtype": study.state_dtype,
             "checkpoint_every": every,
         }
-        spec = {
-            "chip": chip,
-            "kwargs": {
-                "groups": tuple(groups),
-                "n_epochs": int(n_epochs),
-                "epoch_s": float(epoch_s),
-                "record_every": int(record_every),
-                "variation": variation,
-                "seed": int(seed),
-                "calibration": calibration,
-                "em_reference": em_reference,
-                "state_dtype": str(state_dtype),
-                "max_chunk_chips": max_chunk_chips,
-                "state_budget_bytes": state_budget_bytes,
-                "checkpoint_every": every,
-            },
-        }
+        spec = {"study": study, "chunk_chips": bounds[0].n_items,
+                "checkpoint_every": every}
         spec_path = os.path.join(directory, "study.pkl")
         tmp = f"{spec_path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
@@ -668,8 +618,6 @@ def prepare_study_directory(directory, *, every: Optional[int],
 
 def resume_fleet_lifetime_study(checkpoint_dir, *,
                                 max_workers: Optional[int] = None,
-                                min_chunks_for_pool: Optional[
-                                    int] = None,
                                 retries: int = 0,
                                 on_report=None) -> FleetResult:
     """Resume a killed checkpointed study from its directory alone.
@@ -681,11 +629,9 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
     continue from their newest progress snapshot, and the merged
     :class:`~repro.system.fleet.FleetResult` is bitwise-equal to the
     uninterrupted run.  Execution knobs (``max_workers``,
-    ``min_chunks_for_pool``, ``retries``, ``on_report``) are free to
-    differ from the original invocation -- they do not affect the
-    result.
+    ``retries``, ``on_report``) are free to differ from the original
+    invocation -- they do not affect the result.
     """
-    from repro.system import fleet as fleet_mod
     directory = os.fspath(checkpoint_dir)
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -701,16 +647,18 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
     try:
         with open(spec_path, "rb") as handle:
             spec = pickle.load(handle)
+        study = spec["study"]
+        if not isinstance(study, _FleetStudy):
+            raise TypeError(f"{type(study).__name__} is not a study")
+        chunk_chips, every = spec["chunk_chips"], spec["checkpoint_every"]
     except Exception as error:
         raise CheckpointError(
             f"cannot read study spec {spec_path}: {error}"
         ) from error
-    kwargs = dict(spec["kwargs"])
-    return fleet_mod.run_fleet_lifetime_study(
-        spec["chip"], checkpoint_dir=directory,
-        max_workers=max_workers,
-        min_chunks_for_pool=min_chunks_for_pool, retries=retries,
-        on_report=on_report, **kwargs)
+    return _run_study(study.chip.build(), study, chunk_chips,
+                      max_workers=max_workers, retries=retries,
+                      on_report=on_report, checkpoint_every=every,
+                      checkpoint_dir=directory)
 
 
 # -- incremental sessions ---------------------------------------------------
@@ -734,13 +682,14 @@ class FleetSession:
         session = FleetSession.load("fleet.npz")   # fresh process
         session.advance(24)                  # bitwise-continues
 
-    A session snapshot is self-contained: it embeds the construction
-    spec (chip config, groups, cadence, calibration) alongside the
-    advancing state, so :meth:`load` rebuilds the session without the
-    original arguments.  Because the horizon is open-ended, records
-    follow the ``record_every`` modulo rule only; results and
-    guardbands therefore reflect the epochs recorded so far plus the
-    live (current-epoch) degradation.
+    A session snapshot is self-contained: it embeds the session's
+    study -- the object
+    :func:`~repro.system.fleet.run_fleet_lifetime_study` builds, with
+    an open horizon -- alongside the advancing state, so :meth:`load`
+    rebuilds the session without the original arguments.  Because the
+    horizon is open-ended, records follow the ``record_every`` modulo
+    rule only; results and guardbands therefore reflect the epochs
+    recorded so far plus the live (current-epoch) degradation.
     """
 
     def __init__(self, chip: Union[Chip, ChipConfig,
@@ -757,64 +706,17 @@ class FleetSession:
                  seed: int = 0,
                  calibration: Optional[BtiCalibration] = None,
                  em_reference: Optional[EmStressCondition] = None,
-                 state_dtype=np.float64,
-                 kernel_cache_budget_bytes: int = 256 * 2 ** 20):
-        if isinstance(chip, Chip):
-            built = chip
-        elif isinstance(chip, ChipConfig):
-            built = chip.build()
-        else:
-            rows, cols = chip
-            built = Chip(int(rows), int(cols))
-        if isinstance(chip, ChipConfig):
-            config = chip
-        else:
-            config = ChipConfig(rows=built.rows, cols=built.cols,
-                                core=built.core,
-                                thermal=built.thermal.config)
-        if groups is None:
-            if n_chips is None or workload is None or policy is None:
-                raise SimulationError(
-                    "provide n_chips, workload and policy, or groups")
-            groups = (FleetGroup(n_chips=n_chips, workload=workload,
-                                 policy=policy),)
-        else:
-            if workload is not None or policy is not None:
-                raise SimulationError(
-                    "groups and workload/policy are mutually "
-                    "exclusive")
-            groups = tuple(groups)
-            total = sum(group.n_chips for group in groups)
-            if n_chips is not None and n_chips != total:
-                raise SimulationError(
-                    f"groups cover {total} chips, n_chips says "
-                    f"{n_chips}")
-            n_chips = total
-        self._groups = tuple(groups)
-        self._record_every = int(record_every)
-        self._spec = {
-            "chip": config,
-            "kwargs": {
-                "groups": self._groups,
-                "epoch_s": float(epoch_s),
-                "record_every": self._record_every,
-                "seed": int(seed),
-                "calibration": calibration,
-                "em_reference": em_reference,
-                "state_dtype": np.dtype(state_dtype).str,
-                "kernel_cache_budget_bytes": int(
-                    kernel_cache_budget_bytes),
-            },
-        }
-        self._simulator = FleetSimulator(
-            built, n_chips, calibration=calibration,
-            em_reference=em_reference, epoch_s=epoch_s,
-            variation=variation, seed=seed,
-            kernel_cache_budget_bytes=kernel_cache_budget_bytes,
-            state_dtype=state_dtype)
-        self._run = _FleetRun(self._simulator, self._groups,
-                              record_every=self._record_every,
-                              n_epochs=None)
+                 state_dtype=np.float64):
+        self._open(*_fleet_study(
+            chip, n_chips, workload, policy, groups, n_epochs=None,
+            epoch_s=epoch_s, record_every=record_every,
+            variation=variation, seed=seed, calibration=calibration,
+            em_reference=em_reference, state_dtype=state_dtype))
+
+    def _open(self, built: Chip, study: _FleetStudy) -> None:
+        self._study = study
+        self._simulator = study.simulator(built)
+        self._run = study.run(self._simulator)
 
     @property
     def epoch(self) -> int:
@@ -878,8 +780,10 @@ class FleetSession:
         """Capture the full session state as a self-contained snapshot."""
         snapshot = _snapshot_run(self._run)
         snapshot.meta["kind"] = "fleet-session"
+        # The drawn variation travels as arrays, not in the spec.
         snapshot.arrays["session/spec"] = np.frombuffer(
-            pickle.dumps(self._spec, protocol=_PICKLE_PROTOCOL),
+            pickle.dumps(replace(self._study, variation=None),
+                         protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8)
         return snapshot
 
@@ -897,9 +801,7 @@ class FleetSession:
         """
         if not isinstance(snapshot, FleetSnapshot):
             snapshot = FleetSnapshot.load(snapshot)
-        run = _FleetRun(self._simulator, self._groups,
-                        record_every=self._record_every,
-                        n_epochs=None)
+        run = self._study.run(self._simulator)
         _restore_run(run, snapshot)
         self._run = run
         return self
@@ -909,9 +811,9 @@ class FleetSession:
              ) -> "FleetSession":
         """Rebuild a session from a snapshot (file or in-memory).
 
-        Uses the embedded construction spec, so no original
-        arguments are needed; the restored session continues
-        bitwise-identically to the one that saved the snapshot.
+        Uses the embedded study, so no original arguments are
+        needed; the restored session continues bitwise-identically to
+        the one that saved the snapshot.
         """
         if not isinstance(source, FleetSnapshot):
             source = FleetSnapshot.load(source)
@@ -920,19 +822,17 @@ class FleetSession:
                 "snapshot does not embed a session spec (was it "
                 "written by FleetSession.save?)")
         try:
-            spec = pickle.loads(
+            study = pickle.loads(
                 source.arrays["session/spec"].tobytes())
+            if not isinstance(study, _FleetStudy):
+                raise TypeError(
+                    f"{type(study).__name__} is not a study")
+            study = replace(study, variation=FleetVariation(**{
+                name: np.array(source.arrays[f"variation/{name}"])
+                for name in _VARIATION_FIELDS}))
         except Exception as error:
             raise CheckpointError(
                 f"session spec is corrupt: {error}") from error
-        kwargs = dict(spec["kwargs"])
-        variation = FleetVariation(
-            capture_scale=np.array(
-                source.arrays["variation/capture_scale"]),
-            recovery_scale=np.array(
-                source.arrays["variation/recovery_scale"]),
-            em_current_scale=np.array(
-                source.arrays["variation/em_current_scale"]))
-        session = cls(spec["chip"], groups=kwargs.pop("groups"),
-                      variation=variation, **kwargs)
+        session = cls.__new__(cls)
+        session._open(study.chip.build(), study)
         return session.restore(source)

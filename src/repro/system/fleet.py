@@ -25,21 +25,20 @@ task) per chip.  This module advances every chip in lockstep instead:
   sweep over all cohorts.  Chips in different timezones, racks with
   different healing policies, and a control group all batch into one
   tensor advance.
-* :func:`run_fleet_lifetime_study` is the population entry point; for
-  populations too large to hold in memory at once it streams the fleet
-  in row chunks under a byte budget (``max_chunk_chips`` /
-  ``state_budget_bytes``), re-using one chip (and one thermal memo)
-  across every chunk.  Chunks are whole-lifetime and independent, so
-  with ``max_workers > 1`` they dispatch across a process pool
-  (:func:`repro.solvers.sweep.run_sweep`'s crash-safe machinery:
-  bounded retries, chunk-level serial re-execution after worker
-  death, :class:`~repro.solvers.SweepReport` telemetry with
-  per-worker cache counters aggregated).  Each chunk's
-  :class:`FleetResult` comes back through the pool and results merge
-  in chunk order, so the outcome is bitwise identical to the serial
-  chunk stream for every worker count and completion order;
-  ``state_budget_bytes`` is a *per-worker* budget (total residency is
-  ``n_workers x budget`` by construction).
+* :func:`run_fleet_lifetime_study` is the population entry point.  It
+  normalizes its arguments once into one validated study object --
+  the one :class:`~repro.system.checkpoint.FleetSession` builds too --
+  and runs it through one chunk loop: whole-lifetime row chunks under
+  a byte budget (``max_chunk_chips`` / ``state_budget_bytes``), each
+  the study's own row slice.  The parent restores any chunk a
+  checkpoint directory already holds, then runs the pending ones
+  in-process on one shared chip (warm thermal memo) or, with
+  ``max_workers > 1`` and enough work, through
+  :func:`repro.solvers.sweep.run_sweep`'s crash-safe pool.  Results
+  merge in chunk order -- bitwise identical for every worker count,
+  completion order and mix of restored chunks -- and one
+  :class:`~repro.solvers.SweepReport` describes every run.
+  ``state_budget_bytes`` is a *per-worker* budget.
 
 Exactness: chip ``i`` of a fleet advances bit-identically to a
 standalone :class:`~repro.system.simulator.SystemSimulator` built with
@@ -67,6 +66,7 @@ identical to the single-chip engine.
 from __future__ import annotations
 
 import copy
+import operator
 import os
 import time
 from dataclasses import dataclass, replace
@@ -79,7 +79,7 @@ from repro.bti.calibration import BtiCalibration, default_calibration
 from repro.bti.conditions import BtiConditionKernels
 from repro.bti.fleet import StackedTrapPopulations
 from repro.em.line import EmStressCondition
-from repro.errors import SimulationError
+from repro.errors import CheckpointError, SimulationError, TaskError
 from repro.solvers import FactorizationCache, cache_counters, record_counters
 from repro.solvers.sweep import (
     ChunkRecord,
@@ -118,6 +118,14 @@ FLOAT32_MAX_RELATIVE_ERROR = 1e-4
 #: Trap-bin count of the system-level population (the fleet engine
 #: always runs the 64-bin configuration, see :class:`FleetState`).
 _FLEET_N_BINS = 64
+
+#: Memory budget of the stacked BTI sub-step kernel memo, the dominant
+#: cache at fleet scale.
+_KERNEL_CACHE_BUDGET_BYTES = 256 * 2 ** 20
+
+#: Memory budget of each lighter memo: the EM step rates and the
+#: epoch condition bundles.
+_MEMO_BUDGET_BYTES = 64 * 2 ** 20
 
 
 # -- process variation ------------------------------------------------------
@@ -537,7 +545,6 @@ class FleetState:
     def __init__(self, chip: Chip, variation: FleetVariation,
                  calibration: BtiCalibration,
                  em_reference: EmStressCondition,
-                 kernel_cache_budget_bytes: int,
                  state_dtype=np.float64):
         self.n_chips = variation.n_chips
         self.n_cores = chip.n_cores
@@ -551,7 +558,7 @@ class FleetState:
         # a cycling schedule can be fully resident without letting a
         # million-chip fleet allocate gigabytes.
         kernel_entries = _budget_entries(
-            kernel_cache_budget_bytes,
+            _KERNEL_CACHE_BUDGET_BYTES,
             (2 * population.n_bins + 3) * rows
             * self.state_dtype.itemsize, cap=16)
         self.bti = StackedTrapPopulations(
@@ -560,7 +567,7 @@ class FleetState:
             dtype=self.state_dtype)
         # EM rate entries are five (rows,) arrays -- far lighter.
         em_entries = max(1, _budget_entries(
-            64 * 2 ** 20, 5 * rows * 8, cap=64))
+            _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
         self.em = FleetEmState(rows, em_reference,
                                step_cache_size=em_entries)
 
@@ -596,8 +603,6 @@ class FleetSimulator:
         variation: per-chip scales, a spec to draw them from, or
             ``None`` for an identical population.
         seed: draw seed used when ``variation`` is a spec.
-        kernel_cache_budget_bytes: memory budget of the stacked BTI
-            sub-step kernel memo (the dominant cache at fleet scale).
         state_dtype: trap-state dtype; ``np.float64`` (default,
             bit-exact) or ``np.float32`` (half the state memory,
             error within :data:`FLOAT32_MAX_RELATIVE_ERROR`).
@@ -610,7 +615,6 @@ class FleetSimulator:
                  variation: Union[FleetVariation, FleetVariationSpec,
                                   None] = None,
                  seed: int = 0,
-                 kernel_cache_budget_bytes: int = 256 * 2 ** 20,
                  state_dtype=np.float64):
         if epoch_s <= 0.0:
             raise SimulationError("epoch_s must be positive")
@@ -633,7 +637,6 @@ class FleetSimulator:
             name="grid reference")
         self.state = FleetState(chip, variation, self.calibration,
                                 self.em_reference,
-                                kernel_cache_budget_bytes,
                                 state_dtype=state_dtype)
         self.kernels = BtiConditionKernels(
             self.calibration.model_config.acceleration,
@@ -647,7 +650,7 @@ class FleetSimulator:
         # layouts across run calls) never collide.
         rows = n_chips * chip.n_cores
         bundle_entries = max(1, _budget_entries(
-            64 * 2 ** 20, 33 * rows, cap=64))
+            _MEMO_BUDGET_BYTES, 33 * rows, cap=64))
         self._condition_cache = FactorizationCache(
             maxsize=bundle_entries, name="fleet.conditions")
 
@@ -759,8 +762,6 @@ class FleetSimulator:
         tensor passes.  Repeated epoch decisions (same cohort layout,
         same assignment bytes) hit the condition and kernel memos.
         """
-        if n_epochs < 1:
-            raise SimulationError("n_epochs must be at least 1")
         run = _FleetRun(self, groups, record_every=record_every,
                         n_epochs=n_epochs)
         run.advance(n_epochs)
@@ -928,26 +929,143 @@ class _FleetRun:
             total_dropped_demand=self.total_dropped.copy())
 
 
-# -- population entry point -------------------------------------------------
+# -- the study --------------------------------------------------------------
 
 
-def _slice_groups(groups: Sequence[FleetGroup], start: int,
-                  stop: int) -> Tuple[FleetGroup, ...]:
-    """The groups restricted to global chips ``[start, stop)``."""
-    out = []
-    g0 = 0
-    for group in groups:
-        g1 = g0 + group.n_chips
-        lo, hi = max(g0, start), min(g1, stop)
-        if lo < hi:
-            phases = None
-            if group.phases is not None:
-                phases = group.phases[lo - g0:hi - g0]
-            out.append(FleetGroup(
-                n_chips=hi - lo, workload=group.workload,
-                policy=group.policy, phases=phases, name=group.name))
-        g0 = g1
-    return tuple(out)
+@dataclass(frozen=True)
+class _FleetStudy:
+    """Everything that decides a fleet study's result, validated once.
+
+    Built by :func:`_fleet_study`; the chunk executor, the checkpoint
+    digest, ``study.pkl`` and session snapshots all take this object.
+    ``n_epochs`` is ``None`` for an open-ended session.  A row slice
+    keeps a :class:`FleetVariationSpec` undrawn and records its
+    ``first_chip``, so each chunk draws its chips by global index
+    (in the pool worker, when pooled).
+    """
+
+    chip: ChipConfig
+    groups: Tuple[FleetGroup, ...]
+    n_epochs: Optional[int]
+    epoch_s: float
+    record_every: int
+    variation: Union[FleetVariation, FleetVariationSpec, None]
+    seed: int
+    calibration: Optional[BtiCalibration]
+    em_reference: Optional[EmStressCondition]
+    state_dtype: str
+    first_chip: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_epochs is not None and self.n_epochs < 1:
+            raise SimulationError("n_epochs must be at least 1")
+        if self.record_every < 1:
+            raise SimulationError("record_every must be at least 1")
+        if self.epoch_s <= 0.0:
+            raise SimulationError("epoch_s must be positive")
+        if (isinstance(self.variation, FleetVariation)
+                and self.variation.n_chips != self.n_chips):
+            raise SimulationError(
+                f"variation draw covers {self.variation.n_chips} "
+                f"chips, fleet has {self.n_chips}")
+
+    @property
+    def n_chips(self) -> int:
+        """Population size."""
+        return sum(group.n_chips for group in self.groups)
+
+    def rows(self, start: int, stop: int) -> "_FleetStudy":
+        """This study restricted to its chips ``[start, stop)``."""
+        groups = []
+        g0 = 0
+        for group in self.groups:
+            g1 = g0 + group.n_chips
+            lo, hi = max(g0, start), min(g1, stop)
+            if lo < hi:
+                phases = None
+                if group.phases is not None:
+                    phases = group.phases[lo - g0:hi - g0]
+                groups.append(replace(group, n_chips=hi - lo,
+                                      phases=phases))
+            g0 = g1
+        variation = self.variation
+        if isinstance(variation, FleetVariation):
+            variation = variation.slice_range(start, stop)
+        return replace(self, groups=tuple(groups), variation=variation,
+                       first_chip=self.first_chip + start)
+
+    def simulator(self, chip: Chip) -> FleetSimulator:
+        """A fresh :class:`FleetSimulator` of this study on ``chip``."""
+        variation = self.variation
+        if isinstance(variation, FleetVariationSpec):
+            variation = variation.draw_range(
+                self.first_chip, self.first_chip + self.n_chips,
+                self.seed)
+        return FleetSimulator(
+            chip, self.n_chips, calibration=self.calibration,
+            em_reference=self.em_reference, epoch_s=self.epoch_s,
+            variation=variation, state_dtype=np.dtype(self.state_dtype))
+
+    def run(self, simulator: FleetSimulator) -> _FleetRun:
+        """A fresh :class:`_FleetRun` of this study on ``simulator``."""
+        return _FleetRun(simulator, self.groups,
+                         record_every=self.record_every,
+                         n_epochs=self.n_epochs)
+
+
+def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
+                 n_chips: Optional[int] = None,
+                 workload: Optional[Workload] = None,
+                 policy: Optional[SchedulingPolicy] = None,
+                 groups: Optional[Sequence[FleetGroup]] = None, *,
+                 n_epochs: Optional[int], epoch_s: float,
+                 record_every: int,
+                 variation: Union[FleetVariation, FleetVariationSpec,
+                                  None],
+                 seed: int, calibration: Optional[BtiCalibration],
+                 em_reference: Optional[EmStressCondition],
+                 state_dtype) -> Tuple[Chip, _FleetStudy]:
+    """The shared chip and the validated study of one fleet.
+
+    The one normalization behind :func:`run_fleet_lifetime_study` and
+    :class:`~repro.system.checkpoint.FleetSession`; it runs before a
+    caller writes any file.
+    """
+    if isinstance(chip, ChipConfig):
+        built, config = chip.build(), chip
+    else:
+        if isinstance(chip, Chip):
+            built = chip
+        else:
+            rows, cols = chip
+            built = Chip(int(rows), int(cols))
+        config = ChipConfig(rows=built.rows, cols=built.cols,
+                            core=built.core,
+                            thermal=built.thermal.config)
+    if groups is None:
+        if n_chips is None or workload is None or policy is None:
+            raise SimulationError(
+                "provide n_chips, workload and policy, or groups")
+        groups = (FleetGroup(n_chips=n_chips, workload=workload,
+                             policy=policy),)
+    else:
+        if workload is not None or policy is not None:
+            raise SimulationError(
+                "groups and workload/policy are mutually exclusive")
+        groups = tuple(groups)
+        if not groups:
+            raise SimulationError("need at least one group")
+        total = sum(group.n_chips for group in groups)
+        if n_chips is not None and n_chips != total:
+            raise SimulationError(
+                f"groups cover {total} chips, n_chips says {n_chips}")
+    return built, _FleetStudy(
+        chip=config, groups=groups,
+        n_epochs=None if n_epochs is None else operator.index(n_epochs),
+        epoch_s=float(epoch_s), record_every=int(record_every),
+        variation=variation, seed=int(seed), calibration=calibration,
+        em_reference=em_reference,
+        state_dtype=np.dtype(state_dtype).str)
 
 
 def _chunk_size(n_chips: int, n_cores: int, state_dtype,
@@ -969,15 +1087,14 @@ def _chunk_size(n_chips: int, n_cores: int, state_dtype,
     return max(1, limit)
 
 
-# -- parallel chunk execution -----------------------------------------------
+# -- the chunk loop ---------------------------------------------------------
 
 
 #: Below this much stacked work (``n_chips * n_cores * n_epochs``) the
 #: chunked runner never starts a process pool: pool spawn plus chip
 #: pickling costs tens of milliseconds, which dominates small fleets.
 #: This is the only pool gate -- :func:`repro.solvers.sweep.run_sweep`
-#: has none of its own.  Callers with heavier (or lighter) per-chunk
-#: work override the gate with an explicit ``min_chunks_for_pool``.
+#: has none of its own.
 MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
 
 # Fault-injection hooks, mirroring tests/test_sweep_faults.py: pool
@@ -1013,86 +1130,47 @@ class _ChunkCheckpoint:
 
 @dataclass(frozen=True)
 class _FleetChunkTask:
-    """Everything a pool worker needs for one whole-lifetime chunk.
+    """One whole-lifetime row chunk: its slice of the study (the chip
+    travels as a picklable :class:`ChipConfig`), its place in the
+    partition and, optionally, its checkpoint configuration."""
 
-    The chip travels as a :class:`ChipConfig` (live chips hold an
-    unpicklable thermal factorization), the variation as either a
-    pre-sliced draw or the spec itself (workers draw their rows by
-    global index, so the chunk draw is bit-identical to the
-    corresponding slice of an unchunked draw).  With a
-    ``checkpoint`` attached the chunk is crash-durable: it restores
-    itself from its newest snapshot before advancing and writes
-    progress at the configured cadence.
-    """
-
+    study: _FleetStudy
     chunk: ChunkTask
     n_chunks: int
-    chip: ChipConfig
-    groups: Tuple[FleetGroup, ...]
-    n_epochs: int
-    epoch_s: float
-    record_every: int
-    variation: Union[FleetVariation, FleetVariationSpec, None]
-    seed: int
-    calibration: Optional[BtiCalibration]
-    em_reference: Optional[EmStressCondition]
-    state_dtype: str
     checkpoint: Optional[_ChunkCheckpoint] = None
 
 
-def _execute_chunk(built: Chip, task: _FleetChunkTask
-                   ) -> Tuple[FleetResult, bool]:
-    """Run (or restore) one whole-lifetime row chunk on ``built``.
+def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
+    """Run one whole-lifetime row chunk on ``built``.
 
-    The shared chunk executor of the serial stream and the pool
-    workers.  Resolves the chunk's variation rows by global index,
-    honors the chunk's checkpoint configuration -- a complete result
-    file short-circuits the run entirely, a progress snapshot
-    restores the epoch cursor, and cadenced progress snapshots are
-    written while advancing -- and returns ``(result, from_cache)``.
-    Splitting the advance at checkpoint boundaries is bitwise
-    invariant: every epoch sees the same state, conditions and record
-    decisions as one uninterrupted advance.
+    The executor of the serial stream and the pool workers.  With a
+    checkpoint, a progress snapshot restores the epoch cursor,
+    progress is saved every ``ckpt.every`` epochs and the result is
+    persisted.  Splitting the advance at those boundaries is bitwise
+    invariant.
     """
     ckpt = task.checkpoint
-    if ckpt is not None:
-        from repro.system import checkpoint as checkpoint_mod
-        cached = checkpoint_mod.load_chunk_result(
-            ckpt, task.chunk.index)
-        if cached is not None:
-            return cached, True
-    start, stop = task.chunk.start, task.chunk.stop
-    variation = task.variation
-    if isinstance(variation, FleetVariationSpec):
-        variation = variation.draw_range(start, stop, task.seed)
-    simulator = FleetSimulator(
-        built, stop - start,
-        calibration=task.calibration,
-        em_reference=task.em_reference, epoch_s=task.epoch_s,
-        variation=variation, seed=task.seed,
-        state_dtype=np.dtype(task.state_dtype))
-    run = _FleetRun(simulator, task.groups,
-                    record_every=task.record_every,
-                    n_epochs=task.n_epochs)
+    n_epochs = task.study.n_epochs
+    run = task.study.run(task.study.simulator(built))
     every = None
     if ckpt is not None:
+        from repro.system import checkpoint as checkpoint_mod
         checkpoint_mod.resume_chunk_run(ckpt, task.chunk.index, run)
         every = ckpt.every
-    while run.epoch < task.n_epochs:
+    while run.epoch < n_epochs:
         if every:
-            step = min(every - run.epoch % every,
-                       task.n_epochs - run.epoch)
+            step = min(every - run.epoch % every, n_epochs - run.epoch)
         else:
-            step = task.n_epochs - run.epoch
+            step = n_epochs - run.epoch
         run.advance(step)
-        if every and run.epoch < task.n_epochs:
+        if every and run.epoch < n_epochs:
             checkpoint_mod.save_chunk_progress(
                 ckpt, task.chunk.index, run)
     result = run.result()
     if ckpt is not None:
         checkpoint_mod.save_chunk_result(
             ckpt, task.chunk.index, result)
-    return result, False
+    return result
 
 
 def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
@@ -1104,29 +1182,139 @@ def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
     if _TEST_STAGGER_S > 0.0:
         time.sleep(_TEST_STAGGER_S
                    * (task.n_chunks - 1 - task.chunk.index))
-    result, _ = _execute_chunk(task.chip.build(), task)
-    return result
+    return _execute_chunk(task.study.chip.build(), task)
 
 
-def _pool_serial_reason(n_chips: int, n_cores: int, n_epochs: int,
-                        n_chunks: int, workers: int,
-                        min_chunks_for_pool: Optional[int]
-                        ) -> Optional[str]:
-    """Why the chunk stream should stay serial (``None`` to pool)."""
+def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
+               max_workers: Optional[int], retries: int,
+               on_report: Optional[Callable[[SweepReport], None]],
+               checkpoint_every: Optional[int],
+               checkpoint_dir) -> FleetResult:
+    """Run a study's ``chunk_chips``-row chunks through one loop.
+
+    The parent restores every chunk a checkpoint directory finished,
+    then runs the pending ones in-process on ``built`` or, past the
+    pool gate, through :func:`run_sweep`.  One ``finally`` block
+    delivers the :class:`SweepReport` of every outcome.
+    """
+    if max_workers is not None and max_workers < 0:
+        raise SimulationError("max_workers must be non-negative")
+    if retries < 0:
+        raise SimulationError("retries must be non-negative")
+    bounds = chunk_tasks(study.n_chips, chunk_chips)
+    n_chunks = len(bounds)
+    workers = (max_workers if max_workers is not None
+               else available_cpus())
+    work = study.n_chips * built.n_cores * study.n_epochs
+    reason: Optional[str] = None
     if workers <= 1:
-        return "max_workers <= 1"
-    if n_chunks < 2:
-        return "single chunk"
-    if min_chunks_for_pool is not None:
-        if n_chunks < min_chunks_for_pool:
-            return (f"{n_chunks} chunks below "
-                    f"min_chunks_for_pool={min_chunks_for_pool}")
-        return None
-    work = n_chips * n_cores * n_epochs
-    if work < MIN_CORE_EPOCHS_FOR_POOL:
-        return (f"{work} core-epochs below pool threshold "
-                f"{MIN_CORE_EPOCHS_FOR_POOL}")
-    return None
+        reason = "max_workers <= 1"
+    elif n_chunks < 2:
+        reason = "single chunk"
+    elif work < MIN_CORE_EPOCHS_FOR_POOL:
+        reason = (f"{work} core-epochs below pool threshold "
+                  f"{MIN_CORE_EPOCHS_FOR_POOL}")
+    ckpt: Optional[_ChunkCheckpoint] = None
+    if checkpoint_dir is not None:
+        from repro.system import checkpoint as checkpoint_mod
+        ckpt = checkpoint_mod.prepare_study_directory(
+            checkpoint_dir, study, bounds, every=checkpoint_every)
+    elif checkpoint_every is not None:
+        raise SimulationError(
+            "checkpoint_every requires checkpoint_dir")
+    # Chunk boundaries, variation draws and group slices are the same
+    # on every path, so the merged result is bitwise identical for
+    # every worker count and for any mix of restored chunks.
+    tasks = [_FleetChunkTask(study=study.rows(chunk.start, chunk.stop),
+                             chunk=chunk, n_chunks=n_chunks,
+                             checkpoint=ckpt)
+             for chunk in bounds]
+    started = time.perf_counter()
+    before = cache_counters() if on_report is not None else None
+    parts: Dict[int, FleetResult] = {}
+    records: List[ChunkRecord] = []
+    inner: List[SweepReport] = []
+    pending = tasks
+    completed = False
+
+    def record(index: int, executed_in: str, since: float) -> None:
+        records.append(ChunkRecord(
+            index=index, start=index, stop=index + 1,
+            executed_in=executed_in,
+            wall_time_s=time.perf_counter() - since,
+            retries=0, n_failures=0))
+
+    try:
+        if ckpt is not None:
+            pending = []
+            for task in tasks:
+                load_started = time.perf_counter()
+                part = checkpoint_mod.load_chunk_result(
+                    ckpt, task.chunk.index)
+                if part is None:
+                    pending.append(task)
+                else:
+                    parts[task.chunk.index] = part
+                    record(task.chunk.index, "cached", load_started)
+            if not pending:
+                reason = "every chunk restored from checkpoint"
+        if reason is None:
+            returned = run_sweep(_run_fleet_chunk, pending,
+                                 max_workers=workers, retries=retries,
+                                 on_report=inner.append)
+            for task, part in zip(pending, returned):
+                parts[task.chunk.index] = part
+        else:
+            for task in pending:
+                chunk_started = time.perf_counter()
+                parts[task.chunk.index] = _execute_chunk(built, task)
+                record(task.chunk.index, "serial", chunk_started)
+        completed = True
+    except TaskError as error:
+        # A refused checkpoint file raises the same CheckpointError
+        # whether its chunk ran in the parent or in a pool worker.
+        if isinstance(error.__cause__, CheckpointError):
+            raise CheckpointError(str(error.__cause__)) from error
+        raise
+    finally:
+        sweep = inner[0] if inner else None
+        if sweep is not None:
+            # run_sweep numbers the pending chunks locally.
+            records.extend(replace(
+                chunk, index=pending[chunk.index].chunk.index,
+                start=pending[chunk.index].chunk.index,
+                stop=pending[chunk.index].chunk.index + 1)
+                for chunk in sweep.chunks)
+        done = sum(1 for chunk in records if not chunk.n_failures)
+        if on_report is not None:
+            if sweep is None:
+                counters = _cache_delta(before, cache_counters())
+                mode = "fleet" if completed else "fleet+failed"
+                outcome = dict(serial_reason=reason, fallback_reasons=(),
+                               retries=0, failures=())
+            else:
+                # Pooled chunks carry their workers' counter deltas.
+                counters = {name: dict(values) for name, values
+                            in sweep.cache_counters.items()}
+                mode = ("fleet" if sweep.mode == "serial"
+                        else f"fleet+{sweep.mode}")
+                outcome = dict(serial_reason=sweep.serial_reason,
+                               fallback_reasons=sweep.fallback_reasons,
+                               retries=sweep.retries,
+                               failures=sweep.failures)
+            entry = counters.setdefault(
+                "fleet.engine", {"hits": 0, "misses": 0})
+            entry["chunks"] = entry.get("chunks", 0) + done
+            on_report(SweepReport(
+                n_tasks=n_chunks, n_chunks=n_chunks,
+                max_workers=workers, mode=mode,
+                wall_time_s=time.perf_counter() - started,
+                chunks=tuple(sorted(records,
+                                    key=lambda chunk: chunk.index)),
+                cache_counters=counters, **outcome))
+        record_counters("fleet.engine", chunks=done)
+    return _merge_fleet_results([parts[index]
+                                 for index in range(n_chunks)])
 
 
 def run_fleet_lifetime_study(
@@ -1148,7 +1336,6 @@ def run_fleet_lifetime_study(
         state_budget_bytes: Optional[int] = None,
         state_dtype=np.float64,
         max_workers: Optional[int] = None,
-        min_chunks_for_pool: Optional[int] = None,
         retries: int = 0,
         on_report: Optional[Callable[[SweepReport], None]] = None,
         checkpoint_every: Optional[int] = None,
@@ -1167,23 +1354,14 @@ def run_fleet_lifetime_study(
     memo is warm after the first chunk), and results concatenate --
     the outcome is invariant in the chunk size.
 
-    Chunks are whole-lifetime and independent, so with
-    ``max_workers > 1`` (and enough work to clear the serial gate)
-    they dispatch across :func:`repro.solvers.sweep.run_sweep`'s
-    crash-safe process pool: a worker killed mid-fleet degrades the
-    study to chunk-level serial re-execution instead of aborting it,
-    bounded ``retries`` re-run flaky chunks, and the
-    :class:`~repro.solvers.SweepReport` delivered via ``on_report``
-    aggregates every worker's named-cache counters.  Workers return
-    their chunk's :class:`FleetResult` through the pool, and chunk
-    boundaries are the identical
-    :func:`repro.solvers.sweep.chunk_tasks` partition on both paths,
-    so a pooled run merges **bit-identically** to the serial chunk
-    stream for every worker count and completion order.  Note that
-    ``state_budget_bytes`` bounds one *chunk* and each worker holds
-    one chunk resident: with pooling the budget is per worker, and
-    total residency is ``n_workers x state_budget_bytes`` by
-    construction.
+    With ``max_workers > 1`` and at least
+    :data:`MIN_CORE_EPOCHS_FOR_POOL` of stacked work the chunks run on
+    :func:`repro.solvers.sweep.run_sweep`'s crash-safe process pool:
+    a dead worker degrades to chunk-level serial re-execution, bounded
+    ``retries`` re-run flaky chunks, and the report aggregates every
+    worker's named-cache counters.  The merged result is
+    **bit-identical** to the serial chunk stream for every worker
+    count and completion order.
 
     Args:
         chip: the shared design -- a live :class:`Chip`, a
@@ -1219,23 +1397,15 @@ def run_fleet_lifetime_study(
             (:func:`~repro.solvers.sweep.available_cpus`), ``0``/``1``
             forces the serial chunk stream.  Results are bitwise
             identical either way.
-        min_chunks_for_pool: explicit pooling threshold -- fewer
-            chunks than this run serially.  ``None`` (default)
-            applies the work-aware gate: pool only when the stacked
-            work ``n_chips * n_cores * n_epochs`` reaches
-            :data:`MIN_CORE_EPOCHS_FOR_POOL`.  Must be at least 1
-            when given.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).
         on_report: optional callback receiving the run's
             :class:`~repro.solvers.SweepReport` -- mode ``"fleet"``
             for the serial stream, ``"fleet+pool"`` /
-            ``"fleet+pool+serial-fallback"`` for pooled runs, with
-            per-chunk wall times and cache counters aggregated
-            across workers.  A run that dies before producing any
-            sweep report still emits one, under mode
-            ``"fleet+failed"``, so failed runs leave telemetry.
+            ``"fleet+pool+serial-fallback"`` for pooled runs,
+            ``"fleet+failed"`` for a run that fails outside the pool;
+            failed runs report too.
         checkpoint_every / checkpoint_dir: crash durability.  With a
             ``checkpoint_dir``, every chunk writes its finished
             :class:`FleetResult` there, and (with a
@@ -1245,236 +1415,24 @@ def run_fleet_lifetime_study(
             (``executed_in == "cached"`` in the report) and resumes
             incomplete ones from their newest snapshot.  The resumed
             result is **bitwise-equal** to an uninterrupted run, for
-            serial and pooled execution alike.  See
-            :mod:`repro.system.checkpoint` (and
-            :func:`~repro.system.checkpoint
-            .resume_fleet_lifetime_study` for resuming without
-            restating the study).
+            serial and pooled execution alike.  An invalid study is
+            refused before any file is written.  See
+            :mod:`repro.system.checkpoint`.
 
     Returns:
         A :class:`FleetResult`; ``chip_result(i)`` recovers any
         member's full :class:`SystemResult`.
     """
-    if max_workers is not None and max_workers < 0:
-        raise SimulationError("max_workers must be non-negative")
-    if retries < 0:
-        raise SimulationError("retries must be non-negative")
-    if min_chunks_for_pool is not None and min_chunks_for_pool < 1:
-        raise SimulationError("min_chunks_for_pool must be at least 1")
-    if isinstance(chip, Chip):
-        built = chip
-    elif isinstance(chip, ChipConfig):
-        built = chip.build()
-    else:
-        rows, cols = chip
-        built = Chip(int(rows), int(cols))
-    if groups is None:
-        if n_chips is None or workload is None or policy is None:
-            raise SimulationError(
-                "provide n_chips, workload and policy, or groups")
-        groups = (FleetGroup(n_chips=n_chips, workload=workload,
-                             policy=policy),)
-    else:
-        if workload is not None or policy is not None:
-            raise SimulationError(
-                "groups and workload/policy are mutually exclusive")
-        groups = tuple(groups)
-        total = sum(group.n_chips for group in groups)
-        if n_chips is not None and n_chips != total:
-            raise SimulationError(
-                f"groups cover {total} chips, n_chips says {n_chips}")
-        n_chips = total
-    chunk = _chunk_size(n_chips, built.n_cores, state_dtype,
-                        max_chunk_chips, state_budget_bytes)
-    bounds = chunk_tasks(n_chips, chunk)
-    n_chunks = len(bounds)
-    workers = (max_workers if max_workers is not None
-               else available_cpus())
-    reason = _pool_serial_reason(n_chips, built.n_cores, n_epochs,
-                                 n_chunks, workers,
-                                 min_chunks_for_pool)
-    if isinstance(chip, ChipConfig):
-        config = chip
-    else:
-        config = ChipConfig(rows=built.rows, cols=built.cols,
-                            core=built.core,
-                            thermal=built.thermal.config)
-    dtype_str = np.dtype(state_dtype).str
-    ckpt: Optional[_ChunkCheckpoint] = None
-    if checkpoint_dir is not None:
-        from repro.system import checkpoint as checkpoint_mod
-        ckpt = checkpoint_mod.prepare_study_directory(
-            checkpoint_dir, every=checkpoint_every, chip=config,
-            groups=groups, n_epochs=n_epochs, epoch_s=epoch_s,
-            record_every=record_every, variation=variation,
-            seed=seed, calibration=calibration,
-            em_reference=em_reference, state_dtype=dtype_str,
-            bounds=bounds, max_chunk_chips=max_chunk_chips,
-            state_budget_bytes=state_budget_bytes)
-    elif checkpoint_every is not None:
-        raise SimulationError(
-            "checkpoint_every requires checkpoint_dir")
-    # One task list feeds both paths: the serial stream executes the
-    # tasks in-process against the shared chip, the pooled path ships
-    # them to workers.  Chunk boundaries, variation draws and group
-    # slices are identical either way, so the merged result is
-    # bitwise identical for every worker count.
-    sweep_tasks: List[_FleetChunkTask] = []
-    for task in bounds:
-        if variation is None or isinstance(variation,
-                                           FleetVariationSpec):
-            chunk_variation = variation
-        else:
-            chunk_variation = variation.slice_range(task.start,
-                                                    task.stop)
-        sweep_tasks.append(_FleetChunkTask(
-            chunk=task, n_chunks=n_chunks, chip=config,
-            groups=_slice_groups(groups, task.start, task.stop),
-            n_epochs=n_epochs, epoch_s=epoch_s,
-            record_every=record_every, variation=chunk_variation,
-            seed=seed, calibration=calibration,
-            em_reference=em_reference, state_dtype=dtype_str,
-            checkpoint=ckpt))
-    started = time.perf_counter()
-
-    if reason is not None:
-        # Serial chunk stream: one shared chip (warm thermal memo
-        # after the first chunk), chunks advanced in order.  The
-        # report is emitted from the finally block so a chunk that
-        # raises still leaves telemetry (mode "fleet+failed" with the
-        # chunks that did complete).
-        before = cache_counters() if on_report is not None else None
-        parts: List[FleetResult] = []
-        records: List[ChunkRecord] = []
-        failed = True
-        try:
-            for task in sweep_tasks:
-                chunk_started = time.perf_counter()
-                part, from_cache = _execute_chunk(built, task)
-                parts.append(part)
-                records.append(ChunkRecord(
-                    index=task.chunk.index, start=task.chunk.index,
-                    stop=task.chunk.index + 1,
-                    executed_in="cached" if from_cache else "serial",
-                    wall_time_s=time.perf_counter() - chunk_started,
-                    retries=0, n_failures=0))
-            failed = False
-        finally:
-            if not failed:
-                record_counters("fleet.engine", chunks=n_chunks)
-            if on_report is not None:
-                counters = _cache_delta(before, cache_counters())
-                if failed:
-                    entry = counters.setdefault(
-                        "fleet.engine", {"hits": 0, "misses": 0})
-                    entry["chunks"] = (entry.get("chunks", 0)
-                                       + len(records))
-                on_report(SweepReport(
-                    n_tasks=n_chunks, n_chunks=n_chunks,
-                    max_workers=workers,
-                    mode="fleet+failed" if failed else "fleet",
-                    serial_reason=reason, fallback_reasons=(),
-                    wall_time_s=time.perf_counter() - started,
-                    chunks=tuple(records), retries=0, failures=(),
-                    cache_counters=counters))
-        return _merge_fleet_results(parts)
-
-    # Pooled chunk execution: ship each chunk as one sweep task.
-    inner: List[SweepReport] = []
-    cached_records: List[ChunkRecord] = []
-    by_index: Dict[int, FleetResult] = {}
-    pending = sweep_tasks
-    before = cache_counters() if on_report is not None else None
-    completed = False
-    try:
-        if ckpt is not None:
-            # Resume: restore complete chunks in the parent and
-            # dispatch only the incomplete ones through run_sweep's
-            # crash-safe machinery.
-            from repro.system import checkpoint as checkpoint_mod
-            pending = []
-            for task in sweep_tasks:
-                load_started = time.perf_counter()
-                loaded = checkpoint_mod.load_chunk_result(
-                    ckpt, task.chunk.index)
-                if loaded is None:
-                    pending.append(task)
-                    continue
-                by_index[task.chunk.index] = loaded
-                cached_records.append(ChunkRecord(
-                    index=task.chunk.index, start=task.chunk.index,
-                    stop=task.chunk.index + 1, executed_in="cached",
-                    wall_time_s=(time.perf_counter()
-                                 - load_started),
-                    retries=0, n_failures=0))
-        returned: Sequence = ()
-        if pending:
-            returned = run_sweep(
-                _run_fleet_chunk, pending, max_workers=workers,
-                retries=retries,
-                on_report=inner.append if on_report is not None
-                else None)
-        record_counters("fleet.engine", chunks=n_chunks)
-        for task, value in zip(pending, returned):
-            by_index[task.chunk.index] = value
-        result = _merge_fleet_results(
-            [by_index[index] for index in range(n_chunks)])
-        completed = True
-    finally:
-        if on_report is not None:
-            elapsed = time.perf_counter() - started
-            if inner:
-                # Re-emit the sweep's report under fleet mode names,
-                # with the parent's chunk counter folded into the
-                # aggregated worker cache deltas and run_sweep's
-                # local chunk indices remapped to global ones.
-                # Delivered even when a chunk exhausted its retries
-                # (run_sweep reports before it raises), so telemetry
-                # survives failure.
-                report = inner[0]
-                mode = {"pool": "fleet+pool",
-                        "pool+serial-fallback":
-                            "fleet+pool+serial-fallback",
-                        "serial": "fleet"}.get(report.mode,
-                                               report.mode)
-                counters = {name: dict(values) for name, values
-                            in report.cache_counters.items()}
-                entry = counters.setdefault(
-                    "fleet.engine", {"hits": 0, "misses": 0})
-                entry["chunks"] = entry.get("chunks", 0) + n_chunks
-                chunks = [replace(
-                    record,
-                    index=pending[record.index].chunk.index,
-                    start=pending[record.index].chunk.index,
-                    stop=pending[record.index].chunk.index + 1)
-                    for record in report.chunks]
-                chunks = tuple(sorted(
-                    chunks + cached_records,
-                    key=lambda record: record.index))
-                on_report(replace(
-                    report, mode=mode, n_tasks=n_chunks,
-                    n_chunks=n_chunks, chunks=chunks,
-                    wall_time_s=elapsed, cache_counters=counters))
-            else:
-                # run_sweep died before reporting (or never ran):
-                # emit the failure-mode report -- or, when every
-                # chunk was restored from checkpoint, the all-cached
-                # success report.
-                counters = _cache_delta(before, cache_counters())
-                entry = counters.setdefault(
-                    "fleet.engine", {"hits": 0, "misses": 0})
-                if not completed:
-                    entry["chunks"] = (entry.get("chunks", 0)
-                                       + len(cached_records))
-                on_report(SweepReport(
-                    n_tasks=n_chunks, n_chunks=n_chunks,
-                    max_workers=workers,
-                    mode="fleet" if completed else "fleet+failed",
-                    serial_reason=(
-                        "every chunk restored from checkpoint"
-                        if completed else None),
-                    fallback_reasons=(),
-                    wall_time_s=elapsed,
-                    chunks=tuple(cached_records), retries=0,
-                    failures=(), cache_counters=counters))
-    return result
+    built, study = _fleet_study(
+        chip, n_chips, workload, policy, groups, n_epochs=n_epochs,
+        epoch_s=epoch_s, record_every=record_every,
+        variation=variation, seed=seed, calibration=calibration,
+        em_reference=em_reference, state_dtype=state_dtype)
+    chunk_chips = _chunk_size(study.n_chips, built.n_cores,
+                              state_dtype, max_chunk_chips,
+                              state_budget_bytes)
+    return _run_study(built, study, chunk_chips,
+                      max_workers=max_workers, retries=retries,
+                      on_report=on_report,
+                      checkpoint_every=checkpoint_every,
+                      checkpoint_dir=checkpoint_dir)

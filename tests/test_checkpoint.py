@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import repro.system.checkpoint as checkpoint_module
+import repro.system.fleet as fleet_module
 from repro.errors import CheckpointError, SimulationError
 from repro.system.checkpoint import (
     FleetSession,
@@ -48,6 +49,10 @@ from repro.system.scheduler import (
 from repro.system.workload import ConstantWorkload, RandomWorkload
 
 N_CORES = 4  # 2x2 grid
+
+#: Worker count of the pooled cases; the CI fault-injection job pins
+#: it to 2 so small runners still exercise the pool path.
+WORKERS = int(os.environ.get("REPRO_SWEEP_TEST_WORKERS", "2"))
 
 RESULT_ARRAYS = (
     "times_s", "worst_degradation", "mean_degradation",
@@ -150,8 +155,9 @@ class TestSnapshotFormat:
     def test_schema_version_gate_is_strict(self, tmp_path,
                                            monkeypatch):
         path = tmp_path / "future.npz"
-        monkeypatch.setattr(checkpoint_module,
-                            "CHECKPOINT_SCHEMA_VERSION", 2)
+        monkeypatch.setattr(
+            checkpoint_module, "CHECKPOINT_SCHEMA_VERSION",
+            checkpoint_module.CHECKPOINT_SCHEMA_VERSION + 1)
         write_snapshot(path, self.ARRAYS, self.META)
         monkeypatch.undo()
         with pytest.raises(CheckpointError, match="schema"):
@@ -326,18 +332,64 @@ class TestCheckpointedStudy:
                                  checkpoint_every=2)
         assert_results_bitwise_equal(plain, checkpointed)
 
-    def test_rerun_restores_every_chunk_from_cache(self, tmp_path):
+    def test_rerun_restores_every_chunk_from_cache(self, tmp_path,
+                                                   monkeypatch):
+        # The serial stream and the pool restore a complete directory
+        # through the same loop and report it the same way.
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        for workers in (1, WORKERS):
+            directory = tmp_path / f"ckpt-{workers}"
+            first = run_study(checkpoint_dir=directory,
+                              max_workers=workers)
+            reports = []
+            again = run_study(checkpoint_dir=directory,
+                              max_workers=workers,
+                              on_report=reports.append)
+            assert_results_bitwise_equal(first, again)
+            (report,) = reports
+            assert report.mode == "fleet"
+            assert all(chunk.executed_in == "cached"
+                       for chunk in report.chunks)
+            assert report.serial_reason == \
+                "every chunk restored from checkpoint"
+            assert report.n_chunks == 3
+
+    def test_partial_pooled_rerun_lists_chunks_in_order(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
         directory = tmp_path / "ckpt"
         first = run_study(checkpoint_dir=directory)
+        for index in (0, 2):
+            os.remove(directory / f"chunk-{index:05d}.result.npz")
         reports = []
         again = run_study(checkpoint_dir=directory,
+                          max_workers=WORKERS,
                           on_report=reports.append)
         assert_results_bitwise_equal(first, again)
         (report,) = reports
-        assert report.mode == "fleet"
-        assert all(chunk.executed_in == "cached"
-                   for chunk in report.chunks)
-        assert report.n_chunks == 3
+        assert report.mode == "fleet+pool"
+        assert [chunk.index for chunk in report.chunks] == [0, 1, 2]
+        assert [chunk.executed_in for chunk in report.chunks] == \
+            ["pool", "cached", "pool"]
+        assert report.cache_counters["fleet.engine"]["chunks"] == 3
+
+    @pytest.mark.parametrize("invalid", [
+        dict(n_epochs=0), dict(record_every=0), dict(epoch_s=-1.0)])
+    def test_invalid_study_writes_no_file(self, tmp_path, invalid):
+        # An invalid study is refused before its directory is pinned,
+        # so the corrected call can still use the same directory.
+        directory = tmp_path / "ckpt"
+
+        def small(**overrides):
+            return run_fleet_lifetime_study(
+                (2, 2), 3, ConstantWorkload(4, 0.5),
+                NoRecoveryPolicy(), max_workers=1,
+                checkpoint_dir=directory, **overrides)
+
+        with pytest.raises(SimulationError):
+            small(**{"n_epochs": 2, **invalid})
+        assert not directory.exists()
+        assert small(n_epochs=2).n_epochs == 2
 
     def test_resume_entry_point_needs_only_the_directory(
             self, tmp_path):
@@ -396,9 +448,10 @@ class TestCheckpointedStudy:
         run_study(checkpoint_dir=directory)
         with open(directory / "study.pkl", "rb") as handle:
             spec = pickle.load(handle)
-        assert spec["kwargs"]["n_epochs"] == 6
-        assert spec["kwargs"]["checkpoint_every"] is None
-        assert spec["chip"].rows == 2 and spec["chip"].cols == 2
+        assert spec["study"].n_epochs == 6
+        assert spec["checkpoint_every"] is None
+        chip = spec["study"].chip
+        assert chip.rows == 2 and chip.cols == 2
 
 
 # -- the lifetime-sweep route ----------------------------------------------

@@ -32,6 +32,7 @@ import pytest
 
 import repro.system.checkpoint as checkpoint_module
 import repro.system.fleet as fleet_module
+from repro.errors import CheckpointError
 from repro.system.checkpoint import resume_fleet_lifetime_study
 from repro.system.fleet import (
     FleetVariationSpec,
@@ -88,6 +89,12 @@ def baseline():
     return run_study(max_workers=0)
 
 
+@pytest.fixture()
+def open_pool(monkeypatch):
+    """Drop the work gate so the small study pools."""
+    monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+
+
 class _InterruptAfter(Exception):
     """Raised by the wrapped progress hook to cut a run short."""
 
@@ -136,8 +143,8 @@ class TestInProcessInterrupt:
             self, tmp_path, monkeypatch, baseline, workers):
         directory = tmp_path / "ckpt"
         self._interrupted_directory(directory, monkeypatch, 1)
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
         resumed = run_study(max_workers=workers,
-                            min_chunks_for_pool=1,
                             checkpoint_dir=directory,
                             checkpoint_every=2)
         assert_bitwise_equal(baseline, resumed)
@@ -173,6 +180,7 @@ _KILL_SCRIPT = textwrap.dedent("""
     sys.path.insert(0, {src!r})
     import repro.system.fleet as fleet
     fleet._TEST_EPOCH_SLEEP_S = 0.15  # inherited by forked workers
+    fleet.MIN_CORE_EPOCHS_FOR_POOL = 0  # pool the small study
     from repro.system.fleet import (FleetVariationSpec,
                                     run_fleet_lifetime_study)
     from repro.system.scheduler import RoundRobinRecoveryPolicy
@@ -186,8 +194,7 @@ _KILL_SCRIPT = textwrap.dedent("""
                                      recovery_sigma=0.05,
                                      em_current_sigma=0.1),
         seed=7, max_chunk_chips={chunk_chips},
-        checkpoint_every=1, max_workers={workers},
-        min_chunks_for_pool=1)
+        checkpoint_every=1, max_workers={workers})
 """)
 
 
@@ -234,7 +241,7 @@ class TestSigkillResume:
                    for name in os.listdir(directory))
 
     def test_sigkilled_pooled_run_resumes_bitwise(self, tmp_path,
-                                                  baseline):
+                                                  open_pool, baseline):
         killed = tmp_path / "killed"
         os.makedirs(killed)
         self._killed_directory(killed, workers=WORKERS)
@@ -243,10 +250,8 @@ class TestSigkillResume:
         # from identical copies of the killed directory.
         for label, kwargs in (
                 ("serial", dict(max_workers=0)),
-                ("pool2", dict(max_workers=2,
-                               min_chunks_for_pool=1)),
-                ("pool4", dict(max_workers=4,
-                               min_chunks_for_pool=1))):
+                ("pool2", dict(max_workers=2)),
+                ("pool4", dict(max_workers=4))):
             directory = tmp_path / f"resume-{label}"
             shutil.copytree(killed, directory)
             resumed = resume_fleet_lifetime_study(directory, **kwargs)
@@ -267,7 +272,7 @@ class TestSigkillResume:
 class TestWorkerDeathWithCheckpoint:
     def test_worker_death_recovers_and_persists(self, tmp_path,
                                                 monkeypatch,
-                                                baseline):
+                                                open_pool, baseline):
         # Every forked worker kills itself; run_sweep's serial
         # fallback completes the chunks in-process, and the completed
         # chunks still land in the checkpoint directory.
@@ -276,7 +281,6 @@ class TestWorkerDeathWithCheckpoint:
         directory = tmp_path / "ckpt"
         reports = []
         recovered = run_study(max_workers=WORKERS,
-                              min_chunks_for_pool=1,
                               checkpoint_dir=directory,
                               checkpoint_every=2,
                               on_report=reports.append)
@@ -285,7 +289,7 @@ class TestWorkerDeathWithCheckpoint:
         monkeypatch.undo()
         # The post-crash directory is complete: a rerun is all-cached.
         reports2 = []
-        again = run_study(max_workers=WORKERS, min_chunks_for_pool=1,
+        again = run_study(max_workers=WORKERS,
                           checkpoint_dir=directory,
                           checkpoint_every=2,
                           on_report=reports2.append)
@@ -294,3 +298,45 @@ class TestWorkerDeathWithCheckpoint:
                    for chunk in reports2[0].chunks)
         assert reports2[0].serial_reason == \
             "every chunk restored from checkpoint"
+
+
+# -- tampered directories ---------------------------------------------------
+
+
+def _tamper(path):
+    """Nudge one array of a snapshot, keeping its stale checksum."""
+    with np.load(path, allow_pickle=False) as data:
+        payload = {name: data[name] for name in data.files}
+    name = next(name for name in sorted(payload)
+                if not name.startswith("__")
+                and payload[name].dtype.kind == "f"
+                and payload[name].size)
+    payload[name] = payload[name] + 1e-9
+    with open(path, "wb") as handle:
+        np.savez(handle, **payload)
+
+
+class TestTamperedDirectory:
+    """A refused file raises CheckpointError however its chunk runs."""
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_tampered_progress_file(self, tmp_path, monkeypatch,
+                                    workers):
+        directory = tmp_path / "ckpt"
+        TestInProcessInterrupt()._interrupted_directory(
+            directory, monkeypatch, 1)
+        _tamper(directory / "chunk-00000.progress.npz")
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        with pytest.raises(CheckpointError, match="checksum"):
+            run_study(max_workers=workers, checkpoint_dir=directory,
+                      checkpoint_every=2)
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_tampered_result_file(self, tmp_path, monkeypatch,
+                                  workers):
+        directory = tmp_path / "ckpt"
+        run_study(max_workers=0, checkpoint_dir=directory)
+        _tamper(directory / "chunk-00001.result.npz")
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        with pytest.raises(CheckpointError, match="checksum"):
+            run_study(max_workers=workers, checkpoint_dir=directory)

@@ -16,10 +16,11 @@ The chunk executor promises (ISSUE 9 / PR 9):
   thermal/condition memos), not just the parent's.
 
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
-2) and ``min_chunks_for_pool=1`` so the pooled code path runs even on
-single-core CI runners; the fault hooks ``_TEST_STAGGER_S`` /
-``_TEST_DIE_UNLESS_PID`` are module globals of ``repro.system.fleet``,
-inherited by forked workers, mirroring tests/test_sweep_faults.py.
+2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 (the ``open_pool``
+fixture) so the pooled code path runs even on single-core CI runners;
+the fault hooks ``_TEST_STAGGER_S`` / ``_TEST_DIE_UNLESS_PID`` are
+module globals of ``repro.system.fleet``, inherited by forked workers,
+mirroring tests/test_sweep_faults.py.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def serial_baseline():
 
 
 @pytest.fixture()
+def open_pool(monkeypatch):
+    """Drop the work gate so a small multi-chunk fleet pools."""
+    monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+
+
+@pytest.fixture()
 def no_pool(monkeypatch):
     """Make any pool start-up in run_sweep an immediate failure."""
     import repro.solvers.sweep as sweep_module
@@ -125,12 +132,11 @@ def no_pool(monkeypatch):
 
 
 class TestParallelDeterminism:
-    def test_bitwise_equal_across_worker_counts(self,
+    def test_bitwise_equal_across_worker_counts(self, open_pool,
                                                 serial_baseline):
         for workers in (1, 2, 4):
             reports = []
             pooled = run_study(max_workers=workers,
-                               min_chunks_for_pool=1,
                                on_report=reports.append)
             assert_bitwise_equal(serial_baseline, pooled)
             (report,) = reports
@@ -144,6 +150,7 @@ class TestParallelDeterminism:
                            for chunk in report.chunks)
 
     def test_out_of_order_completion_bitwise(self, monkeypatch,
+                                             open_pool,
                                              serial_baseline):
         # Later chunks finish first: chunk k sleeps proportionally to
         # (n_chunks - 1 - k) inside the worker, so the scatter order
@@ -151,7 +158,6 @@ class TestParallelDeterminism:
         monkeypatch.setattr(fleet_module, "_TEST_STAGGER_S", 0.05)
         reports = []
         pooled = run_study(max_workers=WORKERS,
-                           min_chunks_for_pool=1,
                            on_report=reports.append)
         assert_bitwise_equal(serial_baseline, pooled)
         assert reports[0].mode == "fleet+pool"
@@ -163,23 +169,21 @@ class TestParallelDeterminism:
         # results by chunk index gives the serial population, row for
         # row.
         from repro.solvers.sweep import chunk_tasks
-        from repro.system.sweeps import ChipConfig
+        _, study = fleet_module._fleet_study(
+            (3, 3), groups=hetero_groups(), n_epochs=N_EPOCHS,
+            epoch_s=3600.0, record_every=2,
+            variation=FleetVariationSpec(
+                capture_sigma=0.1, recovery_sigma=0.05,
+                em_current_sigma=0.1),
+            seed=11, calibration=None, em_reference=None,
+            state_dtype=np.float64)
         tasks = chunk_tasks(N_CHIPS, CHUNK_CHIPS)
         parts = {}
         for task in reversed(tasks):
             parts[task.index] = _run_fleet_chunk(
                 fleet_module._FleetChunkTask(
-                    chunk=task, n_chunks=len(tasks),
-                    chip=ChipConfig(3, 3),
-                    groups=fleet_module._slice_groups(
-                        hetero_groups(), task.start, task.stop),
-                    n_epochs=N_EPOCHS, epoch_s=3600.0,
-                    record_every=2,
-                    variation=FleetVariationSpec(
-                        capture_sigma=0.1, recovery_sigma=0.05,
-                        em_current_sigma=0.1),
-                    seed=11, calibration=None, em_reference=None,
-                    state_dtype="<f8"))
+                    study=study.rows(task.start, task.stop),
+                    chunk=task, n_chunks=len(tasks)))
         merged = _merge_fleet_results(
             [parts[task.index] for task in tasks])
         assert_bitwise_equal(serial_baseline, merged)
@@ -190,6 +194,7 @@ class TestParallelDeterminism:
 
 class TestWorkerDeathRecovery:
     def test_worker_death_recovers_bitwise(self, monkeypatch,
+                                           open_pool,
                                            serial_baseline):
         # Every forked worker kills itself on its first chunk; the
         # parent (whose pid matches) survives, and run_sweep re-runs
@@ -198,7 +203,6 @@ class TestWorkerDeathRecovery:
                             os.getpid())
         reports = []
         recovered = run_study(max_workers=WORKERS,
-                              min_chunks_for_pool=1,
                               on_report=reports.append)
         assert_bitwise_equal(serial_baseline, recovered)
         (report,) = reports
@@ -207,7 +211,8 @@ class TestWorkerDeathRecovery:
         assert any(chunk.executed_in == "serial-fallback"
                    for chunk in report.chunks)
 
-    def test_failed_chunk_reports_before_raise(self, monkeypatch):
+    def test_failed_chunk_reports_before_raise(self, monkeypatch,
+                                               open_pool):
         def explode(task):
             raise RuntimeError("chunk lost")
 
@@ -216,7 +221,7 @@ class TestWorkerDeathRecovery:
         reports = []
         from repro.errors import TaskError
         with pytest.raises(TaskError):
-            run_study(max_workers=WORKERS, min_chunks_for_pool=1,
+            run_study(max_workers=WORKERS,
                       on_report=reports.append)
         (report,) = reports
         assert not report.ok
@@ -239,22 +244,14 @@ class TestSerialGate:
         assert "core-epochs below pool threshold" \
             in report.serial_reason
 
-    def test_single_chunk_stays_serial(self, no_pool):
+    def test_single_chunk_stays_serial(self, open_pool, no_pool):
         reports = []
-        run_study(max_workers=4, min_chunks_for_pool=1,
+        run_study(max_workers=4,
                   max_chunk_chips=None, on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet"
         assert report.serial_reason == "single chunk"
         assert report.n_chunks == 1
-
-    def test_explicit_threshold_respected(self, no_pool):
-        reports = []
-        run_study(max_workers=4, min_chunks_for_pool=99,
-                  on_report=reports.append)
-        (report,) = reports
-        assert report.mode == "fleet"
-        assert "min_chunks_for_pool=99" in report.serial_reason
 
     def test_serial_report_covers_every_chunk(self):
         reports = []
@@ -267,6 +264,7 @@ class TestSerialGate:
                    for chunk in report.chunks)
 
     def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
+                                                    open_pool,
                                                     no_pool):
         # A runner pinned to one CPU must not pool by default, however
         # many CPUs the host reports.
@@ -274,7 +272,7 @@ class TestSerialGate:
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         reports = []
-        run_study(min_chunks_for_pool=1, on_report=reports.append)
+        run_study(on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet"
         assert report.max_workers == 1
@@ -285,44 +283,15 @@ class TestSerialGate:
             run_study(max_workers=-1)
         with pytest.raises(SimulationError):
             run_study(retries=-1)
-        with pytest.raises(SimulationError):
-            run_study(max_workers=4, min_chunks_for_pool=0)
-
-    def test_invalid_threshold_rejected_on_every_path(self, tmp_path):
-        # min_chunks_for_pool is validated up front, not only when the
-        # run reaches the pool decision: a serial (max_workers=1) or
-        # single-chunk run must refuse it too, and so must a resume.
-        from repro.system.checkpoint import resume_fleet_lifetime_study
-
-        def small(**overrides):
-            return run_fleet_lifetime_study(
-                (2, 2), 3, ConstantWorkload(4, 0.5),
-                NoRecoveryPolicy(), n_epochs=2, **overrides)
-
-        for workers in (1, 2):
-            with pytest.raises(SimulationError,
-                               match="min_chunks_for_pool"):
-                small(max_workers=workers, min_chunks_for_pool=0)
-            with pytest.raises(SimulationError,
-                               match="min_chunks_for_pool"):
-                small(max_workers=workers, max_chunk_chips=1,
-                      min_chunks_for_pool=0)
-        small(max_workers=1, checkpoint_dir=str(tmp_path))
-        for workers in (1, 2):
-            with pytest.raises(SimulationError,
-                               match="min_chunks_for_pool"):
-                resume_fleet_lifetime_study(
-                    tmp_path, max_workers=workers,
-                    min_chunks_for_pool=0)
 
 
 # -- aggregated telemetry --------------------------------------------------
 
 
 class TestCounterAggregation:
-    def test_fleet_counters_sum_across_workers(self):
+    def test_fleet_counters_sum_across_workers(self, open_pool):
         reports = []
-        run_study(max_workers=WORKERS, min_chunks_for_pool=1,
+        run_study(max_workers=WORKERS,
                   on_report=reports.append)
         counters = reports[0].cache_counters
         engine = counters["fleet.engine"]
@@ -354,7 +323,7 @@ class TestFailureTelemetry:
     """A run that dies mid-study must still deliver its report."""
 
     def test_pool_death_before_report_emits_failed_mode(
-            self, monkeypatch):
+            self, monkeypatch, open_pool):
         # run_sweep raising before producing any report used to leave
         # `inner` empty and on_report never fired -- the telemetry
         # black hole.  The finally block now emits a "fleet+failed"
@@ -365,7 +334,7 @@ class TestFailureTelemetry:
         monkeypatch.setattr(fleet_module, "run_sweep", boom)
         reports = []
         with pytest.raises(RuntimeError, match="pool exploded"):
-            run_study(max_workers=WORKERS, min_chunks_for_pool=1,
+            run_study(max_workers=WORKERS,
                       on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet+failed"
