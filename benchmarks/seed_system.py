@@ -8,9 +8,9 @@ that original path alive, byte for byte, as the timing baseline and
 the equivalence oracle for ``benchmarks/test_system_engine.py`` and
 ``tests/test_system_engine.py``:
 
-* :class:`SeedFleetBtiState` -- ``FleetBtiState.step`` as it was: the
-  fill/drain/lock-in factors recomputed inside every sub-step, applied
-  with boolean fancy indexing.
+* :class:`SeedFleetBtiState` -- the seed's one-chip trap state as it
+  was: the fill/drain/lock-in factors recomputed inside every
+  sub-step, applied with boolean fancy indexing.
 * :class:`SeedSystemSimulator` -- ``SystemSimulator`` as it was:
   per-core ``BtiStressCondition`` / ``BtiRecoveryCondition`` objects
   and ``math.exp`` per epoch, a per-core power list comprehension, an
@@ -24,6 +24,7 @@ field-for-field across both paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import List, Optional
 
@@ -36,15 +37,53 @@ from repro.bti.conditions import (
     BtiRecoveryCondition,
     BtiStressCondition,
 )
+from repro.bti.traps import TrapPopulationConfig
 from repro.em.line import EmStressCondition
 from repro.errors import SimulationError
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.solvers import FactorizationCache
+from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
 from repro.system.simulator import SystemResult
 
 
-class SeedFleetBtiState(FleetBtiState):
+class SeedFleetBtiState:
     """The seed's per-sub-step fancy-indexed trap update, verbatim."""
+
+    def __init__(self, n_units: int,
+                 config: Optional[TrapPopulationConfig] = None,
+                 kernel_cache_size: int = 64):
+        if n_units < 1:
+            raise SimulationError("n_units must be at least 1")
+        self.n_units = n_units
+        self.config = config or TrapPopulationConfig(n_bins=64)
+        cfg = self.config
+        self.tau_c = np.logspace(math.log10(cfg.tau_min_s),
+                                 math.log10(cfg.tau_max_s), cfg.n_bins)
+        fresh_weight = cfg.vth_full_shift_v / cfg.n_bins
+        self.weights = np.full((n_units, cfg.n_bins), fresh_weight)
+        self.occupancy = np.zeros((n_units, cfg.n_bins))
+        self.age_s = np.zeros((n_units, cfg.n_bins))
+        self.permanent_v = np.zeros(n_units)
+        self.time_s = 0.0
+        self.kernel_cache = FactorizationCache(
+            maxsize=kernel_cache_size, name="system.aging.kernels")
+        shape = (n_units, cfg.n_bins)
+        self._buf_a = np.empty(shape)
+        self._buf_b = np.empty(shape)
+        self._buf_c = np.empty(shape)
+        self._mask = np.empty(shape, dtype=bool)
+        self._mask_b = np.empty(shape, dtype=bool)
+
+    # -- observables ----------------------------------------------------
+
+    def delta_vth_v(self) -> np.ndarray:
+        """Per-unit total threshold shift (volts)."""
+        return self.recoverable_vth_v() + self.permanent_v
+
+    def recoverable_vth_v(self) -> np.ndarray:
+        """Per-unit recoverable shift (volts)."""
+        # Fused multiply-reduce: no (n_units, n_bins) temporary.
+        return np.einsum("ij,ij->i", self.occupancy, self.weights)
 
     def step(self, dt_s: float, stressing: np.ndarray,
              capture_acceleration: np.ndarray,

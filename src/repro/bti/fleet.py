@@ -1,24 +1,24 @@
-"""Stacked trap-population dynamics for whole chip populations.
+"""Stacked trap-population dynamics for one chip or a whole population.
 
-:class:`repro.system.aging.FleetBtiState` batches the Table-I trap
-dynamics over the cores of *one* chip.  A fleet study needs the same
-dynamics for every core of every chip of a population, so this module
-stacks the chip dimension as well: a
-:class:`StackedTrapPopulations` holds ``n_chips * n_units`` rows of
-trap state in one structure-of-arrays block and advances them with the
-same sub-step kernels, evaluated as single full-stack ufunc passes.
+:class:`repro.bti.traps.TrapPopulation` tracks the Table-I trap
+dynamics of one device and stays the calibration reference.  System
+and fleet studies need the same dynamics for every core of every chip,
+so a :class:`StackedTrapPopulations` holds ``n_chips * n_units`` rows
+of trap state in one structure-of-arrays block and advances them with
+shared sub-step kernels, evaluated as full-stack ufunc passes.  The
+standalone :class:`~repro.system.simulator.SystemSimulator` runs on a
+one-chip stack and the fleet engine on an ``n_chips`` stack, so both
+build and apply their kernels through the same code.
 
-Exactness contract: every per-row update below is elementwise in the
-row (unit) dimension -- fills, drains, age bookkeeping and lock-in all
-read and write only their own row -- so stacking chips does not change
-any chip's trajectory.  The only cross-row coupling in the scalar
-engine is the *sub-step count*, which
-:meth:`repro.system.aging.FleetBtiState.step` derives from the chip's
-peak capture acceleration.  The stacked step computes that count per
-chip and advances chips in groups sharing a count, which keeps the
-trajectory of every chip bit-identical to its standalone
-:class:`~repro.system.aging.FleetBtiState` (the fleet equivalence
-tests assert exactly this).
+Exactness contract: stacking chips never changes a chip's trajectory
+relative to a one-chip stack.  Every per-row update below is
+elementwise in the row (unit) dimension -- fills, drains, age
+bookkeeping and lock-in all read and write only their own row.  The
+only cross-row coupling is the *sub-step count*, derived from each
+chip's peak capture acceleration; the stacked step computes that
+count per chip and advances chips in groups sharing a count, so every
+chip sees the op sequence of its one-chip stack bit for bit (the fleet
+equivalence tests assert exactly this).
 """
 
 from __future__ import annotations
@@ -40,15 +40,18 @@ from repro.solvers import FactorizationCache, record_counters
 #: from DRAM streams into cache hits.
 _SUBSTEP_BLOCK_ROWS = 256
 
+#: Sub-step cap per epoch for extreme accelerations (as in
+#: :meth:`repro.bti.traps.TrapPopulation.stress`).
+_MAX_SUBSTEPS = 64
+
 
 class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
 
     The state lives in flat ``(n_chips * n_units, n_bins)`` arrays
-    (chip-major), so the homogeneous fast path -- every chip sharing
-    one sub-step count -- advances the whole population with the same
-    in-place masked full-array passes as the single-chip engine,
-    touching no Python per chip.
+    (chip-major), so the homogeneous case -- one chip, or every chip
+    sharing one sub-step count -- advances the whole population with
+    in-place masked full-array passes, touching no Python per chip.
 
     Args:
         n_chips: population size.
@@ -63,7 +66,7 @@ class StackedTrapPopulations:
             Kernels are only memoized when the caller passes a
             ``kernel_key`` identifying the epoch's conditions.
         dtype: dtype of the trap-state arrays, ``np.float64``
-            (default, bit-exact vs the single-chip engine) or
+            (default, bit-exact vs a one-chip stack) or
             ``np.float32`` (halves state memory; kernels are still
             built in float64 and rounded once, sub-step counts are
             still derived in float64, so the float32 trajectory
@@ -101,25 +104,26 @@ class StackedTrapPopulations:
         self.age_s = np.zeros(shape, dtype=dtype)
         self.permanent_v = np.zeros(rows, dtype=dtype)
         self.time_s = 0.0
+        # Longest equivalent-stress sub-step (an eighth of the lock-in
+        # age, so lock-in stays resolved); counts scale with the peak.
+        self._lock_step_s = max(cfg.lock_age_s / 8.0, 1e-9)
         self.kernel_cache = (
             FactorizationCache(maxsize=kernel_cache_size,
                                name="bti.fleet.kernels")
             if kernel_cache_size else None)
-        self._buf_a = np.empty(shape, dtype=dtype)
-        self._buf_b = np.empty(shape, dtype=dtype)
-        self._buf_c = np.empty(shape, dtype=dtype)
-        self._mask = np.empty(shape, dtype=bool)
-        self._mask_b = np.empty(shape, dtype=bool)
+        # Sub-step scratch: three float buffers and two masks.
+        self._scratch = (np.empty(shape, dtype=dtype),
+                         np.empty(shape, dtype=dtype),
+                         np.empty(shape, dtype=dtype),
+                         np.empty(shape, dtype=bool),
+                         np.empty(shape, dtype=bool))
 
     # -- observables ----------------------------------------------------
 
     def delta_vth_v(self) -> np.ndarray:
         """Total threshold shift, shaped ``(n_chips, n_units)``."""
-        return self.recoverable_vth_v() + self.permanent_vth_v()
-
-    def recoverable_vth_v(self) -> np.ndarray:
-        """Recoverable shift, shaped ``(n_chips, n_units)``."""
         flat = np.einsum("ij,ij->i", self.occupancy, self.weights)
+        flat += self.permanent_v
         return flat.reshape(self.n_chips, self.n_units)
 
     def permanent_vth_v(self) -> np.ndarray:
@@ -158,23 +162,31 @@ class StackedTrapPopulations:
             if array.shape != shape:
                 raise SimulationError(
                     f"per-unit arrays must have shape {shape}")
-        cfg = self.config
-        # Per-chip sub-step count, matching FleetBtiState.step's
-        # scalar derivation chip by chip (same operation order, so the
-        # same floats and the same ceil).
-        any_stress = stressing.any(axis=1)
-        if any_stress.any():
-            peak = np.max(capture, axis=1, initial=-np.inf,
-                          where=stressing)
-            peak = np.where(any_stress, peak, 1.0)
-        else:
-            peak = np.ones(self.n_chips)
-        raw = np.ceil(dt_s * np.maximum(peak, 1e-12)
-                      / max(cfg.lock_age_s / 8.0, 1e-9))
-        n_steps = np.clip(raw.astype(np.int64), 1, 64)
+        if self.n_chips == 1:
+            # One chip is one group: scalar math on its peak capture
+            # (the same floats and ceil as the per-chip path below).
+            any_stress = bool(stressing.any())
+            peak = float(capture.max(initial=-np.inf, where=stressing)) \
+                if any_stress else 1.0
+            count = math.ceil(dt_s * max(peak, 1e-12) / self._lock_step_s)
+            count = min(max(count, 1), _MAX_SUBSTEPS)
+            self._advance_rows(
+                slice(None), dt_s, count, stressing, capture, recovery,
+                any_stress,
+                None if kernel_key is None else (kernel_key, count, 0))
+            self.time_s += dt_s
+            return
         flat_stress = stressing.reshape(-1)
         flat_capture = capture.reshape(-1)
         flat_recovery = recovery.reshape(-1)
+        # Per-chip sub-step count, in the operation order of the scalar
+        # derivation above.
+        any_stress = stressing.any(axis=1)
+        peak = np.where(any_stress, np.max(capture, axis=1,
+                                           initial=-np.inf,
+                                           where=stressing), 1.0)
+        raw = np.ceil(dt_s * np.maximum(peak, 1e-12) / self._lock_step_s)
+        n_steps = np.clip(raw, 1, _MAX_SUBSTEPS).astype(np.int64)
         # Chips sharing a sub-step count advance together; with no (or
         # mild) process variation that is one group covering the whole
         # stack, i.e. zero gather/scatter.
@@ -232,16 +244,20 @@ class StackedTrapPopulations:
         # ~15 streaming passes per sub-step are otherwise pure DRAM
         # traffic.  Every op below is elementwise per row, so block
         # order changes nothing: each row sees the exact op sequence
-        # of the unblocked (and single-chip) engine, bit for bit.
-        for start in range(0, m, _SUBSTEP_BLOCK_ROWS):
-            stop = min(start + _SUBSTEP_BLOCK_ROWS, m)
-            self._advance_block(
-                occupancy[start:stop], age[start:stop],
-                weights[start:stop], permanent[start:stop],
-                eq_col[start:stop], stress_col[start:stop],
-                decay[start:stop], inflow[start:stop],
-                None if fraction is None else fraction[start:stop],
-                n_steps, any_stress)
+        # of an unblocked one-chip stack, bit for bit.
+        if m <= _SUBSTEP_BLOCK_ROWS:
+            self._advance_block(occupancy, age, weights, permanent,
+                                *kernel, n_steps, any_stress)
+        else:
+            for start in range(0, m, _SUBSTEP_BLOCK_ROWS):
+                stop = min(start + _SUBSTEP_BLOCK_ROWS, m)
+                self._advance_block(
+                    occupancy[start:stop], age[start:stop],
+                    weights[start:stop], permanent[start:stop],
+                    eq_col[start:stop], stress_col[start:stop],
+                    decay[start:stop], inflow[start:stop],
+                    None if fraction is None else fraction[start:stop],
+                    n_steps, any_stress)
         if not full:
             self.occupancy[rows] = occupancy
             self.age_s[rows] = age
@@ -253,10 +269,11 @@ class StackedTrapPopulations:
                        n_steps: int, any_stress: bool) -> None:
         """All sub-steps of one cache-sized row block, in place.
 
-        Same in-place masked passes as
-        :meth:`repro.system.aging.FleetBtiState.step` -- every op is
-        elementwise in the row dimension, so each chip's trajectory
-        matches its standalone single-chip advance bit for bit.  The
+        Fill/drain is the affine map ``occupancy * decay + inflow``;
+        occupied bins age in equivalent stress time, emptied bins
+        reset, aged stressed bins lock charge in.  Every op is an
+        in-place masked pass, elementwise in the row dimension, so
+        stacking never changes a chip's trajectory.  The
         per-row-constant factors (``eq_col``, ``stress_col``,
         ``fraction``) stay ``(m, 1)`` columns and broadcast inside the
         ufuncs: same values per element, a fraction of the memory
@@ -264,10 +281,10 @@ class StackedTrapPopulations:
         """
         cfg = self.config
         m = occupancy.shape[0]
-        buf_a = self._buf_a[:m]
-        buf_b = self._buf_b[:m]
-        buf_c = self._buf_c[:m]
-        mask = self._mask[:m]
+        scratch = self._scratch
+        if m < self.occupancy.shape[0]:
+            scratch = [buffer[:m] for buffer in scratch]
+        buf_a, buf_b, buf_c, mask, positive = scratch
         for _ in range(n_steps):
             np.multiply(occupancy, decay, out=occupancy)
             np.add(occupancy, inflow, out=occupancy)
@@ -287,7 +304,6 @@ class StackedTrapPopulations:
                     np.subtract(1.0, buf_c, out=buf_c)
                     np.multiply(weights, buf_c, out=weights,
                                 where=aged)
-                    positive = self._mask_b[:m]
                     np.greater(weights, 0.0, out=positive)
                     np.logical_and(positive, aged, out=positive)
                     np.subtract(buf_a, buf_b, out=buf_a)
@@ -299,10 +315,11 @@ class StackedTrapPopulations:
                            capture: np.ndarray, recovery: np.ndarray):
         """Sub-step-invariant factors for one group of rows.
 
-        Identical math to
-        :meth:`repro.system.aging.FleetBtiState._build_step_kernel`,
-        evaluated over the group's rows.  Every factor is elementwise
-        per row, so the transcendental work runs once per *distinct*
+        The factors depend only on the inputs (the group's rows, in
+        any shape that flattens to row order), never on the trap
+        state.  Every factor is elementwise per row -- a row's kernel
+        is the same whether its chip is stacked or alone -- so the
+        transcendental work runs once per *distinct*
         ``(stressing, capture, recovery)`` triple (a fleet of 1k
         chips typically has only ``n_units`` of them) and gathers back
         to full rows -- the gather reproduces each row's value bit for
@@ -318,6 +335,9 @@ class StackedTrapPopulations:
         buffers.
         """
         cfg = self.config
+        stressing = stressing.reshape(-1)
+        capture = capture.reshape(-1)
+        recovery = recovery.reshape(-1)
         m = stressing.shape[0]
         triples = np.empty((m, 3))
         triples[:, 0] = stressing
@@ -344,6 +364,10 @@ class StackedTrapPopulations:
         if np.any(resting):
             drain[resting] = np.exp(-step * u_recovery[resting, None]
                                     / tau_e[None, :])
+        # occ' = (occ + (1 - occ) * fill) * drain, rearranged into the
+        # two-pass affine form occ' = occ * decay + inflow: one extra
+        # rounding per bin vs the four-pass seed loop (~1 ulp; the
+        # seed equivalence tests bound the accumulated effect).
         decay = ((1.0 - fill) * drain)[inverse]
         inflow = (fill * drain)[inverse]
         eq_col = eq_unique[inverse]

@@ -5,12 +5,13 @@ core/block level, dark-silicon-aware rotation that lets idle cores be
 healed by the heat of their active neighbours, and the run-time
 scheduling loop of Fig. 12(b) evaluated over long horizons.
 
-The aging state of the whole core fleet is vectorized
-(:mod:`repro.system.aging`), so simulating years of epoch-by-epoch
-operation for tens of cores stays fast.
+The aging state of every core is vectorized -- BTI on the stacked
+trap engine of :mod:`repro.bti.fleet`, EM in :mod:`repro.system.aging`
+-- so simulating years of epoch-by-epoch operation for tens of cores
+stays fast.
 """
 
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.system.aging import FleetEmState
 from repro.system.chip import Chip, CoreSpec
 from repro.system.workload import (
     ConstantWorkload,
@@ -56,7 +57,6 @@ from repro.system.reliability import ReliabilityReport, \
 __all__ = [
     "ReliabilityReport",
     "reliability_report",
-    "FleetBtiState",
     "FleetEmState",
     "Chip",
     "CoreSpec",

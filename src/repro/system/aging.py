@@ -1,21 +1,19 @@
-"""Vectorized per-core aging states for system-level simulation.
+"""Vectorized per-core EM states for system-level simulation.
 
-The mechanistic models in :mod:`repro.bti` and :mod:`repro.em` track a
-single device/wire with high fidelity.  A system simulation needs the
-same dynamics for every core of a fleet over years of epochs, so this
-module re-expresses them with the unit (core) dimension vectorized in
-numpy:
+The mechanistic models in :mod:`repro.em` track a single wire with
+high fidelity.  A system simulation needs the same dynamics for every
+core of a fleet over years of epochs, so this module re-expresses them
+with the unit (core) dimension vectorized in numpy:
 
-* :class:`FleetBtiState` -- the trap-population dynamics of
-  :class:`repro.bti.traps.TrapPopulation` batched over cores, with the
-  same capture/emission/lock-in behaviour (and therefore the same
-  Table I / Fig. 4 calibration).
 * :class:`FleetEmState` -- a lumped per-core EM state built on the
   square-root stress kernel of :mod:`repro.em.lumped`: nucleation
   progress accumulates at a rate proportional to ``j^2 * kappa(T)``
   (the inverse of the closed-form nucleation time), reverses under
   reverse current, and post-nucleation void growth/refill/lock-in
   follows the same rates as :class:`repro.em.line.EmLine`.
+
+Per-core BTI trap dynamics live in
+:class:`repro.bti.fleet.StackedTrapPopulations`.
 """
 
 from __future__ import annotations
@@ -25,198 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bti.conditions import RecoveryAccelerationParams
-from repro.bti.traps import TrapPopulationConfig
 from repro.em.line import EmLineConfig, EmStressCondition
 from repro.em.lumped import LumpedEmModel
 from repro.em.wire import PAPER_TEST_WIRE, Wire
 from repro.errors import SimulationError
 from repro.solvers import FactorizationCache
-
-
-class FleetBtiState:
-    """Batched trap-population state for ``n_units`` cores.
-
-    The per-bin dynamics are identical to
-    :class:`repro.bti.traps.TrapPopulation`; every step takes
-    *per-unit* boolean stress masks and rate multipliers, so different
-    cores can stress, idle and heal in the same epoch.
-
-    The sub-step fill/drain/lock-in factors depend only on the epoch's
-    ``(step, stressing, capture, recovery)`` inputs, never on the trap
-    state, so they are hoisted out of the sub-step loop *and* memoized
-    across epochs in ``kernel_cache`` (scheduling loops revisit a small
-    set of stress patterns).  The cached kernels feed in-place masked
-    full-array updates (``where=`` ufunc writes), which replace the
-    boolean fancy-indexing of the original per-epoch code without
-    changing a single bit of the trajectory.
-    """
-
-    def __init__(self, n_units: int,
-                 config: Optional[TrapPopulationConfig] = None,
-                 kernel_cache_size: int = 64):
-        if n_units < 1:
-            raise SimulationError("n_units must be at least 1")
-        self.n_units = n_units
-        self.config = config or TrapPopulationConfig(n_bins=64)
-        cfg = self.config
-        self.tau_c = np.logspace(math.log10(cfg.tau_min_s),
-                                 math.log10(cfg.tau_max_s), cfg.n_bins)
-        fresh_weight = cfg.vth_full_shift_v / cfg.n_bins
-        self.weights = np.full((n_units, cfg.n_bins), fresh_weight)
-        self.occupancy = np.zeros((n_units, cfg.n_bins))
-        self.age_s = np.zeros((n_units, cfg.n_bins))
-        self.permanent_v = np.zeros(n_units)
-        self.time_s = 0.0
-        self.kernel_cache = FactorizationCache(
-            maxsize=kernel_cache_size, name="system.aging.kernels")
-        shape = (n_units, cfg.n_bins)
-        self._buf_a = np.empty(shape)
-        self._buf_b = np.empty(shape)
-        self._buf_c = np.empty(shape)
-        self._mask = np.empty(shape, dtype=bool)
-        self._mask_b = np.empty(shape, dtype=bool)
-
-    # -- observables ----------------------------------------------------
-
-    def delta_vth_v(self) -> np.ndarray:
-        """Per-unit total threshold shift (volts)."""
-        return self.recoverable_vth_v() + self.permanent_v
-
-    def recoverable_vth_v(self) -> np.ndarray:
-        """Per-unit recoverable shift (volts)."""
-        # Fused multiply-reduce: no (n_units, n_bins) temporary.
-        return np.einsum("ij,ij->i", self.occupancy, self.weights)
-
-    def step(self, dt_s: float, stressing: np.ndarray,
-             capture_acceleration: np.ndarray,
-             recovery_acceleration: np.ndarray) -> None:
-        """Advance every unit by ``dt_s``.
-
-        Args:
-            dt_s: epoch length.
-            stressing: boolean (n_units,) -- True = unit under stress,
-                False = unit recovering.
-            capture_acceleration: (n_units,) capture-rate multipliers
-                for the stressing units.
-            recovery_acceleration: (n_units,) de-trapping multipliers
-                for the recovering units.
-        """
-        if dt_s < 0.0:
-            raise SimulationError("dt_s must be non-negative")
-        stressing = np.asarray(stressing, dtype=bool)
-        capture = np.asarray(capture_acceleration, dtype=float)
-        recovery = np.asarray(recovery_acceleration, dtype=float)
-        for array in (stressing, capture, recovery):
-            if array.shape != (self.n_units,):
-                raise SimulationError(
-                    f"per-unit arrays must have shape ({self.n_units},)")
-        cfg = self.config
-        # Ageing/lock-in advance in equivalent stress time (dt scaled
-        # by the per-unit capture acceleration), mirroring
-        # TrapPopulation.stress() -- including its bounded sub-step
-        # count for extreme accelerations.
-        any_stress = bool(stressing.any())
-        peak_accel = float(capture.max(initial=-np.inf,
-                                       where=stressing)) \
-            if any_stress else 1.0
-        n_steps = int(np.ceil(dt_s * max(peak_accel, 1e-12)
-                              / max(cfg.lock_age_s / 8.0, 1e-9)))
-        n_steps = min(max(n_steps, 1), 64)
-        step = dt_s / n_steps
-        key = (step, stressing.tobytes(), capture.tobytes(),
-               recovery.tobytes())
-        eq_full, stress_full, decay, inflow, fraction = \
-            self.kernel_cache.get_or_build(
-                key,
-                lambda: self._build_step_kernel(step, stressing, capture,
-                                                recovery))
-        occupancy = self.occupancy
-        age = self.age_s
-        weights = self.weights
-        buf_a, buf_b, buf_c = self._buf_a, self._buf_b, self._buf_c
-        mask = self._mask
-        # Every update below is an in-place masked write (`where=` /
-        # copyto) or a same-shape ufunc pass; both produce the same
-        # elementwise values as the boolean fancy indexing they
-        # replace, so the trajectory is bit-identical.
-        for _ in range(n_steps):
-            # The fill-towards-1 / drain updates fused into one affine
-            # map per bin: occupancy = occupancy * decay + inflow
-            # (see _build_step_kernel).
-            np.multiply(occupancy, decay, out=occupancy)
-            np.add(occupancy, inflow, out=occupancy)
-            # Age bookkeeping: occupied bins age in equivalent stress
-            # time, emptied bins reset.
-            np.greater_equal(occupancy, cfg.age_on_occupancy, out=mask)
-            np.add(age, eq_full, out=age, where=mask)
-            np.less_equal(occupancy, cfg.age_off_occupancy, out=mask)
-            np.copyto(age, 0.0, where=mask)
-            # Lock-in (stress only).
-            if fraction is not None and any_stress:
-                np.greater(age, cfg.lock_age_s, out=mask)
-                np.logical_and(mask, stress_full, out=mask)
-                if mask.any():
-                    aged = mask
-                    np.multiply(weights, occupancy, out=buf_a)
-                    np.multiply(buf_a, fraction, out=buf_b)
-                    # Masked row sum of the converted charge (the
-                    # False rows contribute exactly 0).
-                    self.permanent_v += np.einsum(
-                        "ij,ij->i", buf_b, aged)
-                    np.multiply(occupancy, fraction, out=buf_c)
-                    np.subtract(1.0, buf_c, out=buf_c)
-                    np.multiply(weights, buf_c, out=weights,
-                                where=aged)
-                    positive = self._mask_b
-                    np.greater(weights, 0.0, out=positive)
-                    np.logical_and(positive, aged, out=positive)
-                    # occupancy = remaining charge / new weight on the
-                    # aged, still-weighted bins.
-                    np.subtract(buf_a, buf_b, out=buf_a)
-                    np.maximum(weights, 1e-300, out=buf_c)
-                    np.divide(buf_a, buf_c, out=occupancy,
-                              where=positive)
-            self.time_s += step
-
-    def _build_step_kernel(self, step: float, stressing: np.ndarray,
-                           capture: np.ndarray, recovery: np.ndarray):
-        """Sub-step-invariant factors for one ``(step, inputs)`` tuple.
-
-        Copies its inputs (the cache key is their content at build
-        time, so cached kernels must not alias caller buffers).
-        """
-        cfg = self.config
-        shape = (self.n_units, cfg.n_bins)
-        stressing = stressing.copy()
-        equivalent = np.where(stressing, capture * step, 0.0)
-        eq_col = equivalent[:, None]
-        # equivalent is 0 on resting units, so fill is exactly 0 there.
-        fill = -np.expm1(-eq_col / self.tau_c[None, :])
-        tau_e = cfg.emission_scale * self.tau_c
-        drain = np.ones(shape)
-        resting = ~stressing
-        if np.any(resting):
-            drain[resting] = np.exp(-step * recovery[resting, None]
-                                    / tau_e[None, :])
-        # occ' = (occ + (1 - occ) * fill) * drain, rearranged into the
-        # two-pass affine form occ' = occ * decay + inflow.  One extra
-        # rounding per bin vs the four-pass original (~1 ulp; the
-        # system equivalence tests bound the accumulated effect).
-        decay = (1.0 - fill) * drain
-        inflow = fill * drain
-        # The per-unit columns are materialized to full (units, bins)
-        # arrays once per kernel so every sub-step op is a contiguous
-        # same-shape pass (broadcasting in the hot loop is slower).
-        eq_full = np.ascontiguousarray(np.broadcast_to(eq_col, shape))
-        stress_full = np.ascontiguousarray(
-            np.broadcast_to(stressing[:, None], shape))
-        fraction = None
-        if cfg.lock_rate_per_s > 0.0:
-            fraction = np.ascontiguousarray(np.broadcast_to(
-                -np.expm1(-cfg.lock_rate_per_s * equivalent)[:, None],
-                shape))
-        return (eq_full, stress_full, decay, inflow, fraction)
 
 
 class FleetEmState:

@@ -6,8 +6,10 @@ Each epoch the simulator:
 2. asks the policy which cores run, which heal, and how the demand is
    spread (migrating work away from healing cores),
 3. solves the thermal network for per-core temperatures,
-4. advances the vectorized BTI and EM fleet states under the resulting
-   per-core stress/recovery conditions, and
+4. advances the per-core BTI and EM states under the resulting
+   stress/recovery conditions -- BTI on a one-chip
+   :class:`~repro.bti.fleet.StackedTrapPopulations`, the trap engine
+   the fleet simulator stacks over whole populations -- and
 5. records the fleet's performance envelope.
 
 The output exposes the Fig. 12(b) observables directly: the worst-core
@@ -33,12 +35,17 @@ import numpy as np
 from repro import units
 from repro.bti.calibration import BtiCalibration, default_calibration
 from repro.bti.conditions import BtiConditionKernels
+from repro.bti.fleet import StackedTrapPopulations
 from repro.em.line import EmStressCondition
 from repro.errors import SimulationError
 from repro.solvers import FactorizationCache
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
 from repro.system.scheduler import CoreAssignment
+
+#: LRU capacity of the condition-bundle and BTI kernel memos, both
+#: keyed on the assignment (schedules cycle through far fewer).
+_ASSIGNMENT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,11 @@ class SystemSimulator:
         population = self.calibration.model_config.population
         # Fewer bins per core: system horizons don't need the full
         # Table-I resolution, and the dynamics are identical.
-        self.bti = FleetBtiState(
-            n, replace(population, n_bins=64))
+        # Kernels memoize on the assignment key: epoch_s and the
+        # variation are fixed, so it determines every kernel input.
+        self.bti = StackedTrapPopulations(
+            1, n, replace(population, n_bins=64),
+            kernel_cache_size=_ASSIGNMENT_CACHE_SIZE)
         self.em_reference = em_reference or EmStressCondition(
             current_density_a_m2=chip.core.grid_current_density_a_m2,
             temperature_k=units.celsius_to_kelvin(85.0),
@@ -247,12 +257,7 @@ class SystemSimulator:
         # the assignment bytes.  Cached arrays are shared, never
         # mutated downstream.
         self._condition_cache = FactorizationCache(
-            maxsize=64, name="system.conditions")
-
-    def _epoch_conditions(self, assignment: CoreAssignment):
-        key = assignment.cache_key()
-        return self._condition_cache.get_or_build(
-            key, lambda: self._build_epoch_conditions(assignment))
+            maxsize=_ASSIGNMENT_CACHE_SIZE, name="system.conditions")
 
     def _build_epoch_conditions(self, assignment: CoreAssignment):
         temps, active, capture, recovery, j = base_epoch_conditions(
@@ -266,7 +271,9 @@ class SystemSimulator:
         capture_safe = np.where(capture > 0.0, capture, 1.0)
         recovery = recovery * v.recovery_scale
         j = j * v.em_current_scale
-        return temps, active, capture_safe, recovery, j
+        # The BTI inputs are shaped (1, n_cores) for the one-chip stack.
+        return (temps, active[None, :], capture_safe[None, :],
+                recovery[None, :], j)
 
     # -- main loop -------------------------------------------------------
 
@@ -297,18 +304,21 @@ class SystemSimulator:
         worst: List[float] = []
         mean: List[float] = []
         dropped: List[float] = []
-        # The fleet BTI state only changes in bti.step, so the shift
-        # vector computed for recording is still current at the next
-        # epoch's assign.
-        delta_vth = self.bti.delta_vth_v()
+        # The BTI state only changes in bti.step, so the shift vector
+        # computed for recording is still current at the next epoch's
+        # assign.
+        delta_vth = self.bti.delta_vth_v()[0]
         for epoch in range(n_epochs):
             demand = workload.demand(epoch)
             assignment = policy.assign(
                 epoch, demand, delta_vth, previous_utilization)
             recovering = assignment.bti_recovering
+            key = assignment.cache_key()
             temps, active, capture_safe, recovery, j = \
-                self._epoch_conditions(assignment)
-            self.bti.step(self.epoch_s, active, capture_safe, recovery)
+                self._condition_cache.get_or_build(
+                    key, lambda: self._build_epoch_conditions(assignment))
+            self.bti.step(self.epoch_s, active, capture_safe, recovery,
+                          kernel_key=key)
             self.em.step(self.epoch_s, j, temps)
             migration_events += int(np.count_nonzero(
                 recovering & ~previous_recovering))
@@ -316,7 +326,7 @@ class SystemSimulator:
             previous_utilization = assignment.utilization
             total_demand += demand
             total_dropped += assignment.dropped_demand
-            delta_vth = self.bti.delta_vth_v()
+            delta_vth = self.bti.delta_vth_v()[0]
             if (epoch + 1) % record_every == 0 or epoch == n_epochs - 1:
                 degradation = oscillator.delay_degradation_array(
                     delta_vth)
@@ -333,7 +343,7 @@ class SystemSimulator:
             worst_degradation=np.array(worst),
             mean_degradation=np.array(mean),
             dropped_demand=np.array(dropped),
-            final_delta_vth_v=self.bti.delta_vth_v(),
+            final_delta_vth_v=delta_vth,
             final_permanent_vth_v=self.bti.permanent_v.copy(),
             final_em_drift_ohm=self.em.delta_resistance_ohm(),
             em_failures=self.em.failed(read_t),

@@ -1,77 +1,83 @@
-"""Tests for repro.system.aging (vectorized fleet states)."""
+"""Tests for the vectorized per-core aging states (BTI trap stack, EM)."""
 
 import numpy as np
 import pytest
 
 from repro import units
+from repro.bti.fleet import StackedTrapPopulations
 from repro.bti.traps import TrapPopulation, TrapPopulationConfig
 from repro.em.line import PAPER_EM_STRESS
 from repro.errors import SimulationError
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.system.aging import FleetEmState
 
 
 class TestFleetBtiState:
+    """The per-core BTI state of one chip: a one-chip
+    :class:`StackedTrapPopulations`, as
+    :class:`~repro.system.simulator.SystemSimulator` runs it."""
+
     def test_matches_single_population_under_stress(self, calibration):
         """The batched dynamics must agree with TrapPopulation."""
         config = calibration.model_config.population
-        fleet = FleetBtiState(3, config)
+        stack = StackedTrapPopulations(1, 3, config)
         single = TrapPopulation(config)
         dt = units.hours(5.0)
-        fleet.step(dt, np.array([True, True, True]),
-                   np.ones(3), np.ones(3))
+        stack.step(dt, np.array([[True, True, True]]),
+                   np.ones((1, 3)), np.ones((1, 3)))
         single.stress(dt)
-        assert fleet.delta_vth_v()[0] == pytest.approx(
+        assert stack.delta_vth_v()[0, 0] == pytest.approx(
             single.total_vth_v, rel=1e-9)
 
     def test_matches_single_population_under_recovery(self, calibration):
         config = calibration.model_config.population
-        fleet = FleetBtiState(2, config)
+        stack = StackedTrapPopulations(1, 2, config)
         single = TrapPopulation(config)
         stress_dt = units.hours(3.0)
-        fleet.step(stress_dt, np.array([True, True]), np.ones(2),
-                   np.ones(2))
+        stack.step(stress_dt, np.array([[True, True]]), np.ones((1, 2)),
+                   np.ones((1, 2)))
         single.stress(stress_dt)
         accel = 1e5
-        fleet.step(units.hours(1.0), np.array([False, False]),
-                   np.ones(2), np.full(2, accel))
+        stack.step(units.hours(1.0), np.array([[False, False]]),
+                   np.ones((1, 2)), np.full((1, 2), accel))
         single.recover(units.hours(1.0), accel)
-        assert fleet.delta_vth_v()[0] == pytest.approx(
+        assert stack.delta_vth_v()[0, 0] == pytest.approx(
             single.total_vth_v, rel=1e-6)
 
     def test_mixed_epoch_diverges_units(self):
-        fleet = FleetBtiState(2)
-        fleet.step(units.hours(2.0), np.array([True, False]),
-                   np.ones(2), np.ones(2))
-        shifts = fleet.delta_vth_v()
+        stack = StackedTrapPopulations(1, 2)
+        stack.step(units.hours(2.0), np.array([[True, False]]),
+                   np.ones((1, 2)), np.ones((1, 2)))
+        shifts = stack.delta_vth_v()[0]
         assert shifts[0] > shifts[1]
 
     def test_occupancy_stays_bounded(self):
-        fleet = FleetBtiState(2)
-        fleet.step(units.days(5.0), np.array([True, True]),
-                   np.full(2, 3.0), np.ones(2))
-        assert np.all(fleet.occupancy >= 0.0)
-        assert np.all(fleet.occupancy <= 1.0 + 1e-12)
+        stack = StackedTrapPopulations(1, 2)
+        stack.step(units.days(5.0), np.array([[True, True]]),
+                   np.full((1, 2), 3.0), np.ones((1, 2)))
+        assert np.all(stack.occupancy >= 0.0)
+        assert np.all(stack.occupancy <= 1.0 + 1e-12)
 
     def test_capture_acceleration_scales_lock_in(self):
         config = TrapPopulationConfig(n_bins=48,
                                       lock_age_s=units.minutes(75.0),
                                       lock_rate_per_s=5e-5)
-        fast = FleetBtiState(1, config)
-        slow = FleetBtiState(1, config)
-        fast.step(units.hours(8.0), np.array([True]), np.array([1.0]),
-                  np.array([1.0]))
-        slow.step(units.hours(8.0), np.array([True]), np.array([0.1]),
-                  np.array([1.0]))
+        fast = StackedTrapPopulations(1, 1, config)
+        slow = StackedTrapPopulations(1, 1, config)
+        fast.step(units.hours(8.0), np.array([[True]]),
+                  np.array([[1.0]]), np.array([[1.0]]))
+        slow.step(units.hours(8.0), np.array([[True]]),
+                  np.array([[0.1]]), np.array([[1.0]]))
         assert fast.permanent_v[0] > slow.permanent_v[0]
 
     def test_rejects_wrong_shapes(self):
-        fleet = FleetBtiState(2)
+        stack = StackedTrapPopulations(1, 2)
         with pytest.raises(SimulationError):
-            fleet.step(1.0, np.array([True]), np.ones(2), np.ones(2))
+            stack.step(1.0, np.array([[True]]), np.ones((1, 2)),
+                       np.ones((1, 2)))
 
     def test_rejects_zero_units(self):
         with pytest.raises(SimulationError):
-            FleetBtiState(0)
+            StackedTrapPopulations(1, 0)
 
 
 class TestFleetEmState:

@@ -26,9 +26,11 @@ from repro.bti.conditions import (
     BtiRecoveryCondition,
     BtiStressCondition,
 )
+from repro.bti.fleet import StackedTrapPopulations
 from repro.errors import SensorError, SimulationError
 from repro.sensors.ring_oscillator import RingOscillator
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.solvers import cache_counters
+from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
 from repro.system.scheduler import (
     NoRecoveryPolicy,
@@ -209,25 +211,37 @@ class TestThermalMemoization:
 
 
 class TestFleetBtiEquivalence:
-    """Vectorized sub-step kernel vs the seed's fancy-indexed loop."""
+    """One-chip trap stack vs the seed's fancy-indexed loop."""
 
     N_UNITS = 8
     DT_S = units.hours(1.0)
 
     def _pair(self):
-        return FleetBtiState(self.N_UNITS), \
+        return StackedTrapPopulations(1, self.N_UNITS,
+                                      kernel_cache_size=64), \
             SeedFleetBtiState(self.N_UNITS)
 
-    def _compare(self, state, seed_state):
+    def _step(self, state, seed_state, stressing, capture, recovery,
+              kernel_key=None):
+        state.step(self.DT_S, stressing[None, :], capture[None, :],
+                   recovery[None, :], kernel_key=kernel_key)
+        seed_state.step(self.DT_S, stressing, capture, recovery)
+
+    def _compare(self, state, seed_state, n_epochs):
         assert relative_error(state.occupancy,
                               seed_state.occupancy) <= RESULT_RTOL
         assert relative_error(state.weights,
                               seed_state.weights) <= RESULT_RTOL
         assert relative_error(state.permanent_v,
                               seed_state.permanent_v) <= RESULT_RTOL
-        assert relative_error(state.delta_vth_v(),
+        assert relative_error(state.delta_vth_v()[0],
                               seed_state.delta_vth_v()) <= RESULT_RTOL
-        assert state.time_s == seed_state.time_s
+        # The stack adds each epoch length once; the seed sums
+        # dt / n_steps once per sub-step, which rounds differently for
+        # most sub-step counts.
+        assert state.time_s == n_epochs * self.DT_S
+        assert seed_state.time_s == pytest.approx(state.time_s,
+                                                  rel=1e-12)
 
     def test_random_schedule_matches_seed(self):
         state, seed_state = self._pair()
@@ -236,11 +250,10 @@ class TestFleetBtiEquivalence:
             stressing = rng.random(self.N_UNITS) < 0.7
             capture = rng.uniform(0.2, 40.0, self.N_UNITS)
             recovery = rng.uniform(1.0, 2000.0, self.N_UNITS)
-            state.step(self.DT_S, stressing, capture, recovery)
-            seed_state.step(self.DT_S, stressing, capture, recovery)
+            self._step(state, seed_state, stressing, capture, recovery)
         assert state.permanent_v.max() > 0.0, \
             "schedule must exercise the lock-in branch"
-        self._compare(state, seed_state)
+        self._compare(state, seed_state, 60)
 
     def test_cyclic_schedule_hits_kernel_cache(self):
         state, seed_state = self._pair()
@@ -252,23 +265,63 @@ class TestFleetBtiEquivalence:
                              np.where(stressing, 12.0, 0.0),
                              np.where(stressing, 1.0, 900.0)))
         for epoch in range(48):
-            stressing, capture, recovery = patterns[epoch % 4]
-            state.step(self.DT_S, stressing, capture, recovery)
-            seed_state.step(self.DT_S, stressing, capture, recovery)
+            self._step(state, seed_state, *patterns[epoch % 4],
+                       kernel_key=epoch % 4)
         assert state.kernel_cache.misses == 4
         assert state.kernel_cache.hits == 44
-        self._compare(state, seed_state)
+        self._compare(state, seed_state, 48)
 
     def test_all_resting_fleet_only_drains(self):
         state, seed_state = self._pair()
         stressed = np.ones(self.N_UNITS, dtype=bool)
         accel = np.full(self.N_UNITS, 10.0)
-        for fleet in (state, seed_state):
-            fleet.step(self.DT_S, stressed, accel, accel)
-            fleet.step(self.DT_S, ~stressed, accel,
-                       np.full(self.N_UNITS, 500.0))
+        self._step(state, seed_state, stressed, accel, accel)
+        self._step(state, seed_state, ~stressed, accel,
+                   np.full(self.N_UNITS, 500.0))
         assert np.all(state.occupancy <= 1.0)
-        self._compare(state, seed_state)
+        self._compare(state, seed_state, 2)
+
+
+class TestOneTrapEngine:
+    """The system simulator runs on the fleet's stacked trap engine."""
+
+    def test_simulator_bti_is_a_one_chip_stack(self):
+        bti = SystemSimulator(Chip(2, 2)).bti
+        assert isinstance(bti, StackedTrapPopulations)
+        assert (bti.n_chips, bti.n_units) == (1, 4)
+
+    def test_one_kernel_build_per_distinct_assignment(self):
+        keys = set()
+
+        class RecordingPolicy(RoundRobinRecoveryPolicy):
+            def assign(self, *args):
+                assignment = super().assign(*args)
+                keys.add(assignment.cache_key())
+                return assignment
+
+        simulator = SystemSimulator(Chip(2, 3))
+        before = cache_counters().get("bti.fleet.kernels", {}).get(
+            "kernel_builds", 0)
+        simulator.run(24, ConstantWorkload(n_cores=6, utilization=0.5),
+                      RecordingPolicy(recovery_slots=1,
+                                      em_alternate_every=4))
+        builds = cache_counters()["bti.fleet.kernels"]["kernel_builds"]
+        # The schedule repeats every 12 epochs: 6 healing positions
+        # under normal current plus 3 under EM reversal (epochs 0, 4
+        # and 8), so later epochs revisit built kernels.
+        assert len(keys) == 9
+        assert builds - before == len(keys)
+        assert simulator.bti.kernel_cache.misses == len(keys)
+        assert simulator.bti.kernel_cache.hits == 24 - len(keys)
+
+    def test_system_package_exports_no_trap_engine(self):
+        import repro.system
+        import repro.system.aging
+
+        assert not [name for name in repro.system.__all__
+                    if "Bti" in name]
+        assert not [name for name in vars(repro.system.aging)
+                    if "Bti" in name]
 
 
 class TestFleetEmStepCache:

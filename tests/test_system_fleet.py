@@ -10,8 +10,8 @@ safe to replace the pooled per-cell path for homogeneous populations:
   :class:`~repro.system.simulator.ChipVariation` to <= 1e-10 on every
   ``SystemResult`` field (in practice bit-exact), including through
   BTI/EM recovery intervals and across sub-step-count groups;
-* the stacked trap kernels match per-chip
-  :class:`~repro.system.aging.FleetBtiState` advances exactly;
+* stacking chips never changes a chip's trap trajectory relative to
+  a one-chip :class:`~repro.bti.fleet.StackedTrapPopulations`;
 * variation draws are per-chip deterministic and independent of the
   population size;
 * the batched EM statistics samplers agree with the existing
@@ -32,7 +32,7 @@ from repro.em.statistics import (
 )
 from repro.bti.fleet import StackedTrapPopulations
 from repro.errors import SimulationError
-from repro.system.aging import FleetBtiState, FleetEmState
+from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetSimulator,
@@ -176,38 +176,54 @@ class TestFleetSubStepGroups:
                                  tolerance=RESULT_TOLERANCE)
 
     def test_stacked_traps_match_per_chip_fleet_states(self):
-        """Direct kernel check: stacked vs 3 independent FleetBtiState."""
+        """Direct kernel check: a 3-chip stack vs 3 one-chip stacks.
+
+        Two chip sets pin both step paths of the stack, each against
+        the one-chip path: per-chip sub-step counts of 1, ~6 and 64
+        (three groups), and three different stress masks that all
+        land on 7 sub-steps (one group covering the stack).
+        """
         n_units = 2
-        accelerations = [0.05, 0.9, 12.0]  # 1, ~6 and 64 sub-steps
-        stacked = StackedTrapPopulations(len(accelerations), n_units)
-        singles = [FleetBtiState(n_units) for _ in accelerations]
+        everything = np.ones((3, n_units), dtype=bool)
+        mixed = np.array([[True, True], [True, False], [False, True]])
+        for accelerations, stress in (([0.05, 0.9, 12.0], everything),
+                                      ([0.95, 1.0, 0.9], mixed)):
+            self._assert_stack_matches_one_chip_stacks(
+                n_units, accelerations, stress)
+
+    @staticmethod
+    def _assert_stack_matches_one_chip_stacks(n_units, accelerations,
+                                              stress):
+        n_chips = len(accelerations)
+        stacked = StackedTrapPopulations(n_chips, n_units)
+        singles = [StackedTrapPopulations(1, n_units)
+                   for _ in accelerations]
         dt = 3600.0
-        stress = np.ones((3, n_units), dtype=bool)
         capture = np.array([[a, a * 1.1] for a in accelerations])
-        recovery = np.ones((3, n_units))
-        for _ in range(4):
-            stacked.step(dt, stress, capture, recovery)
+        recovery = np.ones((n_chips, n_units))
+
+        def step_all(stressing, recovery_acceleration):
+            stacked.step(dt, stressing, capture, recovery_acceleration)
             for i, single in enumerate(singles):
-                single.step(dt, stress[i], capture[i], recovery[i])
+                single.step(dt, stressing[i:i + 1], capture[i:i + 1],
+                            recovery_acceleration[i:i + 1])
+
+        for _ in range(4):
+            step_all(stress, recovery)
         # And one all-recovery interval.
-        rest = np.zeros((3, n_units), dtype=bool)
-        recovery_hot = np.full((3, n_units), 40.0)
-        stacked.step(dt, rest, capture, recovery_hot)
+        step_all(np.zeros((n_chips, n_units), dtype=bool),
+                 np.full((n_chips, n_units), 40.0))
+        assert stacked.permanent_v.max() > 0.0, \
+            "schedule must exercise the lock-in branch"
         for i, single in enumerate(singles):
-            single.step(dt, rest[i], capture[i], recovery_hot[i])
-        for i, single in enumerate(singles):
-            assert np.array_equal(
-                stacked.occupancy[i * n_units:(i + 1) * n_units],
-                single.occupancy)
-            assert np.array_equal(
-                stacked.age_s[i * n_units:(i + 1) * n_units],
-                single.age_s)
-            assert np.array_equal(
-                stacked.weights[i * n_units:(i + 1) * n_units],
-                single.weights)
-            assert np.array_equal(
-                stacked.permanent_vth_v()[i], single.permanent_v)
-        assert stacked.delta_vth_v().shape == (3, n_units)
+            rows = slice(i * n_units, (i + 1) * n_units)
+            assert np.array_equal(stacked.occupancy[rows],
+                                  single.occupancy)
+            assert np.array_equal(stacked.age_s[rows], single.age_s)
+            assert np.array_equal(stacked.weights[rows], single.weights)
+            assert np.array_equal(stacked.permanent_vth_v()[i],
+                                  single.permanent_vth_v()[0])
+        assert stacked.delta_vth_v().shape == (n_chips, n_units)
 
     def test_stacked_traps_validation(self):
         with pytest.raises(SimulationError):
