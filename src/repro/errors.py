@@ -33,16 +33,17 @@ class SimulationError(ReproError):
 
 
 class TaskError(ReproError):
-    """One task of a :func:`repro.solvers.run_sweep` sweep failed.
+    """One chunk of a fleet study failed.
 
-    Raised once a task has exhausted its bounded retries (in the fleet
-    engine, a task is one chip chunk), with the failing task
-    attributed: :attr:`task_index` is the position in the sweep's
-    task list and :attr:`attempts` how many executions
-    (1 + retries) were made.  The worker's original exception is
-    chained as ``__cause__`` whenever it survives transport back from
-    the pool; otherwise its formatted traceback is embedded in the
-    message.
+    Raised by :func:`repro.system.fleet.run_fleet_lifetime_study` (and
+    the entry points built on it) once a chip chunk has exhausted its
+    bounded retries, at every worker count, after every other chunk
+    has run and the report is delivered.  :attr:`task_index` is the
+    chunk's global index in the study's partition and
+    :attr:`attempts` how many executions (1 + retries) were made.
+    The chunk's original exception is chained as ``__cause__``
+    whenever it survives transport back from a pool worker;
+    otherwise its formatted traceback is embedded in the message.
     """
 
     def __init__(self, message: str, *, task_index: int = -1,

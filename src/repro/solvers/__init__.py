@@ -1,9 +1,10 @@
-"""Shared prefactored linear-algebra core and sweep runner.
+"""Shared prefactored linear-algebra core and chunk telemetry.
 
 See :mod:`repro.solvers.factorized` for the operator/cache design,
-:mod:`repro.solvers.sweep` for the fault-tolerant process-pool runner
-of the fleet chunk executor, and ``docs/performance.md`` for the
-architecture overview.
+:mod:`repro.solvers.sweep` for the chunk partition, attempt wrapper
+and report types of the fleet chunk loop
+(:func:`repro.system.fleet.run_fleet_lifetime_study`), and
+``docs/performance.md`` for the architecture overview.
 """
 
 from repro.solvers.factorized import (
@@ -23,7 +24,6 @@ from repro.solvers.sweep import (
     SweepReport,
     TaskFailure,
     chunk_tasks,
-    run_sweep,
     task_seed_sequence,
 )
 
@@ -42,6 +42,5 @@ __all__ = [
     "SweepReport",
     "TaskFailure",
     "chunk_tasks",
-    "run_sweep",
     "task_seed_sequence",
 ]

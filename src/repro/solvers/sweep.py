@@ -1,38 +1,28 @@
-"""Fault-tolerant process-pool runner of the fleet chunk executor.
+"""Chunk partitioning, attempt wrapper and telemetry of the fleet
+chunk loop.
 
-Whole-lifetime fleet chunks (:mod:`repro.system.fleet`) are the one
-workload heavy enough to repay process startup, so they are the one
-caller of :func:`run_sweep`.  The runner evaluates a pure function over
-a list of independent tasks, one task per pool future, with three
-guarantees:
+:func:`repro.system.fleet._run_study` is the one loop that runs
+partitioned work: it splits a population with :func:`chunk_tasks`,
+decides once whether the chunks pool, and runs every chunk it executes
+-- in a pool worker or in-process -- through :func:`_run_task`.  That
+wrapper gives every chunk the same guarantees at every worker count:
 
-* **Determinism** -- results are returned in task order.  A task that
-  needs randomness carries its own seed and draws from
-  :func:`task_seed_sequence` (the fleet's variation draws do), so the
-  output is byte-identical no matter how many workers run the sweep,
-  in which order they finish, or how many retries / pool failures
-  occurred along the way.
-* **Graceful degradation** -- when only one worker is requested, when
-  the function or the first task cannot be pickled (lambdas,
-  closures), or when no pool can be spawned, the sweep runs serially
-  in-process with identical results.  A pool that breaks *mid-run* (a
-  worker killed by the OOM killer, an unpicklable task or result
-  surfacing only later in the list) is recovered from by re-running
-  just the incomplete tasks serially -- completed tasks are never
-  recomputed and never reordered.
-* **Attribution** -- a task that still raises after its bounded
-  ``retries`` raises :class:`repro.errors.TaskError` carrying the task
-  index and attempt count, with the worker's original exception
-  chained.
-
-Every run can also report what happened: pass ``on_report`` to
-receive a :class:`SweepReport` with per-task wall times, retry counts,
-the serial-fallback reason, recovered pool failures, and hit/miss
-deltas of every named
-:class:`~repro.solvers.factorized.FactorizationCache` (the compiled
-circuit LU cache, the simulator condition cache, the thermal and PDE
-operator caches) attributable to the sweep, summed over the parent
-and every worker.
+* **Determinism** -- a chunk that needs randomness draws from
+  :func:`task_seed_sequence` by global row index, so the merged output
+  is byte-identical no matter how many workers run it, in which order
+  they finish, or how many retries occurred.
+* **Bounded retries** -- a chunk is re-run up to ``retries`` times
+  before it counts as failed; only ``Exception`` is retried, so an
+  interrupt is never swallowed.
+* **Attribution** -- a chunk that exhausts its attempts becomes a
+  :class:`TaskFailure` carrying its chunk index, attempt count and
+  traceback (which survives the process boundary even when the
+  exception object does not).
+* **Telemetry** -- each attempt reports its wall time and the deltas
+  of every named :class:`~repro.solvers.factorized.FactorizationCache`
+  (the fleet kernel memo, the thermal and condition caches), which the
+  loop sums into one :class:`SweepReport` with a :class:`ChunkRecord`
+  per chunk.
 """
 
 from __future__ import annotations
@@ -41,23 +31,13 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError, TaskError
-from repro.solvers.factorized import cache_counters, record_counters
+from repro.errors import SimulationError
+from repro.solvers.factorized import cache_counters
 
 
 def available_cpus() -> int:
@@ -92,9 +72,8 @@ class ChunkTask:
     """One contiguous ``[start, stop)`` slice of a partitioned problem.
 
     The fleet engine partitions its row space once with
-    :func:`chunk_tasks` and ships each slice as an independent sweep
-    task, inheriting the runner's crash-safe machinery (bounded
-    retries, serial re-execution after worker death,
+    :func:`chunk_tasks` and runs each slice as an independent chunk
+    (bounded retries, in-process re-execution after worker death,
     :class:`SweepReport` telemetry).  Slices are half-open, ordered,
     and non-overlapping, so results merge by a deterministic
     row-ordered scatter no matter which worker finishes first.
@@ -142,14 +121,15 @@ def chunk_tasks(n_items: int, chunk_size: int) -> List[ChunkTask]:
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """A structured record of one task that exhausted its attempts.
+    """A structured record of one chunk that exhausted its attempts.
 
     Listed on :attr:`SweepReport.failures`, which is delivered before
-    the sweep raises :class:`~repro.errors.TaskError` for the first
+    the study raises :class:`~repro.errors.TaskError` for the first
     of them.
 
     Attributes:
-        task_index: position of the failed task in the sweep's list.
+        task_index: global index of the failed chunk in the study's
+            partition.
         error_type: class name of the final attempt's exception.
         message: ``str()`` of that exception.
         traceback: formatted traceback of the final attempt (captured
@@ -169,31 +149,30 @@ class TaskFailure:
     error: Optional[BaseException] = None
 
     def __str__(self) -> str:
-        return (f"task {self.task_index} failed after "
+        return (f"chunk {self.task_index} failed after "
                 f"{self.attempts} attempt(s): "
                 f"{self.error_type}: {self.message}")
 
 
 @dataclass(frozen=True)
 class ChunkRecord:
-    """Telemetry of one executed task (one fleet chunk).
+    """Telemetry of one fleet chunk.
 
     Attributes:
-        index: task position; the record covers tasks
-            ``[start, stop)``, which is ``[index, index + 1)`` for a
-            :func:`run_sweep` task.
-        start / stop: task-index range of the record.
+        index: global chunk index in the study's partition.
+        start / stop: chunk-index range of the record,
+            ``[index, index + 1)``.
         executed_in: ``"pool"`` (completed in a worker), ``"serial"``
-            (the sweep never started a pool), ``"serial-fallback"``
-            (re-run in-process after a pool-side failure) or
+            (the study never started a pool), ``"serial-fallback"``
+            (run in-process after the pool did not finish it) or
             ``"cached"`` (restored from a checkpoint directory
-            instead of executed -- emitted by checkpointed fleet
-            studies, see :mod:`repro.system.checkpoint`; its
-            ``wall_time_s`` is the restore time).
-        wall_time_s: time spent evaluating the task, measured inside
-            whichever process ran it (excludes queueing / transport).
-        retries: re-executions granted to the task.
-        n_failures: 1 if the task exhausted its attempts, else 0.
+            instead of executed, see :mod:`repro.system.checkpoint`;
+            its ``wall_time_s`` is the restore time).
+        wall_time_s: time spent evaluating the chunk, retries
+            included, measured inside whichever process ran it
+            (excludes queueing / transport).
+        retries: re-executions granted to the chunk.
+        n_failures: 1 if the chunk exhausted its attempts, else 0.
     """
 
     index: int
@@ -207,34 +186,37 @@ class ChunkRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """What one :func:`run_sweep` call did, delivered via ``on_report``.
+    """What one fleet study's chunk loop did, delivered via
+    ``on_report``.
 
     Attributes:
-        n_tasks / n_chunks / max_workers: run geometry (every task is
-            its own chunk).
-        mode: ``"serial"`` (no pool was started),
-            ``"pool"`` (every task completed in a worker) or
-            ``"pool+serial-fallback"`` (some tasks were recovered
-            in-process after a pool-side failure).
+        n_tasks / n_chunks / max_workers: run geometry (every chunk
+            is one task).
+        mode: ``"fleet"`` (no pool was started), ``"fleet+pool"``
+            (every executed chunk completed in a worker),
+            ``"fleet+pool+serial-fallback"`` (some chunks ran
+            in-process after the pool did not finish them) or
+            ``"fleet+failed"`` (the run died outside a chunk attempt:
+            an interrupt, a refused chunk-result file).  A chunk that
+            exhausts its retries does not change the mode; it is
+            listed on ``failures``.
         serial_reason: why no pool was started (``None`` when pooled).
-        fallback_reasons: pool-side infrastructure errors that were
-            recovered from by serial re-execution, one entry per
-            failed task (``BrokenProcessPool``, ``PicklingError`` on
-            a task or result, ...).
-        wall_time_s: end-to-end runner time, including scheduling.
-        chunks: per-task telemetry, in task order.
-        retries: total task re-executions across the sweep.
-        failures: tasks that exhausted their attempts, in task order.
-            The report is delivered *before* the
+        fallback_reasons: pool-side infrastructure errors, one entry
+            per chunk re-run in-process (``BrokenProcessPool``, a
+            task or result that failed to pickle, ...).
+        wall_time_s: end-to-end loop time, including scheduling.
+        chunks: per-chunk telemetry, in chunk order.
+        retries: total chunk re-executions across the run.
+        failures: chunks that exhausted their attempts, in chunk
+            order.  The report is delivered *before* the
             :class:`~repro.errors.TaskError` is raised, so it is the
-            place to look when a sweep dies.
+            place to look when a study dies.
         cache_counters: per-named-cache ``{"hits": h, "misses": m}``
-            deltas attributable to this sweep's task evaluations
-            (summed over serial and worker processes); see
-            :func:`repro.solvers.factorized.cache_counters`.  When a
-            task drives a batched engine, ``batched_solves`` /
-            ``batched_rows`` deltas appear alongside the hit/miss
-            counts (they are omitted when zero).
+            deltas attributable to the executed chunks (summed over
+            in-process and worker attempts); see
+            :func:`repro.solvers.factorized.cache_counters`.  Engine
+            counters (``chips``, ``chunks``, ``kernel_builds``, ...)
+            appear alongside the hit/miss counts when nonzero.
     """
 
     n_tasks: int
@@ -276,7 +258,7 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class _TaskOutput:
-    """One task's result or failure plus its telemetry (worker-to-parent
+    """One chunk's result or failure plus its telemetry (worker-to-parent
     transport)."""
 
     value: Any
@@ -310,7 +292,7 @@ def _make_failure(exc: BaseException, index: int, attempts: int,
 
 #: Counter keys always present on a reported cache delta; any other
 #: counter (``batched_solves`` / ``batched_rows``) appears only when
-#: its delta is nonzero, so sweeps that never touch a batched engine
+#: its delta is nonzero, so chunks that never touch a batched engine
 #: keep the compact ``{"hits": h, "misses": m}`` shape.
 _BASE_COUNTER_KEYS = ("hits", "misses")
 
@@ -339,13 +321,14 @@ def _merge_cache_deltas(totals: Dict[str, Dict[str, int]],
 
 def _run_task(fn: Callable[[Any], Any], task: Any, index: int,
               retries: int, in_process: bool) -> _TaskOutput:
-    """Evaluate one task (in a pool worker or the parent process).
+    """Attempt one chunk (in a pool worker or the parent process).
 
-    Task-level exceptions never escape: the task is retried up to
-    ``retries`` times and then captured as a :class:`TaskFailure`.
-    Anything raised *out* of this function in a worker is therefore
-    pool infrastructure, which is what lets the parent treat future
-    exceptions as recoverable.
+    No ``Exception`` escapes: the chunk is retried up to
+    ``retries`` times and then captured as a :class:`TaskFailure`
+    under ``index``.  An ``Exception`` the parent sees on a worker's
+    future is therefore pool infrastructure, and the parent re-runs
+    that chunk in-process.  A ``BaseException`` such as
+    ``KeyboardInterrupt`` is never caught.
     """
     before = cache_counters()
     start_time = time.perf_counter()
@@ -365,161 +348,3 @@ def _run_task(fn: Callable[[Any], Any], task: Any, index: int,
                        wall_time_s=time.perf_counter() - start_time,
                        cache_delta=_cache_delta(before,
                                                 cache_counters()))
-
-
-def _picklable(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
-def run_sweep(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
-              max_workers: Optional[int] = None,
-              retries: int = 0,
-              on_report: Optional[Callable[[SweepReport], None]] = None
-              ) -> List[Any]:
-    """Evaluate ``fn`` over every task, one pool future per task.
-
-    Args:
-        fn: the task function, called as ``fn(task)``.
-        tasks: the task descriptions, evaluated independently.
-        max_workers: process count; ``None`` picks the CPUs this
-            process may run on (:func:`available_cpus`), ``0``/``1``
-            forces the serial in-process path.  There is no task-count
-            gate: a caller decides up front whether its work repays
-            process startup.
-        retries: bounded per-task re-executions before a task counts
-            as failed; the first failed task then raises
-            :class:`~repro.errors.TaskError`, with the worker's
-            exception chained.
-        on_report: optional callback receiving the final
-            :class:`SweepReport`.  It is delivered *before* a failed
-            sweep raises, so telemetry survives failure.
-
-    Returns:
-        The results in task order -- independent of worker count,
-        completion order, retries, and pool failures.  A mid-run
-        ``BrokenProcessPool`` / ``PicklingError`` is recovered by
-        re-running only the incomplete tasks serially.
-    """
-    tasks = list(tasks)
-    started = time.perf_counter()
-    if max_workers is None:
-        max_workers = available_cpus()
-    if max_workers < 0:
-        raise SimulationError("max_workers must be non-negative")
-    if retries < 0:
-        raise SimulationError("retries must be non-negative")
-
-    serial_reason: Optional[str] = None
-    if not tasks:
-        serial_reason = "no tasks"
-    elif max_workers <= 1:
-        serial_reason = "max_workers <= 1"
-    elif not _picklable(fn):
-        serial_reason = "function is not picklable"
-    elif not _picklable(tasks[0]):
-        # A conservative probe: a heterogeneous list may still hide an
-        # unpicklable later task, which the pool-side recovery below
-        # degrades on task by task.
-        serial_reason = "probe task is not picklable"
-
-    pool: Optional[ProcessPoolExecutor] = None
-    if serial_reason is None:
-        try:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-        except (OSError, PermissionError) as exc:
-            # Sandboxes / restricted environments without process
-            # spawn.
-            serial_reason = (f"process pool unavailable "
-                             f"({type(exc).__name__}: {exc})")
-
-    outputs: List[Optional[_TaskOutput]] = [None] * len(tasks)
-    modes = ["serial"] * len(tasks)
-    fallback_reasons: List[str] = []
-
-    if pool is not None:
-        with pool:
-            futures: List[Optional[Any]] = []
-            for index, task in enumerate(tasks):
-                try:
-                    futures.append(pool.submit(
-                        _run_task, fn, task, index, retries, False))
-                except Exception as exc:
-                    # e.g. submitting to an already-broken pool.
-                    futures.append(None)
-                    fallback_reasons.append(
-                        f"task {index} submission failed "
-                        f"({type(exc).__name__}: {exc})")
-            for index, future in enumerate(futures):
-                if future is None:
-                    continue
-                try:
-                    outputs[index] = future.result()
-                except Exception as exc:
-                    # Task errors are captured in-band by _run_task,
-                    # so anything raised here is pool infrastructure
-                    # (BrokenProcessPool, an unpicklable task or
-                    # result, ...); the task is re-run serially
-                    # below.  A broken pool fails the remaining
-                    # futures immediately, so this drain is fast.
-                    fallback_reasons.append(
-                        f"task {index} failed in the pool "
-                        f"({type(exc).__name__}: {exc})")
-                else:
-                    modes[index] = "pool"
-
-    for index, task in enumerate(tasks):
-        if outputs[index] is not None:
-            continue
-        outputs[index] = _run_task(fn, task, index, retries, True)
-        if serial_reason is None:
-            modes[index] = "serial-fallback"
-
-    failures = tuple(output.failure for output in outputs
-                     if output.failure is not None)
-
-    # Durable run counters (repro.solvers.cache_counters): how much
-    # sweep work ran where.
-    record_counters(
-        "solvers.sweep", tasks=len(tasks),
-        pooled_chunks=modes.count("pool"),
-        serial_chunks=modes.count("serial"),
-        fallback_chunks=modes.count("serial-fallback"))
-
-    if on_report is not None:
-        cache_totals: Dict[str, Dict[str, int]] = {}
-        for output in outputs:
-            _merge_cache_deltas(cache_totals, output.cache_delta)
-        if serial_reason is not None:
-            mode = "serial"
-        elif fallback_reasons:
-            mode = "pool+serial-fallback"
-        else:
-            mode = "pool"
-        on_report(SweepReport(
-            n_tasks=len(tasks), n_chunks=len(tasks),
-            max_workers=max_workers, mode=mode,
-            serial_reason=serial_reason,
-            fallback_reasons=tuple(fallback_reasons),
-            wall_time_s=time.perf_counter() - started,
-            chunks=tuple(ChunkRecord(
-                index=index, start=index, stop=index + 1,
-                executed_in=modes[index],
-                wall_time_s=output.wall_time_s,
-                retries=output.retries,
-                n_failures=int(output.failure is not None))
-                for index, output in enumerate(outputs)),
-            retries=sum(output.retries for output in outputs),
-            failures=failures, cache_counters=cache_totals))
-
-    if failures:
-        first = failures[0]
-        message = str(first)
-        if first.error is None:
-            message += "\n--- worker traceback ---\n" + first.traceback
-        raise TaskError(message, task_index=first.task_index,
-                        attempts=first.attempts) from first.error
-    return [output.value for output in outputs]

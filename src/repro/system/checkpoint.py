@@ -45,7 +45,8 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   snapshot is self-contained (it embeds the session's study, with
   the drawn variation kept in the snapshot arrays), so
   ``FleetSession.load(path)`` rebuilds the session in a fresh
-  process.
+  process, and it carries the study's fingerprint, so ``restore()``
+  refuses a snapshot of any other study.
 
 Bitwise invariance rests on one property, pinned by the checkpoint
 tests: splitting ``_FleetRun.advance`` at any epoch boundary is
@@ -89,7 +90,7 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
@@ -780,12 +781,18 @@ class FleetSession:
         """Capture the full session state as a self-contained snapshot."""
         snapshot = _snapshot_run(self._run)
         snapshot.meta["kind"] = "fleet-session"
+        snapshot.meta["digest"] = self._digest()
         # The drawn variation travels as arrays, not in the spec.
         snapshot.arrays["session/spec"] = np.frombuffer(
             pickle.dumps(replace(self._study, variation=None),
                          protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8)
         return snapshot
+
+    def _digest(self) -> str:
+        """The study fingerprint a session snapshot carries; the drawn
+        variation travels as state arrays, so it is left out."""
+        return study_digest(replace(self._study, variation=None), ())
 
     def save(self, path) -> None:
         """Persist the session to one snapshot file."""
@@ -796,13 +803,19 @@ class FleetSession:
         """Reset this session to a snapshot's state, in place.
 
         The snapshot must come from a session of the same study
-        (geometry, cohort layout, cadence, dtype); continuing from
-        it is bitwise-equal to never having snapshotted.
+        (geometry, cohort layout, cadence, dtype, and every group's
+        workload and policy, pinned by the study fingerprint);
+        continuing from it is bitwise-equal to never having
+        snapshotted.
         """
         if not isinstance(snapshot, FleetSnapshot):
             snapshot = FleetSnapshot.load(snapshot)
         run = self._study.run(self._simulator)
         _restore_run(run, snapshot)
+        if snapshot.meta.get("digest") != self._digest():
+            raise CheckpointError(
+                "snapshot belongs to a different study (fingerprint "
+                "mismatch); restore it into a session of that study")
         self._run = run
         return self
 

@@ -33,12 +33,13 @@ task) per chip.  This module advances every chip in lockstep instead:
   the study's own row slice.  The parent restores any chunk a
   checkpoint directory already holds, then runs the pending ones
   in-process on one shared chip (warm thermal memo) or, with
-  ``max_workers > 1`` and enough work, through
-  :func:`repro.solvers.sweep.run_sweep`'s crash-safe pool.  Results
-  merge in chunk order -- bitwise identical for every worker count,
-  completion order and mix of restored chunks -- and one
-  :class:`~repro.solvers.SweepReport` describes every run.
-  ``state_budget_bytes`` is a *per-worker* budget.
+  ``max_workers > 1`` and enough work, on a process pool.  Every
+  executed chunk gets the same bounded retries and failure
+  attribution wherever it runs.  Results merge in chunk order --
+  bitwise identical for every worker count, completion order and mix
+  of restored chunks -- and one :class:`~repro.solvers.SweepReport`
+  describes every run.  ``state_budget_bytes`` is a *per-worker*
+  budget.
 
 Exactness: chip ``i`` of a fleet advances bit-identically to a
 standalone :class:`~repro.system.simulator.SystemSimulator` built with
@@ -68,8 +69,11 @@ from __future__ import annotations
 import copy
 import operator
 import os
+import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,15 +84,16 @@ from repro.bti.conditions import BtiConditionKernels
 from repro.bti.fleet import StackedTrapPopulations
 from repro.em.line import EmStressCondition
 from repro.errors import CheckpointError, SimulationError, TaskError
-from repro.solvers import FactorizationCache, cache_counters, record_counters
+from repro.solvers import FactorizationCache, record_counters
 from repro.solvers.sweep import (
     ChunkRecord,
     ChunkTask,
     SweepReport,
-    _cache_delta,
+    _merge_cache_deltas,
+    _run_task,
+    _TaskOutput,
     available_cpus,
     chunk_tasks,
-    run_sweep,
     task_seed_sequence,
 )
 from repro.system.aging import FleetEmState
@@ -963,6 +968,10 @@ class _FleetStudy:
             raise SimulationError("record_every must be at least 1")
         if self.epoch_s <= 0.0:
             raise SimulationError("epoch_s must be positive")
+        if np.dtype(self.state_dtype) not in (np.dtype(np.float64),
+                                              np.dtype(np.float32)):
+            raise SimulationError(
+                "state_dtype must be float64 or float32")
         if (isinstance(self.variation, FleetVariation)
                 and self.variation.n_chips != self.n_chips):
             raise SimulationError(
@@ -1093,17 +1102,16 @@ def _chunk_size(n_chips: int, n_cores: int, state_dtype,
 #: Below this much stacked work (``n_chips * n_cores * n_epochs``) the
 #: chunked runner never starts a process pool: pool spawn plus chip
 #: pickling costs tens of milliseconds, which dominates small fleets.
-#: This is the only pool gate -- :func:`repro.solvers.sweep.run_sweep`
-#: has none of its own.
+#: It is one of the serial reasons :func:`_run_study` decides once.
 MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
 
-# Fault-injection hooks, mirroring tests/test_sweep_faults.py: pool
-# workers are forked on Linux, so a test that monkeypatches these
-# module globals reaches the children too.  ``_TEST_STAGGER_S`` delays
-# chunk k by ``stagger * (n_chunks - 1 - k)`` so later chunks finish
-# *first* (exercising out-of-order completion); ``_TEST_DIE_UNLESS_PID``
-# hard-kills any process but the named one (exercising worker-death
-# recovery -- the parent survives and re-runs the chunks serially).
+# Fault-injection hooks: pool workers are forked on Linux, so a test
+# that monkeypatches these module globals reaches the children too.
+# ``_TEST_STAGGER_S`` delays chunk k by ``stagger * (n_chunks - 1 - k)``
+# so later chunks finish *first* (exercising out-of-order completion);
+# ``_TEST_DIE_UNLESS_PID`` hard-kills any process but the named one
+# (exercising worker-death recovery -- the parent survives and re-runs
+# the chunks in-process).
 _TEST_STAGGER_S = 0.0
 _TEST_DIE_UNLESS_PID: Optional[int] = None
 
@@ -1143,7 +1151,7 @@ class _FleetChunkTask:
 def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
     """Run one whole-lifetime row chunk on ``built``.
 
-    The executor of the serial stream and the pool workers.  With a
+    The chunk body of the parent and the pool workers.  With a
     checkpoint, a progress snapshot restores the epoch cursor,
     progress is saved every ``ckpt.every`` epochs and the result is
     persisted.  Splitting the advance at those boundaries is bitwise
@@ -1174,8 +1182,8 @@ def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
 
 
 def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
-    """Run one row chunk (inside a pool worker, or the parent on
-    serial fallback) and return its :class:`FleetResult`."""
+    """Run one row chunk inside a pool worker, on a chip built from
+    the task's config, and return its :class:`FleetResult`."""
     if (_TEST_DIE_UNLESS_PID is not None
             and os.getpid() != _TEST_DIE_UNLESS_PID):
         os._exit(1)
@@ -1192,10 +1200,14 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                checkpoint_dir) -> FleetResult:
     """Run a study's ``chunk_chips``-row chunks through one loop.
 
-    The parent restores every chunk a checkpoint directory finished,
-    then runs the pending ones in-process on ``built`` or, past the
-    pool gate, through :func:`run_sweep`.  One ``finally`` block
-    delivers the :class:`SweepReport` of every outcome.
+    The parent restores every chunk a checkpoint directory finished
+    and decides once whether the pending ones pool.  Every chunk it
+    executes runs through :func:`~repro.solvers.sweep._run_task`
+    (bounded retries, failure capture, counter delta, wall time): in
+    a pool worker, or in-process on ``built`` -- every chunk when no
+    pool started, each chunk the pool did not finish otherwise.  A
+    failing chunk does not stop the others; one ``finally`` block
+    delivers the :class:`SweepReport`, then the first failure raises.
     """
     if max_workers is not None and max_workers < 0:
         raise SimulationError("max_workers must be non-negative")
@@ -1205,15 +1217,6 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
     n_chunks = len(bounds)
     workers = (max_workers if max_workers is not None
                else available_cpus())
-    work = study.n_chips * built.n_cores * study.n_epochs
-    reason: Optional[str] = None
-    if workers <= 1:
-        reason = "max_workers <= 1"
-    elif n_chunks < 2:
-        reason = "single chunk"
-    elif work < MIN_CORE_EPOCHS_FOR_POOL:
-        reason = (f"{work} core-epochs below pool threshold "
-                  f"{MIN_CORE_EPOCHS_FOR_POOL}")
     ckpt: Optional[_ChunkCheckpoint] = None
     if checkpoint_dir is not None:
         from repro.system import checkpoint as checkpoint_mod
@@ -1230,21 +1233,14 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                              checkpoint=ckpt)
              for chunk in bounds]
     started = time.perf_counter()
-    before = cache_counters() if on_report is not None else None
-    parts: Dict[int, FleetResult] = {}
-    records: List[ChunkRecord] = []
-    inner: List[SweepReport] = []
-    pending = tasks
-    completed = False
-
-    def record(index: int, executed_in: str, since: float) -> None:
-        records.append(ChunkRecord(
-            index=index, start=index, stop=index + 1,
-            executed_in=executed_in,
-            wall_time_s=time.perf_counter() - since,
-            retries=0, n_failures=0))
-
+    # Chunk index -> (executed_in, output), for every chunk restored
+    # or attempted so far.
+    outputs: Dict[int, Tuple[str, _TaskOutput]] = {}
+    fallback_reasons: List[str] = []
+    reason: Optional[str] = None
+    mode = "fleet+failed"
     try:
+        pending = tasks
         if ckpt is not None:
             pending = []
             for task in tasks:
@@ -1254,66 +1250,111 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                 if part is None:
                     pending.append(task)
                 else:
-                    parts[task.chunk.index] = part
-                    record(task.chunk.index, "cached", load_started)
-            if not pending:
-                reason = "every chunk restored from checkpoint"
-        if reason is None:
-            returned = run_sweep(_run_fleet_chunk, pending,
-                                 max_workers=workers, retries=retries,
-                                 on_report=inner.append)
-            for task, part in zip(pending, returned):
-                parts[task.chunk.index] = part
+                    outputs[task.chunk.index] = ("cached", _TaskOutput(
+                        value=part, failure=None, retries=0,
+                        wall_time_s=time.perf_counter() - load_started,
+                        cache_delta={}))
+        work = study.n_chips * built.n_cores * study.n_epochs
+        if not pending:
+            reason = "every chunk restored from checkpoint"
+        elif workers <= 1:
+            reason = "max_workers <= 1"
+        elif n_chunks < 2:
+            reason = "single chunk"
+        elif work < MIN_CORE_EPOCHS_FOR_POOL:
+            reason = (f"{work} core-epochs below pool threshold "
+                      f"{MIN_CORE_EPOCHS_FOR_POOL}")
         else:
-            for task in pending:
-                chunk_started = time.perf_counter()
-                parts[task.chunk.index] = _execute_chunk(built, task)
-                record(task.chunk.index, "serial", chunk_started)
-        completed = True
-    except TaskError as error:
-        # A refused checkpoint file raises the same CheckpointError
-        # whether its chunk ran in the parent or in a pool worker.
-        if isinstance(error.__cause__, CheckpointError):
-            raise CheckpointError(str(error.__cause__)) from error
-        raise
+            try:
+                # A later chunk may still hide an unpicklable group;
+                # the pool degrades on that chunk alone.
+                pickle.dumps(pending[0])
+            except Exception:
+                reason = "probe task is not picklable"
+        if reason is None:
+            try:
+                pool = ProcessPoolExecutor(max_workers=workers)
+            except (OSError, PermissionError) as exc:
+                # Sandboxes without process spawn.
+                reason = (f"process pool unavailable "
+                          f"({type(exc).__name__}: {exc})")
+        if reason is None:
+            with pool:
+                futures = []
+                for task in pending:
+                    try:
+                        futures.append((task.chunk.index, pool.submit(
+                            _run_task, _run_fleet_chunk, task,
+                            task.chunk.index, retries, False)))
+                    except Exception as exc:
+                        # e.g. submitting to an already-broken pool.
+                        fallback_reasons.append(
+                            f"chunk {task.chunk.index} submission "
+                            f"failed ({type(exc).__name__}: {exc})")
+                for index, future in futures:
+                    try:
+                        outputs[index] = ("pool", future.result())
+                    except Exception as exc:
+                        # _run_task captures chunk errors in-band, so
+                        # this is pool infrastructure (a dead worker,
+                        # an unpicklable task or result); the chunk
+                        # re-runs in-process below.
+                        fallback_reasons.append(
+                            f"chunk {index} failed in the pool "
+                            f"({type(exc).__name__}: {exc})")
+        in_process = partial(_execute_chunk, built)
+        executed_in = "serial" if reason else "serial-fallback"
+        for task in pending:
+            index = task.chunk.index
+            if index not in outputs:
+                outputs[index] = (executed_in, _run_task(
+                    in_process, task, index, retries, True))
+        if reason is not None:
+            mode = "fleet"
+        elif fallback_reasons:
+            mode = "fleet+pool+serial-fallback"
+        else:
+            mode = "fleet+pool"
     finally:
-        sweep = inner[0] if inner else None
-        if sweep is not None:
-            # run_sweep numbers the pending chunks locally.
-            records.extend(replace(
-                chunk, index=pending[chunk.index].chunk.index,
-                start=pending[chunk.index].chunk.index,
-                stop=pending[chunk.index].chunk.index + 1)
-                for chunk in sweep.chunks)
-        done = sum(1 for chunk in records if not chunk.n_failures)
+        ordered = sorted(outputs.items())
+        failures = [output.failure for _, (_, output) in ordered
+                    if output.failure is not None]
+        done = len(ordered) - len(failures)
         if on_report is not None:
-            if sweep is None:
-                counters = _cache_delta(before, cache_counters())
-                mode = "fleet" if completed else "fleet+failed"
-                outcome = dict(serial_reason=reason, fallback_reasons=(),
-                               retries=0, failures=())
-            else:
-                # Pooled chunks carry their workers' counter deltas.
-                counters = {name: dict(values) for name, values
-                            in sweep.cache_counters.items()}
-                mode = ("fleet" if sweep.mode == "serial"
-                        else f"fleet+{sweep.mode}")
-                outcome = dict(serial_reason=sweep.serial_reason,
-                               fallback_reasons=sweep.fallback_reasons,
-                               retries=sweep.retries,
-                               failures=sweep.failures)
+            counters: Dict[str, Dict[str, int]] = {}
+            for _, (_, output) in ordered:
+                _merge_cache_deltas(counters, output.cache_delta)
             entry = counters.setdefault(
                 "fleet.engine", {"hits": 0, "misses": 0})
             entry["chunks"] = entry.get("chunks", 0) + done
             on_report(SweepReport(
                 n_tasks=n_chunks, n_chunks=n_chunks,
-                max_workers=workers, mode=mode,
+                max_workers=workers, mode=mode, serial_reason=reason,
+                fallback_reasons=tuple(fallback_reasons),
                 wall_time_s=time.perf_counter() - started,
-                chunks=tuple(sorted(records,
-                                    key=lambda chunk: chunk.index)),
-                cache_counters=counters, **outcome))
+                chunks=tuple(ChunkRecord(
+                    index=index, start=index, stop=index + 1,
+                    executed_in=where, wall_time_s=output.wall_time_s,
+                    retries=output.retries,
+                    n_failures=int(output.failure is not None))
+                    for index, (where, output) in ordered),
+                retries=sum(output.retries
+                            for _, (_, output) in ordered),
+                failures=tuple(failures), cache_counters=counters))
         record_counters("fleet.engine", chunks=done)
-    return _merge_fleet_results([parts[index]
+    if failures:
+        first = failures[0]
+        message = str(first)
+        if first.error is None:
+            message += "\n--- worker traceback ---\n" + first.traceback
+        error = TaskError(message, task_index=first.task_index,
+                          attempts=first.attempts)
+        if isinstance(first.error, CheckpointError):
+            # A refused checkpoint file raises the same CheckpointError
+            # wherever its chunk ran.
+            raise CheckpointError(str(first.error)) from error
+        raise error from first.error
+    return _merge_fleet_results([outputs[index][1].value
                                  for index in range(n_chunks)])
 
 
@@ -1356,10 +1397,12 @@ def run_fleet_lifetime_study(
 
     With ``max_workers > 1`` and at least
     :data:`MIN_CORE_EPOCHS_FOR_POOL` of stacked work the chunks run on
-    :func:`repro.solvers.sweep.run_sweep`'s crash-safe process pool:
-    a dead worker degrades to chunk-level serial re-execution, bounded
-    ``retries`` re-run flaky chunks, and the report aggregates every
-    worker's named-cache counters.  The merged result is
+    a process pool: a chunk the pool does not finish (a dead worker,
+    an unpicklable group) re-runs in-process, and the report
+    aggregates every worker's named-cache counters.  At every worker
+    count, bounded ``retries`` re-run a failing chunk, the other
+    chunks still run, and the first chunk that exhausts its attempts
+    raises :class:`~repro.errors.TaskError`.  The merged result is
     **bit-identical** to the serial chunk stream for every worker
     count and completion order.
 
@@ -1402,10 +1445,11 @@ def run_fleet_lifetime_study(
             reproduces the identical rows).
         on_report: optional callback receiving the run's
             :class:`~repro.solvers.SweepReport` -- mode ``"fleet"``
-            for the serial stream, ``"fleet+pool"`` /
-            ``"fleet+pool+serial-fallback"`` for pooled runs,
-            ``"fleet+failed"`` for a run that fails outside the pool;
-            failed runs report too.
+            when no pool started, ``"fleet+pool"`` /
+            ``"fleet+pool+serial-fallback"`` for pooled runs, and
+            ``"fleet+failed"`` for a run that died outside a chunk
+            attempt (an interrupt, a refused chunk-result file).
+            Failed runs report too, before the error is raised.
         checkpoint_every / checkpoint_dir: crash durability.  With a
             ``checkpoint_dir``, every chunk writes its finished
             :class:`FleetResult` there, and (with a

@@ -92,7 +92,8 @@ def make_session(**overrides):
     kwargs.update(overrides)
     if "groups" in kwargs:
         return FleetSession((2, 2), **kwargs)
-    return FleetSession((2, 2), 6, workload(), policy(), **kwargs)
+    kwargs.setdefault("policy", policy())
+    return FleetSession((2, 2), 6, workload(), **kwargs)
 
 
 def assert_results_bitwise_equal(a, b):
@@ -279,6 +280,12 @@ class TestFleetSession:
         cadence = make_session(record_every=3)
         with pytest.raises(CheckpointError, match="record_every"):
             cadence.restore(snapshot)
+        # Same geometry, another policy: only the study fingerprint
+        # tells the snapshot apart, and adopting it would run the
+        # snapshot's policy under this session's study.
+        control = make_session(policy=NoRecoveryPolicy())
+        with pytest.raises(CheckpointError, match="different study"):
+            control.restore(snapshot)
 
     def test_guardbands_cover_live_degradation(self):
         session = make_session(record_every=64)  # nothing recorded
@@ -374,7 +381,8 @@ class TestCheckpointedStudy:
         assert report.cache_counters["fleet.engine"]["chunks"] == 3
 
     @pytest.mark.parametrize("invalid", [
-        dict(n_epochs=0), dict(record_every=0), dict(epoch_s=-1.0)])
+        dict(n_epochs=0), dict(record_every=0), dict(epoch_s=-1.0),
+        dict(state_dtype=np.float16)])
     def test_invalid_study_writes_no_file(self, tmp_path, invalid):
         # An invalid study is refused before its directory is pinned,
         # so the corrected call can still use the same directory.

@@ -95,8 +95,12 @@ def open_pool(monkeypatch):
     monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
 
 
-class _InterruptAfter(Exception):
-    """Raised by the wrapped progress hook to cut a run short."""
+class _InterruptAfter(BaseException):
+    """Raised by the wrapped progress hook to cut a run short.
+
+    A ``BaseException``, like the ``KeyboardInterrupt`` it models: the
+    chunk loop retries and records an ``Exception`` as a chunk
+    failure, but lets an interrupt through at once."""
 
 
 # -- in-process interrupts --------------------------------------------------
@@ -273,7 +277,7 @@ class TestWorkerDeathWithCheckpoint:
     def test_worker_death_recovers_and_persists(self, tmp_path,
                                                 monkeypatch,
                                                 open_pool, baseline):
-        # Every forked worker kills itself; run_sweep's serial
+        # Every forked worker kills itself; the chunk loop's serial
         # fallback completes the chunks in-process, and the completed
         # chunks still land in the checkpoint directory.
         monkeypatch.setattr(fleet_module, "_TEST_DIE_UNLESS_PID",

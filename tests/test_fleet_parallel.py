@@ -1,14 +1,16 @@
 """Parallel chunk execution of the fleet engine.
 
-The chunk executor promises (ISSUE 9 / PR 9):
+The chunk loop promises:
 
 * **determinism** -- a pooled run merges bitwise-identically to the
   serial chunk stream for every worker count and completion order
   (chunk boundaries come from one ``chunk_tasks`` partition, and
   variation draws are by global chip index);
 * **crash safety** -- a worker killed mid-fleet degrades to
-  chunk-level serial re-execution with identical results, via
-  ``run_sweep``'s recovery machinery;
+  chunk-level in-process re-execution with identical results;
+* **one failure rule** -- a flaky chunk is retried, and a chunk that
+  exhausts its retries raises ``TaskError`` with the same index,
+  attempts and report at every worker count;
 * **a work-aware serial gate** -- small fleets and single-chunk runs
   never pay pool spawn overhead;
 * **aggregated telemetry** -- the ``SweepReport`` sums every worker's
@@ -18,20 +20,21 @@ The chunk executor promises (ISSUE 9 / PR 9):
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
 2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 (the ``open_pool``
 fixture) so the pooled code path runs even on single-core CI runners;
-the fault hooks ``_TEST_STAGGER_S`` / ``_TEST_DIE_UNLESS_PID`` are
-module globals of ``repro.system.fleet``, inherited by forked workers,
-mirroring tests/test_sweep_faults.py.
+the fault hooks ``_TEST_STAGGER_S`` / ``_TEST_DIE_UNLESS_PID`` and a
+patched ``_execute_chunk`` are module globals of
+``repro.system.fleet``, inherited by forked workers.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 import repro.system.fleet as fleet_module
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TaskError
 from repro.system.fleet import (
     FleetGroup,
     FleetVariationSpec,
@@ -116,15 +119,14 @@ def open_pool(monkeypatch):
 
 @pytest.fixture()
 def no_pool(monkeypatch):
-    """Make any pool start-up in run_sweep an immediate failure."""
-    import repro.solvers.sweep as sweep_module
+    """Make any pool start-up in the chunk loop an immediate failure."""
 
     class _Forbidden:
         def __init__(self, *args, **kwargs):
             raise AssertionError(
                 "ProcessPoolExecutor must not start here")
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor",
+    monkeypatch.setattr(fleet_module, "ProcessPoolExecutor",
                         _Forbidden)
 
 
@@ -197,8 +199,8 @@ class TestWorkerDeathRecovery:
                                            open_pool,
                                            serial_baseline):
         # Every forked worker kills itself on its first chunk; the
-        # parent (whose pid matches) survives, and run_sweep re-runs
-        # all chunks serially in-process -- same rows, same bytes.
+        # parent (whose pid matches) survives, and the chunk loop
+        # re-runs all chunks in-process -- same rows, same bytes.
         monkeypatch.setattr(fleet_module, "_TEST_DIE_UNLESS_PID",
                             os.getpid())
         reports = []
@@ -213,20 +215,22 @@ class TestWorkerDeathRecovery:
 
     def test_failed_chunk_reports_before_raise(self, monkeypatch,
                                                open_pool):
-        def explode(task):
+        # The pool workers and the parent share the chunk body, so
+        # every chunk fails inside its attempt wrapper: the pool
+        # stays up and every failure is on the report.
+        def explode(built, task):
             raise RuntimeError("chunk lost")
 
-        monkeypatch.setattr(fleet_module, "_run_fleet_chunk",
-                            explode)
+        monkeypatch.setattr(fleet_module, "_execute_chunk", explode)
         reports = []
-        from repro.errors import TaskError
-        with pytest.raises(TaskError):
+        with pytest.raises(TaskError) as excinfo:
             run_study(max_workers=WORKERS,
                       on_report=reports.append)
+        assert excinfo.value.task_index == 0
         (report,) = reports
         assert not report.ok
-        assert report.mode in ("fleet+pool",
-                               "fleet+pool+serial-fallback", "fleet")
+        assert report.mode == "fleet+pool"
+        assert [f.task_index for f in report.failures] == [0, 1, 2, 3]
 
 
 # -- the serial gate -------------------------------------------------------
@@ -319,28 +323,37 @@ class TestCounterAggregation:
 # -- failure telemetry -----------------------------------------------------
 
 
+class _Interrupt(BaseException):
+    """Models a ``KeyboardInterrupt`` raised inside a chunk."""
+
+
+def _interrupt_on_second(real, built, task):
+    if task.chunk.index == 1:
+        raise _Interrupt()
+    return real(built, task)
+
+
 class TestFailureTelemetry:
     """A run that dies mid-study must still deliver its report."""
 
     def test_pool_death_before_report_emits_failed_mode(
             self, monkeypatch, open_pool):
-        # run_sweep raising before producing any report used to leave
-        # `inner` empty and on_report never fired -- the telemetry
-        # black hole.  The finally block now emits a "fleet+failed"
-        # report with the wall time.
-        def boom(*args, **kwargs):
-            raise RuntimeError("pool exploded before reporting")
-
-        monkeypatch.setattr(fleet_module, "run_sweep", boom)
+        # An interrupt is never caught as a chunk failure: it ends the
+        # run at once, and the finally block still emits a
+        # "fleet+failed" report listing the chunk that completed.
+        monkeypatch.setattr(
+            fleet_module, "_execute_chunk",
+            partial(_interrupt_on_second, fleet_module._execute_chunk))
         reports = []
-        with pytest.raises(RuntimeError, match="pool exploded"):
-            run_study(max_workers=WORKERS,
+        with pytest.raises(_Interrupt):
+            run_study(max_workers=WORKERS, retries=2,
                       on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet+failed"
         assert report.n_chunks == 4
         assert report.wall_time_s >= 0.0
-        assert report.chunks == ()
+        assert [chunk.index for chunk in report.chunks] == [0]
+        assert report.retries == 0
 
     def test_serial_chunk_failure_reports_completed_chunks(
             self, monkeypatch):
@@ -354,10 +367,69 @@ class TestFailureTelemetry:
         monkeypatch.setattr(fleet_module, "_execute_chunk",
                             fail_on_second)
         reports = []
-        with pytest.raises(RuntimeError, match="chunk died"):
+        with pytest.raises(TaskError, match="chunk died") as excinfo:
             run_study(max_workers=1, on_report=reports.append)
+        assert excinfo.value.task_index == 1
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
         (report,) = reports
-        assert report.mode == "fleet+failed"
-        # Chunk 0 completed before the failure and is accounted for.
-        assert [chunk.index for chunk in report.chunks] == [0]
-        assert report.cache_counters["fleet.engine"]["chunks"] == 1
+        assert report.mode == "fleet"
+        # The failing chunk did not stop the later ones.
+        assert [chunk.index for chunk in report.chunks] == [0, 1, 2, 3]
+        assert [chunk.n_failures for chunk in report.chunks] == \
+            [0, 1, 0, 0]
+        assert report.cache_counters["fleet.engine"]["chunks"] == 3
+
+
+# -- failure parity across worker counts -----------------------------------
+
+
+def _fail_first_attempt(real, marker_dir, built, task):
+    """Fails each chunk's first attempt, wherever it runs."""
+    marker = os.path.join(marker_dir, f"{task.chunk.index}.attempted")
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        raise RuntimeError(f"transient failure on chunk "
+                           f"{task.chunk.index}")
+    return real(built, task)
+
+
+class TestFailureParity:
+    """Serial and pooled chunks retry and fail by one rule."""
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_flaky_chunks_retry_and_fail_alike(
+            self, tmp_path, monkeypatch, open_pool, serial_baseline,
+            workers):
+        real = fleet_module._execute_chunk
+
+        def flaky(name):
+            marker_dir = tmp_path / name
+            marker_dir.mkdir()
+            monkeypatch.setattr(
+                fleet_module, "_execute_chunk",
+                partial(_fail_first_attempt, real, str(marker_dir)))
+
+        flaky("retried")
+        reports = []
+        retried = run_study(max_workers=workers, retries=1,
+                            on_report=reports.append)
+        assert_bitwise_equal(serial_baseline, retried)
+        (report,) = reports
+        assert report.ok
+        assert report.retries == report.n_chunks == 4
+        expected_mode = "fleet" if workers == 1 else "fleet+pool"
+        assert report.mode == expected_mode
+
+        flaky("exhausted")
+        reports = []
+        with pytest.raises(TaskError) as excinfo:
+            run_study(max_workers=workers, retries=0,
+                      on_report=reports.append)
+        assert excinfo.value.task_index == 0
+        assert excinfo.value.attempts == 1
+        assert "transient failure on chunk 0" in str(excinfo.value)
+        (report,) = reports
+        assert report.mode == expected_mode
+        assert [f.task_index for f in report.failures] == [0, 1, 2, 3]
+        assert all(f.attempts == 1 for f in report.failures)

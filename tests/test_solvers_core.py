@@ -3,9 +3,9 @@
 The prefactored paths must reproduce the seed's dense
 ``np.linalg.solve`` results to 1e-10 (relative) on the PDN, thermal
 and Korhonen reference problems, survive topology / operating-point
-changes through cache invalidation, and the sweep runner must return
-byte-identical, in-order results regardless of worker count.  The
-chunked population sampler is pinned to its chunk-seeded stream.
+changes through cache invalidation.  The chunked population sampler
+is pinned to its chunk-seeded stream, and pool sizing follows the
+CPUs this process may run on.
 """
 
 import math
@@ -28,7 +28,6 @@ from repro.solvers import (
     FactorizationCache,
     TridiagonalOperator,
     fingerprint,
-    run_sweep,
     solve_dense_cached,
     task_seed_sequence,
 )
@@ -342,36 +341,6 @@ class TestKorhonenEquivalence:
         assert relative_error(solver.stress, reference.stress) < RTOL
 
 
-def _double(task):
-    return task * 2
-
-
-def _seeded_draw(task):
-    """Draws from the task's own ``(seed, index)`` stream."""
-    seed, index = task
-    rng = np.random.default_rng(task_seed_sequence(seed, index))
-    return float(rng.normal()) + index
-
-
-class TestSweepDeterminism:
-    def test_results_in_task_order(self):
-        assert run_sweep(_double, [3, 1, 2], max_workers=1) == [6, 2, 4]
-
-    def test_worker_count_does_not_change_results(self):
-        tasks = [(11, index) for index in range(24)]
-        serial = run_sweep(_seeded_draw, tasks, max_workers=1)
-        for workers in (2, 3):
-            parallel = run_sweep(_seeded_draw, tasks,
-                                 max_workers=workers)
-            assert parallel == serial
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        offset = 10
-        results = run_sweep(lambda task: task + offset, list(range(8)),
-                            max_workers=4)
-        assert results == [task + 10 for task in range(8)]
-
-
 class TestPopulationSamplerGolden:
     """The in-process sampler is the chunk-seeded stream, bitwise."""
 
@@ -424,32 +393,17 @@ class TestPoolThreshold:
 
     @pytest.fixture()
     def no_pool(self, monkeypatch):
-        """Make any pool start-up in run_sweep an immediate failure."""
-        import repro.solvers.sweep as sweep_module
+        """Make the library's one pool start-up (the fleet chunk loop)
+        an immediate failure."""
+        import repro.system.fleet as fleet_module
 
         class _Forbidden:
             def __init__(self, *args, **kwargs):
                 raise AssertionError(
                     "ProcessPoolExecutor must not start here")
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(fleet_module, "ProcessPoolExecutor",
                             _Forbidden)
-
-    def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
-                                                    no_pool):
-        # os.cpu_count() reports the host; a process pinned to one CPU
-        # must run the default-sized sweep serially.
-        import os
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        reports = []
-        tasks = list(range(12))
-        results = run_sweep(_double, tasks, on_report=reports.append)
-        assert results == [task * 2 for task in tasks]
-        (report,) = reports
-        assert report.max_workers == 1
-        assert report.serial_reason == "max_workers <= 1"
 
     def test_pool_size_falls_back_to_cpu_count(self, monkeypatch):
         import os

@@ -1,24 +1,28 @@
-"""Fault-injection tests for the crash-safe sweep runner.
+"""Fault-injection tests for the fleet chunk loop.
 
-The sweep runner (the fleet chunk executor's pool) promises four
-things under failure:
+Every chunk a fleet study executes runs through one attempt wrapper,
+in a pool worker or in-process, so the loop promises the same four
+things under failure at every worker count:
 
-* **attribution** -- a task that raises is reported *as that task*
-  (``TaskError.task_index`` and ``attempts``, the worker's exception
-  chained), never as an anonymous pool crash;
-* **bounded retries** -- a flaky task gets up to ``retries``
-  re-executions before it counts as failed;
-* **recovery** -- a worker death (``BrokenProcessPool``) or an
-  unpicklable task/result mid-run degrades to serial re-execution of
-  the incomplete tasks with correct, in-order results, and an
-  unpicklable function or probe task keeps the whole sweep serial;
-* **determinism** -- tasks that seed themselves from
-  ``task_seed_sequence`` return byte-identical results to a clean
-  serial run after worker death.
+* **attribution** -- a chunk that raises is reported *as that chunk*
+  (``TaskError.task_index`` is its global index, ``attempts`` its
+  executions, the original exception chained), never as an anonymous
+  pool crash;
+* **bounded retries** -- a flaky chunk gets up to ``retries``
+  re-executions before it counts as failed, and a failed chunk does
+  not stop the others;
+* **recovery** -- a worker death (``BrokenProcessPool``) or a chunk
+  whose task or result fails to pickle degrades to in-process
+  re-execution of just the chunks the pool did not finish, and an
+  unpicklable first chunk keeps the whole study serial;
+* **determinism** -- recovered and retried runs merge byte-identically
+  to a clean serial run (variation draws are by global chip index).
 
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
-2) so the pooled code path runs even on single-core CI runners;
-``run_sweep`` has no task-count gate of its own.
+2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 so the pooled path runs
+even on single-core CI runners.  Faults are injected by patching
+``repro.system.fleet._execute_chunk``, the chunk body the parent and
+the forked workers share.
 """
 
 from __future__ import annotations
@@ -27,77 +31,124 @@ import os
 import threading
 from functools import partial
 
-import numpy as np
 import pytest
 
+import repro.system.fleet as fleet_module
 from repro.errors import SimulationError, TaskError
-from repro.solvers import (
-    FactorizationCache,
-    TaskFailure,
-    run_sweep,
-    task_seed_sequence,
+from repro.solvers import FactorizationCache, TaskFailure
+from repro.system.fleet import (
+    FleetGroup,
+    FleetVariationSpec,
+    run_fleet_lifetime_study,
 )
-from repro.system.scheduler import NoRecoveryPolicy
+from repro.system.scheduler import (
+    NoRecoveryPolicy,
+    RoundRobinRecoveryPolicy,
+)
 from repro.system.sweeps import ChipConfig, run_lifetime_sweep
-from repro.system.workload import ConstantWorkload
+from repro.system.workload import ConstantWorkload, DiurnalWorkload
 
 #: Worker count of every pooled case; the CI fault-injection job pins
 #: it to 2 so small runners still exercise the pool path.
 WORKERS = int(os.environ.get("REPRO_SWEEP_TEST_WORKERS", "2"))
 
 POOL = {"max_workers": WORKERS}
+SERIAL = {"max_workers": 1}
+
+N_CORES = 4  # 2x2 grid
+N_CHUNKS = 4  # two groups of four chips, two chips per chunk
+
+RESULT_ARRAYS = (
+    "times_s", "worst_degradation", "mean_degradation",
+    "dropped_demand", "final_delta_vth_v", "final_permanent_vth_v",
+    "final_em_drift_ohm", "em_failures", "migration_events",
+    "total_demand", "total_dropped_demand")
 
 
-# -- module-level workers (picklable) --------------------------------------
+def make_groups(first=None, second=None):
+    """Group 0 owns chunks 0-1, group 1 chunks 2-3."""
+    return (
+        FleetGroup(n_chips=4,
+                   workload=ConstantWorkload(n_cores=N_CORES,
+                                             utilization=0.6),
+                   policy=first or RoundRobinRecoveryPolicy(
+                       recovery_slots=1)),
+        FleetGroup(n_chips=4,
+                   workload=DiurnalWorkload(n_cores=N_CORES,
+                                            period_epochs=4),
+                   policy=second or NoRecoveryPolicy()),
+    )
 
 
-def _double(task):
-    return task * 2
+def run_study(groups=None, **overrides):
+    return run_fleet_lifetime_study(
+        (2, 2), groups=groups or make_groups(), n_epochs=3,
+        variation=FleetVariationSpec(capture_sigma=0.1,
+                                     recovery_sigma=0.05,
+                                     em_current_sigma=0.1),
+        seed=5, max_chunk_chips=2, **overrides)
 
 
-def _fail_on(bad, task):
-    if task in bad:
-        raise ValueError(f"boom on {task}")
-    return task * 10
+def assert_same_bytes(a, b):
+    for name in RESULT_ARRAYS:
+        assert getattr(a, name).tobytes() == \
+            getattr(b, name).tobytes(), name
 
 
-def _seeded_draw(task):
-    """Draws from the task's own ``(seed, index)`` stream."""
-    seed, index = task
-    rng = np.random.default_rng(task_seed_sequence(seed, index))
-    return float(rng.normal()) + index
+@pytest.fixture(autouse=True)
+def open_pool(monkeypatch):
+    """Drop the work gate so the small study pools."""
+    monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
 
 
-def _flaky(marker_dir, task):
-    """Fails the first time each task is attempted, then succeeds."""
-    marker = os.path.join(marker_dir, f"{task}.attempted")
+@pytest.fixture()
+def serial_baseline():
+    return run_study(**SERIAL)
+
+
+@pytest.fixture()
+def patch_chunk(monkeypatch):
+    """Install ``body(real, *args, built, task)`` as the chunk body."""
+    real = fleet_module._execute_chunk
+
+    def install(body, *args):
+        monkeypatch.setattr(fleet_module, "_execute_chunk",
+                            partial(body, real, *args))
+
+    return install
+
+
+# -- chunk bodies (module level, inherited by forked workers) --------------
+
+
+def _fail_on(real, bad, built, task):
+    if task.chunk.index in bad:
+        raise ValueError(f"boom on chunk {task.chunk.index}")
+    return real(built, task)
+
+
+def _flaky(real, marker_dir, built, task):
+    """Fails the first attempt of each chunk, then succeeds."""
+    marker = os.path.join(marker_dir, f"{task.chunk.index}.attempted")
     if not os.path.exists(marker):
         with open(marker, "w"):
             pass
-        raise RuntimeError(f"transient failure on task {task}")
-    return task * 3
+        raise RuntimeError(
+            f"transient failure on chunk {task.chunk.index}")
+    return real(built, task)
 
 
-def _die_in_worker(parent_pid, task):
-    if os.getpid() != parent_pid:
+def _die_in_worker_on(real, parent_pid, bad, built, task):
+    if task.chunk.index == bad and os.getpid() != parent_pid:
         os._exit(1)
-    return task * 2
+    return real(built, task)
 
 
-def _seeded_die_in_worker(parent_pid, task):
-    if os.getpid() != parent_pid:
-        os._exit(1)
-    return _seeded_draw(task)
-
-
-def _type_name(task):
-    return type(task).__name__
-
-
-def _lock_result_on(bad, task):
-    if task == bad:
+def _lock_result_in_worker_on(real, parent_pid, bad, built, task):
+    result = real(built, task)
+    if task.chunk.index == bad and os.getpid() != parent_pid:
         return threading.Lock()
-    return task
+    return result
 
 
 class _UnpicklableError(Exception):
@@ -105,10 +156,10 @@ class _UnpicklableError(Exception):
         raise TypeError("this exception refuses to pickle")
 
 
-def _raise_unpicklable(bad, task):
-    if task == bad:
-        raise _UnpicklableError(f"boom on {task}")
-    return task
+def _raise_unpicklable(real, bad, built, task):
+    if task.chunk.index == bad:
+        raise _UnpicklableError(f"boom on chunk {task.chunk.index}")
+    return real(built, task)
 
 
 #: Long-lived named cache, as most of the real ones are (named-cache
@@ -116,49 +167,39 @@ def _raise_unpicklable(bad, task):
 _TEST_CACHE = FactorizationCache(maxsize=64, name="test.sweep.cache")
 
 
-def _touch_named_cache(task):
-    _TEST_CACHE.get_or_build(task, object)
-    _TEST_CACHE.get_or_build(task, object)
-    return task
-
-
-def _drive_batched_engine(task):
-    # Build, use and drop a batched engine inside the task: its
-    # grouped-solve traffic must still reach the chunk telemetry.
-    from repro.em.korhonen import KorhonenBatch, KorhonenConfig
-    batch = KorhonenBatch(1e-3, 4,
-                          KorhonenConfig(n_nodes=21, max_dt_s=10.0))
-    batch.advance(20.0, 1e-14, 1e13)
-    return task
+def _touch_named_cache(real, built, task):
+    _TEST_CACHE.get_or_build(task.chunk.index, object)
+    _TEST_CACHE.get_or_build(task.chunk.index, object)
+    return real(built, task)
 
 
 # -- attribution -----------------------------------------------------------
 
 
 class TestErrorAttribution:
-    def test_pooled_failure_reports_task_index(self):
-        fn = partial(_fail_on, frozenset({7}))
+    def test_pooled_failure_reports_task_index(self, patch_chunk):
+        patch_chunk(_fail_on, frozenset({2}))
         with pytest.raises(TaskError) as excinfo:
-            run_sweep(fn, list(range(12)), **POOL)
+            run_study(**POOL)
         error = excinfo.value
-        assert error.task_index == 7
+        assert error.task_index == 2
         assert error.attempts == 1
         assert isinstance(error.__cause__, ValueError)
-        assert "boom on 7" in str(error)
+        assert "boom on chunk 2" in str(error)
 
-    def test_serial_failure_reports_task_index(self):
-        fn = partial(_fail_on, frozenset({2}))
+    def test_serial_failure_reports_task_index(self, patch_chunk):
+        patch_chunk(_fail_on, frozenset({2}))
         with pytest.raises(TaskError) as excinfo:
-            run_sweep(fn, list(range(5)), max_workers=1)
+            run_study(**SERIAL)
         assert excinfo.value.task_index == 2
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_unpicklable_exception_still_attributed(self):
-        fn = partial(_raise_unpicklable, 5)
+    def test_unpicklable_exception_still_attributed(self, patch_chunk):
+        patch_chunk(_raise_unpicklable, 3)
         with pytest.raises(TaskError) as excinfo:
-            run_sweep(fn, list(range(8)), **POOL)
+            run_study(**POOL)
         error = excinfo.value
-        assert error.task_index == 5
+        assert error.task_index == 3
         # The exception object could not cross the process boundary,
         # but the worker's traceback text did.
         assert error.__cause__ is None
@@ -166,56 +207,65 @@ class TestErrorAttribution:
         assert "_UnpicklableError" in str(error)
 
     def test_invalid_knobs_rejected(self):
+        # The grid call site forwards the knobs to the one loop, which
+        # refuses them before any chunk runs.
+        def sweep(**knobs):
+            run_lifetime_sweep(
+                {"none": NoRecoveryPolicy()},
+                {"flat": ConstantWorkload(n_cores=N_CORES,
+                                          utilization=0.5)},
+                [ChipConfig(2, 2)], n_epochs=2, **knobs)
+
         with pytest.raises(SimulationError):
-            run_sweep(_double, [1, 2], max_workers=-1)
+            sweep(max_workers=-1)
         with pytest.raises(SimulationError):
-            run_sweep(_double, [1, 2], retries=-1)
+            sweep(retries=-1)
 
 
 # -- failure collection ----------------------------------------------------
 
 
 class TestCollectAndSkip:
-    """The pooled sweep collects every failed task onto the report and
-    skips none of them, even though it raises only for the first."""
+    """The study runs every chunk and collects every failure onto the
+    report, even though it raises only for the first."""
 
-    FN = staticmethod(partial(_fail_on, frozenset({2, 5})))
-
-    def test_failures_recorded_on_report(self):
+    def test_failures_recorded_on_report(self, patch_chunk):
+        patch_chunk(_fail_on, frozenset({1, 3}))
         reports = []
         with pytest.raises(TaskError):
-            run_sweep(self.FN, list(range(8)),
-                      on_report=reports.append, **POOL)
+            run_study(on_report=reports.append, **POOL)
         (report,) = reports
         assert not report.ok
         assert all(isinstance(f, TaskFailure) for f in report.failures)
-        assert [f.task_index for f in report.failures] == [2, 5]
+        assert [f.task_index for f in report.failures] == [1, 3]
         assert [f.error_type for f in report.failures] == [
             "ValueError", "ValueError"]
-        assert sum(chunk.n_failures for chunk in report.chunks) == 2
+        assert [chunk.n_failures for chunk in report.chunks] == \
+            [0, 1, 0, 1]
+        assert report.cache_counters["fleet.engine"]["chunks"] == 2
 
 
 # -- retries ---------------------------------------------------------------
 
 
 class TestRetries:
-    def test_flaky_tasks_succeed_on_retry(self, tmp_path):
-        fn = partial(_flaky, str(tmp_path))
+    def test_flaky_tasks_succeed_on_retry(self, tmp_path, patch_chunk,
+                                          serial_baseline):
+        patch_chunk(_flaky, str(tmp_path))
         reports = []
-        results = run_sweep(fn, list(range(6)), retries=1,
-                            on_report=reports.append, **POOL)
-        assert results == [task * 3 for task in range(6)]
+        result = run_study(retries=1, on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, result)
         (report,) = reports
         assert report.ok
-        assert report.retries == 6  # every task failed exactly once
-        assert sum(chunk.retries for chunk in report.chunks) == 6
+        assert report.retries == N_CHUNKS  # every chunk failed once
+        assert [chunk.retries for chunk in report.chunks] == \
+            [1] * N_CHUNKS
 
-    def test_exhausted_retries_count_attempts(self):
-        fn = partial(_fail_on, frozenset({3}))
+    def test_exhausted_retries_count_attempts(self, patch_chunk):
+        patch_chunk(_fail_on, frozenset({3}))
         reports = []
         with pytest.raises(TaskError) as excinfo:
-            run_sweep(fn, list(range(6)), retries=2,
-                      on_report=reports.append, **POOL)
+            run_study(retries=2, on_report=reports.append, **POOL)
         assert excinfo.value.task_index == 3
         assert excinfo.value.attempts == 3
         (failure,) = reports[0].failures
@@ -228,69 +278,87 @@ class TestRetries:
 
 
 class TestPoolRecovery:
-    def test_worker_death_recovers_in_order(self):
-        fn = partial(_die_in_worker, os.getpid())
+    def test_worker_death_recovers_in_order(self, monkeypatch,
+                                            patch_chunk):
+        # Every worker dies; the chunks re-run in-process, where chunk
+        # 2 still fails and is still attributed as chunk 2.
+        monkeypatch.setattr(fleet_module, "_TEST_DIE_UNLESS_PID",
+                            os.getpid())
+        patch_chunk(_fail_on, frozenset({2}))
         reports = []
-        results = run_sweep(fn, list(range(8)),
-                            on_report=reports.append, **POOL)
-        assert results == [task * 2 for task in range(8)]
+        with pytest.raises(TaskError) as excinfo:
+            run_study(on_report=reports.append, **POOL)
+        assert excinfo.value.task_index == 2
         (report,) = reports
-        assert report.mode == "pool+serial-fallback"
-        assert report.fallback_reasons
+        assert report.mode == "fleet+pool+serial-fallback"
         assert "BrokenProcessPool" in " ".join(report.fallback_reasons)
-        assert any(chunk.executed_in == "serial-fallback"
-                   for chunk in report.chunks)
+        assert [chunk.executed_in for chunk in report.chunks] == \
+            ["serial-fallback"] * N_CHUNKS
+        assert [f.task_index for f in report.failures] == [2]
 
-    def test_worker_death_keeps_seeded_results_byte_identical(self):
-        # Tasks carry their own (seed, index) stream, the way fleet
-        # chunks carry their variation seed: serial re-execution after
-        # worker death replays the identical draws.
-        tasks = [(23, index) for index in range(9)]
-        clean = run_sweep(_seeded_draw, tasks, max_workers=1)
-        dying = partial(_seeded_die_in_worker, os.getpid())
-        recovered = run_sweep(dying, tasks, **POOL)
-        assert recovered == clean
-
-    def test_unpicklable_task_mid_list_degrades(self):
-        tasks = [0, 1, 2, threading.Lock(), 4, 5, 6, 7]
+    def test_worker_death_keeps_seeded_results_byte_identical(
+            self, patch_chunk, serial_baseline):
+        # Only the worker running chunk 2 dies: whatever the pool did
+        # not finish re-runs in-process with the identical draws.
+        patch_chunk(_die_in_worker_on, os.getpid(), 2)
         reports = []
-        results = run_sweep(_type_name, tasks,
-                            on_report=reports.append, **POOL)
-        assert results == ["int", "int", "int", "lock",
-                           "int", "int", "int", "int"]
+        recovered = run_study(on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, recovered)
         (report,) = reports
-        assert report.mode == "pool+serial-fallback"
-        # Only the task holding the lock degraded; the rest pooled.
-        fallbacks = [chunk for chunk in report.chunks
-                     if chunk.executed_in == "serial-fallback"]
-        assert [chunk.index for chunk in fallbacks] == [3]
+        assert report.mode == "fleet+pool+serial-fallback"
+        assert report.chunks[2].executed_in == "serial-fallback"
 
-    def test_unpicklable_result_degrades(self):
-        fn = partial(_lock_result_on, 5)
-        results = run_sweep(fn, list(range(8)), **POOL)
-        assert results[:5] == [0, 1, 2, 3, 4]
-        assert isinstance(results[5], type(threading.Lock()))
-        assert results[6:] == [6, 7]
-
-    def test_unpicklable_fn_stays_serial_with_reason(self):
-        offset = 10
+    def test_unpicklable_task_mid_list_degrades(self, serial_baseline):
+        # A lambda policy factory in the second group: chunks 0-1
+        # pool, and only that group's chunks 2-3 fail to pickle and
+        # run in-process.
+        groups = make_groups(second=lambda chip: NoRecoveryPolicy())
         reports = []
-        results = run_sweep(lambda task: task + offset,
-                            list(range(8)), on_report=reports.append,
-                            **POOL)
-        assert results == [task + 10 for task in range(8)]
+        result = run_study(groups, on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, result)
         (report,) = reports
-        assert report.mode == "serial"
-        assert report.serial_reason == "function is not picklable"
+        assert report.mode == "fleet+pool+serial-fallback"
+        assert [chunk.executed_in for chunk in report.chunks] == \
+            ["pool", "pool", "serial-fallback", "serial-fallback"]
 
-    def test_unpicklable_probe_task_stays_serial(self):
-        tasks = [threading.Lock(), 1, 2, 3]
+    def test_unpicklable_result_degrades(self, patch_chunk,
+                                         serial_baseline):
+        patch_chunk(_lock_result_in_worker_on, os.getpid(), 1)
         reports = []
-        results = run_sweep(_type_name, tasks,
-                            on_report=reports.append, **POOL)
-        assert results == ["lock", "int", "int", "int"]
+        result = run_study(on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, result)
+        (report,) = reports
+        assert [chunk.executed_in for chunk in report.chunks] == \
+            ["pool", "serial-fallback", "pool", "pool"]
+
+    def test_unpicklable_fn_stays_serial_with_reason(
+            self, serial_baseline):
+        # A lambda policy factory in the first group fails the probe
+        # pickle of chunk 0, so no pool starts.
+        groups = make_groups(
+            first=lambda chip: RoundRobinRecoveryPolicy(
+                recovery_slots=1))
+        reports = []
+        result = run_study(groups, on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, result)
+        (report,) = reports
+        assert report.mode == "fleet"
+        assert report.serial_reason == "probe task is not picklable"
+
+    def test_unpicklable_probe_task_stays_serial(self, serial_baseline):
+        # A policy *instance* of a local class deep-copies fine but
+        # cannot pickle: the probe keeps the study in-process too.
+        class LocalPolicy(RoundRobinRecoveryPolicy):
+            pass
+
+        groups = make_groups(first=LocalPolicy(recovery_slots=1))
+        reports = []
+        result = run_study(groups, on_report=reports.append, **POOL)
+        assert_same_bytes(serial_baseline, result)
         (report,) = reports
         assert report.serial_reason == "probe task is not picklable"
+        assert all(chunk.executed_in == "serial"
+                   for chunk in report.chunks)
 
 
 # -- telemetry -------------------------------------------------------------
@@ -299,72 +367,51 @@ class TestPoolRecovery:
 class TestReportTelemetry:
     def test_clean_pooled_run(self):
         reports = []
-        run_sweep(_double, list(range(16)),
-                  on_report=reports.append, **POOL)
+        run_study(on_report=reports.append, **POOL)
         (report,) = reports
         assert report.ok
-        assert report.mode == "pool"
+        assert report.mode == "fleet+pool"
         assert report.serial_reason is None
         assert not report.fallback_reasons
-        assert report.n_tasks == 16 and report.n_chunks == 16
+        assert report.n_tasks == N_CHUNKS
+        assert report.n_chunks == N_CHUNKS
         assert all(chunk.executed_in == "pool"
                    for chunk in report.chunks)
         assert all(chunk.wall_time_s >= 0.0
                    for chunk in report.chunks)
         assert report.wall_time_s > 0.0
-        assert "16 tasks" in report.summary()
+        assert f"{N_CHUNKS} tasks" in report.summary()
 
     def test_chunks_partition_tasks_in_order(self):
-        # One record per task, in task order, on both paths.
-        for kwargs in ({"max_workers": 1}, dict(POOL)):
+        # One record per chunk, in chunk order, on both paths.
+        for kwargs in (SERIAL, POOL):
             reports = []
-            run_sweep(_double, list(range(11)),
-                      on_report=reports.append, **kwargs)
+            run_study(on_report=reports.append, **kwargs)
             (report,) = reports
             spans = [(chunk.start, chunk.stop)
                      for chunk in report.chunks]
-            assert spans == [(task, task + 1) for task in range(11)]
+            assert spans == [(index, index + 1)
+                             for index in range(N_CHUNKS)]
 
-    def test_named_cache_counters_surfaced(self):
-        for kwargs in ({"max_workers": 1}, dict(POOL)):
-            _TEST_CACHE.clear()  # per-task keys: 1 miss + 1 hit each
+    def test_named_cache_counters_surfaced(self, patch_chunk):
+        patch_chunk(_touch_named_cache)
+        for kwargs in (SERIAL, POOL):
+            _TEST_CACHE.clear()  # per-chunk keys: 1 miss + 1 hit each
             reports = []
-            run_sweep(_touch_named_cache, list(range(6)),
-                      on_report=reports.append, **kwargs)
-            counters = reports[0].cache_counters["test.sweep.cache"]
-            assert counters == {"hits": 6, "misses": 6}
+            run_study(on_report=reports.append, **kwargs)
+            counters = reports[0].cache_counters
+            assert counters["test.sweep.cache"] == {
+                "hits": N_CHUNKS, "misses": N_CHUNKS}
+            assert counters["fleet.engine"]["chunks"] == N_CHUNKS
 
-    def test_batched_engine_counters_surfaced(self):
-        # Two backward-Euler steps of four wires per task: the grouped
-        # solves of an engine that lives and dies inside the task must
-        # land in the report (with the batched keys alongside the
-        # base hit/miss delta).
-        for kwargs in ({"max_workers": 1}, dict(POOL)):
-            reports = []
-            run_sweep(_drive_batched_engine, list(range(3)),
-                      on_report=reports.append, **kwargs)
-            counters = reports[0].cache_counters[
-                "em.korhonen.lu.batched"]
-            assert counters["batched_solves"] == 6
-            assert counters["batched_rows"] == 24
-            assert counters["misses"] == 3
-
-    def test_empty_sweep_reports(self):
-        reports = []
-        assert run_sweep(_double, [],
-                         on_report=reports.append) == []
-        (report,) = reports
-        assert report.n_tasks == 0 and report.ok
-
-    def test_report_delivered_before_raise(self):
-        # Every failed task is on the report, not just the first one,
+    def test_report_delivered_before_raise(self, patch_chunk):
+        # Every failed chunk is on the report, not just the first one,
         # which is the one the TaskError attributes.
-        fn = partial(_fail_on, frozenset({1, 3}))
-        for kwargs in ({"max_workers": 1}, dict(POOL)):
+        patch_chunk(_fail_on, frozenset({1, 3}))
+        for kwargs in (SERIAL, POOL):
             reports = []
             with pytest.raises(TaskError) as excinfo:
-                run_sweep(fn, list(range(6)),
-                          on_report=reports.append, **kwargs)
+                run_study(on_report=reports.append, **kwargs)
             assert excinfo.value.task_index == 1
             (report,) = reports
             assert not report.ok
