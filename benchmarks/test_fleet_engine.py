@@ -2,11 +2,11 @@
 
 Times a pooled per-cell baseline (:func:`pooled_cells`: one
 ``SystemSimulator`` per grid cell, cells mapped over a process pool)
-against the structure-of-arrays
-:class:`~repro.system.fleet.FleetSimulator`, which advances the whole
-population as ``(n_chips * n_cores, ...)`` tensors in one ufunc pass
-per epoch and shares condition / kernel / thermal caches across every
-chip of the fleet.
+against the structure-of-arrays fleet engine
+(:func:`~repro.system.fleet.run_fleet_lifetime_study`), which advances
+the whole population as ``(n_chips * n_cores, ...)`` tensors in one
+ufunc pass per epoch and shares condition / kernel / thermal caches
+across every chip of the fleet.
 
 Timings, chips/sec and cache hit counts land in ``BENCH_fleet.json``
 at the repo root; the 1024-chip test asserts the PR acceptance
@@ -31,12 +31,10 @@ import pytest
 from repro.solvers import cache_counters
 from repro.solvers.sweep import available_cpus
 from repro.system.fleet import (
-    FleetSimulator,
     FleetVariationSpec,
     run_fleet_lifetime_study,
     state_bytes_per_chip,
 )
-from repro.system.chip import Chip
 from repro.system.scheduler import (
     NoRecoveryPolicy,
     RoundRobinRecoveryPolicy,
@@ -167,9 +165,11 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
                             chips, N_EPOCHS)
 
     def fleet():
-        simulator = FleetSimulator(Chip(3, 3), N_CHIPS)
-        result = simulator.run(N_EPOCHS, _workload(), _policy())
-        return result, simulator
+        reports = []
+        result = run_fleet_lifetime_study(
+            (3, 3), N_CHIPS, _workload(), _policy(), n_epochs=N_EPOCHS,
+            max_workers=1, on_report=reports.append)
+        return result, reports[0]
 
     # Interleave the two timed paths so machine-speed drift (VM steal
     # time) inflates both sides alike instead of skewing the ratio;
@@ -177,7 +177,7 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
     # rounds bound the bench runtime while still trimming outliers.
     after_s = before_s = float("inf")
     for _ in range(2):
-        a, (result, simulator) = best_of(fleet, reps=2)
+        a, (result, report) = best_of(fleet, reps=2)
         b, sweep = best_of(pooled, reps=1)
         after_s, before_s = min(after_s, a), min(before_s, b)
 
@@ -191,20 +191,21 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
                    - result.final_delta_vth_v[index].max()) \
             <= EQUIVALENCE_TOLERANCE
 
-    conditions = simulator._condition_cache
-    kernels = simulator.state.bti.kernel_cache
-    thermal = simulator.chip.thermal.steady_cache
+    counters = report.cache_counters
+    conditions = counters.get("fleet.conditions", {})
+    kernels = counters.get("bti.fleet.kernels", {})
+    thermal = counters.get("thermal.steady", {})
     entry = record(
         "fleet_vs_pooled_sweep_1024_chips", before_s, after_s,
         n_chips=N_CHIPS, n_cores=N_CORES, n_epochs=N_EPOCHS,
         chips_per_s_before=N_CHIPS / before_s,
         chips_per_s_after=N_CHIPS / after_s,
-        condition_cache_hits=conditions.hits,
-        condition_cache_misses=conditions.misses,
-        bti_kernel_cache_hits=kernels.hits if kernels else 0,
-        bti_kernel_cache_misses=kernels.misses if kernels else 0,
-        thermal_cache_hits=thermal.hits,
-        thermal_cache_misses=thermal.misses)
+        condition_cache_hits=conditions.get("hits", 0),
+        condition_cache_misses=conditions.get("misses", 0),
+        bti_kernel_cache_hits=kernels.get("hits", 0),
+        bti_kernel_cache_misses=kernels.get("misses", 0),
+        thermal_cache_hits=thermal.get("hits", 0),
+        thermal_cache_misses=thermal.get("misses", 0))
     run_once(benchmark, lambda: fleet()[0])
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_FLEET
 

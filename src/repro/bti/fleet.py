@@ -65,19 +65,11 @@ class StackedTrapPopulations:
             memory budget (the fleet simulator does).
             Kernels are only memoized when the caller passes a
             ``kernel_key`` identifying the epoch's conditions.
-        dtype: dtype of the trap-state arrays, ``np.float64``
-            (default, bit-exact vs a one-chip stack) or
-            ``np.float32`` (halves state memory; kernels are still
-            built in float64 and rounded once, sub-step counts are
-            still derived in float64, so the float32 trajectory
-            tracks the float64 one within the documented budget --
-            see ``repro.system.fleet.FLOAT32_MAX_RELATIVE_ERROR``).
     """
 
     def __init__(self, n_chips: int, n_units: int,
                  config: Optional[TrapPopulationConfig] = None,
-                 kernel_cache_size: int = 0,
-                 dtype=np.float64):
+                 kernel_cache_size: int = 0):
         if n_chips < 1:
             raise SimulationError("n_chips must be at least 1")
         if n_units < 1:
@@ -85,13 +77,8 @@ class StackedTrapPopulations:
         if kernel_cache_size < 0:
             raise SimulationError(
                 "kernel_cache_size must be non-negative")
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise SimulationError(
-                "dtype must be float64 or float32")
         self.n_chips = n_chips
         self.n_units = n_units
-        self.dtype = dtype
         self.config = config or TrapPopulationConfig(n_bins=64)
         cfg = self.config
         rows = n_chips * n_units
@@ -99,10 +86,10 @@ class StackedTrapPopulations:
                                  math.log10(cfg.tau_max_s), cfg.n_bins)
         fresh_weight = cfg.vth_full_shift_v / cfg.n_bins
         shape = (rows, cfg.n_bins)
-        self.weights = np.full(shape, fresh_weight, dtype=dtype)
-        self.occupancy = np.zeros(shape, dtype=dtype)
-        self.age_s = np.zeros(shape, dtype=dtype)
-        self.permanent_v = np.zeros(rows, dtype=dtype)
+        self.weights = np.full(shape, fresh_weight)
+        self.occupancy = np.zeros(shape)
+        self.age_s = np.zeros(shape)
+        self.permanent_v = np.zeros(rows)
         self.time_s = 0.0
         # Longest equivalent-stress sub-step (an eighth of the lock-in
         # age, so lock-in stays resolved); counts scale with the peak.
@@ -112,9 +99,8 @@ class StackedTrapPopulations:
                                name="bti.fleet.kernels")
             if kernel_cache_size else None)
         # Sub-step scratch: three float buffers and two masks.
-        self._scratch = (np.empty(shape, dtype=dtype),
-                         np.empty(shape, dtype=dtype),
-                         np.empty(shape, dtype=dtype),
+        self._scratch = (np.empty(shape), np.empty(shape),
+                         np.empty(shape),
                          np.empty(shape, dtype=bool),
                          np.empty(shape, dtype=bool))
 
@@ -376,13 +362,4 @@ class StackedTrapPopulations:
         if cfg.lock_rate_per_s > 0.0:
             fraction = -np.expm1(
                 -cfg.lock_rate_per_s * equivalent)[inverse][:, None]
-        if self.dtype != np.float64:
-            # Kernels are derived in float64 above and rounded once
-            # here, so reduced-precision state never compounds errors
-            # through the transcendental factor math itself.
-            eq_col = eq_col.astype(self.dtype)
-            decay = decay.astype(self.dtype)
-            inflow = inflow.astype(self.dtype)
-            if fraction is not None:
-                fraction = fraction.astype(self.dtype)
         return (eq_col, stress_col, decay, inflow, fraction)

@@ -160,8 +160,6 @@ class ChunkRecord:
 
     Attributes:
         index: global chunk index in the study's partition.
-        start / stop: chunk-index range of the record,
-            ``[index, index + 1)``.
         executed_in: ``"pool"`` (completed in a worker), ``"serial"``
             (the study never started a pool), ``"serial-fallback"``
             (run in-process after the pool did not finish it) or
@@ -176,8 +174,6 @@ class ChunkRecord:
     """
 
     index: int
-    start: int
-    stop: int
     executed_in: str
     wall_time_s: float
     retries: int

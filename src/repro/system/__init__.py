@@ -34,8 +34,6 @@ from repro.system.simulator import (
 from repro.system.fleet import (
     FleetGroup,
     FleetResult,
-    FleetSimulator,
-    FleetState,
     FleetVariation,
     FleetVariationSpec,
     run_fleet_lifetime_study,
@@ -74,8 +72,6 @@ __all__ = [
     "SystemSimulator",
     "FleetGroup",
     "FleetResult",
-    "FleetSimulator",
-    "FleetState",
     "FleetVariation",
     "FleetVariationSpec",
     "run_fleet_lifetime_study",

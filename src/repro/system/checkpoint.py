@@ -8,16 +8,16 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
 * **Snapshot format.**  One snapshot is a plain ``.npz`` archive (no
   pickled object arrays -- loadable with ``allow_pickle=False``)
   carrying the full advancing state of a
-  :class:`~repro.system.fleet._FleetRun`: the stacked trap tensors and
-  EM accumulators, the per-chip variation draws, the per-cohort
-  policy/workload copies with their RNG positions and rotation
-  cursors (pickled into a byte array, since they are arbitrary user
-  objects), the demand/migration accumulators, the recorded timeline
-  and the epoch cursor.  Every file embeds a JSON meta block with a
-  **schema version** (strictly gated on load: a snapshot written
-  under any other version is refused, never reinterpreted) and a
-  SHA-256 **checksum** over the meta and every array's raw bytes, so
-  torn or corrupt files fail loudly as
+  :class:`~repro.system.fleet.FleetSimulator`: the stacked trap
+  tensors and EM accumulators, the per-chip variation draws, the
+  per-cohort policy/workload copies with their RNG positions and
+  rotation cursors (pickled into a byte array, since they are
+  arbitrary user objects), the demand/migration accumulators, the
+  recorded timeline and the epoch cursor.  Every file embeds a JSON
+  meta block with a **schema version** (strictly gated on load: a
+  snapshot written under any other version is refused, never
+  reinterpreted) and a SHA-256 **checksum** over the meta and every
+  array's raw bytes, so torn or corrupt files fail loudly as
   :class:`~repro.errors.CheckpointError` instead of silently skewing
   a population.  Files are written to a temp name and ``os.replace``d
   into place, so a SIGKILL mid-write can never leave a corrupt file
@@ -46,13 +46,14 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   the drawn variation kept in the snapshot arrays), so
   ``FleetSession.load(path)`` rebuilds the session in a fresh
   process, and it carries the study's fingerprint, so ``restore()``
-  refuses a snapshot of any other study.
+  refuses a snapshot of any other study.  A refused snapshot leaves
+  the session untouched: every check runs before anything is written.
 
 Bitwise invariance rests on one property, pinned by the checkpoint
-tests: splitting ``_FleetRun.advance`` at any epoch boundary is
-exact, because every cross-epoch input is either stored in the run
-(cohort cursors, accumulators, records) or recomputed as the same
-pure function of the stored aging state.
+tests: splitting ``FleetSimulator.advance`` at any epoch boundary is
+exact, because every cross-epoch input is either stored in the
+simulator (cohort cursors, accumulators, records) or recomputed as the
+same pure function of the stored aging state.
 """
 
 from __future__ import annotations
@@ -68,17 +69,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import units
-from repro.bti.calibration import BtiCalibration
-from repro.em.line import EmStressCondition
 from repro.errors import CheckpointError, SimulationError
 from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetGroup,
     FleetResult,
+    FleetSimulator,
     FleetVariation,
     FleetVariationSpec,
     _ChunkCheckpoint,
-    _FleetRun,
     _FleetStudy,
     _fleet_study,
     _run_study,
@@ -90,7 +89,7 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
@@ -244,8 +243,8 @@ class FleetSnapshot:
 _VARIATION_FIELDS = ("capture_scale", "recovery_scale",
                      "em_current_scale")
 
-#: The fixed-layout arrays of a run's state, by owner: each is saved
-#: as ``owner/name`` and restored in place.
+#: The fixed-layout arrays of a simulator's state, by owner: each is
+#: saved as ``owner/name`` and restored in place.
 _STATE_ARRAYS = (
     ("bti", ("weights", "occupancy", "age_s", "permanent_v")),
     ("em", ("progress_s", "nucleated", "void_reversible_m",
@@ -255,39 +254,37 @@ _STATE_ARRAYS = (
 )
 
 
-def _state_owners(run: _FleetRun) -> Dict[str, Any]:
-    state = run.simulator.state
-    return {"bti": state.bti, "em": state.em,
-            "variation": state.variation, "run": run}
+def _state_owners(simulator: FleetSimulator) -> Dict[str, Any]:
+    return {"bti": simulator.bti, "em": simulator.em,
+            "variation": simulator.variation, "run": simulator}
 
 
-def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
-    """Capture the full advancing state of a :class:`_FleetRun`."""
-    simulator = run.simulator
-    state = simulator.state
-    n_chips = state.n_chips
-    owners = _state_owners(run)
+def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
+    """Capture the full advancing state of a :class:`FleetSimulator`."""
+    n_chips = simulator.n_chips
+    owners = _state_owners(simulator)
     arrays: Dict[str, np.ndarray] = {
         f"{owner}/{name}": getattr(owners[owner], name).copy()
         for owner, names in _STATE_ARRAYS for name in names}
     arrays.update({
-        "bti/time_s": np.array(state.bti.time_s, dtype=np.float64),
-        "em/time_s": np.array(state.em.time_s, dtype=np.float64),
-        "run/times": np.array(run.times, dtype=np.float64),
-        "run/worst": (np.array(run.worst) if run.worst
+        "bti/time_s": np.array(simulator.bti.time_s, dtype=np.float64),
+        "em/time_s": np.array(simulator.em.time_s, dtype=np.float64),
+        "run/times": np.array(simulator.times, dtype=np.float64),
+        "run/worst": (np.array(simulator.worst) if simulator.worst
                       else np.zeros((0, n_chips))),
-        "run/mean": (np.array(run.mean) if run.mean
+        "run/mean": (np.array(simulator.mean) if simulator.mean
                      else np.zeros((0, n_chips))),
-        "run/dropped": (np.array(run.dropped) if run.dropped
+        "run/dropped": (np.array(simulator.dropped)
+                        if simulator.dropped
                         else np.zeros((0, n_chips))),
         "cohorts/state": np.frombuffer(
             pickle.dumps([(c.workload, c.policy)
-                          for c in run.cohorts],
+                          for c in simulator.cohorts],
                          protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8),
     })
     has_previous_utilization: List[bool] = []
-    for index, cohort in enumerate(run.cohorts):
+    for index, cohort in enumerate(simulator.cohorts):
         arrays[f"cohort{index}/previous_recovering"] = \
             np.asarray(cohort.previous_recovering).copy()
         has_util = cohort.previous_utilization is not None
@@ -295,114 +292,119 @@ def _snapshot_run(run: _FleetRun) -> FleetSnapshot:
         if has_util:
             arrays[f"cohort{index}/previous_utilization"] = \
                 np.asarray(cohort.previous_utilization).copy()
-    if run.cohort_temps is not None:
-        for index, (_, _, temps) in enumerate(run.cohort_temps):
+    if simulator.cohort_temps is not None:
+        for index, (_, _, temps) in enumerate(simulator.cohort_temps):
             arrays[f"readout/temps{index}"] = \
                 np.asarray(temps, dtype=np.float64).copy()
     meta = {
         "kind": "fleet-run",
-        "epoch": int(run.epoch),
-        "n_epochs": (None if run.n_epochs is None
-                     else int(run.n_epochs)),
-        "record_every": int(run.record_every),
+        "epoch": int(simulator.epoch),
+        "n_epochs": (None if simulator.n_epochs is None
+                     else int(simulator.n_epochs)),
+        "record_every": int(simulator.record_every),
         "n_chips": int(n_chips),
-        "n_cores": int(state.n_cores),
-        "n_cohorts": len(run.cohorts),
+        "n_cores": int(simulator.n_cores),
+        "n_cohorts": len(simulator.cohorts),
         "cohort_bounds": [[int(c.start), int(c.stop)]
-                          for c in run.cohorts],
+                          for c in simulator.cohorts],
         "has_previous_utilization": has_previous_utilization,
-        "has_readout": run.cohort_temps is not None,
-        "state_dtype": state.state_dtype.str,
+        "has_readout": simulator.cohort_temps is not None,
         "epoch_s": float(simulator.epoch_s),
     }
     return FleetSnapshot(arrays=arrays, meta=meta)
 
 
-def _copy_exact(destination: np.ndarray, source: np.ndarray,
-                name: str) -> None:
-    """Overwrite ``destination`` in place after a strict layout check."""
-    if (destination.shape != source.shape
-            or destination.dtype != source.dtype):
-        raise CheckpointError(
-            f"snapshot array {name!r} has layout "
-            f"{source.dtype}{source.shape}, run expects "
-            f"{destination.dtype}{destination.shape}")
-    destination[...] = source
+def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
+                 digest: Optional[str] = None) -> None:
+    """Overwrite a simulator's advancing state from a snapshot.
 
-
-def _restore_run(run: _FleetRun, snapshot: FleetSnapshot) -> None:
-    """Overwrite a freshly built :class:`_FleetRun` from a snapshot.
-
-    ``run`` must have been constructed for the same study (geometry,
-    cohort layout, cadence, dtype) and not yet advanced; every
-    mismatch raises :class:`~repro.errors.CheckpointError` rather
-    than producing a silently different trajectory.
+    The snapshot must come from the simulator's own study (geometry,
+    cohort layout, cadence and, when ``digest`` is given, the study
+    fingerprint).  Every check -- meta, fingerprint, the presence of
+    every array and the layout of every array written in place --
+    runs before anything is written, so a refused snapshot raises
+    :class:`~repro.errors.CheckpointError` and leaves the simulator
+    exactly as it was.
     """
     arrays, meta = snapshot.arrays, snapshot.meta
     if meta.get("kind") not in _RUN_KINDS:
         raise CheckpointError(
             f"snapshot kind {meta.get('kind')!r} is not a fleet run")
-    state = run.simulator.state
+    cohorts = simulator.cohorts
     expectations = (
-        ("n_chips", state.n_chips),
-        ("n_cores", state.n_cores),
-        ("record_every", run.record_every),
-        ("n_epochs", run.n_epochs),
-        ("n_cohorts", len(run.cohorts)),
-        ("cohort_bounds", [[c.start, c.stop] for c in run.cohorts]),
-        ("state_dtype", state.state_dtype.str),
-        ("epoch_s", float(run.simulator.epoch_s)),
+        ("n_chips", simulator.n_chips),
+        ("n_cores", simulator.n_cores),
+        ("record_every", simulator.record_every),
+        ("n_epochs", simulator.n_epochs),
+        ("n_cohorts", len(cohorts)),
+        ("cohort_bounds", [[c.start, c.stop] for c in cohorts]),
+        ("epoch_s", float(simulator.epoch_s)),
     )
     for key, expected in expectations:
         if meta.get(key) != expected:
             raise CheckpointError(
                 f"snapshot {key}={meta.get(key)!r} does not match "
                 f"the run's {key}={expected!r}")
-    owners = _state_owners(run)
+    if digest is not None and meta.get("digest") != digest:
+        raise CheckpointError(
+            "snapshot belongs to a different study (fingerprint "
+            "mismatch); restore it into a session of that study")
+    owners = _state_owners(simulator)
     try:
-        for owner, names in _STATE_ARRAYS:
-            for name in names:
-                key = f"{owner}/{name}"
-                _copy_exact(getattr(owners[owner], name), arrays[key],
-                            key)
-        state.bti.time_s = float(arrays["bti/time_s"])
-        state.em.time_s = float(arrays["em/time_s"])
-        run.times = [float(stamp) for stamp in arrays["run/times"]]
-        run.worst = [np.array(row) for row in arrays["run/worst"]]
-        run.mean = [np.array(row) for row in arrays["run/mean"]]
-        run.dropped = [np.array(row)
-                       for row in arrays["run/dropped"]]
-        pairs = pickle.loads(arrays["cohorts/state"].tobytes())
-        if len(pairs) != len(run.cohorts):
-            raise CheckpointError(
-                "snapshot cohort state does not match the run's "
-                "cohort layout")
+        copies = [(getattr(owners[owner], name),
+                   arrays[f"{owner}/{name}"], f"{owner}/{name}")
+                  for owner, names in _STATE_ARRAYS for name in names]
+        bti_time_s = float(arrays["bti/time_s"])
+        em_time_s = float(arrays["em/time_s"])
+        times = [float(stamp) for stamp in arrays["run/times"]]
+        records = [[np.array(row) for row in arrays[f"run/{name}"]]
+                   for name in ("worst", "mean", "dropped")]
         has_util = meta["has_previous_utilization"]
-        for index, cohort in enumerate(run.cohorts):
-            workload, policy = pairs[index]
-            cohort.workload = workload
-            cohort.policy = policy
-            cohort.previous_recovering = arrays[
-                f"cohort{index}/previous_recovering"].copy()
-            if has_util[index]:
-                cohort.previous_utilization = arrays[
-                    f"cohort{index}/previous_utilization"].copy()
-            else:
-                cohort.previous_utilization = None
+        previous = [
+            (arrays[f"cohort{index}/previous_recovering"].copy(),
+             arrays[f"cohort{index}/previous_utilization"].copy()
+             if has_util[index] else None)
+            for index in range(len(cohorts))]
+        cohort_temps = None
         if meta["has_readout"]:
-            run.cohort_temps = [
+            cohort_temps = [
                 (cohort.start, cohort.stop,
                  arrays[f"readout/temps{index}"].copy())
-                for index, cohort in enumerate(run.cohorts)]
-        else:
-            run.cohort_temps = None
+                for index, cohort in enumerate(cohorts)]
+        epoch = int(meta["epoch"])
+        pairs = pickle.loads(arrays["cohorts/state"].tobytes())
     except KeyError as error:
         raise CheckpointError(
             f"snapshot is missing array {error}") from error
     except pickle.UnpicklingError as error:
         raise CheckpointError(
             f"snapshot cohort state is corrupt: {error}") from error
-    run.epoch = int(meta["epoch"])
+    if len(pairs) != len(cohorts):
+        raise CheckpointError(
+            "snapshot cohort state does not match the run's "
+            "cohort layout")
+    for destination, source, name in copies:
+        if (destination.shape != source.shape
+                or destination.dtype != source.dtype):
+            raise CheckpointError(
+                f"snapshot array {name!r} has layout "
+                f"{source.dtype}{source.shape}, run expects "
+                f"{destination.dtype}{destination.shape}")
+    # Every check passed; nothing below can refuse the snapshot.
+    for destination, source, _ in copies:
+        destination[...] = source
+    simulator.bti.time_s = bti_time_s
+    simulator.em.time_s = em_time_s
+    simulator.times = times
+    simulator.worst, simulator.mean, simulator.dropped = records
+    for cohort, (workload, policy), (recovering, utilization) in zip(
+            cohorts, pairs, previous):
+        cohort.workload = workload
+        cohort.policy = policy
+        cohort.previous_recovering = recovering
+        cohort.previous_utilization = utilization
+    simulator.cohort_temps = cohort_temps
+    simulator.epoch = epoch
 
 
 # -- chunk result <-> snapshot ----------------------------------------------
@@ -483,9 +485,9 @@ def load_chunk_result(ckpt: _ChunkCheckpoint,
 
 
 def save_chunk_progress(ckpt: _ChunkCheckpoint, index: int,
-                        run: _FleetRun) -> None:
+                        simulator: FleetSimulator) -> None:
     """Snapshot one chunk's in-flight run (atomic overwrite)."""
-    snapshot = _snapshot_run(run)
+    snapshot = _snapshot_run(simulator)
     snapshot.meta["kind"] = "fleet-chunk-progress"
     snapshot.meta["digest"] = ckpt.digest
     snapshot.meta["chunk_index"] = int(index)
@@ -494,10 +496,10 @@ def save_chunk_progress(ckpt: _ChunkCheckpoint, index: int,
 
 
 def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
-                     run: _FleetRun) -> bool:
-    """Restore a chunk run from its progress snapshot, if one exists.
+                     simulator: FleetSimulator) -> bool:
+    """Restore a chunk's simulator from its progress snapshot, if any.
 
-    Returns ``True`` when the run was fast-forwarded (its epoch
+    Returns ``True`` when the simulator was fast-forwarded (its epoch
     cursor now sits at the snapshot's epoch); ``False`` when no
     progress snapshot exists and the run starts from epoch 0.
     """
@@ -513,7 +515,7 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
         raise CheckpointError(
             f"{path} belongs to a different study "
             "(fingerprint mismatch)")
-    _restore_run(run, FleetSnapshot(arrays=arrays, meta=meta))
+    _restore_run(simulator, FleetSnapshot(arrays=arrays, meta=meta))
     return True
 
 
@@ -525,13 +527,12 @@ def study_digest(study: _FleetStudy, bounds) -> str:
 
     Covers everything that shapes the bitwise result -- the whole
     normalized study (chip config, group layout with each template's
-    initial state, horizon, cadence, variation, seed, calibration, EM
-    reference, state dtype) and the chunk partition -- and
-    deliberately excludes pure execution knobs (worker count,
-    retries, checkpoint cadence), which may change freely between
-    interrupt and resume.  Every checkpoint file carries the digest,
-    and loads refuse files whose digest differs, so a directory can
-    never leak state between different studies.
+    initial state, horizon, cadence, variation, seed) and the chunk
+    partition -- and deliberately excludes pure execution knobs
+    (worker count, retries, checkpoint cadence), which may change
+    freely between interrupt and resume.  Every checkpoint file
+    carries the digest, and loads refuse files whose digest differs,
+    so a directory can never leak state between different studies.
     """
     try:
         payload = pickle.dumps(
@@ -540,7 +541,7 @@ def study_digest(study: _FleetStudy, bounds) -> str:
     except Exception as error:
         raise CheckpointError(
             "checkpointing requires a picklable study (chip config, "
-            f"groups, variation, calibration): {error}") from error
+            f"groups, variation): {error}") from error
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -599,7 +600,6 @@ def prepare_study_directory(directory, study: _FleetStudy, bounds, *,
             "n_chunks": len(bounds),
             "n_epochs": study.n_epochs,
             "record_every": study.record_every,
-            "state_dtype": study.state_dtype,
             "checkpoint_every": every,
         }
         spec = {"study": study, "chunk_chips": bounds[0].n_items,
@@ -704,50 +704,45 @@ class FleetSession:
                  record_every: int = 1,
                  variation: Union[FleetVariation, FleetVariationSpec,
                                   None] = None,
-                 seed: int = 0,
-                 calibration: Optional[BtiCalibration] = None,
-                 em_reference: Optional[EmStressCondition] = None,
-                 state_dtype=np.float64):
+                 seed: int = 0):
         self._open(*_fleet_study(
             chip, n_chips, workload, policy, groups, n_epochs=None,
             epoch_s=epoch_s, record_every=record_every,
-            variation=variation, seed=seed, calibration=calibration,
-            em_reference=em_reference, state_dtype=state_dtype))
+            variation=variation, seed=seed))
 
     def _open(self, built: Chip, study: _FleetStudy) -> None:
         self._study = study
         self._simulator = study.simulator(built)
-        self._run = study.run(self._simulator)
 
     @property
     def epoch(self) -> int:
         """Epochs advanced so far."""
-        return self._run.epoch
+        return self._simulator.epoch
 
     @property
     def n_chips(self) -> int:
         """Population size."""
-        return self._simulator.state.n_chips
+        return self._simulator.n_chips
 
     @property
     def n_cores(self) -> int:
         """Cores per chip."""
-        return self._simulator.state.n_cores
+        return self._simulator.n_cores
 
     def advance(self, n_epochs: int = 1) -> "FleetSession":
         """Advance the whole population by ``n_epochs`` epochs."""
-        self._run.advance(n_epochs)
+        self._simulator.advance(n_epochs)
         return self
 
     def delta_vth_v(self) -> np.ndarray:
         """Current per-core threshold shift, ``(n_chips, n_cores)``."""
-        return self._simulator.state.delta_vth_v().copy()
+        return self._simulator.bti.delta_vth_v().copy()
 
     def delta_vth_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip worst-core shift."""
         if not 0.0 <= fraction <= 1.0:
             raise SimulationError("fraction must be in [0, 1]")
-        worst = self._simulator.state.delta_vth_v().max(axis=1)
+        worst = self._simulator.bti.delta_vth_v().max(axis=1)
         return float(np.quantile(worst, fraction))
 
     @property
@@ -758,12 +753,11 @@ class FleetSession:
         the live (current-epoch) degradation, so queries between
         record points never understate the needed margin.
         """
-        delta = self._simulator.state.delta_vth_v()
-        oscillator = self._simulator.chip.core.oscillator
-        current = oscillator.delay_degradation_array(delta).max(
-            axis=1)
-        if self._run.worst:
-            recorded = np.max(np.array(self._run.worst), axis=0)
+        simulator = self._simulator
+        current = simulator.chip.core.oscillator.delay_degradation_array(
+            simulator.bti.delta_vth_v()).max(axis=1)
+        if simulator.worst:
+            recorded = np.max(np.array(simulator.worst), axis=0)
             return np.maximum(recorded, current)
         return current
 
@@ -775,11 +769,11 @@ class FleetSession:
 
     def result(self) -> FleetResult:
         """The :class:`FleetResult` of everything advanced so far."""
-        return self._run.result()
+        return self._simulator.result()
 
     def snapshot(self) -> FleetSnapshot:
         """Capture the full session state as a self-contained snapshot."""
-        snapshot = _snapshot_run(self._run)
+        snapshot = _snapshot_run(self._simulator)
         snapshot.meta["kind"] = "fleet-session"
         snapshot.meta["digest"] = self._digest()
         # The drawn variation travels as arrays, not in the spec.
@@ -803,20 +797,15 @@ class FleetSession:
         """Reset this session to a snapshot's state, in place.
 
         The snapshot must come from a session of the same study
-        (geometry, cohort layout, cadence, dtype, and every group's
-        workload and policy, pinned by the study fingerprint);
-        continuing from it is bitwise-equal to never having
-        snapshotted.
+        (geometry, cohort layout, cadence, and every group's workload
+        and policy, pinned by the study fingerprint); continuing from
+        it is bitwise-equal to never having snapshotted.  A refused
+        snapshot raises :class:`~repro.errors.CheckpointError` and
+        leaves the session as it was.
         """
         if not isinstance(snapshot, FleetSnapshot):
             snapshot = FleetSnapshot.load(snapshot)
-        run = self._study.run(self._simulator)
-        _restore_run(run, snapshot)
-        if snapshot.meta.get("digest") != self._digest():
-            raise CheckpointError(
-                "snapshot belongs to a different study (fingerprint "
-                "mismatch); restore it into a session of that study")
-        self._run = run
+        _restore_run(self._simulator, snapshot, digest=self._digest())
         return self
 
     @classmethod

@@ -5,15 +5,15 @@ guardband reduction and EM lifetime gains across many chips -- but the
 pooled sweep layer pays one Python simulator (and often one process
 task) per chip.  This module advances every chip in lockstep instead:
 
-* :class:`FleetState` owns the whole population's aging state as
+* :class:`FleetSimulator` is one population: its aging state as
   stacked arrays -- trap occupancies/ages/weights and permanent Vth in
   a :class:`~repro.bti.fleet.StackedTrapPopulations`, EM
   nucleation/void accumulators in one flat
-  :class:`~repro.system.aging.FleetEmState` -- plus the per-chip
-  process-variation scales drawn up front.
-* :class:`FleetSimulator` runs the same epoch loop as
-  :class:`~repro.system.simulator.SystemSimulator`, but evaluates the
-  BTI condition kernels and EM rate factors over the whole
+  :class:`~repro.system.aging.FleetEmState`, the per-chip
+  process-variation scales drawn up front -- plus its condition and
+  kernel memos and its resumable epoch loop.  That loop is the one of
+  :class:`~repro.system.simulator.SystemSimulator`, but it evaluates
+  the BTI condition kernels and EM rate factors over the whole
   ``(n_chips, n_cores)`` stack in single ufunc passes.
 * :class:`FleetGroup` generalizes the engine beyond "one workload, one
   policy": a population is a sequence of groups, each with its own
@@ -27,8 +27,9 @@ task) per chip.  This module advances every chip in lockstep instead:
   tensor advance.
 * :func:`run_fleet_lifetime_study` is the population entry point.  It
   normalizes its arguments once into one validated study object --
-  the one :class:`~repro.system.checkpoint.FleetSession` builds too --
-  and runs it through one chunk loop: whole-lifetime row chunks under
+  the one :class:`~repro.system.checkpoint.FleetSession` builds too,
+  and the only builder of a :class:`FleetSimulator` -- and runs it
+  through one chunk loop: whole-lifetime row chunks under
   a byte budget (``max_chunk_chips`` / ``state_budget_bytes``), each
   the study's own row slice.  The parent restores any chunk a
   checkpoint directory already holds, then runs the pending ones
@@ -55,20 +56,12 @@ equivalence is exact for any policy; with variation it stays exact for
 policies that ignore the shift values (the round-robin and
 no-recovery policies) and for singleton cohorts.  The same contract
 makes chunked execution invariant in the chunk size.
-
-Reduced precision: ``state_dtype=np.float32`` halves the trap-state
-memory.  Condition kernels and sub-step counts are still derived in
-float64 and rounded once per epoch, so the float32 trajectory tracks
-the float64 one within :data:`FLOAT32_MAX_RELATIVE_ERROR` (pinned by
-the fleet tests); ``state_dtype=np.float64`` (the default) is bitwise
-identical to the single-chip engine.
 """
 
 from __future__ import annotations
 
 import copy
 import operator
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,7 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import units
-from repro.bti.calibration import BtiCalibration, default_calibration
+from repro.bti.calibration import default_calibration
 from repro.bti.conditions import BtiConditionKernels
 from repro.bti.fleet import StackedTrapPopulations
 from repro.em.line import EmStressCondition
@@ -108,20 +101,8 @@ from repro.system.simulator import (
 from repro.system.sweeps import ChipConfig
 from repro.system.workload import PhasedWorkload
 
-#: Measured accuracy budget of ``state_dtype=np.float32``: the maximum
-#: relative error of any chip's final per-core threshold shift (and of
-#: the recorded degradation timeline) against the bit-exact float64
-#: engine.  Kernels are built in float64 and rounded once per epoch,
-#: so the error does not compound through the transcendental factor
-#: math; it is dominated by the ~1e-7 rounding of the state
-#: accumulators and grows sub-linearly with the horizon (measured
-#: ~1.7e-7 at 26 epochs, ~1e-6 at 720 epochs, on mixed-phase /
-#: mixed-policy variated fleets).  The bound leaves two orders of
-#: headroom for multi-year horizons; the fleet tests pin it.
-FLOAT32_MAX_RELATIVE_ERROR = 1e-4
-
 #: Trap-bin count of the system-level population (the fleet engine
-#: always runs the 64-bin configuration, see :class:`FleetState`).
+#: always runs the 64-bin configuration).
 _FLEET_N_BINS = 64
 
 #: Memory budget of the stacked BTI sub-step kernel memo, the dominant
@@ -499,19 +480,17 @@ class _EpochConditions:
     own hottest core).
     """
 
-    __slots__ = ("temps", "stressing", "capture_safe", "recovery",
-                 "j_flat", "temps_flat", "cohort_temps", "token")
+    __slots__ = ("stressing", "capture_safe", "recovery", "j_flat",
+                 "temps_flat", "cohort_temps")
 
-    def __init__(self, temps, stressing, capture_safe, recovery,
-                 j_flat, temps_flat, cohort_temps, token):
-        self.temps = temps
+    def __init__(self, stressing, capture_safe, recovery, j_flat,
+                 temps_flat, cohort_temps):
         self.stressing = stressing
         self.capture_safe = capture_safe
         self.recovery = recovery
         self.j_flat = j_flat
         self.temps_flat = temps_flat
         self.cohort_temps = cohort_temps
-        self.token = token
 
 
 def _budget_entries(budget_bytes: int, entry_bytes: int,
@@ -522,155 +501,128 @@ def _budget_entries(budget_bytes: int, entry_bytes: int,
     return int(min(cap, max(0, budget_bytes // entry_bytes)))
 
 
-def state_bytes_per_chip(n_cores: int,
-                         state_dtype=np.float64) -> int:
+def state_bytes_per_chip(n_cores: int) -> int:
     """Resident aging-state bytes one fleet chip costs.
 
     Counts the stacked trap arrays (three state + three scratch
-    ``(n_cores, n_bins)`` blocks in ``state_dtype`` plus two boolean
-    masks) and the flat float64 EM accumulators.  The chunked runner
-    divides ``state_budget_bytes`` by this to pick its row-block
-    height.
+    float64 ``(n_cores, n_bins)`` blocks plus two boolean masks) and
+    the flat float64 EM accumulators.  The chunked runner divides
+    ``state_budget_bytes`` by this to pick its row-block height.
     """
-    itemsize = np.dtype(state_dtype).itemsize
-    trap = n_cores * _FLEET_N_BINS * (6 * itemsize + 2)
+    trap = n_cores * _FLEET_N_BINS * (6 * 8 + 2)
     em = n_cores * 5 * 8
     return trap + em
 
 
-class FleetState:
-    """Structure-of-arrays aging state of a chip population.
-
-    Owns the stacked BTI trap populations, the flat per-core EM
-    accumulators and the drawn per-chip variation scales.  The layout
-    is chip-major: core ``c`` of chip ``k`` is flat unit
-    ``k * n_cores + c``.
-    """
-
-    def __init__(self, chip: Chip, variation: FleetVariation,
-                 calibration: BtiCalibration,
-                 em_reference: EmStressCondition,
-                 state_dtype=np.float64):
-        self.n_chips = variation.n_chips
-        self.n_cores = chip.n_cores
-        self.variation = variation
-        self.state_dtype = np.dtype(state_dtype)
-        rows = self.n_chips * self.n_cores
-        population = replace(
-            calibration.model_config.population, n_bins=_FLEET_N_BINS)
-        # A cached BTI kernel holds two dense (rows, n_bins) state-
-        # dtype arrays plus three (rows, 1) columns; size the memo so
-        # a cycling schedule can be fully resident without letting a
-        # million-chip fleet allocate gigabytes.
-        kernel_entries = _budget_entries(
-            _KERNEL_CACHE_BUDGET_BYTES,
-            (2 * population.n_bins + 3) * rows
-            * self.state_dtype.itemsize, cap=16)
-        self.bti = StackedTrapPopulations(
-            self.n_chips, self.n_cores, population,
-            kernel_cache_size=kernel_entries,
-            dtype=self.state_dtype)
-        # EM rate entries are five (rows,) arrays -- far lighter.
-        em_entries = max(1, _budget_entries(
-            _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
-        self.em = FleetEmState(rows, em_reference,
-                               step_cache_size=em_entries)
-
-    def delta_vth_v(self) -> np.ndarray:
-        """Total per-core shift, ``(n_chips, n_cores)``, as float64.
-
-        In float64 mode this is the state's own array (no copy); in
-        float32 mode the reduced-precision state is upcast once here
-        so every downstream observable (policy inputs, degradation
-        records, results) stays float64.
-        """
-        return np.asarray(self.bti.delta_vth_v(), dtype=np.float64)
-
-
 class FleetSimulator:
-    """Drives a whole chip population through its lifetime.
+    """One chip population: its aging state, memos and epoch loop.
 
-    The epoch loop mirrors
+    Built only by :meth:`_FleetStudy.simulator`, whose study has
+    validated every input, on the shared ``chip`` (one thermal
+    network, memoized across the whole fleet -- and, in chunked runs,
+    across chunks).  The simulator owns
+
+    * the aging state, chip-major and flat (core ``c`` of chip ``k``
+      is flat unit ``k * n_cores + c``): the stacked trap populations
+      :attr:`bti`, the EM accumulators :attr:`em` and the drawn
+      per-chip :attr:`variation`;
+    * the condition-bundle and BTI/EM kernel memos;
+    * the run state: per-cohort policy/workload copies with their
+      mutable cursors, the :attr:`epoch` cursor, the demand/migration
+      accumulators and the recorded timeline.
+
+    :meth:`advance` mirrors
     :class:`~repro.system.simulator.SystemSimulator.run` -- demand,
     assignment, thermal solve, BTI/EM advance, recording -- with every
-    per-core quantity carrying a chip axis.  :meth:`run` drives a
-    homogeneous population (one workload, one policy, one cohort);
-    :meth:`run_groups` drives a heterogeneous one, consulting each
-    cohort's policy once per epoch and assembling the per-cohort
-    conditions into one stacked advance.  Cohort policies see their
-    cohort-worst per-core shift as the aging observable (see the
-    module docstring for the exactness contract this preserves).
+    per-core quantity carrying a chip axis: each cohort's policy is
+    consulted once per epoch with its cohort-worst per-core shift
+    (see the module docstring for the exactness contract this
+    preserves), and the per-cohort conditions are assembled into one
+    stacked advance.  An advance can stop after any epoch and continue
+    later (or in another process, via :mod:`repro.system.checkpoint`)
+    with a trajectory bit-identical to an uninterrupted run: every
+    cross-epoch input is either stored here or recomputed as the same
+    pure function of the stored state.
 
-    Args:
-        chip: the shared chip design (one thermal network, memoized
-            across the whole fleet -- and, in chunked runs, across
-            chunks).
-        variation: per-chip scales, a spec to draw them from, or
-            ``None`` for an identical population.
-        seed: draw seed used when ``variation`` is a spec.
-        state_dtype: trap-state dtype; ``np.float64`` (default,
-            bit-exact) or ``np.float32`` (half the state memory,
-            error within :data:`FLOAT32_MAX_RELATIVE_ERROR`).
+    An open horizon (``n_epochs`` is ``None``, the
+    :class:`~repro.system.checkpoint.FleetSession` mode) records by
+    the ``record_every`` modulo rule only; a declared horizon also
+    records its final epoch.
     """
 
-    def __init__(self, chip: Chip, n_chips: int,
-                 calibration: Optional[BtiCalibration] = None,
-                 em_reference: Optional[EmStressCondition] = None,
-                 epoch_s: float = units.hours(1.0),
-                 variation: Union[FleetVariation, FleetVariationSpec,
-                                  None] = None,
-                 seed: int = 0,
-                 state_dtype=np.float64):
-        if epoch_s <= 0.0:
-            raise SimulationError("epoch_s must be positive")
-        if n_chips < 1:
-            raise SimulationError("n_chips must be at least 1")
+    def __init__(self, chip: Chip, study: _FleetStudy):
+        n_chips, n_cores = study.n_chips, chip.n_cores
         self.chip = chip
-        self.epoch_s = epoch_s
-        self.calibration = calibration or default_calibration()
+        self.n_chips = n_chips
+        self.n_cores = n_cores
+        self.epoch_s = study.epoch_s
+        self.record_every = study.record_every
+        self.n_epochs = study.n_epochs
+        variation = study.variation
         if variation is None:
             variation = FleetVariation.none(n_chips)
         elif isinstance(variation, FleetVariationSpec):
-            variation = variation.draw(n_chips, seed)
-        if variation.n_chips != n_chips:
-            raise SimulationError(
-                f"variation draw covers {variation.n_chips} chips, "
-                f"fleet has {n_chips}")
-        self.em_reference = em_reference or EmStressCondition(
-            current_density_a_m2=chip.core.grid_current_density_a_m2,
-            temperature_k=units.celsius_to_kelvin(85.0),
-            name="grid reference")
-        self.state = FleetState(chip, variation, self.calibration,
-                                self.em_reference,
-                                state_dtype=state_dtype)
+            variation = variation.draw_range(
+                study.first_chip, study.first_chip + n_chips,
+                study.seed)
+        self.variation = variation
+        calibration = default_calibration()
+        rows = n_chips * n_cores
+        population = replace(
+            calibration.model_config.population, n_bins=_FLEET_N_BINS)
+        # A cached BTI kernel holds two dense (rows, n_bins) float64
+        # arrays plus three (rows, 1) columns; size the memo so a
+        # cycling schedule can be fully resident without letting a
+        # million-chip fleet allocate gigabytes.
+        kernel_entries = _budget_entries(
+            _KERNEL_CACHE_BUDGET_BYTES,
+            (2 * population.n_bins + 3) * rows * 8, cap=16)
+        self.bti = StackedTrapPopulations(
+            n_chips, n_cores, population,
+            kernel_cache_size=kernel_entries)
+        # EM rate entries are five (rows,) arrays -- far lighter.
+        em_entries = max(1, _budget_entries(
+            _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
+        self.em = FleetEmState(
+            rows, EmStressCondition(
+                current_density_a_m2=chip.core.grid_current_density_a_m2,
+                temperature_k=units.celsius_to_kelvin(85.0),
+                name="grid reference"),
+            step_cache_size=em_entries)
         self.kernels = BtiConditionKernels(
-            self.calibration.model_config.acceleration,
-            self.calibration.model_config.reference_stress,
+            calibration.model_config.acceleration,
+            calibration.model_config.reference_stress,
             stress_voltage_v=chip.core.stress_voltage_v)
         # One bundle per distinct epoch decision: the per-cohort base
         # conditions are computed once (shared thermal memo), the
         # variation scales broadcast once, and every repeat epoch is a
-        # dictionary hit.  The token covers the cohort layout plus
-        # every cohort's assignment bytes, so distinct schedules (or
-        # layouts across run calls) never collide.
-        rows = n_chips * chip.n_cores
+        # dictionary hit.  The token covers every cohort's bounds and
+        # assignment bytes, so distinct schedules never collide.
         bundle_entries = max(1, _budget_entries(
             _MEMO_BUDGET_BYTES, 33 * rows, cap=64))
         self._condition_cache = FactorizationCache(
             maxsize=bundle_entries, name="fleet.conditions")
-
-    @property
-    def variation(self) -> FleetVariation:
-        """The per-chip scales this fleet runs with."""
-        return self.state.variation
+        self.cohorts = self._build_cohorts(study.groups)
+        self.epoch = 0
+        self.migration_events = np.zeros(n_chips, dtype=np.int64)
+        self.total_demand = np.zeros(n_chips)
+        self.total_dropped = np.zeros(n_chips)
+        self.times: List[float] = []
+        self.worst: List[np.ndarray] = []
+        self.mean: List[np.ndarray] = []
+        self.dropped: List[np.ndarray] = []
+        self._dropped_epoch = np.empty(n_chips)
+        # Per-cohort (start, stop, temps) of the last advanced epoch;
+        # result() evaluates the EM read-out and the thermal refresh
+        # from these, so they are part of the resumable state.
+        self.cohort_temps: Optional[
+            List[Tuple[int, int, np.ndarray]]] = None
 
     # -- cohorts -----------------------------------------------------------
 
     def _build_cohorts(self, groups: Sequence[FleetGroup]
                        ) -> List[_Cohort]:
         """Split groups into per-phase cohorts with fresh templates."""
-        if not groups:
-            raise SimulationError("need at least one group")
         cohorts: List[_Cohort] = []
         start = 0
         for group in groups:
@@ -691,18 +643,14 @@ class FleetSimulator:
                     workload = PhasedWorkload(workload, phase)
                 cohorts.append(_Cohort(
                     start + run_start, start + run_stop, workload,
-                    policy, self.chip.n_cores))
+                    policy, self.n_cores))
                 run_start = run_stop
             start += group.n_chips
-        if start != self.state.n_chips:
-            raise SimulationError(
-                f"groups cover {start} chips, fleet has "
-                f"{self.state.n_chips}")
         return cohorts
 
     # -- conditions --------------------------------------------------------
 
-    def _build_group_conditions(self, keyed, token) -> _EpochConditions:
+    def _build_group_conditions(self, keyed) -> _EpochConditions:
         """Assemble one full-stack bundle from per-cohort assignments.
 
         Element ``(k, c)`` of every array is ``base[c] * scale[k]``
@@ -711,8 +659,7 @@ class FleetSimulator:
         its standalone chip bitwise.
         """
         v = self.variation
-        n_chips, n_cores = self.state.n_chips, self.state.n_cores
-        shape = (n_chips, n_cores)
+        shape = (self.n_chips, self.n_cores)
         capture_safe = np.empty(shape)
         recovery2d = np.empty(shape)
         j2d = np.empty(shape)
@@ -734,118 +681,32 @@ class FleetSimulator:
             temps_full[rows] = temps[None, :]
             cohort_temps.append((start, stop, temps))
         return _EpochConditions(
-            cohort_temps[-1][2], stressing, capture_safe, recovery2d,
-            j2d.reshape(-1), temps_full.reshape(-1), cohort_temps,
-            token)
+            stressing, capture_safe, recovery2d, j2d.reshape(-1),
+            temps_full.reshape(-1), cohort_temps)
 
-    # -- epoch loops -------------------------------------------------------
-
-    def run(self, n_epochs: int, workload: Workload,
-            policy: SchedulingPolicy,
-            record_every: int = 1) -> FleetResult:
-        """Simulate a homogeneous population: one workload, one policy.
-
-        Equivalent to :meth:`run_groups` with a single all-chips
-        group; the workload and policy are treated as templates
-        (deep-copied before the run), so calling ``run`` never
-        mutates the caller's objects.
-        """
-        group = FleetGroup(n_chips=self.state.n_chips,
-                           workload=workload, policy=policy)
-        return self.run_groups(n_epochs, (group,),
-                               record_every=record_every)
-
-    def run_groups(self, n_epochs: int,
-                   groups: Sequence[FleetGroup],
-                   record_every: int = 1) -> FleetResult:
-        """Simulate a heterogeneous population of policy/phase groups.
-
-        Each cohort's scheduler is consulted per epoch with its own
-        demand and cohort-worst aging observable; the resulting
-        per-cohort conditions are assembled into one stacked bundle
-        and the whole population's BTI/EM state advances in single
-        tensor passes.  Repeated epoch decisions (same cohort layout,
-        same assignment bytes) hit the condition and kernel memos.
-        """
-        run = _FleetRun(self, groups, record_every=record_every,
-                        n_epochs=n_epochs)
-        run.advance(n_epochs)
-        return run.result()
-
-
-class _FleetRun:
-    """Resumable epoch-loop state of one fleet simulation.
-
-    Owns everything :meth:`FleetSimulator.run_groups` used to keep in
-    loop locals -- the per-cohort policy/workload copies with their
-    mutable cursors, the epoch cursor, the demand/migration
-    accumulators and the recorded timeline -- so an advance can stop
-    after any epoch and continue later (or in another process, via
-    :mod:`repro.system.checkpoint`) with a trajectory bit-identical
-    to an uninterrupted run: every cross-epoch input is either stored
-    here or recomputed as the same pure function of the stored state.
-
-    ``n_epochs=None`` leaves the horizon open (the incremental
-    :class:`~repro.system.checkpoint.FleetSession` mode): records then
-    follow the ``record_every`` modulo rule only, while a declared
-    horizon additionally records its final epoch exactly like the
-    one-shot loop.
-    """
-
-    def __init__(self, simulator: FleetSimulator,
-                 groups: Sequence[FleetGroup],
-                 record_every: int = 1,
-                 n_epochs: Optional[int] = None):
-        if record_every < 1:
-            raise SimulationError("record_every must be at least 1")
-        if n_epochs is not None and n_epochs < 1:
-            raise SimulationError("n_epochs must be at least 1")
-        self.simulator = simulator
-        self.groups = tuple(groups)
-        self.record_every = record_every
-        self.n_epochs = n_epochs
-        self.cohorts = simulator._build_cohorts(self.groups)
-        n_chips = simulator.state.n_chips
-        self.epoch = 0
-        self.migration_events = np.zeros(n_chips, dtype=np.int64)
-        self.total_demand = np.zeros(n_chips)
-        self.total_dropped = np.zeros(n_chips)
-        self.times: List[float] = []
-        self.worst: List[np.ndarray] = []
-        self.mean: List[np.ndarray] = []
-        self.dropped: List[np.ndarray] = []
-        self._dropped_epoch = np.empty(n_chips)
-        # Per-cohort (start, stop, temps) of the last advanced epoch;
-        # result() evaluates the EM read-out and the thermal refresh
-        # from these, so they are part of the resumable state.
-        self.cohort_temps: Optional[
-            List[Tuple[int, int, np.ndarray]]] = None
+    # -- epoch loop --------------------------------------------------------
 
     def advance(self, n_epochs: int) -> None:
         """Advance the population by ``n_epochs`` more epochs."""
         if n_epochs < 1:
             raise SimulationError("n_epochs must be at least 1")
-        if (self.n_epochs is not None
-                and self.epoch + n_epochs > self.n_epochs):
+        horizon = self.n_epochs
+        if horizon is not None and self.epoch + n_epochs > horizon:
             raise SimulationError(
                 f"advance past the declared horizon: "
-                f"{self.epoch} + {n_epochs} > {self.n_epochs}")
-        simulator = self.simulator
-        state = simulator.state
-        epoch_s = simulator.epoch_s
-        oscillator = simulator.chip.core.oscillator
+                f"{self.epoch} + {n_epochs} > {horizon}")
+        bti, em = self.bti, self.em
+        epoch_s = self.epoch_s
+        oscillator = self.chip.core.oscillator
         cohorts = self.cohorts
         record_every = self.record_every
-        horizon = self.n_epochs
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
         dropped_epoch = self._dropped_epoch
-        delta_vth = state.delta_vth_v()
+        delta_vth = bti.delta_vth_v()
         cond = None
         for epoch in range(self.epoch, self.epoch + n_epochs):
-            if _TEST_EPOCH_SLEEP_S > 0.0:
-                time.sleep(_TEST_EPOCH_SLEEP_S)
             keyed = []
             key_parts = []
             for cohort in cohorts:
@@ -871,16 +732,13 @@ class _FleetRun:
                 key_parts.append((cohort.start, cohort.stop)
                                  + assignment.cache_key())
             token = tuple(key_parts)
-            cond = simulator._condition_cache.get_or_build(
-                token,
-                lambda: simulator._build_group_conditions(keyed,
-                                                          token))
-            state.bti.step(epoch_s, cond.stressing,
-                           cond.capture_safe, cond.recovery,
-                           kernel_key=token)
-            state.em.step(epoch_s, cond.j_flat, cond.temps_flat,
-                          key=(epoch_s, token))
-            delta_vth = state.delta_vth_v()
+            cond = self._condition_cache.get_or_build(
+                token, lambda: self._build_group_conditions(keyed))
+            bti.step(epoch_s, cond.stressing, cond.capture_safe,
+                     cond.recovery, kernel_key=token)
+            em.step(epoch_s, cond.j_flat, cond.temps_flat,
+                    key=(epoch_s, token))
+            delta_vth = bti.delta_vth_v()
             if ((epoch + 1) % record_every == 0
                     or (horizon is not None and epoch == horizon - 1)):
                 degradation = oscillator.delay_degradation_array(
@@ -899,35 +757,31 @@ class _FleetRun:
         if self.epoch < 1 or self.cohort_temps is None:
             raise SimulationError(
                 "advance at least one epoch before taking a result")
-        simulator = self.simulator
-        state = simulator.state
         # Same read-out refresh as the scalar simulator, per cohort:
         # each cohort's EM failure check evaluates the reference
         # resistance at that cohort's own hottest core.  The shared
         # thermal network is left reflecting the last cohort's solve.
-        simulator.chip.thermal.temperatures_k = \
+        self.chip.thermal.temperatures_k = \
             self.cohort_temps[-1][2].copy()
-        shape = (state.n_chips, state.n_cores)
+        shape = (self.n_chips, self.n_cores)
         em_failures = np.empty(shape, dtype=bool)
         for start, stop, temps in self.cohort_temps:
             read_t = float(np.max(temps))
             em_failures[start:stop] = \
-                state.em.failed(read_t).reshape(shape)[start:stop]
-        record_counters("fleet.engine", chips=state.n_chips,
+                self.em.failed(read_t).reshape(shape)[start:stop]
+        record_counters("fleet.engine", chips=self.n_chips,
                         epochs=self.epoch, cohorts=len(self.cohorts))
         return FleetResult(
             times_s=np.array(self.times),
             worst_degradation=np.array(self.worst),
             mean_degradation=np.array(self.mean),
             dropped_demand=np.array(self.dropped),
-            final_delta_vth_v=state.delta_vth_v().copy(),
-            final_permanent_vth_v=np.asarray(
-                state.bti.permanent_vth_v(),
-                dtype=np.float64).copy(),
-            final_em_drift_ohm=state.em.delta_resistance_ohm()
+            final_delta_vth_v=self.bti.delta_vth_v().copy(),
+            final_permanent_vth_v=self.bti.permanent_vth_v().copy(),
+            final_em_drift_ohm=self.em.delta_resistance_ohm()
             .reshape(shape),
             em_failures=em_failures,
-            variation=simulator.variation,
+            variation=self.variation,
             migration_events=self.migration_events.copy(),
             n_epochs=self.epoch,
             total_demand=self.total_demand.copy(),
@@ -942,11 +796,13 @@ class _FleetStudy:
     """Everything that decides a fleet study's result, validated once.
 
     Built by :func:`_fleet_study`; the chunk executor, the checkpoint
-    digest, ``study.pkl`` and session snapshots all take this object.
-    ``n_epochs`` is ``None`` for an open-ended session.  A row slice
-    keeps a :class:`FleetVariationSpec` undrawn and records its
-    ``first_chip``, so each chunk draws its chips by global index
-    (in the pool worker, when pooled).
+    digest, ``study.pkl`` and session snapshots all take this object,
+    and :meth:`simulator` is the one way to build a
+    :class:`FleetSimulator`.  ``n_epochs`` is ``None`` for an
+    open-ended session.  A row slice keeps a
+    :class:`FleetVariationSpec` undrawn and records its
+    ``first_chip``, so each chunk draws its chips by global index (in
+    the pool worker, when pooled).
     """
 
     chip: ChipConfig
@@ -956,9 +812,6 @@ class _FleetStudy:
     record_every: int
     variation: Union[FleetVariation, FleetVariationSpec, None]
     seed: int
-    calibration: Optional[BtiCalibration]
-    em_reference: Optional[EmStressCondition]
-    state_dtype: str
     first_chip: int = 0
 
     def __post_init__(self) -> None:
@@ -968,10 +821,6 @@ class _FleetStudy:
             raise SimulationError("record_every must be at least 1")
         if self.epoch_s <= 0.0:
             raise SimulationError("epoch_s must be positive")
-        if np.dtype(self.state_dtype) not in (np.dtype(np.float64),
-                                              np.dtype(np.float32)):
-            raise SimulationError(
-                "state_dtype must be float64 or float32")
         if (isinstance(self.variation, FleetVariation)
                 and self.variation.n_chips != self.n_chips):
             raise SimulationError(
@@ -1005,21 +854,7 @@ class _FleetStudy:
 
     def simulator(self, chip: Chip) -> FleetSimulator:
         """A fresh :class:`FleetSimulator` of this study on ``chip``."""
-        variation = self.variation
-        if isinstance(variation, FleetVariationSpec):
-            variation = variation.draw_range(
-                self.first_chip, self.first_chip + self.n_chips,
-                self.seed)
-        return FleetSimulator(
-            chip, self.n_chips, calibration=self.calibration,
-            em_reference=self.em_reference, epoch_s=self.epoch_s,
-            variation=variation, state_dtype=np.dtype(self.state_dtype))
-
-    def run(self, simulator: FleetSimulator) -> _FleetRun:
-        """A fresh :class:`_FleetRun` of this study on ``simulator``."""
-        return _FleetRun(simulator, self.groups,
-                         record_every=self.record_every,
-                         n_epochs=self.n_epochs)
+        return FleetSimulator(chip, self)
 
 
 def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
@@ -1031,9 +866,7 @@ def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
                  record_every: int,
                  variation: Union[FleetVariation, FleetVariationSpec,
                                   None],
-                 seed: int, calibration: Optional[BtiCalibration],
-                 em_reference: Optional[EmStressCondition],
-                 state_dtype) -> Tuple[Chip, _FleetStudy]:
+                 seed: int) -> Tuple[Chip, _FleetStudy]:
     """The shared chip and the validated study of one fleet.
 
     The one normalization behind :func:`run_fleet_lifetime_study` and
@@ -1072,12 +905,10 @@ def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
         chip=config, groups=groups,
         n_epochs=None if n_epochs is None else operator.index(n_epochs),
         epoch_s=float(epoch_s), record_every=int(record_every),
-        variation=variation, seed=int(seed), calibration=calibration,
-        em_reference=em_reference,
-        state_dtype=np.dtype(state_dtype).str)
+        variation=variation, seed=int(seed))
 
 
-def _chunk_size(n_chips: int, n_cores: int, state_dtype,
+def _chunk_size(n_chips: int, n_cores: int,
                 max_chunk_chips: Optional[int],
                 state_budget_bytes: Optional[int]) -> int:
     """Chips per chunk under the caller's row and byte limits."""
@@ -1091,7 +922,7 @@ def _chunk_size(n_chips: int, n_cores: int, state_dtype,
         if state_budget_bytes < 1:
             raise SimulationError(
                 "state_budget_bytes must be positive")
-        per_chip = state_bytes_per_chip(n_cores, state_dtype)
+        per_chip = state_bytes_per_chip(n_cores)
         limit = min(limit, max(1, state_budget_bytes // per_chip))
     return max(1, limit)
 
@@ -1104,21 +935,6 @@ def _chunk_size(n_chips: int, n_cores: int, state_dtype,
 #: pickling costs tens of milliseconds, which dominates small fleets.
 #: It is one of the serial reasons :func:`_run_study` decides once.
 MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
-
-# Fault-injection hooks: pool workers are forked on Linux, so a test
-# that monkeypatches these module globals reaches the children too.
-# ``_TEST_STAGGER_S`` delays chunk k by ``stagger * (n_chunks - 1 - k)``
-# so later chunks finish *first* (exercising out-of-order completion);
-# ``_TEST_DIE_UNLESS_PID`` hard-kills any process but the named one
-# (exercising worker-death recovery -- the parent survives and re-runs
-# the chunks in-process).
-_TEST_STAGGER_S = 0.0
-_TEST_DIE_UNLESS_PID: Optional[int] = None
-
-#: Per-epoch sleep injected into :meth:`_FleetRun.advance` -- slows a
-#: run down so a kill-and-resume test can SIGKILL it mid-lifetime at a
-#: controlled epoch.  Forked workers inherit the setting.
-_TEST_EPOCH_SLEEP_S = 0.0
 
 
 @dataclass(frozen=True)
@@ -1159,22 +975,24 @@ def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
     """
     ckpt = task.checkpoint
     n_epochs = task.study.n_epochs
-    run = task.study.run(task.study.simulator(built))
+    simulator = task.study.simulator(built)
     every = None
     if ckpt is not None:
         from repro.system import checkpoint as checkpoint_mod
-        checkpoint_mod.resume_chunk_run(ckpt, task.chunk.index, run)
+        checkpoint_mod.resume_chunk_run(ckpt, task.chunk.index,
+                                        simulator)
         every = ckpt.every
-    while run.epoch < n_epochs:
+    while simulator.epoch < n_epochs:
+        epoch = simulator.epoch
         if every:
-            step = min(every - run.epoch % every, n_epochs - run.epoch)
+            step = min(every - epoch % every, n_epochs - epoch)
         else:
-            step = n_epochs - run.epoch
-        run.advance(step)
-        if every and run.epoch < n_epochs:
+            step = n_epochs - epoch
+        simulator.advance(step)
+        if every and simulator.epoch < n_epochs:
             checkpoint_mod.save_chunk_progress(
-                ckpt, task.chunk.index, run)
-    result = run.result()
+                ckpt, task.chunk.index, simulator)
+    result = simulator.result()
     if ckpt is not None:
         checkpoint_mod.save_chunk_result(
             ckpt, task.chunk.index, result)
@@ -1184,12 +1002,6 @@ def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
 def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
     """Run one row chunk inside a pool worker, on a chip built from
     the task's config, and return its :class:`FleetResult`."""
-    if (_TEST_DIE_UNLESS_PID is not None
-            and os.getpid() != _TEST_DIE_UNLESS_PID):
-        os._exit(1)
-    if _TEST_STAGGER_S > 0.0:
-        time.sleep(_TEST_STAGGER_S
-                   * (task.n_chunks - 1 - task.chunk.index))
     return _execute_chunk(task.study.chip.build(), task)
 
 
@@ -1333,8 +1145,8 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                 fallback_reasons=tuple(fallback_reasons),
                 wall_time_s=time.perf_counter() - started,
                 chunks=tuple(ChunkRecord(
-                    index=index, start=index, stop=index + 1,
-                    executed_in=where, wall_time_s=output.wall_time_s,
+                    index=index, executed_in=where,
+                    wall_time_s=output.wall_time_s,
                     retries=output.retries,
                     n_failures=int(output.failure is not None))
                     for index, (where, output) in ordered),
@@ -1370,12 +1182,9 @@ def run_fleet_lifetime_study(
         variation: Union[FleetVariation, FleetVariationSpec,
                          None] = None,
         seed: int = 0,
-        calibration: Optional[BtiCalibration] = None,
-        em_reference: Optional[EmStressCondition] = None,
         groups: Optional[Sequence[FleetGroup]] = None,
         max_chunk_chips: Optional[int] = None,
         state_budget_bytes: Optional[int] = None,
-        state_dtype=np.float64,
         max_workers: Optional[int] = None,
         retries: int = 0,
         on_report: Optional[Callable[[SweepReport], None]] = None,
@@ -1422,7 +1231,6 @@ def run_fleet_lifetime_study(
             so chunking never reshuffles them.
         seed: variation draw seed (chip ``k`` draws from
             ``task_seed_sequence(seed, k)``).
-        calibration / em_reference: forwarded to the simulator.
         groups: heterogeneous population layout, a sequence of
             :class:`FleetGroup` laid out back-to-back in chip order;
             mutually exclusive with ``workload`` / ``policy``.
@@ -1432,9 +1240,6 @@ def run_fleet_lifetime_study(
             the chunk height is ``budget // state_bytes_per_chip``.
             A *per-worker* budget under pooling: total residency is
             ``n_workers x budget``.
-        state_dtype: trap-state dtype (``np.float64`` bit-exact, or
-            ``np.float32`` at half the state memory within
-            :data:`FLOAT32_MAX_RELATIVE_ERROR`).
         max_workers: process count for parallel chunk execution;
             ``None`` picks the CPUs this process may run on
             (:func:`~repro.solvers.sweep.available_cpus`), ``0``/``1``
@@ -1470,11 +1275,9 @@ def run_fleet_lifetime_study(
     built, study = _fleet_study(
         chip, n_chips, workload, policy, groups, n_epochs=n_epochs,
         epoch_s=epoch_s, record_every=record_every,
-        variation=variation, seed=seed, calibration=calibration,
-        em_reference=em_reference, state_dtype=state_dtype)
+        variation=variation, seed=seed)
     chunk_chips = _chunk_size(study.n_chips, built.n_cores,
-                              state_dtype, max_chunk_chips,
-                              state_budget_bytes)
+                              max_chunk_chips, state_budget_bytes)
     return _run_study(built, study, chunk_chips,
                       max_workers=max_workers, retries=retries,
                       on_report=on_report,

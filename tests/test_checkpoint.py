@@ -6,9 +6,9 @@ The checkpoint layer promises (ISSUE 10 / PR 10):
   foreign or wrong-schema files fail loudly as ``CheckpointError``,
   never load as skewed state;
 * **bitwise resume** -- a :class:`FleetSession` restored from a
-  snapshot (in-memory or from disk, float64 or float32 state,
-  homogeneous or heterogeneous groups) continues bit-identically to a
-  session that was never interrupted;
+  snapshot (in-memory or from disk, homogeneous or heterogeneous
+  groups) continues bit-identically to a session that was never
+  interrupted, and a refused restore leaves the session untouched;
 * **study fingerprinting** -- a checkpoint directory is pinned to one
   study's SHA-256 digest, so resuming a *different* study against it
   is refused instead of mixing state.
@@ -35,10 +35,8 @@ from repro.system.checkpoint import (
     resume_fleet_lifetime_study,
     write_snapshot,
 )
-from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetGroup,
-    FleetSimulator,
     FleetVariationSpec,
     run_fleet_lifetime_study,
 )
@@ -192,13 +190,11 @@ class TestSnapshotFormat:
 class TestFleetSession:
     def test_session_matches_one_shot_run_groups(self):
         session = make_session().advance(6)
-        result = session.result()
-        simulator = FleetSimulator(Chip(2, 2), 6,
-                                   variation=VARIATION, seed=7)
-        reference = simulator.run_groups(
-            6, [FleetGroup(n_chips=6, workload=workload(),
-                           policy=policy())], record_every=2)
-        assert_results_bitwise_equal(result, reference)
+        reference = run_fleet_lifetime_study(
+            (2, 2), 6, workload(), policy(), n_epochs=6,
+            record_every=2, variation=VARIATION, seed=7,
+            max_workers=1)
+        assert_results_bitwise_equal(session.result(), reference)
 
     def test_split_advance_equals_one_advance(self):
         split = make_session().advance(2).advance(1).advance(3)
@@ -216,13 +212,12 @@ class TestFleetSession:
         clean = make_session().advance(6)
         assert_results_bitwise_equal(probed.result(), clean.result())
 
-    @pytest.mark.parametrize("state_dtype", [np.float64, np.float32])
-    def test_snapshot_restore_continues_bitwise(self, state_dtype):
-        session = make_session(state_dtype=state_dtype).advance(3)
+    def test_snapshot_restore_continues_bitwise(self):
+        session = make_session().advance(3)
         snapshot = session.snapshot()
         session.advance(3)
         reference = session.result()
-        resumed = make_session(state_dtype=state_dtype)
+        resumed = make_session()
         resumed.restore(snapshot)
         assert resumed.epoch == 3
         resumed.advance(3)
@@ -261,15 +256,6 @@ class TestFleetSession:
         loaded = FleetSession.load(path).advance(3)
         assert_results_bitwise_equal(loaded.result(), reference)
 
-    def test_float32_session_snapshot_keeps_dtype(self):
-        session = make_session(state_dtype=np.float32).advance(2)
-        snapshot = session.snapshot()
-        assert snapshot.meta["state_dtype"] == np.dtype(np.float32).str
-        assert snapshot.arrays["bti/weights"].dtype == np.float32
-        # A float64 session must refuse the float32 snapshot.
-        with pytest.raises(CheckpointError, match="state_dtype"):
-            make_session().restore(snapshot)
-
     def test_restore_refuses_a_different_study(self):
         snapshot = make_session().advance(2).snapshot()
         other = FleetSession((2, 2), 9, workload(), policy(),
@@ -286,6 +272,31 @@ class TestFleetSession:
         control = make_session(policy=NoRecoveryPolicy())
         with pytest.raises(CheckpointError, match="different study"):
             control.restore(snapshot)
+
+    def test_refused_foreign_restore_leaves_the_session_intact(self):
+        # A same-geometry snapshot of another policy passes every
+        # layout check; the fingerprint refuses it before any write.
+        foreign = make_session(policy=NoRecoveryPolicy()).advance(3)
+        session = make_session().advance(3)
+        with pytest.raises(CheckpointError, match="different study"):
+            session.restore(foreign.snapshot())
+        session.advance(2)
+        untouched = make_session().advance(3).advance(2)
+        assert_results_bitwise_equal(session.result(),
+                                     untouched.result())
+
+    def test_refused_truncated_restore_leaves_the_session_intact(self):
+        # A snapshot of the same study, two epochs further on, with
+        # its last state array removed: refused before any write.
+        snapshot = make_session().advance(5).snapshot()
+        del snapshot.arrays["run/total_dropped"]
+        session = make_session().advance(3)
+        with pytest.raises(CheckpointError, match="missing array"):
+            session.restore(snapshot)
+        session.advance(2)
+        untouched = make_session().advance(3).advance(2)
+        assert_results_bitwise_equal(session.result(),
+                                     untouched.result())
 
     def test_guardbands_cover_live_degradation(self):
         session = make_session(record_every=64)  # nothing recorded
@@ -381,8 +392,7 @@ class TestCheckpointedStudy:
         assert report.cache_counters["fleet.engine"]["chunks"] == 3
 
     @pytest.mark.parametrize("invalid", [
-        dict(n_epochs=0), dict(record_every=0), dict(epoch_s=-1.0),
-        dict(state_dtype=np.float16)])
+        dict(n_epochs=0), dict(record_every=0), dict(epoch_s=-1.0)])
     def test_invalid_study_writes_no_file(self, tmp_path, invalid):
         # An invalid study is refused before its directory is pinned,
         # so the corrected call can still use the same directory.

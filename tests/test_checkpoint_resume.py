@@ -13,8 +13,9 @@ checkpoint directory for the first mid-lifetime progress snapshot and
 then kills the group -- the interrupt lands at an uncontrolled point
 *inside* an epoch advance, which is exactly what the atomic
 write-then-rename discipline must survive.  The worker-death case
-reuses the ``_TEST_DIE_UNLESS_PID`` hook from
-tests/test_fleet_parallel.py with checkpointing enabled.
+wraps ``repro.system.fleet._execute_chunk`` (the chunk body forked
+workers inherit) as tests/test_fleet_parallel.py does, with
+checkpointing enabled.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -182,8 +184,19 @@ class TestInProcessInterrupt:
 _KILL_SCRIPT = textwrap.dedent("""
     import sys
     sys.path.insert(0, {src!r})
+    import time
     import repro.system.fleet as fleet
-    fleet._TEST_EPOCH_SLEEP_S = 0.15  # inherited by forked workers
+    real_advance = fleet.FleetSimulator.advance
+
+    def slow_advance(self, n_epochs):
+        # One epoch at a time, each after a sleep, so the kill lands
+        # mid-lifetime; split advances are bitwise.  Forked workers
+        # inherit the patch.
+        for _ in range(n_epochs):
+            time.sleep(0.15)
+            real_advance(self, 1)
+
+    fleet.FleetSimulator.advance = slow_advance
     fleet.MIN_CORE_EPOCHS_FOR_POOL = 0  # pool the small study
     from repro.system.fleet import (FleetVariationSpec,
                                     run_fleet_lifetime_study)
@@ -273,6 +286,13 @@ class TestSigkillResume:
 # -- worker death with checkpointing enabled --------------------------------
 
 
+def _die_unless_in(real, parent_pid, built, task):
+    """Hard-kill any process but the parent (a forked worker)."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return real(built, task)
+
+
 class TestWorkerDeathWithCheckpoint:
     def test_worker_death_recovers_and_persists(self, tmp_path,
                                                 monkeypatch,
@@ -280,8 +300,10 @@ class TestWorkerDeathWithCheckpoint:
         # Every forked worker kills itself; the chunk loop's serial
         # fallback completes the chunks in-process, and the completed
         # chunks still land in the checkpoint directory.
-        monkeypatch.setattr(fleet_module, "_TEST_DIE_UNLESS_PID",
-                            os.getpid())
+        monkeypatch.setattr(
+            fleet_module, "_execute_chunk",
+            partial(_die_unless_in, fleet_module._execute_chunk,
+                    os.getpid()))
         directory = tmp_path / "ckpt"
         reports = []
         recovered = run_study(max_workers=WORKERS,

@@ -1,4 +1,4 @@
-"""Heterogeneous-fleet contracts: groups, chunking, dtype, routing.
+"""Heterogeneous-fleet contracts: groups, chunking, routing.
 
 The fleet engine generalizes from "one chip model, N variated copies"
 to true mixed populations (:class:`~repro.system.fleet.FleetGroup`)
@@ -11,9 +11,6 @@ contracts that generalization rests on:
 * results are invariant in how the population is chunked
   (``max_chunk_chips`` / ``state_budget_bytes``), so memory budgets
   are purely an execution concern;
-* ``state_dtype=float32`` halves the resident trap state within the
-  documented :data:`~repro.system.fleet.FLOAT32_MAX_RELATIVE_ERROR`
-  budget and never perturbs the float64 path;
 * ``run_lifetime_sweep`` runs every chip design of a grid as one
   fleet study whose cells equal standalone simulator runs bit for bit;
 * the row-chunked circuit batches and the wire-chunked EM TTF sampler
@@ -40,7 +37,6 @@ from repro.solvers import cache_counters, task_seed_sequence
 from repro.system.chip import Chip
 from repro.system.dark_silicon import DarkSiliconRotationPolicy
 from repro.system.fleet import (
-    FLOAT32_MAX_RELATIVE_ERROR,
     FleetGroup,
     FleetVariationSpec,
     run_fleet_lifetime_study,
@@ -204,48 +200,6 @@ class TestChunkInvariance:
             run_hetero(max_chunk_chips=0)
         with pytest.raises(SimulationError):
             run_hetero(state_budget_bytes=0)
-
-
-class TestFloat32State:
-    """Opt-in float32 trap state: documented budget, inert default."""
-
-    @pytest.fixture(scope="class")
-    def results(self):
-        return (run_hetero(), run_hetero(state_dtype=np.float32))
-
-    @staticmethod
-    def relative_error(approx, exact):
-        scale = max(float(np.abs(exact).max()), 1e-30)
-        return float(np.abs(approx - exact).max()) / scale
-
-    def test_error_within_documented_budget(self, results):
-        exact, approx = results
-        for field in ("final_delta_vth_v", "final_permanent_vth_v",
-                      "worst_degradation", "mean_degradation"):
-            err = self.relative_error(
-                np.asarray(getattr(approx, field)),
-                np.asarray(getattr(exact, field)))
-            assert err <= FLOAT32_MAX_RELATIVE_ERROR, (field, err)
-
-    def test_float32_actually_perturbs_the_state(self, results):
-        # If the cast were dead the budget test would be vacuous.
-        exact, approx = results
-        assert not np.array_equal(approx.final_delta_vth_v,
-                                  exact.final_delta_vth_v)
-
-    def test_discrete_observables_are_stable(self, results):
-        # Scheduling is driven by the float64 upcast of the shift
-        # observable; at this horizon the float32 rounding must not
-        # flip any discrete decision.
-        exact, approx = results
-        assert np.array_equal(approx.migration_events,
-                              exact.migration_events)
-        assert np.array_equal(approx.em_failures, exact.em_failures)
-        assert np.array_equal(approx.total_demand, exact.total_demand)
-
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(SimulationError):
-            run_hetero(state_dtype=np.float16)
 
 
 class TestGroupValidation:

@@ -19,15 +19,16 @@ The chunk loop promises:
 
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
 2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 (the ``open_pool``
-fixture) so the pooled code path runs even on single-core CI runners;
-the fault hooks ``_TEST_STAGGER_S`` / ``_TEST_DIE_UNLESS_PID`` and a
-patched ``_execute_chunk`` are module globals of
-``repro.system.fleet``, inherited by forked workers.
+fixture) so the pooled code path runs even on single-core CI runners.  Faults
+(stragglers, worker deaths, failing chunks) are injected by patching
+``repro.system.fleet._execute_chunk``, the chunk body the parent and
+the forked workers share.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from functools import partial
 
 import numpy as np
@@ -130,6 +131,20 @@ def no_pool(monkeypatch):
                         _Forbidden)
 
 
+def _staggered(real, built, task):
+    """Chunk ``k`` sleeps ``0.05 * (n_chunks - 1 - k)`` s first, so
+    later chunks finish first."""
+    time.sleep(0.05 * (task.n_chunks - 1 - task.chunk.index))
+    return real(built, task)
+
+
+def _die_unless_in(real, parent_pid, built, task):
+    """Hard-kill any process but the parent (a forked worker)."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return real(built, task)
+
+
 # -- determinism -----------------------------------------------------------
 
 
@@ -157,7 +172,9 @@ class TestParallelDeterminism:
         # Later chunks finish first: chunk k sleeps proportionally to
         # (n_chunks - 1 - k) inside the worker, so the scatter order
         # reverses while the merged rows must not.
-        monkeypatch.setattr(fleet_module, "_TEST_STAGGER_S", 0.05)
+        monkeypatch.setattr(
+            fleet_module, "_execute_chunk",
+            partial(_staggered, fleet_module._execute_chunk))
         reports = []
         pooled = run_study(max_workers=WORKERS,
                            on_report=reports.append)
@@ -177,8 +194,7 @@ class TestParallelDeterminism:
             variation=FleetVariationSpec(
                 capture_sigma=0.1, recovery_sigma=0.05,
                 em_current_sigma=0.1),
-            seed=11, calibration=None, em_reference=None,
-            state_dtype=np.float64)
+            seed=11)
         tasks = chunk_tasks(N_CHIPS, CHUNK_CHIPS)
         parts = {}
         for task in reversed(tasks):
@@ -201,8 +217,10 @@ class TestWorkerDeathRecovery:
         # Every forked worker kills itself on its first chunk; the
         # parent (whose pid matches) survives, and the chunk loop
         # re-runs all chunks in-process -- same rows, same bytes.
-        monkeypatch.setattr(fleet_module, "_TEST_DIE_UNLESS_PID",
-                            os.getpid())
+        monkeypatch.setattr(
+            fleet_module, "_execute_chunk",
+            partial(_die_unless_in, fleet_module._execute_chunk,
+                    os.getpid()))
         reports = []
         recovered = run_study(max_workers=WORKERS,
                               on_report=reports.append)
@@ -299,7 +317,7 @@ class TestCounterAggregation:
                   on_report=reports.append)
         counters = reports[0].cache_counters
         engine = counters["fleet.engine"]
-        # Worker-side run_groups counters survive the process
+        # Worker-side engine counters survive the process
         # boundary and sum to the population, and the parent's chunk
         # count is folded in.
         assert engine["chips"] == N_CHIPS

@@ -11,7 +11,7 @@ from repro.errors import SimulationError
 from repro.system.aging import FleetEmState
 
 
-class TestFleetBtiState:
+class TestStackedTrapPopulations:
     """The per-core BTI state of one chip: a one-chip
     :class:`StackedTrapPopulations`, as
     :class:`~repro.system.simulator.SystemSimulator` runs it."""

@@ -35,7 +35,6 @@ from repro.errors import SimulationError
 from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
 from repro.system.fleet import (
-    FleetSimulator,
     FleetVariation,
     FleetVariationSpec,
     run_fleet_lifetime_study,
@@ -314,24 +313,29 @@ class TestVariationDraws:
             FleetVariation.none(0)
 
     def test_simulator_rejects_mismatched_draw(self):
-        with pytest.raises(SimulationError):
-            FleetSimulator(Chip(2, 2), 3,
-                           variation=FleetVariation.none(2))
+        with pytest.raises(SimulationError, match="covers 2 chips"):
+            run_fleet_lifetime_study(
+                (2, 2), 3, ConstantWorkload(n_cores=4),
+                NoRecoveryPolicy(), n_epochs=1,
+                variation=FleetVariation.none(2))
 
 
 class TestFleetValidation:
     def test_run_arguments(self):
-        simulator = FleetSimulator(Chip(2, 2), 2)
+        def run(n_chips=2, **overrides):
+            kwargs = {"n_epochs": 1, "max_workers": 1, **overrides}
+            return run_fleet_lifetime_study(
+                (2, 2), n_chips, ConstantWorkload(n_cores=4),
+                NoRecoveryPolicy(), **kwargs)
+
         with pytest.raises(SimulationError):
-            simulator.run(0, ConstantWorkload(n_cores=4),
-                          NoRecoveryPolicy())
+            run(n_epochs=0)
         with pytest.raises(SimulationError):
-            simulator.run(1, ConstantWorkload(n_cores=4),
-                          NoRecoveryPolicy(), record_every=0)
+            run(record_every=0)
         with pytest.raises(SimulationError):
-            FleetSimulator(Chip(2, 2), 0)
+            run(0)
         with pytest.raises(SimulationError):
-            FleetSimulator(Chip(2, 2), 2, epoch_s=0.0)
+            run(epoch_s=0.0)
 
     def test_chip_result_bounds(self):
         fleet = run_fleet_lifetime_study(
