@@ -14,17 +14,21 @@ task) per chip.  This module advances every chip in lockstep instead:
   kernel memos and its resumable epoch loop.  That loop is the one of
   :class:`~repro.system.simulator.SystemSimulator`, but it evaluates
   the BTI condition kernels and EM rate factors over the whole
-  ``(n_chips, n_cores)`` stack in single ufunc passes.
+  ``(n_chips, n_cores)`` stack in single ufunc passes.  Base epoch
+  conditions are computed once per distinct assignment of the run
+  (memoized on its ``cache_key``) and gathered onto the chip rows,
+  so condition builds scale with the distinct decisions, not with
+  the cohorts.
 * :class:`FleetGroup` generalizes the engine beyond "one workload, one
   policy": a population is a sequence of groups, each with its own
   workload, scheduling policy, and optional per-chip *workload phase*
   offsets.  Internally each group splits into *cohorts* -- maximal
   runs of consecutive chips sharing one phase -- and every cohort gets
   its own fresh policy/workload copy and its own per-epoch scheduling
-  decision, while the BTI/EM state still advances in one stacked
-  sweep over all cohorts.  Chips in different timezones, racks with
-  different healing policies, and a control group all batch into one
-  tensor advance.
+  decision (policy calls are O(cohorts) per epoch), while the BTI/EM
+  state still advances in one stacked sweep over all cohorts.  Chips
+  in different timezones, racks with different healing policies, and
+  a control group all batch into one tensor advance.
 * :func:`run_fleet_lifetime_study` is the population entry point.  It
   normalizes its arguments once into one validated study object --
   the one :class:`~repro.system.checkpoint.FleetSession` builds too,
@@ -109,8 +113,8 @@ _FLEET_N_BINS = 64
 #: cache at fleet scale.
 _KERNEL_CACHE_BUDGET_BYTES = 256 * 2 ** 20
 
-#: Memory budget of each lighter memo: the EM step rates and the
-#: epoch condition bundles.
+#: Memory budget of each lighter memo: the EM step rates, the epoch
+#: condition bundles and the per-assignment base conditions.
 _MEMO_BUDGET_BYTES = 64 * 2 ** 20
 
 
@@ -526,7 +530,8 @@ class FleetSimulator:
       is flat unit ``k * n_cores + c``): the stacked trap populations
       :attr:`bti`, the EM accumulators :attr:`em` and the drawn
       per-chip :attr:`variation`;
-    * the condition-bundle and BTI/EM kernel memos;
+    * the memos: whole-epoch condition bundles, per-assignment base
+      conditions, and the BTI/EM step kernels;
     * the run state: per-cohort policy/workload copies with their
       mutable cursors, the :attr:`epoch` cursor, the demand/migration
       accumulators and the recorded timeline.
@@ -537,7 +542,7 @@ class FleetSimulator:
     per-core quantity carrying a chip axis: each cohort's policy is
     consulted once per epoch with its cohort-worst per-core shift
     (see the module docstring for the exactness contract this
-    preserves), and the per-cohort conditions are assembled into one
+    preserves), and the per-cohort conditions are gathered into one
     stacked advance.  An advance can stop after any epoch and continue
     later (or in another process, via :mod:`repro.system.checkpoint`)
     with a trajectory bit-identical to an uninterrupted run: every
@@ -593,16 +598,25 @@ class FleetSimulator:
             calibration.model_config.acceleration,
             calibration.model_config.reference_stress,
             stress_voltage_v=chip.core.stress_voltage_v)
-        # One bundle per distinct epoch decision: the per-cohort base
-        # conditions are computed once (shared thermal memo), the
-        # variation scales broadcast once, and every repeat epoch is a
-        # dictionary hit.  The token covers every cohort's bounds and
-        # assignment bytes, so distinct schedules never collide.
+        # Two condition memos.  A whole-epoch bundle is keyed on a token
+        # of every cohort's bounds and assignment bytes, so distinct
+        # schedules never collide and a repeat epoch is a dictionary
+        # hit.  On a bundle miss, each distinct assignment's base
+        # conditions come from the per-assignment memo (keyed like
+        # SystemSimulator's), so base_epoch_conditions runs once per
+        # distinct assignment of the run, not once per cohort.
         bundle_entries = max(1, _budget_entries(
             _MEMO_BUDGET_BYTES, 33 * rows, cap=64))
         self._condition_cache = FactorizationCache(
             maxsize=bundle_entries, name="fleet.conditions")
+        base_entries = max(1, _budget_entries(
+            _MEMO_BUDGET_BYTES, 33 * n_cores, cap=4096))
+        self._base_cache = FactorizationCache(
+            maxsize=base_entries, name="fleet.base_conditions")
         self.cohorts = self._build_cohorts(study.groups)
+        self._cohort_starts = np.array([c.start for c in self.cohorts])
+        self._cohort_sizes = np.array([c.stop - c.start
+                                       for c in self.cohorts])
         self.epoch = 0
         self.migration_events = np.zeros(n_chips, dtype=np.int64)
         self.total_demand = np.zeros(n_chips)
@@ -611,7 +625,6 @@ class FleetSimulator:
         self.worst: List[np.ndarray] = []
         self.mean: List[np.ndarray] = []
         self.dropped: List[np.ndarray] = []
-        self._dropped_epoch = np.empty(n_chips)
         # Per-cohort (start, stop, temps) of the last advanced epoch;
         # result() evaluates the EM read-out and the thermal refresh
         # from these, so they are part of the resumable state.
@@ -650,39 +663,44 @@ class FleetSimulator:
 
     # -- conditions --------------------------------------------------------
 
-    def _build_group_conditions(self, keyed) -> _EpochConditions:
+    def _build_group_conditions(self, assignments, keys
+                                ) -> _EpochConditions:
         """Assemble one full-stack bundle from per-cohort assignments.
 
+        Cohorts that share an assignment share its base conditions:
+        each distinct ``keys`` entry is fetched once from the
+        per-assignment memo, one gather spreads the bases over the
+        chip rows, and one multiply per scale applies the variation.
         Element ``(k, c)`` of every array is ``base[c] * scale[k]``
         with the cohort's own base conditions -- the same single
         multiply the scalar simulator applies, so each row matches
         its standalone chip bitwise.
         """
+        slots: Dict[tuple, int] = {}
+        bases = []
+        cohort_slot = np.empty(len(keys), dtype=np.intp)
+        for index, (assignment, key) in enumerate(zip(assignments, keys)):
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(bases)
+                bases.append(self._base_cache.get_or_build(
+                    key, partial(base_epoch_conditions, self.chip,
+                                 self.kernels, assignment)))
+            cohort_slot[index] = slot
+        temps, active, capture, recovery, j = (
+            np.stack(column) for column in zip(*bases))
+        rows = np.repeat(cohort_slot, self._cohort_sizes)
         v = self.variation
-        shape = (self.n_chips, self.n_cores)
-        capture_safe = np.empty(shape)
-        recovery2d = np.empty(shape)
-        j2d = np.empty(shape)
-        stressing = np.empty(shape, dtype=bool)
-        temps_full = np.empty(shape)
-        cohort_temps = []
-        for start, stop, assignment in keyed:
-            temps, active, capture, recovery, j = \
-                base_epoch_conditions(self.chip, self.kernels,
-                                      assignment)
-            rows = slice(start, stop)
-            capture2d = capture[None, :] * v.capture_scale[rows, None]
-            capture_safe[rows] = np.where(
-                capture2d > 0.0, capture2d, 1.0)
-            recovery2d[rows] = (recovery[None, :]
-                                * v.recovery_scale[rows, None])
-            j2d[rows] = j[None, :] * v.em_current_scale[rows, None]
-            stressing[rows] = active[None, :]
-            temps_full[rows] = temps[None, :]
-            cohort_temps.append((start, stop, temps))
+        capture2d = capture[rows] * v.capture_scale[:, None]
         return _EpochConditions(
-            stressing, capture_safe, recovery2d, j2d.reshape(-1),
-            temps_full.reshape(-1), cohort_temps)
+            stressing=active[rows],
+            capture_safe=np.where(capture2d > 0.0, capture2d, 1.0),
+            recovery=recovery[rows] * v.recovery_scale[:, None],
+            j_flat=(j[rows] * v.em_current_scale[:, None]).reshape(-1),
+            temps_flat=temps[rows].reshape(-1),
+            cohort_temps=[(cohort.start, cohort.stop, temps[slot])
+                          for cohort, slot
+                          in zip(self.cohorts, cohort_slot)])
 
     # -- epoch loop --------------------------------------------------------
 
@@ -703,37 +721,41 @@ class FleetSimulator:
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
-        dropped_epoch = self._dropped_epoch
+        starts, sizes = self._cohort_starts, self._cohort_sizes
+        demands = np.empty(len(cohorts))
+        dropped = np.empty(len(cohorts))
+        migrated = np.empty(len(cohorts), dtype=np.int64)
         delta_vth = bti.delta_vth_v()
         cond = None
         for epoch in range(self.epoch, self.epoch + n_epochs):
-            keyed = []
+            cohort_worst = np.maximum.reduceat(delta_vth, starts, axis=0)
+            assignments = []
+            keys = []
             key_parts = []
-            for cohort in cohorts:
+            for index, cohort in enumerate(cohorts):
                 demand = cohort.workload.demand(epoch)
                 assignment = cohort.policy.assign(
-                    epoch, demand,
-                    delta_vth[cohort.start:cohort.stop].max(axis=0),
+                    epoch, demand, cohort_worst[index],
                     cohort.previous_utilization)
                 recovering = assignment.bti_recovering
-                migrated = int(np.count_nonzero(
-                    recovering & ~cohort.previous_recovering))
-                if migrated:
-                    migration_events[cohort.start:cohort.stop] += \
-                        migrated
+                migrated[index] = np.count_nonzero(
+                    recovering & ~cohort.previous_recovering)
                 cohort.previous_recovering = recovering
                 cohort.previous_utilization = assignment.utilization
-                total_demand[cohort.start:cohort.stop] += demand
-                total_dropped[cohort.start:cohort.stop] += \
-                    assignment.dropped_demand
-                dropped_epoch[cohort.start:cohort.stop] = \
-                    assignment.dropped_demand
-                keyed.append((cohort.start, cohort.stop, assignment))
-                key_parts.append((cohort.start, cohort.stop)
-                                 + assignment.cache_key())
+                demands[index] = demand
+                dropped[index] = assignment.dropped_demand
+                key = assignment.cache_key()
+                assignments.append(assignment)
+                keys.append(key)
+                key_parts.append((cohort.start, cohort.stop) + key)
+            migration_events += np.repeat(migrated, sizes)
+            total_demand += np.repeat(demands, sizes)
+            dropped_epoch = np.repeat(dropped, sizes)
+            total_dropped += dropped_epoch
             token = tuple(key_parts)
             cond = self._condition_cache.get_or_build(
-                token, lambda: self._build_group_conditions(keyed))
+                token, lambda: self._build_group_conditions(
+                    assignments, keys))
             bti.step(epoch_s, cond.stressing, cond.capture_safe,
                      cond.recovery, kernel_key=token)
             em.step(epoch_s, cond.j_flat, cond.temps_flat,
@@ -746,7 +768,7 @@ class FleetSimulator:
                 self.times.append((epoch + 1) * epoch_s)
                 self.worst.append(degradation.max(axis=1))
                 self.mean.append(degradation.mean(axis=1))
-                self.dropped.append(dropped_epoch.copy())
+                self.dropped.append(dropped_epoch)
         self.epoch += n_epochs
         self.cohort_temps = [(start, stop, temps.copy())
                              for start, stop, temps
