@@ -21,15 +21,17 @@ implements:
 Both analyses execute on compiled circuit programs
 (:class:`~repro.circuit.compiled.CompiledCircuit`): the netlist is
 flattened once into scatter-ready stamp index/value arrays, device
-models evaluate as single ufunc passes, and the dense LU factors are
-reused through an input-keyed cache.
+models evaluate through one scalar kernel in plain float arithmetic,
+and the dense LU factors are reused through an input-keyed cache.
 
 Parameter-grid studies additionally run through the batched engine
 (:class:`~repro.circuit.batched.CircuitBatch`,
 :func:`~repro.circuit.batched.dc_batch`,
 :func:`~repro.circuit.batched.transient_batch`): every grid point of
 a same-topology population advances through one stacked Newton
-iteration per step instead of one simulation per point.
+iteration per step instead of one simulation per point, with the
+devices of every row evaluated in one
+:class:`~repro.circuit.mosfet.MosfetBank` ufunc pass.
 """
 
 from repro.circuit.batched import CircuitBatch, dc_batch, transient_batch

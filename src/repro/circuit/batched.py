@@ -104,42 +104,6 @@ def _as_rows(value, n_rows: int, name: str) -> np.ndarray:
     return arr.copy()
 
 
-def _chunk_rows(n_rows: int, row_bytes: int,
-                max_chunk_rows: Optional[int],
-                chunk_budget_bytes: Optional[int]) -> int:
-    """Rows per chunk under the caller's row and byte limits."""
-    limit = n_rows
-    if max_chunk_rows is not None:
-        if max_chunk_rows < 1:
-            raise ValueError("max_chunk_rows must be at least 1")
-        limit = min(limit, max_chunk_rows)
-    if chunk_budget_bytes is not None:
-        if chunk_budget_bytes < 1:
-            raise ValueError("chunk_budget_bytes must be positive")
-        limit = min(limit, max(1, chunk_budget_bytes
-                               // max(row_bytes, 1)))
-    return max(1, limit)
-
-
-def _mna_size(circuit: Circuit) -> int:
-    """Unknown count of one row (nodes plus source branches)."""
-    return circuit.n_nodes + len(circuit.voltage_sources)
-
-
-def _dc_row_bytes(circuit: Circuit) -> int:
-    """Resident bytes one DC batch row costs (matrices dominate)."""
-    n = _mna_size(circuit)
-    # Base matrix, stacked Jacobian and LAPACK workspace, all (n, n).
-    return 3 * n * n * 8
-
-
-def _transient_row_bytes(circuit: Circuit, n_steps: int) -> int:
-    """Resident bytes one transient batch row costs."""
-    n = _mna_size(circuit)
-    # The DC matrices plus the solution and RHS grids.
-    return 3 * n * n * 8 + 2 * (n_steps + 1) * n * 8
-
-
 def _dangling_source_pairs(circuit: Circuit) -> List[Tuple[int, int]]:
     """Unknown pairs a batch can condense out of the Newton solve.
 
@@ -192,8 +156,9 @@ class CircuitBatch:
     Raises:
         ValueError: when the circuits do not share one topology
             (different nodes, element lists, device terminals or
-            polarities) -- heterogeneous populations belong on the
-            pooled per-point runner.
+            polarities) -- heterogeneous populations run point by
+            point through :func:`~repro.circuit.dc.dc_operating_point`
+            and :func:`~repro.circuit.transient.transient`.
     """
 
     def __init__(self, circuits: Sequence[Circuit],
@@ -203,7 +168,7 @@ class CircuitBatch:
             raise ValueError("CircuitBatch needs at least one circuit")
         self.circuits = circuits
         self.n_rows = len(circuits)
-        template = CompiledCircuit(circuits[0], use_vector=True)
+        template = CompiledCircuit(circuits[0])
         self.template = template
         self.n = template.n
         self.n_nodes = template.n_nodes
@@ -216,8 +181,8 @@ class CircuitBatch:
             if _topology_layout(other) != layout:
                 raise ValueError(
                     f"circuit {other.title!r} does not share the batch "
-                    "topology; run heterogeneous populations through "
-                    "the pooled per-point sweep instead")
+                    "topology; run heterogeneous populations point by "
+                    "point through dc_operating_point / transient")
 
         if self.n_mosfets:
             try:
@@ -411,8 +376,8 @@ class CircuitBatch:
     def _vector_stamps_rows(self, x: np.ndarray):
         """Stacked device stamps: one ufunc pass over every row.
 
-        Same fill pattern as the per-point
-        :meth:`CompiledCircuit._vector_stamps`, with a leading row
+        Same device-major value order as the per-point
+        :meth:`CompiledCircuit._scalar_stamps`, with a leading row
         axis; each row's buffer carries the per-point bytes exactly.
         """
         x_pad = self._x_pad
@@ -670,10 +635,7 @@ class CircuitBatch:
 
 def dc_batch(circuits: Union[CircuitBatch, Sequence[Circuit]],
              initial_guess: Optional[np.ndarray] = None,
-             condense: bool = True,
-             max_chunk_rows: Optional[int] = None,
-             chunk_budget_bytes: Optional[int] = None
-             ) -> List[DcSolution]:
+             condense: bool = True) -> List[DcSolution]:
     """DC operating points of a whole batch in one masked Newton run.
 
     Mirrors :func:`~repro.circuit.dc.dc_operating_point` per row --
@@ -689,41 +651,10 @@ def dc_batch(circuits: Union[CircuitBatch, Sequence[Circuit]],
             estimates.
         condense: eliminate dangling-source unknowns (ignored when a
             prebuilt batch is passed).
-        max_chunk_rows / chunk_budget_bytes: optional row-blocking of
-            a circuit *sequence*: the batch is built and solved in
-            row chunks no larger than ``max_chunk_rows`` and no
-            heavier than ``chunk_budget_bytes`` of stacked matrices,
-            so a 100k-row population never materializes its full
-            ``(n_rows, n, n)`` tensor.  Every Newton update is
-            per-row masked, so chunked results are bit-identical to
-            the unchunked batch.  Ignored for a prebuilt batch (its
-            tensors already exist).
 
     Raises:
         ConvergenceError: if any row fails even with gmin stepping.
     """
-    if not isinstance(circuits, CircuitBatch) \
-            and (max_chunk_rows is not None
-                 or chunk_budget_bytes is not None):
-        circuits = list(circuits)
-        n_rows = len(circuits)
-        if n_rows:
-            chunk = _chunk_rows(n_rows, _dc_row_bytes(circuits[0]),
-                                max_chunk_rows, chunk_budget_bytes)
-            if chunk < n_rows:
-                guess = None
-                if initial_guess is not None:
-                    guess = np.asarray(initial_guess, dtype=float)
-                solutions: List[DcSolution] = []
-                for start in range(0, n_rows, chunk):
-                    stop = min(n_rows, start + chunk)
-                    part = guess
-                    if part is not None and part.ndim == 2 \
-                            and part.shape[0] == n_rows:
-                        part = part[start:stop]
-                    solutions.extend(dc_batch(
-                        circuits[start:stop], part, condense))
-                return solutions
     batch = circuits if isinstance(circuits, CircuitBatch) \
         else CircuitBatch(circuits, condense=condense)
     n_rows = batch.n_rows
@@ -778,10 +709,7 @@ def transient_batch(circuits: Union[CircuitBatch, Sequence[Circuit]],
                     waveforms: Union[None, Dict[str, Waveform],
                                      Sequence[Optional[Dict[str, Waveform]]]] = None,
                     from_dc: bool = True,
-                    condense: bool = True,
-                    max_chunk_rows: Optional[int] = None,
-                    chunk_budget_bytes: Optional[int] = None
-                    ) -> List[TransientResult]:
+                    condense: bool = True) -> List[TransientResult]:
     """Backward-Euler transients for every batch row in one sweep.
 
     The per-row semantics are exactly
@@ -805,49 +733,10 @@ def transient_batch(circuits: Union[CircuitBatch, Sequence[Circuit]],
         condense: eliminate dangling-source unknowns (ignored when a
             prebuilt batch is passed; ``False`` keeps the solve
             bit-identical to the per-point engine).
-        max_chunk_rows / chunk_budget_bytes: optional row-blocking of
-            a circuit *sequence*, as in :func:`dc_batch` -- the
-            budget additionally counts each chunk's solution and RHS
-            grids.  Rows are independent (per-row masked Newton, per-
-            row waveform grids, per-row capacitor state), so chunked
-            results are bit-identical.  Ignored for a prebuilt batch.
 
     Returns:
         One :class:`~repro.circuit.transient.TransientResult` per row.
     """
-    if not isinstance(circuits, CircuitBatch) \
-            and (max_chunk_rows is not None
-                 or chunk_budget_bytes is not None):
-        circuits = list(circuits)
-        total_rows = len(circuits)
-        if total_rows:
-            all_stop = _as_rows(stop_s, total_rows, "stop_s")
-            all_dt = _as_rows(dt_s, total_rows, "dt_s")
-            if np.any(all_stop <= 0.0) or np.any(all_dt <= 0.0):
-                raise ValueError("stop_s and dt_s must be positive")
-            grid_steps = int(np.round(all_stop[0] / all_dt[0]))
-            chunk = _chunk_rows(
-                total_rows,
-                _transient_row_bytes(circuits[0], grid_steps),
-                max_chunk_rows, chunk_budget_bytes)
-            if chunk < total_rows:
-                shared_waveforms = waveforms is None \
-                    or isinstance(waveforms, dict)
-                if not shared_waveforms:
-                    wave_rows = list(waveforms)
-                    if len(wave_rows) != total_rows:
-                        raise ValueError(
-                            "waveforms must provide one dict per row")
-                chunked: List[TransientResult] = []
-                for start in range(0, total_rows, chunk):
-                    stop = min(total_rows, start + chunk)
-                    chunked.extend(transient_batch(
-                        circuits[start:stop], all_stop[start:stop],
-                        all_dt[start:stop],
-                        waveforms if shared_waveforms
-                        else wave_rows[start:stop],
-                        from_dc=from_dc, condense=condense))
-                return chunked
     batch = circuits if isinstance(circuits, CircuitBatch) \
         else CircuitBatch(circuits, condense=condense)
     members = batch.circuits

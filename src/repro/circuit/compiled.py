@@ -10,17 +10,17 @@ arrays and runs each iteration through three compiled pieces:
 * the **constant linear stamp** (resistor conductances and
   voltage-source connectivity) is assembled once into a base matrix;
 * **nonlinear devices** become a flat parameter table plus
-  precomputed scatter indices.  Per iteration they evaluate either
-  through a lean scalar kernel (a tight loop of plain float
-  arithmetic -- the profitable choice at MNA-scale device counts,
-  where one numpy dispatch costs more than a whole device evaluation
-  in C-float Python) or through the vectorized
-  :class:`~repro.circuit.mosfet.MosfetBank` ufunc pass (the
-  profitable choice for large banks).  Both kernels follow the exact
-  scalar expression tree of :meth:`repro.circuit.mosfet.Mosfet.stamp`,
-  so either way every produced bit matches the seed loop, and the
-  resulting entries land in the matrix in the seed's per-cell
-  accumulation order;
+  precomputed scatter indices.  Per iteration they evaluate through a
+  lean scalar kernel -- a tight loop of plain float arithmetic, the
+  profitable choice at MNA-scale device counts, where one numpy
+  dispatch costs more than a whole device evaluation.  The kernel
+  follows the exact scalar expression tree of
+  :meth:`repro.circuit.mosfet.Mosfet.stamp`, so every produced bit
+  matches the seed loop, and the resulting entries land in the matrix
+  in the seed's per-cell accumulation order.  The vectorized
+  :class:`~repro.circuit.mosfet.MosfetBank` ufunc pass, bit-identical
+  to this kernel, belongs to the batched engine
+  (:mod:`repro.circuit.batched`);
 * the dense solve goes straight to LAPACK ``getrf``/``getrs`` (the
   same routines ``scipy.linalg.lu_factor``/``lu_solve`` wrap, minus
   the per-call wrapper overhead), behind a
@@ -51,7 +51,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.mosfet import MosfetBank
 from repro.circuit.netlist import Circuit
 from repro.errors import ConvergenceError
 from repro.solvers import DenseLuOperator, FactorizationCache
@@ -64,11 +63,6 @@ MAX_UPDATE_V = 0.3
 
 #: Convergence tolerance on node voltages (volts).
 VOLTAGE_TOL = 1e-9
-
-#: Device count at which the ufunc bank overtakes the scalar kernel.
-#: Below it, numpy dispatch (~0.5 us per op, ~50 ops per evaluation)
-#: costs more than evaluating every device in plain float arithmetic.
-VECTOR_MIN_DEVICES = 48
 
 
 def _stamp_conductance(matrix: np.ndarray, a: int, b: int,
@@ -106,17 +100,9 @@ class CompiledCircuit:
     to any solve), so mutated source values, aged device parameters
     and added elements are always picked up -- there is no
     invalidation protocol to get wrong.
-
-    Attributes:
-        use_vector: when true, device evaluation runs through the
-            vectorized :class:`MosfetBank` ufunc pass instead of the
-            scalar kernel.  Defaults to ``n_mosfets >=
-            VECTOR_MIN_DEVICES``; both kernels produce bit-identical
-            stamps, so flipping it only changes speed.
     """
 
-    def __init__(self, circuit: Circuit,
-                 use_vector: Optional[bool] = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         n_nodes = circuit.n_nodes
         size = n_nodes + len(circuit.voltage_sources)
@@ -143,27 +129,24 @@ class CompiledCircuit:
         # -- nonlinear devices: parameter table + scatter pattern --
         mosfets = circuit.mosfets
         self.n_mosfets = len(mosfets)
-        if use_vector is None:
-            use_vector = self.n_mosfets >= VECTOR_MIN_DEVICES
-        self.use_vector = use_vector
+        pad = self.pad
+
+        def padded(node: int) -> int:
+            return node if node >= 0 else pad
+
+        # Flat per-device row for the scalar kernel: padded terminal
+        # slots, raw drain/source indices for the RHS companion
+        # current (-1 = skip), then model constants.  A device-free
+        # netlist packs an empty stamp key.
+        self.device_table = [
+            (padded(m.drain), padded(m.gate), padded(m.source),
+             m.drain, m.source,
+             -1.0 if m.params.polarity == "pmos" else 1.0,
+             m.params.vth_v, m.params.beta, m.params.lambda_per_v,
+             m.params.leak_s)
+            for m in mosfets]
+        self._pack = struct.Struct(f"{8 * self.n_mosfets}d").pack
         if mosfets:
-            pad = self.pad
-
-            def padded(node: int) -> int:
-                return node if node >= 0 else pad
-
-            # Flat per-device row for the scalar kernel: padded
-            # terminal slots, raw drain/source indices for the RHS
-            # companion current (-1 = skip), then model constants.
-            self.device_table = [
-                (padded(m.drain), padded(m.gate), padded(m.source),
-                 m.drain, m.source,
-                 -1.0 if m.params.polarity == "pmos" else 1.0,
-                 m.params.vth_v, m.params.beta, m.params.lambda_per_v,
-                 m.params.leak_s)
-                for m in mosfets]
-            self._pack = struct.Struct(f"{8 * self.n_mosfets}d").pack
-            self.bank = MosfetBank(mosfets, pad)
             d = np.array([m.drain for m in mosfets])
             g = np.array([m.gate for m in mosfets])
             s = np.array([m.source for m in mosfets])
@@ -179,11 +162,6 @@ class CompiledCircuit:
             rkeep = (rrows >= 0).reshape(-1)
             self.res_idx = rrows.reshape(-1)[rkeep].astype(np.intp)
             self.res_take = np.flatnonzero(rkeep)
-            self._stamp_buf = np.empty((self.n_mosfets, 8))
-            self._res_buf = np.empty((self.n_mosfets, 2))
-        else:
-            self.bank = None
-            self.device_table = []
 
         # -- capacitor companion tables --------------------------------
         capacitors = circuit.capacitors
@@ -205,20 +183,21 @@ class CompiledCircuit:
             self.cap_mat_idx = flat[keep].astype(np.intp)
             self.cap_mat_sign = signs.reshape(-1)[keep]
             self.cap_mat_capi = capi.reshape(-1)[keep]
-            # Scalar-path table: padded terminals for v_old, raw
-            # terminals for the history-current RHS slots.
+            # Kernel table: padded terminals for v_old, raw terminals
+            # for the history-current RHS slots.
             self.cap_table = [
                 (c.a if c.a >= 0 else self.pad,
                  c.b if c.b >= 0 else self.pad,
                  c.b, c.a, c.farads)
                 for c in capacitors]
+            # Voltage gathers and history-current scatter for the
+            # batched engine (repro.circuit.batched).
             self.cap_a = np.array(
                 [ci if ci >= 0 else self.pad for ci in a],
                 dtype=np.intp)
             self.cap_b = np.array(
                 [ci if ci >= 0 else self.pad for ci in b],
                 dtype=np.intp)
-            # Vector-path history-current scatter.
             rrows = np.stack([b, a], axis=1)
             rsigns = np.tile(np.array([-1.0, 1.0]),
                              (self.n_capacitors, 1))
@@ -227,7 +206,6 @@ class CompiledCircuit:
             self.cap_rhs_sign = rsigns.reshape(-1)[rkeep]
             self.cap_rhs_capi = capi[:, :2].reshape(-1)[rkeep]
 
-        self._x_pad = np.zeros(size + 1)
         self._lu_cache = FactorizationCache(maxsize=32, name="circuit.lu")
 
     # -- right-hand sides ----------------------------------------------
@@ -275,12 +253,6 @@ class CompiledCircuit:
             return None
         g = self.cap_farads / dt_s
         return self.cap_mat_sign * g.take(self.cap_mat_capi)
-
-    def cap_voltages(self, x: np.ndarray) -> np.ndarray:
-        """Capacitor voltages ``v(a) - v(b)`` from an MNA vector."""
-        x_pad = self._x_pad
-        x_pad[:self.n] = x
-        return x_pad.take(self.cap_a) - x_pad.take(self.cap_b)
 
     def _cap_adds(self, xl: List[float], dt_s: float
                   ) -> Sequence[Tuple[int, float]]:
@@ -387,37 +359,9 @@ class CompiledCircuit:
                 rhs_list[rs] += residual
         return vals
 
-    def _vector_stamps(self, x: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-device Newton stamps via the ufunc bank.
-
-        Bit-identical to :meth:`_scalar_stamps`; profitable once the
-        device count amortizes numpy's per-op dispatch.  Returns
-        device-major value and companion-current buffers (views into
-        reused scratch -- consume before the next call).
-        """
-        x_pad = self._x_pad
-        x_pad[:self.n] = x
-        g_drain, g_gate, residual = self.bank.evaluate(x_pad)
-        buf = self._stamp_buf
-        neg_gd = -g_drain
-        neg_gg = -g_gate
-        buf[:, 0] = g_drain
-        buf[:, 1] = neg_gd
-        buf[:, 2] = neg_gd
-        buf[:, 3] = g_drain
-        buf[:, 4] = g_gate
-        buf[:, 5] = neg_gg
-        buf[:, 6] = neg_gg
-        buf[:, 7] = g_gate
-        rbuf = self._res_buf
-        rbuf[:, 0] = -residual
-        rbuf[:, 1] = residual
-        return buf.reshape(-1), rbuf.reshape(-1)
-
     # -- linearized solves ---------------------------------------------
 
-    def _factor(self, vals, gmin: float,
+    def _factor(self, vals: List[float], gmin: float,
                 cap_conductances: Optional[np.ndarray]
                 ) -> DenseLuOperator:
         """Assemble the Jacobian in the seed's cell order and factor.
@@ -430,7 +374,7 @@ class CompiledCircuit:
         """
         matrix = self.base_matrix.copy()
         flat = matrix.reshape(-1)
-        if vals is not None:
+        if self.n_mosfets:
             np.add.at(flat, self.mos_idx,
                       np.asarray(vals).take(self.mos_take))
         if gmin > 0.0:
@@ -439,12 +383,12 @@ class CompiledCircuit:
             np.add.at(flat, self.cap_mat_idx, cap_conductances)
         return DenseLuOperator(matrix, overwrite_matrix=True)
 
-    def _iterate_scalar(self, xl: List[float], row_list: List[float],
-                        cap_adds: Sequence[Tuple[int, float]],
-                        gmin: float, dt_key: float,
-                        cap_conductances: Optional[np.ndarray]
-                        ) -> np.ndarray:
-        """One linearized solve at padded bias ``xl`` (scalar kernel)."""
+    def _iterate(self, xl: List[float], row_list: List[float],
+                 cap_adds: Sequence[Tuple[int, float]],
+                 gmin: float, dt_key: float,
+                 cap_conductances: Optional[np.ndarray]
+                 ) -> np.ndarray:
+        """One linearized solve at padded bias ``xl``."""
         rhs_list = row_list.copy()
         vals = self._scalar_stamps(xl, rhs_list)
         for index, amount in cap_adds:
@@ -454,28 +398,6 @@ class CompiledCircuit:
             key, lambda: self._factor(vals, gmin, cap_conductances))
         return operator.solve(np.array(rhs_list), overwrite_rhs=True)
 
-    def _iterate_vector(self, x: np.ndarray, rhs_base: np.ndarray,
-                        cap_currents: Optional[np.ndarray],
-                        gmin: float, dt_key: float,
-                        cap_conductances: Optional[np.ndarray]
-                        ) -> np.ndarray:
-        """One linearized solve at bias ``x`` (array kernel)."""
-        if self.n_mosfets:
-            vals, res = self._vector_stamps(x)
-            key = (vals.tobytes(), gmin, dt_key)
-        else:
-            vals = None
-            res = None
-            key = (b"", gmin, dt_key)
-        operator = self._lu_cache.get_or_build(
-            key, lambda: self._factor(vals, gmin, cap_conductances))
-        rhs = rhs_base.copy()
-        if res is not None:
-            np.add.at(rhs, self.res_idx, res.take(self.res_take))
-        if cap_currents is not None:
-            np.add.at(rhs, self.cap_rhs_idx, cap_currents)
-        return operator.solve(rhs, overwrite_rhs=True)
-
     # -- Newton drivers (the seed's control flow, verbatim) ------------
 
     def newton(self, estimate: np.ndarray, rhs_base: np.ndarray,
@@ -483,18 +405,13 @@ class CompiledCircuit:
         """Damped Newton at a fixed gmin: (solution or None, count)."""
         x = estimate.copy()
         n_nodes = self.n_nodes
-        scalar = bool(self.n_mosfets) and not self.use_vector
-        row_list = rhs_base.tolist() if scalar else None
+        row_list = rhs_base.tolist()
         for iteration in range(1, MAX_ITERATIONS + 1):
+            xl = x.tolist()
+            xl.append(0.0)
             try:
-                if scalar:
-                    xl = x.tolist()
-                    xl.append(0.0)
-                    target = self._iterate_scalar(xl, row_list, (),
-                                                  gmin, 0.0, None)
-                else:
-                    target = self._iterate_vector(x, rhs_base, None,
-                                                  gmin, 0.0, None)
+                target = self._iterate(xl, row_list, (), gmin, 0.0,
+                                       None)
             except np.linalg.LinAlgError:
                 return None, iteration
             if not np.all(np.isfinite(target)):
@@ -521,16 +438,6 @@ class CompiledCircuit:
         tracked through ``Capacitor.update_state`` -- and stay fixed
         while Newton re-linearizes the devices.
         """
-        if bool(self.n_mosfets) and not self.use_vector:
-            return self._solve_step_scalar(estimate, rhs_row, dt_s,
-                                           cap_conductances)
-        return self._solve_step_vector(estimate, rhs_row, dt_s,
-                                       cap_conductances)
-
-    def _solve_step_scalar(self, estimate: np.ndarray,
-                           rhs_row: np.ndarray, dt_s: float,
-                           cap_conductances: Optional[np.ndarray]
-                           ) -> np.ndarray:
         x = estimate.copy()
         n_nodes = self.n_nodes
         xl = x.tolist()
@@ -539,9 +446,8 @@ class CompiledCircuit:
         cap_adds = self._cap_adds(xl, dt_s)
         for _ in range(MAX_ITERATIONS):
             try:
-                target = self._iterate_scalar(xl, row_list, cap_adds,
-                                              0.0, dt_s,
-                                              cap_conductances)
+                target = self._iterate(xl, row_list, cap_adds, 0.0,
+                                       dt_s, cap_conductances)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"transient step of {self.circuit.title!r} "
@@ -564,40 +470,6 @@ class CompiledCircuit:
             x = target
             xl = tl
             xl.append(0.0)
-            if max_step <= VOLTAGE_TOL:
-                return x
-        raise ConvergenceError(
-            f"transient step of {self.circuit.title!r} "
-            "failed to converge")
-
-    def _solve_step_vector(self, estimate: np.ndarray,
-                           rhs_row: np.ndarray, dt_s: float,
-                           cap_conductances: Optional[np.ndarray]
-                           ) -> np.ndarray:
-        x = estimate.copy()
-        n_nodes = self.n_nodes
-        if self.n_capacitors:
-            g = self.cap_farads / dt_s
-            i = g * self.cap_voltages(estimate)
-            cap_currents = self.cap_rhs_sign * i.take(self.cap_rhs_capi)
-        else:
-            cap_currents = None
-        for _ in range(MAX_ITERATIONS):
-            try:
-                target = self._iterate_vector(x, rhs_row, cap_currents,
-                                              0.0, dt_s,
-                                              cap_conductances)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"transient step of {self.circuit.title!r} "
-                    "is singular") from exc
-            delta = target - x
-            max_step = float(np.abs(delta[:n_nodes]).max()) \
-                if n_nodes else 0.0
-            if max_step > MAX_UPDATE_V:
-                x = x + (MAX_UPDATE_V / max_step) * delta
-                continue
-            x = target
             if max_step <= VOLTAGE_TOL:
                 return x
         raise ConvergenceError(

@@ -200,26 +200,25 @@ class Mosfet:
 class MosfetBank:
     """Vectorized level-1 evaluation of a fixed list of MOSFETs.
 
-    The compiled circuit engine (:mod:`repro.circuit.compiled`)
-    evaluates every device of a netlist in one ufunc pass instead of
-    calling :meth:`Mosfet.evaluate` per device per Newton iteration.
-    Each elementwise expression below follows the *exact* operation
-    tree of the scalar path (:func:`_nmos_core` / ``evaluate``) --
+    The device kernel of the batched grid engine
+    (:mod:`repro.circuit.batched`): every device of every batch row
+    evaluates in one ufunc pass per Newton iteration.  Each
+    elementwise expression below follows the *exact* operation tree
+    of the scalar path (:func:`_nmos_core` / ``evaluate``, inlined in
+    :meth:`repro.circuit.compiled.CompiledCircuit._scalar_stamps`) --
     same associativity, same constant folding -- so the vectorized
     lanes reproduce the scalar results bit for bit, which is what lets
-    the compiled engine match the seed engine to well below 1e-10.
+    an uncondensed batch row match its solo run exactly.
 
     Ground terminals are mapped to ``pad_index``, the extra
     always-zero trailing slot of the padded solution vector the
-    compiled engine gathers from.
+    engine gathers from.
 
-    The kernel is batch-polymorphic: :meth:`evaluate` accepts a padded
-    bias of any leading shape ``(..., size + 1)`` and returns
-    ``(..., n_devices)`` stamp arrays.  Built via :meth:`stacked`, the
-    parameter arrays themselves carry a leading batch axis
-    ``(n_rows, n_devices)``, which is how the batched grid engine
-    (:mod:`repro.circuit.batched`) evaluates every parameter-grid
-    point of a sweep in the same ufunc pass.
+    :meth:`evaluate` accepts a padded bias of any leading shape
+    ``(..., size + 1)`` and returns ``(..., n_devices)`` stamp arrays.
+    Built via :meth:`stacked`, the parameter arrays carry a leading
+    batch axis ``(n_rows, n_devices)``, one device table per
+    parameter-grid point.
     """
 
     def __init__(self, mosfets: Sequence[Mosfet], pad_index: int):

@@ -83,8 +83,9 @@ class RingOscillatorNetlist:
         """``(stop_s, dt_s)`` sized from a first-order delay estimate.
 
         The estimate is ``stages * C * V / I_sat`` per edge; exposing
-        it lets alternative drivers (the seed-engine benchmark, the
-        pooled fleet runner) run the exact same time grid.
+        it lets alternative drivers (the seed-engine benchmark,
+        :func:`~repro.assist.sweeps.ring_oscillator_fleet`) run the
+        exact same time grid.
         """
         i_sat = 0.5 * self.nmos.beta \
             * max(self.supply_v - self.nmos.vth_v, 0.05) ** 2

@@ -22,7 +22,6 @@ This package is the interconnect substrate that replaces the paper's
 
 from repro.em.wire import Material, Wire, COPPER, PAPER_TEST_WIRE
 from repro.em.korhonen import (
-    batch_bytes_per_wire,
     BoundaryKind,
     KorhonenBatch,
     KorhonenConfig,
@@ -82,7 +81,6 @@ __all__ = [
     "PAPER_TEST_WIRE",
     "BoundaryKind",
     "KorhonenBatch",
-    "batch_bytes_per_wire",
     "KorhonenConfig",
     "KorhonenSolver",
     "EmLine",

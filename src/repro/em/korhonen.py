@@ -268,19 +268,6 @@ def _as_boundary_rows(value, n_wires: int, name: str) -> list:
     return kinds
 
 
-def batch_bytes_per_wire(config: Optional[KorhonenConfig] = None) -> int:
-    """Resident bytes one wire adds to a :class:`KorhonenBatch`.
-
-    Counts the wire's column in the ``(n_nodes, n_wires)`` stress slab
-    plus the per-step right-hand-side scratch column of the same size
-    (the batched advance copies the slab before injecting boundary
-    terms).  Callers sizing a wire-chunked sweep divide their byte
-    budget by this to pick a chunk width.
-    """
-    n_nodes = (config or KorhonenConfig()).n_nodes
-    return 2 * n_nodes * np.dtype(np.float64).itemsize
-
-
 class KorhonenBatch:
     """Stacked stress-evolution state for a population of lines.
 

@@ -28,11 +28,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from repro.em.blacks import BlacksModel
-from repro.em.korhonen import (
-    KorhonenBatch,
-    KorhonenConfig,
-    batch_bytes_per_wire,
-)
+from repro.em.korhonen import KorhonenBatch, KorhonenConfig
 from repro.em.line import EmStressCondition, PAPER_EM_STRESS
 from repro.em.wire import Wire, PAPER_TEST_WIRE
 from repro.errors import SimulationError
@@ -265,9 +261,7 @@ def sample_nucleation_ttfs_pde(
         condition: EmStressCondition = PAPER_EM_STRESS,
         j_sigma: float = 0.1,
         seed: int = 0,
-        config: Optional[KorhonenConfig] = None,
-        max_chunk_wires: Optional[int] = None,
-        chunk_budget_bytes: Optional[int] = None) -> np.ndarray:
+        config: Optional[KorhonenConfig] = None) -> np.ndarray:
     """Per-wire void-nucleation times from the stress PDE itself.
 
     Where :class:`WirePopulationSpec` *assumes* a lognormal TTF
@@ -298,16 +292,6 @@ def sample_nucleation_ttfs_pde(
         j_sigma: log-space sigma of the per-wire current densities.
         seed: RNG seed for the population draw.
         config: PDE discretization (default :class:`KorhonenConfig`).
-        max_chunk_wires: cap on wires resident in one
-            :class:`KorhonenBatch` at a time.  The population draw
-            still covers every wire up front (the RNG stream is
-            unchanged), then contiguous wire slices run as separate
-            batches.  Columns are independent, so chunked samples are
-            bit-identical to the unchunked batch.
-        chunk_budget_bytes: alternative cap expressed as a byte budget
-            for the resident stress state; converted via
-            :func:`repro.em.korhonen.batch_bytes_per_wire`.  When both
-            caps are given the smaller chunk wins.
 
     Returns:
         ``(n_wires,)`` array of nucleation times in seconds.
@@ -321,18 +305,6 @@ def sample_nucleation_ttfs_pde(
             "probe_step_s must be positive and at most max_time_s")
     if j_sigma < 0.0:
         raise SimulationError("j_sigma must be non-negative")
-    chunk = n_wires
-    if max_chunk_wires is not None:
-        if max_chunk_wires < 1:
-            raise SimulationError("max_chunk_wires must be at least 1")
-        chunk = min(chunk, int(max_chunk_wires))
-    if chunk_budget_bytes is not None:
-        per_wire = batch_bytes_per_wire(config)
-        if chunk_budget_bytes < per_wire:
-            raise SimulationError(
-                f"chunk_budget_bytes={chunk_budget_bytes} is below the "
-                f"{per_wire}-byte resident cost of a single wire")
-        chunk = min(chunk, chunk_budget_bytes // per_wire)
 
     rng = np.random.default_rng(seed)
     densities = condition.current_density_a_m2 \
@@ -346,24 +318,20 @@ def sample_nucleation_ttfs_pde(
     n_probes = int(math.ceil(max_time_s / probe_step_s - 1e-12))
     ttfs = np.full(n_wires, np.inf)
 
-    for start in range(0, n_wires, chunk):
-        # Columns never interact, so a wire slice in its own batch
-        # retraces the exact trajectory it would in the full one.
-        stop = min(start + chunk, n_wires)
-        batch = KorhonenBatch(wire.length_m, stop - start, config)
-        alive = np.arange(start, stop)
-        alive_gradients = gradients[start:stop]
-        for probe in range(1, n_probes + 1):
-            batch.advance(probe_step_s, kappa, alive_gradients)
-            crossed = batch.stress_at_start >= critical
-            if np.any(crossed):
-                ttfs[alive[crossed]] = probe * probe_step_s
-                keep = ~crossed
-                if not np.any(keep):
-                    break
-                # Compacting nucleated wires out spares them the steps
-                # a per-wire loop would skip after its early exit.
-                batch.retain(np.nonzero(keep)[0])
-                alive = alive[keep]
-                alive_gradients = alive_gradients[keep]
+    batch = KorhonenBatch(wire.length_m, n_wires, config)
+    alive = np.arange(n_wires)
+    alive_gradients = gradients
+    for probe in range(1, n_probes + 1):
+        batch.advance(probe_step_s, kappa, alive_gradients)
+        crossed = batch.stress_at_start >= critical
+        if np.any(crossed):
+            ttfs[alive[crossed]] = probe * probe_step_s
+            keep = ~crossed
+            if not np.any(keep):
+                break
+            # Compacting nucleated wires out spares them the steps a
+            # per-wire loop would skip after its early exit.
+            batch.retain(np.nonzero(keep)[0])
+            alive = alive[keep]
+            alive_gradients = alive_gradients[keep]
     return ttfs

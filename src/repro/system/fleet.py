@@ -1,9 +1,10 @@
 """Structure-of-arrays fleet engine: a population of chips per step.
 
 The paper's headline results (Figs. 12-14) are population statements --
-guardband reduction and EM lifetime gains across many chips -- but the
-pooled sweep layer pays one Python simulator (and often one process
-task) per chip.  This module advances every chip in lockstep instead:
+guardband reduction and EM lifetime gains across many chips -- but a
+:class:`~repro.system.simulator.SystemSimulator` per chip pays one
+Python epoch loop per chip.  This module advances every chip in
+lockstep instead:
 
 * :class:`FleetSimulator` is one population: its aging state as
   stacked arrays -- trap occupancies/ages/weights and permanent Vth in

@@ -33,7 +33,7 @@ from typing import List, Optional, Protocol
 import numpy as np
 
 from repro import units
-from repro.bti.calibration import BtiCalibration, default_calibration
+from repro.bti.calibration import default_calibration
 from repro.bti.conditions import BtiConditionKernels
 from repro.bti.fleet import StackedTrapPopulations
 from repro.em.line import EmStressCondition
@@ -220,18 +220,16 @@ class SystemSimulator:
     """Drives a chip + workload + policy through its lifetime."""
 
     def __init__(self, chip: Chip,
-                 calibration: Optional[BtiCalibration] = None,
-                 em_reference: Optional[EmStressCondition] = None,
                  epoch_s: float = units.hours(1.0),
                  variation: Optional[ChipVariation] = None):
         if epoch_s <= 0.0:
             raise SimulationError("epoch_s must be positive")
         self.chip = chip
-        self.calibration = calibration or default_calibration()
+        model_config = default_calibration().model_config
         self.epoch_s = epoch_s
         self.variation = variation or ChipVariation()
         n = chip.n_cores
-        population = self.calibration.model_config.population
+        population = model_config.population
         # Fewer bins per core: system horizons don't need the full
         # Table-I resolution, and the dynamics are identical.
         # Kernels memoize on the assignment key: epoch_s and the
@@ -239,16 +237,13 @@ class SystemSimulator:
         self.bti = StackedTrapPopulations(
             1, n, replace(population, n_bins=64),
             kernel_cache_size=_ASSIGNMENT_CACHE_SIZE)
-        self.em_reference = em_reference or EmStressCondition(
+        self.em_reference = EmStressCondition(
             current_density_a_m2=chip.core.grid_current_density_a_m2,
             temperature_k=units.celsius_to_kelvin(85.0),
             name="grid reference")
         self.em = FleetEmState(n, self.em_reference)
-        self._accel_params = self.calibration.model_config.acceleration
-        self._reference_stress = \
-            self.calibration.model_config.reference_stress
         self.kernels = BtiConditionKernels(
-            self._accel_params, self._reference_stress,
+            model_config.acceleration, model_config.reference_stress,
             stress_voltage_v=chip.core.stress_voltage_v)
         # Scheduling loops cycle through a small set of assignments;
         # everything derived from one (power vector, thermal solve,

@@ -181,7 +181,8 @@ class TestBatchValidation:
     def test_rejects_heterogeneous_topologies(self):
         mixed = [RingOscillatorNetlist(stages=3).build(),
                  RingOscillatorNetlist(stages=5).build()]
-        with pytest.raises(ValueError, match="pooled"):
+        with pytest.raises(ValueError,
+                           match="dc_operating_point / transient"):
             CircuitBatch(mixed)
 
     def test_rejects_empty_batch(self):

@@ -5,9 +5,9 @@ identical to the seed's per-element stamping loop, which is kept
 verbatim in :mod:`benchmarks.seed_circuit`.  These tests drive both
 engines over the netlist families the repo actually uses -- linear RC,
 the assist circuit's mode switches, transistor-level ring oscillators
--- including waveform-driven current sources, ``from_dc=False`` starts
-and both device kernels (scalar and vectorized), and assert exact
-array equality plus matching mutated netlist state.
+-- including waveform-driven current sources and ``from_dc=False``
+starts, and assert exact array equality plus matching mutated netlist
+state.
 """
 
 import numpy as np
@@ -22,8 +22,6 @@ from repro.assist.circuitry import (
 from repro.assist.modes import AssistMode
 from repro.circuit import (
     Circuit,
-    CompiledCircuit,
-    NMOS_28NM,
     RingOscillatorNetlist,
     evaluate_waveform_grid,
     transient,
@@ -44,16 +42,6 @@ def current_driven_rc() -> Circuit:
     circuit.add_current_source("idrive", "gnd", "out", 10e-6)
     circuit.add_resistor("r1", "out", "gnd", 50e3)
     circuit.add_capacitor("c1", "out", "gnd", 2e-9)
-    return circuit
-
-
-def nmos_amplifier() -> Circuit:
-    circuit = Circuit("nmos amplifier")
-    circuit.add_voltage_source("vdd", "vdd", "gnd", 1.0)
-    circuit.add_voltage_source("vin", "g", "gnd", 0.55)
-    circuit.add_resistor("rd", "vdd", "d", 20e3)
-    circuit.add_mosfet("m1", "d", "g", "gnd", NMOS_28NM)
-    circuit.add_capacitor("cl", "d", "gnd", 10e-15)
     return circuit
 
 
@@ -79,17 +67,6 @@ class TestDcEquivalence:
         b = seed_dc_operating_point(seeded.circuit)
         assert np.array_equal(a.solution, b.solution)
         assert a.iterations == b.iterations
-
-    def test_kernels_agree_on_dc(self):
-        # The scalar and ufunc device kernels are interchangeable.
-        results = []
-        for use_vector in (False, True):
-            circuit = nmos_amplifier()
-            program = CompiledCircuit(circuit, use_vector=use_vector)
-            results.append(dc_operating_point(circuit,
-                                              program=program))
-        assert np.array_equal(results[0].solution, results[1].solution)
-        assert results[0].iterations == results[1].iterations
 
 
 class TestTransientEquivalence:
@@ -138,25 +115,6 @@ class TestTransientEquivalence:
         seeded = seed_transient(netlist.build(), stop_s=stop_s,
                                 dt_s=dt_s, from_dc=False)
         assert_transients_equal(compiled, seeded)
-
-    def test_kernels_agree_on_transient(self, monkeypatch):
-        netlist = RingOscillatorNetlist(stages=3)
-        stop_s, dt_s = netlist.simulation_window(n_periods_hint=2.0)
-
-        def forced_vector(circuit, use_vector=None):
-            return CompiledCircuit(circuit, use_vector=True)
-
-        scalar = transient(netlist.build(), stop_s=stop_s, dt_s=dt_s,
-                           from_dc=False)
-        # The package re-exports shadow the submodule attribute, so
-        # fetch the module object itself.
-        import sys
-        transient_module = sys.modules["repro.circuit.transient"]
-        monkeypatch.setattr(transient_module, "CompiledCircuit",
-                            forced_vector)
-        vector = transient(netlist.build(), stop_s=stop_s, dt_s=dt_s,
-                           from_dc=False)
-        assert_transients_equal(scalar, vector)
 
     def test_final_netlist_state_matches_seed(self):
         # Both engines must leave the mutated netlist in the same

@@ -12,9 +12,7 @@ contracts that generalization rests on:
   (``max_chunk_chips`` / ``state_budget_bytes``), so memory budgets
   are purely an execution concern;
 * ``run_lifetime_sweep`` runs every chip design of a grid as one
-  fleet study whose cells equal standalone simulator runs bit for bit;
-* the row-chunked circuit batches and the wire-chunked EM TTF sampler
-  reproduce their unchunked runs bit for bit.
+  fleet study whose cells equal standalone simulator runs bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +23,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, NMOS_28NM, dc_batch, transient, \
-    transient_batch
-from repro.circuit.dc import dc_operating_point
-from repro.em.korhonen import KorhonenConfig, batch_bytes_per_wire
-from repro.em.line import PAPER_EM_STRESS
-from repro.em.statistics import sample_nucleation_ttfs_pde
-from repro.em.wire import PAPER_TEST_WIRE
 from repro.errors import SimulationError
 from repro.solvers import cache_counters, task_seed_sequence
 from repro.system.chip import Chip
@@ -364,112 +355,3 @@ class TestSweepEngineRouting:
         baseline = self.run_grid()
         for a, b in zip(workers.cells, baseline.cells):
             assert a == b
-
-
-def nmos_amplifier(rd_ohms: float, vin_v: float) -> Circuit:
-    circuit = Circuit(f"chunk amp rd={rd_ohms:g} vin={vin_v:g}")
-    circuit.add_voltage_source("vdd", "vdd", "gnd", 1.0)
-    circuit.add_voltage_source("vin", "g", "gnd", vin_v)
-    circuit.add_resistor("rd", "vdd", "d", rd_ohms)
-    circuit.add_mosfet("m1", "d", "g", "gnd", NMOS_28NM)
-    circuit.add_capacitor("cl", "d", "gnd", 10e-15)
-    return circuit
-
-
-AMPLIFIER_GRID = ((20e3, 0.55), (20e3, 0.35), (5e3, 0.8),
-                  (40e3, 0.75), (10e3, 0.45))
-
-
-def amplifier_circuits():
-    return [nmos_amplifier(rd, vin) for rd, vin in AMPLIFIER_GRID]
-
-
-class TestChunkedCircuitBatches:
-    """Row-blocked dc/transient batches == their unchunked runs."""
-
-    def test_chunked_dc_is_bitwise(self):
-        whole = dc_batch(amplifier_circuits(), condense=False)
-        chunked = dc_batch(amplifier_circuits(), condense=False,
-                           max_chunk_rows=2)
-        assert len(chunked) == len(whole)
-        for a, b in zip(chunked, whole):
-            assert np.array_equal(a.solution, b.solution)
-            assert a.iterations == b.iterations
-
-    def test_budgeted_dc_matches_per_point(self):
-        # A budget of two rows' worth of stacked matrices: the batch
-        # must stream and still land on every solo operating point.
-        chunked = dc_batch(amplifier_circuits(),
-                           chunk_budget_bytes=2_000)
-        for (rd, vin), solution in zip(AMPLIFIER_GRID, chunked):
-            reference = dc_operating_point(nmos_amplifier(rd, vin))
-            assert np.max(np.abs(solution.solution
-                                 - reference.solution)) <= 1e-12
-
-    def test_chunked_transient_is_bitwise(self):
-        whole = transient_batch(amplifier_circuits(), stop_s=8e-9,
-                                dt_s=0.4e-9, condense=False)
-        chunked = transient_batch(amplifier_circuits(), stop_s=8e-9,
-                                  dt_s=0.4e-9, condense=False,
-                                  max_chunk_rows=2)
-        assert len(chunked) == len(whole)
-        for a, b in zip(chunked, whole):
-            assert np.array_equal(a.times_s, b.times_s)
-            assert np.array_equal(a.solutions, b.solutions)
-
-    def test_chunked_transient_matches_solo_runs(self):
-        chunked = transient_batch(amplifier_circuits(), stop_s=8e-9,
-                                  dt_s=0.4e-9, condense=False,
-                                  max_chunk_rows=3)
-        for (rd, vin), result in zip(AMPLIFIER_GRID, chunked):
-            reference = transient(nmos_amplifier(rd, vin), 8e-9,
-                                  0.4e-9)
-            assert np.array_equal(result.solutions,
-                                  reference.solutions)
-
-    def test_chunk_limits_validated(self):
-        with pytest.raises(ValueError):
-            dc_batch(amplifier_circuits(), max_chunk_rows=0)
-        with pytest.raises(ValueError):
-            transient_batch(amplifier_circuits(), stop_s=8e-9,
-                            dt_s=0.4e-9, chunk_budget_bytes=0)
-
-
-class TestChunkedEmSampler:
-    """Wire-chunked PDE TTF sampling == the monolithic batch."""
-
-    CONFIG = KorhonenConfig(n_nodes=101, max_dt_s=5e3)
-    KWARGS = dict(
-        wire=PAPER_TEST_WIRE,
-        condition=dataclasses.replace(
-            PAPER_EM_STRESS,
-            current_density_a_m2=PAPER_EM_STRESS.current_density_a_m2
-            * 0.05),
-        j_sigma=0.1, seed=42)
-
-    def sample(self, **overrides):
-        kwargs = dict(self.KWARGS, config=self.CONFIG)
-        kwargs.update(overrides)
-        return sample_nucleation_ttfs_pde(24, 6e6, 2e5, **kwargs)
-
-    def test_wire_chunks_are_bitwise(self):
-        whole = self.sample()
-        chunked = self.sample(max_chunk_wires=5)
-        assert np.array_equal(whole, chunked)
-        # The scenario must nucleate and spread, or equality is
-        # vacuous.
-        finite = np.isfinite(whole)
-        assert finite.any()
-        assert np.unique(whole[finite]).size > 1
-
-    def test_byte_budget_chunks_are_bitwise(self):
-        whole = self.sample()
-        budget = 7 * batch_bytes_per_wire(self.CONFIG)
-        chunked = self.sample(chunk_budget_bytes=budget)
-        assert np.array_equal(whole, chunked)
-
-    def test_chunk_limits_validated(self):
-        with pytest.raises(SimulationError):
-            self.sample(max_chunk_wires=0)
-        with pytest.raises(SimulationError):
-            self.sample(chunk_budget_bytes=8)
