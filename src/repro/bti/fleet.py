@@ -19,12 +19,22 @@ chip's peak capture acceleration; the stacked step computes that
 count per chip and advances chips in groups sharing a count, so every
 chip sees the op sequence of its one-chip stack bit for bit (the fleet
 equivalence tests assert exactly this).
+
+Trajectory classes keep that contract.  A multi-chip stack advances
+one state row per *class* of rows whose whole input history -- stress
+flag, capture and recovery bits, sub-step count, epoch by epoch -- is
+identical; a row's state is a function of that history alone, because
+every row op is elementwise, so all rows of a class hold bit-identical
+state and advancing one of them advances them all.  Classes are keyed
+on raw bytes, never on float comparisons, so ``-0.0`` and ``0.0``
+inputs (or two NaN payloads) stay apart.  Without process variation a
+fleet of thousands of chips has a handful of classes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -44,13 +54,31 @@ _SUBSTEP_BLOCK_ROWS = 256
 #: :meth:`repro.bti.traps.TrapPopulation.stress`).
 _MAX_SUBSTEPS = 64
 
+#: A stack drops its trajectory-class map for good once it has more
+#: classes than this fraction of its rows.  Past that point the map
+#: saves little sub-step work and costs a key build and a state
+#: gather on every split.  A varied fleet (the ``fleet_mixed`` bench
+#: workload: 2304 rows with lognormal per-chip scales) splits into
+#: 1041 classes on its first epoch and past 1152 on its second, then
+#: runs per row; keeping its map instead took ``pass_s`` from 0.52 s
+#: to 0.56 s (2-CPU x86-64 host, two runs each).  A fleet without
+#: variation (``fleet_durable``: 10,350 rows a chunk) settles at 8.
+_MAX_CLASS_FRACTION = 0.5
+
+#: The per-row trap state, in the order :meth:`state_arrays` returns it.
+_STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
+
 
 class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
 
-    The state lives in flat ``(n_chips * n_units, n_bins)`` arrays
-    (chip-major), so the homogeneous case -- one chip, or every chip
-    sharing one sub-step count -- advances the whole population with
+    The state is chip-major and flat: row ``k * n_units + u`` is core
+    ``u`` of chip ``k``.  A multi-chip stack stores it compactly, one
+    ``(n_classes, n_bins)`` row per trajectory class (see the module
+    docstring), and expands it to rows only when it is read; once
+    more than half its rows are classes of their own it stores one
+    state row per stack row for good.  A one-chip stack is per-row
+    from the start.  Either way each sub-step group advances as
     in-place masked full-array passes, touching no Python per chip.
 
     Args:
@@ -60,9 +88,9 @@ class StackedTrapPopulations:
             system configuration).
         kernel_cache_size: LRU capacity of the sub-step kernel memo;
             0 disables it.  A cached kernel holds two dense
-            ``(rows, n_bins)`` arrays plus three ``(rows, 1)``
-            columns, so fleet-scale callers should size this from a
-            memory budget (the fleet simulator does).
+            ``(state rows, n_bins)`` arrays plus three
+            ``(state rows, 1)`` columns, so fleet-scale callers should
+            size this from a memory budget (the fleet simulator does).
             Kernels are only memoized when the caller passes a
             ``kernel_key`` identifying the epoch's conditions.
     """
@@ -84,12 +112,26 @@ class StackedTrapPopulations:
         rows = n_chips * n_units
         self.tau_c = np.logspace(math.log10(cfg.tau_min_s),
                                  math.log10(cfg.tau_max_s), cfg.n_bins)
+        # Trajectory classes: stack row r holds state row _labels[r],
+        # and _class_rows[c] is one stack row of class c.  A fresh
+        # multi-chip stack is one class; ``None`` is the identity map.
+        self._labels: Optional[np.ndarray] = None
+        self._class_rows: Optional[np.ndarray] = None
+        state_rows = rows
+        if n_chips > 1:
+            self._labels = np.zeros(rows, dtype=np.intp)
+            self._class_rows = np.zeros(1, dtype=np.intp)
+            state_rows = 1
+        # Bumped whenever the state rows change meaning (a split, a
+        # dropped map, a loaded state), so a memoized kernel is only
+        # reused for the partition it was built for.
+        self._generation = 0
         fresh_weight = cfg.vth_full_shift_v / cfg.n_bins
-        shape = (rows, cfg.n_bins)
-        self.weights = np.full(shape, fresh_weight)
-        self.occupancy = np.zeros(shape)
-        self.age_s = np.zeros(shape)
-        self.permanent_v = np.zeros(rows)
+        shape = (state_rows, cfg.n_bins)
+        self._weights = np.full(shape, fresh_weight)
+        self._occupancy = np.zeros(shape)
+        self._age_s = np.zeros(shape)
+        self._permanent_v = np.zeros(state_rows)
         self.time_s = 0.0
         # Longest equivalent-stress sub-step (an eighth of the lock-in
         # age, so lock-in stays resolved); counts scale with the peak.
@@ -98,22 +140,99 @@ class StackedTrapPopulations:
             FactorizationCache(maxsize=kernel_cache_size,
                                name="bti.fleet.kernels")
             if kernel_cache_size else None)
-        # Sub-step scratch: three float buffers and two masks.
-        self._scratch = (np.empty(shape), np.empty(shape),
-                         np.empty(shape),
-                         np.empty(shape, dtype=bool),
-                         np.empty(shape, dtype=bool))
+        # Sub-step scratch for one row block: three float buffers and
+        # two masks.
+        block = (min(rows, _SUBSTEP_BLOCK_ROWS), cfg.n_bins)
+        self._scratch = (np.empty(block), np.empty(block),
+                         np.empty(block),
+                         np.empty(block, dtype=bool),
+                         np.empty(block, dtype=bool))
+
+    # -- state ----------------------------------------------------------
+
+    def _rows(self, array: np.ndarray) -> np.ndarray:
+        """One state array read per stack row, as a read-only array."""
+        rows = (array.view() if self._labels is None
+                else array[self._labels])
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-bin trap weights (V), ``(rows, n_bins)``, read-only."""
+        return self._rows(self._weights)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Per-bin trap occupancy, ``(rows, n_bins)``, read-only."""
+        return self._rows(self._occupancy)
+
+    @property
+    def age_s(self) -> np.ndarray:
+        """Per-bin equivalent stress age (s), ``(rows, n_bins)``,
+        read-only."""
+        return self._rows(self._age_s)
+
+    @property
+    def permanent_v(self) -> np.ndarray:
+        """Locked-in shift per row (V), ``(rows,)``, read-only."""
+        return self._rows(self._permanent_v)
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The advancing state as fresh per-row float64 arrays.
+
+        Keys are ``weights``, ``occupancy``, ``age_s`` (each
+        ``(rows, n_bins)``), ``permanent_v`` (``(rows,)``) and
+        ``time_s`` (0-d); :meth:`load_state` takes the same mapping.
+        """
+        labels = self._labels
+        arrays = {name: (getattr(self, "_" + name).copy()
+                         if labels is None
+                         else getattr(self, "_" + name)[labels])
+                  for name in _STATE_NAMES}
+        arrays["time_s"] = np.array(self.time_s, dtype=np.float64)
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Overwrite the state with a :meth:`state_arrays` mapping.
+
+        The stack continues per row (its class map is dropped).
+        Every array's presence and layout is checked before anything
+        is written, so a refused mapping raises
+        :class:`~repro.errors.SimulationError` and leaves the stack as
+        it was.
+        """
+        rows = self.n_chips * self.n_units
+        dense = (rows, self.config.n_bins)
+        layouts = {"weights": dense, "occupancy": dense, "age_s": dense,
+                   "permanent_v": (rows,), "time_s": ()}
+        for name, shape in layouts.items():
+            if name not in arrays:
+                raise SimulationError(f"state array {name!r} is missing")
+            array = arrays[name]
+            if array.shape != shape or array.dtype != np.float64:
+                raise SimulationError(
+                    f"state array {name!r} has layout "
+                    f"{array.dtype}{array.shape}, stack expects "
+                    f"float64{shape}")
+        for name in _STATE_NAMES:
+            setattr(self, "_" + name, np.array(arrays[name]))
+        self.time_s = float(arrays["time_s"])
+        self._labels = self._class_rows = None
+        self._generation += 1
 
     # -- observables ----------------------------------------------------
 
     def delta_vth_v(self) -> np.ndarray:
         """Total threshold shift, shaped ``(n_chips, n_units)``."""
-        flat = np.einsum("ij,ij->i", self.occupancy, self.weights)
-        flat += self.permanent_v
+        flat = np.einsum("ij,ij->i", self._occupancy, self._weights)
+        flat += self._permanent_v
+        if self._labels is not None:
+            flat = flat[self._labels]
         return flat.reshape(self.n_chips, self.n_units)
 
     def permanent_vth_v(self) -> np.ndarray:
-        """Permanent shift, shaped ``(n_chips, n_units)`` (a view)."""
+        """Permanent shift, shaped ``(n_chips, n_units)``, read-only."""
         return self.permanent_v.reshape(self.n_chips, self.n_units)
 
     # -- advance --------------------------------------------------------
@@ -125,10 +244,11 @@ class StackedTrapPopulations:
         """Advance every chip by ``dt_s``.
 
         Args:
-            dt_s: epoch length.
+            dt_s: epoch length (finite, non-negative).
             stressing: boolean ``(n_chips, n_units)`` stress mask.
             capture_acceleration: ``(n_chips, n_units)`` capture-rate
-                multipliers for the stressing units.
+                multipliers for the stressing units; a stressing
+                unit's multiplier must give a finite sub-step count.
             recovery_acceleration: ``(n_chips, n_units)`` de-trapping
                 multipliers for the recovering units.
             kernel_key: optional hashable token uniquely identifying
@@ -138,8 +258,8 @@ class StackedTrapPopulations:
                 factors are memoized on it; when ``None`` they are
                 rebuilt each call.
         """
-        if dt_s < 0.0:
-            raise SimulationError("dt_s must be non-negative")
+        if not math.isfinite(dt_s) or dt_s < 0.0:
+            raise SimulationError("dt_s must be finite and non-negative")
         shape = (self.n_chips, self.n_units)
         stressing = np.asarray(stressing, dtype=bool)
         capture = np.asarray(capture_acceleration, dtype=float)
@@ -154,11 +274,14 @@ class StackedTrapPopulations:
             any_stress = bool(stressing.any())
             peak = float(capture.max(initial=-np.inf, where=stressing)) \
                 if any_stress else 1.0
-            count = math.ceil(dt_s * max(peak, 1e-12) / self._lock_step_s)
-            count = min(max(count, 1), _MAX_SUBSTEPS)
+            raw = dt_s * max(peak, 1e-12) / self._lock_step_s
+            if not math.isfinite(raw):
+                raise SimulationError(
+                    "sub-step count is not finite: check the capture "
+                    "acceleration of the stressing units")
+            count = min(max(math.ceil(raw), 1), _MAX_SUBSTEPS)
             self._advance_rows(
                 slice(None), dt_s, count, stressing, capture, recovery,
-                any_stress,
                 None if kernel_key is None else (kernel_key, count, 0))
             self.time_s += dt_s
             return
@@ -172,48 +295,101 @@ class StackedTrapPopulations:
                                            initial=-np.inf,
                                            where=stressing), 1.0)
         raw = np.ceil(dt_s * np.maximum(peak, 1e-12) / self._lock_step_s)
-        n_steps = np.clip(raw, 1, _MAX_SUBSTEPS).astype(np.int64)
-        # Chips sharing a sub-step count advance together; with no (or
-        # mild) process variation that is one group covering the whole
-        # stack, i.e. zero gather/scatter.
-        for group, count in enumerate(np.unique(n_steps)):
-            chips = np.nonzero(n_steps == count)[0]
-            if chips.size == self.n_chips:
-                rows: object = slice(None)
-            else:
-                rows = (chips[:, None] * self.n_units
-                        + np.arange(self.n_units)[None, :]).reshape(-1)
+        if not np.isfinite(raw).all():
+            raise SimulationError(
+                "sub-step count is not finite: check the capture "
+                "acceleration of the stressing units")
+        row_steps = np.repeat(
+            np.clip(raw, 1, _MAX_SUBSTEPS).astype(np.int64), self.n_units)
+        if self._labels is not None:
+            self._split_classes(flat_stress, flat_capture, flat_recovery,
+                                row_steps)
+        # State row i advances on the inputs of stack row classes[i].
+        classes = (slice(None) if self._class_rows is None
+                   else self._class_rows)
+        stress_rows = flat_stress[classes]
+        capture_rows = flat_capture[classes]
+        recovery_rows = flat_recovery[classes]
+        steps = row_steps[classes]
+        record_counters("bti.fleet.classes", steps=1,
+                        rows=flat_stress.size, rows_advanced=steps.size)
+        # State rows sharing a sub-step count advance together; with no
+        # (or mild) process variation that is one group covering the
+        # whole state, i.e. zero gather/scatter.
+        for group, count in enumerate(np.unique(steps)):
+            members = np.flatnonzero(steps == count)
+            rows: object = (slice(None) if members.size == steps.size
+                            else members)
             sub_key = (None if kernel_key is None
-                       else (kernel_key, int(count), group))
-            self._advance_rows(
-                rows, dt_s, int(count), flat_stress, flat_capture,
-                flat_recovery, bool(any_stress[chips].any()), sub_key)
+                       else (kernel_key, self._generation, int(count),
+                             group))
+            self._advance_rows(rows, dt_s, int(count), stress_rows,
+                               capture_rows, recovery_rows, sub_key)
         self.time_s += dt_s
 
+    def _split_classes(self, flat_stress: np.ndarray,
+                       flat_capture: np.ndarray,
+                       flat_recovery: np.ndarray,
+                       row_steps: np.ndarray) -> None:
+        """Refine the class map by this step's per-row inputs.
+
+        Rows stay in one class only if they were in one class and
+        their stress flag, capture and recovery bits and sub-step
+        count all match, so classes only ever split.  A split gathers
+        the state onto the new classes, or onto every row once the
+        classes pass :data:`_MAX_CLASS_FRACTION` of the rows.
+        """
+        labels, class_rows = self._labels, self._class_rows
+        columns = (flat_stress, flat_capture.view(np.uint64),
+                   flat_recovery.view(np.uint64), row_steps)
+        # The common case: every row matches its class's row.
+        if all(np.array_equal(column, column[class_rows][labels])
+               for column in columns):
+            return
+        key = np.empty((labels.size, 1 + len(columns)), dtype=np.uint64)
+        key[:, 0] = labels
+        for index, column in enumerate(columns, 1):
+            key[:, index] = column
+        packed = key.view(
+            np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, first, inverse = np.unique(packed, return_index=True,
+                                      return_inverse=True)
+        if first.size > _MAX_CLASS_FRACTION * labels.size:
+            gather = labels
+            self._labels = self._class_rows = None
+        else:
+            gather = labels[first]
+            self._labels = inverse.reshape(-1)
+            self._class_rows = first
+        for name in _STATE_NAMES:
+            setattr(self, "_" + name, getattr(self, "_" + name)[gather])
+        self._generation += 1
+
     def _advance_rows(self, rows, dt_s: float, n_steps: int,
-                      flat_stress: np.ndarray,
-                      flat_capture: np.ndarray,
-                      flat_recovery: np.ndarray,
-                      any_stress: bool, kernel_key) -> None:
-        """Advance one group of chips sharing a sub-step count."""
+                      stress_rows: np.ndarray,
+                      capture_rows: np.ndarray,
+                      recovery_rows: np.ndarray, kernel_key) -> None:
+        """Advance the state rows ``rows`` sharing a sub-step count.
+
+        The input arrays hold one entry per state row (any shape that
+        flattens to state-row order); ``rows`` selects the group.
+        """
         step = dt_s / n_steps
         full = isinstance(rows, slice)
         if full:
-            occupancy = self.occupancy
-            age = self.age_s
-            weights = self.weights
-            permanent = self.permanent_v
-            stress_rows = flat_stress
-            capture_rows = flat_capture
-            recovery_rows = flat_recovery
+            occupancy = self._occupancy
+            age = self._age_s
+            weights = self._weights
+            permanent = self._permanent_v
         else:
-            occupancy = self.occupancy[rows]
-            age = self.age_s[rows]
-            weights = self.weights[rows]
-            permanent = self.permanent_v[rows]
-            stress_rows = flat_stress[rows]
-            capture_rows = flat_capture[rows]
-            recovery_rows = flat_recovery[rows]
+            occupancy = self._occupancy[rows]
+            age = self._age_s[rows]
+            weights = self._weights[rows]
+            permanent = self._permanent_v[rows]
+            stress_rows = stress_rows[rows]
+            capture_rows = capture_rows[rows]
+            recovery_rows = recovery_rows[rows]
+        any_stress = bool(stress_rows.any())
         m = occupancy.shape[0]
         if self.kernel_cache is not None and kernel_key is not None:
             kernel = self.kernel_cache.get_or_build(
@@ -245,10 +421,10 @@ class StackedTrapPopulations:
                     None if fraction is None else fraction[start:stop],
                     n_steps, any_stress)
         if not full:
-            self.occupancy[rows] = occupancy
-            self.age_s[rows] = age
-            self.weights[rows] = weights
-            self.permanent_v[rows] = permanent
+            self._occupancy[rows] = occupancy
+            self._age_s[rows] = age
+            self._weights[rows] = weights
+            self._permanent_v[rows] = permanent
 
     def _advance_block(self, occupancy, age, weights, permanent,
                        eq_col, stress_col, decay, inflow, fraction,
@@ -268,7 +444,7 @@ class StackedTrapPopulations:
         cfg = self.config
         m = occupancy.shape[0]
         scratch = self._scratch
-        if m < self.occupancy.shape[0]:
+        if m < scratch[0].shape[0]:
             scratch = [buffer[:m] for buffer in scratch]
         buf_a, buf_b, buf_c, mask, positive = scratch
         for _ in range(n_steps):

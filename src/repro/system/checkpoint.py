@@ -244,9 +244,10 @@ _VARIATION_FIELDS = ("capture_scale", "recovery_scale",
                      "em_current_scale")
 
 #: The fixed-layout arrays of a simulator's state, by owner: each is
-#: saved as ``owner/name`` and restored in place.
+#: saved as ``owner/name`` and restored in place.  The trap state is
+#: saved as ``bti/name`` through the stack's own
+#: ``state_arrays`` / ``load_state`` pair.
 _STATE_ARRAYS = (
-    ("bti", ("weights", "occupancy", "age_s", "permanent_v")),
     ("em", ("progress_s", "nucleated", "void_reversible_m",
             "void_locked_m")),
     ("variation", _VARIATION_FIELDS),
@@ -255,7 +256,7 @@ _STATE_ARRAYS = (
 
 
 def _state_owners(simulator: FleetSimulator) -> Dict[str, Any]:
-    return {"bti": simulator.bti, "em": simulator.em,
+    return {"em": simulator.em,
             "variation": simulator.variation, "run": simulator}
 
 
@@ -264,10 +265,12 @@ def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
     n_chips = simulator.n_chips
     owners = _state_owners(simulator)
     arrays: Dict[str, np.ndarray] = {
-        f"{owner}/{name}": getattr(owners[owner], name).copy()
-        for owner, names in _STATE_ARRAYS for name in names}
+        f"bti/{name}": array
+        for name, array in simulator.bti.state_arrays().items()}
     arrays.update({
-        "bti/time_s": np.array(simulator.bti.time_s, dtype=np.float64),
+        f"{owner}/{name}": getattr(owners[owner], name).copy()
+        for owner, names in _STATE_ARRAYS for name in names})
+    arrays.update({
         "em/time_s": np.array(simulator.em.time_s, dtype=np.float64),
         "run/times": np.array(simulator.times, dtype=np.float64),
         "run/worst": (np.array(simulator.worst) if simulator.worst
@@ -354,7 +357,6 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         copies = [(getattr(owners[owner], name),
                    arrays[f"{owner}/{name}"], f"{owner}/{name}")
                   for owner, names in _STATE_ARRAYS for name in names]
-        bti_time_s = float(arrays["bti/time_s"])
         em_time_s = float(arrays["em/time_s"])
         times = [float(stamp) for stamp in arrays["run/times"]]
         records = [[np.array(row) for row in arrays[f"run/{name}"]]
@@ -390,10 +392,17 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
                 f"snapshot array {name!r} has layout "
                 f"{source.dtype}{source.shape}, run expects "
                 f"{destination.dtype}{destination.shape}")
+    # The trap stack checks its arrays before it writes any, and it is
+    # the first write, so a refusal still leaves the run as it was.
+    try:
+        simulator.bti.load_state(
+            {name[len("bti/"):]: array for name, array in arrays.items()
+             if name.startswith("bti/")})
+    except SimulationError as error:
+        raise CheckpointError(f"snapshot trap state: {error}") from error
     # Every check passed; nothing below can refuse the snapshot.
     for destination, source, _ in copies:
         destination[...] = source
-    simulator.bti.time_s = bti_time_s
     simulator.em.time_s = em_time_s
     simulator.times = times
     simulator.worst, simulator.mean, simulator.dropped = records

@@ -66,6 +66,7 @@ makes chunked execution invariant in the chunk size.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 import pickle
 import time
@@ -512,7 +513,10 @@ def state_bytes_per_chip(n_cores: int) -> int:
     Counts the stacked trap arrays (three state + three scratch
     float64 ``(n_cores, n_bins)`` blocks plus two boolean masks) and
     the flat float64 EM accumulators.  The chunked runner divides
-    ``state_budget_bytes`` by this to pick its row-block height.
+    ``state_budget_bytes`` by this to pick its row-block height.  The
+    scratch term is a conservative bound: the stack allocates its
+    scratch for one sub-step row block, not per chip, and a stack
+    whose chips age alike stores one state row per trajectory class.
     """
     trap = n_cores * _FLEET_N_BINS * (6 * 8 + 2)
     em = n_cores * 5 * 8
@@ -842,8 +846,8 @@ class _FleetStudy:
             raise SimulationError("n_epochs must be at least 1")
         if self.record_every < 1:
             raise SimulationError("record_every must be at least 1")
-        if self.epoch_s <= 0.0:
-            raise SimulationError("epoch_s must be positive")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0.0):
+            raise SimulationError("epoch_s must be finite and positive")
         if (isinstance(self.variation, FleetVariation)
                 and self.variation.n_chips != self.n_chips):
             raise SimulationError(

@@ -27,6 +27,7 @@ vector (:meth:`~repro.thermal.network.ThermalRCNetwork
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Protocol
 
@@ -222,8 +223,8 @@ class SystemSimulator:
     def __init__(self, chip: Chip,
                  epoch_s: float = units.hours(1.0),
                  variation: Optional[ChipVariation] = None):
-        if epoch_s <= 0.0:
-            raise SimulationError("epoch_s must be positive")
+        if not (math.isfinite(epoch_s) and epoch_s > 0.0):
+            raise SimulationError("epoch_s must be finite and positive")
         self.chip = chip
         model_config = default_calibration().model_config
         self.epoch_s = epoch_s

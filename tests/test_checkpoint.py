@@ -298,6 +298,19 @@ class TestFleetSession:
         assert_results_bitwise_equal(session.result(),
                                      untouched.result())
 
+    def test_refused_trap_state_restore_leaves_the_session_intact(self):
+        # The trap stack checks its own arrays; a wrong layout is
+        # refused after every other check and still before any write.
+        snapshot = make_session().advance(5).snapshot()
+        snapshot.arrays["bti/age_s"] = snapshot.arrays["bti/age_s"][:-1]
+        session = make_session().advance(3)
+        with pytest.raises(CheckpointError, match="age_s"):
+            session.restore(snapshot)
+        session.advance(2)
+        untouched = make_session().advance(3).advance(2)
+        assert_results_bitwise_equal(session.result(),
+                                     untouched.result())
+
     def test_guardbands_cover_live_degradation(self):
         session = make_session(record_every=64)  # nothing recorded
         session.advance(3)

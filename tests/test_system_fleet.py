@@ -337,6 +337,15 @@ class TestFleetValidation:
         with pytest.raises(SimulationError):
             run(epoch_s=0.0)
 
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_non_finite_epoch_length(self, epoch_s):
+        # NaN passed an ``epoch_s <= 0`` check and ran to all-zero
+        # guardbands; the study now refuses it before running.
+        with pytest.raises(SimulationError, match="epoch_s"):
+            run_fleet_lifetime_study(
+                (2, 2), 3, ConstantWorkload(4, 0.5), NoRecoveryPolicy(),
+                n_epochs=2, epoch_s=epoch_s, max_workers=1)
+
     def test_chip_result_bounds(self):
         fleet = run_fleet_lifetime_study(
             (2, 2), 2, ConstantWorkload(n_cores=4),

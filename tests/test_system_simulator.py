@@ -129,3 +129,8 @@ class TestValidation:
     def test_rejects_bad_epoch_length(self):
         with pytest.raises(SimulationError):
             SystemSimulator(Chip(2, 2), epoch_s=0.0)
+
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epoch_length(self, epoch_s):
+        with pytest.raises(SimulationError, match="epoch_s"):
+            SystemSimulator(Chip(2, 2), epoch_s=epoch_s)
