@@ -65,7 +65,7 @@ _MAX_SUBSTEPS = 64
 #: variation (``fleet_durable``: 10,350 rows a chunk) settles at 8.
 _MAX_CLASS_FRACTION = 0.5
 
-#: The per-row trap state, in the order :meth:`state_arrays` returns it.
+#: The stored trap state, in the order :meth:`state_arrays` returns it.
 _STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
 
 
@@ -75,9 +75,10 @@ class StackedTrapPopulations:
     The state is chip-major and flat: row ``k * n_units + u`` is core
     ``u`` of chip ``k``.  A multi-chip stack stores it compactly, one
     ``(n_classes, n_bins)`` row per trajectory class (see the module
-    docstring), and expands it to rows only when it is read; once
-    more than half its rows are classes of their own it stores one
-    state row per stack row for good.  A one-chip stack is per-row
+    docstring), and expands it to rows only for a per-row read (its
+    snapshot, :meth:`state_arrays`, stays compact); once more than
+    half its rows are classes of their own it stores one state row
+    per stack row for good.  A one-chip stack is per-row
     from the start.  Either way each sub-step group advances as
     in-place masked full-array passes, touching no Python per chip.
 
@@ -179,46 +180,86 @@ class StackedTrapPopulations:
         return self._rows(self._permanent_v)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The advancing state as fresh per-row float64 arrays.
+        """The advancing state as stored, as fresh arrays.
 
         Keys are ``weights``, ``occupancy``, ``age_s`` (each
-        ``(rows, n_bins)``), ``permanent_v`` (``(rows,)``) and
-        ``time_s`` (0-d); :meth:`load_state` takes the same mapping.
+        ``(n_state_rows, n_bins)``), ``permanent_v``
+        (``(n_state_rows,)``), ``time_s`` (0-d float64) and ``labels``,
+        the int64 ``(rows,)`` map from stack row to state row -- one
+        state row per trajectory class, or ``arange(rows)`` for a
+        per-row stack.  :meth:`load_state` takes the same mapping.
         """
-        labels = self._labels
-        arrays = {name: (getattr(self, "_" + name).copy()
-                         if labels is None
-                         else getattr(self, "_" + name)[labels])
+        arrays = {name: getattr(self, "_" + name).copy()
                   for name in _STATE_NAMES}
         arrays["time_s"] = np.array(self.time_s, dtype=np.float64)
+        arrays["labels"] = (
+            np.arange(self.n_chips * self.n_units, dtype=np.int64)
+            if self._labels is None else self._labels.astype(np.int64))
         return arrays
 
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Overwrite the state with a :meth:`state_arrays` mapping.
 
-        The stack continues per row (its class map is dropped).
-        Every array's presence and layout is checked before anything
-        is written, so a refused mapping raises
+        The stack continues on the mapping's class map, so a restored
+        stack keeps advancing one state row per class.  Two label
+        layouts are accepted: the identity map (one state row per
+        stack row) and, on a multi-chip stack, a class map in which
+        every state row is some row's class and there are at most
+        :data:`_MAX_CLASS_FRACTION` of the rows as classes -- the
+        layouts :meth:`step` itself produces.  Every array is checked
+        before anything is written, so a refused mapping raises
         :class:`~repro.errors.SimulationError` and leaves the stack as
         it was.
         """
         rows = self.n_chips * self.n_units
-        dense = (rows, self.config.n_bins)
-        layouts = {"weights": dense, "occupancy": dense, "age_s": dense,
-                   "permanent_v": (rows,), "time_s": ()}
-        for name, shape in layouts.items():
+        for name in _STATE_NAMES + ("time_s", "labels"):
             if name not in arrays:
                 raise SimulationError(f"state array {name!r} is missing")
+        weights = arrays["weights"]
+        n_state = weights.shape[0] if weights.ndim else 0
+        dense = (n_state, self.config.n_bins)
+        layouts = {"weights": (np.float64, dense),
+                   "occupancy": (np.float64, dense),
+                   "age_s": (np.float64, dense),
+                   "permanent_v": (np.float64, (n_state,)),
+                   "time_s": (np.float64, ()),
+                   "labels": (np.int64, (rows,))}
+        for name, (dtype, shape) in layouts.items():
             array = arrays[name]
-            if array.shape != shape or array.dtype != np.float64:
+            if array.shape != shape or array.dtype != dtype:
                 raise SimulationError(
                     f"state array {name!r} has layout "
                     f"{array.dtype}{array.shape}, stack expects "
-                    f"float64{shape}")
+                    f"{np.dtype(dtype)}{shape}")
+        labels = arrays["labels"]
+        class_rows = None
+        if n_state != rows or not np.array_equal(labels, np.arange(rows)):
+            if self.n_chips == 1:
+                raise SimulationError(
+                    "a one-chip stack holds one state row per row; its "
+                    "labels must be arange(rows)")
+            if not 1 <= n_state <= _MAX_CLASS_FRACTION * rows:
+                raise SimulationError(
+                    f"a class map of {rows} rows holds 1 to "
+                    f"{int(_MAX_CLASS_FRACTION * rows)} classes, not "
+                    f"{n_state}")
+            if labels.min() < 0 or labels.max() >= n_state:
+                raise SimulationError(
+                    f"labels must lie in [0, {n_state}), one per state "
+                    "row")
+            present, class_rows = np.unique(labels, return_index=True)
+            if present.size != n_state:
+                raise SimulationError(
+                    f"labels name {present.size} of the {n_state} state "
+                    "rows; every class needs a row")
         for name in _STATE_NAMES:
             setattr(self, "_" + name, np.array(arrays[name]))
         self.time_s = float(arrays["time_s"])
-        self._labels = self._class_rows = None
+        if class_rows is None:
+            self._labels = self._class_rows = None
+        else:
+            self._labels = labels.astype(np.intp)
+            self._class_rows = class_rows
         self._generation += 1
 
     # -- observables ----------------------------------------------------

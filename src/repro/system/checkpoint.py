@@ -8,8 +8,11 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
 * **Snapshot format.**  One snapshot is a plain ``.npz`` archive (no
   pickled object arrays -- loadable with ``allow_pickle=False``)
   carrying the full advancing state of a
-  :class:`~repro.system.fleet.FleetSimulator`: the stacked trap
-  tensors and EM accumulators, the per-chip variation draws, the
+  :class:`~repro.system.fleet.FleetSimulator`: the trap state as the
+  stack stores it -- one row per trajectory class plus the
+  ``bti/labels`` map from every core to its class, so a fleet whose
+  chips age alike writes a few rows, not one per core -- the EM
+  accumulators, the per-chip variation draws, the
   per-cohort policy/workload copies with their RNG positions and
   rotation cursors (pickled into a byte array, since they are
   arbitrary user objects), the demand/migration accumulators, the
@@ -21,7 +24,9 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   :class:`~repro.errors.CheckpointError` instead of silently skewing
   a population.  Files are written to a temp name and ``os.replace``d
   into place, so a SIGKILL mid-write can never leave a corrupt file
-  under the final name.
+  under the final name.  Every write and read is counted (files and
+  bytes) under ``checkpoint.snapshots`` in
+  :func:`~repro.solvers.cache_counters`.
 
 * **Checkpointed studies.**  A fleet study is one normalized,
   validated object (:class:`~repro.system.fleet._FleetStudy`).
@@ -70,6 +75,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import CheckpointError, SimulationError
+from repro.solvers import record_counters
 from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetGroup,
@@ -89,7 +95,7 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
@@ -157,7 +163,10 @@ def write_snapshot(path, arrays: Dict[str, np.ndarray],
     try:
         with open(tmp, "wb") as handle:
             np.savez(handle, **payload)
+            size = handle.tell()
         os.replace(tmp, path)
+        record_counters("checkpoint.snapshots", writes=1,
+                        bytes_written=size)
     finally:
         if os.path.exists(tmp):
             try:
@@ -174,10 +183,12 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
     :class:`~repro.errors.CheckpointError` for anything short of a
     pristine snapshot of this build's schema version: unreadable or
     truncated files, foreign files, corrupt payloads (checksum
-    mismatch) and snapshots written under another schema version.
+    mismatch), snapshots written under another schema version and
+    meta blocks of the wrong shape.
     """
     path = os.fspath(path)
     try:
+        size = os.path.getsize(path)
         with np.load(path, allow_pickle=False) as data:
             names = list(data.files)
             if "__meta__" not in names:
@@ -185,7 +196,8 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
                     f"{path} is not a fleet checkpoint snapshot")
             meta_bytes = data["__meta__"].tobytes()
             meta_full = json.loads(meta_bytes)
-            if meta_full.get("magic") != _MAGIC:
+            if (not isinstance(meta_full, dict)
+                    or meta_full.get("magic") != _MAGIC):
                 raise CheckpointError(
                     f"{path} is not a fleet checkpoint snapshot")
             schema = meta_full.get("schema")
@@ -194,6 +206,9 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
                     f"{path} was written under snapshot schema "
                     f"v{schema}; this build reads only "
                     f"v{CHECKPOINT_SCHEMA_VERSION}")
+            if not isinstance(meta_full.get("meta"), dict):
+                raise CheckpointError(
+                    f"{path} has no meta block")
             stored = ""
             if "__checksum__" in names:
                 stored = data["__checksum__"].tobytes().decode(
@@ -207,6 +222,7 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
             UnicodeDecodeError) as error:
         raise CheckpointError(
             f"cannot read snapshot {path}: {error}") from error
+    record_counters("checkpoint.snapshots", reads=1, bytes_read=size)
     if _checksum(arrays, _canonical_meta_bytes(meta_full)) != stored:
         raise CheckpointError(
             f"checksum mismatch in {path}: snapshot is corrupt")
@@ -330,9 +346,10 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
     exactly as it was.
     """
     arrays, meta = snapshot.arrays, snapshot.meta
-    if meta.get("kind") not in _RUN_KINDS:
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind not in _RUN_KINDS:
         raise CheckpointError(
-            f"snapshot kind {meta.get('kind')!r} is not a fleet run")
+            f"snapshot kind {kind!r} is not a fleet run")
     cohorts = simulator.cohorts
     expectations = (
         ("n_chips", simulator.n_chips),
@@ -352,6 +369,19 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         raise CheckpointError(
             "snapshot belongs to a different study (fingerprint "
             "mismatch); restore it into a session of that study")
+    epoch, horizon = meta.get("epoch"), simulator.n_epochs
+    if (type(epoch) is not int or epoch < 0
+            or (horizon is not None and epoch > horizon)):
+        raise CheckpointError(
+            f"snapshot epoch={epoch!r} is not an epoch of the run")
+    has_util = meta.get("has_previous_utilization")
+    if (not isinstance(has_util, list) or len(has_util) != len(cohorts)
+            or any(type(flag) is not bool for flag in has_util)):
+        raise CheckpointError(
+            "snapshot has_previous_utilization must hold one flag per "
+            "cohort")
+    if type(meta.get("has_readout")) is not bool:
+        raise CheckpointError("snapshot has_readout must be a flag")
     owners = _state_owners(simulator)
     try:
         copies = [(getattr(owners[owner], name),
@@ -359,9 +389,14 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
                   for owner, names in _STATE_ARRAYS for name in names]
         em_time_s = float(arrays["em/time_s"])
         times = [float(stamp) for stamp in arrays["run/times"]]
-        records = [[np.array(row) for row in arrays[f"run/{name}"]]
-                   for name in ("worst", "mean", "dropped")]
-        has_util = meta["has_previous_utilization"]
+        records = []
+        for name in ("worst", "mean", "dropped"):
+            rows = arrays[f"run/{name}"]
+            if rows.shape != (len(times), simulator.n_chips):
+                raise CheckpointError(
+                    f"snapshot array 'run/{name}' has shape "
+                    f"{rows.shape}, not one row per record")
+            records.append([np.array(row) for row in rows])
         previous = [
             (arrays[f"cohort{index}/previous_recovering"].copy(),
              arrays[f"cohort{index}/previous_utilization"].copy()
@@ -373,25 +408,44 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
                 (cohort.start, cohort.stop,
                  arrays[f"readout/temps{index}"].copy())
                 for index, cohort in enumerate(cohorts)]
-        epoch = int(meta["epoch"])
-        pairs = pickle.loads(arrays["cohorts/state"].tobytes())
+        state = arrays["cohorts/state"].tobytes()
     except KeyError as error:
         raise CheckpointError(
             f"snapshot is missing array {error}") from error
-    except pickle.UnpicklingError as error:
+    except (TypeError, ValueError, AttributeError) as error:
+        raise CheckpointError(
+            f"snapshot arrays are malformed: {error}") from error
+    try:
+        pairs = pickle.loads(state)
+    except Exception as error:
         raise CheckpointError(
             f"snapshot cohort state is corrupt: {error}") from error
-    if len(pairs) != len(cohorts):
+    if (not isinstance(pairs, list) or len(pairs) != len(cohorts)
+            or any(not isinstance(pair, tuple) or len(pair) != 2
+                   for pair in pairs)):
         raise CheckpointError(
             "snapshot cohort state does not match the run's "
             "cohort layout")
-    for destination, source, name in copies:
-        if (destination.shape != source.shape
-                or destination.dtype != source.dtype):
+    # Every array written in place keeps its layout, and the
+    # per-cohort arrays the next epoch reads hold one entry per core.
+    core = (simulator.n_cores,)
+    layouts = [(name, source, destination.shape, destination.dtype)
+               for destination, source, name in copies]
+    for index, (recovering, utilization) in enumerate(previous):
+        layouts.append((f"cohort{index}/previous_recovering",
+                        recovering, core, np.dtype(bool)))
+        if utilization is not None:
+            layouts.append((f"cohort{index}/previous_utilization",
+                            utilization, core, utilization.dtype))
+    for index, (_, _, temps) in enumerate(cohort_temps or ()):
+        layouts.append((f"readout/temps{index}", temps, core,
+                        temps.dtype))
+    for name, source, shape, dtype in layouts:
+        if source.shape != shape or source.dtype != dtype:
             raise CheckpointError(
                 f"snapshot array {name!r} has layout "
                 f"{source.dtype}{source.shape}, run expects "
-                f"{destination.dtype}{destination.shape}")
+                f"{dtype}{shape}")
     # The trap stack checks its arrays before it writes any, and it is
     # the first write, so a refusal still leaves the run as it was.
     try:
@@ -435,20 +489,34 @@ def _result_to_arrays(result: FleetResult) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _arrays_to_result(arrays: Dict[str, np.ndarray],
-                      n_epochs: int) -> FleetResult:
-    """Rebuild a :class:`FleetResult` from its snapshot arrays."""
+_RECORD_FIELDS = ("worst_degradation", "mean_degradation",
+                  "dropped_demand")
+
+
+def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
+                      n_chips: int) -> FleetResult:
+    """Rebuild an ``n_chips`` :class:`FleetResult` from its snapshot
+    arrays, refusing any array without its chip axis."""
     try:
         fields = {name: arrays[f"result/{name}"]
                   for name in _RESULT_FIELDS}
-        variation = FleetVariation(**{
-            name: arrays[f"variation/{name}"]
-            for name in _VARIATION_FIELDS})
+        scales = {name: arrays[f"variation/{name}"]
+                  for name in _VARIATION_FIELDS}
     except KeyError as error:
         raise CheckpointError(
             f"chunk result is missing array {error}") from error
-    return FleetResult(variation=variation, n_epochs=n_epochs,
-                       **fields)
+    # ``times_s`` comes first, so a timeline that is not 1-D is
+    # reported under its own name.
+    n_records = fields["times_s"].shape
+    for name, array in (*fields.items(), *scales.items()):
+        lead = (n_records + (n_chips,) if name in _RECORD_FIELDS
+                else n_records if name == "times_s" else (n_chips,))
+        if len(n_records) != 1 or array.shape[:len(lead)] != lead:
+            raise CheckpointError(
+                f"chunk result array {name!r} has shape {array.shape}; "
+                f"the chunk holds {n_chips} chips")
+    return FleetResult(variation=FleetVariation(**scales),
+                       n_epochs=n_epochs, **fields)
 
 
 def _result_path(ckpt: _ChunkCheckpoint, index: int) -> str:
@@ -475,9 +543,10 @@ def save_chunk_result(ckpt: _ChunkCheckpoint, index: int,
         pass
 
 
-def load_chunk_result(ckpt: _ChunkCheckpoint,
-                      index: int) -> Optional[FleetResult]:
-    """The chunk's persisted result, or ``None`` if not finished."""
+def load_chunk_result(ckpt: _ChunkCheckpoint, index: int,
+                      n_chips: int) -> Optional[FleetResult]:
+    """The ``n_chips`` chunk's persisted result, or ``None`` if not
+    finished."""
     path = _result_path(ckpt, index)
     if not os.path.exists(path):
         return None
@@ -490,7 +559,9 @@ def load_chunk_result(ckpt: _ChunkCheckpoint,
         raise CheckpointError(
             f"{path} belongs to a different study "
             "(fingerprint mismatch)")
-    return _arrays_to_result(arrays, int(meta["n_epochs"]))
+    if type(meta.get("n_epochs")) is not int:
+        raise CheckpointError(f"{path} has no epoch count")
+    return _arrays_to_result(arrays, meta["n_epochs"], n_chips)
 
 
 def save_chunk_progress(ckpt: _ChunkCheckpoint, index: int,
@@ -559,10 +630,11 @@ def _load_manifest(path: str) -> Dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         raise CheckpointError(
             f"cannot read study manifest {path}: {error}") from error
-    if manifest.get("magic") != _STUDY_MAGIC:
+    if (not isinstance(manifest, dict)
+            or manifest.get("magic") != _STUDY_MAGIC):
         raise CheckpointError(
             f"{path} is not a fleet checkpoint manifest")
     schema = manifest.get("schema")

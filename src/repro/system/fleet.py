@@ -1085,7 +1085,7 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
             for task in tasks:
                 load_started = time.perf_counter()
                 part = checkpoint_mod.load_chunk_result(
-                    ckpt, task.chunk.index)
+                    ckpt, task.chunk.index, task.chunk.n_items)
                 if part is None:
                     pending.append(task)
                 else:

@@ -69,9 +69,14 @@ class StackAndSingles:
             assert_bitwise(stack.delta_vth_v()[i], single.delta_vth_v()[0])
             assert_bitwise(stack.permanent_vth_v()[i],
                            single.permanent_vth_v()[0])
+        # The snapshot is the stored state; its labels expand it to
+        # exactly the per-row reads.
         state = stack.state_arrays()
+        labels = state["labels"]
+        assert labels.dtype == np.int64
+        assert labels.shape == (stack.n_chips * n_units,)
         for name in ("occupancy", "age_s", "weights", "permanent_v"):
-            assert_bitwise(state[name], getattr(stack, name))
+            assert_bitwise(state[name][labels], getattr(stack, name))
 
 
 def rotating_inputs(n_chips, epoch):
@@ -183,7 +188,7 @@ class TestTrajectoryClasses:
         session.advance(5)
         resumed = FleetSession.load(path)
         rows, advanced = advanced_rows(lambda: resumed.advance(5))
-        assert advanced == rows  # a restored stack runs per row
+        assert advanced < rows  # a restored stack keeps its classes
         expected, got = session.result(), resumed.result()
         for name in ("times_s", "worst_degradation", "mean_degradation",
                      "final_delta_vth_v", "final_permanent_vth_v",
@@ -219,6 +224,165 @@ class TestStateAccess:
         after = stack.state_arrays()
         for name, array in before.items():
             assert_bitwise(after[name], array)
+
+
+def refused_mappings():
+    """Label maps a 3-chip, 3-unit stack must refuse, by what is wrong.
+
+    Each takes the stack's own (valid) compact state and breaks one
+    thing.  The stack's rotating inputs give it three classes of nine
+    rows, so a four-row state is the most a class map may hold.
+    """
+    def out_of_range(state):
+        labels = state["labels"].copy()
+        labels[4] = 3
+        return dict(state, labels=labels)
+
+    def negative(state):
+        labels = state["labels"].copy()
+        labels[0] = -1
+        return dict(state, labels=labels)
+
+    def missing_class(state):
+        labels = state["labels"].copy()
+        labels[labels == 2] = 1
+        return dict(state, labels=labels)
+
+    def int32_labels(state):
+        return dict(state, labels=state["labels"].astype(np.int32))
+
+    def float_labels(state):
+        return dict(state, labels=state["labels"].astype(np.float64))
+
+    def short_labels(state):
+        return dict(state, labels=state["labels"][:-1])
+
+    def too_many_classes(state):
+        # Five state rows for nine stack rows: past the cut-over.
+        rows = np.arange(5) % 3
+        grown = {name: state[name][rows]
+                 for name in ("weights", "occupancy", "age_s",
+                              "permanent_v")}
+        labels = np.array([0, 1, 2, 3, 4, 0, 1, 2, 0], dtype=np.int64)
+        return dict(state, labels=labels, **grown)
+
+    return {"out of range": (out_of_range, "labels must lie"),
+            "negative": (negative, "labels must lie"),
+            "missing class": (missing_class, "every class"),
+            "int32 labels": (int32_labels, "labels"),
+            "float labels": (float_labels, "labels"),
+            "short labels": (short_labels, "labels"),
+            "too many classes": (too_many_classes, "1 to 4 classes")}
+
+
+class TestCompactState:
+    def test_a_homogeneous_stack_saves_one_row_per_class(self):
+        stack = StackedTrapPopulations(40, N_UNITS)
+        for epoch in range(4):
+            stack.step(DT_S, *rotating_inputs(40, epoch))
+        state = stack.state_arrays()
+        assert state["weights"].shape == (N_UNITS, 64)
+        assert state["permanent_v"].shape == (N_UNITS,)
+        # Every chip's units map to the same three classes.
+        first = state["labels"][:N_UNITS]
+        assert sorted(first) == list(range(N_UNITS))
+        assert_bitwise(state["labels"], np.tile(first, 40))
+
+    @pytest.mark.parametrize("n_chips", [1, 8])
+    def test_a_per_row_stack_saves_the_identity_map(self, n_chips):
+        stack = StackedTrapPopulations(n_chips, N_UNITS)
+        stressing, capture, recovery = rotating_inputs(n_chips, 0)
+        # Per-chip scales put every row in its own class.
+        capture = capture * np.linspace(1.0, 1.5, n_chips)[:, None]
+        stack.step(DT_S, stressing, capture, recovery)
+        state = stack.state_arrays()
+        rows = n_chips * N_UNITS
+        assert state["weights"].shape == (rows, 64)
+        assert_bitwise(state["labels"], np.arange(rows, dtype=np.int64))
+
+    def test_a_loaded_stack_keeps_its_classes_and_continues_bitwise(self):
+        n_chips = 30
+        pair = StackAndSingles(n_chips)
+        for epoch in range(5):
+            pair.step(*rotating_inputs(n_chips, epoch))
+        loaded = StackedTrapPopulations(n_chips, N_UNITS)
+        loaded.load_state(pair.stack.state_arrays())
+        for epoch in range(5, 12):
+            inputs = rotating_inputs(n_chips, epoch)
+            _, advanced = advanced_rows(
+                lambda: loaded.step(DT_S, *inputs))
+            assert advanced == N_UNITS
+            pair.step(*inputs)
+        for name, array in pair.stack.state_arrays().items():
+            assert_bitwise(loaded.state_arrays()[name], array)
+        pair.assert_match()
+
+    def test_a_load_never_reuses_a_kernel_of_the_old_partition(self):
+        # The rotating inputs depend on the epoch modulo the unit
+        # count, so ``epoch % N_UNITS`` identifies their content.
+        n_chips = 12
+        pair = StackAndSingles(n_chips, kernel_cache_size=8)
+        for epoch in range(N_UNITS):
+            pair.step(*rotating_inputs(n_chips, epoch),
+                      kernel_key=epoch % N_UNITS)
+        # The same trajectories under another class numbering: the
+        # cached kernels of the same keys hold the old row order.
+        state = pair.stack.state_arrays()
+        order = np.arange(state["weights"].shape[0])[::-1]
+        renumbered = {name: state[name][order]
+                      for name in ("weights", "occupancy", "age_s",
+                                   "permanent_v")}
+        renumbered.update(time_s=state["time_s"],
+                          labels=np.argsort(order)[state["labels"]])
+        pair.stack.load_state(renumbered)
+        for epoch in range(N_UNITS, 4 * N_UNITS):
+            pair.step(*rotating_inputs(n_chips, epoch),
+                      kernel_key=epoch % N_UNITS)
+        pair.assert_match()
+
+    def test_a_split_after_the_load_still_matches(self):
+        n_chips = 6
+        pair = StackAndSingles(n_chips)
+        for epoch in range(3):
+            pair.step(*rotating_inputs(n_chips, epoch))
+        state = pair.stack.state_arrays()
+        pair.stack = StackedTrapPopulations(n_chips, N_UNITS)
+        pair.stack.load_state(state)
+        for epoch in range(3, 9):
+            stressing, capture, recovery = rotating_inputs(n_chips, epoch)
+            stressing[:2, 2] = False
+            pair.step(stressing, capture, recovery)
+        pair.assert_match()
+
+    @pytest.mark.parametrize("case", sorted(refused_mappings()))
+    def test_load_state_refuses_a_bad_label_map_before_writing(self, case):
+        breaker, message = refused_mappings()[case]
+        stack = StackedTrapPopulations(3, N_UNITS)
+        stack.step(DT_S, *rotating_inputs(3, 0))
+        before = stack.state_arrays()
+        with pytest.raises(SimulationError, match=message):
+            stack.load_state(breaker(before))
+        after = stack.state_arrays()
+        for name, array in before.items():
+            assert_bitwise(after[name], array)
+        # The refused load left the class map too: one row per class.
+        _, advanced = advanced_rows(
+            lambda: stack.step(DT_S, *rotating_inputs(3, 1)))
+        assert advanced == N_UNITS
+
+    def test_a_one_chip_stack_refuses_a_class_map(self):
+        stack = StackedTrapPopulations(1, N_UNITS)
+        stack.step(DT_S, *rotating_inputs(1, 0))
+        before = stack.state_arrays()
+        offered = {name: before[name][:1]
+                   for name in ("weights", "occupancy", "age_s",
+                                "permanent_v")}
+        offered.update(time_s=before["time_s"],
+                       labels=np.zeros(N_UNITS, dtype=np.int64))
+        with pytest.raises(SimulationError, match="one-chip"):
+            stack.load_state(offered)
+        for name, array in before.items():
+            assert_bitwise(stack.state_arrays()[name], array)
 
 
 class TestNonFiniteInputs:

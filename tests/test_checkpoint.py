@@ -19,6 +19,7 @@ workers) lives in tests/test_checkpoint_resume.py.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 
@@ -28,6 +29,7 @@ import pytest
 import repro.system.checkpoint as checkpoint_module
 import repro.system.fleet as fleet_module
 from repro.errors import CheckpointError, SimulationError
+from repro.solvers import cache_counters
 from repro.system.checkpoint import (
     FleetSession,
     FleetSnapshot,
@@ -516,3 +518,266 @@ class TestSweepCheckpointRoute:
         grid["chips"] = [(2, 2), (3, 3)]  # two designs -> two studies
         with pytest.raises(SimulationError, match="cannot run on it"):
             run_lifetime_sweep(checkpoint_dir=tmp_path, **grid)
+
+
+# -- malformed snapshots and manifests --------------------------------------
+
+
+def write_raw_snapshot(path, meta_full):
+    """An ``.npz`` whose ``__meta__`` holds ``meta_full`` as JSON."""
+    meta = np.frombuffer(json.dumps(meta_full).encode("utf-8"),
+                         dtype=np.uint8)
+    np.savez(path, x=np.zeros(3), __meta__=meta)
+
+
+def assert_refused_restore_leaves_the_session_intact(edit, match):
+    """A snapshot of the same study, two epochs on, broken by ``edit``,
+    is refused with ``CheckpointError`` before any write."""
+    snapshot = make_session().advance(5).snapshot()
+    edit(snapshot)
+    session = make_session().advance(3)
+    with pytest.raises(CheckpointError, match=match):
+        session.restore(snapshot)
+    session.advance(2)
+    untouched = make_session().advance(3).advance(2)
+    assert_results_bitwise_equal(session.result(), untouched.result())
+
+
+class TestMalformedSnapshots:
+    @pytest.mark.parametrize("meta_full", [[1, 2], "fleet", 7, None])
+    def test_a_meta_that_is_not_an_object_is_refused(self, tmp_path,
+                                                     meta_full):
+        path = tmp_path / "odd.npz"
+        write_raw_snapshot(path, meta_full)
+        with pytest.raises(CheckpointError,
+                           match="not a fleet checkpoint"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("block", [None, [], "meta"])
+    def test_a_meta_without_its_block_is_refused(self, tmp_path, block):
+        path = tmp_path / "odd.npz"
+        meta_full = {"magic": checkpoint_module._MAGIC,
+                     "schema": checkpoint_module.CHECKPOINT_SCHEMA_VERSION}
+        if block is not None:
+            meta_full["meta"] = block
+        write_raw_snapshot(path, meta_full)
+        with pytest.raises(CheckpointError, match="no meta block"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("epoch", ["abc", 2.5, -1, True, None])
+    def test_a_malformed_epoch_is_refused(self, epoch):
+        def edit(snapshot):
+            snapshot.meta["epoch"] = epoch
+        assert_refused_restore_leaves_the_session_intact(edit, "epoch")
+
+    @pytest.mark.parametrize("flags", [[], "yes", None, ["yes"]])
+    def test_malformed_utilization_flags_are_refused(self, flags):
+        def edit(snapshot):
+            snapshot.meta["has_previous_utilization"] = flags
+        assert_refused_restore_leaves_the_session_intact(
+            edit, "has_previous_utilization")
+
+    def test_a_malformed_readout_flag_is_refused(self):
+        def edit(snapshot):
+            snapshot.meta["has_readout"] = "yes"
+        assert_refused_restore_leaves_the_session_intact(
+            edit, "has_readout")
+
+    def test_records_of_the_wrong_length_are_refused(self):
+        def edit(snapshot):
+            snapshot.arrays["run/worst"] = snapshot.arrays["run/worst"][1:]
+        assert_refused_restore_leaves_the_session_intact(edit, "run/worst")
+
+    def test_a_scalar_timeline_is_refused(self):
+        def edit(snapshot):
+            snapshot.arrays["run/times"] = np.array(1.0)
+        assert_refused_restore_leaves_the_session_intact(edit, "malformed")
+
+    @pytest.mark.parametrize("name, cut", [
+        ("cohort0/previous_recovering", lambda a: a[1:]),
+        ("cohort0/previous_recovering", lambda a: a.astype(float)),
+        ("cohort0/previous_utilization", lambda a: a[1:]),
+        ("readout/temps0", lambda a: a[:1]),
+    ])
+    def test_per_core_arrays_of_the_wrong_layout_are_refused(self, name,
+                                                             cut):
+        def edit(snapshot):
+            snapshot.arrays[name] = cut(snapshot.arrays[name])
+        assert_refused_restore_leaves_the_session_intact(
+            edit, f"{name}' has layout")
+
+    def test_foreign_cohort_state_is_refused(self):
+        def edit(snapshot):
+            snapshot.arrays["cohorts/state"] = np.frombuffer(
+                pickle.dumps({"not": "pairs"}), dtype=np.uint8)
+        assert_refused_restore_leaves_the_session_intact(
+            edit, "cohort layout")
+
+    def test_truncated_cohort_state_is_refused(self):
+        def edit(snapshot):
+            snapshot.arrays["cohorts/state"] = \
+                snapshot.arrays["cohorts/state"][:10]
+        assert_refused_restore_leaves_the_session_intact(edit, "corrupt")
+
+    @pytest.mark.parametrize("name, cut", [
+        ("result/final_delta_vth_v", lambda a: a[:1]),
+        ("result/worst_degradation", lambda a: a[:, :1]),
+        ("result/times_s", lambda a: np.array(a[0])),
+        ("variation/capture_scale", lambda a: a[1:]),
+    ])
+    def test_a_re_checksummed_result_without_its_chips_is_refused(
+            self, tmp_path, name, cut):
+        # A result file rewritten with a valid checksum must still
+        # hold one row per chip of its chunk, or the merged study
+        # would silently lose chips.
+        directory = tmp_path / "ckpt"
+        run_study(checkpoint_dir=directory)
+        path = directory / "chunk-00001.result.npz"
+        arrays, meta = read_snapshot(path)
+        arrays[name] = cut(arrays[name])
+        write_snapshot(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="the chunk holds 3"):
+            run_study(checkpoint_dir=directory)
+
+    @pytest.mark.parametrize("manifest", ["[1]", '"study"', "null",
+                                          b"\xff\xfe"])
+    def test_a_manifest_that_is_not_an_object_is_refused(self, tmp_path,
+                                                         manifest):
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        path = directory / "manifest.json"
+        if isinstance(manifest, bytes):
+            path.write_bytes(manifest)
+        else:
+            path.write_text(manifest)
+        with pytest.raises(CheckpointError, match="manifest"):
+            resume_fleet_lifetime_study(directory)
+        with pytest.raises(CheckpointError, match="manifest"):
+            run_study(checkpoint_dir=directory)
+        assert os.listdir(directory) == ["manifest.json"]
+
+
+# -- the compact trap state -------------------------------------------------
+
+
+class _Interrupt(BaseException):
+    """Cuts a checkpointed run short after a progress snapshot (a
+    ``BaseException``, so the chunk loop does not retry it)."""
+
+
+def homogeneous_study(**overrides):
+    # No variation and one cohort: every chip ages alike, so each
+    # core position is one trajectory class.
+    kwargs = dict(n_chips=12, workload=ConstantWorkload(N_CORES, 0.7),
+                  policy=policy(), n_epochs=8, record_every=2,
+                  max_workers=0)
+    kwargs.update(overrides)
+    return run_fleet_lifetime_study((2, 2), **kwargs)
+
+
+def rows_and_advanced(run):
+    """``(rows, rows advanced)`` of the trap sweep while ``run()``
+    executes, and its value."""
+    before = dict(cache_counters().get("bti.fleet.classes", {}))
+    value = run()
+    after = cache_counters()["bti.fleet.classes"]
+    return (after["rows"] - before.get("rows", 0),
+            after["rows_advanced"] - before.get("rows_advanced", 0),
+            value)
+
+
+class TestCompactTrapState:
+    def test_a_session_snapshot_stores_one_trap_row_per_class(self):
+        session = FleetSession((2, 2), 12, ConstantWorkload(N_CORES, 0.7),
+                               policy(), record_every=2).advance(3)
+        arrays = session.snapshot().arrays
+        rows = 12 * N_CORES
+        assert arrays["bti/labels"].dtype == np.int64
+        assert arrays["bti/labels"].shape == (rows,)
+        assert arrays["bti/weights"].shape[0] <= N_CORES
+        assert arrays["bti/permanent_v"].shape == \
+            arrays["bti/weights"].shape[:1]
+
+    def test_a_varied_session_snapshot_stores_every_row(self):
+        arrays = make_session().advance(3).snapshot().arrays
+        rows = 6 * N_CORES
+        assert arrays["bti/weights"].shape[0] == rows
+        assert np.array_equal(arrays["bti/labels"], np.arange(rows))
+
+    def test_an_interrupted_homogeneous_study_resumes_on_classes(
+            self, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        plain = homogeneous_study()
+        real = checkpoint_module.save_chunk_progress
+
+        def interrupting(ckpt, index, run):
+            real(ckpt, index, run)
+            raise _Interrupt()
+
+        monkeypatch.setattr(checkpoint_module, "save_chunk_progress",
+                            interrupting)
+        with pytest.raises(_Interrupt):
+            homogeneous_study(checkpoint_dir=directory,
+                              checkpoint_every=4)
+        monkeypatch.undo()
+        arrays, meta = read_snapshot(directory
+                                     / "chunk-00000.progress.npz")
+        assert meta["epoch"] == 4
+        assert arrays["bti/weights"].shape[0] <= N_CORES
+        # The only chunk resumes from epoch 4 on its trap classes.
+        rows, advanced, resumed = rows_and_advanced(
+            lambda: homogeneous_study(checkpoint_dir=directory,
+                                      checkpoint_every=4))
+        assert rows == 4 * 12 * N_CORES
+        assert advanced < rows
+        assert_results_bitwise_equal(plain, resumed)
+
+    def test_a_v4_snapshot_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "v4.npz"
+        snapshot = make_session().advance(2).snapshot()
+        monkeypatch.setattr(checkpoint_module,
+                            "CHECKPOINT_SCHEMA_VERSION", 4)
+        snapshot.save(path)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="schema v4"):
+            FleetSession.load(path)
+
+    def test_a_v4_directory_is_refused(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        run_study(checkpoint_dir=directory)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = 4
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="schema v4"):
+            resume_fleet_lifetime_study(directory)
+
+
+class TestSnapshotCounters:
+    def test_writes_and_reads_are_counted_with_their_bytes(self,
+                                                          tmp_path):
+        path = tmp_path / "snap.npz"
+        before = dict(cache_counters().get("checkpoint.snapshots", {}))
+        write_snapshot(path, {"x": np.arange(100.0)}, {"kind": "test"})
+        read_snapshot(path)
+        read_snapshot(path)
+        after = cache_counters()["checkpoint.snapshots"]
+        size = os.path.getsize(path)
+        expected = {"writes": 1, "bytes_written": size,
+                    "reads": 2, "bytes_read": 2 * size}
+        for key, value in expected.items():
+            assert after[key] - before.get(key, 0) == value, key
+
+    def test_pooled_chunks_report_their_snapshot_writes(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        reports = []
+        run_study(checkpoint_dir=tmp_path / "ckpt", checkpoint_every=2,
+                  max_workers=WORKERS, on_report=reports.append)
+        (report,) = reports
+        assert report.mode == "fleet+pool"
+        written = report.cache_counters["checkpoint.snapshots"]
+        # Three chunks of six epochs: two progress snapshots and one
+        # result file each.
+        assert written["writes"] == 9
+        assert written["bytes_written"] > 0
