@@ -418,6 +418,7 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
 
 CHECKPOINT_OVERHEAD_TARGET = 0.05
 CHECKPOINT_OVERHEAD_CEILING = 0.50
+CHECKPOINT_OVERHEAD_REPS = 5
 
 
 def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
@@ -434,13 +435,19 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
     ``save_cost / (every * epoch_cost)``, and a constant-utilization
     epoch on a few classes is cheap, so there is little to amortise
     -- heavier epochs (kernel recomputation, many cohorts) shrink it
-    toward zero.  The best-of-two timings are noisy at this ratio
-    (runs of one build spread by about 0.2).  The entry records the
-    measured overhead next to the 5% target
-    (``overhead_within_target``); the hard assertion is a generous
-    ceiling so a loaded runner reports an honest number instead of
-    flaking, plus bitwise equality of the checkpointed, plain, and
-    resumed-from-cache populations.
+    toward zero.
+
+    A single run takes about a second, and one run per side spreads
+    the ratio by about 0.2 on a 2-CPU host -- far wider than the
+    target.  So the test times ``CHECKPOINT_OVERHEAD_REPS`` plain and
+    checkpointed runs in alternation (each checkpointed run in a fresh
+    directory; replaying a completed one would time the cache, not the
+    saves) and compares the medians.  The entry records that overhead
+    next to the 5% target (``overhead_within_target``) together with
+    every pair's ratio, so a reader sees the spread.  The hard
+    assertion is a generous ceiling, so a loaded runner reports an
+    honest number instead of flaking, plus bitwise equality of the
+    checkpointed, plain, and resumed-from-cache populations.
     """
     n_chips = 65_536
     n_epochs = 16
@@ -455,17 +462,13 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=every if checkpoint_dir else None)
 
-    # Interleave the reps and take the best of each side so machine
-    # noise on a loaded runner cancels instead of skewing the small
-    # overhead ratio; each checkpointed rep needs a fresh directory
-    # (replaying a completed one would time the cache, not the saves).
-    plain_s = ckpt_s = float("inf")
-    for rep in range(2):
+    plain_runs, ckpt_runs = [], []
+    for rep in range(CHECKPOINT_OVERHEAD_REPS):
         t, plain = best_of(run, reps=1)
-        plain_s = min(plain_s, t)
+        plain_runs.append(t)
         directory = tmp_path / f"ckpt-{rep}"
         t, checkpointed = best_of(lambda: run(directory), reps=1)
-        ckpt_s = min(ckpt_s, t)
+        ckpt_runs.append(t)
     # Replaying a completed directory restores every chunk from its
     # result file -- no epoch work at all.
     resume_s, resumed = best_of(lambda: run(directory), reps=1)
@@ -478,6 +481,8 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         assert np.array_equal(plain.final_em_drift_ohm,
                               result.final_em_drift_ohm)
 
+    plain_s = float(np.median(plain_runs))
+    ckpt_s = float(np.median(ckpt_runs))
     overhead = ckpt_s / plain_s - 1.0
     snapshot_bytes = sum(
         entry.stat().st_size for entry in directory.iterdir()
@@ -487,6 +492,9 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         n_chips=n_chips, n_cores=N_CORES, n_epochs=n_epochs,
         checkpoint_every=every, state_budget_bytes=budget,
         checkpoint_overhead=overhead,
+        pair_overheads=[c / p - 1.0 for p, c in zip(plain_runs,
+                                                     ckpt_runs)],
+        reps=CHECKPOINT_OVERHEAD_REPS, statistic="median",
         target_overhead=CHECKPOINT_OVERHEAD_TARGET,
         overhead_within_target=overhead < CHECKPOINT_OVERHEAD_TARGET,
         resume_from_cache_s=resume_s,

@@ -117,11 +117,11 @@ class LognormalFit:
 
     def quantile(self, fraction: float) -> float:
         """TTF below which ``fraction`` of the population fails."""
-        from scipy.stats import norm
+        from scipy.special import ndtri
         if not 0.0 < fraction < 1.0:
             raise ValueError("fraction must be in (0, 1)")
         return float(self.median_s
-                     * np.exp(self.sigma * norm.ppf(fraction)))
+                     * np.exp(self.sigma * ndtri(fraction)))
 
 
 def fit_lognormal_ttf(ttfs_s: Sequence[float]) -> LognormalFit:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.errors import SimulationError
 
@@ -66,7 +66,7 @@ class BtiVariabilityModel:
         approximation; adequate for trap counts above ~10)."""
         if not 0.0 < fraction < 1.0:
             raise SimulationError("fraction must be in (0, 1)")
-        return max(mean_shift_v + float(norm.ppf(fraction))
+        return max(mean_shift_v + float(ndtri(fraction))
                    * self.std_v(mean_shift_v), 0.0)
 
     def worst_of_population_v(self, mean_shift_v: float,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from repro.em.line import EmStressCondition
 from repro.em.lumped import LumpedEmModel
@@ -108,6 +107,7 @@ def _grid_operator(grid: PdnGrid) -> SparseLuOperator:
                                   for pad in grid.pads), dtype=np.intp)
 
     def build() -> SparseLuOperator:
+        import scipy.sparse
         n = grid.n_nodes
         rows = np.concatenate([index_a, index_b, index_a, index_b])
         cols = np.concatenate([index_a, index_b, index_b, index_a])
