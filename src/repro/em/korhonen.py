@@ -33,6 +33,7 @@ material's critical stress.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -171,11 +172,20 @@ class KorhonenSolver:
                 builds tension at ``x = 0``.
             start_boundary: condition at ``x = 0``.
             end_boundary: condition at ``x = L``.
+
+        Raises:
+            SimulationError: for a negative duration, a non-positive
+                diffusivity, or any non-finite input (checked before
+                the state changes).
         """
-        if duration_s < 0.0:
-            raise SimulationError("duration must be non-negative")
-        if kappa_m2_s <= 0.0:
-            raise SimulationError("stress diffusivity must be positive")
+        if not math.isfinite(duration_s) or duration_s < 0.0:
+            raise SimulationError("duration must be finite and "
+                                  "non-negative")
+        if not math.isfinite(kappa_m2_s) or kappa_m2_s <= 0.0:
+            raise SimulationError("stress diffusivity must be finite "
+                                  "and positive")
+        if not math.isfinite(wind_gradient_pa_m):
+            raise SimulationError("wind gradient must be finite")
         if duration_s == 0.0:
             return
         # Group runs of equal dt (everything but a final partial step)
@@ -254,9 +264,14 @@ def _as_wire_rows(value, n_wires: int, name: str) -> np.ndarray:
     return np.array(arr, dtype=float)
 
 
-def _as_boundary_rows(value, n_wires: int, name: str) -> list:
+#: Boundary kinds by the integer code the batch stores per wire.
+_BOUNDARY_KINDS = (BoundaryKind.BLOCKED, BoundaryKind.VOID)
+
+
+def _as_boundary_rows(value, n_wires: int, name: str) -> np.ndarray:
+    """Per-wire boundary codes (indices into ``_BOUNDARY_KINDS``)."""
     if isinstance(value, BoundaryKind):
-        return [value] * n_wires
+        return np.full(n_wires, _BOUNDARY_KINDS.index(value))
     kinds = list(value)
     if len(kinds) != n_wires:
         raise ValueError(
@@ -265,7 +280,7 @@ def _as_boundary_rows(value, n_wires: int, name: str) -> list:
     for kind in kinds:
         if not isinstance(kind, BoundaryKind):
             raise ValueError(f"{name} entries must be BoundaryKind")
-    return kinds
+    return np.array([_BOUNDARY_KINDS.index(kind) for kind in kinds])
 
 
 class KorhonenBatch:
@@ -375,14 +390,23 @@ class KorhonenBatch:
         subdivision matches :meth:`KorhonenSolver.advance` exactly
         (same ``remaining`` bookkeeping), so mixed batched/serial runs
         stay step-for-step comparable.
+
+        Raises:
+            SimulationError: for a negative duration, a non-positive
+                diffusivity, or any non-finite duration, diffusivity
+                or gradient row (checked before the state changes).
         """
-        if duration_s < 0.0:
-            raise SimulationError("duration must be non-negative")
+        if not math.isfinite(duration_s) or duration_s < 0.0:
+            raise SimulationError("duration must be finite and "
+                                  "non-negative")
         kappa = _as_wire_rows(kappa_m2_s, self.n_wires, "kappa_m2_s")
-        if np.any(kappa <= 0.0):
-            raise SimulationError("stress diffusivity must be positive")
+        if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
+            raise SimulationError("stress diffusivity must be finite "
+                                  "and positive")
         gradient = _as_wire_rows(wind_gradient_pa_m, self.n_wires,
                                  "wind_gradient_pa_m")
+        if not np.isfinite(gradient).all():
+            raise SimulationError("wind gradient must be finite")
         starts = _as_boundary_rows(start_boundary, self.n_wires,
                                    "start_boundary")
         ends = _as_boundary_rows(end_boundary, self.n_wires,
@@ -402,23 +426,30 @@ class KorhonenBatch:
             self.time_s += n_steps * dt
 
     def _run_steps(self, n_steps: int, dt: float, kappa: np.ndarray,
-                   gradient: np.ndarray, starts: list,
-                   ends: list) -> None:
+                   gradient: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> None:
         r_rows = kappa * dt / (self.dx * self.dx)
-        # Group wires sharing a backward-Euler matrix.  Populations
-        # swept over current density share kappa, so the common case
-        # is a single group covering the whole batch.
-        groups: dict = {}
-        for wire in range(self.n_wires):
-            key = (float(r_rows[wire]), starts[wire], ends[wire])
-            groups.setdefault(key, []).append(wire)
-        for (r, start_kind, end_kind), members in groups.items():
+        # Group wires sharing a backward-Euler matrix: a stable sort on
+        # the exact key (r, start, end), cut where the key changes.
+        # Populations swept over current density share kappa, so the
+        # common case is a single group covering the whole batch.
+        order = np.lexsort((ends, starts, r_rows))
+        keys = np.stack((r_rows, starts, ends))[:, order]
+        cuts = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0))
+        # Step the groups in order of first appearance, each member
+        # list ascending, as the wires were numbered.
+        groups = sorted(np.split(order, cuts + 1),
+                        key=lambda members: members[0])
+        for members in groups:
+            first = members[0]
+            r = float(r_rows[first])
+            start_kind = _BOUNDARY_KINDS[starts[first]]
+            end_kind = _BOUNDARY_KINDS[ends[first]]
             operator = self._operators.get_or_build(
                 (self.n, r, start_kind, end_kind),
-                lambda r=r, s=start_kind, e=end_kind:
-                    _build_step_operator(self.n, r, s, e))
-            full = len(members) == self.n_wires
-            rows = None if full else np.asarray(members, dtype=np.intp)
+                lambda: _build_step_operator(self.n, r, start_kind,
+                                             end_kind))
+            rows = None if members.size == self.n_wires else members
             self._step_group(operator, n_steps, r, gradient, rows,
                              start_kind, end_kind)
 

@@ -298,13 +298,15 @@ def sample_nucleation_ttfs_pde(
     """
     if n_wires < 1:
         raise SimulationError("n_wires must be at least 1")
-    if max_time_s <= 0.0:
-        raise SimulationError("max_time_s must be positive")
-    if probe_step_s <= 0.0 or probe_step_s > max_time_s:
+    if not math.isfinite(max_time_s) or max_time_s <= 0.0:
+        raise SimulationError("max_time_s must be finite and positive")
+    if not math.isfinite(probe_step_s) or probe_step_s <= 0.0 \
+            or probe_step_s > max_time_s:
         raise SimulationError(
-            "probe_step_s must be positive and at most max_time_s")
-    if j_sigma < 0.0:
-        raise SimulationError("j_sigma must be non-negative")
+            "probe_step_s must be finite, positive and at most "
+            "max_time_s")
+    if not math.isfinite(j_sigma) or j_sigma < 0.0:
+        raise SimulationError("j_sigma must be finite and non-negative")
 
     rng = np.random.default_rng(seed)
     densities = condition.current_density_a_m2 \
@@ -312,8 +314,7 @@ def sample_nucleation_ttfs_pde(
     material = wire.material
     temp = condition.temperature_k
     kappa = material.stress_diffusivity_at(temp)
-    gradients = np.array([material.wind_stress_gradient(j, temp)
-                          for j in densities])
+    gradients = material.wind_stress_gradient(densities, temp)
     critical = material.critical_stress_pa
     n_probes = int(math.ceil(max_time_s / probe_step_s - 1e-12))
     ttfs = np.full(n_wires, np.inf)

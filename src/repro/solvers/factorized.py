@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
+from functools import cached_property
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
@@ -151,13 +152,15 @@ class SparseLuOperator(FactorizedOperator):
         return self._splu.solve(np.asarray(rhs, dtype=float))
 
 
-#: Column count above which the numpy column-vectorized LU sweeps of
+#: Column count from which the numpy column-vectorized LU sweeps of
 #: :meth:`TridiagonalOperator.solve_many` beat LAPACK's per-column
-#: ``gttrs`` loop.  The vectorized sweeps cost ~5 numpy calls per
-#: matrix row regardless of width, while ``gttrs`` costs O(rows) per
-#: column, so the crossover is nearly independent of the matrix size
-#: (measured ~300 columns on one core).
-VECTORIZED_MIN_COLUMNS = 320
+#: ``gttrs`` loop.  The sweeps cost ~5 ufunc calls per matrix row,
+#: 2-3.5 us per row below ~300 columns and growing slowly with width,
+#: while ``gttrs`` costs ~16 ns per row per column, so the crossover
+#: is nearly independent of the matrix size.  Measured at 121, 301 and
+#: 1201 rows on a 2-CPU host: ~140 columns when the host is quiet,
+#: ~200-250 under load.
+VECTORIZED_MIN_COLUMNS = 192
 
 
 class TridiagonalOperator(FactorizedOperator):
@@ -193,7 +196,7 @@ class TridiagonalOperator(FactorizedOperator):
         # run as numpy column-vector operations (one op per matrix
         # row) with the pivoted rows handled by the same swap LAPACK's
         # ``gtts2`` performs per column.
-        self._pivoted_rows = ipiv != np.arange(1, self.n + 1)
+        self._pivoted_rows = (ipiv != np.arange(1, self.n + 1)).tolist()
 
     def solve(self, rhs: np.ndarray,
               overwrite_rhs: bool = False) -> np.ndarray:
@@ -205,6 +208,23 @@ class TridiagonalOperator(FactorizedOperator):
             raise np.linalg.LinAlgError(
                 f"tridiagonal solve failed (info={info})")
         return x
+
+    @cached_property
+    def _row_factors(self) -> Tuple[list, list, list, list]:
+        """``(dl, d, du, du2)`` as per-row lists for :meth:`solve_many`.
+
+        The sweeps read one factor per ufunc call, and a ufunc takes a
+        0-d array faster than a float (and both faster than a scalar
+        indexed out of the factor array), so each entry is a 0-d
+        array; a zero ``du2`` entry is None.  Built on the first wide
+        solve, so operators only ever solved through :meth:`solve`
+        never hold them.
+        """
+        dl, d, du, du2, _ = self._factors
+        dl, d, du = ([np.array(value) for value in factor]
+                     for factor in (dl, d, du))
+        return dl, d, du, [np.array(value) if value != 0.0 else None
+                           for value in du2]
 
     def solve_many(self, block: np.ndarray,
                    overwrite_rhs: bool = False) -> np.ndarray:
@@ -235,35 +255,43 @@ class TridiagonalOperator(FactorizedOperator):
                 np.copyto(block, x)
                 return block
             return x
-        dl, d, du, du2, _ = self._factors
-        pivoted = self._pivoted_rows
+        dl, d, du, du2 = self._row_factors
         x = block if (overwrite_rhs and block.flags.c_contiguous) \
             else np.ascontiguousarray(block)
+        # Row views taken once; every ufunc writes through a
+        # positional ``out`` into one of them or the scratch row.
+        rows = list(x)
         scratch = np.empty(k)
+        multiply, subtract, divide = np.multiply, np.subtract, np.divide
+        copyto = np.copyto
         # Forward sweep (L has unit diagonal).  A pivoted row swaps
         # with its successor before eliminating, exactly as gtts2.
-        for i in range(n - 1):
-            if pivoted[i]:
-                np.copyto(scratch, x[i])
-                np.copyto(x[i], x[i + 1])
-                np.multiply(dl[i], x[i], out=x[i + 1])
-                np.subtract(scratch, x[i + 1], out=x[i + 1])
+        for row, below, factor, pivoted in zip(
+                rows, rows[1:], dl, self._pivoted_rows):
+            if pivoted:
+                copyto(scratch, row)
+                copyto(row, below)
+                multiply(factor, row, below)
+                subtract(scratch, below, below)
             else:
-                np.multiply(dl[i], x[i], out=scratch)
-                np.subtract(x[i + 1], scratch, out=x[i + 1])
+                multiply(factor, row, scratch)
+                subtract(below, scratch, below)
         # Backward sweep: x[i] = (b[i] - du[i] x[i+1] - du2[i] x[i+2])
         # / d[i]; ``du2`` entries are nonzero only below pivoted rows.
-        np.divide(x[n - 1], d[n - 1], out=x[n - 1])
-        np.multiply(du[n - 2], x[n - 1], out=scratch)
-        np.subtract(x[n - 2], scratch, out=x[n - 2])
-        np.divide(x[n - 2], d[n - 2], out=x[n - 2])
-        for i in range(n - 3, -1, -1):
-            np.multiply(du[i], x[i + 1], out=scratch)
-            np.subtract(x[i], scratch, out=x[i])
-            if du2[i] != 0.0:
-                np.multiply(du2[i], x[i + 2], out=scratch)
-                np.subtract(x[i], scratch, out=x[i])
-            np.divide(x[i], d[i], out=x[i])
+        row, below = rows[n - 2], rows[n - 1]
+        divide(below, d[n - 1], below)
+        multiply(du[n - 2], below, scratch)
+        subtract(row, scratch, row)
+        divide(row, d[n - 2], row)
+        for row, below, further, upper, upper2, diagonal in zip(
+                rows[n - 3::-1], rows[n - 2::-1], rows[n - 1::-1],
+                du[n - 3::-1], du2[::-1], d[n - 3::-1]):
+            multiply(upper, below, scratch)
+            subtract(row, scratch, row)
+            if upper2 is not None:
+                multiply(upper2, further, scratch)
+                subtract(row, scratch, row)
+            divide(row, diagonal, row)
         if overwrite_rhs and x is not block:
             np.copyto(block, x)
             return block

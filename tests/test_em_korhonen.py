@@ -41,6 +41,26 @@ class TestBasics:
         with pytest.raises(SimulationError):
             solver.advance(1.0, 0.0, GRADIENT)
 
+    @pytest.mark.parametrize("duration,kappa,gradient", [
+        (math.inf, KAPPA, GRADIENT),
+        (math.nan, KAPPA, GRADIENT),
+        (60.0, math.nan, GRADIENT),
+        (60.0, math.inf, GRADIENT),
+        (60.0, KAPPA, math.nan),
+        (60.0, KAPPA, -math.inf),
+    ])
+    def test_rejects_non_finite_inputs_before_stepping(
+            self, solver, duration, kappa, gradient):
+        # An infinite duration would step forever, a NaN one would be
+        # a silent no-op, and a NaN/inf kappa or gradient would fill
+        # the field with NaN: each is refused with the state intact.
+        solver.advance(600.0, KAPPA, GRADIENT)
+        stress, time_s = solver.stress.copy(), solver.time_s
+        with pytest.raises(SimulationError, match="finite"):
+            solver.advance(duration, kappa, gradient)
+        assert np.array_equal(solver.stress, stress)
+        assert solver.time_s == time_s
+
 
 class TestBlockedStress:
     def test_tension_builds_at_start(self, solver):

@@ -13,6 +13,7 @@ vectorized path of
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ KAPPA = 3.5e-14
 GRADIENT = 3.5e13
 LENGTH = 2.673e-3
 CONFIG = KorhonenConfig(n_nodes=121, max_dt_s=600.0)
+
+
+ALL_LAYOUTS = [(start, end) for start in BoundaryKind
+               for end in BoundaryKind]
 
 
 def serial_stress(duration_s, kappa, gradient,
@@ -113,13 +118,29 @@ class TestSolveMany:
                                               pivots):
         n = 257
         operator = _build_step_operator(n, 75.0, start, end)
-        assert operator._pivoted_rows.any() == pivots
+        assert any(operator._pivoted_rows) == pivots
         rng = np.random.default_rng(11)
         block = rng.standard_normal((n, VECTORIZED_MIN_COLUMNS + 8))
         wide = operator.solve_many(block.copy())
         for column in range(0, block.shape[1],
                             VECTORIZED_MIN_COLUMNS // 4):
             assert np.array_equal(wide[:, column],
+                                  operator.solve(block[:, column]))
+
+    @pytest.mark.parametrize("width", [VECTORIZED_MIN_COLUMNS - 1,
+                                       VECTORIZED_MIN_COLUMNS])
+    @pytest.mark.parametrize("start,end", ALL_LAYOUTS)
+    def test_crossover_widths_match_per_column_solve(self, start, end,
+                                                     width):
+        # One column below the crossover runs gttrs, the crossover
+        # width itself the row sweep; every column of both must equal
+        # its own gttrs solve, pivoted layouts included.
+        n = 97
+        operator = _build_step_operator(n, 75.0, start, end)
+        block = np.random.default_rng(23).standard_normal((n, width))
+        solved = operator.solve_many(block.copy())
+        for column in range(width):
+            assert np.array_equal(solved[:, column],
                                   operator.solve(block[:, column]))
 
     def test_narrow_block_falls_back_to_lapack(self):
@@ -196,6 +217,25 @@ class TestValidation:
         with pytest.raises(SimulationError):
             batch.advance(100.0, [KAPPA, 0.0, KAPPA], GRADIENT)
 
+    @pytest.mark.parametrize("duration,kappa,gradient", [
+        (math.inf, KAPPA, GRADIENT),
+        (math.nan, KAPPA, GRADIENT),
+        (600.0, [KAPPA, math.nan, KAPPA], GRADIENT),
+        (600.0, [KAPPA, KAPPA, math.inf], GRADIENT),
+        (600.0, KAPPA, [GRADIENT, GRADIENT, math.nan]),
+        (600.0, KAPPA, [-math.inf, GRADIENT, GRADIENT]),
+    ])
+    def test_rejects_non_finite_inputs_before_stepping(
+            self, duration, kappa, gradient):
+        # One bad row is enough: it is refused before any wire steps.
+        batch = KorhonenBatch(LENGTH, 3, CONFIG)
+        batch.advance(1200.0, KAPPA, GRADIENT)
+        stress, time_s = batch.stress.copy(), batch.time_s
+        with pytest.raises(SimulationError, match="finite"):
+            batch.advance(duration, kappa, gradient)
+        assert np.array_equal(batch.stress, stress)
+        assert batch.time_s == time_s
+
     def test_counts_batched_solves(self):
         before = cache_counters().get("em.korhonen.lu.batched",
                                       {"batched_solves": 0,
@@ -208,39 +248,102 @@ class TestValidation:
         assert after["batched_rows"] - before["batched_rows"] >= 8
 
 
+#: The paper's accelerated-test current derated so nucleation spreads
+#: over many probes of a 6e6 s horizon.
+DERATED_STRESS = dataclasses.replace(
+    PAPER_EM_STRESS,
+    current_density_a_m2=PAPER_EM_STRESS.current_density_a_m2 * 0.05)
+
+
+def serial_ttfs(wires, n_wires, max_time_s, probe_step_s, j_sigma,
+                seed, config) -> np.ndarray:
+    """Nucleation times of the given sampler wires, one serial
+    :class:`KorhonenSolver` run each over the sampler's own draws."""
+    rng = np.random.default_rng(seed)
+    densities = DERATED_STRESS.current_density_a_m2 \
+        * np.exp(j_sigma * rng.standard_normal(n_wires))
+    material = PAPER_TEST_WIRE.material
+    temp = DERATED_STRESS.temperature_k
+    kappa = material.stress_diffusivity_at(temp)
+    ttfs = np.full(len(wires), np.inf)
+    solver = KorhonenSolver(PAPER_TEST_WIRE.length_m, config)
+    for index, wire in enumerate(wires):
+        solver.reset()
+        gradient = material.wind_stress_gradient(densities[wire], temp)
+        for probe in range(1, int(max_time_s / probe_step_s) + 1):
+            solver.advance(probe_step_s, kappa, gradient)
+            if solver.stress[0] >= material.critical_stress_pa:
+                ttfs[index] = probe * probe_step_s
+                break
+    return ttfs
+
+
 class TestBatchedTtfSampler:
     def test_batched_and_serial_engines_agree_exactly(self):
         """The batched sampler against a serial :class:`KorhonenSolver`
         loop over the same per-wire current draws."""
         config = KorhonenConfig(n_nodes=101, max_dt_s=5e3)
-        condition = dataclasses.replace(
-            PAPER_EM_STRESS,
-            current_density_a_m2=PAPER_EM_STRESS.current_density_a_m2
-            * 0.05)
         n_wires, max_time_s, probe_step_s = 24, 6e6, 2e5
         batched = sample_nucleation_ttfs_pde(
             n_wires, max_time_s, probe_step_s, wire=PAPER_TEST_WIRE,
-            condition=condition, j_sigma=0.1, seed=42, config=config)
-
-        rng = np.random.default_rng(42)
-        densities = condition.current_density_a_m2 \
-            * np.exp(0.1 * rng.standard_normal(n_wires))
-        material = PAPER_TEST_WIRE.material
-        temp = condition.temperature_k
-        kappa = material.stress_diffusivity_at(temp)
-        serial = np.full(n_wires, np.inf)
-        solver = KorhonenSolver(PAPER_TEST_WIRE.length_m, config)
-        for index, density in enumerate(densities):
-            solver.reset()
-            gradient = material.wind_stress_gradient(density, temp)
-            for probe in range(1, int(max_time_s / probe_step_s) + 1):
-                solver.advance(probe_step_s, kappa, gradient)
-                if solver.stress[0] >= material.critical_stress_pa:
-                    serial[index] = probe * probe_step_s
-                    break
+            condition=DERATED_STRESS, j_sigma=0.1, seed=42,
+            config=config)
+        serial = serial_ttfs(range(n_wires), n_wires, max_time_s,
+                             probe_step_s, 0.1, 42, config)
         assert np.array_equal(batched, serial)
         # The scenario must actually nucleate and spread across
         # probes, or the equality above is vacuous.
         finite = np.isfinite(batched)
         assert finite.any()
         assert np.unique(batched[finite]).size > 1
+
+    def test_wide_population_crosses_into_lapack_path(self):
+        """A population wider than the crossover starts on the numpy
+        row sweep; as nucleated wires are compacted out it narrows
+        below the crossover onto ``gttrs``.  Wires sampled across the
+        whole run, early and late nucleators alike, equal their serial
+        runs bit for bit."""
+        config = KorhonenConfig(n_nodes=41, max_dt_s=2e4)
+        n_wires = VECTORIZED_MIN_COLUMNS + 64
+        max_time_s, probe_step_s = 6e6, 2e5
+        batched = sample_nucleation_ttfs_pde(
+            n_wires, max_time_s, probe_step_s, wire=PAPER_TEST_WIRE,
+            condition=DERATED_STRESS, j_sigma=0.1, seed=3,
+            config=config)
+        # Wires still stepping after each probe: the batch must run
+        # wide for several nucleating probes, then narrow below the
+        # crossover with wires left, or one path goes untested.
+        probes = probe_step_s * np.arange(1, int(max_time_s
+                                                 / probe_step_s) + 1)
+        alive = np.array([(batched > t).sum() for t in probes])
+        wide_nucleating = (alive[1:] < alive[:-1]) \
+            & (alive[:-1] >= VECTORIZED_MIN_COLUMNS)
+        assert wide_nucleating.sum() >= 3
+        assert np.any((alive > 0) & (alive < VECTORIZED_MIN_COLUMNS))
+
+        wires = np.arange(0, n_wires, 4)
+        serial = serial_ttfs(wires, n_wires, max_time_s, probe_step_s,
+                             0.1, 3, config)
+        assert np.array_equal(batched[wires], serial)
+        assert np.unique(serial).size >= 5
+
+    @pytest.mark.parametrize("argument,value", [
+        ("max_time_s", math.inf),
+        ("max_time_s", math.nan),
+        ("probe_step_s", math.inf),
+        ("probe_step_s", math.nan),
+        ("j_sigma", math.nan),
+        ("j_sigma", math.inf),
+    ])
+    def test_rejects_non_finite_arguments(self, argument, value):
+        # Unchecked, a non-finite horizon escapes as a raw ValueError
+        # or OverflowError, and a non-finite j_sigma reports every
+        # wire as never nucleating.
+        arguments = dict(max_time_s=6e6, probe_step_s=2e5, j_sigma=0.1)
+        arguments[argument] = value
+        with pytest.raises(SimulationError, match="finite"):
+            sample_nucleation_ttfs_pde(
+                8, arguments.pop("max_time_s"),
+                arguments.pop("probe_step_s"),
+                config=KorhonenConfig(n_nodes=41, max_dt_s=2e4),
+                **arguments)
