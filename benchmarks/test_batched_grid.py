@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import platform
 import time
 from pathlib import Path
@@ -44,7 +43,11 @@ from repro.em.statistics import sample_nucleation_ttfs_pde
 from repro.solvers import cache_counters
 from repro.solvers.sweep import available_cpus
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import (
+    alternating_runs,
+    merge_bench_json,
+    run_once,
+)
 
 RESULTS = {}
 SPEEDUP_THRESHOLD_CIRCUIT = 4.0
@@ -54,22 +57,20 @@ EQUIVALENCE_TOLERANCE = 1e-10
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
-    """Dump the collected before/after timings to BENCH_batched.json."""
+    """Merge the collected before/after timings into BENCH_batched.json."""
     yield
     if not RESULTS:
         return
-    payload = {
+    header = {
         "suite": "benchmarks/test_batched_grid.py",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "units": "seconds, best of the recorded repetitions unless "
-                 "an entry names its statistic",
-        "timings": RESULTS,
+        "units": "seconds, median of alternating runs (each entry "
+                 "names its statistic and keeps every run)",
     }
-    path = Path(__file__).resolve().parent.parent \
-        / "BENCH_batched.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                    + "\n")
+    merge_bench_json(
+        Path(__file__).resolve().parent.parent / "BENCH_batched.json",
+        header, RESULTS)
 
 
 def best_of(fn, reps):
@@ -92,6 +93,8 @@ def record(name, before_s, after_s, **extra):
 
 
 N_GRID_POINTS = 64
+#: Alternating runs per side of the circuit-grid comparison.
+CIRCUIT_REPS = 5
 
 N_WIRES = 2048
 #: Derating the paper's accelerated-test current stretches nucleation
@@ -111,7 +114,8 @@ def test_batched_circuit_grid_vs_per_point(benchmark):
     Both paths produce the same observables (swing, normalized delay,
     switching time); the per-point loop pays one Python Newton loop
     -- stamping, factorization, damping -- per grid point per step,
-    while the batch pays it once for the whole grid.
+    while the batch pays it once for the whole grid.  Timed as
+    ``CIRCUIT_REPS`` alternating runs per side, compared by median.
     """
     loads = list(range(1, N_GRID_POINTS + 1))
     base = AssistCircuitConfig()
@@ -131,13 +135,10 @@ def test_batched_circuit_grid_vs_per_point(benchmark):
     def batched():
         return sweep_load_size(loads)
 
-    # Interleave the timed paths so machine-speed drift inflates
-    # both sides alike instead of skewing the ratio.
-    after_s = before_s = float("inf")
-    for _ in range(2):
-        a, fast = best_of(batched, reps=2)
-        b, slow = best_of(per_point, reps=1)
-        after_s, before_s = min(after_s, a), min(before_s, b)
+    batched_runs, per_point_runs, fast, slow = alternating_runs(
+        batched, per_point, CIRCUIT_REPS)
+    before_s = float(np.median(per_point_runs))
+    after_s = float(np.median(batched_runs))
 
     delay_ref, switching_ref = slow[0][2], slow[0][3]
     worst = 0.0
@@ -160,7 +161,12 @@ def test_batched_circuit_grid_vs_per_point(benchmark):
         points_per_s_after=N_GRID_POINTS / after_s,
         max_observable_difference=worst,
         batched_solves=counters.get("batched_solves", 0),
-        batched_rows=counters.get("batched_rows", 0))
+        batched_rows=counters.get("batched_rows", 0),
+        reps=CIRCUIT_REPS, statistic="median",
+        before_runs_s=per_point_runs, after_runs_s=batched_runs,
+        pair_speedups=[b / a for a, b in zip(batched_runs,
+                                             per_point_runs)],
+        available_cpus=available_cpus())
     run_once(benchmark, batched)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_CIRCUIT
 

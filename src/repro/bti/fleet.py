@@ -6,9 +6,10 @@ and fleet studies need the same dynamics for every core of every chip,
 so a :class:`StackedTrapPopulations` holds ``n_chips * n_units`` rows
 of trap state in one structure-of-arrays block and advances them with
 shared sub-step kernels, evaluated as full-stack ufunc passes.  The
-standalone :class:`~repro.system.simulator.SystemSimulator` runs on a
-one-chip stack and the fleet engine on an ``n_chips`` stack, so both
-build and apply their kernels through the same code.
+fleet engine (:class:`~repro.system.fleet.FleetSimulator`) runs every
+study on one such stack -- a one-chip stack for the
+:class:`~repro.system.simulator.SystemSimulator` facade, an
+``n_chips`` stack for a population.
 
 Exactness contract: stacking chips never changes a chip's trajectory
 relative to a one-chip stack.  Every per-row update below is
@@ -68,6 +69,50 @@ _MAX_CLASS_FRACTION = 0.5
 #: The stored trap state, in the order :meth:`state_arrays` returns it.
 _STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
 
+#: Bounds of the sub-step kernel memo: the bytes its kernels hold and
+#: their count.  A kernel holds two dense ``(state rows, n_bins)``
+#: float64 arrays plus three ``(state rows, 1)`` columns, about 1 KiB
+#: per state row at 64 bins.  The count holds a 64-kernel schedule
+#: cycle: a 256-core chip healing 8 cores at a time under a coprime
+#: EM-reversal period cycles through 64 assignments, 16.3 MiB of
+#: kernels.  The byte bound keeps that cycle and otherwise holds what
+#: the former per-row sizing (16 entries) held on the varied
+#: ``fleet_mixed`` bench fleet, whose per-row kernels never repeat:
+#: about 18 MiB.
+_KERNEL_MEMO_BYTES = 18 * 2 ** 20
+_KERNEL_MEMO_ENTRIES = 64
+
+
+def _kernel_nbytes(kernel) -> int:
+    return sum(array.nbytes for array in kernel if array is not None)
+
+
+class _KernelMemo(FactorizationCache):
+    """The sub-step kernel LRU, bounded by bytes held and by count.
+
+    Each kernel's size is the real ``nbytes`` of its arrays, counted
+    when it is inserted.  Past either bound the least recently used
+    kernels go; a kernel larger than the byte bound on its own is
+    returned but not kept.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(maxsize=_KERNEL_MEMO_ENTRIES,
+                         name="bti.fleet.kernels")
+        self.nbytes = 0
+
+    def _trim(self) -> None:
+        self.nbytes += _kernel_nbytes(next(reversed(self._entries.values())))
+        while (len(self._entries) > self.maxsize
+               or self.nbytes > _KERNEL_MEMO_BYTES):
+            _, evicted = self._entries.popitem(last=False)
+            self.nbytes -= _kernel_nbytes(evicted)
+
+    def clear(self) -> None:
+        """Drop every kernel (counters are kept)."""
+        super().clear()
+        self.nbytes = 0
+
 
 class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
@@ -87,25 +132,18 @@ class StackedTrapPopulations:
         n_units: cores per chip.
         config: trap-population parameters (defaults to the 64-bin
             system configuration).
-        kernel_cache_size: LRU capacity of the sub-step kernel memo;
-            0 disables it.  A cached kernel holds two dense
-            ``(state rows, n_bins)`` arrays plus three
-            ``(state rows, 1)`` columns, so fleet-scale callers should
-            size this from a memory budget (the fleet simulator does).
-            Kernels are only memoized when the caller passes a
-            ``kernel_key`` identifying the epoch's conditions.
+
+    Sub-step kernels are memoized only when :meth:`step` gets a
+    ``kernel_key``, in a memo bounded by :data:`_KERNEL_MEMO_BYTES`
+    and :data:`_KERNEL_MEMO_ENTRIES`.
     """
 
     def __init__(self, n_chips: int, n_units: int,
-                 config: Optional[TrapPopulationConfig] = None,
-                 kernel_cache_size: int = 0):
+                 config: Optional[TrapPopulationConfig] = None):
         if n_chips < 1:
             raise SimulationError("n_chips must be at least 1")
         if n_units < 1:
             raise SimulationError("n_units must be at least 1")
-        if kernel_cache_size < 0:
-            raise SimulationError(
-                "kernel_cache_size must be non-negative")
         self.n_chips = n_chips
         self.n_units = n_units
         self.config = config or TrapPopulationConfig(n_bins=64)
@@ -137,10 +175,7 @@ class StackedTrapPopulations:
         # Longest equivalent-stress sub-step (an eighth of the lock-in
         # age, so lock-in stays resolved); counts scale with the peak.
         self._lock_step_s = max(cfg.lock_age_s / 8.0, 1e-9)
-        self.kernel_cache = (
-            FactorizationCache(maxsize=kernel_cache_size,
-                               name="bti.fleet.kernels")
-            if kernel_cache_size else None)
+        self.kernel_cache = _KernelMemo()
         # Sub-step scratch for one row block: three float buffers and
         # two masks.
         block = (min(rows, _SUBSTEP_BLOCK_ROWS), cfg.n_bins)
@@ -295,9 +330,8 @@ class StackedTrapPopulations:
             kernel_key: optional hashable token uniquely identifying
                 the epoch's ``(dt_s, stressing, capture, recovery)``
                 content (e.g. the fleet's assignment digest).  When
-                given and a kernel cache is configured, the sub-step
-                factors are memoized on it; when ``None`` they are
-                rebuilt each call.
+                given, the sub-step factors are memoized on it; when
+                ``None`` they are rebuilt each call.
         """
         if not math.isfinite(dt_s) or dt_s < 0.0:
             raise SimulationError("dt_s must be finite and non-negative")
@@ -432,7 +466,7 @@ class StackedTrapPopulations:
             recovery_rows = recovery_rows[rows]
         any_stress = bool(stress_rows.any())
         m = occupancy.shape[0]
-        if self.kernel_cache is not None and kernel_key is not None:
+        if kernel_key is not None:
             kernel = self.kernel_cache.get_or_build(
                 kernel_key,
                 lambda: self._build_step_kernel(

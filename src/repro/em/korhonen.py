@@ -43,6 +43,24 @@ from repro.errors import SimulationError
 from repro.solvers import FactorizationCache, TridiagonalOperator
 
 
+#: Most implicit steps one ``advance`` call may take.  A call whose
+#: ``ceil(duration_s / max_dt_s)`` exceeds it is refused before any
+#: state changes: ``advance(1e15)`` at ``max_dt_s=60`` (1.7e13 steps)
+#: would otherwise not return in any useful time.  The largest call in
+#: this package, its tests and its benchmark takes about 2.1e4 steps,
+#: 4700 times fewer.
+MAX_IMPLICIT_STEPS = 10 ** 8
+
+
+def _check_step_count(duration_s: float, max_dt_s: float) -> None:
+    n_steps = math.ceil(duration_s / max_dt_s)
+    if n_steps > MAX_IMPLICIT_STEPS:
+        raise SimulationError(
+            f"advancing {duration_s:g} s at max_dt_s={max_dt_s:g} "
+            f"takes {n_steps:.3g} implicit steps, more than "
+            f"MAX_IMPLICIT_STEPS={MAX_IMPLICIT_STEPS}")
+
+
 class BoundaryKind(enum.Enum):
     """Physical condition at a line end."""
 
@@ -175,12 +193,14 @@ class KorhonenSolver:
 
         Raises:
             SimulationError: for a negative duration, a non-positive
-                diffusivity, or any non-finite input (checked before
-                the state changes).
+                diffusivity, any non-finite input, or a duration of
+                more than :data:`MAX_IMPLICIT_STEPS` steps (checked
+                before the state changes).
         """
         if not math.isfinite(duration_s) or duration_s < 0.0:
             raise SimulationError("duration must be finite and "
                                   "non-negative")
+        _check_step_count(duration_s, self.config.max_dt_s)
         if not math.isfinite(kappa_m2_s) or kappa_m2_s <= 0.0:
             raise SimulationError("stress diffusivity must be finite "
                                   "and positive")
@@ -393,12 +413,15 @@ class KorhonenBatch:
 
         Raises:
             SimulationError: for a negative duration, a non-positive
-                diffusivity, or any non-finite duration, diffusivity
-                or gradient row (checked before the state changes).
+                diffusivity, any non-finite duration, diffusivity or
+                gradient row, or a duration of more than
+                :data:`MAX_IMPLICIT_STEPS` steps (checked before the
+                state changes).
         """
         if not math.isfinite(duration_s) or duration_s < 0.0:
             raise SimulationError("duration must be finite and "
                                   "non-negative")
+        _check_step_count(duration_s, self.config.max_dt_s)
         kappa = _as_wire_rows(kappa_m2_s, self.n_wires, "kappa_m2_s")
         if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
             raise SimulationError("stress diffusivity must be finite "

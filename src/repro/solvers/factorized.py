@@ -371,9 +371,14 @@ class FactorizationCache:
             self._totals["misses"] += 1
         entry = factory()
         self._entries[key] = entry
+        self._trim()
+        return entry
+
+    def _trim(self) -> None:
+        """Evict least-recently-used entries past the capacity; called
+        after each insert, and overridable for other bounds."""
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return entry
 
     def record_batched_solve(self, n_rows: int) -> None:
         """Count one grouped back-substitution advancing ``n_rows``.

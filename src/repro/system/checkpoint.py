@@ -83,12 +83,13 @@ from repro.system.fleet import (
     FleetSimulator,
     FleetVariation,
     FleetVariationSpec,
+    SchedulingPolicy,
+    Workload,
     _ChunkCheckpoint,
     _FleetStudy,
     _fleet_study,
     _run_study,
 )
-from repro.system.simulator import SchedulingPolicy, Workload
 from repro.system.sweeps import ChipConfig
 
 #: Snapshot schema this build writes and (exclusively) reads.  The

@@ -1,10 +1,12 @@
-"""Structure-of-arrays fleet engine: a population of chips per step.
+"""Structure-of-arrays fleet engine: the one epoch loop, for one chip
+or a population.
 
 The paper's headline results (Figs. 12-14) are population statements --
-guardband reduction and EM lifetime gains across many chips -- but a
-:class:`~repro.system.simulator.SystemSimulator` per chip pays one
-Python epoch loop per chip.  This module advances every chip in
-lockstep instead:
+guardband reduction and EM lifetime gains across many chips -- and its
+Fig. 12 system study is one chip under a run-time recovery schedule.
+Both run on the epoch loop of this module, which advances every chip
+of a study in lockstep (the one-chip study is
+:class:`~repro.system.simulator.SystemSimulator`):
 
 * :class:`FleetSimulator` is one population: its aging state as
   stacked arrays -- trap occupancies/ages/weights and permanent Vth in
@@ -12,14 +14,14 @@ lockstep instead:
   nucleation/void accumulators in one flat
   :class:`~repro.system.aging.FleetEmState`, the per-chip
   process-variation scales drawn up front -- plus its condition and
-  kernel memos and its resumable epoch loop.  That loop is the one of
-  :class:`~repro.system.simulator.SystemSimulator`, but it evaluates
-  the BTI condition kernels and EM rate factors over the whole
-  ``(n_chips, n_cores)`` stack in single ufunc passes.  Base epoch
-  conditions are computed once per distinct assignment of the run
-  (memoized on its ``cache_key``) and gathered onto the chip rows,
-  so condition builds scale with the distinct decisions, not with
-  the cohorts.
+  kernel memos and its resumable epoch loop.  Each epoch asks every
+  cohort's workload for demand and its policy for an assignment,
+  then evaluates the BTI condition kernels and EM rate factors over
+  the whole ``(n_chips, n_cores)`` stack in single ufunc passes.
+  Base epoch conditions are computed once per distinct assignment of
+  the run (memoized on its ``cache_key``) and gathered onto the chip
+  rows, so condition builds scale with the distinct decisions, not
+  with the cohorts.
 * :class:`FleetGroup` generalizes the engine beyond "one workload, one
   policy": a population is a sequence of groups, each with its own
   workload, scheduling policy, and optional per-chip *workload phase*
@@ -48,12 +50,13 @@ lockstep instead:
   budget.
 
 Exactness: chip ``i`` of a fleet advances bit-identically to a
-standalone :class:`~repro.system.simulator.SystemSimulator` built with
-``variation.chip(i)``, driven by the chip's (phase-shifted) workload
-and a fresh copy of its group's policy -- both paths share
-:func:`~repro.system.simulator.base_epoch_conditions`, apply the same
-variation multiplies, and the stacked BTI/EM steps are elementwise in
-the unit dimension (see :mod:`repro.bti.fleet`).  The one coupling is
+one-chip study (:class:`~repro.system.simulator.SystemSimulator`
+built with ``variation.chip(i)``), driven by the chip's
+(phase-shifted) workload and a fresh copy of its group's policy --
+every row gets :func:`base_epoch_conditions` of its cohort's
+assignment times its own variation scales, and the stacked BTI/EM
+steps are elementwise in the unit dimension (see
+:mod:`repro.bti.fleet`).  The one coupling is
 the aging observable handed to the policy: a cohort's policy sees the
 *cohort-worst* per-core shift.  With no variation the cohort's rows
 are identical, so this equals every member's own observable and the
@@ -73,7 +76,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -97,13 +101,7 @@ from repro.solvers.sweep import (
 )
 from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
-from repro.system.simulator import (
-    ChipVariation,
-    SchedulingPolicy,
-    SystemResult,
-    Workload,
-    base_epoch_conditions,
-)
+from repro.system.scheduler import CoreAssignment
 from repro.system.sweeps import ChipConfig
 from repro.system.workload import PhasedWorkload
 
@@ -111,13 +109,180 @@ from repro.system.workload import PhasedWorkload
 #: always runs the 64-bin configuration).
 _FLEET_N_BINS = 64
 
-#: Memory budget of the stacked BTI sub-step kernel memo, the dominant
-#: cache at fleet scale.
-_KERNEL_CACHE_BUDGET_BYTES = 256 * 2 ** 20
-
-#: Memory budget of each lighter memo: the EM step rates, the epoch
-#: condition bundles and the per-assignment base conditions.
+#: Memory budget of each condition-side memo: the EM step rates, the
+#: epoch condition bundles and the per-assignment base conditions (the
+#: BTI kernel memo bounds itself, see :mod:`repro.bti.fleet`).
 _MEMO_BUDGET_BYTES = 64 * 2 ** 20
+
+
+# -- one chip's inputs and result -------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChipVariation:
+    """Per-chip process-variation multipliers on the aging rates.
+
+    A fleet study draws one of these per chip (see
+    :class:`FleetVariationSpec`, :meth:`FleetVariation.chip`); the
+    one-chip :class:`~repro.system.simulator.SystemSimulator` accepts
+    the same description, so a fleet member can be re-run alone for
+    cross-checks.  The defaults are exact no-ops (multiplying by 1.0
+    is bitwise identity), so a run without variation reproduces the
+    pre-variation trajectories bit-for-bit.
+
+    Attributes:
+        capture_scale: multiplier on the BTI capture acceleration
+            (fast-aging corner > 1).
+        recovery_scale: multiplier on the BTI de-trapping acceleration.
+        em_current_scale: multiplier on the signed grid current
+            density (local-grid IR/width variation).
+    """
+
+    capture_scale: float = 1.0
+    recovery_scale: float = 1.0
+    em_current_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("capture_scale", "recovery_scale",
+                     "em_current_scale"):
+            if getattr(self, name) <= 0.0:
+                raise SimulationError(f"{name} must be positive")
+
+
+def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
+                          assignment: CoreAssignment):
+    """Variation-independent per-core conditions of one assignment.
+
+    The power vector, memoized thermal solve, BTI condition-kernel
+    lookups and signed grid current for one :class:`CoreAssignment`.
+    :class:`FleetSimulator` computes them once per distinct
+    assignment and applies each chip's variation scales *on top*, so
+    a chip sees the same conditions alone or stacked.
+
+    Returns:
+        ``(temps, active, capture, recovery, j)`` -- per-core
+        temperatures (K), stressing mask, unscaled capture and
+        recovery accelerations, and signed grid current density.
+    """
+    core = chip.core
+    utilization = assignment.utilization
+    recovering = assignment.bti_recovering
+    powers = np.where(
+        recovering, core.recovery_power_w,
+        core.idle_power_w + utilization
+        * (core.active_power_w - core.idle_power_w))
+    temps = chip.thermal.steady_state_cached(powers)
+    capture = kernels.capture_acceleration_array(temps, utilization)
+    # Cores that are "stressing" but idle (zero utilization)
+    # accumulate nothing and recover passively; model that by
+    # marking them as recovering at bias 0.
+    active = ~recovering & (utilization > 0.0)
+    recovery = kernels.recovery_acceleration_array(temps, recovering)
+    j = core.grid_current_density_a_m2 * utilization
+    j = np.where(assignment.em_recovering, -j, j)
+    return temps, active, capture, recovery, j
+
+
+class SchedulingPolicy(Protocol):
+    """Interface every scheduling policy implements."""
+
+    def assign(self, epoch: int, demand: float,
+               delta_vth_v: np.ndarray,
+               previous_utilization: Optional[np.ndarray] = None
+               ) -> CoreAssignment:
+        """Produce the epoch's core assignment."""
+        ...
+
+
+class Workload(Protocol):
+    """Interface every workload generator implements."""
+
+    def demand(self, epoch: int) -> float:
+        """Compute demand (core-equivalents) for an epoch."""
+        ...
+
+
+@dataclass(frozen=True)
+class SystemResult:
+    """Timeline and summary of one system simulation.
+
+    Attributes:
+        times_s: end-of-epoch time stamps.
+        worst_degradation: per-epoch worst-core fractional delay
+            degradation (the Fig. 12(b) performance envelope, flipped).
+        mean_degradation: per-epoch fleet-average degradation.
+        dropped_demand: per-epoch unplaced demand (core-equivalents).
+        final_delta_vth_v: per-core BTI shift at the end.
+        final_permanent_vth_v: per-core permanent component at the end.
+        final_em_drift_ohm: per-core grid resistance drift at the end.
+        em_failures: per-core hard-failure flags at the end.
+        migration_events: number of core transitions into BTI recovery
+            over the run; each one implies a state-retention or
+            workload-migration action (Section IV-B: "certain states
+            need to be in retention mode, alternatively, workload can
+            be shifted to other redundant resources").
+        n_epochs: simulated epoch count (for overhead normalization).
+        total_demand: demanded core-epochs summed over *all* epochs
+            (not just the recorded ones).
+        total_dropped_demand: unplaced core-epochs over all epochs.
+    """
+
+    times_s: np.ndarray
+    worst_degradation: np.ndarray
+    mean_degradation: np.ndarray
+    dropped_demand: np.ndarray
+    final_delta_vth_v: np.ndarray
+    final_permanent_vth_v: np.ndarray
+    final_em_drift_ohm: np.ndarray
+    em_failures: np.ndarray
+    migration_events: int = 0
+    n_epochs: int = 0
+    total_demand: float = 0.0
+    total_dropped_demand: float = 0.0
+
+    @property
+    def guardband(self) -> float:
+        """Delay margin this run would require (peak worst-core
+        degradation over the horizon)."""
+        return float(self.worst_degradation.max(initial=0.0))
+
+    @property
+    def lost_demand_fraction(self) -> float:
+        """Unplaced fraction of total demanded compute.
+
+        ``total_dropped_demand / total_demand`` over every simulated
+        epoch, so the value is independent of ``record_every`` (0 when
+        nothing was demanded).
+        """
+        if self.total_demand <= 0.0:
+            return 0.0
+        return float(self.total_dropped_demand / self.total_demand)
+
+    def migration_overhead(self, cost_epoch_fraction: float = 0.01
+                           ) -> float:
+        """Compute overhead of recovery-entry migrations.
+
+        Each transition into BTI recovery costs
+        ``cost_epoch_fraction`` of one core-epoch (state save +
+        workload shift); returns the total as a fraction of the
+        simulated core-epochs.  The paper expects this to be "a small
+        switching overhead" -- typically well under a percent.
+        """
+        if cost_epoch_fraction < 0.0:
+            raise SimulationError(
+                "cost_epoch_fraction must be non-negative")
+        core_epochs = max(self.n_epochs, 1) \
+            * max(len(self.final_delta_vth_v), 1)
+        return self.migration_events * cost_epoch_fraction \
+            / core_epochs
+
+    def describe(self) -> str:
+        """One-line summary used by examples and benches."""
+        return (f"guardband {self.guardband:.2%}, "
+                f"final worst dVth "
+                f"{self.final_delta_vth_v.max() * 1e3:.2f} mV "
+                f"(permanent {self.final_permanent_vth_v.max() * 1e3:.2f}"
+                f" mV), EM failures {int(self.em_failures.sum())}")
 
 
 # -- process variation ------------------------------------------------------
@@ -407,11 +572,11 @@ class FleetResult:
     def chip_result(self, index: int) -> SystemResult:
         """The :class:`SystemResult` view of one fleet member.
 
-        Field-for-field what a standalone
-        :class:`~repro.system.simulator.SystemSimulator` with this
+        Field-for-field what a one-chip study
+        (:class:`~repro.system.simulator.SystemSimulator`) with this
         chip's variation, (phase-shifted) workload and a fresh policy
-        copy returns (the equivalence tests compare exactly this
-        object).
+        copy returns (the stacking-invariance tests compare exactly
+        this object).
         """
         if not 0 <= index < self.n_chips:
             raise SimulationError(
@@ -541,10 +706,10 @@ class FleetSimulator:
       mutable cursors, the :attr:`epoch` cursor, the demand/migration
       accumulators and the recorded timeline.
 
-    :meth:`advance` mirrors
-    :class:`~repro.system.simulator.SystemSimulator.run` -- demand,
-    assignment, thermal solve, BTI/EM advance, recording -- with every
-    per-core quantity carrying a chip axis: each cohort's policy is
+    :meth:`advance` is the epoch loop of every study, one chip or
+    many -- demand, assignment, thermal solve, BTI/EM advance,
+    recording -- with every per-core quantity carrying a chip axis:
+    each cohort's policy is
     consulted once per epoch with its cohort-worst per-core shift
     (see the module docstring for the exactness contract this
     preserves), and the per-cohort conditions are gathered into one
@@ -580,16 +745,7 @@ class FleetSimulator:
         rows = n_chips * n_cores
         population = replace(
             calibration.model_config.population, n_bins=_FLEET_N_BINS)
-        # A cached BTI kernel holds two dense (rows, n_bins) float64
-        # arrays plus three (rows, 1) columns; size the memo so a
-        # cycling schedule can be fully resident without letting a
-        # million-chip fleet allocate gigabytes.
-        kernel_entries = _budget_entries(
-            _KERNEL_CACHE_BUDGET_BYTES,
-            (2 * population.n_bins + 3) * rows * 8, cap=16)
-        self.bti = StackedTrapPopulations(
-            n_chips, n_cores, population,
-            kernel_cache_size=kernel_entries)
+        self.bti = StackedTrapPopulations(n_chips, n_cores, population)
         # EM rate entries are five (rows,) arrays -- far lighter.
         em_entries = max(1, _budget_entries(
             _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
@@ -604,12 +760,12 @@ class FleetSimulator:
             calibration.model_config.reference_stress,
             stress_voltage_v=chip.core.stress_voltage_v)
         # Two condition memos.  A whole-epoch bundle is keyed on a token
-        # of every cohort's bounds and assignment bytes, so distinct
-        # schedules never collide and a repeat epoch is a dictionary
-        # hit.  On a bundle miss, each distinct assignment's base
-        # conditions come from the per-assignment memo (keyed like
-        # SystemSimulator's), so base_epoch_conditions runs once per
-        # distinct assignment of the run, not once per cohort.
+        # of every cohort's assignment bytes, so distinct schedules
+        # never collide and a repeat epoch is a dictionary hit.  On a
+        # bundle miss, each distinct assignment's base conditions come
+        # from the per-assignment memo (keyed on its cache_key), so
+        # base_epoch_conditions runs once per distinct assignment of
+        # the run, not once per cohort.
         bundle_entries = max(1, _budget_entries(
             _MEMO_BUDGET_BYTES, 33 * rows, cap=64))
         self._condition_cache = FactorizationCache(
@@ -620,8 +776,11 @@ class FleetSimulator:
             maxsize=base_entries, name="fleet.base_conditions")
         self.cohorts = self._build_cohorts(study.groups)
         self._cohort_starts = np.array([c.start for c in self.cohorts])
-        self._cohort_sizes = np.array([c.stop - c.start
-                                       for c in self.cohorts])
+        # The cohort index of each chip: one gather scatters per-cohort
+        # values onto the chip rows.
+        self._chip_cohort = np.repeat(
+            np.arange(len(self.cohorts)),
+            [c.stop - c.start for c in self.cohorts])
         self.epoch = 0
         self.migration_events = np.zeros(n_chips, dtype=np.int64)
         self.total_demand = np.zeros(n_chips)
@@ -677,9 +836,9 @@ class FleetSimulator:
         per-assignment memo, one gather spreads the bases over the
         chip rows, and one multiply per scale applies the variation.
         Element ``(k, c)`` of every array is ``base[c] * scale[k]``
-        with the cohort's own base conditions -- the same single
-        multiply the scalar simulator applies, so each row matches
-        its standalone chip bitwise.
+        with the cohort's own base conditions -- one multiply per
+        element whatever the stack height, so each row matches its
+        one-chip study bitwise.
         """
         slots: Dict[tuple, int] = {}
         bases = []
@@ -694,7 +853,7 @@ class FleetSimulator:
             cohort_slot[index] = slot
         temps, active, capture, recovery, j = (
             np.stack(column) for column in zip(*bases))
-        rows = np.repeat(cohort_slot, self._cohort_sizes)
+        rows = cohort_slot[self._chip_cohort]
         v = self.variation
         capture2d = capture[rows] * v.capture_scale[:, None]
         return _EpochConditions(
@@ -726,7 +885,7 @@ class FleetSimulator:
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
-        starts, sizes = self._cohort_starts, self._cohort_sizes
+        starts, chip_cohort = self._cohort_starts, self._chip_cohort
         demands = np.empty(len(cohorts))
         dropped = np.empty(len(cohorts))
         migrated = np.empty(len(cohorts), dtype=np.int64)
@@ -736,7 +895,6 @@ class FleetSimulator:
             cohort_worst = np.maximum.reduceat(delta_vth, starts, axis=0)
             assignments = []
             keys = []
-            key_parts = []
             for index, cohort in enumerate(cohorts):
                 demand = cohort.workload.demand(epoch)
                 assignment = cohort.policy.assign(
@@ -749,30 +907,33 @@ class FleetSimulator:
                 cohort.previous_utilization = assignment.utilization
                 demands[index] = demand
                 dropped[index] = assignment.dropped_demand
-                key = assignment.cache_key()
                 assignments.append(assignment)
-                keys.append(key)
-                key_parts.append((cohort.start, cohort.stop) + key)
-            migration_events += np.repeat(migrated, sizes)
-            total_demand += np.repeat(demands, sizes)
-            dropped_epoch = np.repeat(dropped, sizes)
+                keys.append(assignment.cache_key())
+            migration_events += migrated[chip_cohort]
+            total_demand += demands[chip_cohort]
+            dropped_epoch = dropped[chip_cohort]
             total_dropped += dropped_epoch
-            token = tuple(key_parts)
+            # The cohort layout and the epoch length are fixed for the
+            # simulator's life, so the assignment keys alone identify
+            # the epoch's conditions in every memo.
+            token = tuple(keys)
             cond = self._condition_cache.get_or_build(
                 token, lambda: self._build_group_conditions(
                     assignments, keys))
             bti.step(epoch_s, cond.stressing, cond.capture_safe,
                      cond.recovery, kernel_key=token)
-            em.step(epoch_s, cond.j_flat, cond.temps_flat,
-                    key=(epoch_s, token))
+            em.step(epoch_s, cond.j_flat, cond.temps_flat, key=token)
             delta_vth = bti.delta_vth_v()
             if ((epoch + 1) % record_every == 0
                     or (horizon is not None and epoch == horizon - 1)):
                 degradation = oscillator.delay_degradation_array(
                     delta_vth)
                 self.times.append((epoch + 1) * epoch_s)
-                self.worst.append(degradation.max(axis=1))
-                self.mean.append(degradation.mean(axis=1))
+                # The reductions ndarray.max / .mean run, without
+                # their per-call dispatch.
+                self.worst.append(np.maximum.reduce(degradation, axis=1))
+                self.mean.append(np.add.reduce(degradation, axis=1)
+                                 / self.n_cores)
                 self.dropped.append(dropped_epoch)
         self.epoch += n_epochs
         self.cohort_temps = [(start, stop, temps.copy())
@@ -784,10 +945,11 @@ class FleetSimulator:
         if self.epoch < 1 or self.cohort_temps is None:
             raise SimulationError(
                 "advance at least one epoch before taking a result")
-        # Same read-out refresh as the scalar simulator, per cohort:
-        # each cohort's EM failure check evaluates the reference
-        # resistance at that cohort's own hottest core.  The shared
-        # thermal network is left reflecting the last cohort's solve.
+        # The read-out refresh, per cohort (a bundle hit skips the
+        # thermal solve): each cohort's EM failure check evaluates the
+        # reference resistance at that cohort's own hottest core.  The
+        # shared thermal network is left reflecting the last cohort's
+        # solve.
         self.chip.thermal.temperatures_k = \
             self.cohort_temps[-1][2].copy()
         shape = (self.n_chips, self.n_cores)
@@ -1250,7 +1412,7 @@ def run_fleet_lifetime_study(
             policy of a homogeneous population (omit with
             ``groups``).
         n_epochs / epoch_s / record_every: as in
-            :meth:`SystemSimulator.run`.
+            :meth:`~repro.system.simulator.SystemSimulator.run`.
         variation: per-chip process variation -- a
             :class:`FleetVariationSpec` to draw from ``seed``, a
             pre-drawn :class:`FleetVariation`, or ``None`` for an

@@ -10,10 +10,10 @@ Every distinct chip design of the grid runs as one structure-of-arrays
 fleet study (:func:`repro.system.fleet.run_fleet_lifetime_study`):
 one :class:`~repro.system.fleet.FleetGroup` per (policy, workload)
 pair with one fleet chip per grid chip of that design, advanced in
-stacked tensor sweeps instead of one Python simulator per cell.  Grid
+stacked tensor sweeps instead of one one-chip study per cell.  Grid
 chips are unvaried, so each cohort's policy observable is every member
-cell's own observable and each cell equals a standalone
-:class:`~repro.system.simulator.SystemSimulator` run bit for bit.
+cell's own observable and each cell equals its one-chip study
+(:class:`~repro.system.simulator.SystemSimulator`) bit for bit.
 Workloads reseeded per cell become one-chip groups, so their streams
 stay per cell too.
 """
@@ -274,9 +274,9 @@ def run_lifetime_sweep(
 
     Each distinct chip design of ``chips`` runs as one
     :func:`~repro.system.fleet.run_fleet_lifetime_study` (see the
-    module docstring); every cell is bitwise equal to a standalone
-    :class:`~repro.system.simulator.SystemSimulator` run of its chip,
-    workload and a fresh policy copy.
+    module docstring); every cell is bitwise equal to the one-chip
+    study (:class:`~repro.system.simulator.SystemSimulator`) of its
+    chip, workload and a fresh policy copy.
 
     Args:
         policies: scheduling policies, as a ``{label: policy}`` mapping

@@ -41,9 +41,8 @@ def assert_bitwise(left, right):
 class StackAndSingles:
     """A multi-chip stack and one one-chip stack per chip, stepped alike."""
 
-    def __init__(self, n_chips, n_units=N_UNITS, kernel_cache_size=0):
-        self.stack = StackedTrapPopulations(
-            n_chips, n_units, kernel_cache_size=kernel_cache_size)
+    def __init__(self, n_chips, n_units=N_UNITS):
+        self.stack = StackedTrapPopulations(n_chips, n_units)
         self.singles = [StackedTrapPopulations(1, n_units)
                         for _ in range(n_chips)]
 
@@ -159,7 +158,7 @@ class TestTrajectoryClasses:
 
     def test_repeated_kernel_key_after_a_split_rebuilds(self):
         n_chips = 5
-        cached = StackAndSingles(n_chips, kernel_cache_size=8)
+        cached = StackAndSingles(n_chips)
         uncached = StackedTrapPopulations(n_chips, N_UNITS)
         schedule = [("even", rotating_inputs(n_chips, 0)),
                     ("odd", rotating_inputs(n_chips, 1))]
@@ -321,7 +320,7 @@ class TestCompactState:
         # The rotating inputs depend on the epoch modulo the unit
         # count, so ``epoch % N_UNITS`` identifies their content.
         n_chips = 12
-        pair = StackAndSingles(n_chips, kernel_cache_size=8)
+        pair = StackAndSingles(n_chips)
         for epoch in range(N_UNITS):
             pair.step(*rotating_inputs(n_chips, epoch),
                       kernel_key=epoch % N_UNITS)

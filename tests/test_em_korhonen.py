@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.em.korhonen import BoundaryKind, KorhonenConfig, KorhonenSolver
+from repro.em.korhonen import (
+    MAX_IMPLICIT_STEPS,
+    BoundaryKind,
+    KorhonenConfig,
+    KorhonenSolver,
+)
 from repro.errors import SimulationError
 
 #: Representative accelerated-test parameters (SI).
@@ -58,6 +63,20 @@ class TestBasics:
         stress, time_s = solver.stress.copy(), solver.time_s
         with pytest.raises(SimulationError, match="finite"):
             solver.advance(duration, kappa, gradient)
+        assert np.array_equal(solver.stress, stress)
+        assert solver.time_s == time_s
+
+
+    @pytest.mark.parametrize(
+        "duration", [1e15, 60.0 * (MAX_IMPLICIT_STEPS + 1)])
+    def test_refuses_an_unbounded_step_count_before_stepping(
+            self, solver, duration):
+        # 1e15 s at max_dt_s=60 is 1.7e13 implicit steps: without the
+        # bound the call runs for days instead of failing.
+        solver.advance(600.0, KAPPA, GRADIENT)
+        stress, time_s = solver.stress.copy(), solver.time_s
+        with pytest.raises(SimulationError, match="MAX_IMPLICIT_STEPS"):
+            solver.advance(duration, KAPPA, GRADIENT)
         assert np.array_equal(solver.stress, stress)
         assert solver.time_s == time_s
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.em import PAPER_EM_STRESS, PAPER_TEST_WIRE
 from repro.em.korhonen import (
+    MAX_IMPLICIT_STEPS,
     BoundaryKind,
     KorhonenBatch,
     KorhonenConfig,
@@ -233,6 +234,18 @@ class TestValidation:
         stress, time_s = batch.stress.copy(), batch.time_s
         with pytest.raises(SimulationError, match="finite"):
             batch.advance(duration, kappa, gradient)
+        assert np.array_equal(batch.stress, stress)
+        assert batch.time_s == time_s
+
+    def test_refuses_an_unbounded_step_count_before_stepping(self):
+        batch = KorhonenBatch(LENGTH, 3, CONFIG)
+        batch.advance(1200.0, KAPPA, GRADIENT)
+        stress, time_s = batch.stress.copy(), batch.time_s
+        duration = CONFIG.max_dt_s * (MAX_IMPLICIT_STEPS + 1)
+        with pytest.raises(SimulationError, match="MAX_IMPLICIT_STEPS"):
+            batch.advance(duration, KAPPA, GRADIENT)
+        with pytest.raises(SimulationError, match="MAX_IMPLICIT_STEPS"):
+            batch.advance(1e15, KAPPA, GRADIENT)
         assert np.array_equal(batch.stress, stress)
         assert batch.time_s == time_s
 

@@ -5,9 +5,11 @@ to true mixed populations (:class:`~repro.system.fleet.FleetGroup`)
 while keeping the stacked-tensor advance.  These tests pin the
 contracts that generalization rests on:
 
-* a chip in a mixed-workload / mixed-policy fleet matches a standalone
-  :class:`~repro.system.simulator.SystemSimulator` built with the same
-  variation, phase-shifted workload and a fresh policy copy, exactly;
+* stacking invariance: a chip in a mixed-workload / mixed-policy
+  fleet matches its one-chip study
+  (:class:`~repro.system.simulator.SystemSimulator`) built with the
+  same variation, phase-shifted workload and a fresh policy copy,
+  exactly;
 * results are invariant in how the population is chunked
   (``max_chunk_chips`` / ``state_budget_bytes``), so memory budgets
   are purely an execution concern;

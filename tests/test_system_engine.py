@@ -16,6 +16,9 @@ pin the contract that made the rewrite safe:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,18 +30,29 @@ from repro.bti.conditions import (
     BtiStressCondition,
 )
 from repro.bti.fleet import StackedTrapPopulations
+from repro.em.line import EmStressCondition
 from repro.errors import SensorError, SimulationError
 from repro.sensors.ring_oscillator import RingOscillator
 from repro.solvers import cache_counters
 from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
+from repro.system.fleet import (
+    FleetGroup,
+    FleetSimulator,
+    run_fleet_lifetime_study,
+)
 from repro.system.scheduler import (
     NoRecoveryPolicy,
     RoundRobinRecoveryPolicy,
 )
 from repro.system.simulator import SystemSimulator
 from repro.system.sweeps import ChipConfig, run_lifetime_sweep
-from repro.system.workload import ConstantWorkload, RandomWorkload
+from repro.system.workload import (
+    ConstantWorkload,
+    DiurnalWorkload,
+    PhasedWorkload,
+    RandomWorkload,
+)
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.network import ThermalNetworkConfig, ThermalRCNetwork
 
@@ -79,6 +93,22 @@ def result_difference(result, reference):
         a, b = getattr(result, field), getattr(reference, field)
         worst = max(worst, abs(a - b) / max(abs(b), 1.0))
     return worst
+
+
+def assert_results_equal(result, reference):
+    """Every ``SystemResult`` field bitwise equal."""
+    for field in dataclasses.fields(result):
+        a = np.asarray(getattr(result, field.name))
+        b = np.asarray(getattr(reference, field.name))
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def counter_totals(name):
+    """The named counter totals, zero-filled before first use."""
+    totals = {"hits": 0, "misses": 0, "kernel_builds": 0}
+    totals.update(cache_counters().get(name, {}))
+    return totals
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +247,7 @@ class TestFleetBtiEquivalence:
     DT_S = units.hours(1.0)
 
     def _pair(self):
-        return StackedTrapPopulations(1, self.N_UNITS,
-                                      kernel_cache_size=64), \
+        return StackedTrapPopulations(1, self.N_UNITS), \
             SeedFleetBtiState(self.N_UNITS)
 
     def _step(self, state, seed_state, stressing, capture, recovery,
@@ -264,11 +293,13 @@ class TestFleetBtiEquivalence:
             patterns.append((stressing,
                              np.where(stressing, 12.0, 0.0),
                              np.where(stressing, 1.0, 900.0)))
+        before = counter_totals("bti.fleet.kernels")
         for epoch in range(48):
             self._step(state, seed_state, *patterns[epoch % 4],
                        kernel_key=epoch % 4)
-        assert state.kernel_cache.misses == 4
-        assert state.kernel_cache.hits == 44
+        after = counter_totals("bti.fleet.kernels")
+        assert after["misses"] - before["misses"] == 4
+        assert after["hits"] - before["hits"] == 44
         self._compare(state, seed_state, 48)
 
     def test_all_resting_fleet_only_drains(self):
@@ -282,13 +313,76 @@ class TestFleetBtiEquivalence:
         self._compare(state, seed_state, 2)
 
 
+class TestKernelMemo:
+    """The BTI kernel memo: bounded by real bytes held and by count."""
+
+    N_UNITS = 4
+
+    def _cycle(self, stack, n_keys, rounds):
+        for _ in range(rounds):
+            for key in range(n_keys):
+                stressing = np.ones((1, self.N_UNITS), dtype=bool)
+                capture = np.full((1, self.N_UNITS), 1.0 + key)
+                stack.step(units.hours(1.0), stressing, capture,
+                           np.ones((1, self.N_UNITS)), kernel_key=key)
+
+    def test_holds_a_64_kernel_cycle(self):
+        stack = StackedTrapPopulations(1, self.N_UNITS)
+        before = counter_totals("bti.fleet.kernels")
+        self._cycle(stack, 64, rounds=3)
+        after = counter_totals("bti.fleet.kernels")
+        assert after["misses"] - before["misses"] == 64
+        assert after["hits"] - before["hits"] == 128
+        assert len(stack.kernel_cache) == 64
+
+    def test_byte_bound_counts_each_kernels_arrays(self, monkeypatch):
+        import repro.bti.fleet as bti_fleet
+
+        stack = StackedTrapPopulations(1, self.N_UNITS)
+        self._cycle(stack, 1, rounds=1)
+        kernel_bytes = stack.kernel_cache.nbytes
+        # Two dense (rows, n_bins) float64 factors plus three columns.
+        n_bins = stack.config.n_bins
+        assert kernel_bytes == self.N_UNITS * (2 * n_bins * 8 + 8 + 1
+                                               + 8)
+        monkeypatch.setattr(bti_fleet, "_KERNEL_MEMO_BYTES",
+                            3 * kernel_bytes)
+        self._cycle(stack, 10, rounds=1)
+        assert len(stack.kernel_cache) == 3
+        assert stack.kernel_cache.nbytes == 3 * kernel_bytes
+        # A kernel larger than the whole bound is used but not kept.
+        monkeypatch.setattr(bti_fleet, "_KERNEL_MEMO_BYTES",
+                            kernel_bytes - 1)
+        self._cycle(stack, 1, rounds=1)
+        assert len(stack.kernel_cache) == 0
+        assert stack.kernel_cache.nbytes == 0
+
+
 class TestOneTrapEngine:
     """The system simulator runs on the fleet's stacked trap engine."""
 
-    def test_simulator_bti_is_a_one_chip_stack(self):
-        bti = SystemSimulator(Chip(2, 2)).bti
+    def test_simulator_bti_is_a_one_chip_stack(self, monkeypatch):
+        built = []
+        original = FleetSimulator.__init__
+
+        def spy(self, *args):
+            original(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(FleetSimulator, "__init__", spy)
+        before = counter_totals("fleet.engine")
+        SystemSimulator(Chip(2, 2)).run(
+            3, ConstantWorkload(n_cores=4, utilization=0.5),
+            NoRecoveryPolicy())
+        after = counter_totals("fleet.engine")
+        # The run is one advance of one one-chip FleetSimulator.
+        assert len(built) == 1
+        bti = built[0].bti
         assert isinstance(bti, StackedTrapPopulations)
         assert (bti.n_chips, bti.n_units) == (1, 4)
+        assert built[0].epoch == 3
+        assert after["chips"] - before.get("chips", 0) == 1
+        assert after["epochs"] - before.get("epochs", 0) == 3
 
     def test_one_kernel_build_per_distinct_assignment(self):
         keys = set()
@@ -300,19 +394,19 @@ class TestOneTrapEngine:
                 return assignment
 
         simulator = SystemSimulator(Chip(2, 3))
-        before = cache_counters().get("bti.fleet.kernels", {}).get(
-            "kernel_builds", 0)
+        before = counter_totals("bti.fleet.kernels")
         simulator.run(24, ConstantWorkload(n_cores=6, utilization=0.5),
                       RecordingPolicy(recovery_slots=1,
                                       em_alternate_every=4))
-        builds = cache_counters()["bti.fleet.kernels"]["kernel_builds"]
+        after = counter_totals("bti.fleet.kernels")
         # The schedule repeats every 12 epochs: 6 healing positions
         # under normal current plus 3 under EM reversal (epochs 0, 4
         # and 8), so later epochs revisit built kernels.
         assert len(keys) == 9
-        assert builds - before == len(keys)
-        assert simulator.bti.kernel_cache.misses == len(keys)
-        assert simulator.bti.kernel_cache.hits == 24 - len(keys)
+        assert after["kernel_builds"] - before["kernel_builds"] \
+            == len(keys)
+        assert after["misses"] - before["misses"] == len(keys)
+        assert after["hits"] - before["hits"] == 24 - len(keys)
 
     def test_system_package_exports_no_trap_engine(self):
         import repro.system
@@ -328,7 +422,12 @@ class TestFleetEmStepCache:
     """EM rate factors: keyed by content, observable hits, no drift."""
 
     def _reference(self):
-        return SystemSimulator(Chip(2, 2)).em_reference
+        # The grid reference every fleet (and one-chip) study uses.
+        return EmStressCondition(
+            current_density_a_m2=Chip(2, 2).core
+            .grid_current_density_a_m2,
+            temperature_k=units.celsius_to_kelvin(85.0),
+            name="grid reference")
 
     def test_repeating_patterns_hit_cache(self):
         reference = self._reference()
@@ -372,19 +471,71 @@ class TestSimulatorEquivalence:
         assert result_difference(result, reference) <= RESULT_RTOL
 
     def test_condition_bundle_cache_is_hit(self):
-        simulator = SystemSimulator(Chip(3, 3))
-        simulator.run(60, ConstantWorkload(n_cores=9, utilization=0.5),
-                      RoundRobinRecoveryPolicy(recovery_slots=1))
+        names = ("fleet.conditions", "fleet.base_conditions",
+                 "thermal.steady")
+        before = {name: counter_totals(name) for name in names}
+        SystemSimulator(Chip(3, 3)).run(
+            60, ConstantWorkload(n_cores=9, utilization=0.5),
+            RoundRobinRecoveryPolicy(recovery_slots=1))
+        delta = {name: {key: value - before[name][key]
+                        for key, value in counter_totals(name).items()}
+                 for name in names}
+        bundles = delta["fleet.conditions"]
         # Round-robin at 9 cores cycles through 9 healing positions
         # times 2 EM polarities (em_alternate_every=2).
-        assert simulator._condition_cache.misses <= 18
-        assert simulator._condition_cache.hits >= 42
-        # Only bundle misses ever reach the thermal cache, and the two
-        # EM polarities of a healing position share one power vector.
-        thermal = simulator.chip.thermal.steady_cache
-        assert thermal.hits + thermal.misses \
-            == simulator._condition_cache.misses
-        assert thermal.misses <= 9
+        assert bundles["misses"] <= 18
+        assert bundles["hits"] >= 42
+        # Only base-memo misses ever reach the thermal cache, and the
+        # two EM polarities of a healing position share one power
+        # vector.
+        thermal = delta["thermal.steady"]
+        assert thermal["hits"] + thermal["misses"] \
+            == delta["fleet.base_conditions"]["misses"]
+        assert thermal["misses"] <= 9
+
+    def test_each_run_starts_fresh(self):
+        # A stateful workload: an AR(1) stream that refuses to rewind.
+        workload = RandomWorkload(n_cores=4, seed=5)
+        simulator = SystemSimulator(Chip(2, 2))
+        first = simulator.run(30, workload, NoRecoveryPolicy())
+        second = simulator.run(30, workload, NoRecoveryPolicy())
+        assert_results_equal(first, second)
+        # The caller's workload was never stepped.
+        assert workload.demand(0) == RandomWorkload(
+            n_cores=4, seed=5).demand(0)
+
+    def test_phased_multi_group_fleet_matches_seed(self):
+        # Every chip of a phased, multi-group fleet without variation
+        # against the seed's scalar loop: an oracle outside the epoch
+        # loop that the one-chip facade and the fleet share.
+        n_epochs = 60
+        groups = (
+            FleetGroup(n_chips=3,
+                       workload=DiurnalWorkload(n_cores=6,
+                                                period_epochs=14),
+                       policy=RoundRobinRecoveryPolicy(
+                           recovery_slots=1, em_alternate_every=3),
+                       phases=(0, 5, 5)),
+            FleetGroup(n_chips=2,
+                       workload=RandomWorkload(n_cores=6, seed=9),
+                       policy=RoundRobinRecoveryPolicy(
+                           recovery_slots=2),
+                       phases=(0, 4)),
+        )
+        fleet = run_fleet_lifetime_study(
+            (2, 3), groups=groups, n_epochs=n_epochs, record_every=4)
+        chip = 0
+        for group in groups:
+            for phase in group.phases:
+                workload = copy.deepcopy(group.workload)
+                if phase:
+                    workload = PhasedWorkload(workload, phase)
+                reference = SeedSystemSimulator(Chip(2, 3)).run(
+                    n_epochs, workload, copy.deepcopy(group.policy),
+                    record_every=4)
+                assert result_difference(
+                    fleet.chip_result(chip), reference) <= RESULT_RTOL
+                chip += 1
 
     def test_lost_demand_fraction_ignores_record_every(self):
         # Demand exceeds the non-healing capacity -> drops every epoch.

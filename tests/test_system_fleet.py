@@ -5,11 +5,14 @@ arrays (:mod:`repro.system.fleet` over
 :mod:`repro.bti.fleet`).  These tests pin the contract that makes it
 safe to replace the pooled per-cell path for homogeneous populations:
 
-* a fleet chip's full trajectory matches a standalone
-  :class:`~repro.system.simulator.SystemSimulator` built with the same
+* stacking invariance: a fleet chip's full trajectory matches its
+  one-chip study (:class:`~repro.system.simulator.SystemSimulator`,
+  the same epoch loop on a one-chip stack) built with the same
   :class:`~repro.system.simulator.ChipVariation` to <= 1e-10 on every
   ``SystemResult`` field (in practice bit-exact), including through
-  BTI/EM recovery intervals and across sub-step-count groups;
+  BTI/EM recovery intervals and across sub-step-count groups (the
+  oracle outside that loop, the seed's scalar loop, is pinned in
+  ``tests/test_system_engine.py``);
 * stacking chips never changes a chip's trap trajectory relative to
   a one-chip :class:`~repro.bti.fleet.StackedTrapPopulations`;
 * variation draws are per-chip deterministic and independent of the
