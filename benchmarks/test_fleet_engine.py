@@ -32,6 +32,7 @@ from repro.solvers import cache_counters
 from repro.solvers.sweep import available_cpus
 from repro.system.fleet import (
     FleetVariationSpec,
+    chunk_state_bytes,
     run_fleet_lifetime_study,
     state_bytes_per_chip,
 )
@@ -309,14 +310,23 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_HETERO
 
 
-def test_chunked_fleet_65k_chips(benchmark):
-    """Record-only: 65k chips streamed under a 256 MiB state budget.
+#: Chunk height of the 65k- and 262k-chip entries: what a 256 MiB
+#: budget held when every chip was charged a class of its own.  These
+#: fleets have no variation, so today the budget alone would hold each
+#: population in one chunk (one chip class plus the small per-chip
+#: bytes); the explicit height keeps them multi-chunk studies, so the
+#: chunk stream and the parallel executor are still what they time.
+CHUNK_CHIPS_65K = 9205
 
-    The population's trap state alone would be ~1.8 GiB resident;
-    the chunked driver streams it in ~9k-chip slabs and the result is
-    invariant in the chunking (pinned in tests/test_fleet_hetero.py).
-    The numbers to watch are chips/sec staying near the 4096-chip
-    rate and the chunk count actually being > 1.
+
+def test_chunked_fleet_65k_chips(benchmark):
+    """Record-only: 65k chips streamed in 9205-chip chunks.
+
+    The chunked runner streams the population in ~9k-chip slabs
+    (:data:`CHUNK_CHIPS_65K`) and the result is invariant in the
+    chunking (pinned in tests/test_fleet_hetero.py).  The numbers to
+    watch are chips/sec staying near the 4096-chip rate and the chunk
+    count actually being > 1.
     """
     n_chips = 65_536
     n_epochs = 6
@@ -328,7 +338,8 @@ def test_chunked_fleet_65k_chips(benchmark):
         return run_fleet_lifetime_study(
             (3, 3), n_chips, _workload(), _policy(),
             n_epochs=n_epochs, record_every=n_epochs,
-            state_budget_bytes=budget, max_workers=1)
+            state_budget_bytes=budget, max_chunk_chips=CHUNK_CHIPS_65K,
+            max_workers=1)
 
     before_chunks = cache_counters().get("fleet.engine",
                                          {}).get("chunks", 0)
@@ -345,8 +356,9 @@ def test_chunked_fleet_65k_chips(benchmark):
         "n_chips": n_chips, "n_cores": N_CORES, "n_epochs": n_epochs,
         "chips_per_s": n_chips / elapsed_s,
         "state_budget_bytes": budget,
+        "max_chunk_chips": CHUNK_CHIPS_65K,
         "state_bytes_per_chip": per_chip,
-        "unchunked_state_bytes": per_chip * n_chips,
+        "unchunked_state_bytes": chunk_state_bytes(n_chips, 1, N_CORES),
         "n_chunks": n_chunks,
         "guardband_p99": float(result.guardband_quantile(0.99)),
     }
@@ -364,7 +376,7 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     """The parallel acceptance case: >= 3x over the serial chunk
     stream at 65k chips and 8 workers.
 
-    Both paths stream the same ~9k-chip byte-budgeted chunks; the
+    Both paths stream the same ~9k-chip chunks; the
     parallel run dispatches them across the worker pool, which returns
     each chunk's result to the parent.  The merged populations are
     asserted bitwise identical.  The >= 3x floor is enforced only
@@ -383,8 +395,8 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
         result = run_fleet_lifetime_study(
             (3, 3), n_chips, _workload(), _policy(),
             n_epochs=n_epochs, record_every=n_epochs,
-            state_budget_bytes=budget, max_workers=workers,
-            on_report=reports.append)
+            state_budget_bytes=budget, max_chunk_chips=CHUNK_CHIPS_65K,
+            max_workers=workers, on_report=reports.append)
         return result, reports[0]
 
     before_s, (serial_result, serial_report) = best_of(
@@ -404,7 +416,7 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     entry = record(
         "parallel_chunked_fleet_65536_chips", before_s, after_s,
         n_chips=n_chips, n_cores=N_CORES, n_epochs=n_epochs,
-        state_budget_bytes=budget,
+        state_budget_bytes=budget, max_chunk_chips=CHUNK_CHIPS_65K,
         requested_workers=PARALLEL_WORKERS,
         available_cpus=cpus,
         n_chunks=parallel_report.n_chunks,
@@ -428,13 +440,12 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
     Same serial chunk stream as ``test_chunked_fleet_65k_chips`` but
     16 epochs, so every chunk persists one mid-lifetime progress
     snapshot (epoch 8) plus its result file.  The fleet has no
-    variation, so its trap state is a few trajectory classes and a
-    save hashes and writes about 350 bytes/chip: the per-chip EM
-    accumulators and variation draws and one 8-byte class label per
-    core.  The ratio bottoms out near
+    variation, so each chunk is one chip class and a progress save
+    hashes and writes one class's state plus the 24-byte per-chip
+    variation draw.  The ratio bottoms out near
     ``save_cost / (every * epoch_cost)``, and a constant-utilization
-    epoch on a few classes is cheap, so there is little to amortise
-    -- heavier epochs (kernel recomputation, many cohorts) shrink it
+    epoch on one class is cheap, so there is little to amortise --
+    heavier epochs (kernel recomputation, many cohorts) shrink it
     toward zero.
 
     A single run takes about a second, and one run per side spreads
@@ -458,8 +469,8 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         return run_fleet_lifetime_study(
             (3, 3), n_chips, _workload(), _policy(),
             n_epochs=n_epochs, record_every=n_epochs,
-            state_budget_bytes=budget, max_workers=1,
-            checkpoint_dir=checkpoint_dir,
+            state_budget_bytes=budget, max_chunk_chips=CHUNK_CHIPS_65K,
+            max_workers=1, checkpoint_dir=checkpoint_dir,
             checkpoint_every=every if checkpoint_dir else None)
 
     plain_runs, ckpt_runs = [], []
@@ -491,7 +502,7 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         "checkpointed_fleet_65536_chips", plain_s, ckpt_s,
         n_chips=n_chips, n_cores=N_CORES, n_epochs=n_epochs,
         checkpoint_every=every, state_budget_bytes=budget,
-        checkpoint_overhead=overhead,
+        max_chunk_chips=CHUNK_CHIPS_65K, checkpoint_overhead=overhead,
         pair_overheads=[c / p - 1.0 for p, c in zip(plain_runs,
                                                      ckpt_runs)],
         reps=CHECKPOINT_OVERHEAD_REPS, statistic="median",
@@ -511,11 +522,11 @@ def test_parallel_fleet_262k_chips_scaling(benchmark):
     """Record-only scaling entry: 262,144 chips through the parallel
     chunk executor.
 
-    Four times the 65k study under the same 256 MiB *per-worker*
-    budget -- the road-to-1M data point.  The number to watch is
-    chips/sec holding (or growing with worker count) as the
-    population quadruples; the chunk count scales with the
-    population, so the executor's pipeline depth grows too.
+    Four times the 65k study in the same 9205-chip chunks under the
+    same 256 MiB *per-worker* budget -- the road-to-1M data point.
+    The number to watch is chips/sec holding (or growing with worker
+    count) as the population quadruples; the chunk count scales with
+    the population, so the executor's pipeline depth grows too.
     """
     n_chips = 262_144
     n_epochs = 6
@@ -528,19 +539,19 @@ def test_parallel_fleet_262k_chips_scaling(benchmark):
     result = run_fleet_lifetime_study(
         (3, 3), n_chips, _workload(), _policy(),
         n_epochs=n_epochs, record_every=n_epochs,
-        state_budget_bytes=budget, max_workers=workers,
-        on_report=reports.append)
+        state_budget_bytes=budget, max_chunk_chips=CHUNK_CHIPS_65K,
+        max_workers=workers, on_report=reports.append)
     elapsed_s = time.perf_counter() - start
 
     assert result.n_chips == n_chips
     report = reports[0]
-    per_chip = state_bytes_per_chip(N_CORES)
     RESULTS["parallel_fleet_262144_chips"] = {
         "elapsed_s": elapsed_s,
         "n_chips": n_chips, "n_cores": N_CORES, "n_epochs": n_epochs,
         "chips_per_s": n_chips / elapsed_s,
         "state_budget_bytes_per_worker": budget,
-        "unchunked_state_bytes": per_chip * n_chips,
+        "max_chunk_chips": CHUNK_CHIPS_65K,
+        "unchunked_state_bytes": chunk_state_bytes(n_chips, 1, N_CORES),
         "n_chunks": report.n_chunks,
         "workers": workers,
         "requested_workers": PARALLEL_WORKERS,

@@ -21,15 +21,23 @@ count per chip and advances chips in groups sharing a count, so every
 chip sees the op sequence of its one-chip stack bit for bit (the fleet
 equivalence tests assert exactly this).
 
-Trajectory classes keep that contract.  A multi-chip stack advances
-one state row per *class* of rows whose whole input history -- stress
-flag, capture and recovery bits, sub-step count, epoch by epoch -- is
-identical; a row's state is a function of that history alone, because
-every row op is elementwise, so all rows of a class hold bit-identical
-state and advancing one of them advances them all.  Classes are keyed
-on raw bytes, never on float comparisons, so ``-0.0`` and ``0.0``
-inputs (or two NaN payloads) stay apart.  Without process variation a
-fleet of thousands of chips has a handful of classes.
+Chips that would hold bit-identical rows are not stacked twice: the
+fleet engine stacks one chip per *chip class* (chips that share a
+cohort and their variation scales bit for bit, see
+:mod:`repro.system.fleet`), so a fleet without variation advances a
+handful of chips whatever its size.  The stack itself is per row.
+
+Sub-step cap: an epoch takes at most :data:`_MAX_SUBSTEPS` (64)
+sub-steps, where :meth:`repro.bti.traps.TrapPopulation.stress`, the
+calibration reference, takes up to 256, so the two part only where
+the cap binds: long epochs.  Over ten cycles of 24 h stress and 24 h
+recovery (recovery acceleration 1000x, 64-bin calibrated population)
+the total shift of a one-unit stack ends 1.7e-4 (relative) from the
+reference's at 1x capture acceleration and under 1e-9 at 3x and
+above, where the traps saturate early; the permanent share alone
+still differs by about 1.4e-4 there.  At 1 h epochs the cap never
+binds and the two agree to rounding.  ``tests/test_system_aging.py``
+pins these bounds.
 """
 
 from __future__ import annotations
@@ -54,17 +62,6 @@ _SUBSTEP_BLOCK_ROWS = 256
 #: Sub-step cap per epoch for extreme accelerations (as in
 #: :meth:`repro.bti.traps.TrapPopulation.stress`).
 _MAX_SUBSTEPS = 64
-
-#: A stack drops its trajectory-class map for good once it has more
-#: classes than this fraction of its rows.  Past that point the map
-#: saves little sub-step work and costs a key build and a state
-#: gather on every split.  A varied fleet (the ``fleet_mixed`` bench
-#: workload: 2304 rows with lognormal per-chip scales) splits into
-#: 1041 classes on its first epoch and past 1152 on its second, then
-#: runs per row; keeping its map instead took ``pass_s`` from 0.52 s
-#: to 0.56 s (2-CPU x86-64 host, two runs each).  A fleet without
-#: variation (``fleet_durable``: 10,350 rows a chunk) settles at 8.
-_MAX_CLASS_FRACTION = 0.5
 
 #: The stored trap state, in the order :meth:`state_arrays` returns it.
 _STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
@@ -118,14 +115,9 @@ class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
 
     The state is chip-major and flat: row ``k * n_units + u`` is core
-    ``u`` of chip ``k``.  A multi-chip stack stores it compactly, one
-    ``(n_classes, n_bins)`` row per trajectory class (see the module
-    docstring), and expands it to rows only for a per-row read (its
-    snapshot, :meth:`state_arrays`, stays compact); once more than
-    half its rows are classes of their own it stores one state row
-    per stack row for good.  A one-chip stack is per-row
-    from the start.  Either way each sub-step group advances as
-    in-place masked full-array passes, touching no Python per chip.
+    ``u`` of chip ``k``, one ``(n_bins,)`` state row per stack row.
+    Each sub-step group advances as in-place masked full-array passes,
+    touching no Python per chip.
 
     Args:
         n_chips: population size.
@@ -151,26 +143,12 @@ class StackedTrapPopulations:
         rows = n_chips * n_units
         self.tau_c = np.logspace(math.log10(cfg.tau_min_s),
                                  math.log10(cfg.tau_max_s), cfg.n_bins)
-        # Trajectory classes: stack row r holds state row _labels[r],
-        # and _class_rows[c] is one stack row of class c.  A fresh
-        # multi-chip stack is one class; ``None`` is the identity map.
-        self._labels: Optional[np.ndarray] = None
-        self._class_rows: Optional[np.ndarray] = None
-        state_rows = rows
-        if n_chips > 1:
-            self._labels = np.zeros(rows, dtype=np.intp)
-            self._class_rows = np.zeros(1, dtype=np.intp)
-            state_rows = 1
-        # Bumped whenever the state rows change meaning (a split, a
-        # dropped map, a loaded state), so a memoized kernel is only
-        # reused for the partition it was built for.
-        self._generation = 0
         fresh_weight = cfg.vth_full_shift_v / cfg.n_bins
-        shape = (state_rows, cfg.n_bins)
+        shape = (rows, cfg.n_bins)
         self._weights = np.full(shape, fresh_weight)
         self._occupancy = np.zeros(shape)
         self._age_s = np.zeros(shape)
-        self._permanent_v = np.zeros(state_rows)
+        self._permanent_v = np.zeros(rows)
         self.time_s = 0.0
         # Longest equivalent-stress sub-step (an eighth of the lock-in
         # age, so lock-in stays resolved); counts scale with the peak.
@@ -186,10 +164,10 @@ class StackedTrapPopulations:
 
     # -- state ----------------------------------------------------------
 
-    def _rows(self, array: np.ndarray) -> np.ndarray:
-        """One state array read per stack row, as a read-only array."""
-        rows = (array.view() if self._labels is None
-                else array[self._labels])
+    @staticmethod
+    def _rows(array: np.ndarray) -> np.ndarray:
+        """A read-only view of one state array."""
+        rows = array.view()
         rows.flags.writeable = False
         return rows
 
@@ -215,87 +193,40 @@ class StackedTrapPopulations:
         return self._rows(self._permanent_v)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The advancing state as stored, as fresh arrays.
+        """The advancing state, as fresh arrays.
 
         Keys are ``weights``, ``occupancy``, ``age_s`` (each
-        ``(n_state_rows, n_bins)``), ``permanent_v``
-        (``(n_state_rows,)``), ``time_s`` (0-d float64) and ``labels``,
-        the int64 ``(rows,)`` map from stack row to state row -- one
-        state row per trajectory class, or ``arange(rows)`` for a
-        per-row stack.  :meth:`load_state` takes the same mapping.
+        ``(rows, n_bins)``), ``permanent_v`` (``(rows,)``) and
+        ``time_s`` (0-d float64).  :meth:`load_state` takes the same
+        mapping.
         """
         arrays = {name: getattr(self, "_" + name).copy()
                   for name in _STATE_NAMES}
         arrays["time_s"] = np.array(self.time_s, dtype=np.float64)
-        arrays["labels"] = (
-            np.arange(self.n_chips * self.n_units, dtype=np.int64)
-            if self._labels is None else self._labels.astype(np.int64))
         return arrays
 
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Overwrite the state with a :meth:`state_arrays` mapping.
 
-        The stack continues on the mapping's class map, so a restored
-        stack keeps advancing one state row per class.  Two label
-        layouts are accepted: the identity map (one state row per
-        stack row) and, on a multi-chip stack, a class map in which
-        every state row is some row's class and there are at most
-        :data:`_MAX_CLASS_FRACTION` of the rows as classes -- the
-        layouts :meth:`step` itself produces.  Every array is checked
-        before anything is written, so a refused mapping raises
-        :class:`~repro.errors.SimulationError` and leaves the stack as
-        it was.
+        Every array is checked before anything is written, so a
+        refused mapping raises :class:`~repro.errors.SimulationError`
+        and leaves the stack as it was.
         """
-        rows = self.n_chips * self.n_units
-        for name in _STATE_NAMES + ("time_s", "labels"):
+        dense = (self.n_chips * self.n_units, self.config.n_bins)
+        layouts = {"weights": dense, "occupancy": dense, "age_s": dense,
+                   "permanent_v": dense[:1], "time_s": ()}
+        for name, shape in layouts.items():
             if name not in arrays:
                 raise SimulationError(f"state array {name!r} is missing")
-        weights = arrays["weights"]
-        n_state = weights.shape[0] if weights.ndim else 0
-        dense = (n_state, self.config.n_bins)
-        layouts = {"weights": (np.float64, dense),
-                   "occupancy": (np.float64, dense),
-                   "age_s": (np.float64, dense),
-                   "permanent_v": (np.float64, (n_state,)),
-                   "time_s": (np.float64, ()),
-                   "labels": (np.int64, (rows,))}
-        for name, (dtype, shape) in layouts.items():
             array = arrays[name]
-            if array.shape != shape or array.dtype != dtype:
+            if array.shape != shape or array.dtype != np.float64:
                 raise SimulationError(
                     f"state array {name!r} has layout "
                     f"{array.dtype}{array.shape}, stack expects "
-                    f"{np.dtype(dtype)}{shape}")
-        labels = arrays["labels"]
-        class_rows = None
-        if n_state != rows or not np.array_equal(labels, np.arange(rows)):
-            if self.n_chips == 1:
-                raise SimulationError(
-                    "a one-chip stack holds one state row per row; its "
-                    "labels must be arange(rows)")
-            if not 1 <= n_state <= _MAX_CLASS_FRACTION * rows:
-                raise SimulationError(
-                    f"a class map of {rows} rows holds 1 to "
-                    f"{int(_MAX_CLASS_FRACTION * rows)} classes, not "
-                    f"{n_state}")
-            if labels.min() < 0 or labels.max() >= n_state:
-                raise SimulationError(
-                    f"labels must lie in [0, {n_state}), one per state "
-                    "row")
-            present, class_rows = np.unique(labels, return_index=True)
-            if present.size != n_state:
-                raise SimulationError(
-                    f"labels name {present.size} of the {n_state} state "
-                    "rows; every class needs a row")
+                    f"float64{shape}")
         for name in _STATE_NAMES:
             setattr(self, "_" + name, np.array(arrays[name]))
         self.time_s = float(arrays["time_s"])
-        if class_rows is None:
-            self._labels = self._class_rows = None
-        else:
-            self._labels = labels.astype(np.intp)
-            self._class_rows = class_rows
-        self._generation += 1
 
     # -- observables ----------------------------------------------------
 
@@ -303,8 +234,6 @@ class StackedTrapPopulations:
         """Total threshold shift, shaped ``(n_chips, n_units)``."""
         flat = np.einsum("ij,ij->i", self._occupancy, self._weights)
         flat += self._permanent_v
-        if self._labels is not None:
-            flat = flat[self._labels]
         return flat.reshape(self.n_chips, self.n_units)
 
     def permanent_vth_v(self) -> np.ndarray:
@@ -374,80 +303,29 @@ class StackedTrapPopulations:
             raise SimulationError(
                 "sub-step count is not finite: check the capture "
                 "acceleration of the stressing units")
-        row_steps = np.repeat(
+        steps = np.repeat(
             np.clip(raw, 1, _MAX_SUBSTEPS).astype(np.int64), self.n_units)
-        if self._labels is not None:
-            self._split_classes(flat_stress, flat_capture, flat_recovery,
-                                row_steps)
-        # State row i advances on the inputs of stack row classes[i].
-        classes = (slice(None) if self._class_rows is None
-                   else self._class_rows)
-        stress_rows = flat_stress[classes]
-        capture_rows = flat_capture[classes]
-        recovery_rows = flat_recovery[classes]
-        steps = row_steps[classes]
-        record_counters("bti.fleet.classes", steps=1,
-                        rows=flat_stress.size, rows_advanced=steps.size)
-        # State rows sharing a sub-step count advance together; with no
-        # (or mild) process variation that is one group covering the
-        # whole state, i.e. zero gather/scatter.
+        # Rows sharing a sub-step count advance together; with no (or
+        # mild) process variation that is one group covering the whole
+        # stack, i.e. zero gather/scatter.
         for group, count in enumerate(np.unique(steps)):
             members = np.flatnonzero(steps == count)
             rows: object = (slice(None) if members.size == steps.size
                             else members)
             sub_key = (None if kernel_key is None
-                       else (kernel_key, self._generation, int(count),
-                             group))
-            self._advance_rows(rows, dt_s, int(count), stress_rows,
-                               capture_rows, recovery_rows, sub_key)
+                       else (kernel_key, int(count), group))
+            self._advance_rows(rows, dt_s, int(count), flat_stress,
+                               flat_capture, flat_recovery, sub_key)
         self.time_s += dt_s
-
-    def _split_classes(self, flat_stress: np.ndarray,
-                       flat_capture: np.ndarray,
-                       flat_recovery: np.ndarray,
-                       row_steps: np.ndarray) -> None:
-        """Refine the class map by this step's per-row inputs.
-
-        Rows stay in one class only if they were in one class and
-        their stress flag, capture and recovery bits and sub-step
-        count all match, so classes only ever split.  A split gathers
-        the state onto the new classes, or onto every row once the
-        classes pass :data:`_MAX_CLASS_FRACTION` of the rows.
-        """
-        labels, class_rows = self._labels, self._class_rows
-        columns = (flat_stress, flat_capture.view(np.uint64),
-                   flat_recovery.view(np.uint64), row_steps)
-        # The common case: every row matches its class's row.
-        if all(np.array_equal(column, column[class_rows][labels])
-               for column in columns):
-            return
-        key = np.empty((labels.size, 1 + len(columns)), dtype=np.uint64)
-        key[:, 0] = labels
-        for index, column in enumerate(columns, 1):
-            key[:, index] = column
-        packed = key.view(
-            np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-        _, first, inverse = np.unique(packed, return_index=True,
-                                      return_inverse=True)
-        if first.size > _MAX_CLASS_FRACTION * labels.size:
-            gather = labels
-            self._labels = self._class_rows = None
-        else:
-            gather = labels[first]
-            self._labels = inverse.reshape(-1)
-            self._class_rows = first
-        for name in _STATE_NAMES:
-            setattr(self, "_" + name, getattr(self, "_" + name)[gather])
-        self._generation += 1
 
     def _advance_rows(self, rows, dt_s: float, n_steps: int,
                       stress_rows: np.ndarray,
                       capture_rows: np.ndarray,
                       recovery_rows: np.ndarray, kernel_key) -> None:
-        """Advance the state rows ``rows`` sharing a sub-step count.
+        """Advance the rows ``rows`` sharing a sub-step count.
 
-        The input arrays hold one entry per state row (any shape that
-        flattens to state-row order); ``rows`` selects the group.
+        The input arrays hold one entry per row (any shape that
+        flattens to row order); ``rows`` selects the group.
         """
         step = dt_s / n_steps
         full = isinstance(rows, slice)

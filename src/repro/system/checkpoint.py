@@ -8,15 +8,17 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
 * **Snapshot format.**  One snapshot is a plain ``.npz`` archive (no
   pickled object arrays -- loadable with ``allow_pickle=False``)
   carrying the full advancing state of a
-  :class:`~repro.system.fleet.FleetSimulator`: the trap state as the
-  stack stores it -- one row per trajectory class plus the
-  ``bti/labels`` map from every core to its class, so a fleet whose
-  chips age alike writes a few rows, not one per core -- the EM
-  accumulators, the per-chip variation draws, the
-  per-cohort policy/workload copies with their RNG positions and
-  rotation cursors (pickled into a byte array, since they are
-  arbitrary user objects), the demand/migration accumulators, the
-  recorded timeline and the epoch cursor.  Every file embeds a JSON
+  :class:`~repro.system.fleet.FleetSimulator` as the simulator stores
+  it, one row per chip class -- the trap state, the EM accumulators,
+  the demand/migration accumulators and the recorded timeline, so a
+  fleet whose chips age alike writes a few rows, not one per chip --
+  plus the per-chip variation draws, the per-cohort policy/workload
+  copies with their RNG positions and rotation cursors (pickled into
+  a byte array, since they are arbitrary user objects) and the epoch
+  cursor.  The chip -> class map is not in the file: it is a pure
+  function of the study (cohort layout and variation draw), which
+  the restoring simulator recomputes, and a snapshot whose rows do
+  not match its classes is refused.  Every file embeds a JSON
   meta block with a **schema version** (strictly gated on load: a
   snapshot written under any other version is refused, never
   reinterpreted) and a SHA-256 **checksum** over the meta and every
@@ -89,6 +91,7 @@ from repro.system.fleet import (
     _FleetStudy,
     _fleet_study,
     _run_study,
+    chip_classes,
 )
 from repro.system.sweeps import ChipConfig
 
@@ -96,7 +99,7 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 5
+CHECKPOINT_SCHEMA_VERSION = 6
 
 _MAGIC = "repro.fleet.checkpoint"
 _STUDY_MAGIC = "repro.fleet.checkpoint-study"
@@ -263,23 +266,23 @@ _VARIATION_FIELDS = ("capture_scale", "recovery_scale",
 #: The fixed-layout arrays of a simulator's state, by owner: each is
 #: saved as ``owner/name`` and restored in place.  The trap state is
 #: saved as ``bti/name`` through the stack's own
-#: ``state_arrays`` / ``load_state`` pair.
+#: ``state_arrays`` / ``load_state`` pair.  The per-chip variation
+#: draw is saved as ``variation/name`` and must match the run's on
+#: restore, since the run's chip classes follow from it.
 _STATE_ARRAYS = (
     ("em", ("progress_s", "nucleated", "void_reversible_m",
             "void_locked_m")),
-    ("variation", _VARIATION_FIELDS),
     ("run", ("migration_events", "total_demand", "total_dropped")),
 )
 
 
 def _state_owners(simulator: FleetSimulator) -> Dict[str, Any]:
-    return {"em": simulator.em,
-            "variation": simulator.variation, "run": simulator}
+    return {"em": simulator.em, "run": simulator}
 
 
 def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
     """Capture the full advancing state of a :class:`FleetSimulator`."""
-    n_chips = simulator.n_chips
+    n_classes = simulator.n_classes
     owners = _state_owners(simulator)
     arrays: Dict[str, np.ndarray] = {
         f"bti/{name}": array
@@ -288,15 +291,14 @@ def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
         f"{owner}/{name}": getattr(owners[owner], name).copy()
         for owner, names in _STATE_ARRAYS for name in names})
     arrays.update({
+        f"variation/{name}": getattr(simulator.variation, name).copy()
+        for name in _VARIATION_FIELDS})
+    arrays.update({
         "em/time_s": np.array(simulator.em.time_s, dtype=np.float64),
         "run/times": np.array(simulator.times, dtype=np.float64),
-        "run/worst": (np.array(simulator.worst) if simulator.worst
-                      else np.zeros((0, n_chips))),
-        "run/mean": (np.array(simulator.mean) if simulator.mean
-                     else np.zeros((0, n_chips))),
-        "run/dropped": (np.array(simulator.dropped)
-                        if simulator.dropped
-                        else np.zeros((0, n_chips))),
+        "run/worst": np.array(simulator.worst).reshape(-1, n_classes),
+        "run/mean": np.array(simulator.mean).reshape(-1, n_classes),
+        "run/dropped": np.array(simulator.dropped).reshape(-1, n_classes),
         "cohorts/state": np.frombuffer(
             pickle.dumps([(c.workload, c.policy)
                           for c in simulator.cohorts],
@@ -313,7 +315,7 @@ def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
             arrays[f"cohort{index}/previous_utilization"] = \
                 np.asarray(cohort.previous_utilization).copy()
     if simulator.cohort_temps is not None:
-        for index, (_, _, temps) in enumerate(simulator.cohort_temps):
+        for index, temps in enumerate(simulator.cohort_temps):
             arrays[f"readout/temps{index}"] = \
                 np.asarray(temps, dtype=np.float64).copy()
     meta = {
@@ -322,11 +324,12 @@ def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
         "n_epochs": (None if simulator.n_epochs is None
                      else int(simulator.n_epochs)),
         "record_every": int(simulator.record_every),
-        "n_chips": int(n_chips),
+        "n_chips": int(simulator.n_chips),
         "n_cores": int(simulator.n_cores),
         "n_cohorts": len(simulator.cohorts),
         "cohort_bounds": [[int(c.start), int(c.stop)]
                           for c in simulator.cohorts],
+        "n_classes": int(n_classes),
         "has_previous_utilization": has_previous_utilization,
         "has_readout": simulator.cohort_temps is not None,
         "epoch_s": float(simulator.epoch_s),
@@ -359,6 +362,7 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         ("n_epochs", simulator.n_epochs),
         ("n_cohorts", len(cohorts)),
         ("cohort_bounds", [[c.start, c.stop] for c in cohorts]),
+        ("n_classes", simulator.n_classes),
         ("epoch_s", float(simulator.epoch_s)),
     )
     for key, expected in expectations:
@@ -388,12 +392,15 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         copies = [(getattr(owners[owner], name),
                    arrays[f"{owner}/{name}"], f"{owner}/{name}")
                   for owner, names in _STATE_ARRAYS for name in names]
+        scales = [(arrays[f"variation/{name}"],
+                   getattr(simulator.variation, name))
+                  for name in _VARIATION_FIELDS]
         em_time_s = float(arrays["em/time_s"])
         times = [float(stamp) for stamp in arrays["run/times"]]
         records = []
         for name in ("worst", "mean", "dropped"):
             rows = arrays[f"run/{name}"]
-            if rows.shape != (len(times), simulator.n_chips):
+            if rows.shape != (len(times), simulator.n_classes):
                 raise CheckpointError(
                     f"snapshot array 'run/{name}' has shape "
                     f"{rows.shape}, not one row per record")
@@ -405,10 +412,8 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
             for index in range(len(cohorts))]
         cohort_temps = None
         if meta["has_readout"]:
-            cohort_temps = [
-                (cohort.start, cohort.stop,
-                 arrays[f"readout/temps{index}"].copy())
-                for index, cohort in enumerate(cohorts)]
+            cohort_temps = [arrays[f"readout/temps{index}"].copy()
+                            for index in range(len(cohorts))]
         state = arrays["cohorts/state"].tobytes()
     except KeyError as error:
         raise CheckpointError(
@@ -438,7 +443,7 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         if utilization is not None:
             layouts.append((f"cohort{index}/previous_utilization",
                             utilization, core, utilization.dtype))
-    for index, (_, _, temps) in enumerate(cohort_temps or ()):
+    for index, temps in enumerate(cohort_temps or ()):
         layouts.append((f"readout/temps{index}", temps, core,
                         temps.dtype))
     for name, source, shape, dtype in layouts:
@@ -447,6 +452,14 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
                 f"snapshot array {name!r} has layout "
                 f"{source.dtype}{source.shape}, run expects "
                 f"{dtype}{shape}")
+    # The run's chip classes follow from its variation draw, so the
+    # snapshot's rows belong to this run only under the same draw.
+    for source, own in scales:
+        if (source.shape != own.shape or source.dtype != own.dtype
+                or source.tobytes() != own.tobytes()):
+            raise CheckpointError(
+                "snapshot variation draw differs from the run's; "
+                "restore it into a session of that draw")
     # The trap stack checks its arrays before it writes any, and it is
     # the first write, so a refusal still leaves the run as it was.
     try:
@@ -481,23 +494,35 @@ _RESULT_FIELDS = (
 )
 
 
-def _result_to_arrays(result: FleetResult) -> Dict[str, np.ndarray]:
-    """Flatten a :class:`FleetResult` into named snapshot arrays."""
-    arrays = {f"result/{name}": getattr(result, name)
-              for name in _RESULT_FIELDS}
+_RECORD_FIELDS = ("worst_degradation", "mean_degradation",
+                  "dropped_demand")
+
+
+def _result_to_arrays(result: FleetResult,
+                      study: _FleetStudy) -> Dict[str, np.ndarray]:
+    """Flatten a chunk's :class:`FleetResult` into snapshot arrays.
+
+    The chips of one class hold bitwise-equal results, so each chip
+    array keeps one row per class (its first chip's); the per-chip
+    variation draw is kept whole, since the classes follow from it.
+    """
+    _, class_chip = chip_classes(study.chip_cohort(), result.variation)
+    arrays = {"result/times_s": result.times_s}
+    for name in _RESULT_FIELDS[1:]:
+        value = getattr(result, name)
+        arrays[f"result/{name}"] = (value[:, class_chip]
+                                    if name in _RECORD_FIELDS
+                                    else value[class_chip])
     for name in _VARIATION_FIELDS:
         arrays[f"variation/{name}"] = getattr(result.variation, name)
     return arrays
 
 
-_RECORD_FIELDS = ("worst_degradation", "mean_degradation",
-                  "dropped_demand")
-
-
 def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
-                      n_chips: int) -> FleetResult:
-    """Rebuild an ``n_chips`` :class:`FleetResult` from its snapshot
-    arrays, refusing any array without its chip axis."""
+                      study: _FleetStudy) -> FleetResult:
+    """Rebuild the :class:`FleetResult` of the chunk ``study`` from its
+    snapshot arrays, refusing any array without its class or chip
+    axis."""
     try:
         fields = {name: arrays[f"result/{name}"]
                   for name in _RESULT_FIELDS}
@@ -506,18 +531,33 @@ def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
     except KeyError as error:
         raise CheckpointError(
             f"chunk result is missing array {error}") from error
-    # ``times_s`` comes first, so a timeline that is not 1-D is
-    # reported under its own name.
-    n_records = fields["times_s"].shape
-    for name, array in (*fields.items(), *scales.items()):
-        lead = (n_records + (n_chips,) if name in _RECORD_FIELDS
-                else n_records if name == "times_s" else (n_chips,))
-        if len(n_records) != 1 or array.shape[:len(lead)] != lead:
+    n_chips = study.n_chips
+    for name, array in scales.items():
+        if array.shape != (n_chips,):
             raise CheckpointError(
                 f"chunk result array {name!r} has shape {array.shape}; "
                 f"the chunk holds {n_chips} chips")
-    return FleetResult(variation=FleetVariation(**scales),
-                       n_epochs=n_epochs, **fields)
+    try:
+        variation = FleetVariation(**scales)
+    except SimulationError as error:
+        raise CheckpointError(f"chunk result: {error}") from error
+    chip_class, class_chip = chip_classes(study.chip_cohort(), variation)
+    n_classes = class_chip.size
+    # ``times_s`` comes first, so a timeline that is not 1-D is
+    # reported under its own name.
+    n_records = fields["times_s"].shape
+    for name, array in fields.items():
+        lead = (n_records + (n_classes,) if name in _RECORD_FIELDS
+                else n_records if name == "times_s" else (n_classes,))
+        if len(n_records) != 1 or array.shape[:len(lead)] != lead:
+            raise CheckpointError(
+                f"chunk result array {name!r} has shape {array.shape}; "
+                f"the chunk holds {n_classes} chip classes")
+    for name in _RESULT_FIELDS[1:]:
+        fields[name] = (fields[name][:, chip_class]
+                        if name in _RECORD_FIELDS
+                        else fields[name][chip_class])
+    return FleetResult(variation=variation, n_epochs=n_epochs, **fields)
 
 
 def _result_path(ckpt: _ChunkCheckpoint, index: int) -> str:
@@ -531,13 +571,14 @@ def _progress_path(ckpt: _ChunkCheckpoint, index: int) -> str:
 
 
 def save_chunk_result(ckpt: _ChunkCheckpoint, index: int,
-                      result: FleetResult) -> None:
-    """Persist one chunk's finished result; drops its progress file."""
+                      result: FleetResult, study: _FleetStudy) -> None:
+    """Persist the finished result of chunk ``study``; drops its
+    progress file."""
     meta = {"kind": "fleet-chunk-result", "digest": ckpt.digest,
             "chunk_index": int(index),
             "n_epochs": int(result.n_epochs)}
     write_snapshot(_result_path(ckpt, index),
-                   _result_to_arrays(result), meta)
+                   _result_to_arrays(result, study), meta)
     try:
         os.remove(_progress_path(ckpt, index))
     except OSError:
@@ -545,8 +586,8 @@ def save_chunk_result(ckpt: _ChunkCheckpoint, index: int,
 
 
 def load_chunk_result(ckpt: _ChunkCheckpoint, index: int,
-                      n_chips: int) -> Optional[FleetResult]:
-    """The ``n_chips`` chunk's persisted result, or ``None`` if not
+                      study: _FleetStudy) -> Optional[FleetResult]:
+    """The persisted result of chunk ``study``, or ``None`` if not
     finished."""
     path = _result_path(ckpt, index)
     if not os.path.exists(path):
@@ -562,7 +603,7 @@ def load_chunk_result(ckpt: _ChunkCheckpoint, index: int,
             "(fingerprint mismatch)")
     if type(meta.get("n_epochs")) is not int:
         raise CheckpointError(f"{path} has no epoch count")
-    return _arrays_to_result(arrays, meta["n_epochs"], n_chips)
+    return _arrays_to_result(arrays, meta["n_epochs"], study)
 
 
 def save_chunk_progress(ckpt: _ChunkCheckpoint, index: int,
@@ -818,14 +859,15 @@ class FleetSession:
 
     def delta_vth_v(self) -> np.ndarray:
         """Current per-core threshold shift, ``(n_chips, n_cores)``."""
-        return self._simulator.bti.delta_vth_v().copy()
+        return self._simulator.delta_vth_v()
 
     def delta_vth_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip worst-core shift."""
         if not 0.0 <= fraction <= 1.0:
             raise SimulationError("fraction must be in [0, 1]")
-        worst = self._simulator.bti.delta_vth_v().max(axis=1)
-        return float(np.quantile(worst, fraction))
+        simulator = self._simulator
+        worst = simulator.bti.delta_vth_v().max(axis=1)
+        return float(np.quantile(worst[simulator.chip_class], fraction))
 
     @property
     def guardbands(self) -> np.ndarray:
@@ -840,8 +882,8 @@ class FleetSession:
             simulator.bti.delta_vth_v()).max(axis=1)
         if simulator.worst:
             recorded = np.max(np.array(simulator.worst), axis=0)
-            return np.maximum(recorded, current)
-        return current
+            current = np.maximum(recorded, current)
+        return current[simulator.chip_class]
 
     def guardband_quantile(self, fraction: float) -> float:
         """Population quantile of the per-chip guardband so far."""

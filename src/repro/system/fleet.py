@@ -37,11 +37,13 @@ of a study in lockstep (the one-chip study is
   the one :class:`~repro.system.checkpoint.FleetSession` builds too,
   and the only builder of a :class:`FleetSimulator` -- and runs it
   through one chunk loop: whole-lifetime row chunks under
-  a byte budget (``max_chunk_chips`` / ``state_budget_bytes``), each
-  the study's own row slice.  The parent restores any chunk a
+  a byte budget (``max_chunk_chips`` / ``state_budget_bytes``, sized
+  by what a chunk holds: :func:`chunk_state_bytes`), each the study's
+  own row slice.  The parent restores any chunk a
   checkpoint directory already holds, then runs the pending ones
   in-process on one shared chip (warm thermal memo) or, with
-  ``max_workers > 1`` and enough work, on a process pool.  Every
+  ``max_workers > 1`` (capped at the CPUs this process may run on)
+  and enough work, on a process pool.  Every
   executed chunk gets the same bounded retries and failure
   attribution wherever it runs.  Results merge in chunk order --
   bitwise identical for every worker count, completion order and mix
@@ -64,6 +66,15 @@ equivalence is exact for any policy; with variation it stays exact for
 policies that ignore the shift values (the round-robin and
 no-recovery policies) and for singleton cohorts.  The same contract
 makes chunked execution invariant in the chunk size.
+
+Chip classes: chips of one cohort with bitwise-equal variation scales
+get the same conditions every epoch, so by the same contract they hold
+bit-identical state.  :class:`FleetSimulator` therefore stacks one
+chip per class (:func:`chip_classes`) in every layer -- trap stack, EM
+accumulators, condition bundles, records, snapshots -- and gathers the
+class rows onto the chips when it reads out.  A fleet without
+variation costs one chip per cohort, whatever its size; a varied fleet
+has one class per chip.
 """
 
 from __future__ import annotations
@@ -645,7 +656,7 @@ def _merge_fleet_results(parts: List[FleetResult]) -> FleetResult:
 class _EpochConditions:
     """One epoch's condition bundle for the whole stack.
 
-    Holds the full ``(n_chips, n_cores)`` stress/capture/recovery
+    Holds the full ``(n_classes, n_cores)`` stress/capture/recovery
     stack plus the per-cohort base temperature vectors (needed for
     the end-of-run EM read-out, which evaluates each cohort at its
     own hottest core).
@@ -672,20 +683,68 @@ def _budget_entries(budget_bytes: int, entry_bytes: int,
     return int(min(cap, max(0, budget_bytes // entry_bytes)))
 
 
-def state_bytes_per_chip(n_cores: int) -> int:
-    """Resident aging-state bytes one fleet chip costs.
+def chunk_state_bytes(n_chips: int, n_classes: int, n_cores: int) -> int:
+    """Resident state bytes of ``n_chips`` chips in ``n_classes`` chip
+    classes (see :class:`FleetSimulator`).
 
-    Counts the stacked trap arrays (three state + three scratch
-    float64 ``(n_cores, n_bins)`` blocks plus two boolean masks) and
-    the flat float64 EM accumulators.  The chunked runner divides
-    ``state_budget_bytes`` by this to pick its row-block height.  The
-    scratch term is a conservative bound: the stack allocates its
-    scratch for one sub-step row block, not per chip, and a stack
-    whose chips age alike stores one state row per trajectory class.
+    A class holds its trap rows -- three float64 ``(n_cores, n_bins)``
+    state blocks and the permanent shift, plus three float64 and two
+    boolean blocks of sub-step scratch (a bound: the stack allocates
+    scratch once per row block) -- its EM accumulators (three float64
+    and one boolean per core) and eight words of run totals, scales
+    and cohort bookkeeping.  A chip adds its scales and class index
+    and what :meth:`FleetSimulator.result` gathers for it: three
+    float64 and one boolean per core and three run totals.  The
+    recorded timeline is output, which the merged result holds
+    whatever the chunk height, so it is left out.
     """
-    trap = n_cores * _FLEET_N_BINS * (6 * 8 + 2)
-    em = n_cores * 5 * 8
-    return trap + em
+    per_class = (n_cores * (_FLEET_N_BINS * (6 * 8 + 2) + 8 + 3 * 8 + 1)
+                 + 8 * 8)
+    per_chip = n_cores * (3 * 8 + 1) + 7 * 8
+    return n_classes * per_class + n_chips * per_chip
+
+
+def state_bytes_per_chip(n_cores: int) -> int:
+    """Resident state bytes of one chip that is a class of its own,
+    as each chip of a varied fleet is.  A chip that shares its class
+    costs a small fraction of this (see :func:`chunk_state_bytes`)."""
+    return chunk_state_bytes(1, 1, n_cores)
+
+
+def chip_classes(chip_cohort: np.ndarray, variation: FleetVariation
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The chip -> class map of a population.
+
+    A chip class is a set of chips that share a cohort and all three
+    variation scales bit for bit.  Scales are compared as raw float64
+    bytes, never as floats, so ``-0.0`` and ``0.0`` (or two NaN
+    payloads) stay apart.  Classes are numbered by their first chip, so
+    when cohorts are runs of consecutive chips each cohort's classes
+    are contiguous too.
+
+    Returns:
+        ``(chip_class, class_chip)`` -- the class of every chip and
+        the first chip of every class.
+    """
+    columns = [np.ascontiguousarray(scale, dtype=np.float64)
+               .view(np.uint64)
+               for scale in (variation.em_current_scale,
+                             variation.recovery_scale,
+                             variation.capture_scale)]
+    columns.append(np.asarray(chip_cohort).astype(np.uint64))
+    # lexsort is stable, so each run of equal keys lists its chips in
+    # order and starts with the class's first chip.
+    order = np.lexsort(columns)
+    keys = np.stack(columns)[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first = order[starts]
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(by_first.size)
+    chip_class = np.empty(order.size, dtype=np.intp)
+    chip_class[order] = number[np.cumsum(starts) - 1]
+    return chip_class, first[by_first]
 
 
 class FleetSimulator:
@@ -696,15 +755,22 @@ class FleetSimulator:
     network, memoized across the whole fleet -- and, in chunked runs,
     across chunks).  The simulator owns
 
-    * the aging state, chip-major and flat (core ``c`` of chip ``k``
-      is flat unit ``k * n_cores + c``): the stacked trap populations
-      :attr:`bti`, the EM accumulators :attr:`em` and the drawn
-      per-chip :attr:`variation`;
+    * the chip classes (:func:`chip_classes`; see the module
+      docstring): :attr:`chip_class` maps every chip to its class, a
+      pure function of the study, recomputed whenever a simulator is
+      built and never read from a file;
+    * the aging state of the classes, class-major and flat (core ``c``
+      of class ``k`` is flat unit ``k * n_cores + c``): the stacked
+      trap populations :attr:`bti` and the EM accumulators :attr:`em`,
+      plus the drawn per-chip :attr:`variation`;
     * the memos: whole-epoch condition bundles, per-assignment base
       conditions, and the BTI/EM step kernels;
     * the run state: per-cohort policy/workload copies with their
-      mutable cursors, the :attr:`epoch` cursor, the demand/migration
-      accumulators and the recorded timeline.
+      mutable cursors, the :attr:`epoch` cursor, and the per-class
+      demand/migration accumulators and recorded timeline.
+
+    :meth:`result` and :meth:`delta_vth_v` gather the class rows onto
+    the chips, so chip ``i`` reads its class's bits.
 
     :meth:`advance` is the epoch loop of every study, one chip or
     many -- demand, assignment, thermal solve, BTI/EM advance,
@@ -741,11 +807,26 @@ class FleetSimulator:
                 study.first_chip, study.first_chip + n_chips,
                 study.seed)
         self.variation = variation
+        self.cohorts = self._build_cohorts(study)
+        chip_cohort = study.chip_cohort()
+        self.chip_class, class_chip = chip_classes(chip_cohort, variation)
+        n_classes = self.n_classes = class_chip.size
+        # The cohort of each class, and the first class of each cohort
+        # (a cohort's classes are contiguous).  One gather scatters
+        # per-cohort values onto the class rows.
+        self._class_cohort = chip_cohort[class_chip]
+        self._cohort_starts = np.searchsorted(
+            self._class_cohort, np.arange(len(self.cohorts)))
+        self._class_scales = tuple(
+            scale[class_chip][:, None]
+            for scale in (variation.capture_scale,
+                          variation.recovery_scale,
+                          variation.em_current_scale))
         calibration = default_calibration()
-        rows = n_chips * n_cores
+        rows = n_classes * n_cores
         population = replace(
             calibration.model_config.population, n_bins=_FLEET_N_BINS)
-        self.bti = StackedTrapPopulations(n_chips, n_cores, population)
+        self.bti = StackedTrapPopulations(n_classes, n_cores, population)
         # EM rate entries are five (rows,) arrays -- far lighter.
         em_entries = max(1, _budget_entries(
             _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
@@ -774,55 +855,34 @@ class FleetSimulator:
             _MEMO_BUDGET_BYTES, 33 * n_cores, cap=4096))
         self._base_cache = FactorizationCache(
             maxsize=base_entries, name="fleet.base_conditions")
-        self.cohorts = self._build_cohorts(study.groups)
-        self._cohort_starts = np.array([c.start for c in self.cohorts])
-        # The cohort index of each chip: one gather scatters per-cohort
-        # values onto the chip rows.
-        self._chip_cohort = np.repeat(
-            np.arange(len(self.cohorts)),
-            [c.stop - c.start for c in self.cohorts])
         self.epoch = 0
-        self.migration_events = np.zeros(n_chips, dtype=np.int64)
-        self.total_demand = np.zeros(n_chips)
-        self.total_dropped = np.zeros(n_chips)
+        self.migration_events = np.zeros(n_classes, dtype=np.int64)
+        self.total_demand = np.zeros(n_classes)
+        self.total_dropped = np.zeros(n_classes)
         self.times: List[float] = []
         self.worst: List[np.ndarray] = []
         self.mean: List[np.ndarray] = []
         self.dropped: List[np.ndarray] = []
-        # Per-cohort (start, stop, temps) of the last advanced epoch;
+        # Per-cohort core temperatures of the last advanced epoch;
         # result() evaluates the EM read-out and the thermal refresh
         # from these, so they are part of the resumable state.
-        self.cohort_temps: Optional[
-            List[Tuple[int, int, np.ndarray]]] = None
+        self.cohort_temps: Optional[List[np.ndarray]] = None
 
     # -- cohorts -----------------------------------------------------------
 
-    def _build_cohorts(self, groups: Sequence[FleetGroup]
-                       ) -> List[_Cohort]:
-        """Split groups into per-phase cohorts with fresh templates."""
+    def _build_cohorts(self, study: _FleetStudy) -> List[_Cohort]:
+        """The study's cohorts, each with fresh template copies."""
         cohorts: List[_Cohort] = []
-        start = 0
-        for group in groups:
-            phases = group.phases or (0,) * group.n_chips
-            run_start = 0
-            while run_start < group.n_chips:
-                run_stop = run_start + 1
-                while (run_stop < group.n_chips
-                       and phases[run_stop] == phases[run_start]):
-                    run_stop += 1
-                if hasattr(group.policy, "assign"):
-                    policy = copy.deepcopy(group.policy)
-                else:
-                    policy = group.policy(self.chip)
-                workload = copy.deepcopy(group.workload)
-                phase = phases[run_start]
-                if phase:
-                    workload = PhasedWorkload(workload, phase)
-                cohorts.append(_Cohort(
-                    start + run_start, start + run_stop, workload,
-                    policy, self.n_cores))
-                run_start = run_stop
-            start += group.n_chips
+        for group, start, stop, phase in study.cohort_runs():
+            if hasattr(group.policy, "assign"):
+                policy = copy.deepcopy(group.policy)
+            else:
+                policy = group.policy(self.chip)
+            workload = copy.deepcopy(group.workload)
+            if phase:
+                workload = PhasedWorkload(workload, phase)
+            cohorts.append(_Cohort(start, stop, workload, policy,
+                                   self.n_cores))
         return cohorts
 
     # -- conditions --------------------------------------------------------
@@ -834,7 +894,7 @@ class FleetSimulator:
         Cohorts that share an assignment share its base conditions:
         each distinct ``keys`` entry is fetched once from the
         per-assignment memo, one gather spreads the bases over the
-        chip rows, and one multiply per scale applies the variation.
+        class rows, and one multiply per scale applies the variation.
         Element ``(k, c)`` of every array is ``base[c] * scale[k]``
         with the cohort's own base conditions -- one multiply per
         element whatever the stack height, so each row matches its
@@ -853,18 +913,16 @@ class FleetSimulator:
             cohort_slot[index] = slot
         temps, active, capture, recovery, j = (
             np.stack(column) for column in zip(*bases))
-        rows = cohort_slot[self._chip_cohort]
-        v = self.variation
-        capture2d = capture[rows] * v.capture_scale[:, None]
+        rows = cohort_slot[self._class_cohort]
+        capture_scale, recovery_scale, em_scale = self._class_scales
+        capture2d = capture[rows] * capture_scale
         return _EpochConditions(
             stressing=active[rows],
             capture_safe=np.where(capture2d > 0.0, capture2d, 1.0),
-            recovery=recovery[rows] * v.recovery_scale[:, None],
-            j_flat=(j[rows] * v.em_current_scale[:, None]).reshape(-1),
+            recovery=recovery[rows] * recovery_scale,
+            j_flat=(j[rows] * em_scale).reshape(-1),
             temps_flat=temps[rows].reshape(-1),
-            cohort_temps=[(cohort.start, cohort.stop, temps[slot])
-                          for cohort, slot
-                          in zip(self.cohorts, cohort_slot)])
+            cohort_temps=[temps[slot] for slot in cohort_slot])
 
     # -- epoch loop --------------------------------------------------------
 
@@ -885,7 +943,7 @@ class FleetSimulator:
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
-        starts, chip_cohort = self._cohort_starts, self._chip_cohort
+        starts, class_cohort = self._cohort_starts, self._class_cohort
         demands = np.empty(len(cohorts))
         dropped = np.empty(len(cohorts))
         migrated = np.empty(len(cohorts), dtype=np.int64)
@@ -909,9 +967,9 @@ class FleetSimulator:
                 dropped[index] = assignment.dropped_demand
                 assignments.append(assignment)
                 keys.append(assignment.cache_key())
-            migration_events += migrated[chip_cohort]
-            total_demand += demands[chip_cohort]
-            dropped_epoch = dropped[chip_cohort]
+            migration_events += migrated[class_cohort]
+            total_demand += demands[class_cohort]
+            dropped_epoch = dropped[class_cohort]
             total_dropped += dropped_epoch
             # The cohort layout and the epoch length are fixed for the
             # simulator's life, so the assignment keys alone identify
@@ -936,9 +994,12 @@ class FleetSimulator:
                                  / self.n_cores)
                 self.dropped.append(dropped_epoch)
         self.epoch += n_epochs
-        self.cohort_temps = [(start, stop, temps.copy())
-                             for start, stop, temps
-                             in cond.cohort_temps]
+        self.cohort_temps = [temps.copy() for temps in cond.cohort_temps]
+
+    def delta_vth_v(self) -> np.ndarray:
+        """Per-core threshold shift of every chip, ``(n_chips,
+        n_cores)``."""
+        return self.bti.delta_vth_v()[self.chip_class]
 
     def result(self) -> FleetResult:
         """The :class:`FleetResult` of everything advanced so far."""
@@ -950,31 +1011,38 @@ class FleetSimulator:
         # reference resistance at that cohort's own hottest core.  The
         # shared thermal network is left reflecting the last cohort's
         # solve.
-        self.chip.thermal.temperatures_k = \
-            self.cohort_temps[-1][2].copy()
-        shape = (self.n_chips, self.n_cores)
+        self.chip.thermal.temperatures_k = self.cohort_temps[-1].copy()
+        shape = (self.n_classes, self.n_cores)
         em_failures = np.empty(shape, dtype=bool)
-        for start, stop, temps in self.cohort_temps:
+        stops = [*self._cohort_starts[1:], self.n_classes]
+        for start, stop, temps in zip(self._cohort_starts, stops,
+                                      self.cohort_temps):
             read_t = float(np.max(temps))
             em_failures[start:stop] = \
                 self.em.failed(read_t).reshape(shape)[start:stop]
         record_counters("fleet.engine", chips=self.n_chips,
-                        epochs=self.epoch, cohorts=len(self.cohorts))
+                        epochs=self.epoch, cohorts=len(self.cohorts),
+                        classes=self.n_classes)
+        chips = self.chip_class
+
+        def timeline(records: List[np.ndarray]) -> np.ndarray:
+            return np.array(records).reshape(-1, self.n_classes)[:, chips]
+
         return FleetResult(
             times_s=np.array(self.times),
-            worst_degradation=np.array(self.worst),
-            mean_degradation=np.array(self.mean),
-            dropped_demand=np.array(self.dropped),
-            final_delta_vth_v=self.bti.delta_vth_v().copy(),
-            final_permanent_vth_v=self.bti.permanent_vth_v().copy(),
+            worst_degradation=timeline(self.worst),
+            mean_degradation=timeline(self.mean),
+            dropped_demand=timeline(self.dropped),
+            final_delta_vth_v=self.delta_vth_v(),
+            final_permanent_vth_v=self.bti.permanent_vth_v()[chips],
             final_em_drift_ohm=self.em.delta_resistance_ohm()
-            .reshape(shape),
-            em_failures=em_failures,
+            .reshape(shape)[chips],
+            em_failures=em_failures[chips],
             variation=self.variation,
-            migration_events=self.migration_events.copy(),
+            migration_events=self.migration_events[chips],
             n_epochs=self.epoch,
-            total_demand=self.total_demand.copy(),
-            total_dropped_demand=self.total_dropped.copy())
+            total_demand=self.total_demand[chips],
+            total_dropped_demand=self.total_dropped[chips])
 
 
 # -- the study --------------------------------------------------------------
@@ -1020,6 +1088,46 @@ class _FleetStudy:
     def n_chips(self) -> int:
         """Population size."""
         return sum(group.n_chips for group in self.groups)
+
+    def cohort_runs(self) -> List[Tuple[FleetGroup, int, int, int]]:
+        """``(group, start, stop, phase)`` of every cohort, in chip
+        order: the maximal runs of consecutive chips of one group that
+        share a phase."""
+        runs = []
+        offset = 0
+        for group in self.groups:
+            phases = group.phases
+            if phases is None:
+                runs.append((group, offset, offset + group.n_chips, 0))
+            else:
+                cuts = [0, *(i for i in range(1, group.n_chips)
+                             if phases[i] != phases[i - 1]),
+                        group.n_chips]
+                runs.extend((group, offset + lo, offset + hi, phases[lo])
+                            for lo, hi in zip(cuts, cuts[1:]))
+            offset += group.n_chips
+        return runs
+
+    def chip_cohort(self) -> np.ndarray:
+        """The cohort index of every chip."""
+        runs = self.cohort_runs()
+        return np.repeat(np.arange(len(runs)),
+                         [stop - start for _, start, stop, _ in runs])
+
+    def max_classes(self, n_chips: int) -> int:
+        """Most chip classes a chunk of ``n_chips`` of its chips holds.
+
+        One per cohort without variation (``None``, or a spec whose
+        sigmas are all 0, which draws every scale as exactly 1.0); one
+        per chip otherwise, a drawn :class:`FleetVariation` included.
+        """
+        variation = self.variation
+        if variation is None or (
+                isinstance(variation, FleetVariationSpec)
+                and not (variation.capture_sigma or variation.recovery_sigma
+                         or variation.em_current_sigma)):
+            return min(n_chips, len(self.cohort_runs()))
+        return n_chips
 
     def rows(self, start: int, stop: int) -> "_FleetStudy":
         """This study restricted to its chips ``[start, stop)``."""
@@ -1097,11 +1205,17 @@ def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
         variation=variation, seed=int(seed))
 
 
-def _chunk_size(n_chips: int, n_cores: int,
+def _chunk_size(study: _FleetStudy, n_cores: int,
                 max_chunk_chips: Optional[int],
                 state_budget_bytes: Optional[int]) -> int:
-    """Chips per chunk under the caller's row and byte limits."""
-    limit = n_chips
+    """Chips per chunk under the caller's row and byte limits.
+
+    The byte limit holds :func:`chunk_state_bytes` of the chunk's
+    chips and of the most classes they can form
+    (:meth:`_FleetStudy.max_classes`), so a fleet without variation
+    pays per-class state once per cohort, not once per chip.
+    """
+    limit = study.n_chips
     if max_chunk_chips is not None:
         if max_chunk_chips < 1:
             raise SimulationError(
@@ -1111,9 +1225,21 @@ def _chunk_size(n_chips: int, n_cores: int,
         if state_budget_bytes < 1:
             raise SimulationError(
                 "state_budget_bytes must be positive")
-        per_chip = state_bytes_per_chip(n_cores)
-        limit = min(limit, max(1, state_budget_bytes // per_chip))
-    return max(1, limit)
+        # The estimate grows with the chunk: bisect for the largest
+        # chunk within the budget (at least one chip).  A chunk of
+        # ``mid <= limit`` chips holds at most ``min(mid, most)``
+        # classes.
+        most = study.max_classes(limit)
+        low, high = 1, limit
+        while low < high:
+            mid = (low + high + 1) // 2
+            if chunk_state_bytes(mid, min(mid, most),
+                                 n_cores) <= state_budget_bytes:
+                low = mid
+            else:
+                high = mid - 1
+        limit = low
+    return limit
 
 
 # -- the chunk loop ---------------------------------------------------------
@@ -1184,7 +1310,7 @@ def _execute_chunk(built: Chip, task: _FleetChunkTask) -> FleetResult:
     result = simulator.result()
     if ckpt is not None:
         checkpoint_mod.save_chunk_result(
-            ckpt, task.chunk.index, result)
+            ckpt, task.chunk.index, result, task.study)
     return result
 
 
@@ -1216,8 +1342,11 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
         raise SimulationError("retries must be non-negative")
     bounds = chunk_tasks(study.n_chips, chunk_chips)
     n_chunks = len(bounds)
-    workers = (max_workers if max_workers is not None
-               else available_cpus())
+    # A pool larger than the CPUs this process may run on only adds
+    # start-up and contention, so an explicit count is capped too.
+    workers = available_cpus()
+    if max_workers is not None:
+        workers = min(max_workers, workers)
     ckpt: Optional[_ChunkCheckpoint] = None
     if checkpoint_dir is not None:
         from repro.system import checkpoint as checkpoint_mod
@@ -1247,7 +1376,7 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
             for task in tasks:
                 load_started = time.perf_counter()
                 part = checkpoint_mod.load_chunk_result(
-                    ckpt, task.chunk.index, task.chunk.n_items)
+                    ckpt, task.chunk.index, task.study)
                 if part is None:
                     pending.append(task)
                 else:
@@ -1425,15 +1554,18 @@ def run_fleet_lifetime_study(
             mutually exclusive with ``workload`` / ``policy``.
         max_chunk_chips: upper bound on chips resident at once (per
             worker, when pooled).
-        state_budget_bytes: byte budget for the resident aging state;
-            the chunk height is ``budget // state_bytes_per_chip``.
+        state_budget_bytes: byte budget for the resident state; the
+            chunk height is the largest whose
+            :func:`chunk_state_bytes` fits (about
+            ``budget // state_bytes_per_chip`` with variation, far
+            more chips without, whose chips share a few classes).
             A *per-worker* budget under pooling: total residency is
             ``n_workers x budget``.
-        max_workers: process count for parallel chunk execution;
-            ``None`` picks the CPUs this process may run on
-            (:func:`~repro.solvers.sweep.available_cpus`), ``0``/``1``
-            forces the serial chunk stream.  Results are bitwise
-            identical either way.
+        max_workers: process count for parallel chunk execution, at
+            most the CPUs this process may run on
+            (:func:`~repro.solvers.sweep.available_cpus`), which
+            ``None`` picks; ``0``/``1`` forces the serial chunk
+            stream.  Results are bitwise identical either way.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).
@@ -1465,8 +1597,8 @@ def run_fleet_lifetime_study(
         chip, n_chips, workload, policy, groups, n_epochs=n_epochs,
         epoch_s=epoch_s, record_every=record_every,
         variation=variation, seed=seed)
-    chunk_chips = _chunk_size(study.n_chips, built.n_cores,
-                              max_chunk_chips, state_budget_bytes)
+    chunk_chips = _chunk_size(study, built.n_cores, max_chunk_chips,
+                              state_budget_bytes)
     return _run_study(built, study, chunk_chips,
                       max_workers=max_workers, retries=retries,
                       on_report=on_report,

@@ -657,7 +657,7 @@ class TestMalformedSnapshots:
         assert os.listdir(directory) == ["manifest.json"]
 
 
-# -- the compact trap state -------------------------------------------------
+# -- per-class snapshots ---------------------------------------------------
 
 
 class _Interrupt(BaseException):
@@ -666,8 +666,7 @@ class _Interrupt(BaseException):
 
 
 def homogeneous_study(**overrides):
-    # No variation and one cohort: every chip ages alike, so each
-    # core position is one trajectory class.
+    # No variation and one cohort: every chip is one chip class.
     kwargs = dict(n_chips=12, workload=ConstantWorkload(N_CORES, 0.7),
                   policy=policy(), n_epochs=8, record_every=2,
                   max_workers=0)
@@ -675,34 +674,40 @@ def homogeneous_study(**overrides):
     return run_fleet_lifetime_study((2, 2), **kwargs)
 
 
-def rows_and_advanced(run):
-    """``(rows, rows advanced)`` of the trap sweep while ``run()``
-    executes, and its value."""
-    before = dict(cache_counters().get("bti.fleet.classes", {}))
-    value = run()
-    after = cache_counters()["bti.fleet.classes"]
-    return (after["rows"] - before.get("rows", 0),
-            after["rows_advanced"] - before.get("rows_advanced", 0),
-            value)
+def homogeneous_session():
+    return FleetSession((2, 2), 12, ConstantWorkload(N_CORES, 0.7),
+                        policy(), record_every=2)
 
 
-class TestCompactTrapState:
-    def test_a_session_snapshot_stores_one_trap_row_per_class(self):
-        session = FleetSession((2, 2), 12, ConstantWorkload(N_CORES, 0.7),
-                               policy(), record_every=2).advance(3)
-        arrays = session.snapshot().arrays
-        rows = 12 * N_CORES
-        assert arrays["bti/labels"].dtype == np.int64
-        assert arrays["bti/labels"].shape == (rows,)
-        assert arrays["bti/weights"].shape[0] <= N_CORES
-        assert arrays["bti/permanent_v"].shape == \
-            arrays["bti/weights"].shape[:1]
+#: Every per-class array of a run snapshot, by its class-row count
+#: per class (trap and EM rows are per core).
+CLASS_ROWS = {"bti/weights": N_CORES, "bti/occupancy": N_CORES,
+              "bti/age_s": N_CORES, "bti/permanent_v": N_CORES,
+              "em/progress_s": N_CORES, "em/nucleated": N_CORES,
+              "em/void_reversible_m": N_CORES,
+              "em/void_locked_m": N_CORES,
+              "run/migration_events": 1, "run/total_demand": 1,
+              "run/total_dropped": 1}
 
-    def test_a_varied_session_snapshot_stores_every_row(self):
-        arrays = make_session().advance(3).snapshot().arrays
-        rows = 6 * N_CORES
-        assert arrays["bti/weights"].shape[0] == rows
-        assert np.array_equal(arrays["bti/labels"], np.arange(rows))
+
+class TestPerClassSnapshots:
+    def test_a_homogeneous_session_snapshot_stores_one_class(self):
+        snapshot = homogeneous_session().advance(3).snapshot()
+        arrays = snapshot.arrays
+        assert snapshot.meta["n_classes"] == 1
+        assert not [name for name in arrays if "labels" in name]
+        for name, rows in CLASS_ROWS.items():
+            assert arrays[name].shape[0] == rows, name
+        assert arrays["run/worst"].shape == (1, 1)
+        # The draw stays per chip: it is the study's input.
+        assert arrays["variation/capture_scale"].shape == (12,)
+
+    def test_a_varied_session_snapshot_stores_every_chip(self):
+        snapshot = make_session().advance(3).snapshot()
+        assert snapshot.meta["n_classes"] == 6
+        for name, rows in CLASS_ROWS.items():
+            assert snapshot.arrays[name].shape[0] == 6 * rows, name
+        assert snapshot.arrays["run/worst"].shape == (1, 6)
 
     def test_an_interrupted_homogeneous_study_resumes_on_classes(
             self, tmp_path, monkeypatch):
@@ -723,33 +728,65 @@ class TestCompactTrapState:
         arrays, meta = read_snapshot(directory
                                      / "chunk-00000.progress.npz")
         assert meta["epoch"] == 4
-        assert arrays["bti/weights"].shape[0] <= N_CORES
-        # The only chunk resumes from epoch 4 on its trap classes.
-        rows, advanced, resumed = rows_and_advanced(
-            lambda: homogeneous_study(checkpoint_dir=directory,
-                                      checkpoint_every=4))
-        assert rows == 4 * 12 * N_CORES
-        assert advanced < rows
+        assert meta["n_classes"] == 1
+        assert arrays["bti/weights"].shape[0] == N_CORES
+        # The only chunk resumes from epoch 4 on its one class.
+        reports = []
+        resumed = homogeneous_study(checkpoint_dir=directory,
+                                    checkpoint_every=4,
+                                    on_report=reports.append)
+        assert reports[0].cache_counters["fleet.engine"]["classes"] == 1
         assert_results_bitwise_equal(plain, resumed)
 
-    def test_a_v4_snapshot_is_refused(self, tmp_path, monkeypatch):
-        path = tmp_path / "v4.npz"
+    @pytest.mark.parametrize("break_rows", ["meta", "bti", "em", "run"])
+    def test_rows_of_other_classes_are_refused_before_writing(
+            self, break_rows):
+        # The same study two epochs on, stored as if each chip were a
+        # class of its own (the rows a per-chip layout would write).
+        snapshot = homogeneous_session().advance(5).snapshot()
+        n_chips = 12
+        if break_rows == "meta":
+            snapshot.meta["n_classes"] = n_chips
+        else:
+            for name, rows in CLASS_ROWS.items():
+                if name.startswith(break_rows + "/"):
+                    snapshot.arrays[name] = np.repeat(
+                        snapshot.arrays[name], n_chips, axis=0)
+        session = homogeneous_session().advance(3)
+        with pytest.raises(CheckpointError):
+            session.restore(snapshot)
+        session.advance(2)
+        untouched = homogeneous_session().advance(5)
+        assert_results_bitwise_equal(session.result(), untouched.result())
+
+    def test_a_snapshot_of_another_draw_is_refused(self):
+        # The session fingerprint leaves the drawn variation out, so the
+        # draw itself must match: the run's classes follow from it.
+        snapshot = make_session().advance(3).snapshot()
+        other = make_session(variation=FleetVariationSpec(
+            capture_sigma=0.2))
+        with pytest.raises(CheckpointError, match="variation draw"):
+            other.restore(snapshot)
+        assert other.epoch == 0
+
+    def test_a_v5_snapshot_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "v5.npz"
         snapshot = make_session().advance(2).snapshot()
         monkeypatch.setattr(checkpoint_module,
-                            "CHECKPOINT_SCHEMA_VERSION", 4)
+                            "CHECKPOINT_SCHEMA_VERSION", 5)
         snapshot.save(path)
         monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="schema v4"):
+        with pytest.raises(CheckpointError, match="schema v5"):
             FleetSession.load(path)
 
-    def test_a_v4_directory_is_refused(self, tmp_path):
+    def test_a_v5_directory_is_refused(self, tmp_path):
         directory = tmp_path / "ckpt"
         run_study(checkpoint_dir=directory)
         path = directory / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["schema"] = 4
+        manifest["schema"] = 5
         path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="schema v4"):
+        with pytest.raises(CheckpointError, match="schema v5"):
             resume_fleet_lifetime_study(directory)
 
 
