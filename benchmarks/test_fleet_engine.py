@@ -385,6 +385,12 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     unreachable ratio (pool overhead on a single core makes the
     parallel path *slower* there, which is exactly what the entry
     should show).
+
+    The fleet has no variation, so each chunk advances one chip
+    class: 8 classes x 9 cores x 6 epochs of stacked work, far below
+    ``MIN_CORE_EPOCHS_FOR_POOL``, and the requested pool is not
+    started -- the entry records mode ``"fleet"``, the serial stream
+    at every worker count.
     """
     n_chips = 65_536
     n_epochs = 6
@@ -455,7 +461,10 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
     directory; replaying a completed one would time the cache, not the
     saves) and compares the medians.  The entry records that overhead
     next to the 5% target (``overhead_within_target``) together with
-    every pair's ratio, so a reader sees the spread.  The hard
+    every pair's ratio, so a reader sees the spread, and the cost of
+    one snapshot file in seconds (``per_snapshot_s``: the median
+    checkpointed-minus-plain time over the files a run writes), which
+    does not depend on how cheap the epochs are.  The hard
     assertion is a generous ceiling, so a loaded runner reports an
     honest number instead of flaking, plus bitwise equality of the
     checkpointed, plain, and resumed-from-cache populations.
@@ -473,13 +482,21 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
             max_workers=1, checkpoint_dir=checkpoint_dir,
             checkpoint_every=every if checkpoint_dir else None)
 
+    def snapshot_writes():
+        return cache_counters().get("checkpoint.snapshots",
+                                    {}).get("writes", 0)
+
     plain_runs, ckpt_runs = [], []
     for rep in range(CHECKPOINT_OVERHEAD_REPS):
         t, plain = best_of(run, reps=1)
         plain_runs.append(t)
         directory = tmp_path / f"ckpt-{rep}"
+        before = snapshot_writes()
         t, checkpointed = best_of(lambda: run(directory), reps=1)
         ckpt_runs.append(t)
+        # The study file, one progress snapshot and one result per
+        # chunk.
+        snapshots = snapshot_writes() - before
     # Replaying a completed directory restores every chunk from its
     # result file -- no epoch work at all.
     resume_s, resumed = best_of(lambda: run(directory), reps=1)
@@ -505,6 +522,10 @@ def test_checkpointed_fleet_65k_chips_overhead(benchmark, tmp_path):
         max_chunk_chips=CHUNK_CHIPS_65K, checkpoint_overhead=overhead,
         pair_overheads=[c / p - 1.0 for p, c in zip(plain_runs,
                                                      ckpt_runs)],
+        snapshots_per_run=snapshots,
+        per_snapshot_s=(ckpt_s - plain_s) / snapshots,
+        pair_per_snapshot_s=[(c - p) / snapshots
+                             for p, c in zip(plain_runs, ckpt_runs)],
         reps=CHECKPOINT_OVERHEAD_REPS, statistic="median",
         target_overhead=CHECKPOINT_OVERHEAD_TARGET,
         overhead_within_target=overhead < CHECKPOINT_OVERHEAD_TARGET,

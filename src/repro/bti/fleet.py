@@ -43,7 +43,7 @@ pins these bounds.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +78,26 @@ _STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
 #: about 18 MiB.
 _KERNEL_MEMO_BYTES = 18 * 2 ** 20
 _KERNEL_MEMO_ENTRIES = 64
+
+
+#: ``name -> (shape, dtype)`` of every array of a state mapping.
+StateLayout = Dict[str, Tuple[Tuple[int, ...], np.dtype]]
+
+
+def check_state(arrays: Mapping[str, np.ndarray],
+                layout: StateLayout) -> None:
+    """Raise :class:`~repro.errors.SimulationError`, naming the array,
+    unless ``arrays`` holds every array of ``layout`` in exactly its
+    shape and dtype: the one layout check of the fleet engine's
+    ``load_state`` methods, run before they write anything."""
+    for name, (shape, dtype) in layout.items():
+        if name not in arrays:
+            raise SimulationError(f"state is missing array {name!r}")
+        array = np.asarray(arrays[name])
+        if array.shape != shape or array.dtype != dtype:
+            raise SimulationError(
+                f"state array {name!r} has layout "
+                f"{array.dtype}{array.shape}, expected {dtype}{shape}")
 
 
 def _kernel_nbytes(kernel) -> int:
@@ -205,25 +225,23 @@ class StackedTrapPopulations:
         arrays["time_s"] = np.array(self.time_s, dtype=np.float64)
         return arrays
 
+    def state_layout(self) -> StateLayout:
+        """``(shape, dtype)`` of every :meth:`state_arrays` entry."""
+        dense = (self.n_chips * self.n_units, self.config.n_bins)
+        f64 = np.dtype(np.float64)
+        return {"weights": (dense, f64), "occupancy": (dense, f64),
+                "age_s": (dense, f64), "permanent_v": (dense[:1], f64),
+                "time_s": ((), f64)}
+
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Overwrite the state with a :meth:`state_arrays` mapping.
 
-        Every array is checked before anything is written, so a
-        refused mapping raises :class:`~repro.errors.SimulationError`
-        and leaves the stack as it was.
+        Every array is checked (:func:`check_state`) before anything
+        is written, so a refused mapping raises
+        :class:`~repro.errors.SimulationError` and leaves the stack as
+        it was.
         """
-        dense = (self.n_chips * self.n_units, self.config.n_bins)
-        layouts = {"weights": dense, "occupancy": dense, "age_s": dense,
-                   "permanent_v": dense[:1], "time_s": ()}
-        for name, shape in layouts.items():
-            if name not in arrays:
-                raise SimulationError(f"state array {name!r} is missing")
-            array = arrays[name]
-            if array.shape != shape or array.dtype != np.float64:
-                raise SimulationError(
-                    f"state array {name!r} has layout "
-                    f"{array.dtype}{array.shape}, stack expects "
-                    f"float64{shape}")
+        check_state(arrays, self.state_layout())
         for name in _STATE_NAMES:
             setattr(self, "_" + name, np.array(arrays[name]))
         self.time_s = float(arrays["time_s"])

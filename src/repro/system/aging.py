@@ -19,15 +19,25 @@ Per-core BTI trap dynamics live in
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.bti.fleet import StateLayout, check_state
 from repro.em.line import EmLineConfig, EmStressCondition
 from repro.em.lumped import LumpedEmModel
 from repro.em.wire import PAPER_TEST_WIRE, Wire
 from repro.errors import SimulationError
 from repro.solvers import FactorizationCache
+
+#: The stored per-unit EM state, in the order :meth:`state_arrays`
+#: returns it.
+_STATE_NAMES = ("progress_s", "nucleated", "void_reversible_m",
+                "void_locked_m")
+
+#: Byte budget of the step-rate memo, at most 64 entries of five
+#: ``(n_units,)`` arrays each.
+_STEP_MEMO_BYTES = 64 * 2 ** 20
 
 
 class FleetEmState:
@@ -46,8 +56,7 @@ class FleetEmState:
     def __init__(self, n_units: int,
                  reference: EmStressCondition,
                  wire: Wire = PAPER_TEST_WIRE,
-                 config: Optional[EmLineConfig] = None,
-                 step_cache_size: int = 64):
+                 config: Optional[EmLineConfig] = None):
         if n_units < 1:
             raise SimulationError("n_units must be at least 1")
         if reference.current_density_a_m2 <= 0.0:
@@ -74,13 +83,45 @@ class FleetEmState:
         # The Arrhenius/drift factors of a step depend only on
         # (dt, j, T), never on the void state, so epoch loops that
         # revisit a few (current, temperature) patterns skip both
-        # exponential evaluations on a hit.  ``step_cache_size`` lets
-        # fleet-scale callers bound the entry memory (each entry holds
-        # five (n_units,) arrays).
-        if step_cache_size < 1:
-            raise SimulationError("step_cache_size must be at least 1")
+        # exponential evaluations on a hit.  The memo's size follows
+        # from the unit count under its byte budget.
         self._step_cache = FactorizationCache(
-            maxsize=step_cache_size, name="system.aging.steps")
+            maxsize=max(1, min(64, _STEP_MEMO_BYTES // (5 * 8 * n_units))),
+            name="system.aging.steps")
+
+    # -- state ----------------------------------------------------------
+
+    def state_layout(self) -> StateLayout:
+        """``(shape, dtype)`` of every :meth:`state_arrays` entry."""
+        units, f64 = (self.n_units,), np.dtype(np.float64)
+        return {"progress_s": (units, f64),
+                "nucleated": (units, np.dtype(bool)),
+                "void_reversible_m": (units, f64),
+                "void_locked_m": (units, f64), "time_s": ((), f64)}
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The advancing state, as fresh arrays.
+
+        Keys are ``progress_s``, ``nucleated``, ``void_reversible_m``,
+        ``void_locked_m`` (each ``(n_units,)``) and ``time_s`` (0-d
+        float64).  :meth:`load_state` takes the same mapping.
+        """
+        arrays = {name: getattr(self, name).copy()
+                  for name in _STATE_NAMES}
+        arrays["time_s"] = np.array(self.time_s, dtype=np.float64)
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Overwrite the state with a :meth:`state_arrays` mapping.
+
+        Every array is checked before anything is written, so a
+        refused mapping raises :class:`~repro.errors.SimulationError`
+        and leaves the state as it was.
+        """
+        check_state(arrays, self.state_layout())
+        for name in _STATE_NAMES:
+            setattr(self, name, np.array(arrays[name]))
+        self.time_s = float(arrays["time_s"])
 
     # -- observables ----------------------------------------------------
 

@@ -5,24 +5,13 @@ all-or-nothing batch call: a machine reboot at epoch 719 of 720 loses
 everything.  This module makes fleet state durable and incremental --
 the foundation of the ROADMAP's streaming fleet-reliability service:
 
-* **Snapshot format.**  One snapshot is a plain ``.npz`` archive (no
-  pickled object arrays -- loadable with ``allow_pickle=False``)
-  carrying the full advancing state of a
-  :class:`~repro.system.fleet.FleetSimulator` as the simulator stores
-  it, one row per chip class -- the trap state, the EM accumulators,
-  the demand/migration accumulators and the recorded timeline, so a
-  fleet whose chips age alike writes a few rows, not one per chip --
-  plus the per-chip variation draws, the per-cohort policy/workload
-  copies with their RNG positions and rotation cursors (pickled into
-  a byte array, since they are arbitrary user objects) and the epoch
-  cursor.  The chip -> class map is not in the file: it is a pure
-  function of the study (cohort layout and variation draw), which
-  the restoring simulator recomputes, and a snapshot whose rows do
-  not match its classes is refused.  Every file embeds a JSON
-  meta block with a **schema version** (strictly gated on load: a
-  snapshot written under any other version is refused, never
-  reinterpreted) and a SHA-256 **checksum** over the meta and every
-  array's raw bytes, so torn or corrupt files fail loudly as
+* **Snapshot format (schema v7).**  Every file this module writes is
+  one plain ``.npz`` archive of named arrays (no pickled object
+  arrays -- loadable with ``allow_pickle=False``) plus a JSON meta
+  block, with a **schema version** (strictly gated on load: a file
+  written under any other version is refused, never reinterpreted)
+  and a SHA-256 **checksum** over the meta and every array's raw
+  bytes, so torn or corrupt files fail loudly as
   :class:`~repro.errors.CheckpointError` instead of silently skewing
   a population.  Files are written to a temp name and ``os.replace``d
   into place, so a SIGKILL mid-write can never leave a corrupt file
@@ -30,15 +19,34 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   bytes) under ``checkpoint.snapshots`` in
   :func:`~repro.solvers.cache_counters`.
 
+* **Run snapshots.**  A session or chunk-progress snapshot holds the
+  simulator's own
+  :meth:`~repro.system.fleet.FleetSimulator.state_arrays` (trap, EM
+  and run state one row per chip class, so a fleet whose chips age
+  alike writes a few rows, not one per chip; the variation draw; one
+  ``(n_cohorts, n_cores)`` array per cohort quantity) plus
+  ``cohorts/state``, the cohorts' workload and policy copies with
+  their RNG positions and rotation cursors, pickled into a byte array
+  since they are arbitrary user objects.  The meta holds ``kind``,
+  ``epoch``, the study fingerprint (``digest``) and a chunk's
+  ``chunk_index``, so the member set is the same for every study.
+  The rest -- geometry, cohort layout, cadence, record times, the
+  chip -> class map -- follows from the study the fingerprint pins,
+  and :meth:`~repro.system.fleet.FleetSimulator.load_state` refuses
+  arrays that do not fit the run before it writes anything.
+
 * **Checkpointed studies.**  A fleet study is one normalized,
   validated object (:class:`~repro.system.fleet._FleetStudy`).
   ``run_fleet_lifetime_study(..., checkpoint_dir=...,
-  checkpoint_every=...)`` pins it in ``study.pkl`` and its SHA-256
-  fingerprint with the chunk partition (:func:`study_digest`) in
-  ``manifest.json``, so checkpoints never resume into a *different*
-  study.  Finished chunks persist their
-  :class:`~repro.system.fleet.FleetResult`, in-flight chunks snapshot
-  their run every ``checkpoint_every`` epochs.  Re-invoking the study
+  checkpoint_every=...)`` pins it in the directory's ``study.npz``,
+  whose one array is the pickled study and whose meta holds its
+  SHA-256 fingerprint with the chunk partition (:func:`study_digest`),
+  the chunk height and the cadence, so checkpoints never resume into
+  a *different* study.  Finished chunks persist their
+  :class:`~repro.system.fleet.FleetResult`
+  (``chunk-NNNNN.result.npz``, one row per chip class plus the draw),
+  in-flight chunks snapshot their run every ``checkpoint_every``
+  epochs (``chunk-NNNNN.progress.npz``).  Re-invoking the study
   -- or :func:`resume_fleet_lifetime_study`, which replays the stored
   study from the directory alone -- runs the fleet's one chunk loop:
   the parent restores every complete chunk, then re-runs only the
@@ -49,8 +57,8 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   epoch-by-epoch without a pre-declared horizon: ``advance(n)``,
   quantile queries between calls, ``snapshot()`` / ``save()`` /
   ``restore()`` / ``load()`` for durable hand-off.  A session
-  snapshot is self-contained (it embeds the session's study, with
-  the drawn variation kept in the snapshot arrays), so
+  snapshot is self-contained (``session/spec`` embeds the session's
+  study, with the drawn variation kept in the state arrays), so
   ``FleetSession.load(path)`` rebuilds the session in a fresh
   process, and it carries the study's fingerprint, so ``restore()``
   refuses a snapshot of any other study.  A refused snapshot leaves
@@ -71,7 +79,7 @@ import os
 import pickle
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +95,7 @@ from repro.system.fleet import (
     FleetVariationSpec,
     SchedulingPolicy,
     Workload,
+    _VARIATION_FIELDS,
     _ChunkCheckpoint,
     _FleetStudy,
     _fleet_study,
@@ -99,13 +108,10 @@ from repro.system.sweeps import ChipConfig
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 6
+CHECKPOINT_SCHEMA_VERSION = 7
 
 _MAGIC = "repro.fleet.checkpoint"
-_STUDY_MAGIC = "repro.fleet.checkpoint-study"
 _PICKLE_PROTOCOL = 4
-
-_RUN_KINDS = ("fleet-run", "fleet-session", "fleet-chunk-progress")
 
 
 # -- snapshot primitives ----------------------------------------------------
@@ -260,228 +266,59 @@ class FleetSnapshot:
 # -- run state <-> snapshot -------------------------------------------------
 
 
-_VARIATION_FIELDS = ("capture_scale", "recovery_scale",
-                     "em_current_scale")
-
-#: The fixed-layout arrays of a simulator's state, by owner: each is
-#: saved as ``owner/name`` and restored in place.  The trap state is
-#: saved as ``bti/name`` through the stack's own
-#: ``state_arrays`` / ``load_state`` pair.  The per-chip variation
-#: draw is saved as ``variation/name`` and must match the run's on
-#: restore, since the run's chip classes follow from it.
-_STATE_ARRAYS = (
-    ("em", ("progress_s", "nucleated", "void_reversible_m",
-            "void_locked_m")),
-    ("run", ("migration_events", "total_demand", "total_dropped")),
-)
-
-
-def _state_owners(simulator: FleetSimulator) -> Dict[str, Any]:
-    return {"em": simulator.em, "run": simulator}
-
-
-def _snapshot_run(simulator: FleetSimulator) -> FleetSnapshot:
-    """Capture the full advancing state of a :class:`FleetSimulator`."""
-    n_classes = simulator.n_classes
-    owners = _state_owners(simulator)
-    arrays: Dict[str, np.ndarray] = {
-        f"bti/{name}": array
-        for name, array in simulator.bti.state_arrays().items()}
-    arrays.update({
-        f"{owner}/{name}": getattr(owners[owner], name).copy()
-        for owner, names in _STATE_ARRAYS for name in names})
-    arrays.update({
-        f"variation/{name}": getattr(simulator.variation, name).copy()
-        for name in _VARIATION_FIELDS})
-    arrays.update({
-        "em/time_s": np.array(simulator.em.time_s, dtype=np.float64),
-        "run/times": np.array(simulator.times, dtype=np.float64),
-        "run/worst": np.array(simulator.worst).reshape(-1, n_classes),
-        "run/mean": np.array(simulator.mean).reshape(-1, n_classes),
-        "run/dropped": np.array(simulator.dropped).reshape(-1, n_classes),
-        "cohorts/state": np.frombuffer(
-            pickle.dumps([(c.workload, c.policy)
-                          for c in simulator.cohorts],
-                         protocol=_PICKLE_PROTOCOL),
-            dtype=np.uint8),
-    })
-    has_previous_utilization: List[bool] = []
-    for index, cohort in enumerate(simulator.cohorts):
-        arrays[f"cohort{index}/previous_recovering"] = \
-            np.asarray(cohort.previous_recovering).copy()
-        has_util = cohort.previous_utilization is not None
-        has_previous_utilization.append(has_util)
-        if has_util:
-            arrays[f"cohort{index}/previous_utilization"] = \
-                np.asarray(cohort.previous_utilization).copy()
-    if simulator.cohort_temps is not None:
-        for index, temps in enumerate(simulator.cohort_temps):
-            arrays[f"readout/temps{index}"] = \
-                np.asarray(temps, dtype=np.float64).copy()
-    meta = {
-        "kind": "fleet-run",
-        "epoch": int(simulator.epoch),
-        "n_epochs": (None if simulator.n_epochs is None
-                     else int(simulator.n_epochs)),
-        "record_every": int(simulator.record_every),
-        "n_chips": int(simulator.n_chips),
-        "n_cores": int(simulator.n_cores),
-        "n_cohorts": len(simulator.cohorts),
-        "cohort_bounds": [[int(c.start), int(c.stop)]
-                          for c in simulator.cohorts],
-        "n_classes": int(n_classes),
-        "has_previous_utilization": has_previous_utilization,
-        "has_readout": simulator.cohort_temps is not None,
-        "epoch_s": float(simulator.epoch_s),
-    }
-    return FleetSnapshot(arrays=arrays, meta=meta)
+def _snapshot_run(simulator: FleetSimulator,
+                  meta: Dict[str, Any]) -> FleetSnapshot:
+    """Capture the full advancing state of a :class:`FleetSimulator`:
+    its :meth:`~FleetSimulator.state_arrays`, the cohorts' workload
+    and policy copies and, in ``meta``, the epoch."""
+    arrays = simulator.state_arrays()
+    arrays["cohorts/state"] = np.frombuffer(
+        pickle.dumps([(cohort.workload, cohort.policy)
+                      for cohort in simulator.cohorts],
+                     protocol=_PICKLE_PROTOCOL),
+        dtype=np.uint8)
+    return FleetSnapshot(arrays=arrays,
+                         meta={**meta, "epoch": simulator.epoch})
 
 
 def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
-                 digest: Optional[str] = None) -> None:
+                 digest: str) -> None:
     """Overwrite a simulator's advancing state from a snapshot.
 
-    The snapshot must come from the simulator's own study (geometry,
-    cohort layout, cadence and, when ``digest`` is given, the study
-    fingerprint).  Every check -- meta, fingerprint, the presence of
-    every array and the layout of every array written in place --
-    runs before anything is written, so a refused snapshot raises
+    The snapshot must carry the study fingerprint ``digest`` of the
+    simulator's own study, which pins its geometry, cohort layout and
+    cadence; :meth:`FleetSimulator.load_state` then checks every array
+    against the simulator's layout.  Every check runs before anything
+    is written, so a refused snapshot raises
     :class:`~repro.errors.CheckpointError` and leaves the simulator
     exactly as it was.
     """
     arrays, meta = snapshot.arrays, snapshot.meta
-    kind = meta.get("kind") if isinstance(meta, dict) else None
-    if kind not in _RUN_KINDS:
-        raise CheckpointError(
-            f"snapshot kind {kind!r} is not a fleet run")
-    cohorts = simulator.cohorts
-    expectations = (
-        ("n_chips", simulator.n_chips),
-        ("n_cores", simulator.n_cores),
-        ("record_every", simulator.record_every),
-        ("n_epochs", simulator.n_epochs),
-        ("n_cohorts", len(cohorts)),
-        ("cohort_bounds", [[c.start, c.stop] for c in cohorts]),
-        ("n_classes", simulator.n_classes),
-        ("epoch_s", float(simulator.epoch_s)),
-    )
-    for key, expected in expectations:
-        if meta.get(key) != expected:
-            raise CheckpointError(
-                f"snapshot {key}={meta.get(key)!r} does not match "
-                f"the run's {key}={expected!r}")
-    if digest is not None and meta.get("digest") != digest:
+    if not isinstance(meta, dict) or meta.get("digest") != digest:
         raise CheckpointError(
             "snapshot belongs to a different study (fingerprint "
-            "mismatch); restore it into a session of that study")
-    epoch, horizon = meta.get("epoch"), simulator.n_epochs
-    if (type(epoch) is not int or epoch < 0
-            or (horizon is not None and epoch > horizon)):
-        raise CheckpointError(
-            f"snapshot epoch={epoch!r} is not an epoch of the run")
-    has_util = meta.get("has_previous_utilization")
-    if (not isinstance(has_util, list) or len(has_util) != len(cohorts)
-            or any(type(flag) is not bool for flag in has_util)):
-        raise CheckpointError(
-            "snapshot has_previous_utilization must hold one flag per "
-            "cohort")
-    if type(meta.get("has_readout")) is not bool:
-        raise CheckpointError("snapshot has_readout must be a flag")
-    owners = _state_owners(simulator)
+            "mismatch)")
+    if "cohorts/state" not in arrays:
+        raise CheckpointError("snapshot is missing array 'cohorts/state'")
     try:
-        copies = [(getattr(owners[owner], name),
-                   arrays[f"{owner}/{name}"], f"{owner}/{name}")
-                  for owner, names in _STATE_ARRAYS for name in names]
-        scales = [(arrays[f"variation/{name}"],
-                   getattr(simulator.variation, name))
-                  for name in _VARIATION_FIELDS]
-        em_time_s = float(arrays["em/time_s"])
-        times = [float(stamp) for stamp in arrays["run/times"]]
-        records = []
-        for name in ("worst", "mean", "dropped"):
-            rows = arrays[f"run/{name}"]
-            if rows.shape != (len(times), simulator.n_classes):
-                raise CheckpointError(
-                    f"snapshot array 'run/{name}' has shape "
-                    f"{rows.shape}, not one row per record")
-            records.append([np.array(row) for row in rows])
-        previous = [
-            (arrays[f"cohort{index}/previous_recovering"].copy(),
-             arrays[f"cohort{index}/previous_utilization"].copy()
-             if has_util[index] else None)
-            for index in range(len(cohorts))]
-        cohort_temps = None
-        if meta["has_readout"]:
-            cohort_temps = [arrays[f"readout/temps{index}"].copy()
-                            for index in range(len(cohorts))]
-        state = arrays["cohorts/state"].tobytes()
-    except KeyError as error:
-        raise CheckpointError(
-            f"snapshot is missing array {error}") from error
-    except (TypeError, ValueError, AttributeError) as error:
-        raise CheckpointError(
-            f"snapshot arrays are malformed: {error}") from error
-    try:
-        pairs = pickle.loads(state)
+        pairs = pickle.loads(arrays["cohorts/state"].tobytes())
     except Exception as error:
         raise CheckpointError(
             f"snapshot cohort state is corrupt: {error}") from error
+    cohorts = simulator.cohorts
     if (not isinstance(pairs, list) or len(pairs) != len(cohorts)
             or any(not isinstance(pair, tuple) or len(pair) != 2
                    for pair in pairs)):
         raise CheckpointError(
             "snapshot cohort state does not match the run's "
             "cohort layout")
-    # Every array written in place keeps its layout, and the
-    # per-cohort arrays the next epoch reads hold one entry per core.
-    core = (simulator.n_cores,)
-    layouts = [(name, source, destination.shape, destination.dtype)
-               for destination, source, name in copies]
-    for index, (recovering, utilization) in enumerate(previous):
-        layouts.append((f"cohort{index}/previous_recovering",
-                        recovering, core, np.dtype(bool)))
-        if utilization is not None:
-            layouts.append((f"cohort{index}/previous_utilization",
-                            utilization, core, utilization.dtype))
-    for index, temps in enumerate(cohort_temps or ()):
-        layouts.append((f"readout/temps{index}", temps, core,
-                        temps.dtype))
-    for name, source, shape, dtype in layouts:
-        if source.shape != shape or source.dtype != dtype:
-            raise CheckpointError(
-                f"snapshot array {name!r} has layout "
-                f"{source.dtype}{source.shape}, run expects "
-                f"{dtype}{shape}")
-    # The run's chip classes follow from its variation draw, so the
-    # snapshot's rows belong to this run only under the same draw.
-    for source, own in scales:
-        if (source.shape != own.shape or source.dtype != own.dtype
-                or source.tobytes() != own.tobytes()):
-            raise CheckpointError(
-                "snapshot variation draw differs from the run's; "
-                "restore it into a session of that draw")
-    # The trap stack checks its arrays before it writes any, and it is
-    # the first write, so a refusal still leaves the run as it was.
     try:
-        simulator.bti.load_state(
-            {name[len("bti/"):]: array for name, array in arrays.items()
-             if name.startswith("bti/")})
+        simulator.load_state(arrays, meta.get("epoch"))
     except SimulationError as error:
-        raise CheckpointError(f"snapshot trap state: {error}") from error
-    # Every check passed; nothing below can refuse the snapshot.
-    for destination, source, _ in copies:
-        destination[...] = source
-    simulator.em.time_s = em_time_s
-    simulator.times = times
-    simulator.worst, simulator.mean, simulator.dropped = records
-    for cohort, (workload, policy), (recovering, utilization) in zip(
-            cohorts, pairs, previous):
+        raise CheckpointError(f"snapshot {error}") from error
+    for cohort, (workload, policy) in zip(cohorts, pairs):
         cohort.workload = workload
         cohort.policy = policy
-        cohort.previous_recovering = recovering
-        cohort.previous_utilization = utilization
-    simulator.cohort_temps = cohort_temps
-    simulator.epoch = epoch
 
 
 # -- chunk result <-> snapshot ----------------------------------------------
@@ -560,14 +397,8 @@ def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
     return FleetResult(variation=variation, n_epochs=n_epochs, **fields)
 
 
-def _result_path(ckpt: _ChunkCheckpoint, index: int) -> str:
-    return os.path.join(ckpt.directory,
-                        f"chunk-{index:05d}.result.npz")
-
-
-def _progress_path(ckpt: _ChunkCheckpoint, index: int) -> str:
-    return os.path.join(ckpt.directory,
-                        f"chunk-{index:05d}.progress.npz")
+def _chunk_path(ckpt: _ChunkCheckpoint, index: int, part: str) -> str:
+    return os.path.join(ckpt.directory, f"chunk-{index:05d}.{part}.npz")
 
 
 def save_chunk_result(ckpt: _ChunkCheckpoint, index: int,
@@ -577,10 +408,10 @@ def save_chunk_result(ckpt: _ChunkCheckpoint, index: int,
     meta = {"kind": "fleet-chunk-result", "digest": ckpt.digest,
             "chunk_index": int(index),
             "n_epochs": int(result.n_epochs)}
-    write_snapshot(_result_path(ckpt, index),
+    write_snapshot(_chunk_path(ckpt, index, "result"),
                    _result_to_arrays(result, study), meta)
     try:
-        os.remove(_progress_path(ckpt, index))
+        os.remove(_chunk_path(ckpt, index, "progress"))
     except OSError:
         pass
 
@@ -589,7 +420,7 @@ def load_chunk_result(ckpt: _ChunkCheckpoint, index: int,
                       study: _FleetStudy) -> Optional[FleetResult]:
     """The persisted result of chunk ``study``, or ``None`` if not
     finished."""
-    path = _result_path(ckpt, index)
+    path = _chunk_path(ckpt, index, "result")
     if not os.path.exists(path):
         return None
     arrays, meta = read_snapshot(path)
@@ -609,11 +440,10 @@ def load_chunk_result(ckpt: _ChunkCheckpoint, index: int,
 def save_chunk_progress(ckpt: _ChunkCheckpoint, index: int,
                         simulator: FleetSimulator) -> None:
     """Snapshot one chunk's in-flight run (atomic overwrite)."""
-    snapshot = _snapshot_run(simulator)
-    snapshot.meta["kind"] = "fleet-chunk-progress"
-    snapshot.meta["digest"] = ckpt.digest
-    snapshot.meta["chunk_index"] = int(index)
-    write_snapshot(_progress_path(ckpt, index), snapshot.arrays,
+    snapshot = _snapshot_run(simulator, {
+        "kind": "fleet-chunk-progress", "digest": ckpt.digest,
+        "chunk_index": int(index)})
+    write_snapshot(_chunk_path(ckpt, index, "progress"), snapshot.arrays,
                    snapshot.meta)
 
 
@@ -625,7 +455,7 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
     cursor now sits at the snapshot's epoch); ``False`` when no
     progress snapshot exists and the run starts from epoch 0.
     """
-    path = _progress_path(ckpt, index)
+    path = _chunk_path(ckpt, index, "progress")
     if not os.path.exists(path):
         return False
     arrays, meta = read_snapshot(path)
@@ -633,11 +463,8 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
             or meta.get("chunk_index") != index):
         raise CheckpointError(
             f"{path} is not the progress of chunk {index}")
-    if meta.get("digest") != ckpt.digest:
-        raise CheckpointError(
-            f"{path} belongs to a different study "
-            "(fingerprint mismatch)")
-    _restore_run(simulator, FleetSnapshot(arrays=arrays, meta=meta))
+    _restore_run(simulator, FleetSnapshot(arrays=arrays, meta=meta),
+                 ckpt.digest)
     return True
 
 
@@ -667,38 +494,25 @@ def study_digest(study: _FleetStudy, bounds) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _load_manifest(path: str) -> Dict[str, Any]:
-    """Read and gate a study ``manifest.json``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise CheckpointError(
-            f"cannot read study manifest {path}: {error}") from error
-    if (not isinstance(manifest, dict)
-            or manifest.get("magic") != _STUDY_MAGIC):
-        raise CheckpointError(
-            f"{path} is not a fleet checkpoint manifest")
-    schema = manifest.get("schema")
-    if schema != CHECKPOINT_SCHEMA_VERSION:
-        raise CheckpointError(
-            f"{path} was written under checkpoint schema "
-            f"v{schema}; this build reads only "
-            f"v{CHECKPOINT_SCHEMA_VERSION}")
-    return manifest
+def _read_study(path: str) -> Tuple[np.ndarray, Dict[str, Any]]:
+    """The pickled study bytes and the meta of a ``study.npz``."""
+    arrays, meta = read_snapshot(path)
+    if meta.get("kind") != "fleet-study" or "study" not in arrays:
+        raise CheckpointError(f"{path} is not a fleet study file")
+    return arrays["study"], meta
 
 
 def prepare_study_directory(directory, study: _FleetStudy, bounds, *,
                             every: Optional[int]) -> _ChunkCheckpoint:
     """Create (or re-open) a study's checkpoint directory.
 
-    First invocation writes ``manifest.json`` (magic, schema version,
-    study digest, geometry) plus ``study.pkl`` -- the pickled study,
-    chunk height and checkpoint cadence that
+    First invocation writes ``study.npz``, a snapshot file whose one
+    array is the pickled study and whose meta holds the study digest,
+    the chunk height and the checkpoint cadence that
     :func:`resume_fleet_lifetime_study` replays.  Re-opening verifies
-    the manifest's schema and digest, so resuming a *different* study
-    against an existing directory fails loudly instead of mixing
-    state.
+    the file (schema, checksum) and its digest, so resuming a
+    *different* study against an existing directory fails loudly
+    instead of mixing state.
     """
     if every is not None and every < 1:
         raise SimulationError(
@@ -706,36 +520,19 @@ def prepare_study_directory(directory, study: _FleetStudy, bounds, *,
     directory = os.fspath(directory)
     digest = study_digest(study, bounds)
     os.makedirs(directory, exist_ok=True)
-    manifest_path = os.path.join(directory, "manifest.json")
-    if os.path.exists(manifest_path):
-        manifest = _load_manifest(manifest_path)
-        if manifest.get("digest") != digest:
+    path = os.path.join(directory, "study.npz")
+    if os.path.exists(path):
+        if _read_study(path)[1].get("digest") != digest:
             raise CheckpointError(
                 f"{directory} holds checkpoints of a different "
                 "study (fingerprint mismatch); use a fresh "
                 "directory or re-invoke the original study")
     else:
-        manifest = {
-            "magic": _STUDY_MAGIC,
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "digest": digest,
-            "n_chips": int(bounds[-1].stop),
-            "n_chunks": len(bounds),
-            "n_epochs": study.n_epochs,
-            "record_every": study.record_every,
-            "checkpoint_every": every,
-        }
-        spec = {"study": study, "chunk_chips": bounds[0].n_items,
-                "checkpoint_every": every}
-        spec_path = os.path.join(directory, "study.pkl")
-        tmp = f"{spec_path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            pickle.dump(spec, handle, protocol=_PICKLE_PROTOCOL)
-        os.replace(tmp, spec_path)
-        tmp = f"{manifest_path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
-        os.replace(tmp, manifest_path)
+        write_snapshot(path, {"study": np.frombuffer(
+            pickle.dumps(study, protocol=_PICKLE_PROTOCOL),
+            dtype=np.uint8)},
+            {"kind": "fleet-study", "digest": digest,
+             "chunk_chips": bounds[0].n_items, "checkpoint_every": every})
     return _ChunkCheckpoint(directory=directory, every=every,
                             digest=digest)
 
@@ -746,7 +543,7 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
                                 on_report=None) -> FleetResult:
     """Resume a killed checkpointed study from its directory alone.
 
-    Replays the exact study pinned in the directory's ``study.pkl``
+    Replays the exact study pinned in the directory's ``study.npz``
     (written by the original
     :func:`~repro.system.fleet.run_fleet_lifetime_study` call):
     complete chunks load from their result files, incomplete ones
@@ -757,28 +554,19 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
     invocation -- they do not affect the result.
     """
     directory = os.fspath(checkpoint_dir)
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
+    path = os.path.join(directory, "study.npz")
+    if not os.path.exists(path):
         raise CheckpointError(
-            f"{directory} has no study manifest; nothing to resume")
-    _load_manifest(manifest_path)
-    spec_path = os.path.join(directory, "study.pkl")
-    if not os.path.exists(spec_path):
-        raise CheckpointError(
-            f"{directory} has no study spec; re-invoke "
-            "run_fleet_lifetime_study with the original arguments "
-            "and checkpoint_dir to resume")
+            f"{directory} has no study file; nothing to resume")
+    payload, meta = _read_study(path)
     try:
-        with open(spec_path, "rb") as handle:
-            spec = pickle.load(handle)
-        study = spec["study"]
+        study = pickle.loads(payload.tobytes())
         if not isinstance(study, _FleetStudy):
             raise TypeError(f"{type(study).__name__} is not a study")
-        chunk_chips, every = spec["chunk_chips"], spec["checkpoint_every"]
+        chunk_chips, every = meta["chunk_chips"], meta["checkpoint_every"]
     except Exception as error:
         raise CheckpointError(
-            f"cannot read study spec {spec_path}: {error}"
-        ) from error
+            f"cannot read study spec {path}: {error}") from error
     return _run_study(study.chip.build(), study, chunk_chips,
                       max_workers=max_workers, retries=retries,
                       on_report=on_report, checkpoint_every=every,
@@ -897,9 +685,8 @@ class FleetSession:
 
     def snapshot(self) -> FleetSnapshot:
         """Capture the full session state as a self-contained snapshot."""
-        snapshot = _snapshot_run(self._simulator)
-        snapshot.meta["kind"] = "fleet-session"
-        snapshot.meta["digest"] = self._digest()
+        snapshot = _snapshot_run(self._simulator, {
+            "kind": "fleet-session", "digest": self._digest()})
         # The drawn variation travels as arrays, not in the spec.
         snapshot.arrays["session/spec"] = np.frombuffer(
             pickle.dumps(replace(self._study, variation=None),
@@ -929,7 +716,7 @@ class FleetSession:
         """
         if not isinstance(snapshot, FleetSnapshot):
             snapshot = FleetSnapshot.load(snapshot)
-        _restore_run(self._simulator, snapshot, digest=self._digest())
+        _restore_run(self._simulator, snapshot, self._digest())
         return self
 
     @classmethod

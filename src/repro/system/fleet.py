@@ -87,15 +87,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, List, Mapping, Optional, Protocol,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from repro import units
 from repro.bti.calibration import default_calibration
 from repro.bti.conditions import BtiConditionKernels
-from repro.bti.fleet import StackedTrapPopulations
+from repro.bti.fleet import (StackedTrapPopulations, StateLayout,
+                             check_state)
 from repro.em.line import EmStressCondition
 from repro.errors import CheckpointError, SimulationError, TaskError
 from repro.solvers import FactorizationCache, record_counters
@@ -120,10 +121,15 @@ from repro.system.workload import PhasedWorkload
 #: always runs the 64-bin configuration).
 _FLEET_N_BINS = 64
 
-#: Memory budget of each condition-side memo: the EM step rates, the
-#: epoch condition bundles and the per-assignment base conditions (the
-#: BTI kernel memo bounds itself, see :mod:`repro.bti.fleet`).
+#: Memory budget of each condition memo: the epoch condition bundles
+#: and the per-assignment base conditions (the BTI kernel and EM
+#: step-rate memos bound themselves, see :mod:`repro.bti.fleet` and
+#: :mod:`repro.system.aging`).
 _MEMO_BUDGET_BYTES = 64 * 2 ** 20
+
+#: The three per-chip variation scales, by field name.
+_VARIATION_FIELDS = ("capture_scale", "recovery_scale",
+                     "em_current_scale")
 
 
 # -- one chip's inputs and result -------------------------------------------
@@ -154,8 +160,7 @@ class ChipVariation:
     em_current_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("capture_scale", "recovery_scale",
-                     "em_current_scale"):
+        for name in _VARIATION_FIELDS:
             if getattr(self, name) <= 0.0:
                 raise SimulationError(f"{name} must be positive")
 
@@ -316,8 +321,7 @@ class FleetVariation:
 
     def __post_init__(self) -> None:
         n = len(self.capture_scale)
-        for name in ("capture_scale", "recovery_scale",
-                     "em_current_scale"):
+        for name in _VARIATION_FIELDS:
             array = getattr(self, name)
             if array.shape != (n,):
                 raise SimulationError(
@@ -780,10 +784,12 @@ class FleetSimulator:
     (see the module docstring for the exactness contract this
     preserves), and the per-cohort conditions are gathered into one
     stacked advance.  An advance can stop after any epoch and continue
-    later (or in another process, via :mod:`repro.system.checkpoint`)
-    with a trajectory bit-identical to an uninterrupted run: every
-    cross-epoch input is either stored here or recomputed as the same
-    pure function of the stored state.
+    later (or in another process: :meth:`state_arrays` and
+    :meth:`load_state` move the state that
+    :mod:`repro.system.checkpoint` writes) with a trajectory
+    bit-identical to an uninterrupted run: every cross-epoch input is
+    either stored here or recomputed as the same pure function of the
+    stored state.
 
     An open horizon (``n_epochs`` is ``None``, the
     :class:`~repro.system.checkpoint.FleetSession` mode) records by
@@ -827,15 +833,11 @@ class FleetSimulator:
         population = replace(
             calibration.model_config.population, n_bins=_FLEET_N_BINS)
         self.bti = StackedTrapPopulations(n_classes, n_cores, population)
-        # EM rate entries are five (rows,) arrays -- far lighter.
-        em_entries = max(1, _budget_entries(
-            _MEMO_BUDGET_BYTES, 5 * rows * 8, cap=64))
         self.em = FleetEmState(
             rows, EmStressCondition(
                 current_density_a_m2=chip.core.grid_current_density_a_m2,
                 temperature_k=units.celsius_to_kelvin(85.0),
-                name="grid reference"),
-            step_cache_size=em_entries)
+                name="grid reference"))
         self.kernels = BtiConditionKernels(
             calibration.model_config.acceleration,
             calibration.model_config.reference_stress,
@@ -939,7 +941,6 @@ class FleetSimulator:
         epoch_s = self.epoch_s
         oscillator = self.chip.core.oscillator
         cohorts = self.cohorts
-        record_every = self.record_every
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
@@ -982,8 +983,7 @@ class FleetSimulator:
                      cond.recovery, kernel_key=token)
             em.step(epoch_s, cond.j_flat, cond.temps_flat, key=token)
             delta_vth = bti.delta_vth_v()
-            if ((epoch + 1) % record_every == 0
-                    or (horizon is not None and epoch == horizon - 1)):
+            if self._recorded(epoch):
                 degradation = oscillator.delay_degradation_array(
                     delta_vth)
                 self.times.append((epoch + 1) * epoch_s)
@@ -995,6 +995,129 @@ class FleetSimulator:
                 self.dropped.append(dropped_epoch)
         self.epoch += n_epochs
         self.cohort_temps = [temps.copy() for temps in cond.cohort_temps]
+
+    def _recorded(self, epoch: int) -> bool:
+        """Whether the run records the state after epoch ``epoch``
+        (0-based): every ``record_every``-th epoch and a declared
+        horizon's last."""
+        return ((epoch + 1) % self.record_every == 0
+                or epoch + 1 == self.n_epochs)
+
+    # -- state -------------------------------------------------------------
+
+    def _state_layout(self, epoch: int) -> StateLayout:
+        """``(shape, dtype)`` of every :meth:`state_arrays` entry after
+        ``epoch`` epochs."""
+        f64 = np.dtype(np.float64)
+        classes = (self.n_classes,)
+        records = (sum(map(self._recorded, range(epoch))), self.n_classes)
+        per_core = (len(self.cohorts), self.n_cores)
+        layout = {f"bti/{name}": spec
+                  for name, spec in self.bti.state_layout().items()}
+        layout.update((f"em/{name}", spec)
+                      for name, spec in self.em.state_layout().items())
+        layout.update((f"variation/{name}", ((self.n_chips,), f64))
+                      for name in _VARIATION_FIELDS)
+        layout.update({
+            "run/migration_events": (classes, np.dtype(np.int64)),
+            "run/total_demand": (classes, f64),
+            "run/total_dropped": (classes, f64),
+            "run/worst": (records, f64), "run/mean": (records, f64),
+            "run/dropped": (records, f64),
+            "cohorts/previous_recovering": (per_core, np.dtype(bool)),
+            "cohorts/previous_utilization": (per_core, f64),
+            "readout/temps": (per_core, f64)})
+        return layout
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The advancing state, as fresh arrays.
+
+        Keys are the trap stack's and the EM accumulators' own
+        ``state_arrays`` under ``bti/`` and ``em/``; the per-chip
+        variation draw under ``variation/``; the per-class demand and
+        migration totals and the recorded ``worst`` / ``mean`` /
+        ``dropped`` series (``(n_records, n_classes)`` each) under
+        ``run/``; and, one ``(n_cohorts, n_cores)`` array each, every
+        cohort's previous recovery flags and utilizations
+        (``cohorts/``) and its read-out temperatures
+        (``readout/temps``), zeros before the first epoch.  The key
+        set is the same for every study.  The epoch is not an array:
+        :meth:`load_state` takes it and recomputes the record times.
+        The cohorts' workload and policy copies are not included.
+        """
+        arrays = {f"bti/{name}": array
+                  for name, array in self.bti.state_arrays().items()}
+        arrays.update((f"em/{name}", array)
+                      for name, array in self.em.state_arrays().items())
+        arrays.update((f"variation/{name}",
+                       getattr(self.variation, name).copy())
+                      for name in _VARIATION_FIELDS)
+        cohorts = self.cohorts
+        fresh = self.epoch == 0
+        zeros = np.zeros((len(cohorts), self.n_cores))
+        arrays.update({
+            "run/migration_events": self.migration_events.copy(),
+            "run/total_demand": self.total_demand.copy(),
+            "run/total_dropped": self.total_dropped.copy(),
+            "cohorts/previous_recovering": np.array(
+                [cohort.previous_recovering for cohort in cohorts]),
+            "cohorts/previous_utilization": zeros if fresh else np.array(
+                [cohort.previous_utilization for cohort in cohorts]),
+            "readout/temps": (zeros.copy() if fresh
+                              else np.array(self.cohort_temps))})
+        for name in ("worst", "mean", "dropped"):
+            arrays[f"run/{name}"] = np.array(
+                getattr(self, name)).reshape(-1, self.n_classes)
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray],
+                   epoch: int) -> None:
+        """Overwrite the state with a :meth:`state_arrays` mapping taken
+        after ``epoch`` epochs.
+
+        Every array must have this simulator's layout (its chip
+        classes, cohorts and cores, and the records ``epoch`` epochs
+        leave), and the variation draw must equal the simulator's bit
+        for bit, since the chip classes follow from it.  Every check
+        runs before anything is written, so a refused mapping raises
+        :class:`~repro.errors.SimulationError` and leaves the
+        simulator as it was.  The cohorts' workload and policy copies
+        are the caller's to restore.
+        """
+        horizon = self.n_epochs
+        if (type(epoch) is not int or epoch < 0
+                or (horizon is not None and epoch > horizon)):
+            raise SimulationError(
+                f"epoch={epoch!r} is not an epoch of the run")
+        check_state(arrays, self._state_layout(epoch))
+        for name in _VARIATION_FIELDS:
+            if (np.asarray(arrays[f"variation/{name}"]).tobytes()
+                    != getattr(self.variation, name).tobytes()):
+                raise SimulationError(
+                    "variation draw differs from the run's; restore "
+                    "it into a session of that draw")
+        # Every check passed; nothing below can refuse the mapping.
+        for prefix, owner in (("bti/", self.bti), ("em/", self.em)):
+            owner.load_state({name[len(prefix):]: array
+                              for name, array in arrays.items()
+                              if name.startswith(prefix)})
+        self.migration_events, self.total_demand, self.total_dropped = (
+            np.array(arrays[f"run/{name}"]) for name in
+            ("migration_events", "total_demand", "total_dropped"))
+        self.worst, self.mean, self.dropped = (
+            list(np.array(arrays[f"run/{name}"]))
+            for name in ("worst", "mean", "dropped"))
+        self.times = [(past + 1) * self.epoch_s for past in range(epoch)
+                      if self._recorded(past)]
+        recovering = np.array(arrays["cohorts/previous_recovering"])
+        utilization = np.array(arrays["cohorts/previous_utilization"])
+        for index, cohort in enumerate(self.cohorts):
+            cohort.previous_recovering = recovering[index]
+            cohort.previous_utilization = (utilization[index] if epoch
+                                           else None)
+        self.cohort_temps = (list(np.array(arrays["readout/temps"]))
+                             if epoch else None)
+        self.epoch = epoch
 
     def delta_vth_v(self) -> np.ndarray:
         """Per-core threshold shift of every chip, ``(n_chips,
@@ -1053,7 +1176,7 @@ class _FleetStudy:
     """Everything that decides a fleet study's result, validated once.
 
     Built by :func:`_fleet_study`; the chunk executor, the checkpoint
-    digest, ``study.pkl`` and session snapshots all take this object,
+    digest, ``study.npz`` and session snapshots all take this object,
     and :meth:`simulator` is the one way to build a
     :class:`FleetSimulator`.  ``n_epochs`` is ``None`` for an
     open-ended session.  A row slice keeps a
@@ -1245,10 +1368,12 @@ def _chunk_size(study: _FleetStudy, n_cores: int,
 # -- the chunk loop ---------------------------------------------------------
 
 
-#: Below this much stacked work (``n_chips * n_cores * n_epochs``) the
-#: chunked runner never starts a process pool: pool spawn plus chip
-#: pickling costs tens of milliseconds, which dominates small fleets.
-#: It is one of the serial reasons :func:`_run_study` decides once.
+#: Below this much stacked work in the pending chunks (``classes *
+#: n_cores * n_epochs``, counting each chunk's most chip classes,
+#: :meth:`_FleetStudy.max_classes`) the chunked runner never starts a
+#: process pool: pool spawn plus chip pickling costs tens of
+#: milliseconds, which dominates small or unvaried fleets.  It is one
+#: of the serial reasons :func:`_run_study` decides once.
 MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
 
 
@@ -1384,7 +1509,11 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                         value=part, failure=None, retries=0,
                         wall_time_s=time.perf_counter() - load_started,
                         cache_delta={}))
-        work = study.n_chips * built.n_cores * study.n_epochs
+        # A chunk advances one row per chip class, so the pending work
+        # is counted in classes, not chips.
+        classes = sum(task.study.max_classes(task.study.n_chips)
+                      for task in pending)
+        work = classes * built.n_cores * study.n_epochs
         if not pending:
             reason = "every chunk restored from checkpoint"
         elif workers <= 1:
@@ -1392,8 +1521,8 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
         elif n_chunks < 2:
             reason = "single chunk"
         elif work < MIN_CORE_EPOCHS_FOR_POOL:
-            reason = (f"{work} core-epochs below pool threshold "
-                      f"{MIN_CORE_EPOCHS_FOR_POOL}")
+            reason = (f"{classes} chip classes: {work} core-epochs "
+                      f"below pool threshold {MIN_CORE_EPOCHS_FOR_POOL}")
         else:
             try:
                 # A later chunk may still hide an unpicklable group;

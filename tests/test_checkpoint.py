@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import zipfile
 
 import numpy as np
 import pytest
@@ -263,17 +264,16 @@ class TestFleetSession:
         other = FleetSession((2, 2), 9, workload(), policy(),
                              record_every=2, variation=VARIATION,
                              seed=7)
-        with pytest.raises(CheckpointError, match="n_chips"):
-            other.restore(snapshot)
+        # The study fingerprint pins the geometry and the cadence, and
+        # it also tells apart a same-geometry study of another policy,
+        # whose snapshot would run its policy under this session's
+        # study.
         cadence = make_session(record_every=3)
-        with pytest.raises(CheckpointError, match="record_every"):
-            cadence.restore(snapshot)
-        # Same geometry, another policy: only the study fingerprint
-        # tells the snapshot apart, and adopting it would run the
-        # snapshot's policy under this session's study.
         control = make_session(policy=NoRecoveryPolicy())
-        with pytest.raises(CheckpointError, match="different study"):
-            control.restore(snapshot)
+        for session in (other, cadence, control):
+            with pytest.raises(CheckpointError, match="different study"):
+                session.restore(snapshot)
+            assert session.epoch == 0
 
     def test_refused_foreign_restore_leaves_the_session_intact(self):
         # A same-geometry snapshot of another policy passes every
@@ -467,8 +467,7 @@ class TestCheckpointedStudy:
         names = sorted(os.listdir(directory))
         assert names == ["chunk-00000.result.npz",
                          "chunk-00001.result.npz",
-                         "chunk-00002.result.npz",
-                         "manifest.json", "study.pkl"]
+                         "chunk-00002.result.npz", "study.npz"]
         arrays, meta = read_snapshot(
             directory / "chunk-00001.result.npz")
         assert meta["kind"] == "fleet-chunk-result"
@@ -477,14 +476,20 @@ class TestCheckpointedStudy:
                                                             N_CORES)
 
     def test_study_spec_round_trips_through_pickle(self, tmp_path):
+        # study.npz is a snapshot file like every other: the pickled
+        # study is its one array, the execution layout its meta.
         directory = tmp_path / "ckpt"
         run_study(checkpoint_dir=directory)
-        with open(directory / "study.pkl", "rb") as handle:
-            spec = pickle.load(handle)
-        assert spec["study"].n_epochs == 6
-        assert spec["checkpoint_every"] is None
-        chip = spec["study"].chip
-        assert chip.rows == 2 and chip.cols == 2
+        arrays, meta = read_snapshot(directory / "study.npz")
+        assert set(arrays) == {"study"}
+        assert set(meta) == {"kind", "digest", "chunk_chips",
+                             "checkpoint_every"}
+        assert meta["kind"] == "fleet-study"
+        assert meta["chunk_chips"] == 3
+        assert meta["checkpoint_every"] is None
+        study = pickle.loads(arrays["study"].tobytes())
+        assert study.n_epochs == 6
+        assert study.chip.rows == 2 and study.chip.cols == 2
 
 
 # -- the lifetime-sweep route ----------------------------------------------
@@ -502,7 +507,7 @@ class TestSweepCheckpointRoute:
         directory = tmp_path / "ckpt"
         first = run_lifetime_sweep(checkpoint_dir=directory,
                                    **self.GRID)
-        assert (directory / "manifest.json").exists()
+        assert (directory / "study.npz").exists()
         reports = []
         again = run_lifetime_sweep(checkpoint_dir=directory,
                                    on_report=reports.append,
@@ -520,7 +525,7 @@ class TestSweepCheckpointRoute:
             run_lifetime_sweep(checkpoint_dir=tmp_path, **grid)
 
 
-# -- malformed snapshots and manifests --------------------------------------
+# -- malformed snapshots and study files ------------------------------------
 
 
 def write_raw_snapshot(path, meta_full):
@@ -570,34 +575,16 @@ class TestMalformedSnapshots:
             snapshot.meta["epoch"] = epoch
         assert_refused_restore_leaves_the_session_intact(edit, "epoch")
 
-    @pytest.mark.parametrize("flags", [[], "yes", None, ["yes"]])
-    def test_malformed_utilization_flags_are_refused(self, flags):
-        def edit(snapshot):
-            snapshot.meta["has_previous_utilization"] = flags
-        assert_refused_restore_leaves_the_session_intact(
-            edit, "has_previous_utilization")
-
-    def test_a_malformed_readout_flag_is_refused(self):
-        def edit(snapshot):
-            snapshot.meta["has_readout"] = "yes"
-        assert_refused_restore_leaves_the_session_intact(
-            edit, "has_readout")
-
     def test_records_of_the_wrong_length_are_refused(self):
         def edit(snapshot):
             snapshot.arrays["run/worst"] = snapshot.arrays["run/worst"][1:]
         assert_refused_restore_leaves_the_session_intact(edit, "run/worst")
 
-    def test_a_scalar_timeline_is_refused(self):
-        def edit(snapshot):
-            snapshot.arrays["run/times"] = np.array(1.0)
-        assert_refused_restore_leaves_the_session_intact(edit, "malformed")
-
     @pytest.mark.parametrize("name, cut", [
-        ("cohort0/previous_recovering", lambda a: a[1:]),
-        ("cohort0/previous_recovering", lambda a: a.astype(float)),
-        ("cohort0/previous_utilization", lambda a: a[1:]),
-        ("readout/temps0", lambda a: a[:1]),
+        ("cohorts/previous_recovering", lambda a: a[1:]),
+        ("cohorts/previous_recovering", lambda a: a.astype(float)),
+        ("cohorts/previous_utilization", lambda a: a[:, 1:]),
+        ("readout/temps", lambda a: a[0]),
     ])
     def test_per_core_arrays_of_the_wrong_layout_are_refused(self, name,
                                                              cut):
@@ -643,18 +630,20 @@ class TestMalformedSnapshots:
                                           b"\xff\xfe"])
     def test_a_manifest_that_is_not_an_object_is_refused(self, tmp_path,
                                                          manifest):
+        # The directory's manifest is its study.npz; bytes that are not
+        # a snapshot there are refused before any write.
         directory = tmp_path / "ckpt"
         directory.mkdir()
-        path = directory / "manifest.json"
+        path = directory / "study.npz"
         if isinstance(manifest, bytes):
             path.write_bytes(manifest)
         else:
             path.write_text(manifest)
-        with pytest.raises(CheckpointError, match="manifest"):
+        with pytest.raises(CheckpointError, match="study.npz"):
             resume_fleet_lifetime_study(directory)
-        with pytest.raises(CheckpointError, match="manifest"):
+        with pytest.raises(CheckpointError, match="study.npz"):
             run_study(checkpoint_dir=directory)
-        assert os.listdir(directory) == ["manifest.json"]
+        assert os.listdir(directory) == ["study.npz"]
 
 
 # -- per-class snapshots ---------------------------------------------------
@@ -690,11 +679,43 @@ CLASS_ROWS = {"bti/weights": N_CORES, "bti/occupancy": N_CORES,
               "run/total_dropped": 1}
 
 
+def assert_older_snapshot_refused(tmp_path, monkeypatch, schema):
+    """A session snapshot stamped with an older schema is refused."""
+    path = tmp_path / f"v{schema}.npz"
+    snapshot = make_session().advance(2).snapshot()
+    monkeypatch.setattr(checkpoint_module,
+                        "CHECKPOINT_SCHEMA_VERSION", schema)
+    snapshot.save(path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match=f"schema v{schema}"):
+        FleetSession.load(path)
+
+
+def assert_older_directory_refused(tmp_path, monkeypatch, schema):
+    """A directory whose study file is stamped with an older schema
+    is refused by the resume entry point and by a re-invoked study,
+    before any write."""
+    directory = tmp_path / "ckpt"
+    run_study(checkpoint_dir=directory)
+    os.remove(directory / "chunk-00001.result.npz")
+    path = directory / "study.npz"
+    arrays, meta = read_snapshot(path)
+    monkeypatch.setattr(checkpoint_module,
+                        "CHECKPOINT_SCHEMA_VERSION", schema)
+    write_snapshot(path, arrays, meta)
+    monkeypatch.undo()
+    before = sorted(os.listdir(directory))
+    with pytest.raises(CheckpointError, match=f"schema v{schema}"):
+        resume_fleet_lifetime_study(directory)
+    with pytest.raises(CheckpointError, match=f"schema v{schema}"):
+        run_study(checkpoint_dir=directory)
+    assert sorted(os.listdir(directory)) == before
+
+
 class TestPerClassSnapshots:
     def test_a_homogeneous_session_snapshot_stores_one_class(self):
         snapshot = homogeneous_session().advance(3).snapshot()
         arrays = snapshot.arrays
-        assert snapshot.meta["n_classes"] == 1
         assert not [name for name in arrays if "labels" in name]
         for name, rows in CLASS_ROWS.items():
             assert arrays[name].shape[0] == rows, name
@@ -704,7 +725,6 @@ class TestPerClassSnapshots:
 
     def test_a_varied_session_snapshot_stores_every_chip(self):
         snapshot = make_session().advance(3).snapshot()
-        assert snapshot.meta["n_classes"] == 6
         for name, rows in CLASS_ROWS.items():
             assert snapshot.arrays[name].shape[0] == 6 * rows, name
         assert snapshot.arrays["run/worst"].shape == (1, 6)
@@ -728,7 +748,7 @@ class TestPerClassSnapshots:
         arrays, meta = read_snapshot(directory
                                      / "chunk-00000.progress.npz")
         assert meta["epoch"] == 4
-        assert meta["n_classes"] == 1
+        assert set(meta) == {"kind", "epoch", "digest", "chunk_index"}
         assert arrays["bti/weights"].shape[0] == N_CORES
         # The only chunk resumes from epoch 4 on its one class.
         reports = []
@@ -738,20 +758,17 @@ class TestPerClassSnapshots:
         assert reports[0].cache_counters["fleet.engine"]["classes"] == 1
         assert_results_bitwise_equal(plain, resumed)
 
-    @pytest.mark.parametrize("break_rows", ["meta", "bti", "em", "run"])
+    @pytest.mark.parametrize("break_rows", ["bti", "em", "run"])
     def test_rows_of_other_classes_are_refused_before_writing(
             self, break_rows):
         # The same study two epochs on, stored as if each chip were a
         # class of its own (the rows a per-chip layout would write).
         snapshot = homogeneous_session().advance(5).snapshot()
         n_chips = 12
-        if break_rows == "meta":
-            snapshot.meta["n_classes"] = n_chips
-        else:
-            for name, rows in CLASS_ROWS.items():
-                if name.startswith(break_rows + "/"):
-                    snapshot.arrays[name] = np.repeat(
-                        snapshot.arrays[name], n_chips, axis=0)
+        for name, rows in CLASS_ROWS.items():
+            if name.startswith(break_rows + "/"):
+                snapshot.arrays[name] = np.repeat(
+                    snapshot.arrays[name], n_chips, axis=0)
         session = homogeneous_session().advance(3)
         with pytest.raises(CheckpointError):
             session.restore(snapshot)
@@ -770,24 +787,94 @@ class TestPerClassSnapshots:
         assert other.epoch == 0
 
     def test_a_v5_snapshot_is_refused(self, tmp_path, monkeypatch):
-        path = tmp_path / "v5.npz"
-        snapshot = make_session().advance(2).snapshot()
-        monkeypatch.setattr(checkpoint_module,
-                            "CHECKPOINT_SCHEMA_VERSION", 5)
-        snapshot.save(path)
-        monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="schema v5"):
-            FleetSession.load(path)
+        assert_older_snapshot_refused(tmp_path, monkeypatch, 5)
 
-    def test_a_v5_directory_is_refused(self, tmp_path):
+    def test_a_v5_directory_is_refused(self, tmp_path, monkeypatch):
+        assert_older_directory_refused(tmp_path, monkeypatch, 5)
+
+
+class TestSnapshotLayout:
+    """Schema v7: the simulator's own state arrays, one member per
+    array whatever the cohort count, and a study file that is a
+    snapshot like every other."""
+
+    def test_member_names_do_not_grow_with_the_cohorts(self, tmp_path):
+        phased = FleetSession(
+            (2, 2), groups=(FleetGroup(
+                n_chips=61, workload=workload(), policy=policy(),
+                phases=tuple(range(61))),),
+            record_every=2, variation=VARIATION, seed=7).advance(3)
+        assert phased.snapshot().arrays[
+            "cohorts/previous_recovering"].shape == (61, N_CORES)
+        names = []
+        for index, session in enumerate((make_session().advance(3),
+                                         phased)):
+            path = tmp_path / f"session-{index}.npz"
+            session.save(path)
+            with zipfile.ZipFile(path) as archive:
+                names.append(set(archive.namelist()))
+            assert set(read_snapshot(path)[1]) == {"kind", "epoch",
+                                                   "digest"}
+        assert names[0] == names[1]
+
+    def test_an_epoch_zero_snapshot_restores_no_readout(self, tmp_path):
+        path = tmp_path / "fresh.npz"
+        make_session().save(path)
+        session = make_session().advance(3)
+        session.restore(path)
+        simulator = session._simulator
+        assert session.epoch == 0
+        assert simulator.cohort_temps is None
+        assert all(cohort.previous_utilization is None
+                   for cohort in simulator.cohorts)
+        session.advance(3)
+        assert_results_bitwise_equal(session.result(),
+                                     make_session().advance(3).result())
+
+    def test_a_study_file_with_a_flipped_byte_is_refused(self, tmp_path):
         directory = tmp_path / "ckpt"
         run_study(checkpoint_dir=directory)
-        path = directory / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["schema"] = 5
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="schema v5"):
+        os.remove(directory / "chunk-00001.result.npz")
+        path = directory / "study.npz"
+        with np.load(path, allow_pickle=False) as data:
+            payload = {name: data[name] for name in data.files}
+        study = payload["study"].copy()
+        study[study.size // 2] ^= 1
+        payload["study"] = study
+        with open(path, "wb") as handle:
+            np.savez(handle, **payload)  # keeps the stale checksum
+
+        def contents():
+            return {name: (directory / name).read_bytes()
+                    for name in os.listdir(directory)}
+
+        before = contents()
+        with pytest.raises(CheckpointError, match="checksum"):
             resume_fleet_lifetime_study(directory)
+        with pytest.raises(CheckpointError, match="checksum"):
+            run_study(checkpoint_dir=directory)
+        assert contents() == before
+
+    def test_a_study_file_of_another_kind_is_refused(self, tmp_path):
+        # A valid snapshot that is not a study spec (here a chunk
+        # result) in place of study.npz.
+        directory = tmp_path / "ckpt"
+        run_study(checkpoint_dir=directory)
+        os.replace(directory / "chunk-00002.result.npz",
+                   directory / "study.npz")
+        with pytest.raises(CheckpointError, match="not a fleet study"):
+            resume_fleet_lifetime_study(directory)
+        with pytest.raises(CheckpointError, match="not a fleet study"):
+            run_study(checkpoint_dir=directory)
+        assert sorted(os.listdir(directory)) == [
+            "chunk-00000.result.npz", "chunk-00001.result.npz",
+            "study.npz"]
+
+    def test_a_v6_snapshot_is_refused(self, tmp_path, monkeypatch):
+        assert_older_snapshot_refused(tmp_path, monkeypatch, 6)
+
+    def test_a_v6_directory_is_refused(self, tmp_path, monkeypatch):
+        assert_older_directory_refused(tmp_path, monkeypatch, 6)
 
 
 class TestSnapshotCounters:

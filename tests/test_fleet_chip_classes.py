@@ -291,3 +291,23 @@ class TestWorkerCap:
         assert report.max_workers == 1
         assert report.mode == "fleet"
         assert report.serial_reason == "max_workers <= 1"
+
+
+class TestPoolGate:
+    def test_unvaried_chunks_gate_on_their_classes(self, monkeypatch):
+        # Two 6-chip chunks without variation hold one chip class
+        # each: 12 chips x 4 cores x 3 epochs is 144 core-epochs, but
+        # the chunks advance 2 x 4 x 3 = 24.  A threshold between the
+        # two keeps the study serial, and the report says why.
+        monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 100)
+        reports = []
+        run_fleet_lifetime_study(
+            (2, 2), 12, ConstantWorkload(N_CORES, 0.5), NoRecoveryPolicy(),
+            n_epochs=3, max_chunk_chips=6, max_workers=2,
+            on_report=reports.append)
+        (report,) = reports
+        assert report.n_chunks == 2
+        assert report.mode == "fleet"
+        assert report.serial_reason == (
+            "2 chip classes: 24 core-epochs below pool threshold 100")

@@ -256,9 +256,10 @@ class TestWorkerDeathRecovery:
 
 class TestSerialGate:
     def test_small_fleet_never_pools(self, no_pool):
-        # 14 chips x 9 cores x 5 epochs = 630 core-epochs, far below
-        # MIN_CORE_EPOCHS_FOR_POOL: even with workers requested, the
-        # stream stays serial and no pool is ever constructed.
+        # 14 varied chips (a chip class each) x 9 cores x 5 epochs =
+        # 630 core-epochs, far below MIN_CORE_EPOCHS_FOR_POOL: even
+        # with workers requested, the stream stays serial and no pool
+        # is ever constructed.
         reports = []
         run_study(max_workers=4, on_report=reports.append)
         (report,) = reports

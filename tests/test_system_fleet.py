@@ -24,6 +24,9 @@ safe to replace the pooled per-cell path for homogeneous populations:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,7 @@ from repro.system.chip import Chip
 from repro.system.fleet import (
     FleetVariation,
     FleetVariationSpec,
+    _fleet_study,
     run_fleet_lifetime_study,
 )
 from repro.system.scheduler import (
@@ -375,9 +379,116 @@ class TestFleetEmKey:
                               keyed.void_reversible_m)
         assert keyed._step_cache.hits == 4
 
-    def test_step_cache_size_validation(self):
-        with pytest.raises(SimulationError):
-            FleetEmState(2, _em_reference(), step_cache_size=0)
+    def test_step_memo_is_bounded_by_its_bytes(self):
+        # Each memo entry holds five (n_units,) arrays; the bound
+        # follows from the unit count under a 64 MiB budget.
+        assert FleetEmState(3, _em_reference())._step_cache.maxsize == 64
+        wide = FleetEmState(400_000, _em_reference())
+        assert wide._step_cache.maxsize == 4
+
+
+def _em_history(em, epochs):
+    """Alternate forward and reverse current, long enough to nucleate
+    the forward-stressed units."""
+    j = np.array([2e10, -1e10, 3e10])
+    temps = np.array([360.0, 355.0, 370.0])
+    dt_s = em.nucleation_time_ref_s / 8.0
+    for epoch in epochs:
+        em.step(dt_s, j if epoch % 3 else -0.5 * j, temps)
+
+
+class TestEmStatePair:
+    def test_a_loaded_em_state_continues_bitwise(self):
+        em = FleetEmState(3, _em_reference())
+        _em_history(em, range(8))
+        state = em.state_arrays()
+        assert set(state) == {"progress_s", "nucleated",
+                              "void_reversible_m", "void_locked_m",
+                              "time_s"}
+        assert em.nucleated.any()
+        loaded = FleetEmState(3, _em_reference())
+        loaded.load_state(state)
+        for target in (em, loaded):
+            _em_history(target, range(8, 14))
+        for name, array in em.state_arrays().items():
+            assert array.dtype == loaded.state_arrays()[name].dtype
+            assert array.tobytes() == \
+                loaded.state_arrays()[name].tobytes(), name
+
+    def test_load_state_refuses_a_bad_layout_before_writing(self):
+        em = FleetEmState(3, _em_reference())
+        _em_history(em, range(8))
+        before = em.state_arrays()
+        broken = (
+            (dict(before, progress_s=before["progress_s"][:-1]),
+             "progress_s"),
+            (dict(before, nucleated=before["nucleated"].astype(float)),
+             "nucleated"),
+            ({k: v for k, v in before.items() if k != "time_s"},
+             "time_s"))
+        for arrays, name in broken:
+            with pytest.raises(SimulationError, match=name):
+                em.load_state(arrays)
+        for name, array in em.state_arrays().items():
+            assert array.tobytes() == before[name].tobytes(), name
+
+
+def _simulator():
+    """A fresh open-horizon simulator of a small varied study with a
+    stateful policy."""
+    built, study = _fleet_study(
+        (2, 2), 4, ConstantWorkload(4, 0.7),
+        RoundRobinRecoveryPolicy(recovery_slots=1), n_epochs=None,
+        epoch_s=3600.0, record_every=2,
+        variation=FleetVariationSpec(capture_sigma=0.1), seed=7)
+    return study.simulator(built)
+
+
+class TestSimulatorStatePair:
+    def test_a_loaded_simulator_continues_bitwise(self):
+        source = _simulator()
+        source.advance(3)
+        target = _simulator()
+        target.advance(5)
+        target.load_state(source.state_arrays(), source.epoch)
+        for ours, theirs in zip(target.cohorts, source.cohorts):
+            ours.workload = copy.deepcopy(theirs.workload)
+            ours.policy = copy.deepcopy(theirs.policy)
+        assert target.epoch == 3
+        for simulator in (source, target):
+            simulator.advance(3)
+        ours, theirs = target.result(), source.result()
+        assert ours.n_epochs == theirs.n_epochs == 6
+        for field in dataclasses.fields(ours):
+            a, b = getattr(ours, field.name), getattr(theirs, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, field.name
+                assert a.tobytes() == b.tobytes(), field.name
+
+    def test_load_state_refuses_before_writing(self):
+        source = _simulator()
+        source.advance(3)
+        state = source.state_arrays()
+        target = _simulator()
+        target.advance(2)
+        before = target.state_arrays()
+        refusals = (
+            (state, -1, "epoch"),
+            (state, 5, "run/worst"),  # 2 records, the state has 1
+            (dict(state, **{"em/nucleated":
+                            state["em/nucleated"].astype(float)}),
+             3, "em/nucleated"),
+            ({k: v for k, v in state.items() if k != "readout/temps"},
+             3, "readout/temps"),
+            (dict(state, **{"variation/capture_scale":
+                            state["variation/capture_scale"] * 2.0}),
+             3, "variation draw"))
+        for arrays, epoch, match in refusals:
+            with pytest.raises(SimulationError, match=match):
+                target.load_state(arrays, epoch)
+        assert target.epoch == 2
+        for name, array in target.state_arrays().items():
+            assert array.tobytes() == before[name].tobytes(), name
 
 
 def _em_reference():
