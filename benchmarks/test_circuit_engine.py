@@ -6,18 +6,22 @@ Times the seed's per-element Python stamping loop (kept verbatim in
 workloads the assist studies lean on -- a 1k-step assist mode-switch
 transient and a transistor-level ring-oscillator run.
 
-Timings land in ``BENCH_circuit.json`` at the repo root; the assist
-and ring tests assert the PR acceptance criteria (>= 5x and >= 3x
-respectively, with <= 1e-10 waveform equivalence against the seed
-engine checked inside the timed scenarios themselves).
+Timings land in ``BENCH_circuit.json`` at the repo root as medians of
+alternating runs (:func:`benchmarks.conftest.alternating_runs`); the
+assist and ring tests assert the PR acceptance criteria (>= 5x and
+>= 3x respectively, with <= 1e-10 waveform equivalence against the
+seed engine checked inside the timed scenarios themselves).
+
+Three record-only entries time a one-row uncondensed
+:class:`~repro.circuit.CircuitBatch` against the scalar kernel it would
+replace (assist switch, ring, assist DC point), checking the two
+agree bit for bit; ``batch_over_scalar`` is the ratio the plan to run
+the scalar analyses as one-row batches is judged on.
 """
 
 from __future__ import annotations
 
-import gc
-import json
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -29,49 +33,62 @@ from repro.assist.circuitry import (
     mode_switch_waveforms,
 )
 from repro.assist.modes import AssistMode
-from repro.circuit import RingOscillatorNetlist, transient
+from repro.circuit import (
+    RingOscillatorNetlist,
+    dc_batch,
+    transient,
+    transient_batch,
+)
+from repro.circuit.dc import dc_operating_point
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import (
+    alternating_runs,
+    merge_bench_json,
+    run_once,
+)
 from benchmarks.seed_circuit import seed_transient
 
 RESULTS = {}
 SPEEDUP_THRESHOLD_ASSIST = 5.0
 SPEEDUP_THRESHOLD_RING = 3.0
 EQUIVALENCE_TOLERANCE = 1e-10
+#: Alternating runs per side; every timing is the median.
+REPS = 7
+#: A one-row batch may replace the scalar kernel within this ratio.
+ONE_ROW_BAR = 1.2
+#: DC solves per timed run of the one-row DC entry.
+DC_CALLS = 200
 
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
-    """Dump the collected before/after timings to BENCH_circuit.json."""
+    """Merge the collected before/after timings into
+    BENCH_circuit.json, so running a subset keeps the other entries."""
     yield
     if not RESULTS:
         return
-    payload = {
+    header = {
         "suite": "benchmarks/test_circuit_engine.py",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "units": "seconds, best of the recorded repetitions",
-        "timings": RESULTS,
+        "units": "seconds, median of alternating runs",
     }
-    path = Path(__file__).resolve().parent.parent / "BENCH_circuit.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    merge_bench_json(
+        Path(__file__).resolve().parent.parent / "BENCH_circuit.json",
+        header, RESULTS)
 
 
-def best_of(fn, reps):
-    """Best wall-clock of ``reps`` runs, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(reps):
-        gc.collect()
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
-
-def record(name, before_s, after_s, **extra):
+def record(name, after_runs, before_runs, **extra):
+    """Store the medians of both sides with every run and pair."""
+    before_s = float(np.median(before_runs))
+    after_s = float(np.median(after_runs))
     entry = {"before_s": before_s, "after_s": after_s,
-             "speedup": before_s / after_s, **extra}
+             "speedup": before_s / after_s, "reps": len(after_runs),
+             "statistic": "median", "before_runs_s": before_runs,
+             "after_runs_s": after_runs,
+             "pair_speedups": [b / a for a, b in zip(after_runs,
+                                                     before_runs)],
+             **extra}
     RESULTS[name] = entry
     return entry
 
@@ -127,19 +144,14 @@ def test_assist_mode_switch_1k_steps(benchmark):
         return seed_transient(assist.circuit, stop_s=stop_s, dt_s=dt_s,
                               waveforms=waveforms)
 
-    # Interleave the two timed paths so machine-speed drift inflates
-    # both sides alike instead of skewing the ratio.
-    after_s = before_s = float("inf")
-    for _ in range(3):
-        a, after = best_of(run_compiled, reps=3)
-        b, before = best_of(run_seed, reps=1)
-        after_s, before_s = min(after_s, a), min(before_s, b)
+    after_runs, before_runs, after, before = alternating_runs(
+        run_compiled, run_seed, REPS)
     assert waveform_difference(after, before) <= EQUIVALENCE_TOLERANCE
     entry = record(
-        "circuit_assist_mode_switch_1k_steps", before_s, after_s,
-        n_steps=n_steps, n_unknowns=after.solutions.shape[1],
-        steps_per_s_before=n_steps / before_s,
-        steps_per_s_after=n_steps / after_s)
+        "circuit_assist_mode_switch_1k_steps", after_runs, before_runs,
+        n_steps=n_steps, n_unknowns=after.solutions.shape[1])
+    entry["steps_per_s_before"] = n_steps / entry["before_s"]
+    entry["steps_per_s_after"] = n_steps / entry["after_s"]
     run_once(benchmark, run_compiled)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_ASSIST
 
@@ -157,19 +169,107 @@ def test_ring_oscillator_simulate(benchmark):
         return seed_transient(netlist.build(), stop_s=stop_s,
                               dt_s=dt_s, from_dc=False)
 
-    after_s = before_s = float("inf")
-    for _ in range(3):
-        a, after = best_of(run_compiled, reps=2)
-        b, before = best_of(run_seed, reps=1)
-        after_s, before_s = min(after_s, a), min(before_s, b)
+    after_runs, before_runs, after, before = alternating_runs(
+        run_compiled, run_seed, REPS)
     assert waveform_difference(after, before) <= EQUIVALENCE_TOLERANCE
     frequency = netlist.measured_frequency_hz(after)
     entry = record(
-        "circuit_ring_oscillator_simulate", before_s, after_s,
+        "circuit_ring_oscillator_simulate", after_runs, before_runs,
         stages=netlist.stages, n_steps=n_steps,
-        measured_frequency_hz=frequency,
-        steps_per_s_before=n_steps / before_s,
-        steps_per_s_after=n_steps / after_s)
+        measured_frequency_hz=frequency)
+    entry["steps_per_s_before"] = n_steps / entry["before_s"]
+    entry["steps_per_s_after"] = n_steps / entry["after_s"]
     run_once(benchmark, run_compiled)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_RING
 
+
+def _one_row_entry(name, scalar, batch, same, setup=None, **extra):
+    """Record a one-row batch (after) against the scalar kernel
+    (before), on fresh inputs from ``setup`` when given; ``same``
+    checks that the two results agree bit for bit."""
+    after_runs, before_runs, after, before = alternating_runs(
+        batch, scalar, REPS, after_setup=setup, before_setup=setup)
+    assert same(after, before)
+    entry = record(name, after_runs, before_runs, condense=False,
+                   **extra)
+    ratio = entry["after_s"] / entry["before_s"]
+    entry.update(batch_over_scalar=ratio, one_row_bar=ONE_ROW_BAR,
+                 within_one_row_bar=ratio <= ONE_ROW_BAR)
+    return entry
+
+
+def _same_transient(a, b):
+    return np.array_equal(a.times_s, b.times_s) \
+        and np.array_equal(a.solutions, b.solutions)
+
+
+def test_one_row_batch_assist_switch(benchmark):
+    """Record-only: the 1k-step assist switch, one-row batch vs scalar."""
+    config = AssistCircuitConfig(n_loads=16)
+    stop_s, dt_s = 200e-9, 0.2e-9
+    waveforms = mode_switch_waveforms(AssistMode.NORMAL,
+                                      AssistMode.EM_RECOVERY,
+                                      config.supply_v, 5e-9)
+
+    def setup():
+        assist = AssistCircuit(config)
+        assist.set_mode(AssistMode.NORMAL)
+        return assist.circuit
+
+    def scalar(circuit):
+        return transient(circuit, stop_s=stop_s, dt_s=dt_s,
+                         waveforms=waveforms)
+
+    def batch(circuit):
+        return transient_batch([circuit], stop_s=stop_s, dt_s=dt_s,
+                               waveforms=waveforms, condense=False)[0]
+
+    _one_row_entry("circuit_one_row_batch_assist_switch", scalar, batch,
+                   _same_transient, setup,
+                   n_steps=int(round(stop_s / dt_s)))
+    run_once(benchmark, lambda: batch(setup()))
+
+
+def test_one_row_batch_ring(benchmark):
+    """Record-only: the 7-stage ring transient, one-row batch vs
+    scalar."""
+    netlist = RingOscillatorNetlist(stages=7)
+    stop_s, dt_s = netlist.simulation_window()
+
+    def scalar(circuit):
+        return transient(circuit, stop_s=stop_s, dt_s=dt_s,
+                         from_dc=False)
+
+    def batch(circuit):
+        return transient_batch([circuit], stop_s=stop_s, dt_s=dt_s,
+                               from_dc=False, condense=False)[0]
+
+    _one_row_entry("circuit_one_row_batch_ring", scalar, batch,
+                   _same_transient, netlist.build,
+                   stages=netlist.stages,
+                   n_steps=int(round(stop_s / dt_s)))
+    run_once(benchmark, lambda: batch(netlist.build()))
+
+
+def test_one_row_batch_dc_point(benchmark):
+    """Record-only: the assist DC operating point, one-row batch vs
+    scalar (``DC_CALLS`` solves per timed run, far above the timer's
+    resolution)."""
+    circuit = AssistCircuit(AssistCircuitConfig(n_loads=16)).circuit
+
+    def scalar():
+        return [dc_operating_point(circuit) for _ in range(DC_CALLS)][-1]
+
+    def batch():
+        return [dc_batch([circuit], condense=False)[0]
+                for _ in range(DC_CALLS)][-1]
+
+    def same(a, b):
+        return np.array_equal(a.solution, b.solution) \
+            and a.iterations == b.iterations
+
+    entry = _one_row_entry("circuit_one_row_batch_dc_point", scalar,
+                           batch, same, calls_per_run=DC_CALLS)
+    entry["per_call_s_before"] = entry["before_s"] / DC_CALLS
+    entry["per_call_s_after"] = entry["after_s"] / DC_CALLS
+    run_once(benchmark, batch)

@@ -48,7 +48,7 @@ from repro.system.workload import (
     PhasedWorkload,
 )
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import alternating_runs, run_once
 
 RESULTS = {}
 SPEEDUP_THRESHOLD_FLEET = 10.0
@@ -76,7 +76,8 @@ def bench_report():
         "suite": "benchmarks/test_fleet_engine.py",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "units": "seconds, best of the recorded repetitions",
+        "units": "seconds, best of the recorded repetitions unless "
+                 "an entry names its statistic",
         "timings": timings,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -370,6 +371,8 @@ def test_chunked_fleet_65k_chips(benchmark):
 
 SPEEDUP_THRESHOLD_PARALLEL = 3.0
 PARALLEL_WORKERS = 8
+#: Alternating runs per side of the parallel-vs-serial comparison.
+PARALLEL_REPS = 5
 
 
 def test_parallel_chunked_fleet_65k_chips(benchmark):
@@ -389,8 +392,10 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
     The fleet has no variation, so each chunk advances one chip
     class: 8 classes x 9 cores x 6 epochs of stacked work, far below
     ``MIN_CORE_EPOCHS_FOR_POOL``, and the requested pool is not
-    started -- the entry records mode ``"fleet"``, the serial stream
-    at every worker count.
+    started -- both sides run mode ``"fleet"``, the serial stream, at
+    every worker count, and the entry records both modes.  Each side
+    is the median of ``PARALLEL_REPS`` alternating runs, so the first
+    run's cold start does not pass for a pool effect.
     """
     n_chips = 65_536
     n_epochs = 6
@@ -405,10 +410,12 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
             max_workers=workers, on_report=reports.append)
         return result, reports[0]
 
-    before_s, (serial_result, serial_report) = best_of(
-        lambda: run(1), reps=1)
-    after_s, (parallel_result, parallel_report) = best_of(
-        lambda: run(PARALLEL_WORKERS), reps=1)
+    after_runs, before_runs, (parallel_result, parallel_report), \
+        (serial_result, serial_report) = alternating_runs(
+            lambda: run(PARALLEL_WORKERS), lambda: run(1),
+            PARALLEL_REPS)
+    before_s = float(np.median(before_runs))
+    after_s = float(np.median(after_runs))
 
     assert serial_report.mode == "fleet"
     assert np.array_equal(serial_result.final_delta_vth_v,
@@ -427,6 +434,10 @@ def test_parallel_chunked_fleet_65k_chips(benchmark):
         available_cpus=cpus,
         n_chunks=parallel_report.n_chunks,
         mode=parallel_report.mode,
+        serial_mode=serial_report.mode,
+        reps=PARALLEL_REPS, statistic="median",
+        before_runs_s=before_runs, after_runs_s=after_runs,
+        pair_speedups=[b / a for a, b in zip(after_runs, before_runs)],
         chips_per_s_serial=n_chips / before_s,
         chips_per_s_parallel=n_chips / after_s)
     run_once(benchmark, lambda: run(min(PARALLEL_WORKERS, cpus)))

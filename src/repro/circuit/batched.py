@@ -194,8 +194,6 @@ class CircuitBatch:
             self.mos_take = template.mos_take
             self.res_idx = template.res_idx
             self.res_take = template.res_take
-            self._stamp_buf = np.empty((self.n_rows, self.n_mosfets, 8))
-            self._res_buf = np.empty((self.n_rows, self.n_mosfets, 2))
         else:
             self.bank = None
 
@@ -277,6 +275,14 @@ class CircuitBatch:
         kept_nodes = keep[keep < self.n_nodes]
         self.diag_red = full_to_red[kept_nodes] * (n_red + 1)
 
+        n_rows = self.n_rows
+
+        def flat_rows(idx: np.ndarray, stride: int) -> np.ndarray:
+            # Row-major 1-D scatter indices: the first ``k * idx.size``
+            # serve any compacted k-row subset, in the accumulation
+            # order of the per-row scatters.
+            return (np.arange(n_rows)[:, None] * stride + idx).reshape(-1)
+
         if self.n_mosfets:
             rows_full = self.mos_idx // size
             cols_full = self.mos_idx % size
@@ -289,21 +295,41 @@ class CircuitBatch:
             self.mos_mv_take = self.mos_take[moved]
             self.mos_mv_col = elim_pos[cols_full[moved]]
             self.res_idx_red = full_to_red[self.res_idx]
+            self._mos_flat = flat_rows(self.mos_idx_red, n_red * n_red)
+            self._res_flat = flat_rows(self.res_idx_red, n_red)
+            # Signed stamp gathers: slot j of a device reads its g_drain
+            # (slots 0-3) or g_gate (4-7) from concatenate((g_drain,
+            # g_gate)), signed (+, -, -, +); ``x * -1.0`` has the bits
+            # of ``-x``.  The companion current is (-res, +res).  The
+            # bitwise path gathers only the slots it scatters.
+            m = self.n_mosfets
+            slot = np.arange(8 * m)
+            src = slot // 8 + m * (slot % 8 // 4)
+            sign = np.tile([1.0, -1.0, -1.0, 1.0], 2 * m)
+            res_src = np.arange(2 * m) // 2
+            res_sign = np.tile([-1.0, 1.0], m)
+            if not self.condensed:
+                src, sign = src[self.mos_take_red], sign[self.mos_take_red]
+                res_src = res_src[self.res_take]
+                res_sign = res_sign[self.res_take]
+            self._stamp_gather = (src, sign, res_src, res_sign)
         else:
             self.mos_mv_take = np.empty(0, dtype=np.intp)
         if self.n_capacitors:
             rows_full = self.cap_mat_idx // size
             cols_full = self.cap_mat_idx % size
-            self.cap_mat_idx_red = (full_to_red[rows_full] * n_red
-                                    + full_to_red[cols_full])
-            self.cap_rhs_idx_red = full_to_red[self.cap_rhs_idx]
+            self._cap_mat_flat = flat_rows(
+                full_to_red[rows_full] * n_red + full_to_red[cols_full],
+                n_red * n_red)
+            self._cap_rhs_flat = flat_rows(full_to_red[self.cap_rhs_idx],
+                                           n_red)
 
         if self.condensed:
             # The condensed path is free to re-order accumulations, so
             # scatter indices become small 0/1 matrices and the
             # per-iteration stamping turns into GEMMs over the whole
             # batch -- no per-element ``np.add.at`` dispatch.
-            n_rows = self.n_rows
+            self._base_for = None
             if self.n_mosfets:
                 gem = np.zeros((8 * self.n_mosfets, n_red * n_red))
                 gem[self.mos_take_red, self.mos_idx_red] = 1.0
@@ -317,11 +343,7 @@ class CircuitBatch:
                           (np.arange(self.mos_mv_take.size),
                            self.mos_mv_row), 1.0)
                 self._mv_gemm = mv_gem
-            self._mats_buf = np.empty((n_rows, n_red, n_red))
             self._gem_buf = np.empty((n_rows, n_red * n_red))
-            self._rhs_buf = np.empty((n_rows, n_red))
-            self._base_call = np.empty((n_rows, n_red, n_red))
-            self._rhs_call = np.empty((n_rows, n_red))
 
     # -- stacked assembly ----------------------------------------------
 
@@ -378,27 +400,16 @@ class CircuitBatch:
 
         Same device-major value order as the per-point
         :meth:`CompiledCircuit._scalar_stamps`, with a leading row
-        axis; each row's buffer carries the per-point bytes exactly.
+        axis (the bitwise path keeps only the slots it scatters); each
+        row carries the per-point bytes exactly.
         """
         x_pad = self._x_pad
         x_pad[:, :self.n] = x
         g_drain, g_gate, residual = self.bank.evaluate(x_pad)
-        buf = self._stamp_buf
-        neg_gd = -g_drain
-        neg_gg = -g_gate
-        buf[:, :, 0] = g_drain
-        buf[:, :, 1] = neg_gd
-        buf[:, :, 2] = neg_gd
-        buf[:, :, 3] = g_drain
-        buf[:, :, 4] = g_gate
-        buf[:, :, 5] = neg_gg
-        buf[:, :, 6] = neg_gg
-        buf[:, :, 7] = g_gate
-        rbuf = self._res_buf
-        rbuf[:, :, 0] = -residual
-        rbuf[:, :, 1] = residual
-        n_rows = self.n_rows
-        return buf.reshape(n_rows, -1), rbuf.reshape(n_rows, -1)
+        src, sign, res_src, res_sign = self._stamp_gather
+        conductances = np.concatenate((g_drain, g_gate), axis=1)
+        return (conductances.take(src, axis=1) * sign,
+                residual.take(res_src, axis=1) * res_sign)
 
     def _solve_rows_fallback(self, mats: np.ndarray, rhs: np.ndarray,
                              rows: np.ndarray, dc_mode: bool,
@@ -445,8 +456,9 @@ class CircuitBatch:
         non-finite bailout; a converged row freezes while the rest
         keep iterating.  Each iteration assembles the active rows'
         Jacobians as one tensor (reduced by source condensation when
-        available) and solves them in a single stacked LAPACK call.
-        In transient mode a singular row raises
+        available) and solves them in a single stacked LAPACK call;
+        while every row is active and solved, the bookkeeping runs on
+        whole arrays instead of per-row index lists.  In transient mode a singular row raises
         :class:`~repro.errors.ConvergenceError` exactly as its solo
         run would; in DC mode it just marks the row failed so the
         caller's gmin ladder can take over.
@@ -481,112 +493,127 @@ class CircuitBatch:
         condensed = self.condensed
         if condensed:
             # Per-call constants of the reduced system: gmin and the
-            # capacitor companions fold into the base matrix, the cap
-            # history currents into the RHS, and the condensed gate
-            # voltages are gathered once per slot.  (The reduced
-            # elimination already reorders accumulation, so folding
-            # is free; the bitwise path below keeps the per-point
-            # order instead.)
-            n_all = np.arange(n_rows)[:, None]
-            base_call = self._base_call
-            np.copyto(base_call, self.base_red)
-            base_flat = base_call.reshape(n_rows, -1)
-            if gmin > 0.0:
-                base_flat[:, self.diag_red] += gmin
-            if cap_g_rows is not None:
-                np.add.at(base_flat,
-                          (n_all, self.cap_mat_idx_red[None, :]),
-                          cap_g_rows)
-            rhs_call = self._rhs_call
-            np.copyto(rhs_call, rhs_rows[:, keep])
+            # capacitor companions fold into the base matrix (kept
+            # across transient steps while ``cap_g_rows`` is the same
+            # array), the cap history currents into the RHS, and the
+            # condensed gate voltages are gathered once per slot.
+            # (The reduced elimination already reorders accumulation,
+            # so folding is free; the bitwise path below keeps the
+            # per-point order instead.)
+            cached = self._base_for
+            if cached is None or cached[0] != gmin \
+                    or cached[1] is not cap_g_rows:
+                base_flat = self.base_red.reshape(n_rows, -1).copy()
+                if gmin > 0.0:
+                    base_flat[:, self.diag_red] += gmin
+                if cap_g_rows is not None:
+                    np.add.at(base_flat.reshape(-1), self._cap_mat_flat,
+                              cap_g_rows.reshape(-1))
+                self._base_for = cached = (gmin, cap_g_rows, base_flat)
+            base_flat = cached[2]
+            rhs_call = rhs_rows.take(keep, axis=1)
             if cap_currents is not None:
-                np.add.at(rhs_call,
-                          (n_all, self.cap_rhs_idx_red[None, :]),
-                          cap_currents)
+                np.add.at(rhs_call.reshape(-1), self._cap_rhs_flat,
+                          cap_currents.reshape(-1))
             if has_devices and self.mos_mv_take.size:
                 v_mv = v_elim[:, self.mos_mv_col]
             else:
                 v_mv = None
+        shape = (-1, self.n_red, self.n_red)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            iterations[rows] = iteration
+            rows = active.nonzero()[0]
             k = rows.size
+            if k == 0:
+                break
+            whole = k == n_rows
+            iterations[rows] = iteration
             if has_devices:
                 vals, res = self._vector_stamps_rows(x)
-            else:
-                vals = None
-                res = None
             if condensed:
-                # Whole-batch assembly into preallocated buffers;
-                # device stamps land through GEMMs against 0/1
-                # scatter matrices.
-                mats = self._mats_buf
-                np.copyto(mats, base_call)
-                rhs = self._rhs_buf
-                np.copyto(rhs, rhs_call)
-                if vals is not None:
-                    gem = self._gem_buf
-                    np.matmul(vals, self._mos_gemm, out=gem)
-                    mats.reshape(n_rows, -1)[...] += gem
-                    rhs += res @ self._res_gemm
+                # Whole-batch assembly; device stamps land through
+                # GEMMs against 0/1 scatter matrices.
+                mats = base_flat
+                rhs = rhs_call
+                if has_devices:
+                    mats = np.matmul(vals, self._mos_gemm,
+                                     out=self._gem_buf)
+                    np.add(mats, base_flat, out=mats)
+                    rhs = rhs_call + res @ self._res_gemm
                     if v_mv is not None:
                         # Gate-column stamps of condensed nodes: the
                         # voltage is known, so the coupling moves to
                         # the RHS.
                         rhs -= (vals[:, self.mos_mv_take] * v_mv) \
                             @ self._mv_gemm
-                if k == n_rows:
-                    msub = mats
-                    rsub = rhs
-                else:
-                    msub = mats[rows]
-                    rsub = rhs[rows]
+                msub = mats.reshape(shape)
+                rsub = rhs
+                if not whole:
+                    msub = msub.take(rows, axis=0)
+                    rsub = rhs.take(rows, axis=0)
             else:
                 # Bitwise path: active-row Jacobians accumulated in
                 # the per-point order (base, devices, gmin, caps)
-                # with the per-point scatter sequences.
-                rsel = rows[:, None]
-                isel = np.arange(k)[:, None]
-                msub = self.base_red[rows]
-                flat = msub.reshape(k, -1)
-                if vals is not None and self.mos_idx_red.size:
-                    np.add.at(flat, (isel, self.mos_idx_red[None, :]),
-                              vals[rsel, self.mos_take_red[None, :]])
+                # with the per-point scatter sequences, as 1-D
+                # scatters over contiguous row stacks.
+                if whole:
+                    msub = self.base_red.copy()
+                    rsub = rhs_rows.copy()
+                else:
+                    msub = self.base_red.take(rows, axis=0)
+                    rsub = rhs_rows.take(rows, axis=0)
+                    if has_devices:
+                        vals = vals.take(rows, axis=0)
+                        res = res.take(rows, axis=0)
+                flat = msub.reshape(-1)
+                rflat = rsub.reshape(-1)
+                if has_devices:
+                    np.add.at(flat, self._mos_flat[:vals.size],
+                              vals.reshape(-1))
                 if gmin > 0.0:
-                    flat[:, self.diag_red] += gmin
+                    msub.reshape(k, -1)[:, self.diag_red] += gmin
                 if cap_g_rows is not None:
-                    np.add.at(flat,
-                              (isel, self.cap_mat_idx_red[None, :]),
-                              cap_g_rows[rows])
-                rsub = rhs_rows[rsel, keep[None, :]]
-                if res is not None:
-                    np.add.at(rsub, (isel, self.res_idx_red[None, :]),
-                              res[rsel, self.res_take[None, :]])
+                    gcap = cap_g_rows if whole else cap_g_rows[rows]
+                    np.add.at(flat, self._cap_mat_flat[:gcap.size],
+                              gcap.reshape(-1))
+                if has_devices:
+                    np.add.at(rflat, self._res_flat[:res.size],
+                              res.reshape(-1))
                 if cap_currents is not None:
-                    np.add.at(rsub,
-                              (isel, self.cap_rhs_idx_red[None, :]),
-                              cap_currents[rows])
+                    icap = cap_currents if whole else cap_currents[rows]
+                    np.add.at(rflat, self._cap_rhs_flat[:icap.size],
+                              icap.reshape(-1))
             try:
                 sol = np.linalg.solve(msub, rsub[..., None])[..., 0]
                 solved = rows
             except np.linalg.LinAlgError:
                 sol, solved = self._solve_rows_fallback(
                     msub, rsub, rows, dc_mode, failed, active)
+                whole = False
             if not solved.size:
                 continue
             telemetry.record_batched_solve(solved.size)
-            target[solved[:, None], keep[None, :]] = sol
             sel = solved
-            delta = target[sel] - x[sel]
+            if whole:
+                # Every row active and solved (the common case):
+                # whole-array bookkeeping, no fancy indexing.
+                if condensed:
+                    target[:, keep] = sol
+                else:
+                    target = sol
+                target_sel = target
+                delta = target - x
+            else:
+                target[solved[:, None], keep] = sol
+                target_sel = target[sel]
+                delta = target_sel - x[sel]
             if n_nodes:
                 max_step = np.abs(delta[:, :n_nodes]).max(axis=1)
             else:
                 max_step = np.zeros(sel.size)
             if dc_mode:
-                finite = np.isfinite(target[sel]).all(axis=1)
+                finite = np.isfinite(target_sel).all(axis=1)
                 if not finite.all():
+                    whole = False
                     bad = sel[~finite]
                     failed[bad] = True
                     active[bad] = False
@@ -597,6 +624,12 @@ class CircuitBatch:
             # the update and keeps iterating, exactly like the
             # per-point loop.
             damp = max_step > MAX_UPDATE_V
+            if whole and not damp.any():
+                x[...] = target
+                done = max_step <= VOLTAGE_TOL
+                converged |= done
+                active &= ~done
+                continue
             if damp.any():
                 rows_damp = sel[damp]
                 coef = (MAX_UPDATE_V / max_step[damp])[:, None]

@@ -9,8 +9,13 @@ control flow under per-row masks); with source condensation on, the
 reduced elimination order differs, so agreement is within LAPACK
 roundoff -- pinned here at 1e-12 over the Fig. 10 grid.  A crafted
 slow-converging row checks the per-row convergence masks: one damped
-row must not perturb (or stall) the rest of the batch.
+row must not perturb (or stall) the rest of the batch.  The Newton
+step has a whole-batch branch (every row active and solved) and a
+masked per-row branch; ``TestNewtonBranches`` pins that both give the
+same bits, and that a singular row takes the per-row fallback solve.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from repro.circuit import (
     transient_batch,
 )
 from repro.circuit.dc import dc_operating_point
+from repro.errors import ConvergenceError
 from repro.solvers import cache_counters
 
 CONDENSED_TOL = 1e-12
@@ -47,6 +53,28 @@ def nmos_amplifier(rd_ohms: float, vin_v: float) -> Circuit:
     circuit.add_mosfet("m1", "d", "g", "gnd", NMOS_28NM)
     circuit.add_capacitor("cl", "d", "gnd", 10e-15)
     return circuit
+
+
+def source_follower(leak_s: float, title: str) -> Circuit:
+    """Node ``n`` sees only MOSFET channels: with ``leak_s = 0`` both
+    devices are off at the all-zero start and its MNA row is empty, so
+    the Jacobian is exactly singular until the follower turns on."""
+    params = replace(NMOS_28NM, leak_s=leak_s)
+    circuit = Circuit(title)
+    circuit.add_voltage_source("vdd", "vdd", "gnd", 1.0)
+    circuit.add_mosfet("m1", "vdd", "vdd", "n", params)
+    circuit.add_mosfet("m2", "n", "gnd", "gnd", params)
+    circuit.add_capacitor("c1", "vdd", "gnd", 1e-15)
+    return circuit
+
+
+#: Leakages of a three-row follower batch; the middle row is singular.
+FOLLOWER_LEAKS = (1e-9, 0.0, 2e-9)
+
+
+def followers():
+    return [source_follower(leak, f"follower leak={leak:g}")
+            for leak in FOLLOWER_LEAKS]
 
 
 def assist_cells(modes=None):
@@ -194,3 +222,74 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="no source"):
             transient_batch(circuits, stop_s=1e-9, dt_s=0.1e-9,
                             waveforms={"nope": lambda t: 0.0})
+
+
+class TestNewtonBranches:
+    def test_singular_dc_row_takes_the_fallback_and_gmin_ladder(
+            self, monkeypatch):
+        fallbacks = []
+        original = CircuitBatch._solve_rows_fallback
+
+        def spy(self, mats, rhs, rows, dc_mode, failed, active):
+            sols, solved = original(self, mats, rhs, rows, dc_mode,
+                                    failed, active)
+            fallbacks.append((rows.tolist(), solved.tolist()))
+            return sols, solved
+
+        monkeypatch.setattr(CircuitBatch, "_solve_rows_fallback", spy)
+        batched = dc_batch(followers(), condense=False)
+        # The stacked solve of all three rows fails; only the singular
+        # middle row drops out of it.
+        assert fallbacks[0] == ([0, 1, 2], [0, 2])
+        for circuit, solution in zip(followers(), batched):
+            reference = dc_operating_point(circuit)
+            assert np.array_equal(solution.solution, reference.solution)
+            assert solution.iterations == reference.iterations
+        # The dropped row really went through the gmin ladder.
+        assert batched[1].iterations > batched[0].iterations
+
+    def test_singular_transient_row_raises_naming_its_circuit(self):
+        with pytest.raises(ConvergenceError,
+                           match="'follower leak=0' is singular"):
+            transient_batch(followers(), stop_s=1e-9, dt_s=0.1e-9,
+                            from_dc=False)
+        with pytest.raises(ConvergenceError,
+                           match="'follower leak=0' is singular"):
+            transient(followers()[1], 1e-9, 0.1e-9, from_dc=False)
+
+    @pytest.mark.parametrize("condense", [True, False])
+    def test_one_row_batch_equals_row_zero_of_a_wide_batch(self,
+                                                           condense):
+        # A one-row batch only ever takes the whole-batch branch; in a
+        # 32-row batch of different load sizes the rows converge at
+        # different iterations, so row 0 also runs masked iterations.
+        waveforms = mode_switch_waveforms(
+            AssistMode.NORMAL, AssistMode.BTI_RECOVERY,
+            AssistCircuitConfig().supply_v, switch_at_s=2e-9)
+
+        def cells(loads):
+            circuits = []
+            for n_loads in loads:
+                cell = AssistCircuit(AssistCircuitConfig(n_loads=n_loads))
+                cell.set_mode(AssistMode.NORMAL)
+                circuits.append(cell.circuit)
+            return circuits
+
+        wide_loads = [3] + list(range(1, 32))
+        one_dc = dc_batch(cells([3]), condense=condense)[0]
+        wide_dc = dc_batch(cells(wide_loads), condense=condense)[0]
+        assert np.array_equal(one_dc.solution, wide_dc.solution)
+        assert one_dc.iterations == wide_dc.iterations
+
+        one = transient_batch(cells([3]), stop_s=20e-9, dt_s=0.4e-9,
+                              waveforms=waveforms, condense=condense)[0]
+        before = cache_counters()["circuit.lu.batched"]
+        wide = transient_batch(cells(wide_loads), stop_s=20e-9,
+                               dt_s=0.4e-9, waveforms=waveforms,
+                               condense=condense)[0]
+        after = cache_counters()["circuit.lu.batched"]
+        assert np.array_equal(one.solutions, wide.solutions)
+        # Some stacked solves covered fewer than all 32 rows.
+        solves = after["batched_solves"] - before["batched_solves"]
+        rows = after["batched_rows"] - before["batched_rows"]
+        assert rows < 32 * solves
