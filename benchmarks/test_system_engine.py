@@ -221,13 +221,14 @@ def test_lifetime_sweep_32_cells(benchmark):
     """Record-only: sweep throughput at ``min(2, available_cpus())``
     workers against one worker; results must match.
 
-    ``run_lifetime_sweep`` splits a design into chunks only for an
-    explicit ``max_workers > 1``, so the default worker count would
-    time the single-chunk serial path against itself.  Each side is
-    the median of ``EPOCH_REPS`` alternating runs, and the entry keeps
-    every design's ``serial_reason`` per side (read through
-    ``on_report``): at this grid size the engine's work gate keeps
-    both sides in-process, so the entry shows the chunking cost.
+    The grid is one chip design (the two chips build the same chip)
+    whose 32 unvaried fleet chips form 16 chip classes: 24192
+    core-epochs, below the fleet engine's pool gate.  The engine
+    alone partitions a study, so both sides run the same single
+    memory-sized chunk in-process and the ratio measures run-to-run
+    noise of one path.  Each side is the median of ``EPOCH_REPS``
+    alternating runs, and the entry keeps every design's chunk count
+    and ``serial_reason`` per side (read through ``on_report``).
     """
     policies = {
         "none": NoRecoveryPolicy(),
@@ -255,10 +256,10 @@ def test_lifetime_sweep_32_cells(benchmark):
                                     n_epochs=n_epochs, seed=11,
                                     max_workers=max_workers,
                                     on_report=reports.append)
-        return result, [report.serial_reason for report in reports]
+        return result, reports
 
-    after_runs, before_runs, (pooled, pool_reasons), \
-        (serial, serial_reasons) = alternating_runs(
+    after_runs, before_runs, (pooled, pool_reports), \
+        (serial, serial_reports) = alternating_runs(
             lambda: sweep(workers), lambda: sweep(1), EPOCH_REPS)
     assert pooled.cells == serial.cells
     serial_s = float(np.median(before_runs))
@@ -266,8 +267,10 @@ def test_lifetime_sweep_32_cells(benchmark):
     record("system_lifetime_sweep_32cells", serial_s, pool_s,
            n_cells=n_cells, n_epochs=n_epochs, max_workers=workers,
            available_cpus=available_cpus(),
-           serial_reasons_before=serial_reasons,
-           serial_reasons_after=pool_reasons,
+           n_chunks_before=[r.n_chunks for r in serial_reports],
+           n_chunks_after=[r.n_chunks for r in pool_reports],
+           serial_reasons_before=[r.serial_reason for r in serial_reports],
+           serial_reasons_after=[r.serial_reason for r in pool_reports],
            reps=EPOCH_REPS, statistic="median",
            before_runs_s=before_runs, after_runs_s=after_runs,
            pair_speedups=[b / a for a, b in zip(after_runs,

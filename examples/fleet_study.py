@@ -4,9 +4,9 @@ Runs a Monte Carlo over a fleet of process-varied chips with
 :func:`repro.system.fleet.run_fleet_lifetime_study`: every chip draws
 its own capture / recovery / EM-current scale factors (lognormal, one
 deterministic draw per chip index), then the whole population advances
-as one stacked tensor per epoch -- no process pool, no per-chip Python
-loop.  At 10k chips the fleet engine clears the horizon in seconds
-where the pooled per-cell path takes minutes.
+as stacked tensors per epoch -- no per-chip Python loop.  At 10k chips
+the fleet engine clears the horizon in seconds where the pooled
+per-cell path takes minutes.
 
 The study asks the paper's system-level question at fleet scale: how
 much delay guardband must a *population* budget with and without
@@ -17,10 +17,10 @@ Usage::
 
     python examples/fleet_study.py [n_chips] [epochs] [--max-workers N]
 
-``--max-workers`` fans the lifetime chunks out across a process pool
-(one chunk per worker resident at a time, results merged
-bit-identically to the serial stream); small populations stay serial
-behind the work gate regardless.
+``--max-workers`` sets the process pool size (default: the available
+CPUs).  A population above the work gate splits into one lifetime
+chunk per worker, merged bit-identically to the serial stream; small
+populations stay one in-process chunk behind the gate regardless.
 """
 
 import sys

@@ -186,8 +186,7 @@ class SweepReport:
     ``on_report``.
 
     Attributes:
-        n_tasks / n_chunks / max_workers: run geometry (every chunk
-            is one task).
+        n_chunks / max_workers: run geometry.
         mode: ``"fleet"`` (no pool was started), ``"fleet+pool"``
             (every executed chunk completed in a worker),
             ``"fleet+pool+serial-fallback"`` (some chunks ran
@@ -215,7 +214,6 @@ class SweepReport:
             appear alongside the hit/miss counts when nonzero.
     """
 
-    n_tasks: int
     n_chunks: int
     max_workers: int
     mode: str
@@ -229,17 +227,17 @@ class SweepReport:
 
     @property
     def n_failures(self) -> int:
-        """Number of tasks that exhausted their attempts."""
+        """Number of chunks that exhausted their attempts."""
         return len(self.failures)
 
     @property
     def ok(self) -> bool:
-        """True when every task produced a result."""
+        """True when every chunk produced a result."""
         return not self.failures
 
     def summary(self) -> str:
         """A one-line human-readable digest (for logs / CLI output)."""
-        parts = [f"{self.n_tasks} tasks in {self.n_chunks} chunks "
+        parts = [f"{self.n_chunks} chunks "
                  f"({self.mode}, {self.wall_time_s:.3f} s)"]
         if self.serial_reason:
             parts.append(f"serial: {self.serial_reason}")

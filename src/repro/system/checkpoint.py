@@ -5,7 +5,7 @@ all-or-nothing batch call: a machine reboot at epoch 719 of 720 loses
 everything.  This module makes fleet state durable and incremental --
 the foundation of the ROADMAP's streaming fleet-reliability service:
 
-* **Snapshot format (schema v7).**  Every file this module writes is
+* **Snapshot format (schema v8).**  Every file this module writes is
   one plain ``.npz`` archive of named arrays (no pickled object
   arrays -- loadable with ``allow_pickle=False``) plus a JSON meta
   block, with a **schema version** (strictly gated on load: a file
@@ -42,7 +42,9 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   whose one array is the pickled study and whose meta holds its
   SHA-256 fingerprint with the chunk partition (:func:`study_digest`),
   the chunk height and the cadence, so checkpoints never resume into
-  a *different* study.  Finished chunks persist their
+  a *different* study, while a re-invocation at another worker count
+  or memory budget adopts the stored partition.  Finished chunks
+  persist their
   :class:`~repro.system.fleet.FleetResult`
   (``chunk-NNNNN.result.npz``, one row per chip class plus the draw),
   in-flight chunks snapshot their run every ``checkpoint_every``
@@ -86,7 +88,7 @@ import numpy as np
 from repro import units
 from repro.errors import CheckpointError, SimulationError
 from repro.solvers import record_counters
-from repro.system.chip import Chip
+from repro.system.chip import Chip, ChipConfig
 from repro.system.fleet import (
     FleetGroup,
     FleetResult,
@@ -102,13 +104,12 @@ from repro.system.fleet import (
     _run_study,
     chip_classes,
 )
-from repro.system.sweeps import ChipConfig
 
 #: Snapshot schema this build writes and (exclusively) reads.  The
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 7
+CHECKPOINT_SCHEMA_VERSION = 8
 
 _MAGIC = "repro.fleet.checkpoint"
 _PICKLE_PROTOCOL = 4
@@ -471,22 +472,22 @@ def resume_chunk_run(ckpt: _ChunkCheckpoint, index: int,
 # -- study directories ------------------------------------------------------
 
 
-def study_digest(study: _FleetStudy, bounds) -> str:
+def study_digest(study: _FleetStudy,
+                 chunk_chips: Optional[int]) -> str:
     """SHA-256 fingerprint of a study and its chunk partition.
 
     Covers everything that shapes the bitwise result -- the whole
     normalized study (chip config, group layout with each template's
     initial state, horizon, cadence, variation, seed) and the chunk
-    partition -- and deliberately excludes pure execution knobs
-    (worker count, retries, checkpoint cadence), which may change
-    freely between interrupt and resume.  Every checkpoint file
+    height -- and deliberately excludes pure execution knobs (worker
+    count, retries, checkpoint cadence), which may change freely
+    between interrupt and resume.  Every checkpoint file
     carries the digest, and loads refuse files whose digest differs,
     so a directory can never leak state between different studies.
     """
     try:
-        payload = pickle.dumps(
-            (study, tuple((int(b.start), int(b.stop)) for b in bounds)),
-            protocol=_PICKLE_PROTOCOL)
+        payload = pickle.dumps((study, chunk_chips),
+                               protocol=_PICKLE_PROTOCOL)
     except Exception as error:
         raise CheckpointError(
             "checkpointing requires a picklable study (chip config, "
@@ -495,46 +496,59 @@ def study_digest(study: _FleetStudy, bounds) -> str:
 
 
 def _read_study(path: str) -> Tuple[np.ndarray, Dict[str, Any]]:
-    """The pickled study bytes and the meta of a ``study.npz``."""
+    """The pickled study bytes and the checked meta of a ``study.npz``."""
     arrays, meta = read_snapshot(path)
     if meta.get("kind") != "fleet-study" or "study" not in arrays:
         raise CheckpointError(f"{path} is not a fleet study file")
+    chunk_chips = meta.get("chunk_chips")
+    every = meta.get("checkpoint_every", "missing")
+    if (type(chunk_chips) is not int or chunk_chips < 1
+            or (every is not None
+                and (type(every) is not int or every < 1))):
+        raise CheckpointError(
+            f"{path} has chunk_chips={chunk_chips!r} and checkpoint_every="
+            f"{every!r}; expected a positive int and a positive int or null")
     return arrays["study"], meta
 
 
-def prepare_study_directory(directory, study: _FleetStudy, bounds, *,
-                            every: Optional[int]) -> _ChunkCheckpoint:
+def prepare_study_directory(directory, study: _FleetStudy,
+                            chunk_chips: int, *,
+                            every: Optional[int]
+                            ) -> Tuple[_ChunkCheckpoint, int]:
     """Create (or re-open) a study's checkpoint directory.
 
     First invocation writes ``study.npz``, a snapshot file whose one
-    array is the pickled study and whose meta holds the study digest,
-    the chunk height and the checkpoint cadence that
-    :func:`resume_fleet_lifetime_study` replays.  Re-opening verifies
-    the file (schema, checksum) and its digest, so resuming a
-    *different* study against an existing directory fails loudly
-    instead of mixing state.
+    array is the pickled study and whose meta holds the digest of the
+    study and its ``chunk_chips`` partition, the chunk height and the
+    checkpoint cadence that :func:`resume_fleet_lifetime_study`
+    replays.  Re-opening verifies the file (schema, checksum, meta)
+    and adopts its chunk height before it checks the digest, so a
+    *different* study fails loudly instead of mixing state.  Returns
+    the chunk checkpoint configuration and the chunk height to run.
     """
     if every is not None and every < 1:
         raise SimulationError(
             "checkpoint_every must be at least 1")
     directory = os.fspath(directory)
-    digest = study_digest(study, bounds)
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "study.npz")
-    if os.path.exists(path):
-        if _read_study(path)[1].get("digest") != digest:
-            raise CheckpointError(
-                f"{directory} holds checkpoints of a different "
-                "study (fingerprint mismatch); use a fresh "
-                "directory or re-invoke the original study")
-    else:
+    stored = _read_study(path)[1] if os.path.exists(path) else None
+    if stored is not None:
+        chunk_chips = stored["chunk_chips"]
+    digest = study_digest(study, chunk_chips)
+    if stored is None:
+        os.makedirs(directory, exist_ok=True)
         write_snapshot(path, {"study": np.frombuffer(
             pickle.dumps(study, protocol=_PICKLE_PROTOCOL),
             dtype=np.uint8)},
             {"kind": "fleet-study", "digest": digest,
-             "chunk_chips": bounds[0].n_items, "checkpoint_every": every})
+             "chunk_chips": chunk_chips, "checkpoint_every": every})
+    elif stored.get("digest") != digest:
+        raise CheckpointError(
+            f"{directory} holds checkpoints of a different "
+            "study (fingerprint mismatch); use a fresh "
+            "directory or re-invoke the original study")
     return _ChunkCheckpoint(directory=directory, every=every,
-                            digest=digest)
+                            digest=digest), chunk_chips
 
 
 def resume_fleet_lifetime_study(checkpoint_dir, *,
@@ -545,11 +559,11 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
 
     Replays the exact study pinned in the directory's ``study.npz``
     (written by the original
-    :func:`~repro.system.fleet.run_fleet_lifetime_study` call):
-    complete chunks load from their result files, incomplete ones
-    continue from their newest progress snapshot, and the merged
-    :class:`~repro.system.fleet.FleetResult` is bitwise-equal to the
-    uninterrupted run.  Execution knobs (``max_workers``,
+    :func:`~repro.system.fleet.run_fleet_lifetime_study` call) on its
+    chunk partition: complete chunks load from their result files,
+    incomplete ones continue from their newest progress snapshot, and
+    the merged :class:`~repro.system.fleet.FleetResult` is
+    bitwise-equal to the uninterrupted run.  Execution knobs (``max_workers``,
     ``retries``, ``on_report``) are free to differ from the original
     invocation -- they do not affect the result.
     """
@@ -563,13 +577,13 @@ def resume_fleet_lifetime_study(checkpoint_dir, *,
         study = pickle.loads(payload.tobytes())
         if not isinstance(study, _FleetStudy):
             raise TypeError(f"{type(study).__name__} is not a study")
-        chunk_chips, every = meta["chunk_chips"], meta["checkpoint_every"]
     except Exception as error:
         raise CheckpointError(
             f"cannot read study spec {path}: {error}") from error
-    return _run_study(study.chip.build(), study, chunk_chips,
-                      max_workers=max_workers, retries=retries,
-                      on_report=on_report, checkpoint_every=every,
+    return _run_study(study.chip.build(), study, max_chunk_chips=None,
+                      state_budget_bytes=None, max_workers=max_workers,
+                      retries=retries, on_report=on_report,
+                      checkpoint_every=meta["checkpoint_every"],
                       checkpoint_dir=directory)
 
 
@@ -697,7 +711,7 @@ class FleetSession:
     def _digest(self) -> str:
         """The study fingerprint a session snapshot carries; the drawn
         variation travels as state arrays, so it is left out."""
-        return study_digest(replace(self._study, variation=None), ())
+        return study_digest(replace(self._study, variation=None), None)
 
     def save(self, path) -> None:
         """Persist the session to one snapshot file."""

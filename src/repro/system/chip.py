@@ -94,3 +94,36 @@ class Chip:
         name = self.floorplan.blocks[index].name
         return [self.floorplan.index_of(other)
                 for other in self.floorplan.neighbours_of(name)]
+
+
+@dataclass(frozen=True)
+class ChipConfig:
+    """A buildable chip description (picklable, unlike a live Chip).
+
+    Attributes:
+        rows / cols: core-grid dimensions.
+        core: core specification (default :class:`CoreSpec`).
+        thermal: thermal network parameters (defaults apply).
+        name: label used in the result table; defaults to
+            ``"{rows}x{cols}"``.
+    """
+
+    rows: int
+    cols: int
+    core: Optional[CoreSpec] = None
+    thermal: Optional[ThermalNetworkConfig] = None
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or self.cols < 1:
+            raise SimulationError("chip needs at least one core")
+
+    @property
+    def label(self) -> str:
+        """Table label of this configuration."""
+        return self.name or f"{self.rows}x{self.cols}"
+
+    def build(self) -> Chip:
+        """A fresh :class:`Chip` (thermal state included)."""
+        return Chip(self.rows, self.cols, core=self.core,
+                    thermal=self.thermal)

@@ -36,14 +36,14 @@ of a study in lockstep (the one-chip study is
   normalizes its arguments once into one validated study object --
   the one :class:`~repro.system.checkpoint.FleetSession` builds too,
   and the only builder of a :class:`FleetSimulator` -- and runs it
-  through one chunk loop: whole-lifetime row chunks under
-  a byte budget (``max_chunk_chips`` / ``state_budget_bytes``, sized
-  by what a chunk holds: :func:`chunk_state_bytes`), each the study's
-  own row slice.  The parent restores any chunk a
-  checkpoint directory already holds, then runs the pending ones
-  in-process on one shared chip (warm thermal memo) or, with
-  ``max_workers > 1`` (capped at the CPUs this process may run on)
-  and enough work, on a process pool.  Every
+  through one chunk loop: whole-lifetime row chunks, each the study's
+  own row slice, partitioned by :func:`_chunk_size` (the fewest chunks
+  under ``max_chunk_chips`` / ``state_budget_bytes``, cut once per
+  worker above the pool gate) unless a checkpoint directory pins its
+  own.  The parent restores any chunk the directory holds, then runs
+  the pending ones in-process on one shared chip (warm thermal memo)
+  or, with ``max_workers > 1`` (capped at the CPUs this process may
+  run on) and enough work, on a process pool.  Every
   executed chunk gets the same bounded retries and failure
   attribution wherever it runs.  Results merge in chunk order --
   bitwise identical for every worker count, completion order and mix
@@ -112,9 +112,8 @@ from repro.solvers.sweep import (
     task_seed_sequence,
 )
 from repro.system.aging import FleetEmState
-from repro.system.chip import Chip
+from repro.system.chip import Chip, ChipConfig
 from repro.system.scheduler import CoreAssignment
-from repro.system.sweeps import ChipConfig
 from repro.system.workload import PhasedWorkload
 
 #: Trap-bin count of the system-level population (the fleet engine
@@ -1328,10 +1327,34 @@ def _fleet_study(chip: Union[Chip, ChipConfig, Tuple[int, int]],
         variation=variation, seed=int(seed))
 
 
-def _chunk_size(study: _FleetStudy, n_cores: int,
+#: Below this much stacked work (``classes * n_cores * n_epochs``,
+#: counting each chunk's most chip classes, since a chunk advances one
+#: row per class: :meth:`_FleetStudy.max_classes`) a study never
+#: starts a process pool: pool spawn plus chip pickling costs tens of
+#: milliseconds, which dominates small or unvaried fleets.
+MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
+
+
+def _pool_gate(chunks: Sequence[_FleetStudy], n_cores: int,
+               workers: int) -> Optional[str]:
+    """Why ``chunks`` stay in-process on ``workers`` CPUs whatever
+    their count (``None``: they carry enough work to pool)."""
+    if workers <= 1:
+        return "max_workers <= 1"
+    classes = sum(chunk.max_classes(chunk.n_chips) for chunk in chunks)
+    work = classes * n_cores * chunks[0].n_epochs
+    if work < MIN_CORE_EPOCHS_FOR_POOL:
+        return (f"{classes} chip classes: {work} core-epochs below "
+                f"pool threshold {MIN_CORE_EPOCHS_FOR_POOL}")
+    return None
+
+
+def _chunk_size(study: _FleetStudy, n_cores: int, workers: int,
                 max_chunk_chips: Optional[int],
                 state_budget_bytes: Optional[int]) -> int:
-    """Chips per chunk under the caller's row and byte limits.
+    """Chips per chunk: the fewest chunks the row and byte limits
+    allow, cut to ``ceil(n_chips / workers)`` chips when those chunks
+    pass :func:`_pool_gate`.
 
     The byte limit holds :func:`chunk_state_bytes` of the chunk's
     chips and of the most classes they can form
@@ -1362,19 +1385,14 @@ def _chunk_size(study: _FleetStudy, n_cores: int,
             else:
                 high = mid - 1
         limit = low
+    chunks = [study.rows(chunk.start, chunk.stop)
+              for chunk in chunk_tasks(study.n_chips, limit)]
+    if _pool_gate(chunks, n_cores, workers) is None:
+        limit = min(limit, -(-study.n_chips // workers))
     return limit
 
 
 # -- the chunk loop ---------------------------------------------------------
-
-
-#: Below this much stacked work in the pending chunks (``classes *
-#: n_cores * n_epochs``, counting each chunk's most chip classes,
-#: :meth:`_FleetStudy.max_classes`) the chunked runner never starts a
-#: process pool: pool spawn plus chip pickling costs tens of
-#: milliseconds, which dominates small or unvaried fleets.  It is one
-#: of the serial reasons :func:`_run_study` decides once.
-MIN_CORE_EPOCHS_FOR_POOL = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -1400,7 +1418,6 @@ class _FleetChunkTask:
 
     study: _FleetStudy
     chunk: ChunkTask
-    n_chunks: int
     checkpoint: Optional[_ChunkCheckpoint] = None
 
 
@@ -1445,16 +1462,19 @@ def _run_fleet_chunk(task: _FleetChunkTask) -> FleetResult:
     return _execute_chunk(task.study.chip.build(), task)
 
 
-def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
+def _run_study(built: Chip, study: _FleetStudy, *,
+               max_chunk_chips: Optional[int],
+               state_budget_bytes: Optional[int],
                max_workers: Optional[int], retries: int,
                on_report: Optional[Callable[[SweepReport], None]],
                checkpoint_every: Optional[int],
                checkpoint_dir) -> FleetResult:
-    """Run a study's ``chunk_chips``-row chunks through one loop.
+    """Run a study's row chunks (:func:`_chunk_size`'s, or a
+    checkpoint directory's) through one loop.
 
-    The parent restores every chunk a checkpoint directory finished
-    and decides once whether the pending ones pool.  Every chunk it
-    executes runs through :func:`~repro.solvers.sweep._run_task`
+    The parent restores every chunk the directory finished and asks
+    :func:`_pool_gate` once whether the pending ones pool.  Every chunk
+    it executes runs through :func:`~repro.solvers.sweep._run_task`
     (bounded retries, failure capture, counter delta, wall time): in
     a pool worker, or in-process on ``built`` -- every chunk when no
     pool started, each chunk the pool did not finish otherwise.  A
@@ -1465,27 +1485,28 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
         raise SimulationError("max_workers must be non-negative")
     if retries < 0:
         raise SimulationError("retries must be non-negative")
-    bounds = chunk_tasks(study.n_chips, chunk_chips)
-    n_chunks = len(bounds)
     # A pool larger than the CPUs this process may run on only adds
     # start-up and contention, so an explicit count is capped too.
     workers = available_cpus()
     if max_workers is not None:
         workers = min(max_workers, workers)
+    chunk_chips = _chunk_size(study, built.n_cores, workers,
+                              max_chunk_chips, state_budget_bytes)
     ckpt: Optional[_ChunkCheckpoint] = None
     if checkpoint_dir is not None:
         from repro.system import checkpoint as checkpoint_mod
-        ckpt = checkpoint_mod.prepare_study_directory(
-            checkpoint_dir, study, bounds, every=checkpoint_every)
+        ckpt, chunk_chips = checkpoint_mod.prepare_study_directory(
+            checkpoint_dir, study, chunk_chips, every=checkpoint_every)
     elif checkpoint_every is not None:
         raise SimulationError(
             "checkpoint_every requires checkpoint_dir")
+    bounds = chunk_tasks(study.n_chips, chunk_chips)
+    n_chunks = len(bounds)
     # Chunk boundaries, variation draws and group slices are the same
     # on every path, so the merged result is bitwise identical for
     # every worker count and for any mix of restored chunks.
     tasks = [_FleetChunkTask(study=study.rows(chunk.start, chunk.stop),
-                             chunk=chunk, n_chunks=n_chunks,
-                             checkpoint=ckpt)
+                             chunk=chunk, checkpoint=ckpt)
              for chunk in bounds]
     started = time.perf_counter()
     # Chunk index -> (executed_in, output), for every chunk restored
@@ -1509,21 +1530,12 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                         value=part, failure=None, retries=0,
                         wall_time_s=time.perf_counter() - load_started,
                         cache_delta={}))
-        # A chunk advances one row per chip class, so the pending work
-        # is counted in classes, not chips.
-        classes = sum(task.study.max_classes(task.study.n_chips)
-                      for task in pending)
-        work = classes * built.n_cores * study.n_epochs
-        if not pending:
-            reason = "every chunk restored from checkpoint"
-        elif workers <= 1:
-            reason = "max_workers <= 1"
-        elif n_chunks < 2:
+        reason = ("every chunk restored from checkpoint" if not pending
+                  else _pool_gate([task.study for task in pending],
+                                  built.n_cores, workers))
+        if reason is None and len(pending) < 2:
             reason = "single chunk"
-        elif work < MIN_CORE_EPOCHS_FOR_POOL:
-            reason = (f"{classes} chip classes: {work} core-epochs "
-                      f"below pool threshold {MIN_CORE_EPOCHS_FOR_POOL}")
-        else:
+        if reason is None:
             try:
                 # A later chunk may still hide an unpicklable group;
                 # the pool degrades on that chunk alone.
@@ -1587,7 +1599,7 @@ def _run_study(built: Chip, study: _FleetStudy, chunk_chips: int, *,
                 "fleet.engine", {"hits": 0, "misses": 0})
             entry["chunks"] = entry.get("chunks", 0) + done
             on_report(SweepReport(
-                n_tasks=n_chunks, n_chunks=n_chunks,
+                n_chunks=n_chunks,
                 max_workers=workers, mode=mode, serial_reason=reason,
                 fallback_reasons=tuple(fallback_reasons),
                 wall_time_s=time.perf_counter() - started,
@@ -1694,7 +1706,9 @@ def run_fleet_lifetime_study(
             most the CPUs this process may run on
             (:func:`~repro.solvers.sweep.available_cpus`), which
             ``None`` picks; ``0``/``1`` forces the serial chunk
-            stream.  Results are bitwise identical either way.
+            stream; above the work gate it alone cuts the study into
+            ``ceil(n_chips / workers)``-chip chunks.  Results are
+            bitwise identical either way.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).
@@ -1712,11 +1726,12 @@ def run_fleet_lifetime_study(
             every that many epochs; re-invoking the identical study
             against the same directory restores complete chunks
             (``executed_in == "cached"`` in the report) and resumes
-            incomplete ones from their newest snapshot.  The resumed
-            result is **bitwise-equal** to an uninterrupted run, for
-            serial and pooled execution alike.  An invalid study is
-            refused before any file is written.  See
-            :mod:`repro.system.checkpoint`.
+            incomplete ones from their newest snapshot, on the
+            directory's first chunk partition whatever the limits and
+            workers.  The resumed result is **bitwise-equal** to an
+            uninterrupted run, for serial and pooled execution alike.
+            An invalid study is refused before any file is written.
+            See :mod:`repro.system.checkpoint`.
 
     Returns:
         A :class:`FleetResult`; ``chip_result(i)`` recovers any
@@ -1726,9 +1741,8 @@ def run_fleet_lifetime_study(
         chip, n_chips, workload, policy, groups, n_epochs=n_epochs,
         epoch_s=epoch_s, record_every=record_every,
         variation=variation, seed=seed)
-    chunk_chips = _chunk_size(study, built.n_cores, max_chunk_chips,
-                              state_budget_bytes)
-    return _run_study(built, study, chunk_chips,
+    return _run_study(built, study, max_chunk_chips=max_chunk_chips,
+                      state_budget_bytes=state_budget_bytes,
                       max_workers=max_workers, retries=retries,
                       on_report=on_report,
                       checkpoint_every=checkpoint_every,

@@ -38,42 +38,9 @@ import numpy as np
 
 from repro import units
 from repro.errors import SimulationError
-from repro.solvers.sweep import SweepReport, task_seed_sequence
-from repro.system.chip import Chip, CoreSpec
-from repro.thermal.network import ThermalNetworkConfig
-
-
-@dataclass(frozen=True)
-class ChipConfig:
-    """A buildable chip description (picklable, unlike a live Chip).
-
-    Attributes:
-        rows / cols: core-grid dimensions.
-        core: core specification (default :class:`CoreSpec`).
-        thermal: thermal network parameters (defaults apply).
-        name: label used in the result table; defaults to
-            ``"{rows}x{cols}"``.
-    """
-
-    rows: int
-    cols: int
-    core: Optional[CoreSpec] = None
-    thermal: Optional[ThermalNetworkConfig] = None
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise SimulationError("chip needs at least one core")
-
-    @property
-    def label(self) -> str:
-        """Table label of this configuration."""
-        return self.name or f"{self.rows}x{self.cols}"
-
-    def build(self) -> Chip:
-        """A fresh :class:`Chip` (thermal state included)."""
-        return Chip(self.rows, self.cols, core=self.core,
-                    thermal=self.thermal)
+from repro.solvers.sweep import task_seed_sequence
+from repro.system.chip import ChipConfig
+from repro.system.fleet import FleetGroup, run_fleet_lifetime_study
 
 
 @dataclass(frozen=True)
@@ -231,7 +198,6 @@ def _design_groups(positions: Sequence[int],
     Returns ``(groups, rows)``: the groups, and per fleet chip its
     ``(cell_index, policy_label, workload_label, chip_label)``.
     """
-    from repro.system.fleet import FleetGroup
     groups: List[FleetGroup] = []
     rows: List[Tuple[int, str, str, str]] = []
     for pair, ((policy_label, policy), (workload_label, workload)) \
@@ -282,9 +248,9 @@ def run_lifetime_sweep(
         policies: scheduling policies, as a ``{label: policy}`` mapping
             or a plain sequence (labelled by class name).  An entry
             without an ``assign`` method is treated as a *factory*
-            called with the design's freshly built :class:`Chip` --
-            use that for chip-bound policies like
-            :class:`~repro.system.dark_silicon
+            called with the design's freshly built
+            :class:`~repro.system.chip.Chip` -- use that for
+            chip-bound policies like :class:`~repro.system.dark_silicon
             .DarkSiliconRotationPolicy` on heterogeneous chip grids.
             Stateful policies are deep-copied per fleet cohort.
         workloads: demand generators, mapping or sequence as above;
@@ -302,15 +268,13 @@ def run_lifetime_sweep(
             the horizon is very long).
         seed: root seed of the per-cell workload reseeding; ``None``
             runs every cell with the workloads' own seeds.
-        max_workers / retries: forwarded to the fleet engine's
-            parallel chunk executor (the stacked rows of a design
-            split into one whole-lifetime chunk per worker; results
-            stay bitwise identical, and small grids remain one serial
-            in-process advance behind the engine's work gate).
-        on_report: optional callback receiving one
-            :class:`~repro.solvers.SweepReport` per chip design, with
-            ``n_tasks`` restated as the design's cell count and the
-            fleet engine's chip/cohort/kernel-dedup counters in
+        max_workers / retries: forwarded to the fleet engine, which
+            alone partitions each design's study: one chunk per worker
+            above its pool gate, one in-process chunk below it;
+            results stay bitwise identical.
+        on_report: optional callback receiving the fleet engine's
+            :class:`~repro.solvers.SweepReport` of each chip design,
+            with its chip/cohort/kernel-dedup counters in
             ``cache_counters``.
         checkpoint_every / checkpoint_dir: crash-durable execution,
             forwarded to
@@ -318,7 +282,7 @@ def run_lifetime_sweep(
             every chunk of the stacked grid persists its result (and
             in-flight progress every ``checkpoint_every`` epochs)
             under ``checkpoint_dir``, and re-invoking the identical
-            sweep resumes instead of recomputing -- see
+            sweep resumes at any worker count -- see
             :mod:`repro.system.checkpoint`.  One directory holds one
             fleet study, so checkpointing a grid of several chip
             designs raises :class:`~repro.errors.SimulationError`.
@@ -327,12 +291,6 @@ def run_lifetime_sweep(
         A :class:`SweepResult` with one cell per grid point, ordered
         policy-major, then workload, then chip.
     """
-    if n_epochs < 1:
-        raise SimulationError("n_epochs must be at least 1")
-    if epoch_s <= 0.0:
-        raise SimulationError("epoch_s must be positive")
-    if record_every < 1:
-        raise SimulationError("record_every must be at least 1")
     policy_pairs = _labelled(policies, "policy")
     workload_pairs = _labelled(workloads, "workload")
     chip_configs = [_as_chip_config(chip) for chip in chips]
@@ -354,34 +312,16 @@ def run_lifetime_sweep(
         raise SimulationError(
             "a checkpoint directory holds one fleet study, so a grid "
             f"of {len(designs)} chip designs cannot run on it")
-    from repro.system.fleet import run_fleet_lifetime_study
     summaries: Dict[int, SweepCellResult] = {}
     for config, positions in designs:
         groups, rows = _design_groups(positions, chip_configs,
                                       policy_pairs, workload_pairs, seed)
-        # With several workers the design's stacked rows split into
-        # one whole-lifetime chunk per worker; results are invariant
-        # in the chunk size, and the engine's work-aware serial gate
-        # still keeps small grids in one in-process advance.
-        max_chunk_chips = None
-        if max_workers is not None and max_workers > 1:
-            max_chunk_chips = max(1, -(-len(rows) // max_workers))
-        captured: List[SweepReport] = []
-        try:
-            fleet = run_fleet_lifetime_study(
-                config, groups=groups, n_epochs=n_epochs,
-                epoch_s=epoch_s, record_every=record_every,
-                max_chunk_chips=max_chunk_chips,
-                max_workers=max_workers, retries=retries,
-                on_report=(captured.append if on_report is not None
-                           else None),
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir)
-        finally:
-            # The fleet report counts chunks as its tasks; grid
-            # callers read n_tasks as the cell count, so restate it.
-            for report in captured:
-                on_report(dataclasses.replace(report, n_tasks=len(rows)))
+        fleet = run_fleet_lifetime_study(
+            config, groups=groups, n_epochs=n_epochs, epoch_s=epoch_s,
+            record_every=record_every, max_workers=max_workers,
+            retries=retries, on_report=on_report,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir)
         for row, (index, policy_label, workload_label, chip_label) \
                 in enumerate(rows):
             summaries[index] = _cell_summary(

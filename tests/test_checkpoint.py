@@ -432,6 +432,39 @@ class TestCheckpointedStudy:
                                               max_workers=0)
         assert_results_bitwise_equal(first, resumed)
 
+    def test_directory_keeps_its_partition(self, tmp_path, monkeypatch):
+        # The first invocation pins 3-chip chunks.  Re-invocations
+        # whose limits or worker count plan another partition adopt
+        # the stored one: a complete directory restores every chunk,
+        # a partial one recomputes only its missing chunk.
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        monkeypatch.setattr(fleet_module, "available_cpus",
+                            lambda: WORKERS)
+        directory = tmp_path / "ckpt"
+        first = run_study(checkpoint_dir=directory)
+        for overrides in (dict(max_chunk_chips=None),
+                          dict(max_chunk_chips=None, state_budget_bytes=1),
+                          dict(max_chunk_chips=None, max_workers=WORKERS)):
+            reports = []
+            again = run_study(checkpoint_dir=directory,
+                              on_report=reports.append, **overrides)
+            assert_results_bitwise_equal(first, again)
+            (report,) = reports
+            assert report.n_chunks == 3
+            assert all(chunk.executed_in == "cached"
+                       for chunk in report.chunks)
+        os.remove(directory / "chunk-00001.result.npz")
+        reports = []
+        again = run_study(checkpoint_dir=directory, max_chunk_chips=None,
+                          max_workers=WORKERS, on_report=reports.append)
+        assert_results_bitwise_equal(first, again)
+        (report,) = reports
+        assert [chunk.executed_in for chunk in report.chunks] == \
+            ["cached", "serial", "cached"]
+        assert report.serial_reason == "single chunk"
+        assert read_snapshot(directory / "study.npz")[1]["chunk_chips"] \
+            == 3
+
     def test_directory_is_pinned_to_one_study(self, tmp_path):
         directory = tmp_path / "ckpt"
         run_study(checkpoint_dir=directory)
@@ -516,6 +549,38 @@ class TestSweepCheckpointRoute:
                    for chunk in reports[0].chunks)
         assert [cell.guardband for cell in again.cells] == \
             [cell.guardband for cell in first.cells]
+
+    def test_sweep_resumes_at_another_worker_count(self, tmp_path,
+                                                   monkeypatch):
+        # Above the (lowered) gate two workers cut the design's four
+        # fleet chips into two chunks; the directory keeps them, so
+        # the sweep re-invoked at one worker, or at the default,
+        # restores both instead of refusing the directory.
+        from repro.system.chip import ChipConfig
+        from repro.system.sweeps import run_lifetime_sweep
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+        monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
+        grid = dict(self.GRID, workloads={
+            "flat": ConstantWorkload(n_cores=4, utilization=0.5),
+            "busy": ConstantWorkload(n_cores=4, utilization=0.9)},
+            chips=[ChipConfig(2, 2, name="a"), ChipConfig(2, 2, name="b")])
+        directory = tmp_path / "ckpt"
+        reports = []
+        first = run_lifetime_sweep(checkpoint_dir=directory, max_workers=2,
+                                   on_report=reports.append, **grid)
+        (report,) = reports
+        assert report.mode == "fleet+pool"
+        assert report.n_chunks == 2
+        for workers in (1, None):
+            reports = []
+            again = run_lifetime_sweep(checkpoint_dir=directory,
+                                       max_workers=workers,
+                                       on_report=reports.append, **grid)
+            assert again.cells == first.cells
+            (report,) = reports
+            assert report.n_chunks == 2
+            assert [chunk.executed_in for chunk in report.chunks] == \
+                ["cached", "cached"]
 
     def test_incompatible_grid_refuses_checkpointing(self, tmp_path):
         from repro.system.sweeps import run_lifetime_sweep
@@ -794,7 +859,7 @@ class TestPerClassSnapshots:
 
 
 class TestSnapshotLayout:
-    """Schema v7: the simulator's own state arrays, one member per
+    """Schema v7 and on: the simulator's own state arrays, one member per
     array whatever the cohort count, and a study file that is a
     snapshot like every other."""
 
@@ -855,6 +920,27 @@ class TestSnapshotLayout:
             run_study(checkpoint_dir=directory)
         assert contents() == before
 
+    @pytest.mark.parametrize("key, value", [
+        ("chunk_chips", "3"), ("chunk_chips", 2.5), ("chunk_chips", 0),
+        ("checkpoint_every", "2"), ("checkpoint_every", 0)])
+    def test_a_malformed_study_meta_is_refused(self, tmp_path, key,
+                                               value):
+        # Re-written through write_snapshot, so the checksum holds:
+        # the meta values themselves are checked where the directory
+        # is re-opened, before any write.
+        directory = tmp_path / "ckpt"
+        run_study(checkpoint_dir=directory)
+        os.remove(directory / "chunk-00001.result.npz")
+        path = directory / "study.npz"
+        arrays, meta = read_snapshot(path)
+        write_snapshot(path, arrays, {**meta, key: value})
+        before = sorted(os.listdir(directory))
+        with pytest.raises(CheckpointError, match=key):
+            resume_fleet_lifetime_study(directory)
+        with pytest.raises(CheckpointError, match=key):
+            run_study(checkpoint_dir=directory)
+        assert sorted(os.listdir(directory)) == before
+
     def test_a_study_file_of_another_kind_is_refused(self, tmp_path):
         # A valid snapshot that is not a study spec (here a chunk
         # result) in place of study.npz.
@@ -875,6 +961,13 @@ class TestSnapshotLayout:
 
     def test_a_v6_directory_is_refused(self, tmp_path, monkeypatch):
         assert_older_directory_refused(tmp_path, monkeypatch, 6)
+
+    # v8 pickles the study with ChipConfig under repro.system.chip.
+    def test_a_v7_snapshot_is_refused(self, tmp_path, monkeypatch):
+        assert_older_snapshot_refused(tmp_path, monkeypatch, 7)
+
+    def test_a_v7_directory_is_refused(self, tmp_path, monkeypatch):
+        assert_older_directory_refused(tmp_path, monkeypatch, 7)
 
 
 class TestSnapshotCounters:

@@ -272,7 +272,7 @@ class TestChunkSizing:
             n_epochs=2, epoch_s=3600.0, record_every=1, variation=spec,
             seed=0)
         budget = 32 * 2 ** 20
-        chunk = fleet_module._chunk_size(study, 9, None, budget)
+        chunk = fleet_module._chunk_size(study, 9, 1, None, budget)
         assert chunk == budget // fleet_module.state_bytes_per_chip(9)
         assert chunk_state_bytes(chunk, chunk, 9) <= budget
         assert chunk_state_bytes(chunk + 1, chunk + 1, 9) > budget

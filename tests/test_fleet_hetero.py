@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.system.fleet as fleet_module
 from repro.errors import SimulationError
 from repro.solvers import cache_counters, task_seed_sequence
 from repro.system.chip import Chip
@@ -302,7 +303,8 @@ class TestSweepEngineRouting:
         sweep = self.run_grid(on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet"
-        assert report.n_tasks == len(sweep.cells) == 8
+        assert report.n_chunks == 1
+        assert len(sweep.cells) == 8
         assert_cells_match_standalone(sweep, *self.grid(),
                                       self.N_SWEEP_EPOCHS)
 
@@ -326,7 +328,8 @@ class TestSweepEngineRouting:
                                    n_epochs=self.N_SWEEP_EPOCHS,
                                    seed=5, on_report=reports.append)
         assert [report.mode for report in reports] == ["fleet", "fleet"]
-        assert [report.n_tasks for report in reports] == [8, 8]
+        assert [report.n_chunks for report in reports] == [1, 1]
+        assert len(sweep.cells) == 16
         assert_cells_match_standalone(sweep, policies, workloads, chips,
                                       self.N_SWEEP_EPOCHS, seed=5)
         random_cells = [cell for cell in sweep.cells
@@ -345,15 +348,18 @@ class TestSweepEngineRouting:
             == self.N_SWEEP_EPOCHS
         assert "bti.fleet.kernels" in counters
 
-    def test_max_workers_stays_on_fleet_path(self):
-        # max_workers forwards to the fleet engine's chunk executor,
-        # and this grid is far below the work gate, so the run stays
-        # one serial fleet advance.
+    def test_max_workers_stays_on_fleet_path(self, monkeypatch):
+        # max_workers forwards to the fleet engine, and this grid is
+        # far below the work gate, so the run stays one serial fleet
+        # advance of one chunk: the sweep does not split it.
+        monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
         reports = []
         workers = self.run_grid(max_workers=2,
                                 on_report=reports.append)
         assert reports[0].mode == "fleet"
-        assert reports[0].n_tasks == len(workers.cells) == 8
+        assert reports[0].n_chunks == 1
+        assert "below pool threshold" in reports[0].serial_reason
+        assert len(workers.cells) == 8
         baseline = self.run_grid()
         for a, b in zip(workers.cells, baseline.cells):
             assert a == b

@@ -11,15 +11,19 @@ The chunk loop promises:
 * **one failure rule** -- a flaky chunk is retried, and a chunk that
   exhausts its retries raises ``TaskError`` with the same index,
   attempts and report at every worker count;
-* **a work-aware serial gate** -- small fleets and single-chunk runs
-  never pay pool spawn overhead;
+* **one partition rule** -- ``max_workers`` alone cuts a study above
+  the work gate into one chunk per worker (within the memory limits);
+  below it, or at one worker, the study runs the fewest chunks its
+  memory limits allow, and small fleets and single-chunk runs never
+  pay pool spawn overhead;
 * **aggregated telemetry** -- the ``SweepReport`` sums every worker's
   named-cache counters (``bti.fleet.kernels``, ``fleet.engine``,
   thermal/condition memos), not just the parent's.
 
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
-2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 (the ``open_pool``
-fixture) so the pooled code path runs even on single-core CI runners.  Faults
+2), lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 and report that many
+available CPUs (the ``open_pool`` fixture), so the pooled code path
+runs, and cuts the same chunks, on any CI runner.  Faults
 (stragglers, worker deaths, failing chunks) are injected by patching
 ``repro.system.fleet._execute_chunk``, the chunk body the parent and
 the forked workers share.
@@ -57,6 +61,7 @@ N_CORES = 9
 N_CHIPS = 14
 N_EPOCHS = 5
 CHUNK_CHIPS = 4  # -> ceil(14 / 4) = 4 chunks
+N_CHUNKS = 4
 
 RESULT_ARRAYS = (
     "times_s", "worst_degradation", "mean_degradation",
@@ -114,8 +119,10 @@ def serial_baseline():
 
 @pytest.fixture()
 def open_pool(monkeypatch):
-    """Drop the work gate so a small multi-chunk fleet pools."""
+    """Drop the work gate so a small multi-chunk fleet pools, on
+    ``WORKERS`` CPUs whatever the host has."""
     monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+    monkeypatch.setattr(fleet_module, "available_cpus", lambda: WORKERS)
 
 
 @pytest.fixture()
@@ -132,9 +139,9 @@ def no_pool(monkeypatch):
 
 
 def _staggered(real, built, task):
-    """Chunk ``k`` sleeps ``0.05 * (n_chunks - 1 - k)`` s first, so
+    """Chunk ``k`` sleeps ``0.05 * (N_CHUNKS - 1 - k)`` s first, so
     later chunks finish first."""
-    time.sleep(0.05 * (task.n_chunks - 1 - task.chunk.index))
+    time.sleep(0.05 * (N_CHUNKS - 1 - task.chunk.index))
     return real(built, task)
 
 
@@ -157,7 +164,7 @@ class TestParallelDeterminism:
                                on_report=reports.append)
             assert_bitwise_equal(serial_baseline, pooled)
             (report,) = reports
-            assert report.n_chunks == 4
+            assert report.n_chunks == N_CHUNKS
             if workers == 1:
                 assert report.mode == "fleet"
                 assert report.serial_reason == "max_workers <= 1"
@@ -170,7 +177,7 @@ class TestParallelDeterminism:
                                              open_pool,
                                              serial_baseline):
         # Later chunks finish first: chunk k sleeps proportionally to
-        # (n_chunks - 1 - k) inside the worker, so the scatter order
+        # (N_CHUNKS - 1 - k) inside the worker, so the scatter order
         # reverses while the merged rows must not.
         monkeypatch.setattr(
             fleet_module, "_execute_chunk",
@@ -201,7 +208,7 @@ class TestParallelDeterminism:
             parts[task.index] = _run_fleet_chunk(
                 fleet_module._FleetChunkTask(
                     study=study.rows(task.start, task.stop),
-                    chunk=task, n_chunks=len(tasks)))
+                    chunk=task))
         merged = _merge_fleet_results(
             [parts[task.index] for task in tasks])
         assert_bitwise_equal(serial_baseline, merged)
@@ -267,10 +274,14 @@ class TestSerialGate:
         assert "core-epochs below pool threshold" \
             in report.serial_reason
 
-    def test_single_chunk_stays_serial(self, open_pool, no_pool):
+    def test_single_chip_study_stays_serial(self, open_pool, no_pool):
+        # Above the gate a study splits per worker, but one chip is
+        # one chunk: no pool starts for it.
         reports = []
-        run_study(max_workers=4,
-                  max_chunk_chips=None, on_report=reports.append)
+        run_fleet_lifetime_study(
+            (3, 3), 1, ConstantWorkload(n_cores=N_CORES, utilization=0.6),
+            NoRecoveryPolicy(), n_epochs=N_EPOCHS, max_workers=WORKERS,
+            on_report=reports.append)
         (report,) = reports
         assert report.mode == "fleet"
         assert report.serial_reason == "single chunk"
@@ -287,10 +298,10 @@ class TestSerialGate:
                    for chunk in report.chunks)
 
     def test_default_pool_size_follows_cpu_affinity(self, monkeypatch,
-                                                    open_pool,
                                                     no_pool):
         # A runner pinned to one CPU must not pool by default, however
         # many CPUs the host reports.
+        monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -306,6 +317,62 @@ class TestSerialGate:
             run_study(max_workers=-1)
         with pytest.raises(SimulationError):
             run_study(retries=-1)
+
+
+# -- the chunk partition ---------------------------------------------------
+
+
+class TestChunkPartition:
+    """One planning step owns the partition: ``max_workers`` alone
+    splits a study above the work gate, the memory limits alone size
+    the chunks of any other study."""
+
+    def test_max_workers_alone_pools_above_the_gate(self, open_pool,
+                                                    serial_baseline):
+        reports = []
+        one = run_study(max_chunk_chips=None, max_workers=1,
+                        on_report=reports.append)
+        pooled = run_study(max_chunk_chips=None, max_workers=2,
+                           on_report=reports.append)
+        serial, split = reports
+        assert serial.n_chunks == 1
+        assert serial.serial_reason == "max_workers <= 1"
+        # ceil(14 / 2) = 7 chips per chunk.
+        assert split.mode == "fleet+pool"
+        assert split.n_chunks == 2
+        assert all(chunk.executed_in == "pool" for chunk in split.chunks)
+        assert_bitwise_equal(one, pooled)
+        assert_bitwise_equal(serial_baseline, pooled)
+
+    def test_below_the_gate_runs_one_memory_sized_chunk(
+            self, monkeypatch, no_pool):
+        monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
+        reports = []
+        run_study(max_chunk_chips=None, max_workers=2,
+                  on_report=reports.append)
+        (report,) = reports
+        assert report.n_chunks == 1
+        assert report.mode == "fleet"
+        # 14 varied chips x 9 cores x 5 epochs.
+        assert report.serial_reason == (
+            "14 chip classes: 630 core-epochs below pool threshold "
+            f"{fleet_module.MIN_CORE_EPOCHS_FOR_POOL}")
+
+    def test_the_gate_counts_the_memory_sized_chunks(self, monkeypatch):
+        # 14 varied chips x 9 cores x 5 epochs = 630 core-epochs: a
+        # gate at 630 splits the study, one above it does not.
+        monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
+        for threshold, n_chunks in ((631, 1), (630, 2)):
+            monkeypatch.setattr(fleet_module,
+                                "MIN_CORE_EPOCHS_FOR_POOL", threshold)
+            _, study = fleet_module._fleet_study(
+                (3, 3), groups=hetero_groups(), n_epochs=N_EPOCHS,
+                epoch_s=3600.0, record_every=2,
+                variation=FleetVariationSpec(capture_sigma=0.1),
+                seed=11)
+            chunk_chips = fleet_module._chunk_size(study, N_CORES, 2,
+                                                   None, None)
+            assert -(-N_CHIPS // chunk_chips) == n_chunks
 
 
 # -- aggregated telemetry --------------------------------------------------

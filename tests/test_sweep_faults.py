@@ -19,8 +19,9 @@ things under failure at every worker count:
   to a clean serial run (variation draws are by global chip index).
 
 Pooled cases force a small pool (``REPRO_SWEEP_TEST_WORKERS``, default
-2) and lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 so the pooled path runs
-even on single-core CI runners.  Faults are injected by patching
+2), lower ``MIN_CORE_EPOCHS_FOR_POOL`` to 0 and report that many
+available CPUs, so the pooled path runs, and cuts the same chunks, on
+any CI runner.  Faults are injected by patching
 ``repro.system.fleet._execute_chunk``, the chunk body the parent and
 the forked workers share.
 """
@@ -97,8 +98,10 @@ def assert_same_bytes(a, b):
 
 @pytest.fixture(autouse=True)
 def open_pool(monkeypatch):
-    """Drop the work gate so the small study pools."""
+    """Drop the work gate so the small study pools, on ``WORKERS``
+    CPUs whatever the host has."""
     monkeypatch.setattr(fleet_module, "MIN_CORE_EPOCHS_FOR_POOL", 0)
+    monkeypatch.setattr(fleet_module, "available_cpus", lambda: WORKERS)
 
 
 @pytest.fixture()
@@ -378,14 +381,13 @@ class TestReportTelemetry:
         assert report.mode == "fleet+pool"
         assert report.serial_reason is None
         assert not report.fallback_reasons
-        assert report.n_tasks == N_CHUNKS
         assert report.n_chunks == N_CHUNKS
         assert all(chunk.executed_in == "pool"
                    for chunk in report.chunks)
         assert all(chunk.wall_time_s >= 0.0
                    for chunk in report.chunks)
         assert report.wall_time_s > 0.0
-        assert f"{N_CHUNKS} tasks" in report.summary()
+        assert report.summary().startswith(f"{N_CHUNKS} chunks ")
 
     def test_chunks_partition_tasks_in_order(self):
         # One record per chunk, in chunk order, on both paths.
@@ -436,4 +438,4 @@ class TestLifetimeSweepCallSite:
             retries=1, on_report=reports.append)
         assert len(result) == 1
         (report,) = reports
-        assert report.ok and report.n_tasks == 1
+        assert report.ok and report.n_chunks == 1
