@@ -5,19 +5,26 @@ all-or-nothing batch call: a machine reboot at epoch 719 of 720 loses
 everything.  This module makes fleet state durable and incremental --
 the foundation of the ROADMAP's streaming fleet-reliability service:
 
-* **Snapshot format (schema v8).**  Every file this module writes is
-  one plain ``.npz`` archive of named arrays (no pickled object
-  arrays -- loadable with ``allow_pickle=False``) plus a JSON meta
-  block, with a **schema version** (strictly gated on load: a file
-  written under any other version is refused, never reinterpreted)
-  and a SHA-256 **checksum** over the meta and every array's raw
-  bytes, so torn or corrupt files fail loudly as
+* **Snapshot format (schema v9).**  Every file this module writes is
+  one ``.npz`` archive of exactly three byte members, loadable with
+  ``allow_pickle=False``: ``__data__``, the raw bytes of every named
+  array laid end to end in name order, each starting on a 16-byte
+  boundary; ``__meta__``, canonical JSON holding the magic, the
+  **schema version** (strictly gated on load: a file written under
+  any other version is refused, never reinterpreted), the caller's
+  meta block and the array table (one ``[name, dtype, shape,
+  offset]`` row per array); and ``__checksum__``, a SHA-256 over the
+  meta bytes and the data block, so every array's name, dtype, shape
+  and bytes are covered and torn or corrupt files fail loudly as
   :class:`~repro.errors.CheckpointError` instead of silently skewing
-  a population.  Files are written to a temp name and ``os.replace``d
-  into place, so a SIGKILL mid-write can never leave a corrupt file
-  under the final name.  Every write and read is counted (files and
-  bytes) under ``checkpoint.snapshots`` in
-  :func:`~repro.solvers.cache_counters`.
+  a population.  The reader checks the table (numeric dtypes only,
+  shapes of non-negative ints, rows packed inside the block, no
+  reserved or repeated names) before it builds any array, and hands
+  every array back as a view of the one block.  Files are written to
+  a temp name and ``os.replace``d into place, so a SIGKILL mid-write
+  can never leave a corrupt file under the final name.  Every write
+  and read is counted (files and bytes) under
+  ``checkpoint.snapshots`` in :func:`~repro.solvers.cache_counters`.
 
 * **Run snapshots.**  A session or chunk-progress snapshot holds the
   simulator's own
@@ -77,8 +84,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
+import re
 import zipfile
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -109,13 +118,26 @@ from repro.system.fleet import (
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 8
+CHECKPOINT_SCHEMA_VERSION = 9
 
 _MAGIC = "repro.fleet.checkpoint"
 _PICKLE_PROTOCOL = 4
 
+#: The members of every snapshot archive.
+_MEMBERS = frozenset({"__data__", "__meta__", "__checksum__"})
+#: Each array starts at a multiple of this many bytes in the data
+#: block, so every view the reader hands back is aligned.
+_ALIGN = 16
+#: The dtypes a snapshot may hold: bool, integer, float and complex
+#: (``dtype.str``), never object, void or structured ones.
+_NUMERIC_DTYPE = re.compile(r"[<>|][biufc][0-9]+\Z")
+
 
 # -- snapshot primitives ----------------------------------------------------
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
 
 
 def _canonical_meta_bytes(meta_full: Dict[str, Any]) -> bytes:
@@ -124,21 +146,11 @@ def _canonical_meta_bytes(meta_full: Dict[str, Any]) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def _checksum(arrays: Dict[str, np.ndarray],
-              meta_bytes: bytes) -> str:
-    """SHA-256 over the meta bytes and every array's identity+bytes."""
-    digest = hashlib.sha256()
-    digest.update(meta_bytes)
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(array.dtype.str.encode("ascii"))
-        digest.update(repr(array.shape).encode("ascii"))
-        # Hash the buffer in place -- identical bytes to tobytes()
-        # for a contiguous array, without materialising a copy.
-        # (Zero-size buffers refuse the cast and hash no bytes anyway.)
-        if array.size:
-            digest.update(memoryview(array).cast("B"))
+def _block_checksum(meta_bytes: bytes, data: np.ndarray) -> str:
+    """SHA-256 over the meta bytes (the array table included) and the
+    data block."""
+    digest = hashlib.sha256(meta_bytes)
+    digest.update(data)
     return digest.hexdigest()
 
 
@@ -146,34 +158,46 @@ def write_snapshot(path, arrays: Dict[str, np.ndarray],
                    meta: Dict[str, Any]) -> None:
     """Atomically write one versioned, checksummed ``.npz`` snapshot.
 
-    ``arrays`` maps names to numpy arrays (stored raw, so every dtype
-    round-trips bit-exactly); ``meta`` is a JSON-encodable dict.  The
-    magic, schema version and SHA-256 checksum are embedded as
-    reserved ``__meta__`` / ``__checksum__`` entries; the file lands
-    via temp-name + ``os.replace``, so readers never observe a
-    partial write.
+    ``arrays`` maps names to numeric numpy arrays (stored raw, so
+    every dtype round-trips bit-exactly); ``meta`` is a JSON-encodable
+    dict.  The arrays land in one ``__data__`` block described by the
+    table in ``__meta__``, next to the magic, schema version and
+    ``__checksum__``; the file lands via temp-name + ``os.replace``,
+    so readers never observe a partial write.
     """
     path = os.fspath(path)
-    for name, array in arrays.items():
+    table = []
+    end = 0
+    for name in sorted(arrays):
+        array = arrays[name]
         if name.startswith("__"):
             raise CheckpointError(
                 f"array name {name!r} is reserved")
         if not isinstance(array, np.ndarray):
             raise CheckpointError(
                 f"snapshot entry {name!r} is not an ndarray")
-    meta_full = {"magic": _MAGIC,
-                 "schema": CHECKPOINT_SCHEMA_VERSION,
-                 "meta": meta}
-    meta_bytes = _canonical_meta_bytes(meta_full)
-    checksum = _checksum(arrays, meta_bytes)
-    payload = dict(arrays)
-    payload["__meta__"] = np.frombuffer(meta_bytes, dtype=np.uint8)
-    payload["__checksum__"] = np.frombuffer(
-        checksum.encode("ascii"), dtype=np.uint8)
+        if not _NUMERIC_DTYPE.match(array.dtype.str):
+            raise CheckpointError(
+                f"snapshot entry {name!r} has non-numeric dtype "
+                f"{array.dtype.str}")
+        offset = _aligned(end)
+        table.append([name, array.dtype.str, list(array.shape), offset])
+        end = offset + array.nbytes
+    data = np.zeros(end, dtype=np.uint8)
+    for name, _, _, offset in table:
+        raw = np.ascontiguousarray(arrays[name]).reshape(-1).view(np.uint8)
+        data[offset:offset + raw.size] = raw
+    meta_bytes = _canonical_meta_bytes({
+        "magic": _MAGIC, "schema": CHECKPOINT_SCHEMA_VERSION,
+        "meta": meta, "arrays": table})
+    checksum = _block_checksum(meta_bytes, data)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            np.savez(handle, **payload)
+            np.savez(handle, __data__=data,
+                     __meta__=np.frombuffer(meta_bytes, dtype=np.uint8),
+                     __checksum__=np.frombuffer(checksum.encode("ascii"),
+                                                dtype=np.uint8))
             size = handle.tell()
         os.replace(tmp, path)
         record_counters("checkpoint.snapshots", writes=1,
@@ -186,26 +210,102 @@ def write_snapshot(path, arrays: Dict[str, np.ndarray],
                 pass
 
 
+def _byte_member(path: str, data, name: str) -> np.ndarray:
+    """One member of a snapshot archive, which must be a byte string."""
+    member = data[name]  # the raw bytes when it is not an npy array
+    if (not isinstance(member, np.ndarray) or member.dtype != np.uint8
+            or member.ndim != 1):
+        raise CheckpointError(
+            f"{path} member {name} is not a byte string")
+    return member
+
+
+def _array_rows(path: str, table, size: int
+                ) -> Tuple[Tuple[str, np.dtype, Tuple[int, ...], int,
+                                 int], ...]:
+    """Validate a snapshot's array table against its ``size``-byte data
+    block; returns ``(name, dtype, shape, offset, nbytes)`` rows.
+
+    The rows must lay the arrays out the way :func:`write_snapshot`
+    does: each at the first aligned offset after the previous one, the
+    last ending at the end of the block.
+    """
+    if not isinstance(table, list):
+        raise CheckpointError(f"{path} has no array table")
+    rows = []
+    seen = set()
+    end = 0
+    for row in table:
+        if not isinstance(row, list) or len(row) != 4:
+            raise CheckpointError(
+                f"{path} has a malformed array table row {row!r}")
+        name, dtype, shape, offset = row
+        if not isinstance(name, str) or name.startswith("__"):
+            raise CheckpointError(
+                f"{path} names an array {name!r}; names are strings "
+                "that do not start with '__'")
+        if name in seen:
+            raise CheckpointError(f"{path} names array {name!r} twice")
+        seen.add(name)
+        if not isinstance(dtype, str) or not _NUMERIC_DTYPE.match(dtype):
+            raise CheckpointError(
+                f"{path} gives array {name!r} the non-numeric dtype "
+                f"{dtype!r}")
+        try:
+            dtype = np.dtype(dtype)
+        except TypeError as error:
+            raise CheckpointError(
+                f"{path} gives array {name!r} dtype {row[1]!r}: "
+                f"{error}") from error
+        if not isinstance(shape, list) or any(
+                type(dim) is not int or dim < 0 for dim in shape):
+            raise CheckpointError(
+                f"{path} gives array {name!r} the shape {shape!r}; "
+                "expected a list of non-negative ints")
+        if type(offset) is not int or offset != _aligned(end):
+            raise CheckpointError(
+                f"{path} puts array {name!r} at offset {offset!r}; "
+                f"expected {_aligned(end)}")
+        nbytes = math.prod(shape) * dtype.itemsize
+        end = offset + nbytes
+        if end > size:
+            raise CheckpointError(
+                f"{path} puts array {name!r} at bytes [{offset}, {end}), "
+                f"outside the {size}-byte data block")
+        rows.append((name, dtype, tuple(shape), offset, nbytes))
+    if end != size:
+        raise CheckpointError(
+            f"{path} has a {size}-byte data block; its arrays end at "
+            f"byte {end}")
+    return tuple(rows)
+
+
 def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
                                  Dict[str, Any]]:
-    """Read a snapshot back, verifying magic, schema and checksum.
+    """Read a snapshot back, verifying magic, schema, table and checksum.
 
-    Returns ``(arrays, meta)``.  Raises
-    :class:`~repro.errors.CheckpointError` for anything short of a
-    pristine snapshot of this build's schema version: unreadable or
-    truncated files, foreign files, corrupt payloads (checksum
-    mismatch), snapshots written under another schema version and
-    meta blocks of the wrong shape.
+    Returns ``(arrays, meta)``; every array is a view of the file's
+    one data block.  Raises :class:`~repro.errors.CheckpointError` for
+    anything short of a pristine snapshot of this build's schema
+    version: unreadable or truncated files, foreign files, corrupt
+    payloads (checksum mismatch), snapshots written under another
+    schema version, meta blocks of the wrong shape and array tables
+    that name a non-numeric dtype, a bad shape or bytes outside the
+    data block.  Nothing is unpickled.
     """
     path = os.fspath(path)
     try:
         size = os.path.getsize(path)
-        with np.load(path, allow_pickle=False) as data:
-            names = list(data.files)
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(
+                f"{path} is not a fleet checkpoint snapshot")
+        with archive as data:
+            names = set(data.files)
             if "__meta__" not in names:
                 raise CheckpointError(
                     f"{path} is not a fleet checkpoint snapshot")
-            meta_bytes = data["__meta__"].tobytes()
+            meta_bytes = _byte_member(path, data, "__meta__").tobytes()
             meta_full = json.loads(meta_bytes)
             if (not isinstance(meta_full, dict)
                     or meta_full.get("magic") != _MAGIC):
@@ -220,23 +320,31 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
             if not isinstance(meta_full.get("meta"), dict):
                 raise CheckpointError(
                     f"{path} has no meta block")
-            stored = ""
-            if "__checksum__" in names:
-                stored = data["__checksum__"].tobytes().decode(
-                    "ascii", errors="replace")
-            arrays = {name: data[name] for name in names
-                      if not name.startswith("__")}
+            if names != _MEMBERS:
+                raise CheckpointError(
+                    f"{path} holds the members {sorted(names)}; a "
+                    f"snapshot holds exactly {sorted(_MEMBERS)}")
+            block = _byte_member(path, data, "__data__")
+            stored = _byte_member(path, data, "__checksum__").tobytes()
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError,
+    except (OSError, ValueError, KeyError, RecursionError,
             zipfile.BadZipFile, json.JSONDecodeError,
             UnicodeDecodeError) as error:
         raise CheckpointError(
             f"cannot read snapshot {path}: {error}") from error
     record_counters("checkpoint.snapshots", reads=1, bytes_read=size)
-    if _checksum(arrays, _canonical_meta_bytes(meta_full)) != stored:
+    rows = _array_rows(path, meta_full.get("arrays"), block.size)
+    if _block_checksum(meta_bytes, block).encode("ascii") != stored:
         raise CheckpointError(
             f"checksum mismatch in {path}: snapshot is corrupt")
+    try:
+        arrays = {name: block[offset:offset + nbytes].view(dtype)
+                  .reshape(shape)
+                  for name, dtype, shape, offset, nbytes in rows}
+    except ValueError as error:  # more dimensions than numpy allows
+        raise CheckpointError(
+            f"cannot read snapshot {path}: {error}") from error
     return arrays, meta_full["meta"]
 
 
@@ -246,8 +354,8 @@ class FleetSnapshot:
 
     The in-memory twin of one snapshot file --
     :meth:`FleetSession.snapshot` produces one, :meth:`save` /
-    :meth:`load` move it through the versioned, checksummed ``.npz``
-    format of :func:`write_snapshot` / :func:`read_snapshot`.
+    :meth:`load` move it through the versioned, checksummed one-block
+    ``.npz`` format of :func:`write_snapshot` / :func:`read_snapshot`.
     """
 
     arrays: Dict[str, np.ndarray]

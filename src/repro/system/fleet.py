@@ -39,9 +39,10 @@ of a study in lockstep (the one-chip study is
   through one chunk loop: whole-lifetime row chunks, each the study's
   own row slice, partitioned by :func:`_chunk_size` (the fewest chunks
   under ``max_chunk_chips`` / ``state_budget_bytes``, cut once per
-  worker above the pool gate) unless a checkpoint directory pins its
-  own.  The parent restores any chunk the directory holds, then runs
-  the pending ones in-process on one shared chip (warm thermal memo)
+  worker above the pool gate where that lowers the chip classes a
+  chunk advances) unless a checkpoint directory pins its own.  The
+  parent restores any chunk the directory holds, then runs the
+  pending ones in-process on one shared chip (warm thermal memo)
   or, with ``max_workers > 1`` (capped at the CPUs this process may
   run on) and enough work, on a process pool.  Every
   executed chunk gets the same bounded retries and failure
@@ -1354,7 +1355,10 @@ def _chunk_size(study: _FleetStudy, n_cores: int, workers: int,
                 state_budget_bytes: Optional[int]) -> int:
     """Chips per chunk: the fewest chunks the row and byte limits
     allow, cut to ``ceil(n_chips / workers)`` chips when those chunks
-    pass :func:`_pool_gate`.
+    pass :func:`_pool_gate` and the cut lowers the most chip classes a
+    chunk holds.  A chunk advances one row per class, so cutting a
+    one-cohort fleet without variation (one class however it is cut)
+    would only repeat that class's work in every chunk.
 
     The byte limit holds :func:`chunk_state_bytes` of the chunk's
     chips and of the most classes they can form
@@ -1385,11 +1389,23 @@ def _chunk_size(study: _FleetStudy, n_cores: int, workers: int,
             else:
                 high = mid - 1
         limit = low
-    chunks = [study.rows(chunk.start, chunk.stop)
-              for chunk in chunk_tasks(study.n_chips, limit)]
+    chunks = _chunk_studies(study, limit)
     if _pool_gate(chunks, n_cores, workers) is None:
-        limit = min(limit, -(-study.n_chips // workers))
+        cut = -(-study.n_chips // workers)
+        if (_most_classes(_chunk_studies(study, cut))
+                < _most_classes(chunks)):
+            limit = cut
     return limit
+
+
+def _chunk_studies(study: _FleetStudy,
+                   chunk_chips: int) -> List[_FleetStudy]:
+    return [study.rows(chunk.start, chunk.stop)
+            for chunk in chunk_tasks(study.n_chips, chunk_chips)]
+
+
+def _most_classes(chunks: Sequence[_FleetStudy]) -> int:
+    return max(chunk.max_classes(chunk.n_chips) for chunk in chunks)
 
 
 # -- the chunk loop ---------------------------------------------------------
@@ -1707,8 +1723,10 @@ def run_fleet_lifetime_study(
             (:func:`~repro.solvers.sweep.available_cpus`), which
             ``None`` picks; ``0``/``1`` forces the serial chunk
             stream; above the work gate it alone cuts the study into
-            ``ceil(n_chips / workers)``-chip chunks.  Results are
-            bitwise identical either way.
+            ``ceil(n_chips / workers)``-chip chunks, where that
+            lowers the chip classes a chunk advances (not for one
+            cohort without variation).  Results are bitwise
+            identical either way.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).

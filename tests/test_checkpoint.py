@@ -19,6 +19,8 @@ workers) lives in tests/test_checkpoint_resume.py.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import pickle
@@ -108,6 +110,37 @@ def assert_results_bitwise_equal(a, b):
 # -- the snapshot file format ----------------------------------------------
 
 
+def read_members(path):
+    """The members of a snapshot archive and its parsed ``__meta__``."""
+    with np.load(path, allow_pickle=False) as data:
+        members = {name: data[name] for name in data.files}
+    return members, json.loads(members["__meta__"].tobytes())
+
+
+def _npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def write_members(path, members):
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
+def tamper_array(path, name, edit):
+    """Change the bytes of array ``name`` inside ``__data__`` in place
+    with ``edit(view)``, keeping the snapshot's stale checksum."""
+    members, meta_full = read_members(path)
+    data = members["__data__"].copy()
+    _, dtype, shape, offset = next(row for row in meta_full["arrays"]
+                                   if row[0] == name)
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    edit(data[offset:offset + nbytes].view(dtype))
+    members["__data__"] = data
+    write_members(path, members)
+
+
 class TestSnapshotFormat:
     ARRAYS = {
         "a/f64": np.linspace(0.0, 1.0, 7),
@@ -115,6 +148,11 @@ class TestSnapshotFormat:
         "b/bool": np.array([True, False, True]),
         "b/i64": np.arange(6, dtype=np.int64).reshape(2, 3),
         "c/bytes": np.frombuffer(b"pickled payload", dtype=np.uint8),
+        "d/empty": np.zeros((0, 3)),
+        "d/scalar": np.array(2.5),
+        "d/big_endian": np.arange(3, dtype=">i4"),
+        "d/complex": np.array([1 + 2j, -0.5j]),
+        "d/transposed": np.arange(12.0).reshape(3, 4).T,
     }
     META = {"kind": "test", "epoch": 3, "nested": {"x": [1, 2]}}
 
@@ -126,7 +164,27 @@ class TestSnapshotFormat:
         assert set(arrays) == set(self.ARRAYS)
         for name, original in self.ARRAYS.items():
             assert arrays[name].dtype == original.dtype, name
+            assert arrays[name].shape == original.shape, name
             assert np.array_equal(arrays[name], original), name
+
+    def test_a_file_holds_one_data_block(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        write_snapshot(path, self.ARRAYS, self.META)
+        with zipfile.ZipFile(path) as archive:
+            assert sorted(archive.namelist()) == [
+                "__checksum__.npy", "__data__.npy", "__meta__.npy"]
+        _, meta_full = read_members(path)
+        assert [row[0] for row in meta_full["arrays"]] == sorted(
+            self.ARRAYS)
+        assert all(row[3] % 16 == 0 for row in meta_full["arrays"])
+        # Every array is a view of the one block: no per-array copy.
+        arrays, _ = read_snapshot(path)
+        bases = set()
+        for array in arrays.values():
+            while array.base is not None:
+                array = array.base
+            bases.add(id(array))
+        assert len(bases) == 1
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         write_snapshot(tmp_path / "snap.npz", self.ARRAYS, self.META)
@@ -138,6 +196,11 @@ class TestSnapshotFormat:
                            {"__meta__": np.zeros(1)}, {})
         with pytest.raises(CheckpointError, match="not an ndarray"):
             write_snapshot(tmp_path / "bad.npz", {"x": [1, 2]}, {})
+        for array in (np.array(["text"]), np.array([{}], dtype=object),
+                      np.zeros(2, dtype=[("a", "<f8")])):
+            with pytest.raises(CheckpointError, match="non-numeric"):
+                write_snapshot(tmp_path / "bad.npz", {"x": array}, {})
+        assert os.listdir(tmp_path) == []
 
     def test_missing_and_garbage_files_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -150,6 +213,12 @@ class TestSnapshotFormat:
     def test_foreign_npz_rejected(self, tmp_path):
         path = tmp_path / "foreign.npz"
         np.savez(path, x=np.zeros(3))
+        with pytest.raises(CheckpointError,
+                           match="not a fleet checkpoint"):
+            read_snapshot(path)
+        # A bare ``.npy`` array under a snapshot's name is foreign too.
+        with open(path, "wb") as handle:
+            np.save(handle, np.zeros(3))
         with pytest.raises(CheckpointError,
                            match="not a fleet checkpoint"):
             read_snapshot(path)
@@ -168,13 +237,25 @@ class TestSnapshotFormat:
     def test_tampered_array_fails_the_checksum(self, tmp_path):
         path = tmp_path / "snap.npz"
         write_snapshot(path, self.ARRAYS, self.META)
-        with np.load(path, allow_pickle=False) as data:
-            payload = {name: data[name] for name in data.files}
-        tampered = payload["a/f64"].copy()
-        tampered[0] += 1e-9
-        payload["a/f64"] = tampered
-        np.savez(path, **payload)  # keeps the stale checksum
+
+        def nudge(values):
+            values[0] += 1e-9
+
+        tamper_array(path, "a/f64", nudge)
         with pytest.raises(CheckpointError, match="checksum"):
+            read_snapshot(path)
+
+    def test_a_v8_file_is_refused_with_the_schema_message(self, tmp_path):
+        # The schema v8 layout: one member per array next to
+        # ``__meta__`` and ``__checksum__``.
+        path = tmp_path / "v8.npz"
+        meta = json.dumps({"magic": checkpoint_module._MAGIC, "schema": 8,
+                           "meta": self.META}).encode("utf-8")
+        write_members(path, {
+            **self.ARRAYS,
+            "__meta__": np.frombuffer(meta, dtype=np.uint8),
+            "__checksum__": np.frombuffer(b"0" * 64, dtype=np.uint8)})
+        with pytest.raises(CheckpointError, match="schema v8"):
             read_snapshot(path)
 
     def test_fleet_snapshot_object_round_trips(self, tmp_path):
@@ -185,6 +266,119 @@ class TestSnapshotFormat:
         assert loaded.meta == self.META
         assert np.array_equal(loaded.arrays["b/i64"],
                               self.ARRAYS["b/i64"])
+
+
+def _row(table, name):
+    return next(row for row in table if row[0] == name)
+
+
+def _set_dtype(dtype):
+    def edit(members, table):
+        _row(table, "a")[1] = dtype
+    return edit
+
+
+def _set_shape(shape):
+    def edit(members, table):
+        _row(table, "b")[2] = shape
+    return edit
+
+
+def _offset_past_the_block(members, table):
+    _row(table, "b")[3] = members["__data__"].size + 16
+
+
+def _extent_past_the_block(members, table):
+    _row(table, "b")[2] = [members["__data__"].size]
+
+
+def _duplicate_name(members, table):
+    _row(table, "b")[0] = "a"
+
+
+def _reserved_name(members, table):
+    _row(table, "a")[0] = "__data__"
+
+
+def _extra_member(members, table):
+    members["extra"] = np.zeros(3)
+
+
+def _missing_data(members, table):
+    del members["__data__"]
+
+
+class TestHostileSnapshotTables:
+    """A table that lies about the block is refused, even when the
+    file's checksum holds: the checksum proves who wrote the bytes,
+    not that they are safe to read."""
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(_set_dtype("|O8"), "non-numeric", id="object-dtype"),
+        pytest.param(_set_dtype("V8"), "non-numeric", id="void-dtype"),
+        pytest.param(_set_dtype([["a", "<f8"]]), "non-numeric",
+                     id="structured-dtype"),
+        pytest.param(_set_shape([-1]), "shape", id="negative-dim"),
+        pytest.param(_set_shape([3.0]), "shape", id="float-dim"),
+        pytest.param(_set_shape([3] + [1] * 64), "dimension",
+                     id="too-many-dims"),
+        pytest.param(_offset_past_the_block, "offset",
+                     id="offset-past-block"),
+        pytest.param(_extent_past_the_block, "outside the",
+                     id="extent-past-block"),
+        pytest.param(_duplicate_name, "twice", id="duplicate-name"),
+        pytest.param(_reserved_name, "'__data__'", id="reserved-name"),
+        pytest.param(_extra_member, "members", id="extra-member"),
+        pytest.param(_missing_data, "members", id="missing-data"),
+    ])
+    def test_a_hostile_table_is_refused(self, tmp_path, monkeypatch,
+                                        edit, match):
+        path = tmp_path / "hostile.npz"
+        write_snapshot(path, {"a": np.arange(3.0),
+                              "b": np.arange(3, dtype=np.int64)},
+                       {"kind": "test"})
+        members, meta_full = read_members(path)
+        edit(members, meta_full["arrays"])
+        meta = json.dumps(meta_full).encode("utf-8")
+        data = members.get("__data__", np.zeros(0, dtype=np.uint8))
+        digest = hashlib.sha256(meta + data.tobytes()).hexdigest()
+        members["__meta__"] = np.frombuffer(meta, dtype=np.uint8)
+        members["__checksum__"] = np.frombuffer(digest.encode("ascii"),
+                                                dtype=np.uint8)
+        write_members(path, members)
+        unpickled = []
+
+        def refuse(*args, **kwargs):
+            unpickled.append(args)
+            raise AssertionError("read_snapshot unpickled data")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with pytest.raises(CheckpointError, match=match):
+            read_snapshot(path)
+        assert unpickled == []
+
+    @pytest.mark.parametrize("member", ["__data__", "__meta__"])
+    def test_a_member_that_is_not_a_byte_array_is_refused(self, tmp_path,
+                                                          member):
+        path = tmp_path / "raw.npz"
+        write_snapshot(path, {"a": np.arange(3.0)}, {"kind": "test"})
+        members, _ = read_members(path)
+        # A member without the npy header reads back as raw bytes.
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, array in members.items():
+                archive.writestr(f"{name}.npy", array.tobytes()
+                                 if name == member else _npy(array))
+        with pytest.raises(CheckpointError, match="byte string"):
+            read_snapshot(path)
+
+    def test_deeply_nested_meta_is_refused(self, tmp_path):
+        path = tmp_path / "nested.npz"
+        nested = b"[" * 100_000 + b"]" * 100_000
+        write_members(path, {"__meta__": np.frombuffer(nested,
+                                                       dtype=np.uint8)})
+        with pytest.raises(CheckpointError, match="cannot read"):
+            read_snapshot(path)
 
 
 # -- incremental sessions ---------------------------------------------------
@@ -859,8 +1053,8 @@ class TestPerClassSnapshots:
 
 
 class TestSnapshotLayout:
-    """Schema v7 and on: the simulator's own state arrays, one member per
-    array whatever the cohort count, and a study file that is a
+    """Schema v7 and on: the simulator's own state arrays, one table row
+    per array whatever the cohort count, and a study file that is a
     snapshot like every other."""
 
     def test_member_names_do_not_grow_with_the_cohorts(self, tmp_path):
@@ -876,10 +1070,9 @@ class TestSnapshotLayout:
                                          phased)):
             path = tmp_path / f"session-{index}.npz"
             session.save(path)
-            with zipfile.ZipFile(path) as archive:
-                names.append(set(archive.namelist()))
-            assert set(read_snapshot(path)[1]) == {"kind", "epoch",
-                                                   "digest"}
+            arrays, meta = read_snapshot(path)
+            names.append(set(arrays))
+            assert set(meta) == {"kind", "epoch", "digest"}
         assert names[0] == names[1]
 
     def test_an_epoch_zero_snapshot_restores_no_readout(self, tmp_path):
@@ -901,13 +1094,11 @@ class TestSnapshotLayout:
         run_study(checkpoint_dir=directory)
         os.remove(directory / "chunk-00001.result.npz")
         path = directory / "study.npz"
-        with np.load(path, allow_pickle=False) as data:
-            payload = {name: data[name] for name in data.files}
-        study = payload["study"].copy()
-        study[study.size // 2] ^= 1
-        payload["study"] = study
-        with open(path, "wb") as handle:
-            np.savez(handle, **payload)  # keeps the stale checksum
+
+        def flip(study):
+            study[study.size // 2] ^= 1
+
+        tamper_array(path, "study", flip)
 
         def contents():
             return {name: (directory / name).read_bytes()

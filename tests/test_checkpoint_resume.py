@@ -20,6 +20,7 @@ checkpointing enabled.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -330,16 +331,20 @@ class TestWorkerDeathWithCheckpoint:
 
 
 def _tamper(path):
-    """Nudge one array of a snapshot, keeping its stale checksum."""
+    """Nudge the first float array of a snapshot inside its ``__data__``
+    block, keeping its stale checksum."""
     with np.load(path, allow_pickle=False) as data:
-        payload = {name: data[name] for name in data.files}
-    name = next(name for name in sorted(payload)
-                if not name.startswith("__")
-                and payload[name].dtype.kind == "f"
-                and payload[name].size)
-    payload[name] = payload[name] + 1e-9
+        members = {name: data[name] for name in data.files}
+    table = json.loads(members["__meta__"].tobytes())["arrays"]
+    _, dtype, shape, offset = next(
+        row for row in table
+        if np.dtype(row[1]).kind == "f" and np.prod(row[2]))
+    data = members["__data__"].copy()
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    data[offset:offset + nbytes].view(dtype)[...] += 1e-9
+    members["__data__"] = data
     with open(path, "wb") as handle:
-        np.savez(handle, **payload)
+        np.savez(handle, **members)
 
 
 class TestTamperedDirectory:

@@ -344,6 +344,31 @@ class TestChunkPartition:
         assert_bitwise_equal(one, pooled)
         assert_bitwise_equal(serial_baseline, pooled)
 
+    def test_one_class_fleet_is_not_cut_per_worker(self, open_pool):
+        # One cohort without variation is one chip class however it is
+        # cut, so a cut per worker would only advance that class again
+        # in every chunk: the study stays one chunk.
+        def one_cohort(**kwargs):
+            return run_fleet_lifetime_study(
+                (3, 3), N_CHIPS,
+                ConstantWorkload(n_cores=N_CORES, utilization=0.6),
+                RoundRobinRecoveryPolicy(recovery_slots=3),
+                n_epochs=N_EPOCHS, record_every=2, seed=11, **kwargs)
+
+        reports = []
+        one = one_cohort(max_workers=1)
+        two = one_cohort(max_workers=2, on_report=reports.append)
+        run_study(max_chunk_chips=None, max_workers=2,
+                  on_report=reports.append)
+        unvaried, varied = reports
+        assert unvaried.n_chunks == 1
+        assert unvaried.mode == "fleet"
+        assert_bitwise_equal(one, two)
+        # A varied study above the gate still pools, one chunk per
+        # worker.
+        assert varied.mode == "fleet+pool"
+        assert varied.n_chunks == 2
+
     def test_below_the_gate_runs_one_memory_sized_chunk(
             self, monkeypatch, no_pool):
         monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
