@@ -131,6 +131,8 @@ _ALIGN = 16
 #: The dtypes a snapshot may hold: bool, integer, float and complex
 #: (``dtype.str``), never object, void or structured ones.
 _NUMERIC_DTYPE = re.compile(r"[<>|][biufc][0-9]+\Z")
+#: Largest piece of a non-contiguous array the writer copies at once.
+_WRITE_BUFFER_BYTES = 16 * 1024 ** 2
 
 
 # -- snapshot primitives ----------------------------------------------------
@@ -154,6 +156,31 @@ def _block_checksum(meta_bytes: bytes, data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _open_byte_member(archive: zipfile.ZipFile, name: str, size: int):
+    """Open the archive member ``name`` as an npy byte string of
+    ``size`` bytes, header written; the caller writes the bytes."""
+    member = archive.open(f"{name}.npy", "w", force_zip64=True)
+    np.lib.format.write_array_header_1_0(
+        member, {"descr": "|u1", "fortran_order": False,
+                 "shape": (size,)})
+    return member
+
+
+def _raw_pieces(array: np.ndarray):
+    """The C-order bytes of ``array``: the array itself when it is
+    contiguous, else pieces of at most 16 MiB (a chunk result's
+    ``[:, classes]`` gathers are not contiguous), so no piece copies a
+    large array whole."""
+    if array.flags.c_contiguous:
+        yield array.reshape(-1).view(np.uint8)
+        return
+    buffer = max(_WRITE_BUFFER_BYTES // array.itemsize, 1)
+    for piece in np.nditer(array, flags=["external_loop", "buffered",
+                                         "zerosize_ok"],
+                           buffersize=buffer, order="C"):
+        yield piece.tobytes("C")
+
+
 def write_snapshot(path, arrays: Dict[str, np.ndarray],
                    meta: Dict[str, Any]) -> None:
     """Atomically write one versioned, checksummed ``.npz`` snapshot.
@@ -162,8 +189,10 @@ def write_snapshot(path, arrays: Dict[str, np.ndarray],
     every dtype round-trips bit-exactly); ``meta`` is a JSON-encodable
     dict.  The arrays land in one ``__data__`` block described by the
     table in ``__meta__``, next to the magic, schema version and
-    ``__checksum__``; the file lands via temp-name + ``os.replace``,
-    so readers never observe a partial write.
+    ``__checksum__``.  The block is streamed from the arrays
+    themselves, hashed as it goes, so no staging copy of the state is
+    made.  The file lands via temp-name + ``os.replace``, so readers
+    never observe a partial write.
     """
     path = os.fspath(path)
     table = []
@@ -183,21 +212,31 @@ def write_snapshot(path, arrays: Dict[str, np.ndarray],
         offset = _aligned(end)
         table.append([name, array.dtype.str, list(array.shape), offset])
         end = offset + array.nbytes
-    data = np.zeros(end, dtype=np.uint8)
-    for name, _, _, offset in table:
-        raw = np.ascontiguousarray(arrays[name]).reshape(-1).view(np.uint8)
-        data[offset:offset + raw.size] = raw
     meta_bytes = _canonical_meta_bytes({
         "magic": _MAGIC, "schema": CHECKPOINT_SCHEMA_VERSION,
         "meta": meta, "arrays": table})
-    checksum = _block_checksum(meta_bytes, data)
+    digest = hashlib.sha256(meta_bytes)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            np.savez(handle, __data__=data,
-                     __meta__=np.frombuffer(meta_bytes, dtype=np.uint8),
-                     __checksum__=np.frombuffer(checksum.encode("ascii"),
-                                                dtype=np.uint8))
+            with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED,
+                                 allowZip64=True) as archive:
+                with _open_byte_member(archive, "__data__",
+                                       end) as member:
+                    written = 0
+                    for name, _, _, offset in table:
+                        for piece in (bytes(offset - written),
+                                      *_raw_pieces(arrays[name])):
+                            digest.update(piece)
+                            member.write(piece)
+                        written = offset + arrays[name].nbytes
+                with _open_byte_member(archive, "__meta__",
+                                       len(meta_bytes)) as member:
+                    member.write(meta_bytes)
+                checksum = digest.hexdigest().encode("ascii")
+                with _open_byte_member(archive, "__checksum__",
+                                       len(checksum)) as member:
+                    member.write(checksum)
             size = handle.tell()
         os.replace(tmp, path)
         record_counters("checkpoint.snapshots", writes=1,
@@ -285,13 +324,15 @@ def read_snapshot(path) -> Tuple[Dict[str, np.ndarray],
     """Read a snapshot back, verifying magic, schema, table and checksum.
 
     Returns ``(arrays, meta)``; every array is a view of the file's
-    one data block.  Raises :class:`~repro.errors.CheckpointError` for
-    anything short of a pristine snapshot of this build's schema
-    version: unreadable or truncated files, foreign files, corrupt
-    payloads (checksum mismatch), snapshots written under another
-    schema version, meta blocks of the wrong shape and array tables
-    that name a non-numeric dtype, a bad shape or bytes outside the
-    data block.  Nothing is unpickled.
+    one data block, so a caller that keeps one array past the others
+    copies it (a view keeps the whole block alive).  Raises
+    :class:`~repro.errors.CheckpointError` for anything short of a
+    pristine snapshot of this build's schema version: unreadable or
+    truncated files, foreign files, corrupt payloads (checksum
+    mismatch), snapshots written under another schema version, meta
+    blocks of the wrong shape and array tables that name a
+    non-numeric dtype, a bad shape or bytes outside the data block.
+    Nothing is unpickled.
     """
     path = os.fspath(path)
     try:
@@ -472,7 +513,9 @@ def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
     try:
         fields = {name: arrays[f"result/{name}"]
                   for name in _RESULT_FIELDS}
-        scales = {name: arrays[f"variation/{name}"]
+        # Copies: the result outlives the read, and a view would keep
+        # the snapshot's whole data block alive with it.
+        scales = {name: arrays[f"variation/{name}"].copy()
                   for name in _VARIATION_FIELDS}
     except KeyError as error:
         raise CheckpointError(
@@ -499,7 +542,8 @@ def _arrays_to_result(arrays: Dict[str, np.ndarray], n_epochs: int,
             raise CheckpointError(
                 f"chunk result array {name!r} has shape {array.shape}; "
                 f"the chunk holds {n_classes} chip classes")
-    for name in _RESULT_FIELDS[1:]:
+    fields["times_s"] = fields["times_s"].copy()
+    for name in _RESULT_FIELDS[1:]:  # the gathers copy
         fields[name] = (fields[name][:, chip_class]
                         if name in _RECORD_FIELDS
                         else fields[name][chip_class])

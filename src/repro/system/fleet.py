@@ -38,9 +38,9 @@ of a study in lockstep (the one-chip study is
   and the only builder of a :class:`FleetSimulator` -- and runs it
   through one chunk loop: whole-lifetime row chunks, each the study's
   own row slice, partitioned by :func:`_chunk_size` (the fewest chunks
-  under ``max_chunk_chips`` / ``state_budget_bytes``, cut once per
-  worker above the pool gate where that lowers the chip classes a
-  chunk advances) unless a checkpoint directory pins its own.  The
+  under ``max_chunk_chips`` / ``state_budget_bytes``, cut smaller,
+  once per worker, above the pool gate where that lowers the chip
+  classes a chunk advances) unless a checkpoint directory pins its own.  The
   parent restores any chunk the directory holds, then runs the
   pending ones in-process on one shared chip (warm thermal memo)
   or, with ``max_workers > 1`` (capped at the CPUs this process may
@@ -1355,10 +1355,11 @@ def _chunk_size(study: _FleetStudy, n_cores: int, workers: int,
                 state_budget_bytes: Optional[int]) -> int:
     """Chips per chunk: the fewest chunks the row and byte limits
     allow, cut to ``ceil(n_chips / workers)`` chips when those chunks
-    pass :func:`_pool_gate` and the cut lowers the most chip classes a
-    chunk holds.  A chunk advances one row per class, so cutting a
-    one-cohort fleet without variation (one class however it is cut)
-    would only repeat that class's work in every chunk.
+    pass :func:`_pool_gate` and the cut is smaller and lowers the most
+    chip classes a chunk holds.  The cut only ever shrinks chunks, so
+    the limits hold either way.  A chunk advances one row per class, so
+    cutting a one-cohort fleet without variation (one class however it
+    is cut) would only repeat that class's work in every chunk.
 
     The byte limit holds :func:`chunk_state_bytes` of the chunk's
     chips and of the most classes they can form
@@ -1391,9 +1392,9 @@ def _chunk_size(study: _FleetStudy, n_cores: int, workers: int,
         limit = low
     chunks = _chunk_studies(study, limit)
     if _pool_gate(chunks, n_cores, workers) is None:
-        cut = -(-study.n_chips // workers)
-        if (_most_classes(_chunk_studies(study, cut))
-                < _most_classes(chunks)):
+        cut = min(limit, -(-study.n_chips // workers))
+        if cut < limit and (_most_classes(_chunk_studies(study, cut))
+                            < _most_classes(chunks)):
             limit = cut
     return limit
 
@@ -1723,10 +1724,10 @@ def run_fleet_lifetime_study(
             (:func:`~repro.solvers.sweep.available_cpus`), which
             ``None`` picks; ``0``/``1`` forces the serial chunk
             stream; above the work gate it alone cuts the study into
-            ``ceil(n_chips / workers)``-chip chunks, where that
-            lowers the chip classes a chunk advances (not for one
-            cohort without variation).  Results are bitwise
-            identical either way.
+            ``ceil(n_chips / workers)``-chip chunks, where those are
+            smaller than the memory limits allow and hold fewer chip
+            classes (not for one cohort without variation).  Results
+            are bitwise identical either way.
         retries: bounded per-chunk re-executions before the study
             fails (chunk results are deterministic, so a retry
             reproduces the identical rows).

@@ -24,6 +24,7 @@ import io
 import json
 import os
 import pickle
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -185,6 +186,20 @@ class TestSnapshotFormat:
                 array = array.base
             bases.add(id(array))
         assert len(bases) == 1
+
+    def test_the_writer_makes_no_staging_copy(self, tmp_path):
+        # The data block streams from the arrays themselves, so writing
+        # a 32 MiB state allocates nothing near its size.
+        state = {"big": np.ones(4 * 1024 ** 2), "small": np.arange(3)}
+        tracemalloc.start()
+        try:
+            write_snapshot(tmp_path / "big.npz", state, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 ** 2
+        arrays, _ = read_snapshot(tmp_path / "big.npz")
+        assert np.array_equal(arrays["big"], state["big"])
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         write_snapshot(tmp_path / "snap.npz", self.ARRAYS, self.META)
@@ -701,6 +716,30 @@ class TestCheckpointedStudy:
         assert meta["chunk_index"] == 1
         assert arrays["result/final_delta_vth_v"].shape == (3,
                                                             N_CORES)
+
+    def test_a_restored_result_keeps_no_view_of_its_file(
+            self, tmp_path, monkeypatch):
+        # A snapshot's arrays are views of its one data block, so a
+        # restored result copies what it keeps: a view would hold the
+        # whole block for as long as the result lives.
+        directory = tmp_path / "ckpt"
+        run_study(checkpoint_dir=directory, max_chunk_chips=None)
+        read = []
+
+        def spy(path):
+            arrays, meta = read_snapshot(path)
+            read.extend(arrays.values())
+            return arrays, meta
+
+        monkeypatch.setattr(checkpoint_module, "read_snapshot", spy)
+        result = run_study(checkpoint_dir=directory, max_chunk_chips=None)
+        kept = [getattr(result, field) for field in RESULT_ARRAYS] + [
+            getattr(result.variation, field)
+            for field in ("capture_scale", "recovery_scale",
+                          "em_current_scale")]
+        assert read
+        assert not any(np.shares_memory(mine, theirs)
+                       for mine in kept for theirs in read)
 
     def test_study_spec_round_trips_through_pickle(self, tmp_path):
         # study.npz is a snapshot file like every other: the pickled

@@ -369,6 +369,37 @@ class TestChunkPartition:
         assert varied.mode == "fleet+pool"
         assert varied.n_chunks == 2
 
+    def test_cut_per_worker_stays_within_max_chunk_chips(self,
+                                                         open_pool):
+        # Two cohorts of 7 chips without variation, 5-chip chunks: the
+        # chunk [5, 10) spans both cohorts (2 classes), while the
+        # 7-chip cut per worker would hold one class each.  The cut
+        # must not grow chunks past max_chunk_chips.
+        groups = tuple(
+            FleetGroup(n_chips=7,
+                       workload=ConstantWorkload(n_cores=N_CORES,
+                                                 utilization=utilization),
+                       policy=RoundRobinRecoveryPolicy(recovery_slots=3))
+            for utilization in (0.6, 0.8))
+        kwargs = dict(n_epochs=N_EPOCHS, record_every=2, seed=11)
+        chip, study = fleet_module._fleet_study(
+            (3, 3), groups=groups, epoch_s=3600.0, variation=None,
+            **kwargs)
+        assert fleet_module._chunk_size(study, chip.n_cores, 2,
+                                        max_chunk_chips=5,
+                                        state_budget_bytes=None) == 5
+        reports = []
+        one = run_fleet_lifetime_study((3, 3), groups=groups,
+                                       max_workers=1, **kwargs)
+        two = run_fleet_lifetime_study((3, 3), groups=groups,
+                                       max_workers=2, max_chunk_chips=5,
+                                       on_report=reports.append,
+                                       **kwargs)
+        (report,) = reports
+        assert report.n_chunks == 3  # [0, 5), [5, 10), [10, 14)
+        assert report.mode == "fleet+pool"
+        assert_bitwise_equal(one, two)
+
     def test_below_the_gate_runs_one_memory_sized_chunk(
             self, monkeypatch, no_pool):
         monkeypatch.setattr(fleet_module, "available_cpus", lambda: 2)
