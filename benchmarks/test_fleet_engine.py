@@ -212,34 +212,60 @@ def test_fleet_vs_pooled_sweep_1k_chips(benchmark):
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_FLEET
 
 
-def test_fleet_scaling_with_variation(benchmark):
-    """Record-only: 4096 varied chips through the grouped kernel path.
+#: Alternating runs per chunk height of the varied 4096-chip study.
+VARIED_REPS = 3
 
-    Process variation splits the population across sub-step-count
-    groups, so this exercises the gather/scatter path the homogeneous
-    benchmark never touches -- the number to watch is chips/sec
-    staying within an order of magnitude of the homogeneous rate.
+
+def test_fleet_scaling_with_variation(benchmark):
+    """Record-only: 4096 varied chips at two chunk heights.
+
+    Process variation gives every chip a class of its own, so all
+    36,864 trap rows advance (at these sigmas every chip lands on one
+    sub-step count, so each epoch is one group).  The study runs on
+    one worker as one 4096-chip chunk and as four 1024-chip chunks,
+    alternating, and the entry records the median of ``VARIED_REPS``
+    runs at each height.  The BTI sub-step sweep builds its factors
+    per 256-row block, so its cost should not grow with the chunk
+    height.  The final shifts must be bitwise equal at both heights.
     """
     n_chips = 4096
     n_epochs = 48
+    split_chips = 1024
     spec = FleetVariationSpec(capture_sigma=0.06,
                               recovery_sigma=0.08,
                               em_current_sigma=0.05)
 
-    def fleet():
-        return run_fleet_lifetime_study(
+    def fleet(max_chunk_chips):
+        reports = []
+        result = run_fleet_lifetime_study(
             (3, 3), n_chips, _workload(), _policy(),
-            n_epochs=n_epochs, variation=spec, seed=7)
+            n_epochs=n_epochs, variation=spec, seed=7, max_workers=1,
+            max_chunk_chips=max_chunk_chips, on_report=reports.append)
+        return result, reports[0]
 
-    elapsed_s, result = best_of(fleet, reps=2)
+    one_runs, split_runs, (result, one_report), (split, split_report) \
+        = alternating_runs(lambda: fleet(None),
+                           lambda: fleet(split_chips), VARIED_REPS)
+    assert (one_report.n_chunks, split_report.n_chunks) == (1, 4)
+    assert result.final_delta_vth_v.shape \
+        == split.final_delta_vth_v.shape
+    assert result.final_delta_vth_v.tobytes() \
+        == split.final_delta_vth_v.tobytes()
+    elapsed_s = float(np.median(one_runs))
+    split_s = float(np.median(split_runs))
     RESULTS["fleet_scaling_4096_chips_varied"] = {
         "elapsed_s": elapsed_s,
+        "elapsed_s_1024_chip_chunks": split_s,
         "n_chips": n_chips, "n_cores": N_CORES, "n_epochs": n_epochs,
+        "max_workers": 1,
+        "reps": VARIED_REPS, "statistic": "median",
+        "one_chunk_runs_s": one_runs,
+        "chunks_1024_runs_s": split_runs,
         "chips_per_s": n_chips / elapsed_s,
         "guardband_p50": float(result.guardband_quantile(0.50)),
         "guardband_p99": float(result.guardband_quantile(0.99)),
     }
-    run_once(benchmark, fleet)
+    run_once(benchmark, lambda: fleet(None))
 
 
 def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
@@ -295,7 +321,6 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
 
     counters = reports[0].cache_counters
     kernels = counters.get("bti.fleet.kernels", {})
-    dedup_in = kernels.get("dedup_rows_in", 0)
     entry = record(
         "hetero_grid_fleet_vs_pooled_1024_cells", before_s, after_s,
         n_cells=n_cells, n_cores=N_CORES, n_epochs=N_EPOCHS,
@@ -304,9 +329,8 @@ def test_heterogeneous_grid_fleet_vs_pooled(benchmark):
         cells_per_s_after=n_cells / after_s,
         fleet_chips=counters["fleet.engine"].get("chips", 0),
         fleet_cohorts=counters["fleet.engine"].get("cohorts", 0),
-        kernel_dedup_ratio=(dedup_in
-                            / max(kernels.get("dedup_rows_unique", 1),
-                                  1)))
+        bti_kernel_cache_hits=kernels.get("hits", 0),
+        bti_kernel_cache_misses=kernels.get("misses", 0))
     run_once(benchmark, fleet)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD_HETERO
 

@@ -10,17 +10,18 @@ here as a verbatim replica) against the shared
   floorplan;
 * PDN IR-drop re-solve across 100 load patterns on a 24x24 grid.
 
-Timings (best of a few repetitions) and speedups are written to
-``BENCH_solvers.json`` at the repo root when the module finishes, and
-each test asserts the acceptance threshold (>= 3x) plus numerical
-equivalence between the two paths.
+Each side runs :data:`SOLVER_REPS` times, alternating with the other
+(:func:`benchmarks.conftest.alternating_runs`), so a shared host's
+speed drift slows both alike.  The medians, every run and every pair
+ratio are merged into ``BENCH_solvers.json`` at the repo root when the
+module finishes, and each test asserts the acceptance threshold
+(>= 3x, on the medians) plus numerical equivalence between the two
+paths.
 """
 
 from __future__ import annotations
 
-import json
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -36,45 +37,51 @@ from repro.pdn.irdrop import solve_ir_drop_batch
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.network import ThermalRCNetwork
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import alternating_runs, merge_bench_json, \
+    run_once
 
 RESULTS = {}
 SPEEDUP_THRESHOLD = 3.0
 
+#: Alternating runs per side; every timing is the median.
+SOLVER_REPS = 5
+
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
-    """Dump the collected before/after timings to BENCH_solvers.json."""
+    """Merge the collected before/after timings into
+    BENCH_solvers.json, so running a subset keeps the other entries."""
     yield
     if not RESULTS:
         return
-    payload = {
+    header = {
         "suite": "benchmarks/test_solver_core.py",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "units": "seconds, best of the recorded repetitions",
-        "timings": RESULTS,
+        "units": "seconds, median of alternating runs",
     }
-    path = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    merge_bench_json(
+        Path(__file__).resolve().parent.parent / "BENCH_solvers.json",
+        header, RESULTS)
 
 
-def best_of(fn, reps):
-    """Best wall-clock of ``reps`` runs, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
-
-def record(name, before_s, after_s, **extra):
+def timed_pair(name, run_new, run_seed, **extra):
+    """Alternate ``SOLVER_REPS`` runs of each path and record the
+    medians with every run and pair; returns ``(entry, new_value,
+    seed_value)``."""
+    after_runs, before_runs, after, before = alternating_runs(
+        run_new, run_seed, SOLVER_REPS)
+    before_s = float(np.median(before_runs))
+    after_s = float(np.median(after_runs))
     entry = {"before_s": before_s, "after_s": after_s,
-             "speedup": before_s / after_s, **extra}
+             "speedup": before_s / after_s, "reps": SOLVER_REPS,
+             "statistic": "median", "before_runs_s": before_runs,
+             "after_runs_s": after_runs,
+             "pair_speedups": [b / a for a, b in zip(after_runs,
+                                                     before_runs)],
+             **extra}
     RESULTS[name] = entry
-    return entry
+    return entry, after, before
 
 
 def relative_error(result, reference):
@@ -128,11 +135,10 @@ def test_korhonen_10k_step(benchmark):
             reference.step(dt, kappa, gradient)
         return reference.stress
 
-    after_s, after = best_of(run_new, reps=3)
-    before_s, before = best_of(run_seed, reps=3)
+    entry, after, before = timed_pair("korhonen_10k_step", run_new,
+                                      run_seed, n_nodes=1201,
+                                      n_steps=n_steps)
     assert relative_error(after, before) < 1e-10
-    entry = record("korhonen_10k_step", before_s, after_s,
-                   n_nodes=1201, n_steps=n_steps)
     run_once(benchmark, run_new)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD
 
@@ -171,11 +177,10 @@ def test_thermal_1k_epoch_advance(benchmark):
             seed_thermal_advance(network, 1.0, powers, 1.0)
         return network.temperatures_k
 
-    after_s, after = best_of(run_new, reps=3)
-    before_s, before = best_of(run_seed, reps=2)
+    entry, after, before = timed_pair(
+        "thermal_1k_epoch_advance", run_new, run_seed,
+        n_blocks=len(floorplan), n_epochs=n_epochs)
     assert relative_error(after, before) < 1e-10
-    entry = record("thermal_1k_epoch_advance", before_s, after_s,
-                   n_blocks=len(floorplan), n_epochs=n_epochs)
     run_once(benchmark, run_new)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD
 
@@ -235,10 +240,9 @@ def test_pdn_100_pattern_resolve(benchmark):
             columns.append(seed_pdn_solve(grid))
         return np.column_stack(columns)
 
-    after_s, after = best_of(run_new, reps=3)
-    before_s, before = best_of(run_seed, reps=2)
+    entry, after, before = timed_pair(
+        "pdn_100_pattern_resolve", run_new, run_seed,
+        grid=f"{rows}x{cols}", n_patterns=len(patterns))
     assert relative_error(after, before) < 1e-10
-    entry = record("pdn_100_pattern_resolve", before_s, after_s,
-                   grid=f"{rows}x{cols}", n_patterns=len(patterns))
     run_once(benchmark, run_new)
     assert entry["speedup"] >= SPEEDUP_THRESHOLD

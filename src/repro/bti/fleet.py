@@ -4,10 +4,10 @@
 dynamics of one device and stays the calibration reference.  System
 and fleet studies need the same dynamics for every core of every chip,
 so a :class:`StackedTrapPopulations` holds ``n_chips * n_units`` rows
-of trap state in one structure-of-arrays block and advances them with
-shared sub-step kernels, evaluated as full-stack ufunc passes.  The
-fleet engine (:class:`~repro.system.fleet.FleetSimulator`) runs every
-study on one such stack -- a one-chip stack for the
+of trap state in one structure-of-arrays block and advances them in
+cache-sized row blocks, each with the sub-step factors of its own
+rows.  The fleet engine (:class:`~repro.system.fleet.FleetSimulator`)
+runs every study on one such stack -- a one-chip stack for the
 :class:`~repro.system.simulator.SystemSimulator` facade, an
 ``n_chips`` stack for a population.
 
@@ -43,20 +43,22 @@ pins these bounds.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.bti.traps import TrapPopulationConfig
 from repro.errors import SimulationError
-from repro.solvers import FactorizationCache, record_counters
+from repro.solvers import FactorizationCache
+from repro.solvers.factorized import _budget_entries
 
-#: Row-block height of the sub-step loop.  One block touches about
-#: ten ``(block, n_bins)`` arrays (state, kernel slices, scratch), so
-#: 256 rows x 64 bins keeps the working set around 1 MiB -- small
-#: enough to survive in a per-core L2 across every sub-step of the
-#: block, which is what turns the ~15 elementwise passes per sub-step
-#: from DRAM streams into cache hits.
+#: Row-block height of the sub-step loop and of a sub-step kernel.
+#: One block touches about ten ``(block, n_bins)`` arrays (state, its
+#: kernel, scratch), so 256 rows x 64 bins keeps the working set
+#: around 1 MiB -- small enough to survive in a per-core L2 across
+#: every sub-step of the block, which is what turns the ~15
+#: elementwise passes per sub-step from DRAM streams into cache hits.
 _SUBSTEP_BLOCK_ROWS = 256
 
 #: Sub-step cap per epoch for extreme accelerations (as in
@@ -66,16 +68,14 @@ _MAX_SUBSTEPS = 64
 #: The stored trap state, in the order :meth:`state_arrays` returns it.
 _STATE_NAMES = ("weights", "occupancy", "age_s", "permanent_v")
 
-#: Bounds of the sub-step kernel memo: the bytes its kernels hold and
-#: their count.  A kernel holds two dense ``(state rows, n_bins)``
-#: float64 arrays plus three ``(state rows, 1)`` columns, about 1 KiB
-#: per state row at 64 bins.  The count holds a 64-kernel schedule
-#: cycle: a 256-core chip healing 8 cores at a time under a coprime
-#: EM-reversal period cycles through 64 assignments, 16.3 MiB of
-#: kernels.  The byte bound keeps that cycle and otherwise holds what
-#: the former per-row sizing (16 entries) held on the varied
-#: ``fleet_mixed`` bench fleet, whose per-row kernels never repeat:
-#: about 18 MiB.
+#: Byte budget and entry cap of the sub-step kernel memo.  A kernel
+#: covers one row block: two dense ``(block, n_bins)`` float64 factors
+#: plus three ``(block, 1)`` columns (float64, bool, float64), so its
+#: size is bounded before it is built and the budget fixes the entry
+#: count.  The cap holds a 64-kernel schedule cycle: a 256-core chip
+#: healing 8 cores at a time under a coprime EM-reversal period cycles
+#: through 64 assignments, one full block each, 16.3 MiB at 64 bins;
+#: wider bins get fewer entries.
 _KERNEL_MEMO_BYTES = 18 * 2 ** 20
 _KERNEL_MEMO_ENTRIES = 64
 
@@ -100,44 +100,14 @@ def check_state(arrays: Mapping[str, np.ndarray],
                 f"{array.dtype}{array.shape}, expected {dtype}{shape}")
 
 
-def _kernel_nbytes(kernel) -> int:
-    return sum(array.nbytes for array in kernel if array is not None)
-
-
-class _KernelMemo(FactorizationCache):
-    """The sub-step kernel LRU, bounded by bytes held and by count.
-
-    Each kernel's size is the real ``nbytes`` of its arrays, counted
-    when it is inserted.  Past either bound the least recently used
-    kernels go; a kernel larger than the byte bound on its own is
-    returned but not kept.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(maxsize=_KERNEL_MEMO_ENTRIES,
-                         name="bti.fleet.kernels")
-        self.nbytes = 0
-
-    def _trim(self) -> None:
-        self.nbytes += _kernel_nbytes(next(reversed(self._entries.values())))
-        while (len(self._entries) > self.maxsize
-               or self.nbytes > _KERNEL_MEMO_BYTES):
-            _, evicted = self._entries.popitem(last=False)
-            self.nbytes -= _kernel_nbytes(evicted)
-
-    def clear(self) -> None:
-        """Drop every kernel (counters are kept)."""
-        super().clear()
-        self.nbytes = 0
-
-
 class StackedTrapPopulations:
     """Trap-population state for ``n_chips`` chips of ``n_units`` cores.
 
     The state is chip-major and flat: row ``k * n_units + u`` is core
     ``u`` of chip ``k``, one ``(n_bins,)`` state row per stack row.
-    Each sub-step group advances as in-place masked full-array passes,
-    touching no Python per chip.
+    Each sub-step group advances in row blocks of
+    :data:`_SUBSTEP_BLOCK_ROWS` as in-place masked passes, touching no
+    Python per chip.
 
     Args:
         n_chips: population size.
@@ -146,8 +116,9 @@ class StackedTrapPopulations:
             system configuration).
 
     Sub-step kernels are memoized only when :meth:`step` gets a
-    ``kernel_key``, in a memo bounded by :data:`_KERNEL_MEMO_BYTES`
-    and :data:`_KERNEL_MEMO_ENTRIES`.
+    ``kernel_key``, one entry per row block, in a memo of as many
+    block kernels as :data:`_KERNEL_MEMO_BYTES` holds, at most
+    :data:`_KERNEL_MEMO_ENTRIES`.
     """
 
     def __init__(self, n_chips: int, n_units: int,
@@ -173,10 +144,15 @@ class StackedTrapPopulations:
         # Longest equivalent-stress sub-step (an eighth of the lock-in
         # age, so lock-in stays resolved); counts scale with the peak.
         self._lock_step_s = max(cfg.lock_age_s / 8.0, 1e-9)
-        self.kernel_cache = _KernelMemo()
+        block = (min(rows, _SUBSTEP_BLOCK_ROWS), cfg.n_bins)
+        # A block kernel's bytes: two dense factors plus three columns.
+        self.kernel_cache = FactorizationCache(
+            maxsize=_budget_entries(_KERNEL_MEMO_BYTES,
+                                    block[0] * (16 * cfg.n_bins + 17),
+                                    cap=_KERNEL_MEMO_ENTRIES),
+            name="bti.fleet.kernels")
         # Sub-step scratch for one row block: three float buffers and
         # two masks.
-        block = (min(rows, _SUBSTEP_BLOCK_ROWS), cfg.n_bins)
         self._scratch = (np.empty(block), np.empty(block),
                          np.empty(block),
                          np.empty(block, dtype=bool),
@@ -277,8 +253,8 @@ class StackedTrapPopulations:
             kernel_key: optional hashable token uniquely identifying
                 the epoch's ``(dt_s, stressing, capture, recovery)``
                 content (e.g. the fleet's assignment digest).  When
-                given, the sub-step factors are memoized on it; when
-                ``None`` they are rebuilt each call.
+                given, each row block's sub-step factors are memoized
+                on it; when ``None`` they are rebuilt each call.
         """
         if not math.isfinite(dt_s) or dt_s < 0.0:
             raise SimulationError("dt_s must be finite and non-negative")
@@ -290,6 +266,9 @@ class StackedTrapPopulations:
             if array.shape != shape:
                 raise SimulationError(
                     f"per-unit arrays must have shape {shape}")
+        flat_stress = stressing.reshape(-1)
+        flat_capture = capture.reshape(-1)
+        flat_recovery = recovery.reshape(-1)
         if self.n_chips == 1:
             # One chip is one group: scalar math on its peak capture
             # (the same floats and ceil as the per-chip path below).
@@ -303,13 +282,11 @@ class StackedTrapPopulations:
                     "acceleration of the stressing units")
             count = min(max(math.ceil(raw), 1), _MAX_SUBSTEPS)
             self._advance_rows(
-                slice(None), dt_s, count, stressing, capture, recovery,
+                slice(None), dt_s, count, flat_stress, flat_capture,
+                flat_recovery,
                 None if kernel_key is None else (kernel_key, count, 0))
             self.time_s += dt_s
             return
-        flat_stress = stressing.reshape(-1)
-        flat_capture = capture.reshape(-1)
-        flat_recovery = recovery.reshape(-1)
         # Per-chip sub-step count, in the operation order of the scalar
         # derivation above.
         any_stress = stressing.any(axis=1)
@@ -342,8 +319,15 @@ class StackedTrapPopulations:
                       recovery_rows: np.ndarray, kernel_key) -> None:
         """Advance the rows ``rows`` sharing a sub-step count.
 
-        The input arrays hold one entry per row (any shape that
-        flattens to row order); ``rows`` selects the group.
+        The flat input arrays hold one entry per stack row; ``rows``
+        selects the group.  The group advances one row block at a
+        time, so a block's state and factors stay cache-resident
+        across all ``n_steps`` passes, and each block's factors are
+        built from its own rows just before it advances (memoized on
+        ``kernel_key`` plus the block's first row).  Every op is
+        elementwise per row, so block order and height change
+        nothing: each row sees the exact op sequence of a one-chip
+        stack, bit for bit.
         """
         step = dt_s / n_steps
         full = isinstance(rows, slice)
@@ -360,37 +344,17 @@ class StackedTrapPopulations:
             stress_rows = stress_rows[rows]
             capture_rows = capture_rows[rows]
             recovery_rows = recovery_rows[rows]
-        any_stress = bool(stress_rows.any())
-        m = occupancy.shape[0]
-        if kernel_key is not None:
-            kernel = self.kernel_cache.get_or_build(
-                kernel_key,
-                lambda: self._build_step_kernel(
-                    step, stress_rows, capture_rows, recovery_rows))
-        else:
-            kernel = self._build_step_kernel(
-                step, stress_rows, capture_rows, recovery_rows)
-        eq_col, stress_col, decay, inflow, fraction = kernel
-        # Row-block the sub-step loop so one block's state and kernel
-        # slices stay cache-resident across all ``n_steps`` passes --
-        # at fleet scale the full stack is tens of megabytes and the
-        # ~15 streaming passes per sub-step are otherwise pure DRAM
-        # traffic.  Every op below is elementwise per row, so block
-        # order changes nothing: each row sees the exact op sequence
-        # of an unblocked one-chip stack, bit for bit.
-        if m <= _SUBSTEP_BLOCK_ROWS:
-            self._advance_block(occupancy, age, weights, permanent,
-                                *kernel, n_steps, any_stress)
-        else:
-            for start in range(0, m, _SUBSTEP_BLOCK_ROWS):
-                stop = min(start + _SUBSTEP_BLOCK_ROWS, m)
-                self._advance_block(
-                    occupancy[start:stop], age[start:stop],
-                    weights[start:stop], permanent[start:stop],
-                    eq_col[start:stop], stress_col[start:stop],
-                    decay[start:stop], inflow[start:stop],
-                    None if fraction is None else fraction[start:stop],
-                    n_steps, any_stress)
+        for start in range(0, occupancy.shape[0], _SUBSTEP_BLOCK_ROWS):
+            block = slice(start, start + _SUBSTEP_BLOCK_ROWS)
+            build = partial(self._build_step_kernel, step,
+                            stress_rows[block], capture_rows[block],
+                            recovery_rows[block])
+            kernel = (build() if kernel_key is None
+                      else self.kernel_cache.get_or_build(
+                          kernel_key + (start,), build))
+            self._advance_block(occupancy[block], age[block],
+                                weights[block], permanent[block],
+                                *kernel, n_steps)
         if not full:
             self._occupancy[rows] = occupancy
             self._age_s[rows] = age
@@ -399,7 +363,7 @@ class StackedTrapPopulations:
 
     def _advance_block(self, occupancy, age, weights, permanent,
                        eq_col, stress_col, decay, inflow, fraction,
-                       n_steps: int, any_stress: bool) -> None:
+                       n_steps: int) -> None:
         """All sub-steps of one cache-sized row block, in place.
 
         Fill/drain is the affine map ``occupancy * decay + inflow``;
@@ -425,7 +389,7 @@ class StackedTrapPopulations:
             np.add(age, eq_col, out=age, where=mask)
             np.less_equal(occupancy, cfg.age_off_occupancy, out=mask)
             np.copyto(age, 0.0, where=mask)
-            if fraction is not None and any_stress:
+            if fraction is not None:
                 np.greater(age, cfg.lock_age_s, out=mask)
                 np.logical_and(mask, stress_col, out=mask)
                 if mask.any():
@@ -446,67 +410,40 @@ class StackedTrapPopulations:
 
     def _build_step_kernel(self, step: float, stressing: np.ndarray,
                            capture: np.ndarray, recovery: np.ndarray):
-        """Sub-step-invariant factors for one group of rows.
+        """Sub-step-invariant factors for one row block.
 
-        The factors depend only on the inputs (the group's rows, in
-        any shape that flattens to row order), never on the trap
-        state.  Every factor is elementwise per row -- a row's kernel
-        is the same whether its chip is stacked or alone -- so the
-        transcendental work runs once per *distinct*
-        ``(stressing, capture, recovery)`` triple (a fleet of 1k
-        chips typically has only ``n_units`` of them) and gathers back
-        to full rows -- the gather reproduces each row's value bit for
-        bit.  Rows are deduplicated on their raw bytes, never through
-        float comparisons, so even ``-0.0`` vs ``0.0`` rows keep their
-        own kernels.
+        The factors depend only on the block's flat inputs, never on
+        the trap state, and every factor is elementwise per row -- a
+        row's values are the same whether its chip is stacked or
+        alone, and ``-0.0`` and ``0.0`` rows each get their own.
 
         Returns ``(eq_col, stress_col, decay, inflow, fraction)``
         where ``decay`` / ``inflow`` are dense ``(rows, n_bins)``
         factors and the per-row constants stay ``(rows, 1)`` columns
-        (they broadcast in the sub-step ufuncs).  All arrays are
-        freshly allocated, so cached kernels never alias caller
-        buffers.
+        (they broadcast in the sub-step ufuncs).  ``fraction`` is
+        ``None`` when no charge can lock in: no lock-in rate, or no
+        stressing row in the block.  All arrays are freshly allocated,
+        so cached kernels never alias caller buffers.
         """
         cfg = self.config
-        stressing = stressing.reshape(-1)
-        capture = capture.reshape(-1)
-        recovery = recovery.reshape(-1)
-        m = stressing.shape[0]
-        triples = np.empty((m, 3))
-        triples[:, 0] = stressing
-        triples[:, 1] = capture
-        triples[:, 2] = recovery
-        packed = np.ascontiguousarray(triples).view(
-            np.dtype((np.void, triples.dtype.itemsize * 3))).ravel()
-        _, first, inverse = np.unique(packed, return_index=True,
-                                      return_inverse=True)
-        record_counters("bti.fleet.kernels",
-                        kernel_builds=1,
-                        dedup_rows_in=m,
-                        dedup_rows_unique=first.size)
-        u_stress = stressing[first]
-        u_capture = capture[first]
-        u_recovery = recovery[first]
-        shape = (first.size, cfg.n_bins)
-        equivalent = np.where(u_stress, u_capture * step, 0.0)
-        eq_unique = equivalent[:, None]
-        fill = -np.expm1(-eq_unique / self.tau_c[None, :])
+        equivalent = np.where(stressing, capture * step, 0.0)
+        eq_col = equivalent[:, None]
+        fill = -np.expm1(-eq_col / self.tau_c[None, :])
         tau_e = cfg.emission_scale * self.tau_c
-        drain = np.ones(shape)
-        resting = ~u_stress
+        drain = np.ones((stressing.shape[0], cfg.n_bins))
+        resting = ~stressing
         if np.any(resting):
-            drain[resting] = np.exp(-step * u_recovery[resting, None]
+            drain[resting] = np.exp(-step * recovery[resting, None]
                                     / tau_e[None, :])
         # occ' = (occ + (1 - occ) * fill) * drain, rearranged into the
         # two-pass affine form occ' = occ * decay + inflow: one extra
         # rounding per bin vs the four-pass seed loop (~1 ulp; the
         # seed equivalence tests bound the accumulated effect).
-        decay = ((1.0 - fill) * drain)[inverse]
-        inflow = (fill * drain)[inverse]
-        eq_col = eq_unique[inverse]
-        stress_col = u_stress[inverse][:, None].copy()
+        decay = (1.0 - fill) * drain
+        inflow = fill * drain
+        stress_col = stressing[:, None].copy()
         fraction = None
-        if cfg.lock_rate_per_s > 0.0:
+        if cfg.lock_rate_per_s > 0.0 and stressing.any():
             fraction = -np.expm1(
-                -cfg.lock_rate_per_s * equivalent)[inverse][:, None]
+                -cfg.lock_rate_per_s * equivalent)[:, None]
         return (eq_col, stress_col, decay, inflow, fraction)

@@ -317,6 +317,16 @@ def _named_totals(name: str) -> Dict[str, int]:
                "batched_solves": 0, "batched_rows": 0})
 
 
+def _budget_entries(budget_bytes: int, entry_bytes: int,
+                    cap: int) -> int:
+    """:class:`FactorizationCache` capacity for entries of at most
+    ``entry_bytes``: as many as ``budget_bytes`` holds, between 1 and
+    ``cap``."""
+    if entry_bytes <= 0:
+        return cap
+    return int(min(cap, max(1, budget_bytes // entry_bytes)))
+
+
 class FactorizationCache:
     """A small fingerprint-keyed LRU of expensive derived entries.
 
@@ -371,14 +381,9 @@ class FactorizationCache:
             self._totals["misses"] += 1
         entry = factory()
         self._entries[key] = entry
-        self._trim()
-        return entry
-
-    def _trim(self) -> None:
-        """Evict least-recently-used entries past the capacity; called
-        after each insert, and overridable for other bounds."""
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
+        return entry
 
     def record_batched_solve(self, n_rows: int) -> None:
         """Count one grouped back-substitution advancing ``n_rows``.

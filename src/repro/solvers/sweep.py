@@ -210,7 +210,7 @@ class SweepReport:
             deltas attributable to the executed chunks (summed over
             in-process and worker attempts); see
             :func:`repro.solvers.factorized.cache_counters`.  Engine
-            counters (``chips``, ``chunks``, ``kernel_builds``, ...)
+            counters (``chips``, ``chunks``, ``cohorts``, ...)
             appear alongside the hit/miss counts when nonzero.
     """
 

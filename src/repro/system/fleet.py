@@ -101,6 +101,7 @@ from repro.bti.fleet import (StackedTrapPopulations, StateLayout,
 from repro.em.line import EmStressCondition
 from repro.errors import CheckpointError, SimulationError, TaskError
 from repro.solvers import FactorizationCache, record_counters
+from repro.solvers.factorized import _budget_entries
 from repro.solvers.sweep import (
     ChunkRecord,
     ChunkTask,
@@ -679,14 +680,6 @@ class _EpochConditions:
         self.cohort_temps = cohort_temps
 
 
-def _budget_entries(budget_bytes: int, entry_bytes: int,
-                    cap: int) -> int:
-    """Cache capacity that keeps ``cap`` entries under a byte budget."""
-    if entry_bytes <= 0:
-        return cap
-    return int(min(cap, max(0, budget_bytes // entry_bytes)))
-
-
 def chunk_state_bytes(n_chips: int, n_classes: int, n_cores: int) -> int:
     """Resident state bytes of ``n_chips`` chips in ``n_classes`` chip
     classes (see :class:`FleetSimulator`).
@@ -849,14 +842,14 @@ class FleetSimulator:
         # from the per-assignment memo (keyed on its cache_key), so
         # base_epoch_conditions runs once per distinct assignment of
         # the run, not once per cohort.
-        bundle_entries = max(1, _budget_entries(
-            _MEMO_BUDGET_BYTES, 33 * rows, cap=64))
         self._condition_cache = FactorizationCache(
-            maxsize=bundle_entries, name="fleet.conditions")
-        base_entries = max(1, _budget_entries(
-            _MEMO_BUDGET_BYTES, 33 * n_cores, cap=4096))
+            maxsize=_budget_entries(_MEMO_BUDGET_BYTES, 33 * rows,
+                                    cap=64),
+            name="fleet.conditions")
         self._base_cache = FactorizationCache(
-            maxsize=base_entries, name="fleet.base_conditions")
+            maxsize=_budget_entries(_MEMO_BUDGET_BYTES, 33 * n_cores,
+                                    cap=4096),
+            name="fleet.base_conditions")
         self.epoch = 0
         self.migration_events = np.zeros(n_classes, dtype=np.int64)
         self.total_demand = np.zeros(n_classes)

@@ -448,8 +448,7 @@ class TestCounterAggregation:
         assert engine["epochs"] == 4 * N_EPOCHS  # per-chunk epochs
         assert engine["chunks"] == 4
         kernels = counters["bti.fleet.kernels"]
-        assert kernels["kernel_builds"] >= 4
-        assert kernels["dedup_rows_in"] > 0
+        assert kernels["misses"] >= 4
         assert "fleet.conditions" in counters
         assert "thermal.steady" in counters
 

@@ -30,6 +30,7 @@ from repro.bti.conditions import (
     BtiStressCondition,
 )
 from repro.bti.fleet import StackedTrapPopulations
+from repro.bti.traps import TrapPopulationConfig
 from repro.em.line import EmStressCondition
 from repro.errors import SensorError, SimulationError
 from repro.sensors.ring_oscillator import RingOscillator
@@ -106,7 +107,7 @@ def assert_results_equal(result, reference):
 
 def counter_totals(name):
     """The named counter totals, zero-filled before first use."""
-    totals = {"hits": 0, "misses": 0, "kernel_builds": 0}
+    totals = {"hits": 0, "misses": 0}
     totals.update(cache_counters().get(name, {}))
     return totals
 
@@ -314,7 +315,8 @@ class TestFleetBtiEquivalence:
 
 
 class TestKernelMemo:
-    """The BTI kernel memo: bounded by real bytes held and by count."""
+    """The BTI kernel memo: one entry per row-block kernel, as many as
+    its byte budget holds, at most 64."""
 
     N_UNITS = 4
 
@@ -335,27 +337,30 @@ class TestKernelMemo:
         assert after["hits"] - before["hits"] == 128
         assert len(stack.kernel_cache) == 64
 
-    def test_byte_bound_counts_each_kernels_arrays(self, monkeypatch):
+    def test_capacity_follows_the_budget(self):
         import repro.bti.fleet as bti_fleet
 
-        stack = StackedTrapPopulations(1, self.N_UNITS)
-        self._cycle(stack, 1, rounds=1)
-        kernel_bytes = stack.kernel_cache.nbytes
-        # Two dense (rows, n_bins) float64 factors plus three columns.
-        n_bins = stack.config.n_bins
-        assert kernel_bytes == self.N_UNITS * (2 * n_bins * 8 + 8 + 1
-                                               + 8)
-        monkeypatch.setattr(bti_fleet, "_KERNEL_MEMO_BYTES",
-                            3 * kernel_bytes)
-        self._cycle(stack, 10, rounds=1)
-        assert len(stack.kernel_cache) == 3
-        assert stack.kernel_cache.nbytes == 3 * kernel_bytes
-        # A kernel larger than the whole bound is used but not kept.
-        monkeypatch.setattr(bti_fleet, "_KERNEL_MEMO_BYTES",
-                            kernel_bytes - 1)
-        self._cycle(stack, 1, rounds=1)
-        assert len(stack.kernel_cache) == 0
-        assert stack.kernel_cache.nbytes == 0
+        def capacity(n_chips, n_units, n_bins):
+            config = TrapPopulationConfig(n_bins=n_bins)
+            return StackedTrapPopulations(
+                n_chips, n_units, config).kernel_cache.maxsize
+
+        # At 64 bins a full 256-row block kernel is 266 KB, so the
+        # budget holds more than the 64-entry cap.
+        block_bytes = 256 * (16 * 64 + 17)
+        assert bti_fleet._KERNEL_MEMO_BYTES // block_bytes > 64
+        assert capacity(1, 256, 64) == 64
+        assert capacity(3, 100, 64) == 64
+        # Wide bins make a block kernel 4 MB: the budget binds.
+        wide = 256 * (16 * 1024 + 17)
+        assert capacity(3, 100, 1024) \
+            == bti_fleet._KERNEL_MEMO_BYTES // wide == 4
+        # A narrow stack's kernels are only as tall as the stack.
+        assert capacity(1, 4, 1024) == 64
+        stack = StackedTrapPopulations(1, self.N_UNITS,
+                                       TrapPopulationConfig(n_bins=1024))
+        self._cycle(stack, 70, rounds=1)
+        assert len(stack.kernel_cache) == 64
 
 
 class TestOneTrapEngine:
@@ -403,8 +408,6 @@ class TestOneTrapEngine:
         # under normal current plus 3 under EM reversal (epochs 0, 4
         # and 8), so later epochs revisit built kernels.
         assert len(keys) == 9
-        assert after["kernel_builds"] - before["kernel_builds"] \
-            == len(keys)
         assert after["misses"] - before["misses"] == len(keys)
         assert after["hits"] - before["hits"] == 24 - len(keys)
 

@@ -231,6 +231,52 @@ class TestFleetSubStepGroups:
                                   single.permanent_vth_v()[0])
         assert stacked.delta_vth_v().shape == (n_chips, n_units)
 
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_group_across_row_block_boundary_matches_one_chip(self,
+                                                              keyed):
+        """A sub-step group spanning the 256-row kernel block boundary.
+
+        Chips 0-2 share a sub-step count, so their 300 rows form one
+        gathered group whose row blocks (0-255, 256-299) cut chip 2;
+        chip 3 takes more sub-steps.  Capture varies per row, and
+        ``-0.0`` / ``0.0`` recovery pairs sit on both sides of row
+        256.  Every row must equal its chip's one-chip stack bit for
+        bit, with the block kernels memoized or rebuilt.
+        """
+        n_chips, n_units = 4, 100
+        rng = np.random.default_rng(5)
+        capture = rng.uniform(0.3, 2.0, (n_chips, n_units))
+        capture[:, 0] = 2.0
+        capture[3, 1] = 5.0
+        stacked = StackedTrapPopulations(n_chips, n_units)
+        singles = [StackedTrapPopulations(1, n_units)
+                   for _ in range(n_chips)]
+        flat_rest = np.zeros(n_chips * n_units, dtype=bool)
+        flat_rest[[254, 255, 256, 257]] = True
+        resting = flat_rest.reshape(n_chips, n_units)
+        recovery = np.full(n_chips * n_units, 300.0)
+        recovery[[254, 255, 256, 257]] = (-0.0, 0.0, 0.0, -0.0)
+        recovery = recovery.reshape(n_chips, n_units)
+        # Four stress epochs (keys repeat, so the memo hits), then only
+        # the four signed-zero rows stress, then every row rests.
+        schedule = [~resting] * 4 + [resting, np.zeros_like(resting)]
+        keys = [0, 1, 0, 1, 2, 3]
+        for stressing, key in zip(schedule, keys):
+            key = key if keyed else None
+            stacked.step(3600.0, stressing, capture, recovery,
+                         kernel_key=key)
+            for i, single in enumerate(singles):
+                single.step(3600.0, stressing[i:i + 1],
+                            capture[i:i + 1], recovery[i:i + 1],
+                            kernel_key=key)
+        assert stacked.permanent_v.max() > 0.0, \
+            "schedule must exercise the lock-in branch"
+        for i, single in enumerate(singles):
+            rows = slice(i * n_units, (i + 1) * n_units)
+            for name in ("occupancy", "age_s", "weights", "permanent_v"):
+                assert getattr(stacked, name)[rows].tobytes() \
+                    == getattr(single, name).tobytes(), (i, name)
+
     def test_stacked_traps_validation(self):
         with pytest.raises(SimulationError):
             StackedTrapPopulations(0, 4)
