@@ -15,6 +15,14 @@ the equivalence oracle for ``benchmarks/test_system_engine.py`` and
   per-core ``BtiStressCondition`` / ``BtiRecoveryCondition`` objects
   and ``math.exp`` per epoch, a per-core power list comprehension, an
   uncached thermal solve, and a scalar ``delay_degradation`` loop.
+* :class:`SeedNoRecoveryPolicy`, :class:`SeedRoundRobinRecoveryPolicy`
+  and :class:`SeedDarkSiliconRotationPolicy` with their
+  :class:`SeedCoreAssignment` -- the scheduling policies as they were
+  before they decided for a group's cohorts at once: one call per
+  chip and epoch on a 1-D age vector, one validated assignment per
+  call, and a dark-silicon policy that holds the live chip.  The
+  seed loop runs them, so the equivalence tests cover the batched
+  policies too.
 
 The only deliberate difference is that the replica also accumulates
 ``total_demand`` / ``total_dropped_demand`` (two scalar adds per
@@ -25,7 +33,7 @@ field-for-field across both paths.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -262,3 +270,221 @@ class SeedSystemSimulator:
             n_epochs=n_epochs,
             total_demand=total_demand,
             total_dropped_demand=total_dropped)
+
+
+# -- the per-chip scheduling policies, verbatim ------------------------------
+
+
+@dataclass(frozen=True)
+class SeedCoreAssignment:
+    """One epoch's scheduling decision.
+
+    Attributes:
+        utilization: per-core utilization in [0, 1].
+        bti_recovering: per-core flags -- core idles with swapped rails
+            (BTI active recovery; contributes no compute).
+        em_recovering: per-core flags -- core runs with reversed grid
+            current (EM active recovery; still contributes compute).
+        dropped_demand: demand (core-equivalents) that could not be
+            placed this epoch because too few cores were available.
+    """
+
+    utilization: np.ndarray
+    bti_recovering: np.ndarray
+    em_recovering: np.ndarray
+    dropped_demand: float = 0.0
+
+    def __post_init__(self) -> None:
+        n = len(self.utilization)
+        if len(self.bti_recovering) != n or len(self.em_recovering) != n:
+            raise SimulationError("assignment arrays must align")
+        low = self.utilization.min(initial=0.0)
+        high = self.utilization.max(initial=0.0)
+        if low < 0.0 or high > 1.0:
+            raise SimulationError("utilizations must be within [0, 1]")
+        if (self.bti_recovering & (self.utilization > 0.0)).any():
+            raise SimulationError(
+                "a BTI-recovering core cannot carry load")
+
+    def cache_key(self) -> tuple:
+        """A hashable digest of the assignment's full content.
+
+        Everything the epoch engines derive from an assignment (power
+        vector, thermal solve, condition-kernel lookups, signed grid
+        current) is a pure function of these three arrays, so the
+        scalar and fleet simulators memoize their per-assignment
+        condition bundles on exactly this key.  Keying on the raw
+        bytes -- never on rounded floats -- keeps distinct assignments
+        distinct bit for bit.
+        """
+        return (self.utilization.tobytes(),
+                self.bti_recovering.tobytes(),
+                self.em_recovering.tobytes())
+
+
+def _spread(demand: float, available: np.ndarray) -> np.ndarray:
+    """Distribute demand evenly over the available cores (capped at 1)."""
+    n = len(available)
+    utilization = np.zeros(n)
+    idx = np.nonzero(available)[0]
+    if idx.size == 0:
+        return utilization
+    per_core = min(demand / idx.size, 1.0)
+    utilization[idx] = per_core
+    return utilization
+
+
+@dataclass(frozen=True)
+class SeedNoRecoveryPolicy:
+    """Baseline: spread the demand, never heal."""
+
+    def assign(self, epoch: int, demand: float,
+               delta_vth_v: np.ndarray,
+               previous_utilization: Optional[np.ndarray] = None
+               ) -> SeedCoreAssignment:
+        """Evenly load all cores; no recovery epochs ever."""
+        n = len(delta_vth_v)
+        available = np.ones(n, dtype=bool)
+        utilization = _spread(demand, available)
+        placed = float(utilization.sum())
+        return SeedCoreAssignment(
+            utilization=utilization,
+            bti_recovering=np.zeros(n, dtype=bool),
+            em_recovering=np.zeros(n, dtype=bool),
+            dropped_demand=max(demand - placed, 0.0))
+
+
+@dataclass
+class SeedRoundRobinRecoveryPolicy:
+    """Rotating BTI recovery plus alternating EM recovery.
+
+    Every epoch, ``recovery_slots`` cores (a rotating window) go into
+    BTI active recovery; their share of the demand migrates to the
+    remaining cores.  Independently, every ``em_alternate_every``
+    epochs the *active* cores run one epoch with reversed grid
+    current -- EM active recovery costs no compute, so it can simply
+    alternate with normal polarity.
+
+    Attributes:
+        recovery_slots: cores in BTI recovery per epoch.
+        em_alternate_every: period (in epochs) of EM reverse-current
+            epochs for the active cores; 0 disables EM recovery.
+    """
+
+    recovery_slots: int = 1
+    em_alternate_every: int = 2
+    _cursor: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.recovery_slots < 0:
+            raise SimulationError("recovery_slots must be >= 0")
+        if self.em_alternate_every < 0:
+            raise SimulationError("em_alternate_every must be >= 0")
+
+    def assign(self, epoch: int, demand: float,
+               delta_vth_v: np.ndarray,
+               previous_utilization: Optional[np.ndarray] = None
+               ) -> SeedCoreAssignment:
+        """Rotate the healing window and spread demand over the rest."""
+        n = len(delta_vth_v)
+        if self.recovery_slots >= n:
+            raise SimulationError(
+                "recovery_slots must leave at least one active core")
+        healing = np.zeros(n, dtype=bool)
+        for slot in range(self.recovery_slots):
+            healing[(self._cursor + slot) % n] = True
+        self._cursor = (self._cursor + self.recovery_slots) % n
+        available = ~healing
+        utilization = _spread(demand, available)
+        placed = float(utilization.sum())
+        em = np.zeros(n, dtype=bool)
+        if self.em_alternate_every and \
+                epoch % self.em_alternate_every == 0:
+            em = available & (utilization > 0.0)
+        return SeedCoreAssignment(
+            utilization=utilization,
+            bti_recovering=healing,
+            em_recovering=em,
+            dropped_demand=max(demand - placed, 0.0))
+
+
+@dataclass
+class SeedDarkSiliconRotationPolicy:
+    """Heal the most-aged cores in the warmest dark slots.
+
+    Attributes:
+        chip: the chip (needed for neighbour lookups).
+        n_dark: cores kept dark (healing) each epoch.
+        heat_aware: prefer dark slots adjacent to loaded cores, so
+            neighbour heat accelerates the recovery.
+        dwell_epochs: minimum epochs a core stays dark once selected.
+        em_alternate_every: period of EM reverse-current epochs for
+            the active cores; 0 disables.
+        age_weight: relative weight of wearout vs neighbour heat in
+            the dark-slot score.
+    """
+
+    chip: Chip
+    n_dark: int = 1
+    heat_aware: bool = True
+    dwell_epochs: int = 4
+    em_alternate_every: int = 2
+    age_weight: float = 1.0
+    _dark_set: List[int] = field(default_factory=list, repr=False)
+    _dwell_left: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.n_dark < self.chip.n_cores:
+            raise SimulationError(
+                "n_dark must leave at least one active core")
+        if self.dwell_epochs < 1:
+            raise SimulationError("dwell_epochs must be at least 1")
+        if self.age_weight < 0.0:
+            raise SimulationError("age_weight must be non-negative")
+
+    def _score(self, delta_vth_v: np.ndarray,
+               previous_utilization: Optional[np.ndarray]) -> np.ndarray:
+        scale = max(float(delta_vth_v.max()), 1e-12)
+        score = self.age_weight * delta_vth_v / scale
+        if self.heat_aware and previous_utilization is not None:
+            for index in range(self.chip.n_cores):
+                neighbours = self.chip.neighbours_of(index)
+                if neighbours:
+                    heat = float(np.mean(
+                        previous_utilization[neighbours]))
+                    score[index] += 0.5 * heat
+        return score
+
+    def assign(self, epoch: int, demand: float,
+               delta_vth_v: np.ndarray,
+               previous_utilization: Optional[np.ndarray] = None
+               ) -> SeedCoreAssignment:
+        """Pick the dark set, then spread the demand over the rest."""
+        n = self.chip.n_cores
+        delta_vth_v = np.asarray(delta_vth_v, dtype=float)
+        if delta_vth_v.shape != (n,):
+            raise SimulationError(
+                f"delta_vth_v must have shape ({n},)")
+        if self.n_dark == 0:
+            dark = np.zeros(n, dtype=bool)
+        else:
+            if self._dwell_left <= 0 or not self._dark_set:
+                score = self._score(delta_vth_v, previous_utilization)
+                self._dark_set = list(
+                    np.argsort(score)[::-1][:self.n_dark])
+                self._dwell_left = self.dwell_epochs
+            self._dwell_left -= 1
+            dark = np.zeros(n, dtype=bool)
+            dark[self._dark_set] = True
+        available = ~dark
+        utilization = _spread(demand, available)
+        placed = float(utilization.sum())
+        em = np.zeros(n, dtype=bool)
+        if self.em_alternate_every and \
+                epoch % self.em_alternate_every == 0:
+            em = available & (utilization > 0.0)
+        return SeedCoreAssignment(
+            utilization=utilization,
+            bti_recovering=dark,
+            em_recovering=em,
+            dropped_demand=max(demand - placed, 0.0))

@@ -42,7 +42,10 @@ from benchmarks.conftest import (
     merge_bench_json,
     run_once,
 )
-from benchmarks.seed_system import SeedSystemSimulator
+from benchmarks.seed_system import (
+    SeedRoundRobinRecoveryPolicy,
+    SeedSystemSimulator,
+)
 
 RESULTS = {}
 SPEEDUP_THRESHOLD_256 = 5.0
@@ -121,7 +124,8 @@ def _epoch_scenario(n_side, n_epochs, recovery_slots,
 
     The setups build a fresh simulator (outside the timed region --
     chip construction is not epoch throughput); ``run`` drives it and
-    is what gets timed.
+    is what gets timed.  The seed loop runs the seed's per-chip
+    policy, the simulator the batched one.
     """
     n_cores = n_side * n_side
 
@@ -132,12 +136,14 @@ def _epoch_scenario(n_side, n_epochs, recovery_slots,
         return SeedSystemSimulator(Chip(n_side, n_side))
 
     def run(simulator):
+        policy = (SeedRoundRobinRecoveryPolicy
+                  if isinstance(simulator, SeedSystemSimulator)
+                  else RoundRobinRecoveryPolicy)
         result = simulator.run(
             n_epochs,
             ConstantWorkload(n_cores=n_cores, utilization=0.4),
-            RoundRobinRecoveryPolicy(
-                recovery_slots=recovery_slots,
-                em_alternate_every=em_alternate_every))
+            policy(recovery_slots=recovery_slots,
+                   em_alternate_every=em_alternate_every))
         return result, simulator
 
     return new_setup, seed_setup, run

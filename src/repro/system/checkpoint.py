@@ -5,7 +5,7 @@ all-or-nothing batch call: a machine reboot at epoch 719 of 720 loses
 everything.  This module makes fleet state durable and incremental --
 the foundation of the ROADMAP's streaming fleet-reliability service:
 
-* **Snapshot format (schema v9).**  Every file this module writes is
+* **Snapshot format (schema v10).**  Every file this module writes is
   one ``.npz`` archive of exactly three byte members, loadable with
   ``allow_pickle=False``: ``__data__``, the raw bytes of every named
   array laid end to end in name order, each starting on a 16-byte
@@ -32,9 +32,10 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
   and run state one row per chip class, so a fleet whose chips age
   alike writes a few rows, not one per chip; the variation draw; one
   ``(n_cohorts, n_cores)`` array per cohort quantity) plus
-  ``cohorts/state``, the cohorts' workload and policy copies with
-  their RNG positions and rotation cursors, pickled into a byte array
-  since they are arbitrary user objects.  The meta holds ``kind``,
+  ``cohorts/state``, the pair of the per-cohort workload copies and
+  the per-group policy copies, with their RNG positions, rotation
+  cursors and dark sets, pickled into a byte array since they are
+  arbitrary user objects.  The meta holds ``kind``,
   ``epoch``, the study fingerprint (``digest``) and a chunk's
   ``chunk_index``, so the member set is the same for every study.
   The rest -- geometry, cohort layout, cadence, record times, the
@@ -76,7 +77,7 @@ the foundation of the ROADMAP's streaming fleet-reliability service:
 Bitwise invariance rests on one property, pinned by the checkpoint
 tests: splitting ``FleetSimulator.advance`` at any epoch boundary is
 exact, because every cross-epoch input is either stored in the
-simulator (cohort cursors, accumulators, records) or recomputed as the
+simulator (policy cursors, accumulators, records) or recomputed as the
 same pure function of the stored aging state.
 """
 
@@ -118,7 +119,7 @@ from repro.system.fleet import (
 #: gate is strict: a snapshot stamped with any other version raises
 #: :class:`~repro.errors.CheckpointError` on load rather than being
 #: reinterpreted under the wrong layout.
-CHECKPOINT_SCHEMA_VERSION = 9
+CHECKPOINT_SCHEMA_VERSION = 10
 
 _MAGIC = "repro.fleet.checkpoint"
 _PICKLE_PROTOCOL = 4
@@ -419,12 +420,11 @@ class FleetSnapshot:
 def _snapshot_run(simulator: FleetSimulator,
                   meta: Dict[str, Any]) -> FleetSnapshot:
     """Capture the full advancing state of a :class:`FleetSimulator`:
-    its :meth:`~FleetSimulator.state_arrays`, the cohorts' workload
-    and policy copies and, in ``meta``, the epoch."""
+    its :meth:`~FleetSimulator.state_arrays`, its per-cohort workload
+    and per-group policy copies and, in ``meta``, the epoch."""
     arrays = simulator.state_arrays()
     arrays["cohorts/state"] = np.frombuffer(
-        pickle.dumps([(cohort.workload, cohort.policy)
-                      for cohort in simulator.cohorts],
+        pickle.dumps((simulator.workloads, simulator.policies),
                      protocol=_PICKLE_PROTOCOL),
         dtype=np.uint8)
     return FleetSnapshot(arrays=arrays,
@@ -451,14 +451,14 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
     if "cohorts/state" not in arrays:
         raise CheckpointError("snapshot is missing array 'cohorts/state'")
     try:
-        pairs = pickle.loads(arrays["cohorts/state"].tobytes())
+        state = pickle.loads(arrays["cohorts/state"].tobytes())
     except Exception as error:
         raise CheckpointError(
             f"snapshot cohort state is corrupt: {error}") from error
-    cohorts = simulator.cohorts
-    if (not isinstance(pairs, list) or len(pairs) != len(cohorts)
-            or any(not isinstance(pair, tuple) or len(pair) != 2
-                   for pair in pairs)):
+    layout = (simulator.workloads, simulator.policies)
+    if (not isinstance(state, tuple) or len(state) != 2
+            or any(not isinstance(copies, list) or len(copies) != len(own)
+                   for copies, own in zip(state, layout))):
         raise CheckpointError(
             "snapshot cohort state does not match the run's "
             "cohort layout")
@@ -466,9 +466,7 @@ def _restore_run(simulator: FleetSimulator, snapshot: FleetSnapshot,
         simulator.load_state(arrays, meta.get("epoch"))
     except SimulationError as error:
         raise CheckpointError(f"snapshot {error}") from error
-    for cohort, (workload, policy) in zip(cohorts, pairs):
-        cohort.workload = workload
-        cohort.policy = policy
+    simulator.workloads, simulator.policies = state
 
 
 # -- chunk result <-> snapshot ----------------------------------------------

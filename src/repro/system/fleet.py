@@ -15,21 +15,22 @@ of a study in lockstep (the one-chip study is
   :class:`~repro.system.aging.FleetEmState`, the per-chip
   process-variation scales drawn up front -- plus its condition and
   kernel memos and its resumable epoch loop.  Each epoch asks every
-  cohort's workload for demand and its policy for an assignment,
-  then evaluates the BTI condition kernels and EM rate factors over
-  the whole ``(n_chips, n_cores)`` stack in single ufunc passes.
-  Base epoch conditions are computed once per distinct assignment of
-  the run (memoized on its ``cache_key``) and gathered onto the chip
-  rows, so condition builds scale with the distinct decisions, not
-  with the cohorts.
+  cohort's workload for demand and every group's policy for one
+  assignment of all its cohorts, then evaluates the BTI condition
+  kernels and EM rate factors over the whole ``(n_chips, n_cores)``
+  stack in single ufunc passes.  Base epoch conditions are computed
+  once per distinct assignment row of the run (memoized on its bytes)
+  and gathered onto the chip rows, so condition builds scale with the
+  distinct decisions, not with the cohorts.
 * :class:`FleetGroup` generalizes the engine beyond "one workload, one
   policy": a population is a sequence of groups, each with its own
   workload, scheduling policy, and optional per-chip *workload phase*
   offsets.  Internally each group splits into *cohorts* -- maximal
   runs of consecutive chips sharing one phase -- and every cohort gets
-  its own fresh policy/workload copy and its own per-epoch scheduling
-  decision (policy calls are O(cohorts) per epoch), while the BTI/EM
-  state still advances in one stacked sweep over all cohorts.  Chips
+  its own fresh workload copy and its own row of its group's
+  per-epoch scheduling decision (one policy call per group and
+  epoch, on a fresh policy copy per group), while the BTI/EM state
+  still advances in one stacked sweep over all cohorts.  Chips
   in different timezones, racks with different healing policies, and
   a control group all batch into one tensor advance.
 * :func:`run_fleet_lifetime_study` is the population entry point.  It
@@ -57,13 +58,14 @@ one-chip study (:class:`~repro.system.simulator.SystemSimulator`
 built with ``variation.chip(i)``), driven by the chip's
 (phase-shifted) workload and a fresh copy of its group's policy --
 every row gets :func:`base_epoch_conditions` of its cohort's
-assignment times its own variation scales, and the stacked BTI/EM
+assignment row times its own variation scales, and the stacked BTI/EM
 steps are elementwise in the unit dimension (see
-:mod:`repro.bti.fleet`).  The one coupling is
-the aging observable handed to the policy: a cohort's policy sees the
+:mod:`repro.bti.fleet`).  The one coupling is the aging observable
+handed to the policy: a cohort's row of the policy call holds the
 *cohort-worst* per-core shift.  With no variation the cohort's rows
 are identical, so this equals every member's own observable and the
-equivalence is exact for any policy; with variation it stays exact for
+equivalence is exact for any policy that decides each row from that
+row alone (every policy here does); with variation it stays exact for
 policies that ignore the shift values (the round-robin and
 no-recovery policies) and for singleton cohorts.  The same contract
 makes chunked execution invariant in the chunk size.
@@ -115,7 +117,6 @@ from repro.solvers.sweep import (
 )
 from repro.system.aging import FleetEmState
 from repro.system.chip import Chip, ChipConfig
-from repro.system.scheduler import CoreAssignment
 from repro.system.workload import PhasedWorkload
 
 #: Trap-bin count of the system-level population (the fleet engine
@@ -167,14 +168,18 @@ class ChipVariation:
 
 
 def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
-                          assignment: CoreAssignment):
-    """Variation-independent per-core conditions of one assignment.
+                          utilization: np.ndarray,
+                          recovering: np.ndarray,
+                          em_recovering: np.ndarray):
+    """Variation-independent per-core conditions of one assignment row.
 
     The power vector, memoized thermal solve, BTI condition-kernel
-    lookups and signed grid current for one :class:`CoreAssignment`.
-    :class:`FleetSimulator` computes them once per distinct
-    assignment and applies each chip's variation scales *on top*, so
-    a chip sees the same conditions alone or stacked.
+    lookups and signed grid current for one cohort's row of a
+    :class:`~repro.system.scheduler.CoreAssignment`: its per-core
+    utilization, BTI-recovery and EM-reversal flags.
+    :class:`FleetSimulator` computes them once per distinct row and
+    applies each chip's variation scales *on top*, so a chip sees the
+    same conditions alone or stacked.
 
     Returns:
         ``(temps, active, capture, recovery, j)`` -- per-core
@@ -182,8 +187,6 @@ def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
         recovery accelerations, and signed grid current density.
     """
     core = chip.core
-    utilization = assignment.utilization
-    recovering = assignment.bti_recovering
     powers = np.where(
         recovering, core.recovery_power_w,
         core.idle_power_w + utilization
@@ -196,18 +199,26 @@ def base_epoch_conditions(chip: Chip, kernels: BtiConditionKernels,
     active = ~recovering & (utilization > 0.0)
     recovery = kernels.recovery_acceleration_array(temps, recovering)
     j = core.grid_current_density_a_m2 * utilization
-    j = np.where(assignment.em_recovering, -j, j)
+    j = np.where(em_recovering, -j, j)
     return temps, active, capture, recovery, j
 
 
 class SchedulingPolicy(Protocol):
-    """Interface every scheduling policy implements."""
+    """Interface every scheduling policy implements.
 
-    def assign(self, epoch: int, demand: float,
-               delta_vth_v: np.ndarray,
-               previous_utilization: Optional[np.ndarray] = None
-               ) -> CoreAssignment:
-        """Produce the epoch's core assignment."""
+    One call decides the epoch for ``k`` cohorts at once (a group's
+    cohorts, or the one chip of a system study): ``demand`` is
+    ``(k,)``, ``worst`` the ``(k, n_cores)`` cohort-worst threshold
+    shifts and ``previous_utilization`` the ``(k, n_cores)``
+    utilizations of the previous epoch (``None`` at epoch 0).  The
+    answer is one :class:`~repro.system.scheduler.CoreAssignment` of
+    ``(k, n_cores)`` arrays and ``(k,)`` dropped demand.  The engine
+    calls a policy every epoch from epoch 0 with the same ``k``.
+    """
+
+    def assign(self, epoch: int, demand: np.ndarray, worst: np.ndarray,
+               previous_utilization: Optional[np.ndarray] = None):
+        """Produce the epoch's core assignment of every cohort."""
         ...
 
 
@@ -467,11 +478,13 @@ class FleetGroup:
 
     The engine treats ``workload`` and ``policy`` as *templates*: each
     internal cohort (a maximal run of chips sharing one phase) gets a
-    fresh ``copy.deepcopy`` before the run, so stateful policies
-    (rotation cursors) and workloads (AR(1) streams) start fresh and a
-    group's trajectory never depends on how the population is chunked.
-    A ``policy`` without an ``assign`` method is treated as a factory
-    called with the chip, mirroring the sweep layer.
+    fresh ``copy.deepcopy`` of the workload, and the group one fresh
+    copy of the policy, which decides for all its cohorts at once, so
+    stateful policies (rotation cursors) and workloads (AR(1) streams)
+    start fresh and a group's trajectory never depends on how the
+    population is chunked.  A ``policy`` without an ``assign`` method
+    is treated as a factory called once per group with the chip,
+    mirroring the sweep layer.
 
     Attributes:
         n_chips: chips in the group.
@@ -502,22 +515,6 @@ class FleetGroup:
             if any(p < 0 for p in phases):
                 raise SimulationError(
                     "phases must be non-negative")
-
-
-class _Cohort:
-    """One run of consecutive chips sharing workload, phase, policy."""
-
-    __slots__ = ("start", "stop", "workload", "policy",
-                 "previous_utilization", "previous_recovering")
-
-    def __init__(self, start: int, stop: int, workload, policy,
-                 n_cores: int):
-        self.start = start
-        self.stop = stop
-        self.workload = workload
-        self.policy = policy
-        self.previous_utilization: Optional[np.ndarray] = None
-        self.previous_recovering = np.zeros(n_cores, dtype=bool)
 
 
 # -- results ----------------------------------------------------------------
@@ -688,15 +685,17 @@ def chunk_state_bytes(n_chips: int, n_classes: int, n_cores: int) -> int:
     state blocks and the permanent shift, plus three float64 and two
     boolean blocks of sub-step scratch (a bound: the stack allocates
     scratch once per row block) -- its EM accumulators (three float64
-    and one boolean per core) and eight words of run totals, scales
+    and one boolean per core), its cohort's previous utilization and
+    recovery flags (one float64 and one boolean per core; a cohort
+    holds at least one class) and eight words of run totals, scales
     and cohort bookkeeping.  A chip adds its scales and class index
     and what :meth:`FleetSimulator.result` gathers for it: three
     float64 and one boolean per core and three run totals.  The
     recorded timeline is output, which the merged result holds
     whatever the chunk height, so it is left out.
     """
-    per_class = (n_cores * (_FLEET_N_BINS * (6 * 8 + 2) + 8 + 3 * 8 + 1)
-                 + 8 * 8)
+    per_class = (n_cores * (_FLEET_N_BINS * (6 * 8 + 2) + 8 + 3 * 8 + 1
+                            + 8 + 1) + 8 * 8)
     per_chip = n_cores * (3 * 8 + 1) + 7 * 8
     return n_classes * per_class + n_chips * per_chip
 
@@ -762,9 +761,12 @@ class FleetSimulator:
       plus the drawn per-chip :attr:`variation`;
     * the memos: whole-epoch condition bundles, per-assignment base
       conditions, and the BTI/EM step kernels;
-    * the run state: per-cohort policy/workload copies with their
-      mutable cursors, the :attr:`epoch` cursor, and the per-class
-      demand/migration accumulators and recorded timeline.
+    * the run state: the per-cohort workload copies
+      (:attr:`workloads`), the per-group policy copies
+      (:attr:`policies`) with their mutable cursors, the cohorts'
+      previous utilizations and recovery flags, the :attr:`epoch`
+      cursor, and the per-class demand/migration accumulators and
+      recorded timeline.
 
     :meth:`result` and :meth:`delta_vth_v` gather the class rows onto
     the chips, so chip ``i`` reads its class's bits.
@@ -772,17 +774,16 @@ class FleetSimulator:
     :meth:`advance` is the epoch loop of every study, one chip or
     many -- demand, assignment, thermal solve, BTI/EM advance,
     recording -- with every per-core quantity carrying a chip axis:
-    each cohort's policy is
-    consulted once per epoch with its cohort-worst per-core shift
-    (see the module docstring for the exactness contract this
-    preserves), and the per-cohort conditions are gathered into one
-    stacked advance.  An advance can stop after any epoch and continue
-    later (or in another process: :meth:`state_arrays` and
-    :meth:`load_state` move the state that
-    :mod:`repro.system.checkpoint` writes) with a trajectory
-    bit-identical to an uninterrupted run: every cross-epoch input is
-    either stored here or recomputed as the same pure function of the
-    stored state.
+    each group's policy is consulted once per epoch with the
+    cohort-worst per-core shifts of its cohorts (see the module
+    docstring for the exactness contract this preserves), and the
+    per-cohort conditions are gathered into one stacked advance.  An
+    advance can stop after any epoch and continue later (or in
+    another process: :meth:`state_arrays` and :meth:`load_state` move
+    the state that :mod:`repro.system.checkpoint` writes) with a
+    trajectory bit-identical to an uninterrupted run: every
+    cross-epoch input is either stored here or recomputed as the same
+    pure function of the stored state.
 
     An open horizon (``n_epochs`` is ``None``, the
     :class:`~repro.system.checkpoint.FleetSession` mode) records by
@@ -806,7 +807,7 @@ class FleetSimulator:
                 study.first_chip, study.first_chip + n_chips,
                 study.seed)
         self.variation = variation
-        self.cohorts = self._build_cohorts(study)
+        self._build_cohorts(study)
         chip_cohort = study.chip_cohort()
         self.chip_class, class_chip = chip_classes(chip_cohort, variation)
         n_classes = self.n_classes = class_chip.size
@@ -815,7 +816,7 @@ class FleetSimulator:
         # per-cohort values onto the class rows.
         self._class_cohort = chip_cohort[class_chip]
         self._cohort_starts = np.searchsorted(
-            self._class_cohort, np.arange(len(self.cohorts)))
+            self._class_cohort, np.arange(len(self.workloads)))
         self._class_scales = tuple(
             scale[class_chip][:, None]
             for scale in (variation.capture_scale,
@@ -835,13 +836,13 @@ class FleetSimulator:
             calibration.model_config.acceleration,
             calibration.model_config.reference_stress,
             stress_voltage_v=chip.core.stress_voltage_v)
-        # Two condition memos.  A whole-epoch bundle is keyed on a token
-        # of every cohort's assignment bytes, so distinct schedules
+        # Two condition memos.  A whole-epoch bundle is keyed on the
+        # bytes of the stacked assignment arrays, so distinct schedules
         # never collide and a repeat epoch is a dictionary hit.  On a
-        # bundle miss, each distinct assignment's base conditions come
-        # from the per-assignment memo (keyed on its cache_key), so
-        # base_epoch_conditions runs once per distinct assignment of
-        # the run, not once per cohort.
+        # bundle miss, each distinct assignment row's base conditions
+        # come from the per-row memo (keyed on the row's bytes), so
+        # base_epoch_conditions runs once per distinct row of the run,
+        # not once per cohort.
         self._condition_cache = FactorizationCache(
             maxsize=_budget_entries(_MEMO_BUDGET_BYTES, 33 * rows,
                                     cap=64),
@@ -851,6 +852,9 @@ class FleetSimulator:
                                     cap=4096),
             name="fleet.base_conditions")
         self.epoch = 0
+        cohort_shape = (len(self.workloads), n_cores)
+        self.previous_utilization = np.zeros(cohort_shape)
+        self.previous_recovering = np.zeros(cohort_shape, dtype=bool)
         self.migration_events = np.zeros(n_classes, dtype=np.int64)
         self.total_demand = np.zeros(n_classes)
         self.total_dropped = np.zeros(n_classes)
@@ -865,46 +869,54 @@ class FleetSimulator:
 
     # -- cohorts -----------------------------------------------------------
 
-    def _build_cohorts(self, study: _FleetStudy) -> List[_Cohort]:
-        """The study's cohorts, each with fresh template copies."""
-        cohorts: List[_Cohort] = []
-        for group, start, stop, phase in study.cohort_runs():
-            if hasattr(group.policy, "assign"):
-                policy = copy.deepcopy(group.policy)
-            else:
-                policy = group.policy(self.chip)
-            workload = copy.deepcopy(group.workload)
-            if phase:
-                workload = PhasedWorkload(workload, phase)
-            cohorts.append(_Cohort(start, stop, workload, policy,
-                                   self.n_cores))
-        return cohorts
+    def _build_cohorts(self, study: _FleetStudy) -> None:
+        """Fresh template copies: one workload per cohort and one policy
+        per group, with the cohort rows each group's policy decides."""
+        runs = study.cohort_runs()
+        self.workloads = []
+        for index, _, _, phase in runs:
+            workload = copy.deepcopy(study.groups[index].workload)
+            self.workloads.append(PhasedWorkload(workload, phase)
+                                  if phase else workload)
+        self.policies = [copy.deepcopy(group.policy)
+                         if hasattr(group.policy, "assign")
+                         else group.policy(self.chip)
+                         for group in study.groups]
+        bounds = np.searchsorted([index for index, *_ in runs],
+                                 np.arange(len(study.groups) + 1))
+        self._group_rows = [slice(lo, hi)
+                            for lo, hi in zip(bounds, bounds[1:])]
 
     # -- conditions --------------------------------------------------------
 
-    def _build_group_conditions(self, assignments, keys
+    def _build_group_conditions(self, utilization: np.ndarray,
+                                recovering: np.ndarray,
+                                em_recovering: np.ndarray
                                 ) -> _EpochConditions:
-        """Assemble one full-stack bundle from per-cohort assignments.
+        """Assemble one full-stack bundle from the cohorts' stacked
+        utilization, BTI-recovery and EM-reversal rows.
 
-        Cohorts that share an assignment share its base conditions:
-        each distinct ``keys`` entry is fetched once from the
-        per-assignment memo, one gather spreads the bases over the
-        class rows, and one multiply per scale applies the variation.
-        Element ``(k, c)`` of every array is ``base[c] * scale[k]``
-        with the cohort's own base conditions -- one multiply per
-        element whatever the stack height, so each row matches its
-        one-chip study bitwise.
+        Cohorts that share an assignment row share its base conditions:
+        each distinct row is fetched once from the per-row memo, one
+        gather spreads the bases over the class rows, and one multiply
+        per scale applies the variation.  Element ``(k, c)`` of every
+        array is ``base[c] * scale[k]`` with the cohort's own base
+        conditions -- one multiply per element whatever the stack
+        height, so each row matches its one-chip study bitwise.
         """
         slots: Dict[tuple, int] = {}
         bases = []
-        cohort_slot = np.empty(len(keys), dtype=np.intp)
-        for index, (assignment, key) in enumerate(zip(assignments, keys)):
+        cohort_slot = np.empty(len(utilization), dtype=np.intp)
+        for index in range(len(utilization)):
+            row = (utilization[index], recovering[index],
+                   em_recovering[index])
+            key = tuple(map(np.ndarray.tobytes, row))
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(bases)
                 bases.append(self._base_cache.get_or_build(
                     key, partial(base_epoch_conditions, self.chip,
-                                 self.kernels, assignment)))
+                                 self.kernels, *row)))
             cohort_slot[index] = slot
         temps, active, capture, recovery, j = (
             np.stack(column) for column in zip(*bases))
@@ -933,45 +945,42 @@ class FleetSimulator:
         bti, em = self.bti, self.em
         epoch_s = self.epoch_s
         oscillator = self.chip.core.oscillator
-        cohorts = self.cohorts
+        workloads, policies = self.workloads, self.policies
+        group_rows = self._group_rows
         migration_events = self.migration_events
         total_demand = self.total_demand
         total_dropped = self.total_dropped
         starts, class_cohort = self._cohort_starts, self._class_cohort
-        demands = np.empty(len(cohorts))
-        dropped = np.empty(len(cohorts))
-        migrated = np.empty(len(cohorts), dtype=np.int64)
         delta_vth = bti.delta_vth_v()
         cond = None
         for epoch in range(self.epoch, self.epoch + n_epochs):
             cohort_worst = np.maximum.reduceat(delta_vth, starts, axis=0)
-            assignments = []
-            keys = []
-            for index, cohort in enumerate(cohorts):
-                demand = cohort.workload.demand(epoch)
-                assignment = cohort.policy.assign(
-                    epoch, demand, cohort_worst[index],
-                    cohort.previous_utilization)
-                recovering = assignment.bti_recovering
-                migrated[index] = np.count_nonzero(
-                    recovering & ~cohort.previous_recovering)
-                cohort.previous_recovering = recovering
-                cohort.previous_utilization = assignment.utilization
-                demands[index] = demand
-                dropped[index] = assignment.dropped_demand
-                assignments.append(assignment)
-                keys.append(assignment.cache_key())
-            migration_events += migrated[class_cohort]
+            demands = np.array([workload.demand(epoch)
+                                for workload in workloads], dtype=float)
+            previous = self.previous_utilization
+            decisions = [
+                policy.assign(epoch, demands[rows], cohort_worst[rows],
+                              previous[rows] if epoch else None)
+                for policy, rows in zip(policies, group_rows)]
+            assignment = list(map(np.concatenate, zip(*(
+                (decision.utilization, decision.bti_recovering,
+                 decision.em_recovering, decision.dropped_demand)
+                for decision in decisions))))
+            utilization, recovering, _, dropped = assignment
+            migration_events += np.add.reduce(
+                recovering & ~self.previous_recovering, axis=1)[class_cohort]
+            self.previous_utilization = utilization
+            self.previous_recovering = recovering
             total_demand += demands[class_cohort]
             dropped_epoch = dropped[class_cohort]
             total_dropped += dropped_epoch
             # The cohort layout and the epoch length are fixed for the
-            # simulator's life, so the assignment keys alone identify
-            # the epoch's conditions in every memo.
-            token = tuple(keys)
+            # simulator's life, so the bytes of the stacked assignment
+            # alone identify the epoch's conditions in every memo.
+            token = tuple(map(np.ndarray.tobytes, assignment[:3]))
             cond = self._condition_cache.get_or_build(
                 token, lambda: self._build_group_conditions(
-                    assignments, keys))
+                    *assignment[:3]))
             bti.step(epoch_s, cond.stressing, cond.capture_safe,
                      cond.recovery, kernel_key=token)
             em.step(epoch_s, cond.j_flat, cond.temps_flat, key=token)
@@ -1004,7 +1013,7 @@ class FleetSimulator:
         f64 = np.dtype(np.float64)
         classes = (self.n_classes,)
         records = (sum(map(self._recorded, range(epoch))), self.n_classes)
-        per_core = (len(self.cohorts), self.n_cores)
+        per_core = self.previous_utilization.shape
         layout = {f"bti/{name}": spec
                   for name, spec in self.bti.state_layout().items()}
         layout.update((f"em/{name}", spec)
@@ -1036,7 +1045,7 @@ class FleetSimulator:
         (``readout/temps``), zeros before the first epoch.  The key
         set is the same for every study.  The epoch is not an array:
         :meth:`load_state` takes it and recomputes the record times.
-        The cohorts' workload and policy copies are not included.
+        The workload and policy copies are not included.
         """
         arrays = {f"bti/{name}": array
                   for name, array in self.bti.state_arrays().items()}
@@ -1045,18 +1054,16 @@ class FleetSimulator:
         arrays.update((f"variation/{name}",
                        getattr(self.variation, name).copy())
                       for name in _VARIATION_FIELDS)
-        cohorts = self.cohorts
-        fresh = self.epoch == 0
-        zeros = np.zeros((len(cohorts), self.n_cores))
         arrays.update({
             "run/migration_events": self.migration_events.copy(),
             "run/total_demand": self.total_demand.copy(),
             "run/total_dropped": self.total_dropped.copy(),
-            "cohorts/previous_recovering": np.array(
-                [cohort.previous_recovering for cohort in cohorts]),
-            "cohorts/previous_utilization": zeros if fresh else np.array(
-                [cohort.previous_utilization for cohort in cohorts]),
-            "readout/temps": (zeros.copy() if fresh
+            "cohorts/previous_recovering":
+                self.previous_recovering.copy(),
+            "cohorts/previous_utilization":
+                self.previous_utilization.copy(),
+            "readout/temps": (np.zeros_like(self.previous_utilization)
+                              if self.epoch == 0
                               else np.array(self.cohort_temps))})
         for name in ("worst", "mean", "dropped"):
             arrays[f"run/{name}"] = np.array(
@@ -1074,8 +1081,8 @@ class FleetSimulator:
         for bit, since the chip classes follow from it.  Every check
         runs before anything is written, so a refused mapping raises
         :class:`~repro.errors.SimulationError` and leaves the
-        simulator as it was.  The cohorts' workload and policy copies
-        are the caller's to restore.
+        simulator as it was.  The workload and policy copies are the
+        caller's to restore.
         """
         horizon = self.n_epochs
         if (type(epoch) is not int or epoch < 0
@@ -1102,12 +1109,9 @@ class FleetSimulator:
             for name in ("worst", "mean", "dropped"))
         self.times = [(past + 1) * self.epoch_s for past in range(epoch)
                       if self._recorded(past)]
-        recovering = np.array(arrays["cohorts/previous_recovering"])
-        utilization = np.array(arrays["cohorts/previous_utilization"])
-        for index, cohort in enumerate(self.cohorts):
-            cohort.previous_recovering = recovering[index]
-            cohort.previous_utilization = (utilization[index] if epoch
-                                           else None)
+        self.previous_recovering, self.previous_utilization = (
+            np.array(arrays[f"cohorts/previous_{name}"])
+            for name in ("recovering", "utilization"))
         self.cohort_temps = (list(np.array(arrays["readout/temps"]))
                              if epoch else None)
         self.epoch = epoch
@@ -1137,7 +1141,7 @@ class FleetSimulator:
             em_failures[start:stop] = \
                 self.em.failed(read_t).reshape(shape)[start:stop]
         record_counters("fleet.engine", chips=self.n_chips,
-                        epochs=self.epoch, cohorts=len(self.cohorts),
+                        epochs=self.epoch, cohorts=len(self.workloads),
                         classes=self.n_classes)
         chips = self.chip_class
 
@@ -1205,21 +1209,21 @@ class _FleetStudy:
         """Population size."""
         return sum(group.n_chips for group in self.groups)
 
-    def cohort_runs(self) -> List[Tuple[FleetGroup, int, int, int]]:
-        """``(group, start, stop, phase)`` of every cohort, in chip
-        order: the maximal runs of consecutive chips of one group that
-        share a phase."""
+    def cohort_runs(self) -> List[Tuple[int, int, int, int]]:
+        """``(group index, start, stop, phase)`` of every cohort, in
+        chip order: the maximal runs of consecutive chips of one group
+        that share a phase."""
         runs = []
         offset = 0
-        for group in self.groups:
+        for index, group in enumerate(self.groups):
             phases = group.phases
             if phases is None:
-                runs.append((group, offset, offset + group.n_chips, 0))
+                runs.append((index, offset, offset + group.n_chips, 0))
             else:
                 cuts = [0, *(i for i in range(1, group.n_chips)
                              if phases[i] != phases[i - 1]),
                         group.n_chips]
-                runs.extend((group, offset + lo, offset + hi, phases[lo])
+                runs.extend((index, offset + lo, offset + hi, phases[lo])
                             for lo, hi in zip(cuts, cuts[1:]))
             offset += group.n_chips
         return runs

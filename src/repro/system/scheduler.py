@@ -1,12 +1,14 @@
 """Scheduling policies: which cores run, which cores heal.
 
-A policy turns (epoch, demand, aging observables) into a
+A policy decides for ``k`` cohorts at once -- the cohorts of one fleet
+group, or the one chip of a system study.  It turns (epoch, the
+``(k,)`` demands, the ``(k, n_cores)`` aging observables) into one
 :class:`CoreAssignment`: per-core utilizations plus per-core recovery
-flags.  The baseline :class:`NoRecoveryPolicy` never heals;
-:class:`RoundRobinRecoveryPolicy` rotates short BTI recovery intervals
-through the fleet and alternates EM recovery epochs on the active
-cores (the "EM active period can be scheduled alternately with normal
-operation" recipe of Section IV-B).
+flags, one row per cohort.  The baseline :class:`NoRecoveryPolicy`
+never heals; :class:`RoundRobinRecoveryPolicy` rotates short BTI
+recovery intervals through the chip and alternates EM recovery epochs
+on the active cores (the "EM active period can be scheduled
+alternately with normal operation" recipe of Section IV-B).
 """
 
 from __future__ import annotations
@@ -21,81 +23,77 @@ from repro.errors import SimulationError
 
 @dataclass(frozen=True)
 class CoreAssignment:
-    """One epoch's scheduling decision.
+    """One epoch's scheduling decision for ``k`` cohorts, one row each.
 
     Attributes:
-        utilization: per-core utilization in [0, 1].
-        bti_recovering: per-core flags -- core idles with swapped rails
-            (BTI active recovery; contributes no compute).
-        em_recovering: per-core flags -- core runs with reversed grid
-            current (EM active recovery; still contributes compute).
-        dropped_demand: demand (core-equivalents) that could not be
-            placed this epoch because too few cores were available.
+        utilization: ``(k, n_cores)`` per-core utilization in [0, 1].
+        bti_recovering: ``(k, n_cores)`` flags -- core idles with
+            swapped rails (BTI active recovery; contributes no
+            compute).
+        em_recovering: ``(k, n_cores)`` flags -- core runs with
+            reversed grid current (EM active recovery; still
+            contributes compute).
+        dropped_demand: ``(k,)`` demand (core-equivalents) that could
+            not be placed this epoch because too few cores were
+            available.
     """
 
     utilization: np.ndarray
     bti_recovering: np.ndarray
     em_recovering: np.ndarray
-    dropped_demand: float = 0.0
+    dropped_demand: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.utilization)
-        if len(self.bti_recovering) != n or len(self.em_recovering) != n:
+        shape = self.utilization.shape
+        if (len(shape) != 2 or self.bti_recovering.shape != shape
+                or self.em_recovering.shape != shape
+                or self.dropped_demand.shape != shape[:1]):
             raise SimulationError("assignment arrays must align")
         low = self.utilization.min(initial=0.0)
         high = self.utilization.max(initial=0.0)
         if low < 0.0 or high > 1.0:
             raise SimulationError("utilizations must be within [0, 1]")
-        if (self.bti_recovering & (self.utilization > 0.0)).any():
+        if np.maximum.reduce(self.utilization, axis=None, initial=0.0,
+                             where=self.bti_recovering) > 0.0:
             raise SimulationError(
                 "a BTI-recovering core cannot carry load")
 
-    def cache_key(self) -> tuple:
-        """A hashable digest of the assignment's full content.
 
-        Everything the epoch engines derive from an assignment (power
-        vector, thermal solve, condition-kernel lookups, signed grid
-        current) is a pure function of these three arrays, so the
-        scalar and fleet simulators memoize their per-assignment
-        condition bundles on exactly this key.  Keying on the raw
-        bytes -- never on rounded floats -- keeps distinct assignments
-        distinct bit for bit.
-        """
-        return (self.utilization.tobytes(),
-                self.bti_recovering.tobytes(),
-                self.em_recovering.tobytes())
+def _spread(demand: np.ndarray, healing: np.ndarray,
+            n_active: int) -> np.ndarray:
+    """Distribute each row's demand evenly over the ``n_active`` cores
+    of its row that do not heal (capped at 1)."""
+    per_core = np.minimum(demand / n_active, 1.0)
+    return np.where(healing, 0.0, per_core[:, None])
 
 
-def _spread(demand: float, available: np.ndarray) -> np.ndarray:
-    """Distribute demand evenly over the available cores (capped at 1)."""
-    n = len(available)
-    utilization = np.zeros(n)
-    idx = np.nonzero(available)[0]
-    if idx.size == 0:
-        return utilization
-    per_core = min(demand / idx.size, 1.0)
-    utilization[idx] = per_core
-    return utilization
+def _assignment(epoch: int, demand: np.ndarray, healing: np.ndarray,
+                n_active: int, em_alternate_every: int) -> CoreAssignment:
+    """Spread the demand over the ``n_active`` cores of each row that
+    do not heal; every ``em_alternate_every``-th epoch (0: never) the
+    loaded ones run with reversed grid current."""
+    utilization = _spread(demand, healing, n_active)
+    if em_alternate_every and epoch % em_alternate_every == 0:
+        em = utilization > 0.0
+    else:
+        em = np.zeros(healing.shape, dtype=bool)
+    placed = np.add.reduce(utilization, axis=1)
+    return CoreAssignment(
+        utilization=utilization, bti_recovering=healing,
+        em_recovering=em, dropped_demand=np.maximum(demand - placed, 0.0))
 
 
 @dataclass(frozen=True)
 class NoRecoveryPolicy:
     """Baseline: spread the demand, never heal."""
 
-    def assign(self, epoch: int, demand: float,
-               delta_vth_v: np.ndarray,
+    def assign(self, epoch: int, demand: np.ndarray, worst: np.ndarray,
                previous_utilization: Optional[np.ndarray] = None
                ) -> CoreAssignment:
         """Evenly load all cores; no recovery epochs ever."""
-        n = len(delta_vth_v)
-        available = np.ones(n, dtype=bool)
-        utilization = _spread(demand, available)
-        placed = float(utilization.sum())
-        return CoreAssignment(
-            utilization=utilization,
-            bti_recovering=np.zeros(n, dtype=bool),
-            em_recovering=np.zeros(n, dtype=bool),
-            dropped_demand=max(demand - placed, 0.0))
+        shape = np.shape(worst)
+        return _assignment(epoch, demand, np.zeros(shape, dtype=bool),
+                           shape[1], 0)
 
 
 @dataclass
@@ -107,7 +105,8 @@ class RoundRobinRecoveryPolicy:
     remaining cores.  Independently, every ``em_alternate_every``
     epochs the *active* cores run one epoch with reversed grid
     current -- EM active recovery costs no compute, so it can simply
-    alternate with normal polarity.
+    alternate with normal polarity.  Every cohort of a call gets the
+    same window, so one cursor serves them all.
 
     Attributes:
         recovery_slots: cores in BTI recovery per epoch.
@@ -125,28 +124,17 @@ class RoundRobinRecoveryPolicy:
         if self.em_alternate_every < 0:
             raise SimulationError("em_alternate_every must be >= 0")
 
-    def assign(self, epoch: int, demand: float,
-               delta_vth_v: np.ndarray,
+    def assign(self, epoch: int, demand: np.ndarray, worst: np.ndarray,
                previous_utilization: Optional[np.ndarray] = None
                ) -> CoreAssignment:
         """Rotate the healing window and spread demand over the rest."""
-        n = len(delta_vth_v)
+        k, n = np.shape(worst)
         if self.recovery_slots >= n:
             raise SimulationError(
                 "recovery_slots must leave at least one active core")
-        healing = np.zeros(n, dtype=bool)
+        healing = np.zeros((k, n), dtype=bool)
         for slot in range(self.recovery_slots):
-            healing[(self._cursor + slot) % n] = True
+            healing[:, (self._cursor + slot) % n] = True
         self._cursor = (self._cursor + self.recovery_slots) % n
-        available = ~healing
-        utilization = _spread(demand, available)
-        placed = float(utilization.sum())
-        em = np.zeros(n, dtype=bool)
-        if self.em_alternate_every and \
-                epoch % self.em_alternate_every == 0:
-            em = available & (utilization > 0.0)
-        return CoreAssignment(
-            utilization=utilization,
-            bti_recovering=healing,
-            em_recovering=em,
-            dropped_demand=max(demand - placed, 0.0))
+        return _assignment(epoch, demand, healing,
+                           n - self.recovery_slots, self.em_alternate_every)

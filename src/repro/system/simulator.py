@@ -71,11 +71,10 @@ class SystemSimulator:
         Every call starts from a fresh (unaged) chip, so two calls
         with equal inputs return equal results.  The run steps a deep
         copy of ``workload``, which stays untouched; ``policy`` is used
-        as is (it may hold the live chip, as
-        :class:`~repro.system.dark_silicon.DarkSiliconRotationPolicy`
-        does), so a stateful policy's cursor carries over to the next
-        call.  The chip's thermal network is left holding the last
-        epoch's temperatures.
+        as is, called once per epoch with one-row (``k = 1``) arrays,
+        so a stateful policy's cursor (a rotation window, a dark set
+        and its dwell) carries over to the next call.  The chip's
+        thermal network is left holding the last epoch's temperatures.
 
         Args:
             n_epochs: horizon in epochs.

@@ -260,7 +260,8 @@ class TestSnapshotFormat:
         with pytest.raises(CheckpointError, match="checksum"):
             read_snapshot(path)
 
-    def test_a_v8_file_is_refused_with_the_schema_message(self, tmp_path):
+    def test_a_v8_file_is_refused_with_the_schema_message(
+            self, tmp_path, monkeypatch):
         # The schema v8 layout: one member per array next to
         # ``__meta__`` and ``__checksum__``.
         path = tmp_path / "v8.npz"
@@ -271,6 +272,15 @@ class TestSnapshotFormat:
             "__meta__": np.frombuffer(meta, dtype=np.uint8),
             "__checksum__": np.frombuffer(b"0" * 64, dtype=np.uint8)})
         with pytest.raises(CheckpointError, match="schema v8"):
+            read_snapshot(path)
+        # v9 has this build's file layout; its cohort state pickled
+        # one (workload, policy) pair per cohort.
+        path = tmp_path / "v9.npz"
+        monkeypatch.setattr(checkpoint_module,
+                            "CHECKPOINT_SCHEMA_VERSION", 9)
+        write_snapshot(path, self.ARRAYS, self.META)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="schema v9"):
             read_snapshot(path)
 
     def test_fleet_snapshot_object_round_trips(self, tmp_path):
@@ -1122,8 +1132,8 @@ class TestSnapshotLayout:
         simulator = session._simulator
         assert session.epoch == 0
         assert simulator.cohort_temps is None
-        assert all(cohort.previous_utilization is None
-                   for cohort in simulator.cohorts)
+        assert not simulator.previous_utilization.any()
+        assert not simulator.previous_recovering.any()
         session.advance(3)
         assert_results_bitwise_equal(session.result(),
                                      make_session().advance(3).result())
@@ -1198,6 +1208,14 @@ class TestSnapshotLayout:
 
     def test_a_v7_directory_is_refused(self, tmp_path, monkeypatch):
         assert_older_directory_refused(tmp_path, monkeypatch, 7)
+
+    # v10 pickles the cohort state as (per-cohort workloads, per-group
+    # policies) instead of one (workload, policy) pair per cohort.
+    def test_a_v9_snapshot_is_refused(self, tmp_path, monkeypatch):
+        assert_older_snapshot_refused(tmp_path, monkeypatch, 9)
+
+    def test_a_v9_directory_is_refused(self, tmp_path, monkeypatch):
+        assert_older_directory_refused(tmp_path, monkeypatch, 9)
 
 
 class TestSnapshotCounters:

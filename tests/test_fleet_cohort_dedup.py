@@ -2,21 +2,23 @@
 
 A fleet with unsorted workload phases splits into many cohorts, and
 many of them make the same scheduling decision in an epoch.
-:class:`~repro.system.fleet.FleetSimulator` computes base conditions
-once per distinct assignment (memoized across epochs) and spreads them
-over the chip rows with one gather, while every cohort still gets its
-own policy call.  These tests pin that contract on a many-cohort
-study:
+:class:`~repro.system.fleet.FleetSimulator` asks each group's policy
+once per epoch for one assignment row per cohort, computes base
+conditions once per distinct row (memoized across epochs) and spreads
+them over the chip rows with one gather.  These tests pin that
+contract on a many-cohort study:
 
 * every chip equals its standalone
   :class:`~repro.system.simulator.SystemSimulator` bit for bit, which
   pins the vectorized cohort-worst shift and the per-cohort demand,
   dropped-demand and migration scatters;
 * ``base_epoch_conditions`` runs exactly once per distinct assignment
-  of the run -- fewer times than cohorts x missed epochs -- while the
-  policies are still consulted once per cohort per epoch;
+  row of the run -- fewer times than cohorts x missed epochs -- while
+  each group's policy is consulted once per epoch, with one row per
+  cohort;
 * a saved and reloaded :class:`~repro.system.checkpoint.FleetSession`
-  (whose condition memos start cold) continues bitwise.
+  (whose condition memos start cold) continues bitwise, the
+  dark-silicon policy with its dark sets and dwell included.
 """
 
 from __future__ import annotations
@@ -60,30 +62,12 @@ RR_PHASES = (0, 3, 0, 5, 3, 3, 0, 5)          # 7 cohorts
 NONE_PHASES = (1, 1, 4, 1, 4, 4)              # 4 cohorts
 DARK_PHASES = (0, 0, 0, 2, 2, 0)              # 3 cohorts
 N_COHORTS = 14
+N_GROUPS = 3
 N_CHIPS = len(RR_PHASES) + len(NONE_PHASES) + len(DARK_PHASES)
 
 
-class PicklableDarkSilicon(DarkSiliconRotationPolicy):
-    """Dark-silicon rotation that pickles its chip by geometry.
-
-    A live :class:`Chip` holds a factorized thermal network and does
-    not pickle, so a session snapshot of the stock policy fails; this
-    subclass rebuilds an equal chip on load (the policy only reads
-    its geometry).
-    """
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["chip"] = (self.chip.rows, self.chip.cols)
-        return state
-
-    def __setstate__(self, state):
-        rows, cols = state.pop("chip")
-        self.__dict__.update(state, chip=Chip(rows, cols))
-
-
 def dark_policy(chip):
-    return PicklableDarkSilicon(chip, n_dark=1)
+    return DarkSiliconRotationPolicy(chip, n_dark=1)
 
 
 def groups():
@@ -128,6 +112,11 @@ def run_study(**kwargs):
         variation=variation(), max_workers=1, **kwargs)
 
 
+def row_keys(*arrays):
+    """The bytes of every assignment row, one tuple per cohort."""
+    return [tuple(row.tobytes() for row in rows) for rows in zip(*arrays)]
+
+
 def assert_bitwise(a, b, fields, label=None):
     for field in fields:
         x = np.asarray(getattr(a, field))
@@ -165,20 +154,24 @@ class TestCohortDedup:
 
     def test_one_condition_build_per_distinct_assignment(
             self, monkeypatch):
+        calls = []
         seen = []
         for cls in (RoundRobinRecoveryPolicy, NoRecoveryPolicy,
                     DarkSiliconRotationPolicy):
             def recording(self, *args, _assign=cls.assign, **kwargs):
                 assignment = _assign(self, *args, **kwargs)
-                seen.append(assignment.cache_key())
+                calls.append(len(assignment.utilization))
+                seen.extend(row_keys(assignment.utilization,
+                                     assignment.bti_recovering,
+                                     assignment.em_recovering))
                 return assignment
             monkeypatch.setattr(cls, "assign", recording)
         builds = []
         base = fleet_module.base_epoch_conditions
 
-        def counting(chip, kernels, assignment):
-            builds.append(assignment.cache_key())
-            return base(chip, kernels, assignment)
+        def counting(chip, kernels, *rows):
+            builds.extend(row_keys(*(row[None] for row in rows)))
+            return base(chip, kernels, *rows)
 
         monkeypatch.setattr(fleet_module, "base_epoch_conditions",
                             counting)
@@ -188,8 +181,8 @@ class TestCohortDedup:
         counters = report.cache_counters
         distinct = len(set(seen))
         missed_epochs = counters["fleet.conditions"]["misses"]
-        # Cohort semantics unchanged: one policy call per cohort and
-        # epoch.
+        # One policy call per group and epoch, one row per cohort.
+        assert len(calls) == N_GROUPS * N_EPOCHS
         assert len(seen) == N_COHORTS * N_EPOCHS
         assert counters["fleet.engine"]["cohorts"] == N_COHORTS
         assert counters["fleet.base_conditions"]["misses"] == distinct
@@ -213,3 +206,25 @@ class TestCohortDedup:
         assert_bitwise(resumed.result(), reference, RESULT_FIELDS)
         saved.advance(N_EPOCHS - 5)
         assert_bitwise(saved.result(), reference, RESULT_FIELDS)
+
+    def test_phased_dark_silicon_session_resumes_bitwise(self, tmp_path):
+        # The stock policy as a template: its dark sets and the dwell
+        # counter, saved mid-dwell, travel in the snapshot.
+        def session():
+            return FleetSession(
+                (2, 2), groups=(FleetGroup(
+                    n_chips=5,
+                    workload=DiurnalWorkload(N_CORES, 0.8, 0.3, 6),
+                    policy=DarkSiliconRotationPolicy(
+                        Chip(2, 2), n_dark=1, dwell_epochs=3),
+                    phases=(0, 2, 2, 5, 0)),), record_every=2)
+
+        path = tmp_path / "dark.npz"
+        unsaved = session()
+        unsaved.advance(N_EPOCHS)
+        saved = session()
+        saved.advance(5)
+        saved.save(path)
+        resumed = FleetSession.load(path)
+        resumed.advance(N_EPOCHS - 5)
+        assert_bitwise(resumed.result(), unsaved.result(), RESULT_FIELDS)

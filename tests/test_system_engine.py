@@ -7,8 +7,8 @@ pin the contract that made the rewrite safe:
 
 * every array kernel matches its scalar origin elementwise (<= 1e-9);
 * the full simulator matches the seed's scalar epoch loop (kept
-  verbatim in :mod:`benchmarks.seed_system`) to 1e-10 on every
-  ``SystemResult`` field;
+  verbatim in :mod:`benchmarks.seed_system`, driven by the seed's
+  per-chip policies) to 1e-10 on every ``SystemResult`` field;
 * every cache (thermal steady state, condition bundle, BTI sub-step
   kernel, EM rate factors) is observably hit *and* changes nothing;
 * the pooled lifetime sweep equals the serial one cell for cell.
@@ -37,6 +37,7 @@ from repro.sensors.ring_oscillator import RingOscillator
 from repro.solvers import cache_counters
 from repro.system.aging import FleetEmState
 from repro.system.chip import Chip
+from repro.system.dark_silicon import DarkSiliconRotationPolicy
 from repro.system.fleet import (
     FleetGroup,
     FleetSimulator,
@@ -57,7 +58,12 @@ from repro.system.workload import (
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.network import ThermalNetworkConfig, ThermalRCNetwork
 
-from benchmarks.seed_system import SeedFleetBtiState, SeedSystemSimulator
+from benchmarks.seed_system import (
+    SeedDarkSiliconRotationPolicy,
+    SeedFleetBtiState,
+    SeedRoundRobinRecoveryPolicy,
+    SeedSystemSimulator,
+)
 
 KERNEL_RTOL = 1e-9
 RESULT_RTOL = 1e-10
@@ -395,7 +401,9 @@ class TestOneTrapEngine:
         class RecordingPolicy(RoundRobinRecoveryPolicy):
             def assign(self, *args):
                 assignment = super().assign(*args)
-                keys.add(assignment.cache_key())
+                keys.add((assignment.utilization.tobytes(),
+                          assignment.bti_recovering.tobytes(),
+                          assignment.em_recovering.tobytes()))
                 return assignment
 
         simulator = SystemSimulator(Chip(2, 3))
@@ -469,8 +477,8 @@ class TestSimulatorEquivalence:
             500, workload, policy)
         reference = SeedSystemSimulator(Chip(4, 4)).run(
             500, workload,
-            RoundRobinRecoveryPolicy(recovery_slots=2,
-                                     em_alternate_every=2))
+            SeedRoundRobinRecoveryPolicy(recovery_slots=2,
+                                         em_alternate_every=2))
         assert result_difference(result, reference) <= RESULT_RTOL
 
     def test_condition_bundle_cache_is_hit(self):
@@ -509,9 +517,16 @@ class TestSimulatorEquivalence:
 
     def test_phased_multi_group_fleet_matches_seed(self):
         # Every chip of a phased, multi-group fleet without variation
-        # against the seed's scalar loop: an oracle outside the epoch
-        # loop that the one-chip facade and the fleet share.
+        # against the seed's scalar loop and per-chip policies: an
+        # oracle outside the epoch loop and the batched policies that
+        # the one-chip facade and the fleet share.
         n_epochs = 60
+        seed_policies = (
+            lambda: SeedRoundRobinRecoveryPolicy(
+                recovery_slots=1, em_alternate_every=3),
+            lambda: SeedRoundRobinRecoveryPolicy(recovery_slots=2),
+            lambda: SeedDarkSiliconRotationPolicy(
+                Chip(2, 3), n_dark=2, dwell_epochs=3))
         groups = (
             FleetGroup(n_chips=3,
                        workload=DiurnalWorkload(n_cores=6,
@@ -524,18 +539,23 @@ class TestSimulatorEquivalence:
                        policy=RoundRobinRecoveryPolicy(
                            recovery_slots=2),
                        phases=(0, 4)),
+            FleetGroup(n_chips=3,
+                       workload=DiurnalWorkload(n_cores=6,
+                                                period_epochs=10),
+                       policy=DarkSiliconRotationPolicy(
+                           Chip(2, 3), n_dark=2, dwell_epochs=3),
+                       phases=(2, 2, 7)),
         )
         fleet = run_fleet_lifetime_study(
             (2, 3), groups=groups, n_epochs=n_epochs, record_every=4)
         chip = 0
-        for group in groups:
+        for group, seed_policy in zip(groups, seed_policies):
             for phase in group.phases:
                 workload = copy.deepcopy(group.workload)
                 if phase:
                     workload = PhasedWorkload(workload, phase)
                 reference = SeedSystemSimulator(Chip(2, 3)).run(
-                    n_epochs, workload, copy.deepcopy(group.policy),
-                    record_every=4)
+                    n_epochs, workload, seed_policy(), record_every=4)
                 assert result_difference(
                     fleet.chip_result(chip), reference) <= RESULT_RTOL
                 chip += 1

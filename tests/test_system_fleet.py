@@ -497,9 +497,8 @@ class TestSimulatorStatePair:
         target = _simulator()
         target.advance(5)
         target.load_state(source.state_arrays(), source.epoch)
-        for ours, theirs in zip(target.cohorts, source.cohorts):
-            ours.workload = copy.deepcopy(theirs.workload)
-            ours.policy = copy.deepcopy(theirs.policy)
+        target.workloads = copy.deepcopy(source.workloads)
+        target.policies = copy.deepcopy(source.policies)
         assert target.epoch == 3
         for simulator in (source, target):
             simulator.advance(3)
